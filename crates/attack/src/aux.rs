@@ -257,11 +257,13 @@ impl HarvestContext {
 const HARVEST_NAME_MS: &str = "harvest.name_ms";
 
 /// Emits one harvested name's observability deltas: pages linked and
-/// inspected, plus what the memo and the score floor absorbed (read as
-/// deltas over the worker's [`LinkState`], which lives across names).
-/// Free when tracing is off — one relaxed atomic load.
+/// inspected, the postings its search visited, plus what the memo and the
+/// score floor absorbed (read as deltas over the worker's [`LinkState`],
+/// which lives across names). Free when tracing is off — one relaxed
+/// atomic load.
 fn note_harvest_metrics(
     state: &LinkState,
+    postings_scanned: u64,
     lookups_before: u64,
     hits_before: u64,
     prunes_before: u64,
@@ -274,6 +276,7 @@ fn note_harvest_metrics(
     fred_obs::counter("harvest.names", 1);
     fred_obs::counter("harvest.pages_linked", linked as u64);
     fred_obs::counter("harvest.pages_inspected", inspected as u64);
+    fred_obs::counter("harvest.postings_scanned", postings_scanned);
     fred_obs::counter(
         "harvest.cache_lookups",
         state.agreement.lookups() - lookups_before,
@@ -296,21 +299,25 @@ fn harvest_one_name(
     if name.trim().is_empty() {
         return (None, Vec::new(), 0);
     }
+    let before = state.search.postings_scanned();
     let hits = engine.search_topk_with(
         name,
         config.hits_per_name,
         &mut state.search,
         &mut state.terms,
     );
-    harvest_hits(name, &hits, engine, config, ctx, state)
+    let scanned = state.search.postings_scanned() - before;
+    harvest_hits(name, &hits, scanned, engine, config, ctx, state)
 }
 
 /// The classify-extract-consolidate tail of [`harvest_one_name`], taking
-/// the (already exact) ranked hits as input so the sharded harvest can
-/// feed it a merged scatter-gather result. `name` must be non-blank.
+/// the (already exact) ranked hits and the postings their search visited
+/// as input so the sharded harvest can feed it a merged scatter-gather
+/// result. `name` must be non-blank.
 fn harvest_hits(
     name: &str,
     hits: &[SearchHit],
+    postings_scanned: u64,
     engine: &SearchEngine,
     config: &HarvestConfig,
     ctx: &HarvestContext,
@@ -343,7 +350,15 @@ fn harvest_hits(
     if let Some(started) = started {
         fred_obs::observe_ms(HARVEST_NAME_MS, started.elapsed().as_secs_f64() * 1e3);
     }
-    note_harvest_metrics(state, lookups0, hits0, prunes0, accepted.len(), inspected);
+    note_harvest_metrics(
+        state,
+        postings_scanned,
+        lookups0,
+        hits0,
+        prunes0,
+        accepted.len(),
+        inspected,
+    );
     (consolidate(&extractions), accepted, inspected)
 }
 
@@ -362,13 +377,15 @@ fn harvest_one_name_tolerant(
     if name.trim().is_empty() {
         return (None, Vec::new(), 0, Degradation::default());
     }
+    let before = state.search.postings_scanned();
     let hits = engine.search_topk_with(
         name,
         config.hits_per_name,
         &mut state.search,
         &mut state.terms,
     );
-    harvest_hits_tolerant(name, &hits, engine, config, ctx, state)
+    let scanned = state.search.postings_scanned() - before;
+    harvest_hits_tolerant(name, &hits, scanned, engine, config, ctx, state)
 }
 
 /// The tolerant classify-extract tail of [`harvest_one_name_tolerant`],
@@ -376,6 +393,7 @@ fn harvest_one_name_tolerant(
 fn harvest_hits_tolerant(
     name: &str,
     hits: &[SearchHit],
+    postings_scanned: u64,
     engine: &SearchEngine,
     config: &HarvestConfig,
     ctx: &HarvestContext,
@@ -418,7 +436,15 @@ fn harvest_hits_tolerant(
     if let Some(started) = started {
         fred_obs::observe_ms(HARVEST_NAME_MS, started.elapsed().as_secs_f64() * 1e3);
     }
-    note_harvest_metrics(state, lookups0, hits0, prunes0, accepted.len(), inspected);
+    note_harvest_metrics(
+        state,
+        postings_scanned,
+        lookups0,
+        hits0,
+        prunes0,
+        accepted.len(),
+        inspected,
+    );
     (consolidate(&extractions), accepted, inspected, deg)
 }
 
@@ -566,17 +592,21 @@ pub fn harvest_auxiliary_sharded(
     }
     let names = release.identifier_strings();
     let ctx = HarvestContext::new(engine, true);
-    // Phase one: per-shard exact top-k partials for every name.
-    let mut partials: Vec<Vec<Vec<SearchHit>>> = Vec::with_capacity(sharded.shard_count());
+    // Phase one: per-shard exact top-k partials for every name, each
+    // with the postings its scan visited.
+    let mut partials: Vec<Vec<(Vec<SearchHit>, u64)>> = Vec::with_capacity(sharded.shard_count());
     for shard in 0..sharded.shard_count() {
         let _span = fred_obs::span(HARVEST_SHARD_SPAN);
         let started = std::time::Instant::now();
-        let shard_hits: Vec<Vec<SearchHit>> = names
+        let shard_hits: Vec<(Vec<SearchHit>, u64)> = names
             .par_iter()
             .map_init(
                 || (engine.scratch(), engine.term_cache()),
                 |(search, terms), name| {
-                    sharded.search_topk_shard(shard, name, config.hits_per_name, search, terms)
+                    let before = search.postings_scanned();
+                    let hits =
+                        sharded.search_topk_shard(shard, name, config.hits_per_name, search, terms);
+                    (hits, search.postings_scanned() - before)
                 },
             )
             .collect();
@@ -597,10 +627,11 @@ pub fn harvest_auxiliary_sharded(
                 }
                 let gathered: Vec<SearchHit> = partials
                     .iter()
-                    .flat_map(|shard_hits| shard_hits[row].iter().cloned())
+                    .flat_map(|shard_hits| shard_hits[row].0.iter().cloned())
                     .collect();
+                let scanned = partials.iter().map(|shard_hits| shard_hits[row].1).sum();
                 let hits = merge_hits(gathered, config.hits_per_name);
-                harvest_hits(&name, &hits, engine, config, &ctx, state)
+                harvest_hits(&name, &hits, scanned, engine, config, &ctx, state)
             },
         )
         .collect();
@@ -661,6 +692,7 @@ pub fn harvest_auxiliary_sharded_tolerant(
             if name.trim().is_empty() {
                 return (None, Vec::new(), 0, Degradation::default());
             }
+            let before = state.search.postings_scanned();
             let hits = sharded.search_topk_surviving(
                 &name,
                 config.hits_per_name,
@@ -668,7 +700,8 @@ pub fn harvest_auxiliary_sharded_tolerant(
                 &mut state.search,
                 &mut state.terms,
             );
-            harvest_hits_tolerant(&name, &hits, engine, config, &ctx, state)
+            let scanned = state.search.postings_scanned() - before;
+            harvest_hits_tolerant(&name, &hits, scanned, engine, config, &ctx, state)
         },
     );
     let mut per_name = Vec::with_capacity(results.len());

@@ -2,7 +2,7 @@
 //! the pipeline's own ledgers, and deterministic traces must be
 //! bit-identical across runs.
 //!
-//! Three properties:
+//! Four properties:
 //!
 //! * **Ledger reconciliation** — on a faulted `--quick`-shaped run, every
 //!   `faults.*` counter equals the summed degradation fields of the
@@ -17,6 +17,9 @@
 //!   classify-extract tail (cached, sharded and tolerant paths all
 //!   funnel through it), so the histogram's observation count equals
 //!   the counter to the unit, and its buckets sum to that count.
+//! * **Work-counter reconciliation** — `harvest.postings_scanned`, summed
+//!   over the harvest's per-name deltas, equals the postings the searcher
+//!   itself reports for the same release names.
 //! * **Deterministic trace bit-identity** — two zero-fault checkpointed
 //!   runs of the same configuration (separate stores, both computing
 //!   fresh) drain byte-identical trace JSON and the same structural
@@ -30,8 +33,10 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use fred_attack::{harvest_auxiliary, harvest_auxiliary_tolerant, HarvestConfig};
 use fred_bench::perf::{quick_bench, QuickBench, QuickBenchOptions};
 use fred_bench::world::WorldConfig;
+use fred_faults::FaultPlan;
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -178,6 +183,38 @@ fn harvest_latency_histogram_reconciles_with_the_names_counter() {
             "seed {seed}: histogram sum must be finite and non-negative"
         );
     }
+}
+
+#[test]
+fn harvest_postings_counter_reconciles_with_the_searcher() {
+    let _g = obs_lock();
+    let world = fred_bench::faculty_world(&WorldConfig {
+        size: 400,
+        ..WorldConfig::default()
+    });
+    let release = world.table.suppress_sensitive();
+    let config = HarvestConfig::default();
+    // The searcher's own count over every release name, one scratch.
+    let mut scratch = world.web.scratch();
+    let mut cache = world.web.term_cache();
+    for name in release.identifier_strings() {
+        world
+            .web
+            .search_topk_with(&name, config.hits_per_name, &mut scratch, &mut cache);
+    }
+    let searched = scratch.postings_scanned();
+    assert!(searched > 0, "the release names visit postings");
+    // The harvest sums per-name deltas over per-worker scratches; the
+    // strict and the zero-rate tolerant path must both land on it.
+    fred_obs::enable(true);
+    harvest_auxiliary(&release, &world.web, &config).expect("harvest");
+    let strict = fred_obs::drain().counter_total("harvest.postings_scanned");
+    fred_obs::enable(true);
+    harvest_auxiliary_tolerant(&release, &world.web, &config, &FaultPlan::none())
+        .expect("tolerant harvest");
+    let tolerant = fred_obs::drain().counter_total("harvest.postings_scanned");
+    assert_eq!(strict, searched, "strict harvest vs searcher");
+    assert_eq!(tolerant, searched, "zero-rate tolerant harvest vs searcher");
 }
 
 #[test]

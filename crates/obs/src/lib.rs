@@ -625,10 +625,9 @@ mod tests {
         assert_ne!(t1.structural_digest(), t3.structural_digest());
     }
 
-    #[test]
-    fn counters_merge_and_attribute_to_workers() {
-        let _g = guard();
-        enable(true);
+    /// Bumps `rows` by 3 + 4 off the pool and by 1..=4 inside a parallel
+    /// map, plus one zero delta, then drains.
+    fn count_rows_on_and_off_the_pool() -> Trace {
         counter("rows", 3);
         counter("rows", 4);
         counter("zero", 0);
@@ -645,16 +644,36 @@ mod tests {
         assert_eq!(t.counter_total("rows"), 17);
         assert_eq!(t.counter_total("zero"), 0);
         assert!(!t.counters.contains_key("zero"), "zero deltas drop out");
-        let worker_sum: u64 = t
-            .worker_counters
+        t
+    }
+
+    fn worker_rows(t: &Trace) -> u64 {
+        t.worker_counters
             .values()
             .filter_map(|c| c.get("rows"))
-            .sum();
+            .sum()
+    }
+
+    #[test]
+    fn counters_merge_and_attribute_to_workers() {
+        let _g = guard();
+        enable(false);
+        let t = count_rows_on_and_off_the_pool();
         if rayon::current_num_threads() > 1 {
-            assert_eq!(worker_sum, 10, "pool-side deltas attribute to workers");
+            assert_eq!(worker_rows(&t), 10, "pool-side deltas attribute to workers");
         } else {
-            assert_eq!(worker_sum, 0, "single-core runs never enter the pool");
+            assert_eq!(worker_rows(&t), 0, "single-core runs never enter the pool");
         }
+    }
+
+    #[test]
+    fn deterministic_counters_merge_without_a_worker_split() {
+        let _g = guard();
+        enable(true);
+        let t = count_rows_on_and_off_the_pool();
+        // Which worker ran which chunk is not a function of the workload,
+        // so deterministic windows keep merged totals only, at any width.
+        assert!(t.worker_counters.is_empty(), "{:?}", t.worker_counters);
     }
 
     #[test]

@@ -66,9 +66,14 @@ pub struct SearchHit {
     pub score: f64,
 }
 
-/// One posting's score contribution.
+/// One posting's score contribution. Name pages carry each token once, so
+/// `tf == 1` is the hot case; `(1 + ln 1) · idf` is exactly `idf`, so
+/// skipping the logarithm there changes no bit.
 #[inline]
 fn contribution(tf: u32, idf: f64) -> f64 {
+    if tf == 1 {
+        return idf;
+    }
     (1.0 + f64::from(tf).ln()) * idf
 }
 
@@ -157,85 +162,113 @@ fn topk_scan<L: TermLists>(
 ) -> Vec<SearchHit> {
     // Scan order: distinct lists, rarest first (stable on equal
     // lengths), so the upper bound collapses as early as possible.
-    // Each list carries its query multiplicity — a token repeated in
-    // the query contributes that many times to a page's score, so
-    // every upper bound below must scale by it too.
-    let mut scan: Vec<(u32, u32)> = {
-        let mut distinct: Vec<u32> = resolved.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        distinct
-            .into_iter()
-            .map(|t| (t, resolved.iter().filter(|&&r| r == t).count() as u32))
-            .collect()
-    };
-    scan.sort_by_key(|&(t, _)| lists.page_ascending(t).len());
-    // `exhausted[t]` once list `t` has been scanned to the end: a page
-    // still unseen afterwards is provably absent from it, so scoring
-    // can skip that term without a lookup.
-    let mut exhausted: FnvMap<u32, bool> = scan.iter().map(|&(t, _)| (t, false)).collect();
+    let mut scan: Vec<u32> = resolved.to_vec();
+    scan.sort_unstable();
+    scan.dedup();
+    scan.sort_by_key(|&t| lists.page_ascending(t).len());
+    // `slot[i]`: position in `scan` of the query token `resolved[i]`.
+    let slot: Vec<usize> = resolved
+        .iter()
+        .map(|t| {
+            scan.iter()
+                .position(|s| s == t)
+                .expect("scan holds every token")
+        })
+        .collect();
+    // Head (largest) contribution of each list.
+    let head: Vec<f64> = scan
+        .iter()
+        .map(|&t| {
+            lists
+                .contribution_order(t)
+                .first()
+                .map_or(0.0, |&(_, tf)| contribution(tf, idf[t as usize]))
+        })
+        .collect();
+    // `exhausted[j]` once list `scan[j]` has been scanned to the end: a
+    // page still unseen afterwards is provably absent from it, so
+    // scoring can skip that term without a lookup.
+    let mut exhausted = vec![false; scan.len()];
 
     scratch.begin(pages);
+    let mut visited = 0u64;
     let mut tracker = TopHits::new(limit);
-    for (li, &(tid, mult)) in scan.iter().enumerate() {
-        // Best contribution still reachable from the lists after this
-        // one (their contribution-sorted heads, times multiplicity).
-        let rest_ub: f64 = scan[li + 1..]
-            .iter()
-            .map(|&(t, m)| {
-                lists.contribution_order(t).first().map_or(0.0, |&(_, tf)| {
-                    f64::from(m) * contribution(tf, idf[t as usize])
-                })
-            })
-            .sum();
+    for (li, &tid) in scan.iter().enumerate() {
+        let list = lists.contribution_order(tid);
         let term_idf = idf[tid as usize];
         let mut completed = true;
-        for &(page, tf) in lists.contribution_order(tid) {
-            if tracker.is_full() {
-                let ub = rest_ub + f64::from(mult) * contribution(tf, term_idf);
-                let (kth_score, _) = tracker.worst();
-                if ub < kth_score {
-                    // No page drawn from this list's remainder can
-                    // reach the boundary: within the list
-                    // contributions only fall, deeper lists are
-                    // already inside `rest_ub`, and the boundary
-                    // score only rises from here — so the skip stays
-                    // sound for the rest of the scan too. (Pages of
-                    // the remainder that also sit in a later list
-                    // still get scored there, via the lookup path.)
-                    completed = false;
-                    break;
-                }
-            }
-            if scratch.mark[page as usize] == scratch.epoch {
-                continue; // already scored on first sight
-            }
-            scratch.mark[page as usize] = scratch.epoch;
-            // Full exact score, accumulated in query-term order: the
-            // same addition sequence as the exhaustive path. The term
-            // being scanned contributes its known tf; terms whose
-            // lists were already exhausted cannot contain a page
-            // first seen here; everything else is a binary search.
-            let mut score = 0.0f64;
-            for &t in resolved {
-                if t == tid {
-                    score += contribution(tf, term_idf);
-                } else if !exhausted[&t] {
-                    if let Ok(pos) = lists
-                        .page_ascending(t)
-                        .binary_search_by_key(&page, |&(p, _)| p)
-                    {
-                        let (_, tf_t) = lists.page_ascending(t)[pos];
-                        score += contribution(tf_t, idf[t as usize]);
+        let mut at = 0;
+        // One pass per equal-tf run: `(tf desc, page asc)` order makes
+        // each run page-ascending, and the bound is constant across it.
+        'runs: while at < list.len() {
+            let tf = list[at].1;
+            let run_end = at + list[at..].partition_point(|&(_, t)| t == tf);
+            let c = contribution(tf, term_idf);
+            // The most an unseen page of this run can score, summed in
+            // query-term order like the score itself: `c` per occurrence
+            // of this term, the head of every later list, nothing from
+            // earlier lists (an unseen page is absent from them, or sits
+            // in a remainder an earlier exit already ruled out).
+            // Rounding is monotone and every term is non-negative, so no
+            // such page's float score exceeds `ub`.
+            let ub = slot.iter().fold(0.0f64, |ub, &s| match s.cmp(&li) {
+                std::cmp::Ordering::Equal => ub + c,
+                std::cmp::Ordering::Greater => ub + head[s],
+                std::cmp::Ordering::Less => ub,
+            });
+            for &(page, _) in &list[at..run_end] {
+                if tracker.is_full() {
+                    let (kth_score, kth_page) = tracker.worst();
+                    if ub < kth_score {
+                        // No page of this list's remainder can reach
+                        // the boundary: later runs only bound lower,
+                        // and the boundary only rises from here.
+                        // (Pages of the remainder that also sit in a
+                        // later list still get scored there, via the
+                        // lookup path.)
+                        completed = false;
+                        break 'runs;
+                    }
+                    if ub == kth_score && page > kth_page {
+                        // Tie at the boundary: the rest of this run can
+                        // at best tie the k-th score with a larger page
+                        // id, which loses the `(score desc, page asc)`
+                        // tie-break. Lower runs may round to the same
+                        // bound yet restart at small page ids, so move
+                        // on to the next run instead of leaving the list.
+                        completed = false;
+                        break;
                     }
                 }
+                visited += 1;
+                if scratch.mark[page as usize] == scratch.epoch {
+                    continue; // already scored on first sight
+                }
+                scratch.mark[page as usize] = scratch.epoch;
+                // Full exact score, accumulated in query-term order: the
+                // same addition sequence as the exhaustive path. The
+                // term being scanned contributes its known tf; terms
+                // whose lists were already exhausted cannot contain a
+                // page first seen here; everything else is a binary
+                // search.
+                let mut score = 0.0f64;
+                for (&t, &s) in resolved.iter().zip(&slot) {
+                    if s == li {
+                        score += c;
+                    } else if !exhausted[s] {
+                        let postings = lists.page_ascending(t);
+                        if let Ok(pos) = postings.binary_search_by_key(&page, |&(p, _)| p) {
+                            score += contribution(postings[pos].1, idf[t as usize]);
+                        }
+                    }
+                }
+                tracker.offer(score, page);
             }
-            tracker.offer(score, page);
+            at = run_end;
         }
-        if completed {
-            exhausted.insert(tid, true);
-        }
+        exhausted[li] = completed;
     }
+    scratch.postings_scanned += visited;
     tracker.into_hits()
 }
 
@@ -389,6 +422,7 @@ impl SearchEngine {
             mark: vec![0; self.pages.len()],
             epoch: 0,
             touched: Vec::new(),
+            postings_scanned: 0,
         }
     }
 
@@ -459,20 +493,29 @@ impl SearchEngine {
     /// bit-identical scores, same order), established as follows.
     ///
     /// * Term lists are scanned rarest-first in their pre-sorted
-    ///   contribution-descending order, so the maximum score any *unseen*
-    ///   page could still reach (`ub`: the current frontier contribution
-    ///   of the active list plus the best contribution of every unscanned
-    ///   list) only decreases.
+    ///   `(tf desc, page asc)` order, one equal-tf run at a time. The
+    ///   maximum score any *unseen* page of the current run could reach
+    ///   (`ub`: the run's contribution plus the best contribution of
+    ///   every unscanned list, added in query-term order like a real
+    ///   score, so float rounding cannot push a page past it) only
+    ///   decreases from run to run.
     /// * A page's full score is computed the moment it is first seen, by
     ///   binary-searching every query term's page-ascending postings and
     ///   accumulating in query-term order — the exact float-addition
     ///   sequence of the exhaustive path.
     /// * Once `limit` candidates are held and `ub` falls strictly below
     ///   the current `limit`-th best score, no unseen page can enter the
-    ///   result (ties at the boundary are impossible: they would require
-    ///   `ub ==` the boundary score, which keeps the scan alive), so the
-    ///   remaining postings — typically the long tail of a common
-    ///   first-name list — are never touched.
+    ///   result, so the rest of the list is never touched.
+    /// * Once `limit` candidates are held, `ub` *equals* the `limit`-th
+    ///   best score and the frontier page id exceeds that hit's page, the
+    ///   rest of the run is skipped too: its pages are page-ascending, so
+    ///   each can at best tie the boundary score with a larger page id,
+    ///   which loses the `(score desc, page asc)` tie-break. This is the
+    ///   harvest's common case — name pages carry each token once, so a
+    ///   common first-name list is one long tf = 1 run whose every page
+    ///   ties the boundary. The scan resumes at the next (lower-tf) run
+    ///   rather than leaving the list: a lower contribution can round to
+    ///   the same `ub` and restart at small page ids.
     ///
     /// Selection is a bounded worst-out tracker instead of a full sort of
     /// every candidate, which is the other constant-factor win at harvest
@@ -854,9 +897,20 @@ pub struct SearchScratch {
     epoch: u32,
     /// Pages touched by the current query, in first-touch order.
     touched: Vec<u32>,
+    /// Running total of postings the top-k scan has visited.
+    postings_scanned: u64,
 }
 
 impl SearchScratch {
+    /// Postings visited by every top-`k` search run with this scratch
+    /// ([`SearchEngine::search_topk_with`] and the sharded scans):
+    /// a deterministic work counter. Read it before and after a query for
+    /// that query's cost. Postings passed over by an early exit or a
+    /// boundary-tie skip are not counted.
+    pub fn postings_scanned(&self) -> u64 {
+        self.postings_scanned
+    }
+
     fn begin(&mut self, pages: usize) {
         if self.scores.len() < pages {
             self.scores.resize(pages, 0.0);
@@ -1095,6 +1149,130 @@ mod tests {
                 assert_eq!(a.score.to_bits(), b.score.to_bits(), "limit {limit}");
             }
         }
+    }
+
+    /// A corpus of bare-text pages (no template), page `i` holding
+    /// `texts[i]`.
+    fn text_corpus(texts: &[String]) -> SearchEngine {
+        let pages = texts
+            .iter()
+            .enumerate()
+            .map(|(i, t)| WebPage {
+                id: i,
+                person_id: None,
+                display_name: format!("p{i}"),
+                kind: PageKind::News,
+                text: t.clone(),
+            })
+            .collect();
+        SearchEngine::build(pages)
+    }
+
+    /// Asserts `search_topk_with` (and its sharded twin) equals `search`
+    /// bit for bit, returning the postings the top-k scan visited.
+    fn assert_topk_exact(e: &SearchEngine, query: &str, limit: usize) -> u64 {
+        let mut scratch = e.scratch();
+        let mut cache = e.term_cache();
+        let exhaustive = e.search(query, limit);
+        let fast = e.search_topk_with(query, limit, &mut scratch, &mut cache);
+        assert_eq!(
+            fast.len(),
+            exhaustive.len(),
+            "query {query:?} limit {limit}"
+        );
+        for (a, b) in fast.iter().zip(&exhaustive) {
+            assert_eq!(a.page, b.page, "query {query:?} limit {limit}");
+            assert_eq!(a.score.to_bits(), b.score.to_bits(), "query {query:?}");
+        }
+        for shards in [2usize, 3] {
+            let sharded = ShardedSearchEngine::build(e, ShardPlan::new(shards, 5));
+            let mut shard_scratch = e.scratch();
+            let split = sharded.search_topk_with(query, limit, &mut shard_scratch, &mut cache);
+            assert_eq!(split, fast, "query {query:?} limit {limit} shards {shards}");
+        }
+        scratch.postings_scanned()
+    }
+
+    #[test]
+    fn topk_skips_a_boundary_tie_run_exactly() {
+        // Two full "alice smith" matches at high page ids, behind a long
+        // run of tf = 1 "alice" pages: with limit 8 the k-th hit is an
+        // alice-only page whose score every later alice page ties, so
+        // the scan must stop at the tie-break instead of reading the run
+        // to its end.
+        let texts: Vec<String> = (0..400)
+            .map(|i| match i {
+                250 | 390 => "alice smith".to_string(),
+                _ => format!("alice filler{}", i % 7),
+            })
+            .collect();
+        let e = text_corpus(&texts);
+        let list_len = 400 + 2;
+        for limit in [1usize, 2, 3, 8, 12] {
+            let visited = assert_topk_exact(&e, "alice smith", limit);
+            assert!(
+                visited <= (limit + 2) as u64,
+                "limit {limit}: visited {visited} of {list_len} postings"
+            );
+        }
+        let visited = assert_topk_exact(&e, "alice", 8);
+        assert_eq!(visited, 8, "a single-term scan stops at the k-th posting");
+        // The counter accumulates across queries on one scratch.
+        let mut scratch = e.scratch();
+        let mut cache = e.term_cache();
+        e.search_topk_with("alice", 8, &mut scratch, &mut cache);
+        e.search_topk_with("alice", 3, &mut scratch, &mut cache);
+        assert_eq!(scratch.postings_scanned(), 11);
+    }
+
+    #[test]
+    fn topk_stays_exact_across_tf_run_boundaries() {
+        // "bob" lists hold a tf-2 run and a tf-1 run whose pages
+        // interleave by id; every page of a run ties the others, so the
+        // boundary tie falls in the tf-2 run (limit below its size) or
+        // in the tf-1 run after the jump (limit above it). A rarer
+        // "carol" list adds pages whose tf-1 "bob" plus "carol" outscore
+        // the tf-2 run, so runs of the later list still matter after
+        // the earlier one was skipped.
+        let texts: Vec<String> = (0..120)
+            .map(|i| match i % 6 {
+                0 => "bob bob".to_string(),
+                1 if i % 4 == 1 => "bob carol".to_string(),
+                2 => "carol".to_string(),
+                3 => "bob bob carol carol".to_string(),
+                _ => format!("bob other{}", i % 5),
+            })
+            .collect();
+        let e = text_corpus(&texts);
+        for q in ["bob", "bob carol", "carol bob", "bob bob carol", "carol"] {
+            for limit in 1..=45usize {
+                assert_topk_exact(&e, q, limit);
+            }
+        }
+        // Single term: every posting past the k-th is either a tie the
+        // k-th wins or a lower run, so the scan reads exactly `limit`.
+        for limit in [1usize, 5, 20, 40, 60] {
+            assert_eq!(assert_topk_exact(&e, "bob", limit), limit as u64);
+        }
+    }
+
+    #[test]
+    fn topk_boundary_tie_across_lists_keeps_smaller_pages() {
+        // "ann" and "bea" have equal df, hence equal IDF: every page
+        // scores the same. "ann" is scanned first (equal length, lower
+        // term id) and fills the top-k with mostly high page ids; the
+        // "bea" run then ties the k-th score at *smaller* page ids, which
+        // win the tie-break — a skip may only fire past the k-th page.
+        let texts: Vec<String> = (0..20)
+            .map(|i| if i == 0 || i > 10 { "ann" } else { "bea" }.to_string())
+            .collect();
+        let e = text_corpus(&texts);
+        for limit in 1..=20usize {
+            assert_topk_exact(&e, "ann bea", limit);
+            assert_topk_exact(&e, "bea ann", limit);
+        }
+        let top: Vec<usize> = e.search_topk("ann bea", 5).iter().map(|h| h.page).collect();
+        assert_eq!(top, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

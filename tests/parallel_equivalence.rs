@@ -16,7 +16,7 @@ use fred_suite::attack::{
 use fred_suite::core::{dissimilarity, information_gain, sweep, SweepConfig};
 use fred_suite::data::{Schema, Table, Value};
 use fred_suite::synth::{customer_table, generate_population, CustomerConfig, PopulationConfig};
-use fred_suite::web::{build_corpus, CorpusConfig, NameNoise, SearchEngine};
+use fred_suite::web::{build_corpus, CorpusConfig, NameNoise, PageKind, SearchEngine, WebPage};
 
 fn world(size: usize, seed: u64) -> (fred_suite::data::Table, SearchEngine) {
     let people = generate_population(&PopulationConfig {
@@ -295,6 +295,92 @@ proptest! {
             for (a, b) in fast.iter().zip(&exhaustive) {
                 prop_assert_eq!(a.page, b.page, "query {:?}", q);
                 prop_assert_eq!(a.score.to_bits(), b.score.to_bits(), "query {:?}", q);
+            }
+        }
+    }
+
+    #[test]
+    fn topk_search_equals_exhaustive_search_on_tie_heavy_corpora(
+        n_pages in 8usize..120,
+        vocab in 2usize..6,
+        seed in 0u64..100_000,
+        limit in 1usize..12,
+        mirror in any::<bool>(),
+    ) {
+        // A handful of tokens over many pages, mostly one token per page
+        // (three in four) at tf = 1: long equal-contribution runs whose
+        // pages tie at the top-k boundary, the case the searcher's
+        // tie-break skip exists for. `mirror` appends every page again
+        // with token t renamed to vocab - 1 - t, so mirrored tokens share
+        // df (hence IDF) and pages of different lists tie exactly.
+        let mut state = seed | 1;
+        let mut next = move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as usize) % m
+        };
+        let token = |t: usize| format!("tok{t}");
+        let mut texts: Vec<Vec<usize>> = (0..n_pages)
+            .map(|_| {
+                (0..1 + next(4) / 3)
+                    .flat_map(|_| {
+                        let t = next(vocab);
+                        let tf = if next(4) == 0 { 2 + next(2) } else { 1 };
+                        std::iter::repeat_n(t, tf)
+                    })
+                    .collect()
+            })
+            .collect();
+        if mirror {
+            let mirrored: Vec<Vec<usize>> = texts
+                .iter()
+                .map(|ts| ts.iter().map(|&t| vocab - 1 - t).collect())
+                .collect();
+            texts.extend(mirrored);
+        }
+        let pages: Vec<WebPage> = texts
+            .iter()
+            .enumerate()
+            .map(|(id, ts)| WebPage {
+                id,
+                person_id: None,
+                display_name: String::new(),
+                kind: PageKind::News,
+                text: ts.iter().map(|&t| token(t)).collect::<Vec<_>>().join(" "),
+            })
+            .collect();
+        let web = SearchEngine::build(pages);
+        let mut queries: Vec<String> = (0..vocab).map(token).collect();
+        for a in 0..vocab {
+            for b in 0..vocab {
+                queries.push(format!("{} {}", token(a), token(b)));
+            }
+        }
+        queries.push(format!("{} {} {}", token(0), token(1), token(0)));
+        queries.push(format!("{} zzyzx", token(vocab - 1)));
+        let mut scratch = web.scratch();
+        let mut cache = web.term_cache();
+        for q in &queries {
+            let exhaustive = web.search(q, limit);
+            let before = scratch.postings_scanned();
+            let fast = web.search_topk_with(q, limit, &mut scratch, &mut cache);
+            prop_assert_eq!(fast.len(), exhaustive.len(), "query {:?}", q);
+            for (a, b) in fast.iter().zip(&exhaustive) {
+                prop_assert_eq!(a.page, b.page, "query {:?}", q);
+                prop_assert_eq!(a.score.to_bits(), b.score.to_bits(), "query {:?}", q);
+            }
+            if !q.contains(' ') {
+                // One term: every posting past the k-th either ties the
+                // k-th with a larger page id or sits in a lower run, so
+                // the scan reads exactly min(limit, df) postings.
+                let df = web.search(q, usize::MAX).len();
+                prop_assert_eq!(
+                    scratch.postings_scanned() - before,
+                    limit.min(df) as u64,
+                    "query {:?}",
+                    q
+                );
             }
         }
     }
