@@ -299,9 +299,9 @@ fn usage(err: &str) -> ! {
          (default 10000 rows; --large-size 0 disables) and writes a\n\
          machine-readable perf baseline (default BENCH_sweep.json);\n\
          --size N with --quick sizes the sweep world; N >= 20000 instead\n\
-         runs the shard-partitioned pipeline at N rows (the large_100k\n\
-         block: hierarchical MDAV, per-shard harvest + intersection,\n\
-         digest-pinned to the unsharded references) while the sweep\n\
+         runs the scale pipeline at N rows (the large_100k block:\n\
+         hierarchical MDAV, per-shard harvest, full-core intersection,\n\
+         digest-pinned to their references) while the sweep\n\
          keeps its default world;\n\
          --exhaustive additionally runs the full-table harvest reference\n\
          (harvest_exhaustive_large) next to the seeded 512-row sample;\n\

@@ -539,8 +539,8 @@ impl Artifact for Large100kBench {
         format!(
             "{{\"size\": {}, \"shards\": {}, \"cores\": {}, \"sample_rows\": {}, \"peak_rss_mb\": {:?}, \
              \"harvest_digest_sharded\": \"{:016x}\", \"harvest_digest_unsharded\": \"{:016x}\", \
-             \"mdav_digest_sharded\": \"{:016x}\", \"mdav_digest_unsharded\": \"{:016x}\", \
-             \"intersect_digest_sharded\": \"{:016x}\", \"intersect_digest_unsharded\": \"{:016x}\", \
+             \"mdav_digest_optimized\": \"{:016x}\", \"mdav_digest_reference\": \"{:016x}\", \
+             \"intersect_digest_engine\": \"{:016x}\", \"intersect_digest_oracle\": \"{:016x}\", \
              \"stages\": [{}], \"shard_rows\": [{}]}}",
             self.size,
             self.shards,
@@ -549,10 +549,10 @@ impl Artifact for Large100kBench {
             self.peak_rss_mb,
             self.harvest_digest_sharded,
             self.harvest_digest_unsharded,
-            self.mdav_digest_sharded,
-            self.mdav_digest_unsharded,
-            self.intersect_digest_sharded,
-            self.intersect_digest_unsharded,
+            self.mdav_digest_optimized,
+            self.mdav_digest_reference,
+            self.intersect_digest_engine,
+            self.intersect_digest_oracle,
             stages.join(", "),
             shard_rows.join(", ")
         )
@@ -599,10 +599,10 @@ impl Artifact for Large100kBench {
             shard_rows,
             harvest_digest_sharded: hex("harvest_digest_sharded")?,
             harvest_digest_unsharded: hex("harvest_digest_unsharded")?,
-            mdav_digest_sharded: hex("mdav_digest_sharded")?,
-            mdav_digest_unsharded: hex("mdav_digest_unsharded")?,
-            intersect_digest_sharded: hex("intersect_digest_sharded")?,
-            intersect_digest_unsharded: hex("intersect_digest_unsharded")?,
+            mdav_digest_optimized: hex("mdav_digest_optimized")?,
+            mdav_digest_reference: hex("mdav_digest_reference")?,
+            intersect_digest_engine: hex("intersect_digest_engine")?,
+            intersect_digest_oracle: hex("intersect_digest_oracle")?,
         })
     }
 }
@@ -770,10 +770,10 @@ mod tests {
             }],
             harvest_digest_sharded: 0x0123_4567_89ab_cdef,
             harvest_digest_unsharded: 0x0123_4567_89ab_cdef,
-            mdav_digest_sharded: u64::MAX,
-            mdav_digest_unsharded: u64::MAX,
-            intersect_digest_sharded: 1,
-            intersect_digest_unsharded: 1,
+            mdav_digest_optimized: u64::MAX,
+            mdav_digest_reference: u64::MAX,
+            intersect_digest_engine: 1,
+            intersect_digest_oracle: 1,
         };
         let back = round_trip(&sharded);
         assert_eq!(back, sharded);

@@ -152,10 +152,10 @@ pub const ROBUSTNESS_GAIN_FLOOR: f64 = 0.5;
 pub const MAX_OBS_OVERHEAD_PCT: f64 = 3.0;
 
 /// Ceiling on the `large_100k` block's peak resident set, in MiB. The
-/// block exists to prove the sharded pipeline keeps memory flat in the
-/// row count — the unsharded intersection alone would allocate
-/// full-master-width bitsets per equivalence class — so a breach is the
-/// very regression the stage guards against. Skipped when the run
+/// block exists to prove the 100k pipeline keeps memory flat in the row
+/// count — an intersection over full-master-width bitsets per
+/// equivalence class alone would breach it — so a breach is the very
+/// regression the stage guards against. Skipped when the run
 /// recorded `0.0` (deterministic mode, or `/proc` unavailable).
 pub const MAX_100K_PEAK_RSS_MB: f64 = 2048.0;
 
@@ -345,10 +345,29 @@ pub struct Sharded100kBlock {
     /// silently, and `capped` must agree with the plan derivation at
     /// `size` (baselines that predate the flag parse as uncapped).
     pub shard_rows: Vec<(usize, usize, usize, bool)>,
-    /// Equivalence digests by name (`harvest_sharded`,
-    /// `harvest_unsharded`, `mdav_*`, `intersect_*`), as hex strings.
+    /// Equivalence digests by their current [`DIGEST_PAIRS`] name, as hex
+    /// strings (keys older baselines wrote are read under their new name).
     pub digests: BTreeMap<String, String>,
 }
+
+/// The `large_100k` equivalence digest pairs, `(path, reference, label)`:
+/// each path's digest must equal its reference's in-run.
+pub const DIGEST_PAIRS: [(&str, &str, &str); 3] = [
+    ("harvest_sharded", "harvest_unsharded", "harvest"),
+    ("mdav_optimized", "mdav_reference", "hierarchical MDAV"),
+    ("intersect_engine", "intersect_oracle", "intersection"),
+];
+
+/// Digest keys older baselines wrote, `(legacy, current)`. The MDAV pair
+/// always compared the optimized hierarchical partitioner with its
+/// reference, never sharded against flat; the intersection pair compared
+/// a sharded engine that no longer exists.
+const LEGACY_DIGEST_KEYS: [(&str, &str); 4] = [
+    ("mdav_sharded", "mdav_optimized"),
+    ("mdav_unsharded", "mdav_reference"),
+    ("intersect_sharded", "intersect_engine"),
+    ("intersect_unsharded", "intersect_oracle"),
+];
 
 /// Everything [`parse_baseline`] can recover from one baseline file.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -493,15 +512,12 @@ pub fn parse_baseline(json: &str) -> Baseline {
             if let Some(big) = &mut out.large_100k {
                 if line.contains("\"digests\":") {
                     let mut complete = true;
-                    for key in [
-                        "harvest_sharded",
-                        "harvest_unsharded",
-                        "mdav_sharded",
-                        "mdav_unsharded",
-                        "intersect_sharded",
-                        "intersect_unsharded",
-                    ] {
-                        match str_field(line, key) {
+                    for key in DIGEST_PAIRS.iter().flat_map(|&(a, b, _)| [a, b]) {
+                        let legacy = LEGACY_DIGEST_KEYS
+                            .iter()
+                            .find(|&&(_, current)| current == key)
+                            .and_then(|&(old, _)| str_field(line, old));
+                        match str_field(line, key).or(legacy) {
                             Some(hex) => {
                                 big.digests.insert(key.to_owned(), hex.to_owned());
                             }
@@ -1330,20 +1346,16 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
             .push("large_100k (sharded) block disappeared from the fresh baseline".into());
     }
     if let Some(big) = &fresh.large_100k {
-        for (sharded, unsharded, label) in [
-            ("harvest_sharded", "harvest_unsharded", "harvest"),
-            ("mdav_sharded", "mdav_unsharded", "hierarchical MDAV"),
-            ("intersect_sharded", "intersect_unsharded", "intersection"),
-        ] {
-            match (big.digests.get(sharded), big.digests.get(unsharded)) {
+        for (path, reference, label) in DIGEST_PAIRS {
+            match (big.digests.get(path), big.digests.get(reference)) {
                 (Some(s), Some(u)) if s == u => {}
                 (Some(s), Some(u)) => report.violations.push(format!(
-                    "large_100k {label} diverged from its unsharded reference: sharded \
-                     digest {s} vs unsharded {u}"
+                    "large_100k {label} diverged from its reference: digest {s} vs \
+                     reference {u}"
                 )),
                 _ => report.violations.push(format!(
                     "large_100k block carries no {label} digest pair — the \
-                     sharded-vs-unsharded equivalence gate cannot run"
+                     equivalence gate cannot run"
                 )),
             }
         }
@@ -2925,7 +2937,7 @@ mod tests {
         }
         out.push_str(
             "    ],\n    \
-             \"digests\": { \"harvest_sharded\": \"00000000000000aa\", \"harvest_unsharded\": \"00000000000000aa\", \"mdav_sharded\": \"00000000000000bb\", \"mdav_unsharded\": \"00000000000000bb\", \"intersect_sharded\": \"00000000000000cc\", \"intersect_unsharded\": \"00000000000000cc\" }\n  \
+             \"digests\": { \"harvest_sharded\": \"00000000000000aa\", \"harvest_unsharded\": \"00000000000000aa\", \"mdav_optimized\": \"00000000000000bb\", \"mdav_reference\": \"00000000000000bb\", \"intersect_engine\": \"00000000000000cc\", \"intersect_oracle\": \"00000000000000cc\" }\n  \
              }\n}\n",
         );
         out
@@ -2966,8 +2978,8 @@ mod tests {
     fn sharded_digest_mismatch_fails() {
         let committed = synthetic_sharded_json();
         let fresh = committed.replace(
-            "\"mdav_unsharded\": \"00000000000000bb\"",
-            "\"mdav_unsharded\": \"00000000000000be\"",
+            "\"mdav_reference\": \"00000000000000bb\"",
+            "\"mdav_reference\": \"00000000000000be\"",
         );
         let report = compare_baselines(&committed, &fresh);
         assert!(
@@ -2980,6 +2992,37 @@ mod tests {
         );
         // The drifted pair also breaks the cross-run pin at the same
         // (seed, size, shards).
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.contains("digests drifted")),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn legacy_digest_keys_read_under_their_current_names() {
+        let current = synthetic_sharded_json();
+        let legacy = current
+            .replace("mdav_optimized", "mdav_sharded")
+            .replace("mdav_reference", "mdav_unsharded")
+            .replace("intersect_engine", "intersect_sharded")
+            .replace("intersect_oracle", "intersect_unsharded");
+        assert_ne!(legacy, current);
+        let (old, new) = (parse_baseline(&legacy), parse_baseline(&current));
+        assert!(old.malformed_rows.is_empty(), "{:?}", old.malformed_rows);
+        let digests = |b: &Baseline| b.large_100k.as_ref().expect("block parsed").digests.clone();
+        assert_eq!(digests(&old), digests(&new));
+        // An older committed baseline still pins a fresh run's digests.
+        let report = compare_baselines(&legacy, &current);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let drifted = current.replace(
+            "\"intersect_engine\": \"00000000000000cc\", \"intersect_oracle\": \"00000000000000cc\"",
+            "\"intersect_engine\": \"00000000000000cd\", \"intersect_oracle\": \"00000000000000cd\"",
+        );
+        let report = compare_baselines(&legacy, &drifted);
         assert!(
             report
                 .violations
@@ -3063,8 +3106,8 @@ mod tests {
         // ... and a broken fresh block fails against that same old
         // baseline — no pre-shard vacuous pass.
         let broken = fresh.replace(
-            "\"intersect_unsharded\": \"00000000000000cc\"",
-            "\"intersect_unsharded\": \"00000000000000cd\"",
+            "\"intersect_oracle\": \"00000000000000cc\"",
+            "\"intersect_oracle\": \"00000000000000cd\"",
         );
         let report = compare_baselines(&committed, &broken);
         assert!(

@@ -28,7 +28,7 @@ use fred_attack::{
 };
 use fred_composition::{
     compose_attack, compose_attack_tolerant, composition_sweep, defense_sweep, generate_scenario,
-    intersect_releases, intersect_releases_sharded, CompositionConfig, CompositionOutcome,
+    intersect_releases, intersect_releases_sequential, CompositionConfig, CompositionOutcome,
     CompositionSweepConfig, DefensePolicy, ScenarioConfig, Source, TargetIntersection,
 };
 use fred_core::{sweep, SweepConfig};
@@ -61,17 +61,12 @@ const STREAM_CHUNK_ROWS: usize = 1024;
 pub const REFERENCE_SAMPLE_ROWS: usize = 512;
 
 /// Rows in the seeded subsample the `large_100k` equivalence pass pins
-/// its sharded-vs-unsharded MDAV and intersection digest pairs on. The
-/// unsharded references are superlinear (MDAV) or O(classes x rows)
-/// in memory (full-width intersection bitsets), so running them at the
-/// full 100k size would defeat the block's flat-memory claim; the
-/// sharded paths additionally run at full size under their own stages.
+/// its MDAV and intersection digest pairs on. The references are
+/// superlinear: per-class farthest scans over one flat pool (MDAV) and a
+/// scan of every master row per target (the intersection oracle), so
+/// they run on the sample while the optimized paths also run at full
+/// size under their own stages.
 pub const EQUIVALENCE_SAMPLE_ROWS: usize = 2048;
-
-/// Targets the full-size sharded intersection stage extracts candidates
-/// for (a seeded sample of the scenario core — per-target cost is flat,
-/// so a sample times the per-shard machinery without an O(core) tail).
-pub const INTERSECT_TARGET_SAMPLE: usize = 512;
 
 /// Shards the robustness sweep partitions its harvest into: small and
 /// fixed so the `shard_loss` fault class has coarse, countable victims
@@ -98,11 +93,11 @@ pub struct ShardBenchRow {
     pub capped: bool,
 }
 
-/// The sharded 100k block (`repro --quick --size 100000`): the
-/// shard-partitioned pipeline — hierarchical MDAV, per-shard harvest,
-/// per-shard streaming intersection — timed at full size with every
-/// sharded path digest-pinned against its unsharded reference, plus the
-/// peak resident set the flat-memory claim is gated on.
+/// The 100k block (`repro --quick --size 100000`): hierarchical MDAV,
+/// the per-shard harvest and the intersection of the full scenario core,
+/// timed at full size with every optimized path digest-pinned against
+/// its reference, plus the peak resident set the flat-memory claim is
+/// gated on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Large100kBench {
     /// World row count.
@@ -127,16 +122,16 @@ pub struct Large100kBench {
     pub harvest_digest_unsharded: u64,
     /// Digest of the optimized hierarchical MDAV partition over the
     /// equivalence subsample.
-    pub mdav_digest_sharded: u64,
+    pub mdav_digest_optimized: u64,
     /// Digest of the reference hierarchical MDAV partition over the same
     /// subsample and leaf split (gated equal).
-    pub mdav_digest_unsharded: u64,
-    /// Digest of the per-shard streaming intersection over the subsample
-    /// scenario.
-    pub intersect_digest_sharded: u64,
-    /// Digest of the full-width parallel intersection over the same
-    /// scenario (gated equal).
-    pub intersect_digest_unsharded: u64,
+    pub mdav_digest_reference: u64,
+    /// Digest of the intersection engine over the subsample scenario's
+    /// core.
+    pub intersect_digest_engine: u64,
+    /// Digest of the row-scan intersection oracle over the same targets
+    /// (gated equal).
+    pub intersect_digest_oracle: u64,
 }
 
 /// Wall-clock + throughput of one pipeline stage.
@@ -636,13 +631,13 @@ impl QuickBench {
             }
             out.push_str("    ],\n");
             out.push_str(&format!(
-                "    \"digests\": {{ \"harvest_sharded\": \"{:016x}\", \"harvest_unsharded\": \"{:016x}\", \"mdav_sharded\": \"{:016x}\", \"mdav_unsharded\": \"{:016x}\", \"intersect_sharded\": \"{:016x}\", \"intersect_unsharded\": \"{:016x}\" }}\n",
+                "    \"digests\": {{ \"harvest_sharded\": \"{:016x}\", \"harvest_unsharded\": \"{:016x}\", \"mdav_optimized\": \"{:016x}\", \"mdav_reference\": \"{:016x}\", \"intersect_engine\": \"{:016x}\", \"intersect_oracle\": \"{:016x}\" }}\n",
                 big.harvest_digest_sharded,
                 big.harvest_digest_unsharded,
-                big.mdav_digest_sharded,
-                big.mdav_digest_unsharded,
-                big.intersect_digest_sharded,
-                big.intersect_digest_unsharded
+                big.mdav_digest_optimized,
+                big.mdav_digest_reference,
+                big.intersect_digest_engine,
+                big.intersect_digest_oracle
             ));
             out.push_str("  }");
         }
@@ -867,11 +862,11 @@ impl QuickBench {
                 ));
             }
             out.push_str(&format!(
-                "  sharded paths digest-pinned to unsharded references (sample {} rows): harvest {}, mdav {}, intersect {}\n",
+                "  optimized paths digest-pinned to references (sample {} rows): harvest {}, mdav {}, intersect {}\n",
                 big.sample_rows,
                 if big.harvest_digest_sharded == big.harvest_digest_unsharded { "ok" } else { "MISMATCH" },
-                if big.mdav_digest_sharded == big.mdav_digest_unsharded { "ok" } else { "MISMATCH" },
-                if big.intersect_digest_sharded == big.intersect_digest_unsharded { "ok" } else { "MISMATCH" },
+                if big.mdav_digest_optimized == big.mdav_digest_reference { "ok" } else { "MISMATCH" },
+                if big.intersect_digest_engine == big.intersect_digest_oracle { "ok" } else { "MISMATCH" },
             ));
         }
         if let Some(comp) = &self.composition {
@@ -2260,23 +2255,20 @@ fn sample_indices(n: usize, take: usize, seed: u64) -> Vec<usize> {
     rows
 }
 
-/// XOR salts decorrelating the block's two seeded samples from each
-/// other and from every other seeded stream in the pipeline.
+/// XOR salt decorrelating the block's seeded sample from every other
+/// seeded stream in the pipeline.
 const EQUIVALENCE_SAMPLE_SALT: u64 = 0x5A3D;
-const INTERSECT_TARGET_SALT: u64 = 0x7A46;
 
-/// Times the shard-partitioned pipeline at `--size` scale — the
-/// `large_100k` block. The hot paths are re-expressed shard-by-shard so
-/// peak memory stays flat in the row count: the harvest queries
-/// per-shard postings, MDAV recurses into bounded leaves, and the
-/// intersection engine rebuilds its candidate bitsets per contiguous
-/// row range instead of at full master width. Every sharded path is
-/// pinned against its unsharded reference in-process: the harvest pair
-/// at full size (both paths are near-linear), the MDAV and intersection
-/// pairs on a seeded [`EQUIVALENCE_SAMPLE_ROWS`] subsample — their
-/// references are superlinear in time (per-class farthest scans over
-/// one flat pool) or memory (full-width per-class bitsets), so running
-/// them at 100k would defeat the very claim this block gates.
+/// Times the pipeline at `--size` scale — the `large_100k` block. Peak
+/// memory stays flat in the row count: the harvest queries per-shard
+/// postings, MDAV recurses into bounded leaves, and the intersection
+/// indexes each source in O(n) and probes one class per target. Every
+/// optimized path is pinned against its reference in-process: the
+/// harvest pair at full size (both paths are near-linear), the MDAV and
+/// intersection pairs on a seeded [`EQUIVALENCE_SAMPLE_ROWS`] subsample —
+/// their references are superlinear (per-class farthest scans over one
+/// flat pool, a scan of every master row per target), so running them
+/// at 100k would defeat the very claim this block gates.
 fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
     let mut stages = Vec::new();
     let world_config = WorldConfig {
@@ -2357,10 +2349,9 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
         "sharded harvest must be bit-identical to the unsharded parallel path"
     );
 
-    // The per-shard streaming intersection over a full-size scenario
+    // The intersection of every core target of a full-size scenario
     // (per-source hierarchical MDAV keeps the scenario build per-leaf
-    // too). Per-target cost is flat, so a seeded target sample times the
-    // per-shard machinery without an O(core) tail.
+    // too).
     let scenario_config = ScenarioConfig {
         releases: 2,
         k: stage_k,
@@ -2369,24 +2360,18 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
     };
     let scenario = generate_scenario(&world.table, &hier, &scenario_config)
         .expect("sharded world holds a k-anonymizable core");
-    let target_idx = sample_indices(
-        scenario.targets.len(),
-        INTERSECT_TARGET_SAMPLE,
-        config.seed ^ INTERSECT_TARGET_SALT,
-    );
-    let targets: Vec<usize> = target_idx.iter().map(|&i| scenario.targets[i]).collect();
     let (intersections, wall) = time_ms(|| {
-        intersect_releases_sharded(&scenario.sources, &targets, n, STREAM_CHUNK_ROWS, &plan)
+        intersect_releases(&scenario.sources, &scenario.targets, n, STREAM_CHUNK_ROWS)
             .expect("intersection over a generated scenario cannot fail")
     });
-    assert_eq!(intersections.len(), targets.len());
+    assert_eq!(intersections.len(), scenario.targets.len());
     stages.push(StageTiming {
-        name: sn::INTERSECT_SHARDED_100K,
+        name: sn::INTERSECT_100K,
         wall_ms: wall,
-        rows: targets.len(),
+        rows: scenario.targets.len(),
     });
 
-    // The equivalence pass: sharded-vs-unsharded digest pairs on a
+    // The equivalence pass: optimized-vs-reference digest pairs on a
     // seeded subsample, asserted equal in-process and re-gated against
     // the committed baseline by `compare.rs`.
     let sample = sample_indices(
@@ -2412,15 +2397,14 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
             .expect("subsample partitions cleanly");
         let sub_scenario = generate_scenario(&sub_table, &hier, &scenario_config)
             .expect("subsample holds a k-anonymizable core");
-        let sharded = intersect_releases_sharded(
+        let engine = intersect_releases(
             &sub_scenario.sources,
             &sub_scenario.targets,
             sub_table.len(),
             STREAM_CHUNK_ROWS,
-            &plan,
         )
         .expect("intersection over a generated scenario cannot fail");
-        let full = intersect_releases(
+        let oracle = intersect_releases_sequential(
             &sub_scenario.sources,
             &sub_scenario.targets,
             sub_table.len(),
@@ -2428,17 +2412,17 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
         )
         .expect("intersection over a generated scenario cannot fail");
         assert_eq!(
-            sharded, full,
-            "sharded intersection must be bit-identical to the full-width engine"
+            engine, oracle,
+            "the intersection engine must be bit-identical to the row-scan oracle"
         );
         (
             digest_partition(&optimized),
             digest_partition(&reference),
-            digest_intersections(&sharded),
-            digest_intersections(&full),
+            digest_intersections(&engine),
+            digest_intersections(&oracle),
         )
     });
-    let (mdav_opt, mdav_ref, int_sharded, int_full) = digests;
+    let (mdav_opt, mdav_ref, int_engine, int_oracle) = digests;
     assert_eq!(
         mdav_opt, mdav_ref,
         "hierarchical MDAV must match its per-leaf reference on the subsample"
@@ -2459,10 +2443,10 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
         shard_rows,
         harvest_digest_sharded: digest_harvest(&harvest_sharded),
         harvest_digest_unsharded: digest_harvest(&harvest_unsharded),
-        mdav_digest_sharded: mdav_opt,
-        mdav_digest_unsharded: mdav_ref,
-        intersect_digest_sharded: int_sharded,
-        intersect_digest_unsharded: int_full,
+        mdav_digest_optimized: mdav_opt,
+        mdav_digest_reference: mdav_ref,
+        intersect_digest_engine: int_engine,
+        intersect_digest_oracle: int_oracle,
     }
 }
 
@@ -2868,7 +2852,7 @@ mod tests {
                 "mdav_hier_100k",
                 "harvest_sharded_100k",
                 "harvest_unsharded_100k",
-                "intersect_sharded_100k",
+                "intersect_100k",
                 "equivalence_100k",
             ]
         );
@@ -2884,16 +2868,16 @@ mod tests {
             sharded.harvest_digest_sharded,
             sharded.harvest_digest_unsharded
         );
-        assert_eq!(sharded.mdav_digest_sharded, sharded.mdav_digest_unsharded);
+        assert_eq!(sharded.mdav_digest_optimized, sharded.mdav_digest_reference);
         assert_eq!(
-            sharded.intersect_digest_sharded,
-            sharded.intersect_digest_unsharded
+            sharded.intersect_digest_engine,
+            sharded.intersect_digest_oracle
         );
         assert_eq!(sharded.sample_rows, 80.min(EQUIVALENCE_SAMPLE_ROWS));
         let json = bench.to_json();
         assert!(json.contains("\"large_100k\""));
         assert!(json.contains("\"mdav_hier_100k\""));
-        assert!(json.contains("\"intersect_sharded_100k\""));
+        assert!(json.contains("\"intersect_100k\""));
         assert!(json.contains("\"shard_rows\""));
         assert!(json.contains("\"harvest_sharded\""));
         assert!(json.trim_end().ends_with('}'));

@@ -58,9 +58,9 @@ pub const MDAV_HIER_100K: &str = "mdav_hier_100k";
 pub const HARVEST_SHARDED_100K: &str = "harvest_sharded_100k";
 /// The unsharded parallel harvest reference at the same size.
 pub const HARVEST_UNSHARDED_100K: &str = "harvest_unsharded_100k";
-/// The per-shard streaming intersection over a full-size scenario.
-pub const INTERSECT_SHARDED_100K: &str = "intersect_sharded_100k";
-/// The seeded-subsample equivalence pass (sharded-vs-unsharded MDAV and
+/// The intersection of every core target of a full-size scenario.
+pub const INTERSECT_100K: &str = "intersect_100k";
+/// The seeded-subsample equivalence pass (optimized-vs-reference MDAV and
 /// intersection digest pairs).
 pub const EQUIVALENCE_100K: &str = "equivalence_100k";
 
@@ -93,7 +93,7 @@ pub const TIMING_ROSTER: &[&str] = &[
     MDAV_HIER_100K,
     HARVEST_SHARDED_100K,
     HARVEST_UNSHARDED_100K,
-    INTERSECT_SHARDED_100K,
+    INTERSECT_100K,
     EQUIVALENCE_100K,
 ];
 

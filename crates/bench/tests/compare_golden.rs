@@ -36,7 +36,7 @@ fn clean_fixture_parses_every_documented_block() {
         "world_build_100k",
         "mdav_hier_100k",
         "harvest_sharded_100k",
-        "intersect_sharded_100k",
+        "intersect_100k",
         "equivalence_100k",
     ] {
         assert!(
@@ -108,7 +108,7 @@ fn clean_fixture_parses_every_documented_block() {
         big.digests.get("harvest_unsharded")
     );
     assert_eq!(
-        big.digests.get("intersect_sharded"),
+        big.digests.get("intersect_engine"),
         Some(&"e6b20a9f7d1c5438".to_owned())
     );
     // Every shard row carries the cap-saturation flag, false below the

@@ -19,7 +19,8 @@
 //!   the counter to the unit, and its buckets sum to that count.
 //! * **Work-counter reconciliation** — `harvest.postings_scanned`, summed
 //!   over the harvest's per-name deltas, equals the postings the searcher
-//!   itself reports for the same release names.
+//!   itself reports for the same release names; `intersect.probes` equals
+//!   the smallest class size of each target, summed, once per call.
 //! * **Deterministic trace bit-identity** — two zero-fault checkpointed
 //!   runs of the same configuration (separate stores, both computing
 //!   fresh) drain byte-identical trace JSON and the same structural
@@ -33,10 +34,15 @@
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use fred_anon::Mondrian;
 use fred_attack::{harvest_auxiliary, harvest_auxiliary_tolerant, HarvestConfig};
 use fred_bench::perf::{quick_bench, QuickBench, QuickBenchOptions};
 use fred_bench::world::WorldConfig;
-use fred_faults::FaultPlan;
+use fred_composition::{
+    candidate_counts, generate_scenario, intersect_releases, intersect_releases_sequential,
+    intersect_releases_tolerant, ScenarioConfig,
+};
+use fred_faults::{Degradation, FaultPlan};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -215,6 +221,87 @@ fn harvest_postings_counter_reconciles_with_the_searcher() {
     let tolerant = fred_obs::drain().counter_total("harvest.postings_scanned");
     assert_eq!(strict, searched, "strict harvest vs searcher");
     assert_eq!(tolerant, searched, "zero-rate tolerant harvest vs searcher");
+}
+
+#[test]
+fn intersect_probes_counter_reconciles_with_the_class_sizes() {
+    let _g = obs_lock();
+    let world = fred_bench::faculty_world(&WorldConfig {
+        size: 400,
+        ..WorldConfig::default()
+    });
+    let n = world.table.len();
+    // Mondrian's classes vary in size, so the smallest class of a target
+    // differs from its others and the pin checks which one is probed.
+    let scenario = generate_scenario(
+        &world.table,
+        &Mondrian::new(),
+        &ScenarioConfig {
+            releases: 3,
+            k: 4,
+            ..ScenarioConfig::default()
+        },
+    )
+    .expect("scenario");
+    // Every row: the core, and rows some or every source lacks.
+    let rows: Vec<usize> = (0..n).collect();
+    // The engine probes each target's smallest class over the sources
+    // holding it; sizes read straight off the partitions.
+    let class_size: Vec<Vec<Option<usize>>> = scenario
+        .sources
+        .iter()
+        .map(|s| {
+            let mut size = vec![None; n];
+            for class in s.partition.classes() {
+                for &local in class {
+                    size[s.global_rows[local]] = Some(class.len());
+                }
+            }
+            size
+        })
+        .collect();
+    let expected: u64 = rows
+        .iter()
+        .map(|&t| class_size.iter().filter_map(|s| s[t]).min().unwrap_or(0) as u64)
+        .sum();
+    let probes = |call: &dyn Fn()| {
+        fred_obs::enable(true);
+        call();
+        fred_obs::drain().counter_total("intersect.probes")
+    };
+    let chunk = 64;
+    let strict = probes(&|| {
+        let inters = intersect_releases(&scenario.sources, &rows, n, chunk).expect("intersect");
+        // Every candidate was probed.
+        let candidates: usize = inters.iter().map(|t| t.candidates()).sum();
+        assert!(candidates as u64 <= expected && candidates > 0);
+    });
+    let tolerant = probes(&|| {
+        let mut deg = Degradation::default();
+        intersect_releases_tolerant(
+            &scenario.sources,
+            &rows,
+            n,
+            chunk,
+            &FaultPlan::none(),
+            &mut deg,
+        )
+        .expect("tolerant intersect");
+    });
+    let counts = probes(&|| {
+        candidate_counts(&scenario.sources, &rows, n, chunk).expect("counts");
+    });
+    let oracle = probes(&|| {
+        intersect_releases_sequential(&scenario.sources, &rows, n, chunk).expect("oracle");
+    });
+    assert!(expected > n as u64, "the core's classes hold several rows");
+    assert_eq!(strict, expected, "strict engine vs class sizes");
+    assert_eq!(
+        tolerant, expected,
+        "zero-rate tolerant engine vs class sizes"
+    );
+    assert_eq!(counts, expected, "candidate_counts vs class sizes");
+    assert_eq!(oracle, 0, "the row-scan oracle probes nothing");
 }
 
 #[test]

@@ -46,7 +46,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::error::{CompositionError, Result};
-use crate::intersect::master_class_bits;
 use crate::scenario::{shuffle, Source};
 
 /// A coordinated-release countermeasure against composition attacks.
@@ -228,16 +227,25 @@ fn find(parent: &mut [usize], mut x: usize) -> usize {
     x
 }
 
-/// One source's candidate geometry (see
-/// [`crate::intersect::master_class_bits`] — the calibration never needs
-/// the published summaries, only the partition-derived bitsets).
+/// One source's candidate geometry, derived from the partition alone (the
+/// calibration never needs the published summaries): `class_of_master[g]`
+/// is the class index of master row `g` (`u32::MAX` when absent from the
+/// source) and `class_bits[c]` is class `c` as a bitset over master rows.
 struct ClassBits {
     class_of_master: Vec<u32>,
     class_bits: Vec<Vec<u64>>,
 }
 
-fn class_bits_of(source: &Source, n_master: usize) -> ClassBits {
-    let (class_of_master, class_bits) = master_class_bits(source, n_master);
+fn master_class_bits(source: &Source, n_master: usize) -> ClassBits {
+    let class_of_local = source.partition.class_of_rows();
+    let words = n_master.div_ceil(64);
+    let mut class_bits = vec![vec![0u64; words]; source.partition.len()];
+    let mut class_of_master = vec![u32::MAX; n_master];
+    for (local, &g) in source.global_rows.iter().enumerate() {
+        let class = class_of_local[local];
+        class_bits[class][g >> 6] |= 1u64 << (g & 63);
+        class_of_master[g] = class as u32;
+    }
     ClassBits {
         class_of_master,
         class_bits,
@@ -284,7 +292,10 @@ pub(crate) fn calibrate_widen(
     target_k: usize,
 ) -> Result<usize> {
     let words = n_master.div_ceil(64);
-    let digests: Vec<ClassBits> = sources.iter().map(|s| class_bits_of(s, n_master)).collect();
+    let digests: Vec<ClassBits> = sources
+        .iter()
+        .map(|s| master_class_bits(s, n_master))
+        .collect();
     let mut parents: Vec<Vec<usize>> = sources
         .iter()
         .map(|s| (0..s.partition.len()).collect())

@@ -8,32 +8,39 @@
 //! * **candidate set** — the identities sharing the target's equivalence
 //!   class. One release guarantees at least `k` of them; intersecting the
 //!   classes across releases shrinks the set toward the target alone
-//!   (Ganta, Kasiviswanathan & Smith's composition collapse). Candidate
-//!   sets are master-row bitsets, so an intersection is a word-wise AND.
+//!   (Ganta, Kasiviswanathan & Smith's composition collapse). With S(t)
+//!   the sources containing target `t`, the candidates are the master rows
+//!   `r` with `class_s(r) = class_s(t)` for every `s ∈ S(t)`. A row may sit
+//!   in more sources than the target and still qualify.
 //! * **feasible box** — interval-style quasi-identifier summaries bound
 //!   the target's true attribute vector; intersecting the boxes narrows
 //!   the range every estimate is drawn from. Centroid-style summaries are
 //!   points, not bounds, and contribute a hint instead.
 //!
-//! Releases are **streamed** through [`fred_anon::Release::chunks`]; no
-//! release table is ever materialized whole. Two paths compute the same
-//! per-target result: [`intersect_releases_sequential`], the plain
-//! reference, and [`intersect_releases`], the parallel batched path with
-//! per-worker bitset scratch — pinned bit-identical by property test.
+//! Each source is indexed once, in O(n): a class per master row, the
+//! class members as one CSR list (ascending within each class), and the
+//! class summaries read from the release, which is **streamed** through
+//! [`fred_anon::Release::chunks`] and never materialized whole. A target
+//! is then answered by probing the members of its smallest class against
+//! the other sources' class maps — O(R·|class|) work, no per-target
+//! scratch, candidates ascending by construction. Every call emits the
+//! probed class sizes summed over its targets as the `intersect.probes`
+//! work counter. [`intersect_releases_sequential`] is the definition-level
+//! oracle: it scans all `n` master rows per target instead.
 
 use fred_anon::Release;
-use fred_data::{Interval, ShardPlan, Value};
+use fred_data::{Interval, Value};
 use fred_faults::{key2, key3, salt, Degradation, FaultPlan, InputDefect};
 use rayon::prelude::*;
-use std::time::Instant;
-
-/// Per-shard sub-span emitted inside the sharded intersection loop.
-const INTERSECT_SHARD_SPAN: &str = "intersect.shard";
-/// Per-shard latency histogram fed by the sharded intersection loop.
-const INTERSECT_SHARD_MS: &str = "intersect.shard_ms";
 
 use crate::error::{CompositionError, Result};
 use crate::scenario::Source;
+
+/// Work counter: class members probed, summed over a call's targets.
+const INTERSECT_PROBES: &str = "intersect.probes";
+
+/// Class-map sentinel for a master row absent from a source.
+const ABSENT: u32 = u32::MAX;
 
 /// One class's constraint on one quasi-identifier cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,81 +67,31 @@ impl CellCon {
     }
 }
 
-/// Everything the intersection needs from one source, extracted in a
-/// single streamed pass over its (never materialized) release.
-struct SourceDigest {
-    /// Class index per master row (`u32::MAX` when absent).
+/// Everything the intersection needs from one source, O(n) in size.
+struct SourceIndex {
+    /// Class index per master row ([`ABSENT`] when the row is absent).
     class_of_master: Vec<u32>,
-    /// Per class: candidate bitset over master rows.
-    class_bits: Vec<Vec<u64>>,
+    /// CSR offsets: class `c` owns `members[class_start[c]..class_start[c + 1]]`.
+    class_start: Vec<u32>,
+    /// Master rows grouped by class, ascending within each class.
+    members: Vec<u32>,
     /// Per class, per quasi-identifier: the published constraint.
     class_cons: Vec<Vec<CellCon>>,
 }
 
-/// One source's candidate geometry, derived from the partition alone:
-/// `class_of_master[g]` is the class index of master row `g`
-/// (`u32::MAX` when absent from the source) and the per-class bitsets
-/// cover master rows. Shared by the digest below and the defense
-/// calibration loop, so the bitset encoding (word indexing, sentinel)
-/// lives in exactly one place.
-pub(crate) fn master_class_bits(source: &Source, n_master: usize) -> (Vec<u32>, Vec<Vec<u64>>) {
-    let class_of_local = source.partition.class_of_rows();
-    let words = n_master.div_ceil(64);
-    let mut class_bits = vec![vec![0u64; words]; source.partition.len()];
-    let mut class_of_master = vec![u32::MAX; n_master];
-    for (local, &g) in source.global_rows.iter().enumerate() {
-        let class = class_of_local[local];
-        class_bits[class][g >> 6] |= 1u64 << (g & 63);
-        class_of_master[g] = class as u32;
-    }
-    (class_of_master, class_bits)
-}
-
-/// Streams one source's release and collects each class's published
-/// constraint vector (the first row of a class carries the whole class's
-/// summary). The memory-heavy candidate bitsets are *not* built here, so
-/// the sharded engine can reuse this pass while keeping per-shard bitset
-/// peaks.
-fn class_constraints(
-    source: &Source,
-    qi_cols: &[usize],
-    chunk_rows: usize,
-) -> Result<Vec<Vec<CellCon>>> {
-    let class_of_local = source.partition.class_of_rows();
-    let n_classes = source.partition.len();
-    let mut class_cons: Vec<Vec<CellCon>> = vec![Vec::new(); n_classes];
-    let mut filled = vec![false; n_classes];
-    let mut lo = 0usize;
-    for chunk in Release::chunks(&source.table, &source.partition, source.style, chunk_rows) {
-        let chunk = chunk?;
-        for (i, row) in chunk.rows().iter().enumerate() {
-            let class = class_of_local[lo + i];
-            if !filled[class] {
-                filled[class] = true;
-                class_cons[class] = qi_cols
-                    .iter()
-                    .map(|&c| CellCon::from_value(&row[c]))
-                    .collect();
-            }
+impl SourceIndex {
+    /// The class of master row `row`, `None` when the source lacks it.
+    fn class(&self, row: usize) -> Option<usize> {
+        match self.class_of_master[row] {
+            ABSENT => None,
+            c => Some(c as usize),
         }
-        lo += chunk.len();
     }
-    Ok(class_cons)
-}
 
-fn digest_source(
-    source: &Source,
-    n_master: usize,
-    qi_cols: &[usize],
-    chunk_rows: usize,
-) -> Result<SourceDigest> {
-    let (class_of_master, class_bits) = master_class_bits(source, n_master);
-    let class_cons = class_constraints(source, qi_cols, chunk_rows)?;
-    Ok(SourceDigest {
-        class_of_master,
-        class_bits,
-        class_cons,
-    })
+    /// The master rows of `class`, ascending.
+    fn members(&self, class: usize) -> &[u32] {
+        &self.members[self.class_start[class] as usize..self.class_start[class + 1] as usize]
+    }
 }
 
 /// Applies the plan's chosen corruption flavor to one published
@@ -169,14 +126,18 @@ fn checked_con(con: CellCon) -> std::result::Result<CellCon, InputDefect> {
     }
 }
 
-/// [`digest_source`] under a fault plan: release rows can go missing,
-/// class-summary cells can arrive NaN (imputed as unconstrained and
-/// counted) or inflated out-of-range (kept — narrowing makes it
-/// harmless), and streamed chunks can arrive truncated (only their first
-/// half is readable; a class whose every readable row was lost keeps no
-/// constraint). All skip-and-count into `deg`; under a zero-rate plan
-/// the digest is bit-identical to the strict one.
-fn digest_source_tolerant(
+/// Builds one source's index in one streamed pass over its release.
+///
+/// Malformed input is an error, not a panic: a release row mapped
+/// outside the master table, or the same master row twice in one source.
+/// Under a fault plan, release rows can go missing, class-summary cells
+/// can arrive NaN (imputed as unconstrained and counted) or inflated
+/// out-of-range (kept — narrowing makes it harmless), and streamed chunks
+/// can arrive truncated (only their first half is readable; a class
+/// whose every readable row was lost keeps no constraint). All
+/// skip-and-count into `deg`; under [`FaultPlan::none`] the index is the
+/// strict one and `deg` stays clean.
+fn index_source(
     source: &Source,
     source_idx: usize,
     n_master: usize,
@@ -184,12 +145,30 @@ fn digest_source_tolerant(
     chunk_rows: usize,
     plan: &FaultPlan,
     deg: &mut Degradation,
-) -> Result<SourceDigest> {
+) -> Result<SourceIndex> {
     let class_of_local = source.partition.class_of_rows();
-    let n_classes = source.partition.len();
-    let words = n_master.div_ceil(64);
-    let mut class_bits = vec![vec![0u64; words]; n_classes];
-    let mut class_of_master = vec![u32::MAX; n_master];
+    if class_of_local.len() != source.global_rows.len() {
+        return Err(CompositionError::InvalidConfig(format!(
+            "source {source_idx}: partition covers {} rows but {} carry master ids",
+            class_of_local.len(),
+            source.global_rows.len()
+        )));
+    }
+    let mut class_of_master = vec![ABSENT; n_master];
+    for (local, &g) in source.global_rows.iter().enumerate() {
+        let slot = class_of_master.get_mut(g).ok_or_else(|| {
+            CompositionError::InvalidConfig(format!(
+                "source {source_idx}: release row {local} maps to master row {g}, \
+                 outside the {n_master}-row master table"
+            ))
+        })?;
+        if *slot != ABSENT {
+            return Err(CompositionError::InvalidConfig(format!(
+                "source {source_idx}: master row {g} appears twice"
+            )));
+        }
+        *slot = class_of_local[local] as u32;
+    }
     let mut dropped_local = vec![false; source.global_rows.len()];
     for (local, &g) in source.global_rows.iter().enumerate() {
         if plan.targets_row(g)
@@ -198,13 +177,33 @@ fn digest_source_tolerant(
             // The row never arrived: it constrains nothing and cannot
             // appear in any candidate set of this source.
             dropped_local[local] = true;
+            class_of_master[g] = ABSENT;
             deg.record(InputDefect::MissingRow);
-            continue;
         }
-        let class = class_of_local[local];
-        class_bits[class][g >> 6] |= 1u64 << (g & 63);
-        class_of_master[g] = class as u32;
     }
+
+    // Counting sort by class over ascending master rows, so each class's
+    // member slice is ascending.
+    let n_classes = source.partition.len();
+    let mut class_start = vec![0u32; n_classes + 1];
+    for &c in &class_of_master {
+        if c != ABSENT {
+            class_start[c as usize + 1] += 1;
+        }
+    }
+    for c in 0..n_classes {
+        class_start[c + 1] += class_start[c];
+    }
+    let mut next = class_start.clone();
+    let mut members = vec![0u32; class_start[n_classes] as usize];
+    for (g, &c) in class_of_master.iter().enumerate() {
+        if c != ABSENT {
+            members[next[c as usize] as usize] = g as u32;
+            next[c as usize] += 1;
+        }
+    }
+
+    // The first readable row of a class carries the whole class's summary.
     let mut class_cons: Vec<Vec<CellCon>> = vec![Vec::new(); n_classes];
     let mut filled = vec![false; n_classes];
     let mut lo = 0usize;
@@ -254,17 +253,50 @@ fn digest_source_tolerant(
     }
     // A class whose every row fell in truncated tails or dropped rows
     // never published a readable summary: its constraint vector stays
-    // empty, which `fold_source` treats as all-Free — count the imputed
+    // empty, which `fold_cons` treats as all-Free — count the imputed
     // fields so the report reflects the loss.
     let unfilled = filled.iter().filter(|&&f| !f).count();
     for _ in 0..unfilled * qi_cols.len() {
         deg.record(InputDefect::MissingField);
     }
-    Ok(SourceDigest {
+    Ok(SourceIndex {
         class_of_master,
-        class_bits,
+        class_start,
+        members,
         class_cons,
     })
+}
+
+/// Validates the call and indexes every source. Targets outside the
+/// master table are an error.
+fn index_sources(
+    sources: &[Source],
+    targets: &[usize],
+    n_master: usize,
+    chunk_rows: usize,
+    plan: &FaultPlan,
+    deg: &mut Degradation,
+) -> Result<(Vec<SourceIndex>, usize)> {
+    let first = sources.first().ok_or_else(|| {
+        CompositionError::InvalidConfig("intersection needs at least one source".into())
+    })?;
+    if n_master > ABSENT as usize {
+        return Err(CompositionError::InvalidConfig(format!(
+            "{n_master} master rows do not fit the u32 row ids"
+        )));
+    }
+    if let Some(&t) = targets.iter().find(|&&t| t >= n_master) {
+        return Err(CompositionError::InvalidConfig(format!(
+            "target row {t} is outside the {n_master}-row master table"
+        )));
+    }
+    let qi_cols = first.table.quasi_identifier_columns();
+    let indexes = sources
+        .iter()
+        .enumerate()
+        .map(|(idx, s)| index_source(s, idx, n_master, &qi_cols, chunk_rows, plan, deg))
+        .collect::<Result<Vec<_>>>()?;
+    Ok((indexes, qi_cols.len()))
 }
 
 /// What the composition of all releases pins down about one target.
@@ -322,53 +354,9 @@ fn narrow(cur: Interval, next: Interval) -> Interval {
         })
 }
 
-/// Ascending master rows set in `bits`.
-fn extract_candidates(bits: &[u64]) -> Vec<u32> {
-    let mut out = Vec::new();
-    for (wi, &word) in bits.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            let b = w.trailing_zeros();
-            out.push((wi as u32) * 64 + b);
-            w &= w - 1;
-        }
-    }
-    out
-}
-
-/// Folds one source's class data into the running per-target state.
-/// Shared by both engine paths so the constraint arithmetic (and thus the
-/// float sequence) is identical by construction; what the property tests
-/// pin is the surrounding machinery — bitset scratch reuse and parallel
-/// chunking versus the naive fresh-allocation loop.
-#[allow(clippy::too_many_arguments)]
-fn fold_source(
-    digest: &SourceDigest,
-    class: usize,
-    bits: &mut [u64],
-    first: bool,
-    feasible: &mut [Option<Interval>],
-    centroid_sum: &mut [f64],
-    centroid_n: &mut [usize],
-) {
-    if first {
-        bits.copy_from_slice(&digest.class_bits[class]);
-    } else {
-        for (w, &src) in bits.iter_mut().zip(&digest.class_bits[class]) {
-            *w &= src;
-        }
-    }
-    fold_cons(
-        &digest.class_cons[class],
-        feasible,
-        centroid_sum,
-        centroid_n,
-    );
-}
-
-/// The constraint half of [`fold_source`], shared with the sharded
-/// engine so the box-narrowing float sequence is identical by
-/// construction in every path.
+/// Folds one class's constraints into the running per-target state. The
+/// engine and the oracle both fold in source order through here, so the
+/// box-narrowing float sequence is identical by construction.
 fn fold_cons(
     cons: &[CellCon],
     feasible: &mut [Option<Interval>],
@@ -392,40 +380,65 @@ fn fold_cons(
     }
 }
 
-fn intersect_target(
+/// Whether master row `row` shares `target`'s class in every source that
+/// contains the target.
+fn consistent(indexes: &[SourceIndex], target: usize, row: usize) -> bool {
+    indexes.iter().all(|ix| {
+        let class = ix.class_of_master[target];
+        class == ABSENT || ix.class_of_master[row] == class
+    })
+}
+
+/// The members of `target`'s smallest class over the sources containing
+/// it (the first such source on ties); `None` when no source does.
+fn probed_class(indexes: &[SourceIndex], target: usize) -> Option<&[u32]> {
+    indexes
+        .iter()
+        .filter_map(|ix| ix.class(target).map(|c| ix.members(c)))
+        .min_by_key(|members| members.len())
+}
+
+/// `target`'s candidates, ascending, by probing its smallest class.
+fn candidates<'a>(
+    indexes: &'a [SourceIndex],
     target: usize,
-    digests: &[SourceDigest],
+    probed: &'a [u32],
+) -> impl Iterator<Item = u32> + 'a {
+    probed
+        .iter()
+        .copied()
+        .filter(move |&r| consistent(indexes, target, r as usize))
+}
+
+/// One target's intersection, with the rows `candidate_rows` yields.
+fn intersect_target(
+    indexes: &[SourceIndex],
     qi_len: usize,
-    bits: &mut [u64],
+    target: usize,
+    candidate_rows: impl FnOnce() -> Vec<u32>,
 ) -> TargetIntersection {
     let mut feasible: Vec<Option<Interval>> = vec![None; qi_len];
     let mut centroid_sum = vec![0.0f64; qi_len];
     let mut centroid_n = vec![0usize; qi_len];
     let mut seen = 0usize;
-    for digest in digests {
-        let class = digest.class_of_master[target];
-        if class == u32::MAX {
-            continue;
+    for ix in indexes {
+        if let Some(class) = ix.class(target) {
+            fold_cons(
+                &ix.class_cons[class],
+                &mut feasible,
+                &mut centroid_sum,
+                &mut centroid_n,
+            );
+            seen += 1;
         }
-        fold_source(
-            digest,
-            class as usize,
-            bits,
-            seen == 0,
-            &mut feasible,
-            &mut centroid_sum,
-            &mut centroid_n,
-        );
-        seen += 1;
     }
-    let candidate_rows = if seen == 0 {
-        Vec::new()
-    } else {
-        extract_candidates(bits)
-    };
     TargetIntersection {
         master_row: target,
-        candidate_rows,
+        candidate_rows: if seen == 0 {
+            Vec::new()
+        } else {
+            candidate_rows()
+        },
         feasible,
         centroid_hint: (0..qi_len)
             .map(|qi| {
@@ -440,26 +453,56 @@ fn intersect_target(
     }
 }
 
-fn digests_for(
-    sources: &[Source],
-    n_master: usize,
-    chunk_rows: usize,
-) -> Result<(Vec<SourceDigest>, usize)> {
-    let first = sources.first().ok_or_else(|| {
-        CompositionError::InvalidConfig("intersection needs at least one source".into())
-    })?;
-    let qi_cols = first.table.quasi_identifier_columns();
-    let digests = sources
-        .iter()
-        .map(|s| digest_source(s, n_master, &qi_cols, chunk_rows))
-        .collect::<Result<Vec<_>>>()?;
-    Ok((digests, qi_cols.len()))
+/// One target's intersection by probing its smallest class, with the
+/// number of rows probed.
+fn probe_target(
+    indexes: &[SourceIndex],
+    qi_len: usize,
+    target: usize,
+) -> (TargetIntersection, usize) {
+    let probed = probed_class(indexes, target).unwrap_or_default();
+    let inter = intersect_target(indexes, qi_len, target, || {
+        candidates(indexes, target, probed).collect()
+    });
+    (inter, probed.len())
 }
 
-/// The parallel batched intersection engine: digests every source in one
-/// streamed pass each, then fans the per-target intersections across
-/// worker threads, each reusing one bitset scratch for its whole chunk.
-/// Output is index-aligned with `targets` and bit-identical to
+/// Fans `per_target` (result, probes) over the worker pool, emits the
+/// summed probes once, and returns the results index-aligned with
+/// `targets`.
+fn probe_all<R: Send>(
+    targets: &[usize],
+    per_target: impl Fn(usize) -> (R, usize) + Sync,
+) -> Vec<R> {
+    let mut probes = 0usize;
+    let out = targets
+        .par_iter()
+        .map(|&t| per_target(t))
+        .collect::<Vec<_>>()
+        .into_iter()
+        .map(|(r, p)| {
+            probes += p;
+            r
+        })
+        .collect();
+    fred_obs::counter(INTERSECT_PROBES, probes as u64);
+    out
+}
+
+/// [`index_sources`] with no faults and a report nobody reads.
+fn index_strict(
+    sources: &[Source],
+    targets: &[usize],
+    n_master: usize,
+    chunk_rows: usize,
+) -> Result<(Vec<SourceIndex>, usize)> {
+    let (plan, mut deg) = (FaultPlan::none(), Degradation::muted());
+    index_sources(sources, targets, n_master, chunk_rows, &plan, &mut deg)
+}
+
+/// The intersection engine: indexes every source in one streamed pass
+/// each, then answers the targets in parallel by probing each one's
+/// smallest class. Output is index-aligned with `targets` and equal to
 /// [`intersect_releases_sequential`] (pinned by property test).
 pub fn intersect_releases(
     sources: &[Source],
@@ -467,174 +510,20 @@ pub fn intersect_releases(
     n_master: usize,
     chunk_rows: usize,
 ) -> Result<Vec<TargetIntersection>> {
-    let (digests, qi_len) = digests_for(sources, n_master, chunk_rows)?;
-    let words = n_master.div_ceil(64);
-    Ok(targets
-        .to_vec()
-        .into_par_iter()
-        .map_init(
-            || vec![0u64; words],
-            |bits, target| intersect_target(target, &digests, qi_len, bits),
-        )
-        .collect())
+    let (indexes, qi_len) = index_strict(sources, targets, n_master, chunk_rows)?;
+    Ok(probe_all(targets, |t| probe_target(&indexes, qi_len, t)))
 }
 
-/// One source's class map alone (`u32::MAX` for absent master rows) —
-/// the cheap O(n) half of [`master_class_bits`], without the full-width
-/// candidate bitsets the sharded engine exists to avoid.
-fn class_of_master_only(source: &Source, n_master: usize) -> Vec<u32> {
-    let class_of_local = source.partition.class_of_rows();
-    let mut class_of_master = vec![u32::MAX; n_master];
-    for (local, &g) in source.global_rows.iter().enumerate() {
-        class_of_master[g] = class_of_local[local] as u32;
-    }
-    class_of_master
-}
-
-/// The shard-streamed intersection engine: candidate bitsets are built
-/// and intersected one master-row range at a time, so the peak bitset
-/// footprint is `classes × range_words` per source instead of
-/// `classes × n/64` — the term that dominates memory at 100k rows. Per
-/// shard, every source's range-restricted class bitsets are rebuilt from
-/// the partition map, every target's classes are ANDed over that range,
-/// and the in-range candidates are appended; ranges are contiguous and
-/// ascending ([`ShardPlan::row_ranges`]), so the concatenation is the
-/// same ascending candidate list the full-width engine extracts.
-/// Feasible boxes and centroid hints fold the streamed class constraints
-/// once per target in source order — the exact float sequence of
-/// [`fold_source`] — so the result is bit-identical to
-/// [`intersect_releases`] for every shard plan (pinned by property
-/// test). Each shard runs under an `intersect.shard` span and feeds the
-/// `intersect.shard_ms` histogram.
-pub fn intersect_releases_sharded(
-    sources: &[Source],
-    targets: &[usize],
-    n_master: usize,
-    chunk_rows: usize,
-    plan: &ShardPlan,
-) -> Result<Vec<TargetIntersection>> {
-    let first = sources.first().ok_or_else(|| {
-        CompositionError::InvalidConfig("intersection needs at least one source".into())
-    })?;
-    let qi_cols = first.table.quasi_identifier_columns();
-    let qi_len = qi_cols.len();
-    let class_of_master: Vec<Vec<u32>> = sources
-        .iter()
-        .map(|s| class_of_master_only(s, n_master))
-        .collect();
-    let class_cons: Vec<Vec<Vec<CellCon>>> = sources
-        .iter()
-        .map(|s| class_constraints(s, &qi_cols, chunk_rows))
-        .collect::<Result<Vec<_>>>()?;
-
-    let mut candidates: Vec<Vec<u32>> = vec![Vec::new(); targets.len()];
-    for range in plan.row_ranges(n_master) {
-        let _span = fred_obs::span(INTERSECT_SHARD_SPAN);
-        let started = Instant::now();
-        let word_lo = range.start >> 6;
-        let words = range.end.div_ceil(64) - word_lo;
-        // Range-restricted per-class bitsets: only rows inside the range
-        // set bits, so boundary words shared with the neighbouring shard
-        // cannot leak rows across ranges.
-        let shard_bits: Vec<Vec<Vec<u64>>> = sources
-            .iter()
-            .enumerate()
-            .map(|(si, source)| {
-                let mut bits = vec![vec![0u64; words]; source.partition.len()];
-                for g in range.clone() {
-                    let class = class_of_master[si][g];
-                    if class != u32::MAX {
-                        bits[class as usize][(g >> 6) - word_lo] |= 1u64 << (g & 63);
-                    }
-                }
-                bits
-            })
-            .collect();
-        let mut scratch = vec![0u64; words];
-        for (ti, &target) in targets.iter().enumerate() {
-            let mut seen = 0usize;
-            for (si, map) in class_of_master.iter().enumerate() {
-                let class = map[target];
-                if class == u32::MAX {
-                    continue;
-                }
-                let src = &shard_bits[si][class as usize];
-                if seen == 0 {
-                    scratch.copy_from_slice(src);
-                } else {
-                    for (w, &s) in scratch.iter_mut().zip(src) {
-                        *w &= s;
-                    }
-                }
-                seen += 1;
-            }
-            if seen == 0 {
-                continue;
-            }
-            for (wi, &word) in scratch.iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    let b = w.trailing_zeros();
-                    candidates[ti].push(((word_lo + wi) as u32) * 64 + b);
-                    w &= w - 1;
-                }
-            }
-        }
-        fred_obs::observe_ms(INTERSECT_SHARD_MS, started.elapsed().as_secs_f64() * 1e3);
-    }
-
-    // Boxes and hints are range-independent: fold once per target in
-    // source order, the same sequence the full-width engine runs.
-    Ok(targets
-        .iter()
-        .enumerate()
-        .map(|(ti, &target)| {
-            let mut feasible: Vec<Option<Interval>> = vec![None; qi_len];
-            let mut centroid_sum = vec![0.0f64; qi_len];
-            let mut centroid_n = vec![0usize; qi_len];
-            let mut seen = 0usize;
-            for (si, map) in class_of_master.iter().enumerate() {
-                let class = map[target];
-                if class == u32::MAX {
-                    continue;
-                }
-                fold_cons(
-                    &class_cons[si][class as usize],
-                    &mut feasible,
-                    &mut centroid_sum,
-                    &mut centroid_n,
-                );
-                seen += 1;
-            }
-            TargetIntersection {
-                master_row: target,
-                candidate_rows: std::mem::take(&mut candidates[ti]),
-                feasible,
-                centroid_hint: (0..qi_len)
-                    .map(|qi| {
-                        if centroid_n[qi] > 0 {
-                            Some(centroid_sum[qi] / centroid_n[qi] as f64)
-                        } else {
-                            None
-                        }
-                    })
-                    .collect(),
-                sources_seen: seen,
-            }
-        })
-        .collect())
-}
-
-/// Fault-tolerant [`intersect_releases`]: digests every source under the
+/// Fault-tolerant [`intersect_releases`]: indexes every source under the
 /// plan's release-level faults (missing rows, corrupt QI cells,
 /// truncated chunks) with skip-and-count semantics, then runs the same
-/// parallel per-target intersection. Defects are recorded straight into
-/// the caller's `deg` — a [muted](Degradation::muted) report keeps a
-/// shadow pass off the observability counters. A target dropped from
-/// every source degrades to an empty candidate set with no feasible box
-/// — downstream fusion reads that as fully unconstrained — and under a
-/// zero-rate plan the result is bit-identical to [`intersect_releases`]
-/// with a clean report (pinned by property test).
+/// per-target probe. Defects are recorded straight into the caller's
+/// `deg` — a [muted](Degradation::muted) report keeps a shadow pass off
+/// the observability counters. A target dropped from every source
+/// degrades to an empty candidate set with no feasible box — downstream
+/// fusion reads that as fully unconstrained — and under a zero-rate plan
+/// the result is bit-identical to [`intersect_releases`] with a clean
+/// report (pinned by property test).
 pub fn intersect_releases_tolerant(
     sources: &[Source],
     targets: &[usize],
@@ -643,85 +532,46 @@ pub fn intersect_releases_tolerant(
     plan: &FaultPlan,
     deg: &mut Degradation,
 ) -> Result<Vec<TargetIntersection>> {
-    let first = sources.first().ok_or_else(|| {
-        CompositionError::InvalidConfig("intersection needs at least one source".into())
-    })?;
-    let qi_cols = first.table.quasi_identifier_columns();
-    let digests = sources
-        .iter()
-        .enumerate()
-        .map(|(idx, s)| digest_source_tolerant(s, idx, n_master, &qi_cols, chunk_rows, plan, deg))
-        .collect::<Result<Vec<_>>>()?;
-    let words = n_master.div_ceil(64);
-    let inters = targets
-        .to_vec()
-        .into_par_iter()
-        .map_init(
-            || vec![0u64; words],
-            |bits, target| intersect_target(target, &digests, qi_cols.len(), bits),
-        )
-        .collect();
-    Ok(inters)
+    let (indexes, qi_len) = index_sources(sources, targets, n_master, chunk_rows, plan, deg)?;
+    Ok(probe_all(targets, |t| probe_target(&indexes, qi_len, t)))
 }
 
-/// Per-target effective anonymity `|∩ classes|` alone — the number the
-/// [`crate::DefensePolicy::CalibratedWiden`] calibration loop measures
-/// after every widening round. Runs the same streamed digests as the
-/// full engine but skips all box arithmetic; index-aligned with
-/// `targets`, `0` for a target no source contains. Like the full
-/// engines, the result is invariant in `chunk_rows`.
+/// Per-target effective anonymity `|∩ classes|` alone: the same engine
+/// without the box arithmetic. Index-aligned with `targets`, `0` for a
+/// target no source contains, and invariant in `chunk_rows`.
 pub fn candidate_counts(
     sources: &[Source],
     targets: &[usize],
     n_master: usize,
     chunk_rows: usize,
 ) -> Result<Vec<usize>> {
-    let (digests, _) = digests_for(sources, n_master, chunk_rows)?;
-    let words = n_master.div_ceil(64);
-    let mut bits = vec![0u64; words];
-    Ok(targets
-        .iter()
-        .map(|&target| {
-            let mut seen = 0usize;
-            for digest in &digests {
-                let class = digest.class_of_master[target];
-                if class == u32::MAX {
-                    continue;
-                }
-                if seen == 0 {
-                    bits.copy_from_slice(&digest.class_bits[class as usize]);
-                } else {
-                    for (w, &src) in bits.iter_mut().zip(&digest.class_bits[class as usize]) {
-                        *w &= src;
-                    }
-                }
-                seen += 1;
-            }
-            if seen == 0 {
-                0
-            } else {
-                bits.iter().map(|w| w.count_ones() as usize).sum()
-            }
-        })
-        .collect())
+    let (indexes, _) = index_strict(sources, targets, n_master, chunk_rows)?;
+    Ok(probe_all(targets, |t| {
+        let probed = probed_class(&indexes, t).unwrap_or_default();
+        (candidates(&indexes, t, probed).count(), probed.len())
+    }))
 }
 
-/// The plain one-target-at-a-time reference: same digests, fresh bitset
-/// per target, no worker threads. Kept public for equivalence property
-/// tests.
+/// The definition-level oracle: for every target, a plain scan of all
+/// `n_master` rows that keeps those sharing the target's class in every
+/// source containing it. No worker threads, no probing, no counter.
+/// Kept public for equivalence property tests and output checks.
 pub fn intersect_releases_sequential(
     sources: &[Source],
     targets: &[usize],
     n_master: usize,
     chunk_rows: usize,
 ) -> Result<Vec<TargetIntersection>> {
-    let (digests, qi_len) = digests_for(sources, n_master, chunk_rows)?;
-    let words = n_master.div_ceil(64);
+    let (indexes, qi_len) = index_strict(sources, targets, n_master, chunk_rows)?;
     Ok(targets
         .iter()
-        .map(|&target| {
-            let mut bits = vec![0u64; words];
-            intersect_target(target, &digests, qi_len, &mut bits)
+        .map(|&t| {
+            intersect_target(&indexes, qi_len, t, || {
+                (0..n_master)
+                    .filter(|&r| consistent(&indexes, t, r))
+                    .map(|r| r as u32)
+                    .collect()
+            })
         })
         .collect())
 }
@@ -730,7 +580,7 @@ pub fn intersect_releases_sequential(
 mod tests {
     use super::*;
     use crate::scenario::{generate_scenario, ScenarioConfig};
-    use fred_anon::{Mdav, QiStyle};
+    use fred_anon::{Mdav, Partition, QiStyle};
     use fred_data::Table;
     use fred_synth::{customer_table, generate_population, CustomerConfig, PopulationConfig};
 
@@ -875,23 +725,31 @@ mod tests {
         assert_eq!(fast, reference);
     }
 
+    /// Every master row as a target: the core plus the rows some (or
+    /// every) source lacks.
+    fn every_row(table: &Table) -> Vec<usize> {
+        (0..table.len()).collect()
+    }
+
     #[test]
-    fn sharded_engine_equals_full_width_engine() {
+    fn engine_equals_row_scan_oracle_over_every_row() {
         let (table, s) = scenario(90, 3, 4);
-        let full = intersect_releases(&s.sources, &s.targets, table.len(), 16).unwrap();
-        for shards in [1usize, 2, 3, 5, 8, 64] {
-            for seed in [0u64, 17] {
-                let plan = ShardPlan::new(shards, seed);
-                let sharded =
-                    intersect_releases_sharded(&s.sources, &s.targets, table.len(), 16, &plan)
-                        .unwrap();
-                assert_eq!(sharded, full, "shards={shards} seed={seed}");
-            }
+        let rows = every_row(&table);
+        assert!(
+            rows.iter()
+                .any(|&r| s.sources.iter().any(|src| !src.global_rows.contains(&r))),
+            "the scenario has no row missing from a source"
+        );
+        for chunk_rows in [1usize, 16, 1024] {
+            let fast = intersect_releases(&s.sources, &rows, table.len(), chunk_rows).unwrap();
+            let oracle =
+                intersect_releases_sequential(&s.sources, &rows, table.len(), chunk_rows).unwrap();
+            assert_eq!(fast, oracle, "chunk_rows={chunk_rows}");
         }
     }
 
     #[test]
-    fn sharded_engine_handles_centroid_styles() {
+    fn engine_handles_mixed_styles() {
         let table = master(50, 9);
         let s = generate_scenario(
             &table,
@@ -904,32 +762,158 @@ mod tests {
             },
         )
         .unwrap();
-        let full = intersect_releases(&s.sources, &s.targets, table.len(), 16).unwrap();
-        let sharded = intersect_releases_sharded(
-            &s.sources,
-            &s.targets,
-            table.len(),
-            16,
-            &ShardPlan::new(4, 3),
-        )
-        .unwrap();
-        assert_eq!(sharded, full);
+        let rows = every_row(&table);
+        let fast = intersect_releases(&s.sources, &rows, table.len(), 16).unwrap();
+        let oracle = intersect_releases_sequential(&s.sources, &rows, table.len(), 16).unwrap();
+        assert_eq!(fast, oracle);
+        for inter in fast.iter().filter(|i| i.sources_seen == 2) {
+            assert!(inter.feasible.iter().all(Option::is_some));
+            assert!(inter.centroid_hint.iter().all(Option::is_some));
+        }
     }
 
     #[test]
-    fn sharded_engine_is_chunk_invariant() {
+    fn tolerant_engine_is_chunk_invariant_without_truncation() {
+        // Row drops and cell corruption are keyed by (source, row) and
+        // (source, class, qi), never by chunk, so only chunk truncation
+        // may make the result depend on `chunk_rows`.
         let (table, s) = scenario(60, 2, 4);
-        let plan = ShardPlan::new(3, 1);
-        let baseline =
-            intersect_releases_sharded(&s.sources, &s.targets, table.len(), 7, &plan).unwrap();
+        let plan = FaultPlan {
+            chunk_truncate: 0.0,
+            ..FaultPlan::uniform(37, 0.2)
+        };
+        let rows = every_row(&table);
+        let run = |chunk_rows: usize| {
+            let mut deg = Degradation::default();
+            let inters = intersect_releases_tolerant(
+                &s.sources,
+                &rows,
+                table.len(),
+                chunk_rows,
+                &plan,
+                &mut deg,
+            )
+            .unwrap();
+            (inters, deg)
+        };
+        let (baseline, deg) = run(7);
+        assert!(deg.rows_skipped > 0, "{deg}");
         for chunk_rows in [1usize, 13, 1024] {
             assert_eq!(
-                intersect_releases_sharded(&s.sources, &s.targets, table.len(), chunk_rows, &plan)
-                    .unwrap(),
-                baseline,
+                run(chunk_rows),
+                (baseline.clone(), deg),
                 "chunk_rows={chunk_rows}"
             );
         }
+    }
+
+    /// A source over `rows` of `table` whose classes are the given groups
+    /// of master rows.
+    fn hand_source(table: &Table, classes: &[&[usize]]) -> Source {
+        let global_rows: Vec<usize> = classes.iter().flat_map(|c| c.iter().copied()).collect();
+        let sub = Table::with_rows(
+            table.schema().clone(),
+            global_rows
+                .iter()
+                .map(|&g| table.rows()[g].clone())
+                .collect(),
+        )
+        .unwrap();
+        let mut local = 0usize;
+        let partition = Partition::new(
+            classes
+                .iter()
+                .map(|c| {
+                    let class: Vec<usize> = (local..local + c.len()).collect();
+                    local += c.len();
+                    class
+                })
+                .collect(),
+            global_rows.len(),
+        )
+        .unwrap();
+        Source {
+            global_rows,
+            table: sub,
+            partition,
+            k: 2,
+            style: QiStyle::Range,
+        }
+    }
+
+    #[test]
+    fn a_row_in_more_sources_than_the_target_is_still_a_candidate() {
+        let table = master(8, 5);
+        // Row 0 is in sources {0, 1}; row 1 is in {0, 1, 2} and shares
+        // row 0's class wherever row 0 appears.
+        let sources = vec![
+            hand_source(&table, &[&[0, 1], &[2, 3]]),
+            hand_source(&table, &[&[0, 1], &[4, 5]]),
+            hand_source(&table, &[&[1, 2], &[3, 5]]),
+        ];
+        let inters = intersect_releases(&sources, &[0, 1, 6], table.len(), 4).unwrap();
+        assert_eq!(inters[0].candidate_rows, vec![0, 1]);
+        assert_eq!(inters[0].sources_seen, 2);
+        // Source 2 separates row 0 from nothing (it lacks row 0) but
+        // row 1's class there excludes row 0.
+        assert_eq!(inters[1].candidate_rows, vec![1]);
+        assert_eq!(inters[1].sources_seen, 3);
+        // A row no source holds has no candidates.
+        assert!(inters[2].candidate_rows.is_empty());
+        assert_eq!(inters[2].sources_seen, 0);
+        assert_eq!(
+            inters,
+            intersect_releases_sequential(&sources, &[0, 1, 6], table.len(), 4).unwrap()
+        );
+        assert_eq!(
+            candidate_counts(&sources, &[0, 1, 6], table.len(), 4).unwrap(),
+            vec![2, 1, 0]
+        );
+    }
+
+    /// Whether the strict engine and the tolerant one under a live fault
+    /// plan both reject the call as invalid input.
+    fn both_reject(sources: &[Source], targets: &[usize], n_master: usize) -> bool {
+        let invalid = |r: Result<Vec<TargetIntersection>>| {
+            matches!(r, Err(CompositionError::InvalidConfig(_)))
+        };
+        let plan = FaultPlan::uniform(3, 0.2);
+        invalid(intersect_releases(sources, targets, n_master, 4))
+            && invalid(intersect_releases_sequential(sources, targets, n_master, 4))
+            && invalid(intersect_releases_tolerant(
+                sources,
+                targets,
+                n_master,
+                4,
+                &plan,
+                &mut Degradation::default(),
+            ))
+    }
+
+    #[test]
+    fn global_row_outside_the_master_table_is_rejected() {
+        let table = master(8, 5);
+        let mut source = hand_source(&table, &[&[0, 1], &[2, 3]]);
+        source.global_rows[3] = table.len();
+        assert!(both_reject(&[source], &[0], table.len()));
+    }
+
+    #[test]
+    fn duplicate_master_row_within_a_source_is_rejected() {
+        let table = master(8, 5);
+        let mut source = hand_source(&table, &[&[0, 1], &[2, 3]]);
+        source.global_rows[2] = 1;
+        let sources = [source];
+        assert!(both_reject(&sources, &[0], table.len()));
+        assert!(candidate_counts(&sources, &[0], table.len(), 4).is_err());
+    }
+
+    #[test]
+    fn target_outside_the_master_table_is_rejected() {
+        let table = master(8, 5);
+        let sources = [hand_source(&table, &[&[0, 1], &[2, 3]])];
+        assert!(both_reject(&sources, &[0, table.len()], table.len()));
+        assert!(candidate_counts(&sources, &[table.len() + 7], table.len(), 4).is_err());
     }
 
     #[test]

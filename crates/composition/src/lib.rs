@@ -74,7 +74,7 @@ pub use fuse::{
 };
 pub use intersect::{
     candidate_counts, intersect_releases, intersect_releases_sequential,
-    intersect_releases_sharded, intersect_releases_tolerant, TargetIntersection,
+    intersect_releases_tolerant, TargetIntersection,
 };
 pub use scenario::{core_targets, generate_scenario, CompositionScenario, ScenarioConfig, Source};
 pub use sweep::{

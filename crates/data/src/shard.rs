@@ -3,8 +3,7 @@
 //! A [`ShardPlan`] names how the world is split into disjoint partitions:
 //! keyed layers (the search index, the harvest) route a blocking key through
 //! [`ShardPlan::shard_of`], while range-partitioned layers (hierarchical MDAV
-//! leaves, the bitset intersection engine) carve contiguous row ranges with
-//! [`ShardPlan::row_ranges`]. Both views are pure functions of `(shards,
+//! leaves) carve contiguous row ranges with [`ShardPlan::row_ranges`]. Both views are pure functions of `(shards,
 //! seed)` so every layer that holds the same plan agrees on ownership without
 //! sharing state.
 //!

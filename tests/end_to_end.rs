@@ -262,18 +262,19 @@ fn name_noise_weakens_but_does_not_stop_the_attack() {
     );
 }
 
-/// The sharded pipeline at the 100k scale target (`repro --quick --size
+/// The composition attack at the 100k scale target (`repro --quick --size
 /// 100000` exercises the same paths through the bench): hierarchical
 /// MDAV partitions the full table, the scenario generator anonymizes
-/// each release through it, and the per-shard intersection engine
-/// composes them. The paper's composition claim must survive the scale
-/// jump: every added release can only shrink the mean candidate pool.
-/// Minutes of wall clock on one core — run with `cargo test -- --ignored`.
+/// each release through it, and the intersection engine composes them
+/// for every core target. The paper's composition claim must survive the
+/// scale jump: every added release can only shrink the mean candidate
+/// pool. Minutes of wall clock on one core — run with
+/// `cargo test -- --ignored`.
 #[test]
 #[ignore = "100k-row sweep (minutes on one core); run with -- --ignored"]
-fn sharded_composition_stays_monotone_at_100k() {
+fn composition_stays_monotone_at_100k() {
     use fred_suite::anon::HierarchicalMdav;
-    use fred_suite::composition::{generate_scenario, intersect_releases_sharded, ScenarioConfig};
+    use fred_suite::composition::{generate_scenario, intersect_releases, ScenarioConfig};
     use fred_suite::data::ShardPlan;
 
     let people = generate_population(&PopulationConfig {
@@ -300,19 +301,9 @@ fn sharded_composition_stays_monotone_at_100k() {
             },
         )
         .unwrap();
-        // A seeded stride over the core: per-target cost is flat, so a
-        // sample measures the composition without an O(core) tail.
-        let targets: Vec<usize> = scenario
-            .targets
-            .iter()
-            .copied()
-            .step_by((scenario.targets.len() / 512).max(1))
-            .take(512)
-            .collect();
         let intersections =
-            intersect_releases_sharded(&scenario.sources, &targets, table.len(), 1024, &plan)
-                .unwrap();
-        assert_eq!(intersections.len(), targets.len());
+            intersect_releases(&scenario.sources, &scenario.targets, table.len(), 1024).unwrap();
+        assert_eq!(intersections.len(), scenario.targets.len());
         // Every target keeps at least itself as a candidate, and the
         // single-release pool honors k-anonymity.
         for t in &intersections {

@@ -392,10 +392,11 @@ proptest! {
         k in 2usize..6,
         releases in 1usize..5,
         overlap_pct in 30usize..80,
-        centroid_style in any::<bool>(),
     ) {
+        use fred_suite::anon::Mondrian;
         use fred_suite::composition::{
-            generate_scenario, intersect_releases, intersect_releases_sequential, ScenarioConfig,
+            candidate_counts, generate_scenario, intersect_releases,
+            intersect_releases_sequential, ScenarioConfig,
         };
         let people = generate_population(&PopulationConfig {
             size,
@@ -403,32 +404,39 @@ proptest! {
             ..PopulationConfig::default()
         });
         let table = customer_table(&people, &CustomerConfig::default());
-        let config = ScenarioConfig {
-            releases,
-            overlap: overlap_pct as f64 / 100.0,
-            k,
-            seed: seed ^ 0xD15C,
-            styles: if centroid_style {
-                vec![QiStyle::Range, QiStyle::Centroid]
-            } else {
-                vec![QiStyle::Range]
-            },
-            ..ScenarioConfig::default()
-        };
-        prop_assume!(((size as f64) * config.overlap).round() as usize >= k);
-        let scenario = generate_scenario(&table, &Mdav::new(), &config).unwrap();
-        for chunk_rows in [1usize, 17, 1024] {
-            let fast =
-                intersect_releases(&scenario.sources, &scenario.targets, size, chunk_rows)
-                    .unwrap();
-            let reference = intersect_releases_sequential(
-                &scenario.sources,
-                &scenario.targets,
-                size,
-                chunk_rows,
-            )
-            .unwrap();
-            prop_assert_eq!(&fast, &reference, "chunk_rows={}", chunk_rows);
+        let anonymizers: [&dyn Anonymizer; 2] = [&Mdav::new(), &Mondrian::new()];
+        for (anonymizer, styles) in anonymizers.into_iter().flat_map(|a| {
+            [vec![QiStyle::Range], vec![QiStyle::Range, QiStyle::Centroid]].map(|s| (a, s))
+        }) {
+            let config = ScenarioConfig {
+                releases,
+                overlap: overlap_pct as f64 / 100.0,
+                k,
+                seed: seed ^ 0xD15C,
+                styles,
+                ..ScenarioConfig::default()
+            };
+            prop_assume!(((size as f64) * config.overlap).round() as usize >= k);
+            let scenario = generate_scenario(&table, anonymizer, &config).unwrap();
+            // The core targets, then every row outside the core: the
+            // decoys the benchmark intersects, absent from some (or
+            // every) source.
+            let rows: Vec<usize> = scenario
+                .targets
+                .iter()
+                .copied()
+                .chain((0..size).filter(|r| scenario.targets.binary_search(r).is_err()))
+                .collect();
+            for chunk_rows in [1usize, 17, 1024] {
+                let fast = intersect_releases(&scenario.sources, &rows, size, chunk_rows).unwrap();
+                let reference =
+                    intersect_releases_sequential(&scenario.sources, &rows, size, chunk_rows)
+                        .unwrap();
+                prop_assert_eq!(&fast, &reference, "chunk_rows={}", chunk_rows);
+                let counts = candidate_counts(&scenario.sources, &rows, size, chunk_rows).unwrap();
+                let lens: Vec<usize> = fast.iter().map(|t| t.candidate_rows.len()).collect();
+                prop_assert_eq!(counts, lens);
+            }
         }
     }
 
@@ -504,18 +512,15 @@ proptest! {
     }
 
     #[test]
-    fn sharded_intersection_equals_unsharded_for_every_plan(
+    fn intersection_equals_set_intersection_of_class_members(
         size in 20usize..80,
         seed in 0u64..1_000,
         k in 2usize..6,
         releases in 1usize..4,
-        shards in 1usize..7,
         chunk_rows in 1usize..40,
     ) {
-        use fred_suite::composition::{
-            generate_scenario, intersect_releases, intersect_releases_sharded, ScenarioConfig,
-        };
-        use fred_suite::data::ShardPlan;
+        use fred_suite::composition::{generate_scenario, intersect_releases, ScenarioConfig};
+        use std::collections::BTreeSet;
         let people = generate_population(&PopulationConfig {
             size,
             seed,
@@ -530,18 +535,38 @@ proptest! {
         };
         prop_assume!(((size as f64) * config.overlap).round() as usize >= k);
         let scenario = generate_scenario(&table, &Mdav::new(), &config).unwrap();
-        let plan = ShardPlan::new(shards, seed ^ 0x1C);
-        let full =
-            intersect_releases(&scenario.sources, &scenario.targets, size, chunk_rows).unwrap();
-        let sharded = intersect_releases_sharded(
-            &scenario.sources,
-            &scenario.targets,
-            size,
-            chunk_rows,
-            &plan,
-        )
-        .unwrap();
-        prop_assert_eq!(&sharded, &full, "shards={} chunk_rows={}", shards, chunk_rows);
+        // Each source's classes as sets of master rows, read straight off
+        // the partition: no class maps, no probing.
+        let class_sets: Vec<Vec<BTreeSet<u32>>> = scenario
+            .sources
+            .iter()
+            .map(|s| {
+                s.partition
+                    .classes()
+                    .iter()
+                    .map(|c| c.iter().map(|&l| s.global_rows[l] as u32).collect())
+                    .collect()
+            })
+            .collect();
+        let rows: Vec<usize> = (0..size).collect();
+        let inters = intersect_releases(&scenario.sources, &rows, size, chunk_rows).unwrap();
+        for inter in &inters {
+            let row = inter.master_row as u32;
+            let holding: Vec<&BTreeSet<u32>> = class_sets
+                .iter()
+                .filter_map(|classes| classes.iter().find(|c| c.contains(&row)))
+                .collect();
+            let expected: Vec<u32> = match holding.split_first() {
+                None => Vec::new(),
+                Some((first, rest)) => first
+                    .iter()
+                    .copied()
+                    .filter(|r| rest.iter().all(|c| c.contains(r)))
+                    .collect(),
+            };
+            prop_assert_eq!(&inter.candidate_rows, &expected, "row {}", row);
+            prop_assert_eq!(inter.sources_seen, holding.len());
+        }
     }
 
     #[test]
