@@ -2,7 +2,7 @@
 //! k-member equivalence classes.
 //!
 //! Algorithm 1 of the paper is parametric in its `Basic_Anonymization`
-//! procedure ("any basic anonymization algorithm such as [9] [3] can be
+//! procedure ("any basic anonymization algorithm such as \[9\] \[3\] can be
 //! used"); this trait is that parameter. The workspace ships three
 //! implementations: [`crate::mdav::Mdav`] (the paper's choice),
 //! [`crate::mondrian::Mondrian`] and

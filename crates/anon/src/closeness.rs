@@ -1,4 +1,4 @@
-//! t-closeness (Li, Li, Venkatasubramanian, ICDE 2007 — reference [7]).
+//! t-closeness (Li, Li, Venkatasubramanian, ICDE 2007 — reference \[7\]).
 //!
 //! A partition is t-close when, in every equivalence class, the distribution
 //! of the sensitive attribute is within Earth Mover's Distance `t` of the

@@ -1,4 +1,4 @@
-//! l-diversity checks (Machanavajjhala et al., ICDE 2006 — reference [4]).
+//! l-diversity checks (Machanavajjhala et al., ICDE 2006 — reference \[4\]).
 //!
 //! k-anonymity bounds re-identification, not attribute disclosure: a class
 //! whose members all share one sensitive value leaks it outright. Distinct

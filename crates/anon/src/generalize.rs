@@ -1,5 +1,5 @@
 //! Generalization hierarchies and full-domain generalization
-//! (Samarati/Sweeney-style, reference [2] of the paper).
+//! (Samarati/Sweeney-style, reference \[2\] of the paper).
 //!
 //! A [`Hierarchy`] maps each leaf value to a fixed path of increasingly
 //! general labels ending at the root `*`. Numeric attributes use

@@ -12,8 +12,8 @@
 //! * [`release::build_release`] — turns a partition into a published table
 //!   (identifiers kept, QIs generalized, sensitive cells suppressed);
 //! * checkers: [`kanon`] (k-anonymity), [`diversity`] (l-diversity),
-//!   [`closeness`] (t-closeness);
-//! * [`utility`] — the discernibility metric `C_DM` and friends.
+//!   [`closeness`](mod@closeness) (t-closeness);
+//! * [`utility`](mod@utility) — the discernibility metric `C_DM` and friends.
 //!
 //! ## Example
 //!

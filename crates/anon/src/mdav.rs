@@ -1,6 +1,6 @@
 //! MDAV microaggregation (Maximum Distance to Average Vector).
 //!
-//! This is the "microaggregation based k-anonymization proposed in [9]"
+//! This is the "microaggregation based k-anonymization proposed in \[9\]"
 //! (Domingo-Ferrer) that the paper's experiments use as the
 //! `Basic_Anonymization` procedure. MDAV builds clusters of exactly `k`
 //! records around the two mutually most-distant extremes, repeating until

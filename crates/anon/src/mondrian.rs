@@ -1,5 +1,5 @@
 //! Mondrian multidimensional k-anonymity (LeFevre, DeWitt, Ramakrishnan,
-//! ICDE 2006) — reference [3] of the paper.
+//! ICDE 2006) — reference \[3\] of the paper.
 //!
 //! Strict top-down greedy partitioning: recursively split the current class
 //! on the quasi-identifier with the widest normalized range, at the median,

@@ -1,6 +1,6 @@
 //! Projection-based *optimal* microaggregation.
 //!
-//! Domingo-Ferrer's reference [9] discusses heuristics for optimal
+//! Domingo-Ferrer's reference \[9\] discusses heuristics for optimal
 //! k-anonymous microaggregation; for univariate data the exact optimum is
 //! computable: sort the values, observe that optimal classes are contiguous
 //! runs of length in `[k, 2k-1]` (Hansen & Mukherjee), and run a shortest-

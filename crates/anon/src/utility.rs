@@ -1,7 +1,7 @@
 //! Utility metrics for anonymized releases.
 //!
 //! The paper measures release utility with the **discernibility metric**
-//! `C_DM` of Bayardo & Agrawal (reference [22]) and defines the utility used
+//! `C_DM` of Bayardo & Agrawal (reference \[22\]) and defines the utility used
 //! in the objective as its inverse:
 //!
 //! ```text

@@ -13,10 +13,7 @@ use fred_linkage::{
     compare_prepared, AgreementCache, AgreementScratch, Decision, FellegiSunter, LinkKey,
     NameNormalizer, PreparedName, ScoreFloor,
 };
-use fred_web::{
-    consolidate, extract, extract_checked, merge_hits, AuxRecord, SearchEngine, SearchHit,
-    ShardedSearchEngine,
-};
+use fred_web::{consolidate, extract, extract_checked, AuxRecord, SearchEngine, WebPage};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -187,7 +184,7 @@ impl LinkState {
 }
 
 /// Assembles a [`Harvest`] from in-row-order per-name results.
-fn assemble(per_name: Vec<(Option<AuxRecord>, Vec<usize>, usize)>) -> Harvest {
+fn assemble(per_name: Vec<NameHarvest>) -> Harvest {
     let mut records = Vec::with_capacity(per_name.len());
     let mut linked = Vec::with_capacity(per_name.len());
     let mut pages_inspected = 0usize;
@@ -249,16 +246,17 @@ impl HarvestContext {
     }
 }
 
-/// Per-name latency histogram: one observation per name that reaches
-/// the classify-extract tail, recorded by the same routine that bumps
-/// the `harvest.names` counter — so the histogram's `count` reconciles
-/// exactly with the counter in every path (cached parallel, sequential,
-/// sharded, tolerant), which `tests/obs_reconcile.rs` pins.
+/// Per-name latency histogram: one observation per non-blank name,
+/// spanning its search, classification and extraction, recorded by the
+/// same routine that bumps the `harvest.names` counter — so the
+/// histogram's `count` reconciles exactly with the counter in every
+/// cached path (parallel, single-threaded, tolerant), which
+/// `tests/obs_reconcile.rs` pins.
 const HARVEST_NAME_MS: &str = "harvest.name_ms";
 
 /// Emits one harvested name's observability deltas: pages linked and
 /// inspected, the postings its search visited, plus what the memo and the
-/// score floor absorbed (read as deltas over the worker's [`LinkState`],
+/// score floor absorbed (read as deltas over the worker's `LinkState`,
 /// which lives across names). Free when tracing is off — one relaxed
 /// atomic load.
 fn note_harvest_metrics(
@@ -285,131 +283,48 @@ fn note_harvest_metrics(
     fred_obs::counter("harvest.floor_prunes", state.cmp.prunes() - prunes_before);
 }
 
+/// One release name's harvest: the consolidated record, the accepted
+/// page indices and the number of pages inspected.
+type NameHarvest = (Option<AuxRecord>, Vec<usize>, usize);
+
 /// One release name through the cached path: exact top-k search, then
-/// floor/memo classification of the hits, then extraction and
-/// consolidation. The single per-name routine both cached harvest
-/// variants run.
+/// floor/memo classification of the hits, then extraction of every
+/// accepted page through `extract_page` and consolidation. The single
+/// per-name routine of every cached harvest variant: the strict ones pass
+/// [`extract`] (as `extract_strict`), the tolerant one passes
+/// [`extract_checked`], which skips pages whose template frame is damaged
+/// and counts them in the returned [`Degradation`] instead of parsing
+/// them as if intact. On a clean corpus both extractors accept every
+/// page, so the results agree bit for bit and the report stays clean.
 fn harvest_one_name(
     name: &str,
     engine: &SearchEngine,
     config: &HarvestConfig,
     ctx: &HarvestContext,
     state: &mut LinkState,
-) -> (Option<AuxRecord>, Vec<usize>, usize) {
-    if name.trim().is_empty() {
-        return (None, Vec::new(), 0);
-    }
-    let before = state.search.postings_scanned();
-    let hits = engine.search_topk_with(
-        name,
-        config.hits_per_name,
-        &mut state.search,
-        &mut state.terms,
-    );
-    let scanned = state.search.postings_scanned() - before;
-    harvest_hits(name, &hits, scanned, engine, config, ctx, state)
-}
-
-/// The classify-extract-consolidate tail of [`harvest_one_name`], taking
-/// the (already exact) ranked hits and the postings their search visited
-/// as input so the sharded harvest can feed it a merged scatter-gather
-/// result. `name` must be non-blank.
-fn harvest_hits(
-    name: &str,
-    hits: &[SearchHit],
-    postings_scanned: u64,
-    engine: &SearchEngine,
-    config: &HarvestConfig,
-    ctx: &HarvestContext,
-    state: &mut LinkState,
-) -> (Option<AuxRecord>, Vec<usize>, usize) {
-    let started = fred_obs::is_enabled().then(std::time::Instant::now);
-    let (lookups0, hits0, prunes0) = (
-        state.agreement.lookups(),
-        state.agreement.hits(),
-        state.cmp.prunes(),
-    );
-    let query = LinkKey::prepare(&ctx.normalizer, name);
-    let query_id = state.query_id(&query);
-    let (accepted, inspected) = classify_hits_cached(
-        hits,
-        query_id,
-        &query,
-        engine,
-        config,
-        &ctx.page_name_ids,
-        &ctx.name_keys,
-        &ctx.floor,
-        &mut state.agreement,
-        &mut state.cmp,
-    );
-    let extractions: Vec<AuxRecord> = accepted
-        .iter()
-        .filter_map(|&p| engine.page(p).map(extract))
-        .collect();
-    if let Some(started) = started {
-        fred_obs::observe_ms(HARVEST_NAME_MS, started.elapsed().as_secs_f64() * 1e3);
-    }
-    note_harvest_metrics(
-        state,
-        postings_scanned,
-        lookups0,
-        hits0,
-        prunes0,
-        accepted.len(),
-        inspected,
-    );
-    (consolidate(&extractions), accepted, inspected)
-}
-
-/// [`harvest_one_name`] with *checked* extraction: identical search and
-/// classification, but pages whose template frame is damaged are skipped
-/// and counted in the returned [`Degradation`] instead of parsed as if
-/// intact. On a clean corpus the result is bit-identical to
-/// [`harvest_one_name`] with a clean report.
-fn harvest_one_name_tolerant(
-    name: &str,
-    engine: &SearchEngine,
-    config: &HarvestConfig,
-    ctx: &HarvestContext,
-    state: &mut LinkState,
-) -> (Option<AuxRecord>, Vec<usize>, usize, Degradation) {
-    if name.trim().is_empty() {
-        return (None, Vec::new(), 0, Degradation::default());
-    }
-    let before = state.search.postings_scanned();
-    let hits = engine.search_topk_with(
-        name,
-        config.hits_per_name,
-        &mut state.search,
-        &mut state.terms,
-    );
-    let scanned = state.search.postings_scanned() - before;
-    harvest_hits_tolerant(name, &hits, scanned, engine, config, ctx, state)
-}
-
-/// The tolerant classify-extract tail of [`harvest_one_name_tolerant`],
-/// over already-ranked hits. `name` must be non-blank.
-fn harvest_hits_tolerant(
-    name: &str,
-    hits: &[SearchHit],
-    postings_scanned: u64,
-    engine: &SearchEngine,
-    config: &HarvestConfig,
-    ctx: &HarvestContext,
-    state: &mut LinkState,
-) -> (Option<AuxRecord>, Vec<usize>, usize, Degradation) {
-    let started = fred_obs::is_enabled().then(std::time::Instant::now);
+    extract_page: impl Fn(&WebPage) -> std::result::Result<AuxRecord, InputDefect>,
+) -> (NameHarvest, Degradation) {
     let mut deg = Degradation::default();
-    let (lookups0, hits0, prunes0) = (
+    if name.trim().is_empty() {
+        return ((None, Vec::new(), 0), deg);
+    }
+    let started = fred_obs::is_enabled().then(std::time::Instant::now);
+    let (scanned0, lookups0, hits0, prunes0) = (
+        state.search.postings_scanned(),
         state.agreement.lookups(),
         state.agreement.hits(),
         state.cmp.prunes(),
     );
+    let hits = engine.search_topk_with(
+        name,
+        config.hits_per_name,
+        &mut state.search,
+        &mut state.terms,
+    );
     let query = LinkKey::prepare(&ctx.normalizer, name);
     let query_id = state.query_id(&query);
     let (accepted, inspected) = classify_hits_cached(
-        hits,
+        &hits,
         query_id,
         &query,
         engine,
@@ -422,14 +337,11 @@ fn harvest_hits_tolerant(
     );
     let extractions: Vec<AuxRecord> = accepted
         .iter()
-        .filter_map(|&p| {
-            let page = engine.page(p)?;
-            match extract_checked(page) {
-                Ok(record) => Some(record),
-                Err(defect) => {
-                    deg.record(defect);
-                    None
-                }
+        .filter_map(|&p| match extract_page(engine.page(p)?) {
+            Ok(record) => Some(record),
+            Err(defect) => {
+                deg.record(defect);
+                None
             }
         })
         .collect();
@@ -438,14 +350,20 @@ fn harvest_hits_tolerant(
     }
     note_harvest_metrics(
         state,
-        postings_scanned,
+        state.search.postings_scanned() - scanned0,
         lookups0,
         hits0,
         prunes0,
         accepted.len(),
         inspected,
     );
-    (consolidate(&extractions), accepted, inspected, deg)
+    ((consolidate(&extractions), accepted, inspected), deg)
+}
+
+/// [`extract`] in the shape [`harvest_one_name`] takes: the strict
+/// extractor never rejects a page.
+fn extract_strict(page: &WebPage) -> std::result::Result<AuxRecord, InputDefect> {
+    Ok(extract(page))
 }
 
 /// Fault-tolerant [`harvest_auxiliary`]: survives the dirty corpus and
@@ -501,15 +419,15 @@ pub fn harvest_auxiliary_tolerant(
             if plan.decide(plan.worker_panic, salt::WORKER_PANIC, row as u64) {
                 panic!("injected worker fault at harvest row {row}");
             }
-            harvest_one_name_tolerant(&name, engine, config, &ctx, state)
+            harvest_one_name(&name, engine, config, &ctx, state, extract_checked)
         },
     );
     let mut per_name = Vec::with_capacity(results.len());
     for slot in results {
         match slot {
-            Some((record, accepted, inspected, name_deg)) => {
+            Some((name_harvest, name_deg)) => {
                 deg.merge(&name_deg);
-                per_name.push((record, accepted, inspected));
+                per_name.push(name_harvest);
             }
             None => {
                 deg.record(InputDefect::WorkerPanic);
@@ -550,178 +468,18 @@ pub fn harvest_auxiliary(
     }
     let names = release.identifier_strings();
     let ctx = HarvestContext::new(engine, true);
-    let per_name: Vec<(Option<AuxRecord>, Vec<usize>, usize)> = names
+    let per_name: Vec<NameHarvest> = names
         .into_par_iter()
         .map_init(
             || LinkState::new(engine),
-            |state, name| harvest_one_name(&name, engine, config, &ctx, state),
+            |state, name| harvest_one_name(&name, engine, config, &ctx, state, extract_strict).0,
         )
         .collect();
     Ok(assemble(per_name))
-}
-
-/// Span wrapping one shard's search pass inside
-/// [`harvest_auxiliary_sharded`].
-const HARVEST_SHARD_SPAN: &str = "harvest.shard";
-/// Span wrapping the merge + classify phase of the sharded harvest.
-const HARVEST_MERGE_SPAN: &str = "harvest.merge";
-/// Histogram of per-shard search-pass wall clock (milliseconds).
-const HARVEST_SHARD_MS: &str = "harvest.shard_ms";
-
-/// [`harvest_auxiliary`] over a document-partitioned index.
-///
-/// Phase one walks the shards *sequentially on the calling thread* — so
-/// each shard's pass gets its own observability span and a sample in the
-/// `harvest.shard_ms` latency histogram — and inside each shard runs
-/// every name's exact top-k against that shard's postings only, names
-/// fanned out across workers. Phase two merges each name's per-shard
-/// partials into the global top-k (bit-identical to the unsharded
-/// [`SearchEngine::search_topk_with`] result, see
-/// [`ShardedSearchEngine`]) and classifies it through the same cached
-/// path as [`harvest_auxiliary`]. The returned [`Harvest`] is therefore
-/// record-for-record identical to [`harvest_auxiliary`] for every shard
-/// count (pinned by property test).
-pub fn harvest_auxiliary_sharded(
-    release: &Table,
-    sharded: &ShardedSearchEngine<'_>,
-    config: &HarvestConfig,
-) -> Result<Harvest> {
-    let engine = sharded.base();
-    if release.identifier_columns().is_empty() {
-        return Err(AttackError::NoIdentifiers);
-    }
-    let names = release.identifier_strings();
-    let ctx = HarvestContext::new(engine, true);
-    // Phase one: per-shard exact top-k partials for every name, each
-    // with the postings its scan visited.
-    let mut partials: Vec<Vec<(Vec<SearchHit>, u64)>> = Vec::with_capacity(sharded.shard_count());
-    for shard in 0..sharded.shard_count() {
-        let _span = fred_obs::span(HARVEST_SHARD_SPAN);
-        let started = std::time::Instant::now();
-        let shard_hits: Vec<(Vec<SearchHit>, u64)> = names
-            .par_iter()
-            .map_init(
-                || (engine.scratch(), engine.term_cache()),
-                |(search, terms), name| {
-                    let before = search.postings_scanned();
-                    let hits =
-                        sharded.search_topk_shard(shard, name, config.hits_per_name, search, terms);
-                    (hits, search.postings_scanned() - before)
-                },
-            )
-            .collect();
-        fred_obs::observe_ms(HARVEST_SHARD_MS, started.elapsed().as_secs_f64() * 1e3);
-        partials.push(shard_hits);
-    }
-    // Phase two: merge each name's partials and classify the global
-    // top-k through the cached path.
-    let _merge_span = fred_obs::span(HARVEST_MERGE_SPAN);
-    let indexed: Vec<(usize, String)> = names.into_iter().enumerate().collect();
-    let per_name: Vec<(Option<AuxRecord>, Vec<usize>, usize)> = indexed
-        .into_par_iter()
-        .map_init(
-            || LinkState::new(engine),
-            |state, (row, name)| {
-                if name.trim().is_empty() {
-                    return (None, Vec::new(), 0);
-                }
-                let gathered: Vec<SearchHit> = partials
-                    .iter()
-                    .flat_map(|shard_hits| shard_hits[row].0.iter().cloned())
-                    .collect();
-                let scanned = partials.iter().map(|shard_hits| shard_hits[row].1).sum();
-                let hits = merge_hits(gathered, config.hits_per_name);
-                harvest_hits(&name, &hits, scanned, engine, config, &ctx, state)
-            },
-        )
-        .collect();
-    Ok(assemble(per_name))
-}
-
-/// Fault-tolerant [`harvest_auxiliary_sharded`]: everything
-/// [`harvest_auxiliary_tolerant`] survives, plus whole-shard loss — a
-/// shard the plan's `shard_loss` rate fires on (per shard index, salt
-/// [`salt::SHARD_LOSS`]) vanishes mid-harvest, its pages drop out of
-/// every query's candidate pool, and the harvest degrades to the
-/// surviving shards, counting one `shards_lost` per lost shard in the
-/// [`Degradation`] ledger. Under a zero-rate plan the result is
-/// bit-identical to [`harvest_auxiliary`] (all shards alive ⇒ the
-/// scatter-gather is exact).
-pub fn harvest_auxiliary_sharded_tolerant(
-    release: &Table,
-    sharded: &ShardedSearchEngine<'_>,
-    config: &HarvestConfig,
-    plan: &FaultPlan,
-) -> Result<(Harvest, Degradation)> {
-    let engine = sharded.base();
-    if release.identifier_columns().is_empty() {
-        return Err(AttackError::NoIdentifiers);
-    }
-    let mut deg = Degradation::default();
-    let alive: Vec<bool> = (0..sharded.shard_count())
-        .map(|s| !plan.decide(plan.shard_loss, salt::SHARD_LOSS, s as u64))
-        .collect();
-    for &shard_alive in &alive {
-        if !shard_alive {
-            deg.record(InputDefect::LostShard);
-        }
-    }
-    let items: Vec<(usize, String)> = release
-        .identifier_strings()
-        .into_iter()
-        .enumerate()
-        .map(|(row, name)| {
-            if plan.targets_row(row)
-                || plan.decide(plan.row_drop, salt::HARVEST_ROW_DROP, row as u64)
-            {
-                deg.record(InputDefect::MissingRow);
-                (row, String::new())
-            } else {
-                (row, name)
-            }
-        })
-        .collect();
-    let ctx = HarvestContext::new(engine, true);
-    let (results, _caught) = rayon::map_catch_init(
-        items,
-        || LinkState::new(engine),
-        |state, (row, name)| {
-            if plan.decide(plan.worker_panic, salt::WORKER_PANIC, row as u64) {
-                panic!("injected worker fault at harvest row {row}");
-            }
-            if name.trim().is_empty() {
-                return (None, Vec::new(), 0, Degradation::default());
-            }
-            let before = state.search.postings_scanned();
-            let hits = sharded.search_topk_surviving(
-                &name,
-                config.hits_per_name,
-                &alive,
-                &mut state.search,
-                &mut state.terms,
-            );
-            let scanned = state.search.postings_scanned() - before;
-            harvest_hits_tolerant(&name, &hits, scanned, engine, config, &ctx, state)
-        },
-    );
-    let mut per_name = Vec::with_capacity(results.len());
-    for slot in results {
-        match slot {
-            Some((record, accepted, inspected, name_deg)) => {
-                deg.merge(&name_deg);
-                per_name.push((record, accepted, inspected));
-            }
-            None => {
-                deg.record(InputDefect::WorkerPanic);
-                per_name.push((None, Vec::new(), 0));
-            }
-        }
-    }
-    Ok((assemble(per_name), deg))
 }
 
 /// [`harvest_auxiliary`] pinned to one thread: the identical cached path
-/// (same context, same per-name routine, one [`LinkState`] reused for
+/// (same context, same per-name routine, one `LinkState` reused for
 /// the whole loop), with no fan-out anywhere — even the comparator-key
 /// preparation runs inline.
 ///
@@ -743,9 +501,9 @@ pub fn harvest_auxiliary_single_threaded(
     let names = release.identifier_strings();
     let ctx = HarvestContext::new(engine, false);
     let mut state = LinkState::new(engine);
-    let per_name: Vec<(Option<AuxRecord>, Vec<usize>, usize)> = names
+    let per_name: Vec<NameHarvest> = names
         .iter()
-        .map(|name| harvest_one_name(name, engine, config, &ctx, &mut state))
+        .map(|name| harvest_one_name(name, engine, config, &ctx, &mut state, extract_strict).0)
         .collect();
     Ok(assemble(per_name))
 }
@@ -1010,75 +768,6 @@ mod tests {
             assert_eq!(sampled.records[i], full.records[row], "row {row}");
             assert_eq!(sampled.linked[i], full.linked[row], "row {row}");
         }
-    }
-
-    #[test]
-    fn sharded_harvest_equals_unsharded_for_any_shard_count() {
-        use fred_data::ShardPlan;
-        let (_, table, engine) = world();
-        let release = table.suppress_sensitive();
-        let config = HarvestConfig::default();
-        let unsharded = harvest_auxiliary(&release, &engine, &config).unwrap();
-        for shards in [1usize, 2, 3, 5] {
-            for seed in [0u64, 41] {
-                let sharded = ShardedSearchEngine::build(&engine, ShardPlan::new(shards, seed));
-                let h = harvest_auxiliary_sharded(&release, &sharded, &config).unwrap();
-                assert_eq!(h, unsharded, "shards {shards} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_tolerant_zero_rate_is_bit_identical_to_strict() {
-        use fred_data::ShardPlan;
-        let (_, table, engine) = world();
-        let release = table.suppress_sensitive();
-        let config = HarvestConfig::default();
-        let strict = harvest_auxiliary(&release, &engine, &config).unwrap();
-        let sharded = ShardedSearchEngine::build(&engine, ShardPlan::new(4, 9));
-        let (tolerant, deg) =
-            harvest_auxiliary_sharded_tolerant(&release, &sharded, &config, &FaultPlan::none())
-                .unwrap();
-        assert_eq!(tolerant, strict);
-        assert!(deg.is_clean(), "{deg}");
-    }
-
-    #[test]
-    fn shard_loss_degrades_to_surviving_shards() {
-        use fred_data::ShardPlan;
-        let (_, table, engine) = world();
-        let release = table.suppress_sensitive();
-        let config = HarvestConfig::default();
-        let sharded = ShardedSearchEngine::build(&engine, ShardPlan::new(4, 9));
-        // All shards lost: every query degrades to nothing-found, but
-        // every row keeps its slot and the loss is fully ledgered.
-        let all_lost = FaultPlan {
-            shard_loss: 1.0,
-            ..FaultPlan::uniform(31, 0.0)
-        };
-        let (empty, deg) =
-            harvest_auxiliary_sharded_tolerant(&release, &sharded, &config, &all_lost).unwrap();
-        assert_eq!(empty.records.len(), 50);
-        assert_eq!(deg.shards_lost, 4, "{deg}");
-        assert_eq!(empty.coverage(), 0.0);
-        // Partial loss: deterministic, ledgered, and strictly between
-        // the clean harvest and the all-lost one.
-        let some_lost = FaultPlan {
-            shard_loss: 0.5,
-            ..FaultPlan::uniform(32, 0.0)
-        };
-        let (partial_a, deg_a) =
-            harvest_auxiliary_sharded_tolerant(&release, &sharded, &config, &some_lost).unwrap();
-        let (partial_b, deg_b) =
-            harvest_auxiliary_sharded_tolerant(&release, &sharded, &config, &some_lost).unwrap();
-        assert_eq!(partial_a, partial_b, "same plan, same degraded harvest");
-        assert_eq!(deg_a, deg_b);
-        assert!(deg_a.shards_lost > 0 && deg_a.shards_lost < 4, "{deg_a}");
-        let full = harvest_auxiliary(&release, &engine, &config).unwrap();
-        assert!(partial_a.pages_linked < full.pages_linked);
-        // Surviving rows agree with the strict harvest or degrade to
-        // nothing — a lost shard never invents evidence.
-        assert!(partial_a.coverage() <= full.coverage());
     }
 
     #[test]

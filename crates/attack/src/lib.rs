@@ -44,7 +44,6 @@ pub mod fusion;
 pub use attack::{AttackOutcome, WebFusionAttack};
 pub use aux::{
     harvest_auxiliary, harvest_auxiliary_reference_sampled, harvest_auxiliary_sequential,
-    harvest_auxiliary_sharded, harvest_auxiliary_sharded_tolerant,
     harvest_auxiliary_single_threaded, harvest_auxiliary_tolerant, harvest_precision,
     reference_sample_rows, Harvest, HarvestConfig,
 };

@@ -51,10 +51,10 @@ use fred_composition::DefensePolicy;
 /// disable with `--large-size 0`).
 const DEFAULT_LARGE_SIZE: usize = 10_000;
 
-/// `--size` requests at or above this row count run the sharded
-/// `large_100k` stage instead of blowing up the quick sweep's quadratic
-/// estimate references.
-const SHARDED_SIZE_THRESHOLD: usize = 20_000;
+/// `--size` requests at or above this row count run the `large_100k`
+/// stage instead of blowing up the quick sweep's quadratic estimate
+/// references.
+const SIZE_100K_THRESHOLD: usize = 20_000;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -204,15 +204,15 @@ fn main() {
         } else {
             Some(large_size)
         };
-        // `--size 100000`-scale requests route to the sharded block: the
+        // `--size 100000`-scale requests route to the 100k block: the
         // quick sweep's estimate references are quadratic in the world
         // size, so the sweep keeps its default world and the big number
-        // drives the shard-partitioned pipeline instead.
-        let sharded_size = if config.size >= SHARDED_SIZE_THRESHOLD {
+        // drives the scale pipeline instead.
+        let size_100k = if config.size >= SIZE_100K_THRESHOLD {
             let size = config.size;
             config.size = WorldConfig::default().size;
             println!(
-                "note: --size {size} >= {SHARDED_SIZE_THRESHOLD} runs the sharded large_100k \
+                "note: --size {size} >= {SIZE_100K_THRESHOLD} runs the large_100k \
                  stage; the quick sweep keeps its default {}-record world",
                 config.size
             );
@@ -227,7 +227,7 @@ fn main() {
             trace_path.as_deref(),
             &QuickBenchOptions {
                 large_size: large,
-                sharded_size,
+                size_100k,
                 compose: want_compose,
                 defend,
                 exhaustive: want_exhaustive,
@@ -300,7 +300,7 @@ fn usage(err: &str) -> ! {
          machine-readable perf baseline (default BENCH_sweep.json);\n\
          --size N with --quick sizes the sweep world; N >= 20000 instead\n\
          runs the scale pipeline at N rows (the large_100k block:\n\
-         hierarchical MDAV, per-shard harvest, full-core intersection,\n\
+         hierarchical MDAV, harvest, full-core intersection,\n\
          digest-pinned to their references) while the sweep\n\
          keeps its default world;\n\
          --exhaustive additionally runs the full-table harvest reference\n\

@@ -20,7 +20,7 @@ use fred_recover::{json, Artifact};
 
 use crate::perf::{
     CompositionBench, CompositionBenchRow, DefenseBench, DefenseBenchRow, EvalBench, EvalCellRow,
-    Large100kBench, LargeBench, RobustnessBench, RobustnessBenchRow, ShardBenchRow, StageTiming,
+    Large100kBench, LargeBench, RobustnessBench, RobustnessBenchRow, StageTiming,
 };
 use crate::world::World;
 use fred_attack::Harvest;
@@ -95,6 +95,23 @@ pub fn digest_harvest(harvest: &Harvest) -> u64 {
     }
     d.u64(harvest.pages_inspected as u64);
     d.u64(harvest.pages_linked as u64);
+    d.finish()
+}
+
+/// Digest of the given rows of a harvest, in the order given: each row's
+/// record and accepted links. The `large_100k` equivalence gate digests
+/// the full harvest at the sampled rows and the sampled reference at
+/// `0..len`, so the two agree exactly when every sampled row does.
+pub(crate) fn digest_harvest_rows(harvest: &Harvest, rows: impl IntoIterator<Item = usize>) -> u64 {
+    let mut d = Digest::new();
+    for row in rows {
+        d.str(&format!("{:?}", harvest.records[row]));
+        let links = &harvest.linked[row];
+        d.u64(links.len() as u64);
+        for &p in links {
+            d.u64(p as u64);
+        }
+    }
     d.finish()
 }
 
@@ -407,7 +424,7 @@ impl Artifact for RobustnessBench {
             .iter()
             .map(|r| {
                 format!(
-                    "{{\"fault_rate\": {:?}, \"mode\": \"{}\", \"harvest_precision\": {:?}, \"harvest_coverage\": {:?}, \"composition_gain\": {:?}, \"pages_rejected\": {}, \"rows_skipped\": {}, \"fields_imputed\": {}, \"workers_restarted\": {}, \"shards_lost\": {}}}",
+                    "{{\"fault_rate\": {:?}, \"mode\": \"{}\", \"harvest_precision\": {:?}, \"harvest_coverage\": {:?}, \"composition_gain\": {:?}, \"pages_rejected\": {}, \"rows_skipped\": {}, \"fields_imputed\": {}, \"workers_restarted\": {}}}",
                     r.fault_rate,
                     r.mode,
                     r.harvest_precision,
@@ -416,8 +433,7 @@ impl Artifact for RobustnessBench {
                     r.pages_rejected,
                     r.rows_skipped,
                     r.fields_imputed,
-                    r.workers_restarted,
-                    r.shards_lost
+                    r.workers_restarted
                 )
             })
             .collect();
@@ -446,7 +462,6 @@ impl Artifact for RobustnessBench {
                     rows_skipped: r.get("rows_skipped")?.as_usize()?,
                     fields_imputed: r.get("fields_imputed")?.as_usize()?,
                     workers_restarted: r.get("workers_restarted")?.as_usize()?,
-                    shards_lost: r.get("shards_lost")?.as_usize()?,
                 })
             })
             .collect::<Option<Vec<_>>>()?;
@@ -526,35 +541,24 @@ impl Artifact for Large100kBench {
                 )
             })
             .collect();
-        let shard_rows: Vec<String> = self
-            .shard_rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"shard\": {}, \"rows\": {}, \"pages\": {}, \"capped\": {}}}",
-                    r.shard, r.rows, r.pages, r.capped
-                )
-            })
-            .collect();
         format!(
             "{{\"size\": {}, \"shards\": {}, \"cores\": {}, \"sample_rows\": {}, \"peak_rss_mb\": {:?}, \
-             \"harvest_digest_sharded\": \"{:016x}\", \"harvest_digest_unsharded\": \"{:016x}\", \
+             \"harvest_digest_engine\": \"{:016x}\", \"harvest_digest_reference\": \"{:016x}\", \
              \"mdav_digest_optimized\": \"{:016x}\", \"mdav_digest_reference\": \"{:016x}\", \
              \"intersect_digest_engine\": \"{:016x}\", \"intersect_digest_oracle\": \"{:016x}\", \
-             \"stages\": [{}], \"shard_rows\": [{}]}}",
+             \"stages\": [{}]}}",
             self.size,
             self.shards,
             self.cores,
             self.sample_rows,
             self.peak_rss_mb,
-            self.harvest_digest_sharded,
-            self.harvest_digest_unsharded,
+            self.harvest_digest_engine,
+            self.harvest_digest_reference,
             self.mdav_digest_optimized,
             self.mdav_digest_reference,
             self.intersect_digest_engine,
             self.intersect_digest_oracle,
-            stages.join(", "),
-            shard_rows.join(", ")
+            stages.join(", ")
         )
     }
 
@@ -571,22 +575,6 @@ impl Artifact for Large100kBench {
                 })
             })
             .collect::<Option<Vec<_>>>()?;
-        let shard_rows = value
-            .get("shard_rows")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(ShardBenchRow {
-                    shard: r.get("shard")?.as_usize()?,
-                    rows: r.get("rows")?.as_usize()?,
-                    pages: r.get("pages")?.as_usize()?,
-                    // Checkpoints written before the cap-saturation fix
-                    // lack the field; those runs were all well below the
-                    // 64-shard ceiling, so absent means uncapped.
-                    capped: r.get("capped").and_then(|v| v.as_bool()).unwrap_or(false),
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
         let hex =
             |key: &str| -> Option<u64> { u64::from_str_radix(value.get(key)?.as_str()?, 16).ok() };
         Some(Large100kBench {
@@ -596,9 +584,8 @@ impl Artifact for Large100kBench {
             sample_rows: value.get("sample_rows")?.as_usize()?,
             peak_rss_mb: value.get("peak_rss_mb")?.as_f64()?,
             stages,
-            shard_rows,
-            harvest_digest_sharded: hex("harvest_digest_sharded")?,
-            harvest_digest_unsharded: hex("harvest_digest_unsharded")?,
+            harvest_digest_engine: hex("harvest_digest_engine")?,
+            harvest_digest_reference: hex("harvest_digest_reference")?,
             mdav_digest_optimized: hex("mdav_digest_optimized")?,
             mdav_digest_reference: hex("mdav_digest_reference")?,
             intersect_digest_engine: hex("intersect_digest_engine")?,
@@ -728,13 +715,12 @@ mod tests {
                 pages_rejected: 3,
                 rows_skipped: 2,
                 fields_imputed: 1,
-                workers_restarted: 0,
-                shards_lost: 2,
+                workers_restarted: 1,
             }],
         };
         let back = round_trip(&rob);
         assert_eq!(back.rows[0].mode, "targeted");
-        assert_eq!(back.rows[0].shards_lost, 2);
+        assert_eq!(back.rows[0].workers_restarted, 1);
 
         let large = LargeBench {
             size: 10_000,
@@ -751,40 +737,27 @@ mod tests {
         assert_eq!(back.stages[0].name, "mdav_k5_large");
         assert!(back.composition.is_some());
 
-        let sharded = Large100kBench {
+        let big = Large100kBench {
             size: 100_000,
             shards: 8,
             cores: 1,
             sample_rows: 2048,
             peak_rss_mb: 512.25,
             stages: vec![StageTiming {
-                name: "harvest_sharded_100k",
+                name: "harvest_100k",
                 wall_ms: 12_500.75,
                 rows: 100_000,
             }],
-            shard_rows: vec![ShardBenchRow {
-                shard: 0,
-                rows: 12_500,
-                pages: 11_000,
-                capped: true,
-            }],
-            harvest_digest_sharded: 0x0123_4567_89ab_cdef,
-            harvest_digest_unsharded: 0x0123_4567_89ab_cdef,
+            harvest_digest_engine: 0x0123_4567_89ab_cdef,
+            harvest_digest_reference: 0x0123_4567_89ab_cdef,
             mdav_digest_optimized: u64::MAX,
             mdav_digest_reference: u64::MAX,
             intersect_digest_engine: 1,
             intersect_digest_oracle: 1,
         };
-        let back = round_trip(&sharded);
-        assert_eq!(back, sharded);
-        assert_eq!(back.harvest_digest_sharded, 0x0123_4567_89ab_cdef);
-
-        // Checkpoints written before the cap-saturation field still
-        // parse, defaulting to uncapped.
-        let legacy = sharded.to_payload().replace(", \"capped\": true", "");
-        let value = json::parse(&legacy).unwrap();
-        let back = Large100kBench::from_payload(&value).expect("legacy payload decodes");
-        assert!(!back.shard_rows[0].capped);
+        let back = round_trip(&big);
+        assert_eq!(back, big);
+        assert_eq!(back.harvest_digest_engine, 0x0123_4567_89ab_cdef);
     }
 
     #[test]
@@ -799,7 +772,7 @@ mod tests {
             "{\"max_rate\": 0.1, \"seed\": 1, \"wall_ms\": 1.0, \"rows\": [{\"fault_rate\": 0.1, \
                    \"mode\": \"sideways\", \"harvest_precision\": 1.0, \"harvest_coverage\": 1.0, \
                    \"composition_gain\": 1.0, \"pages_rejected\": 0, \"rows_skipped\": 0, \
-                   \"fields_imputed\": 0, \"workers_restarted\": 0, \"shards_lost\": 0}]}";
+                   \"fields_imputed\": 0, \"workers_restarted\": 0}]}";
         let value = json::parse(rob).unwrap();
         assert!(RobustnessBench::from_payload(&value).is_none());
     }

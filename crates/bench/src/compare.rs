@@ -96,16 +96,10 @@
 //!   populations, each matched `(k, R, defense)` cell is additionally
 //!   pinned within [`EVAL_DRIFT_SLACK`] — the cell is seeded and
 //!   deterministic, so larger drift is a behavior change;
-//! * `large_100k` shard accounting rows carry a `capped` flag that must
-//!   agree with the plan derivation at the block's size: a saturated
-//!   plan (> 64 derived shards clamped to 64) holds *more* rows per
-//!   shard than the one-per-12.5k derivation rate, and a row that
-//!   misreports that invites exactly the misread the flag exists to
-//!   prevent. Pre-cap baselines parse as uncapped;
 //! * when a fresh non-deterministic profile carries histogram rows, the
 //!   `harvest.name_ms` histogram's observation count must reconcile
 //!   exactly with the `harvest.names` counter — both are written by the
-//!   same harvest tail, so a gap is dropped instrumentation;
+//!   same per-name harvest routine, so a gap is dropped instrumentation;
 //! * a baseline that fails structural sanity — no config line, no
 //!   parseable stage rows, or a truncated file — is reported as a
 //!   violation instead of silently parsing to an empty [`Baseline`]
@@ -220,7 +214,7 @@ pub struct RobustnessRow {
     /// Composition disclosure gain under the same faults.
     pub composition_gain: f64,
     /// Total defects the tolerant pipeline survived (pages rejected +
-    /// rows skipped + fields imputed + workers restarted + shards lost).
+    /// rows skipped + fields imputed + workers restarted).
     pub defects: usize,
     /// Pages the tolerant parser rejected outright.
     pub pages_rejected: usize,
@@ -230,9 +224,6 @@ pub struct RobustnessRow {
     pub fields_imputed: usize,
     /// Harvest workers restarted after an injected panic.
     pub workers_restarted: usize,
-    /// Search shards lost outright and degraded around. Baselines that
-    /// predate the shard-loss fault class parse as zero.
-    pub shards_lost: usize,
 }
 
 /// One defense-stage row, as parsed from a `composition_defense` block.
@@ -327,33 +318,30 @@ pub struct ProfileBlock {
     pub hists: BTreeMap<String, (u64, f64)>,
 }
 
-/// The `large_100k` block, as parsed from a sharded-scale run
+/// The `large_100k` block, as parsed from a scale run
 /// (`repro --quick --size 100000`).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct Sharded100kBlock {
+pub struct Large100kBlock {
     /// World row count the block ran at.
     pub size: usize,
-    /// Shards the run's `ShardPlan` derived for that size.
+    /// Hierarchical-MDAV leaves the run's `ShardPlan` derived for that
+    /// size.
     pub shards: usize,
     /// Rows in the seeded equivalence subsample.
     pub sample_rows: usize,
     /// Peak resident set in MiB (`0.0` = unavailable/deterministic).
     pub peak_rss_mb: f64,
-    /// Per-shard accounting rows `(shard, rows, pages, capped)`, as
-    /// written — the gate checks exactly `shards` of them, dense and
-    /// covering `size` rows, so a vanished shard row cannot pass
-    /// silently, and `capped` must agree with the plan derivation at
-    /// `size` (baselines that predate the flag parse as uncapped).
-    pub shard_rows: Vec<(usize, usize, usize, bool)>,
     /// Equivalence digests by their current [`DIGEST_PAIRS`] name, as hex
     /// strings (keys older baselines wrote are read under their new name).
     pub digests: BTreeMap<String, String>,
 }
 
 /// The `large_100k` equivalence digest pairs, `(path, reference, label)`:
-/// each path's digest must equal its reference's in-run.
+/// each path's digest must equal its reference's in-run. The harvest
+/// pair digests the full harvest and its exhaustive reference over the
+/// same seeded row sample.
 pub const DIGEST_PAIRS: [(&str, &str, &str); 3] = [
-    ("harvest_sharded", "harvest_unsharded", "harvest"),
+    ("harvest_engine", "harvest_reference", "harvest"),
     ("mdav_optimized", "mdav_reference", "hierarchical MDAV"),
     ("intersect_engine", "intersect_oracle", "intersection"),
 ];
@@ -399,8 +387,8 @@ pub struct Baseline {
     pub eval: Vec<EvalRow>,
     /// Robustness rows, ascending in fault rate, when present.
     pub robustness: Vec<RobustnessRow>,
-    /// The sharded-scale `large_100k` block, when present.
-    pub large_100k: Option<Sharded100kBlock>,
+    /// The scale-run `large_100k` block, when present.
+    pub large_100k: Option<Large100kBlock>,
     /// `seed` recorded in the config block, when present — the
     /// `large_100k` digest pin only binds runs of the same seed.
     pub seed: Option<u64>,
@@ -485,11 +473,11 @@ pub fn parse_baseline(json: &str) -> Baseline {
             in_large = true;
         }
         if line.contains("\"large_100k\":") {
-            // The writer emits the sharded block after (and outside)
+            // The writer emits the 100k block after (and outside)
             // `large`, so its header closes that block's cores scope.
             in_large_100k = true;
             in_large = false;
-            out.large_100k = Some(Sharded100kBlock::default());
+            out.large_100k = Some(Large100kBlock::default());
         }
         if line.contains("\"composition_defense\":") {
             series = Series::Defense;
@@ -504,10 +492,10 @@ pub fn parse_baseline(json: &str) -> Baseline {
             in_large = false;
             in_large_100k = false;
         }
-        // The sharded block's scalar header lines, shard accounting rows
-        // and digest line. Stage rows inside it fall through to the
-        // shared `"name"`/`"wall_ms"` branch below: the 100k stages live
-        // in the same timing namespace as every other stage.
+        // The 100k block's scalar header lines and digest line. Stage
+        // rows inside it fall through to the shared `"name"`/`"wall_ms"`
+        // branch below: the 100k stages live in the same timing namespace
+        // as every other stage.
         if in_large_100k {
             if let Some(big) = &mut out.large_100k {
                 if line.contains("\"digests\":") {
@@ -529,27 +517,6 @@ pub fn parse_baseline(json: &str) -> Baseline {
                     }
                     // The digest line is the block's final field.
                     in_large_100k = false;
-                    continue;
-                }
-                if line.contains("\"shard\":") {
-                    match (
-                        num_field(line, "shard"),
-                        num_field(line, "rows"),
-                        num_field(line, "pages"),
-                    ) {
-                        (Some(shard), Some(rows), Some(pages)) => {
-                            // Pre-cap baselines carry no flag; every
-                            // size they ran at derived exactly.
-                            let capped = line.contains("\"capped\": true");
-                            big.shard_rows.push((
-                                shard as usize,
-                                rows as usize,
-                                pages as usize,
-                                capped,
-                            ));
-                        }
-                        _ => out.malformed_rows.push(line.trim().to_owned()),
-                    }
                     continue;
                 }
                 if !line.contains("\"name\":") {
@@ -624,9 +591,6 @@ pub fn parse_baseline(json: &str) -> Baseline {
                     && cov.is_finite()
                     && gain.is_finite() =>
                 {
-                    // Pre-shard-loss baselines carry no shards_lost
-                    // field; every row they have lost zero shards.
-                    let shards = num_field(line, "shards_lost").unwrap_or(0.0);
                     out.robustness.push(RobustnessRow {
                         fault_rate: rate,
                         // Pre-targeted-corruption baselines carry no
@@ -635,12 +599,11 @@ pub fn parse_baseline(json: &str) -> Baseline {
                         harvest_precision: prec,
                         harvest_coverage: cov,
                         composition_gain: gain,
-                        defects: (pages + rows + cells + workers + shards) as usize,
+                        defects: (pages + rows + cells + workers) as usize,
                         pages_rejected: pages as usize,
                         rows_skipped: rows as usize,
                         fields_imputed: cells as usize,
                         workers_restarted: workers as usize,
-                        shards_lost: shards as usize,
                     });
                 }
                 _ => out.malformed_rows.push(line.trim().to_owned()),
@@ -1102,7 +1065,7 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
             }
         }
     }
-    // The hypothesis-testing eval gates: like the shard gates, the
+    // The hypothesis-testing eval gates: like the large_100k gates, the
     // block's claims are physics, not timing, so every in-run gate runs
     // on the fresh side even against a committed baseline that predates
     // the block — only the cross-run drift pin needs a committed
@@ -1333,17 +1296,17 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
             ));
         }
     }
-    // The sharded-scale gates: the `large_100k` block's claims are
-    // structural, not timed, so every one of them holds on fresh runs
-    // even against a committed baseline that predates the block — a
-    // pre-shard baseline must never make the shard gates vacuous. The
-    // sharded paths are pure functions of (seed, size), so when the
-    // committed block shares the fresh run's (seed, size, shards)
-    // triple, every equivalence digest is pinned exactly.
+    // The scale gates: the `large_100k` block's claims are structural,
+    // not timed, so every one of them holds on fresh runs even against a
+    // committed baseline that predates the block — an older baseline
+    // must never make these gates vacuous. The scale pipeline is a pure
+    // function of (seed, size), so when the committed block shares the
+    // fresh run's (seed, size, shards) triple, every equivalence digest
+    // is pinned exactly.
     if committed.large_100k.is_some() && fresh.large_100k.is_none() {
         report
             .violations
-            .push("large_100k (sharded) block disappeared from the fresh baseline".into());
+            .push("large_100k block disappeared from the fresh baseline".into());
     }
     if let Some(big) = &fresh.large_100k {
         for (path, reference, label) in DIGEST_PAIRS {
@@ -1359,59 +1322,10 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 )),
             }
         }
-        if big.shard_rows.len() != big.shards {
-            report.violations.push(format!(
-                "large_100k shard accounting lost a shard: {} row(s) for {} shard(s)",
-                big.shard_rows.len(),
-                big.shards
-            ));
-        } else if big
-            .shard_rows
-            .iter()
-            .enumerate()
-            .any(|(i, (shard, _, _, _))| *shard != i)
-        {
-            report.violations.push(format!(
-                "large_100k shard rows are not dense ascending: {:?}",
-                big.shard_rows
-            ));
-        }
-        let covered: usize = big.shard_rows.iter().map(|(_, rows, _, _)| rows).sum();
-        if covered != big.size {
-            report.violations.push(format!(
-                "large_100k shard rows cover {} of {} master rows — every row must \
-                 belong to exactly one shard",
-                covered, big.size
-            ));
-        }
-        // The capped flag must agree with the plan derivation: a
-        // saturated plan holds more rows per shard than the
-        // one-per-12.5k rate, and a row that misreports it reintroduces
-        // exactly the misread the flag exists to prevent.
-        let expected_cap = fred_data::ShardPlan::for_size_saturated(big.size);
-        if big
-            .shard_rows
-            .iter()
-            .any(|(_, _, _, capped)| *capped != expected_cap)
-        {
-            report.violations.push(format!(
-                "large_100k shard rows misreport cap saturation at {} rows across {} \
-                 shard(s): expected capped = {expected_cap}",
-                big.size, big.shards
-            ));
-        }
-        if expected_cap && !big.shard_rows.is_empty() {
-            report.notes.push(format!(
-                "large_100k shard plan saturated at the derivation ceiling: {} shard(s) \
-                 hold ~{} rows each, not one per 12.5k",
-                big.shards,
-                big.size / big.shards.max(1)
-            ));
-        }
         if big.peak_rss_mb > MAX_100K_PEAK_RSS_MB {
             report.violations.push(format!(
                 "large_100k peak rss reached {:.1} MiB at {} rows (must stay <= \
-                 {MAX_100K_PEAK_RSS_MB:.0} MiB — the sharded pipeline's memory must \
+                 {MAX_100K_PEAK_RSS_MB:.0} MiB — the scale pipeline's memory must \
                  not scale with the master width)",
                 big.peak_rss_mb, big.size
             ));
@@ -1425,7 +1339,7 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 if base.digests != big.digests {
                     report.violations.push(format!(
                         "large_100k digests drifted at the same (seed, size {}, shards {}) \
-                         — the sharded pipeline is seeded and deterministic, so this is a \
+                         — the scale pipeline is seeded and deterministic, so this is a \
                          behavior change: committed {:?}, fresh {:?}",
                         big.size, big.shards, base.digests, big.digests
                     ));
@@ -1437,14 +1351,14 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 base.size, base.shards, big.size, big.shards
             )),
             None => report.notes.push(format!(
-                "committed baseline predates the large_100k block: in-run shard gates \
+                "committed baseline predates the large_100k block: in-run gates \
                  applied at size {} / {} shards; cross-run digest pin starts once the \
                  baseline is regenerated",
                 big.size, big.shards
             )),
         }
         report.notes.push(format!(
-            "large_100k: {} rows across {} shard(s), peak rss {:.1} MiB",
+            "large_100k: {} rows, MDAV leaves {}, peak rss {:.1} MiB",
             big.size, big.shards, big.peak_rss_mb
         ));
     }
@@ -1566,10 +1480,6 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                             "faults.workers_restarted",
                             fresh.robustness.iter().map(|r| r.workers_restarted).sum(),
                         ),
-                        (
-                            "faults.shards_lost",
-                            fresh.robustness.iter().map(|r| r.shards_lost).sum(),
-                        ),
                     ];
                     for (name, ledger) in ledgers {
                         let counted = count(name);
@@ -1584,8 +1494,8 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                     }
                 }
                 // The harvest latency histogram and the harvest.names
-                // counter are bumped by the same classify-extract tail
-                // (cached, sequential, sharded and tolerant paths all
+                // counter are bumped by the same per-name routine (the
+                // parallel, single-threaded and tolerant paths all
                 // funnel through it), so their totals must agree to the
                 // unit whenever the histogram was recorded.
                 if let (Some((hist_count, _)), Some(&names)) = (
@@ -1596,7 +1506,7 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                         report.violations.push(format!(
                             "obs histogram `harvest.name_ms` recorded {hist_count} \
                              observation(s) but counter `harvest.names` = {names} — \
-                             both are written by the same harvest tail, so a gap is \
+                             both are written by the same per-name harvest routine, so a gap is \
                              dropped instrumentation"
                         ));
                     }
@@ -2913,9 +2823,9 @@ mod tests {
     }
 
     /// A synthetic baseline carrying a well-formed `large_100k` block in
-    /// the writer's format: `shards` equal shards covering `size` rows,
-    /// all three digest pairs agreeing, peak rss under the ceiling.
-    fn synthetic_sharded_sized_json(size: usize, shards: usize) -> String {
+    /// the writer's format: `shards` MDAV leaves over `size` rows, all
+    /// three digest pairs agreeing, peak rss under the ceiling.
+    fn synthetic_100k_sized_json(size: usize, shards: usize) -> String {
         let mut out = synthetic_json(100.0, 5.0);
         out.truncate(out.rfind("\n}").expect("closing brace"));
         out.push_str(&format!(
@@ -2924,46 +2834,30 @@ mod tests {
         ));
         out.push_str(
             "    \"stages\": [\n      \
-             { \"name\": \"harvest_sharded_100k\", \"wall_ms\": 100.000, \"rows\": 200, \"rows_per_sec\": 2000.0 }\n    \
-             ],\n    \"shard_rows\": [\n",
-        );
-        for shard in 0..shards {
-            out.push_str(&format!(
-                "      {{ \"shard\": {shard}, \"rows\": {}, \"pages\": {} }}{}\n",
-                size / shards,
-                90 - shard,
-                if shard + 1 < shards { "," } else { "" }
-            ));
-        }
-        out.push_str(
-            "    ],\n    \
-             \"digests\": { \"harvest_sharded\": \"00000000000000aa\", \"harvest_unsharded\": \"00000000000000aa\", \"mdav_optimized\": \"00000000000000bb\", \"mdav_reference\": \"00000000000000bb\", \"intersect_engine\": \"00000000000000cc\", \"intersect_oracle\": \"00000000000000cc\" }\n  \
+             { \"name\": \"harvest_100k\", \"wall_ms\": 100.000, \"rows\": 200, \"rows_per_sec\": 2000.0 }\n    \
+             ],\n    \
+             \"digests\": { \"harvest_engine\": \"00000000000000aa\", \"harvest_reference\": \"00000000000000aa\", \"mdav_optimized\": \"00000000000000bb\", \"mdav_reference\": \"00000000000000bb\", \"intersect_engine\": \"00000000000000cc\", \"intersect_oracle\": \"00000000000000cc\" }\n  \
              }\n}\n",
         );
         out
     }
 
-    /// The two-shard, 200-row default most gate tests mutate.
-    fn synthetic_sharded_json() -> String {
-        synthetic_sharded_sized_json(200, 2)
+    /// The two-leaf, 200-row default most gate tests mutate.
+    fn synthetic_100k_json() -> String {
+        synthetic_100k_sized_json(200, 2)
     }
 
     #[test]
     fn sharded_block_parses_and_self_diff_passes() {
-        let json = synthetic_sharded_json();
+        let json = synthetic_100k_json();
         let b = parse_baseline(&json);
         let big = b.large_100k.as_ref().expect("block parsed");
         assert_eq!((big.size, big.shards, big.sample_rows), (200, 2, 200));
         assert_eq!(big.peak_rss_mb, 512.0);
-        // Pre-cap rows (no `capped` field) parse as uncapped.
-        assert_eq!(
-            big.shard_rows,
-            vec![(0, 100, 90, false), (1, 100, 89, false)]
-        );
         assert_eq!(big.digests.len(), 6);
         assert_eq!(b.seed, Some(2015));
         // The 100k stages share the common timing namespace.
-        assert!(b.stage_wall_ms.contains_key("harvest_sharded_100k"));
+        assert!(b.stage_wall_ms.contains_key("harvest_100k"));
         assert!(b.malformed_rows.is_empty(), "{:?}", b.malformed_rows);
         let report = compare_baselines(&json, &json);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -2976,7 +2870,7 @@ mod tests {
 
     #[test]
     fn sharded_digest_mismatch_fails() {
-        let committed = synthetic_sharded_json();
+        let committed = synthetic_100k_json();
         let fresh = committed.replace(
             "\"mdav_reference\": \"00000000000000bb\"",
             "\"mdav_reference\": \"00000000000000be\"",
@@ -3004,7 +2898,7 @@ mod tests {
 
     #[test]
     fn legacy_digest_keys_read_under_their_current_names() {
-        let current = synthetic_sharded_json();
+        let current = synthetic_100k_json();
         let legacy = current
             .replace("mdav_optimized", "mdav_sharded")
             .replace("mdav_reference", "mdav_unsharded")
@@ -3034,40 +2928,8 @@ mod tests {
     }
 
     #[test]
-    fn vanished_shard_row_and_uncovered_rows_fail() {
-        let committed = synthetic_sharded_json();
-        // Drop the second shard's accounting row entirely.
-        let fresh = committed
-            .replace(
-                "{ \"shard\": 0, \"rows\": 100, \"pages\": 90 },\n",
-                "{ \"shard\": 0, \"rows\": 100, \"pages\": 90 }\n",
-            )
-            .replace("      { \"shard\": 1, \"rows\": 100, \"pages\": 89 }\n", "");
-        let report = compare_baselines(&committed, &fresh);
-        assert!(
-            report.violations.iter().any(|v| v.contains("lost a shard")),
-            "{:?}",
-            report.violations
-        );
-        // A present-but-short row count is a coverage violation.
-        let fresh = committed.replace(
-            "{ \"shard\": 1, \"rows\": 100, \"pages\": 89 }",
-            "{ \"shard\": 1, \"rows\": 60, \"pages\": 89 }",
-        );
-        let report = compare_baselines(&committed, &fresh);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("cover 160 of 200")),
-            "{:?}",
-            report.violations
-        );
-    }
-
-    #[test]
     fn sharded_rss_ceiling_gates_and_zero_skips() {
-        let committed = synthetic_sharded_json();
+        let committed = synthetic_100k_json();
         let breach = committed.replace(
             "\"peak_rss_mb\": 512.0",
             &format!("\"peak_rss_mb\": {:.1}", MAX_100K_PEAK_RSS_MB * 2.0),
@@ -3092,7 +2954,7 @@ mod tests {
     fn pre_shard_committed_baseline_still_gates_the_fresh_block() {
         // Committed predates the block: the in-run gates still fire.
         let committed = synthetic_json(100.0, 5.0);
-        let fresh = synthetic_sharded_json();
+        let fresh = synthetic_100k_json();
         let report = compare_baselines(&committed, &fresh);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(
@@ -3104,7 +2966,7 @@ mod tests {
             report.notes
         );
         // ... and a broken fresh block fails against that same old
-        // baseline — no pre-shard vacuous pass.
+        // baseline — no vacuous pass.
         let broken = fresh.replace(
             "\"intersect_oracle\": \"00000000000000cc\"",
             "\"intersect_oracle\": \"00000000000000cd\"",
@@ -3124,7 +2986,7 @@ mod tests {
             report
                 .violations
                 .iter()
-                .any(|v| v.contains("large_100k (sharded) block disappeared")),
+                .any(|v| v.contains("large_100k block disappeared")),
             "{:?}",
             report.violations
         );
@@ -3132,10 +2994,10 @@ mod tests {
 
     #[test]
     fn sharded_config_change_skips_the_cross_run_pin() {
-        // Same digests, different (size, shards): the in-run gates still
+        // Same digests, different (size, leaves): the in-run gates still
         // hold and the cross-run pin steps aside with a note.
-        let committed = synthetic_sharded_json();
-        let fresh = synthetic_sharded_sized_json(400, 4);
+        let committed = synthetic_100k_json();
+        let fresh = synthetic_100k_sized_json(400, 4);
         let report = compare_baselines(&committed, &fresh);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(
@@ -3145,21 +3007,6 @@ mod tests {
                 .any(|n| n.contains("cross-run digest pin skipped")),
             "{:?}",
             report.notes
-        );
-        // Non-dense shard indices are their own violation even when the
-        // count and coverage check out.
-        let swapped = committed
-            .replace("\"shard\": 1", "\"shard\": 9")
-            .replace("\"shard\": 0", "\"shard\": 1")
-            .replace("\"shard\": 9", "\"shard\": 0");
-        let report = compare_baselines(&committed, &swapped);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("not dense ascending")),
-            "{:?}",
-            report.violations
         );
     }
 
@@ -3174,7 +3021,7 @@ mod tests {
             3,
             1,
             &QuickBenchOptions {
-                sharded_size: Some(80),
+                size_100k: Some(80),
                 ..QuickBenchOptions::default()
             },
         )
@@ -3182,7 +3029,6 @@ mod tests {
         let b = parse_baseline(&json);
         let big = b.large_100k.as_ref().expect("block parsed");
         assert_eq!((big.size, big.shards), (80, 1));
-        assert_eq!(big.shard_rows.len(), 1);
         assert_eq!(big.digests.len(), 6);
         assert!(b.stage_wall_ms.contains_key("equivalence_100k"));
         assert!(b.malformed_rows.is_empty(), "{:?}", b.malformed_rows);
@@ -3192,20 +3038,5 @@ mod tests {
             "{:?}",
             report.violations
         );
-    }
-
-    #[test]
-    fn robustness_shards_lost_parses_and_defaults() {
-        // Old-format rows (no shards_lost) parse as zero lost shards.
-        let old = synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 0)]);
-        assert_eq!(parse_baseline(&old).robustness[0].shards_lost, 0);
-        // New-format rows fold the field into the defect total.
-        let new = old.replace(
-            "\"workers_restarted\": 0",
-            "\"workers_restarted\": 0, \"shards_lost\": 3",
-        );
-        let row = &parse_baseline(&new).robustness[0];
-        assert_eq!(row.shards_lost, 3);
-        assert_eq!(row.defects, 3);
     }
 }

@@ -23,8 +23,8 @@ use std::time::Instant;
 use fred_anon::{build_release, Anonymizer, HierarchicalMdav, Mdav, Partition, QiStyle, Release};
 use fred_attack::{
     harvest_auxiliary, harvest_auxiliary_reference_sampled, harvest_auxiliary_sequential,
-    harvest_auxiliary_sharded, harvest_auxiliary_sharded_tolerant, harvest_precision, FusionSystem,
-    FuzzyFusion, FuzzyFusionConfig, Harvest, HarvestConfig, MidpointEstimator,
+    harvest_auxiliary_tolerant, harvest_precision, FusionSystem, FuzzyFusion, FuzzyFusionConfig,
+    Harvest, HarvestConfig, MidpointEstimator,
 };
 use fred_composition::{
     compose_attack, compose_attack_tolerant, composition_sweep, defense_sweep, generate_scenario,
@@ -35,11 +35,11 @@ use fred_core::{sweep, SweepConfig};
 use fred_data::{ShardPlan, Table};
 use fred_faults::{FaultPlan, TargetedCorruption};
 use fred_recover::{RetryPolicy, StageRunner};
-use fred_web::{corrupt_pages, SearchEngine, ShardedSearchEngine};
+use fred_web::{corrupt_pages, SearchEngine};
 
 use crate::ckpt::{
-    digest_bits, digest_harvest, digest_world, intern_stage_name, Digest, EstimatesArtifact,
-    StageAnchor, SweepArtifact,
+    digest_bits, digest_harvest, digest_harvest_rows, digest_world, intern_stage_name, Digest,
+    EstimatesArtifact, StageAnchor, SweepArtifact,
 };
 use crate::stages::{self as sn, runner as rstage};
 use crate::world::{faculty_world, World, WorldConfig};
@@ -61,48 +61,25 @@ const STREAM_CHUNK_ROWS: usize = 1024;
 pub const REFERENCE_SAMPLE_ROWS: usize = 512;
 
 /// Rows in the seeded subsample the `large_100k` equivalence pass pins
-/// its MDAV and intersection digest pairs on. The references are
-/// superlinear: per-class farthest scans over one flat pool (MDAV) and a
-/// scan of every master row per target (the intersection oracle), so
-/// they run on the sample while the optimized paths also run at full
-/// size under their own stages.
+/// its harvest, MDAV and intersection digest pairs on. The references
+/// are costly: an uncached full comparison per hit (the harvest),
+/// per-class farthest scans over one flat pool (MDAV) and a scan of every
+/// master row per target (the intersection oracle), so they run on the
+/// sample while the optimized paths also run at full size under their
+/// own stages.
 pub const EQUIVALENCE_SAMPLE_ROWS: usize = 2048;
 
-/// Shards the robustness sweep partitions its harvest into: small and
-/// fixed so the `shard_loss` fault class has coarse, countable victims
-/// at quick-world scale.
-pub const ROBUSTNESS_SHARDS: usize = 4;
-
-/// One shard's accounting row inside the `large_100k` block: its
-/// contiguous master-row range and the corpus pages its postings own.
-/// The compare gate checks exactly `shards` rows covering `size` rows
-/// and all pages — a vanished shard row is a lost shard, not a rounding
-/// artifact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardBenchRow {
-    /// Shard index (dense, ascending).
-    pub shard: usize,
-    /// Master rows in this shard's contiguous range.
-    pub rows: usize,
-    /// Corpus pages owned by this shard's postings.
-    pub pages: usize,
-    /// True when [`ShardPlan::for_size`] saturated at its 64-shard
-    /// ceiling for this world — the shard count is a floor, not the
-    /// one-shard-per-12.5k-rows rate a reader would otherwise infer
-    /// (a 1M-row plan still says 64).
-    pub capped: bool,
-}
-
 /// The 100k block (`repro --quick --size 100000`): hierarchical MDAV,
-/// the per-shard harvest and the intersection of the full scenario core,
-/// timed at full size with every optimized path digest-pinned against
-/// its reference, plus the peak resident set the flat-memory claim is
-/// gated on.
+/// the harvest and the intersection of the full scenario core, timed at
+/// full size with every optimized path digest-pinned against its
+/// reference, plus the peak resident set the flat-memory claim is gated
+/// on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Large100kBench {
     /// World row count.
     pub size: usize,
-    /// Shards the [`ShardPlan`] derived for this size.
+    /// Hierarchical-MDAV leaves: the [`ShardPlan`] derived for this size
+    /// splits the world into this many contiguous row ranges.
     pub shards: usize,
     /// Worker threads available when this block's numbers were taken.
     pub cores: usize,
@@ -113,13 +90,12 @@ pub struct Large100kBench {
     pub peak_rss_mb: f64,
     /// Per-stage timings in pipeline order.
     pub stages: Vec<StageTiming>,
-    /// Per-shard accounting, ascending in `shard`.
-    pub shard_rows: Vec<ShardBenchRow>,
-    /// Digest of the sharded harvest at full size.
-    pub harvest_digest_sharded: u64,
-    /// Digest of the unsharded parallel harvest at full size (gated
-    /// equal to the sharded one).
-    pub harvest_digest_unsharded: u64,
+    /// Digest of the full-size parallel harvest at the rows of the
+    /// equivalence subsample.
+    pub harvest_digest_engine: u64,
+    /// Digest of the sampled exhaustive harvest reference over the same
+    /// rows (gated equal).
+    pub harvest_digest_reference: u64,
     /// Digest of the optimized hierarchical MDAV partition over the
     /// equivalence subsample.
     pub mdav_digest_optimized: u64,
@@ -313,9 +289,6 @@ pub struct RobustnessBenchRow {
     pub fields_imputed: usize,
     /// Worker panics contained by the fault-tolerant pool entry point.
     pub workers_restarted: usize,
-    /// Harvest shards lost wholesale and degraded around (the surviving
-    /// shards still answer; coverage shrinks instead of failing).
-    pub shards_lost: usize,
 }
 
 /// The `--faults` add-on: the harvest + composition attack re-run under
@@ -470,8 +443,7 @@ pub struct QuickBench {
     pub speedup_batch_vs_naive: f64,
     /// The large-world stage, when enabled.
     pub large: Option<LargeBench>,
-    /// The sharded 100k block, when enabled (`repro --quick --size
-    /// 100000`).
+    /// The 100k block, when enabled (`repro --quick --size 100000`).
     pub large_100k: Option<Large100kBench>,
     /// The composition stage, when enabled (`repro --quick --compose`).
     pub composition: Option<CompositionBench>,
@@ -505,10 +477,10 @@ pub struct QuickBench {
 pub struct QuickBenchOptions {
     /// Re-time the hot stages on a world of this many rows.
     pub large_size: Option<usize>,
-    /// Run the shard-partitioned pipeline on a world of this many rows
-    /// (the `large_100k` block; `repro --quick --size N` routes here for
+    /// Run the 100k pipeline on a world of this many rows (the
+    /// `large_100k` block; `repro --quick --size N` routes here for
     /// `N >= 20000`).
-    pub sharded_size: Option<usize>,
+    pub size_100k: Option<usize>,
     /// Run the composition stage(s).
     pub compose: bool,
     /// Run the defense stage over these policies (requires `compose`).
@@ -614,26 +586,11 @@ impl QuickBench {
             out.push_str(&format!("    \"peak_rss_mb\": {:.1},\n", big.peak_rss_mb));
             out.push_str("    \"stages\": [\n");
             out.push_str(&render_stages(&big.stages, "      "));
-            out.push_str("    ],\n    \"shard_rows\": [\n");
-            for (i, row) in big.shard_rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"shard\": {}, \"rows\": {}, \"pages\": {}, \"capped\": {} }}{}\n",
-                    row.shard,
-                    row.rows,
-                    row.pages,
-                    row.capped,
-                    if i + 1 < big.shard_rows.len() {
-                        ","
-                    } else {
-                        ""
-                    }
-                ));
-            }
             out.push_str("    ],\n");
             out.push_str(&format!(
-                "    \"digests\": {{ \"harvest_sharded\": \"{:016x}\", \"harvest_unsharded\": \"{:016x}\", \"mdav_optimized\": \"{:016x}\", \"mdav_reference\": \"{:016x}\", \"intersect_engine\": \"{:016x}\", \"intersect_oracle\": \"{:016x}\" }}\n",
-                big.harvest_digest_sharded,
-                big.harvest_digest_unsharded,
+                "    \"digests\": {{ \"harvest_engine\": \"{:016x}\", \"harvest_reference\": \"{:016x}\", \"mdav_optimized\": \"{:016x}\", \"mdav_reference\": \"{:016x}\", \"intersect_engine\": \"{:016x}\", \"intersect_oracle\": \"{:016x}\" }}\n",
+                big.harvest_digest_engine,
+                big.harvest_digest_reference,
                 big.mdav_digest_optimized,
                 big.mdav_digest_reference,
                 big.intersect_digest_engine,
@@ -695,7 +652,7 @@ impl QuickBench {
             out.push_str("    \"rows\": [\n");
             for (i, row) in rob.rows.iter().enumerate() {
                 out.push_str(&format!(
-                    "      {{ \"fault_rate\": {:.3}, \"mode\": \"{}\", \"harvest_precision\": {:.4}, \"harvest_coverage\": {:.4}, \"composition_gain\": {:.1}, \"pages_rejected\": {}, \"rows_skipped\": {}, \"fields_imputed\": {}, \"workers_restarted\": {}, \"shards_lost\": {} }}{}\n",
+                    "      {{ \"fault_rate\": {:.3}, \"mode\": \"{}\", \"harvest_precision\": {:.4}, \"harvest_coverage\": {:.4}, \"composition_gain\": {:.1}, \"pages_rejected\": {}, \"rows_skipped\": {}, \"fields_imputed\": {}, \"workers_restarted\": {} }}{}\n",
                     row.fault_rate,
                     row.mode,
                     row.harvest_precision,
@@ -705,7 +662,6 @@ impl QuickBench {
                     row.rows_skipped,
                     row.fields_imputed,
                     row.workers_restarted,
-                    row.shards_lost,
                     if i + 1 < rob.rows.len() { "," } else { "" }
                 ));
             }
@@ -839,15 +795,9 @@ impl QuickBench {
         }
         if let Some(big) = &self.large_100k {
             out.push_str(&format!(
-                "  sharded world — {} records across {} shard{}{} ({} core{}), peak rss {:.1} MiB:\n",
+                "  100k world — {} records, MDAV leaves {} ({} core{}), peak rss {:.1} MiB:\n",
                 big.size,
                 big.shards,
-                if big.shards == 1 { "" } else { "s" },
-                if big.shard_rows.iter().any(|r| r.capped) {
-                    " (CAPPED at the plan ceiling)"
-                } else {
-                    ""
-                },
                 big.cores,
                 if big.cores == 1 { "" } else { "s" },
                 big.peak_rss_mb
@@ -864,7 +814,7 @@ impl QuickBench {
             out.push_str(&format!(
                 "  optimized paths digest-pinned to references (sample {} rows): harvest {}, mdav {}, intersect {}\n",
                 big.sample_rows,
-                if big.harvest_digest_sharded == big.harvest_digest_unsharded { "ok" } else { "MISMATCH" },
+                if big.harvest_digest_engine == big.harvest_digest_reference { "ok" } else { "MISMATCH" },
                 if big.mdav_digest_optimized == big.mdav_digest_reference { "ok" } else { "MISMATCH" },
                 if big.intersect_digest_engine == big.intersect_digest_oracle { "ok" } else { "MISMATCH" },
             ));
@@ -927,7 +877,6 @@ impl QuickBench {
                         + row.rows_skipped
                         + row.fields_imputed
                         + row.workers_restarted
-                        + row.shards_lost
                 ));
             }
         }
@@ -1337,10 +1286,9 @@ pub fn quick_bench(
         })
     });
 
-    // Stage 12 (optional, last): the shard-partitioned pipeline at
-    // `--size` scale, every sharded path digest-pinned in-process
-    // against its unsharded reference.
-    let large_100k = options.sharded_size.map(|size| {
+    // Stage 12 (optional, last): the pipeline at `--size` scale, every
+    // optimized path digest-pinned in-process against its reference.
+    let large_100k = options.size_100k.map(|size| {
         spanned(rstage::LARGE_100K, || {
             runner.run(rstage::LARGE_100K, || {
                 let mut bench = large_100k_bench(config, size);
@@ -1495,7 +1443,7 @@ fn distill_profile(
 
 /// XOR-folded into the world seed to derive the [`StageRunner`]'s fault
 /// plan seed — decorrelated from the robustness sweep's
-/// [`FAULT_SEED_SALT`] stream, so retry decisions and corpus corruption
+/// `FAULT_SEED_SALT` stream, so retry decisions and corpus corruption
 /// never alias.
 pub const RECOVERY_SEED_SALT: u64 = 0x5EC0;
 
@@ -1530,7 +1478,7 @@ fn config_fingerprint(
         }
     }
     d.u64(options.large_size.map_or(u64::MAX, |s| s as u64));
-    d.u64(options.sharded_size.map_or(u64::MAX, |s| s as u64));
+    d.u64(options.size_100k.map_or(u64::MAX, |s| s as u64));
     d.u64(options.exhaustive as u64);
     d.u64(options.faults.map_or(u64::MAX, |r| r.to_bits()));
     d.finish()
@@ -1561,10 +1509,6 @@ struct RobustnessCtx<'a> {
     ids: &'a [usize],
     harvest_config: &'a HarvestConfig,
     compose_config: &'a CompositionConfig,
-    /// Harvest shard layout: each cell rebuilds its corrupted engine,
-    /// then partitions it under this fixed plan so the `shard_loss`
-    /// fault class has stable victims across rates.
-    shard_plan: ShardPlan,
 }
 
 /// Runs the fault-injection sweep: the corpus, harvest and composition
@@ -1609,7 +1553,6 @@ fn robustness_bench(config: &WorldConfig, world: &World, rate: f64) -> Robustnes
         ids: &ids,
         harvest_config: &harvest_config,
         compose_config: &compose_config,
-        shard_plan: ShardPlan::new(ROBUSTNESS_SHARDS, config.seed),
     };
 
     let (rows, wall) = time_ms(|| {
@@ -1658,9 +1601,8 @@ fn robustness_row(
 ) -> (RobustnessBenchRow, CompositionOutcome) {
     let (pages, page_deg) = corrupt_pages(ctx.world.web.pages().to_vec(), plan);
     let engine = SearchEngine::build(pages);
-    let sharded = ShardedSearchEngine::build(&engine, ctx.shard_plan);
     let (harvest, harvest_deg) = rayon::silence_panics(|| {
-        harvest_auxiliary_sharded_tolerant(ctx.release, &sharded, ctx.harvest_config, plan)
+        harvest_auxiliary_tolerant(ctx.release, &engine, ctx.harvest_config, plan)
     })
     .expect("tolerant harvest never fails on injected faults");
     let precision = harvest_precision(&harvest, &engine, ctx.ids)
@@ -1712,7 +1654,6 @@ fn robustness_row(
         rows_skipped: deg.rows_skipped,
         fields_imputed: deg.fields_imputed,
         workers_restarted: deg.workers_restarted,
-        shards_lost: deg.shards_lost,
     };
     assert!(
         row.harvest_precision.is_finite()
@@ -2260,15 +2201,15 @@ fn sample_indices(n: usize, take: usize, seed: u64) -> Vec<usize> {
 const EQUIVALENCE_SAMPLE_SALT: u64 = 0x5A3D;
 
 /// Times the pipeline at `--size` scale — the `large_100k` block. Peak
-/// memory stays flat in the row count: the harvest queries per-shard
-/// postings, MDAV recurses into bounded leaves, and the intersection
-/// indexes each source in O(n) and probes one class per target. Every
-/// optimized path is pinned against its reference in-process: the
-/// harvest pair at full size (both paths are near-linear), the MDAV and
-/// intersection pairs on a seeded [`EQUIVALENCE_SAMPLE_ROWS`] subsample —
-/// their references are superlinear (per-class farthest scans over one
-/// flat pool, a scan of every master row per target), so running them
-/// at 100k would defeat the very claim this block gates.
+/// memory stays flat in the row count: the harvest's top-k search reads
+/// a bounded prefix of each query's postings, MDAV recurses into bounded
+/// leaves, and the intersection indexes each source in O(n) and probes
+/// one class per target. Every optimized path is pinned against its
+/// reference in-process on a seeded [`EQUIVALENCE_SAMPLE_ROWS`]
+/// subsample — the references are costly (an uncached full comparison
+/// per harvest hit, per-class farthest scans over one flat pool, a scan
+/// of every master row per target), so running them at 100k would
+/// defeat the very claim this block gates.
 fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
     let mut stages = Vec::new();
     let world_config = WorldConfig {
@@ -2289,7 +2230,7 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
 
     let (partition, wall) = time_ms(|| {
         hier.partition(&world.table, stage_k)
-            .expect("sharded world partitions cleanly")
+            .expect("the 100k world partitions cleanly")
     });
     stages.push(StageTiming {
         name: sn::MDAV_HIER_100K,
@@ -2300,54 +2241,15 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
     let release = build_release(&world.table, &partition, stage_k, QiStyle::Range)
         .expect("release builds from a valid partition");
     let harvest_config = HarvestConfig::default();
-    let sharded_engine = ShardedSearchEngine::build(&world.web, plan);
-    // A capped plan holds more rows per shard than the derivation rate
-    // suggests; the accounting rows must say so or a 1M-row run reads
-    // 64 shards as "one per 12.5k rows".
-    let capped = ShardPlan::for_size_saturated(n);
-    if capped {
-        fred_obs::counter("shard.plan_capped", 1);
-        eprintln!(
-            "note: shard plan saturated at {} shards for {} rows ({} rows/shard)",
-            plan.shards(),
-            n,
-            n / plan.shards()
-        );
-    }
-    let shard_rows: Vec<ShardBenchRow> = plan
-        .row_ranges(n)
-        .into_iter()
-        .enumerate()
-        .map(|(shard, range)| ShardBenchRow {
-            shard,
-            rows: range.len(),
-            pages: sharded_engine.pages_in_shard(shard),
-            capped,
-        })
-        .collect();
-
-    let (harvest_sharded, wall) = time_ms(|| {
-        harvest_auxiliary_sharded(&release.table, &sharded_engine, &harvest_config)
-            .expect("harvest over a generated corpus cannot fail")
-    });
-    stages.push(StageTiming {
-        name: sn::HARVEST_SHARDED_100K,
-        wall_ms: wall,
-        rows: n,
-    });
-    let (harvest_unsharded, wall) = time_ms(|| {
+    let (harvest, wall) = time_ms(|| {
         harvest_auxiliary(&release.table, &world.web, &harvest_config)
             .expect("harvest over a generated corpus cannot fail")
     });
     stages.push(StageTiming {
-        name: sn::HARVEST_UNSHARDED_100K,
+        name: sn::HARVEST_100K,
         wall_ms: wall,
         rows: n,
     });
-    assert_eq!(
-        harvest_sharded, harvest_unsharded,
-        "sharded harvest must be bit-identical to the unsharded parallel path"
-    );
 
     // The intersection of every core target of a full-size scenario
     // (per-source hierarchical MDAV keeps the scenario build per-leaf
@@ -2359,7 +2261,7 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
         ..ScenarioConfig::default()
     };
     let scenario = generate_scenario(&world.table, &hier, &scenario_config)
-        .expect("sharded world holds a k-anonymizable core");
+        .expect("the 100k world holds a k-anonymizable core");
     let (intersections, wall) = time_ms(|| {
         intersect_releases(&scenario.sources, &scenario.targets, n, STREAM_CHUNK_ROWS)
             .expect("intersection over a generated scenario cannot fail")
@@ -2388,6 +2290,16 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
     )
     .expect("subsampled rows satisfy the schema they came from");
     let (digests, wall) = time_ms(|| {
+        let (harvest_rows, harvest_ref) = harvest_auxiliary_reference_sampled(
+            &release.table,
+            &world.web,
+            &harvest_config,
+            EQUIVALENCE_SAMPLE_ROWS,
+            config.seed ^ EQUIVALENCE_SAMPLE_SALT,
+        )
+        .expect("harvest over a generated corpus cannot fail");
+        let harvest_engine = digest_harvest_rows(&harvest, harvest_rows.iter().copied());
+        let harvest_reference = digest_harvest_rows(&harvest_ref, 0..harvest_rows.len());
         let mdav = Mdav::new();
         let optimized = mdav
             .partition_hierarchical(&sub_table, stage_k, &plan)
@@ -2416,13 +2328,19 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
             "the intersection engine must be bit-identical to the row-scan oracle"
         );
         (
+            harvest_engine,
+            harvest_reference,
             digest_partition(&optimized),
             digest_partition(&reference),
             digest_intersections(&engine),
             digest_intersections(&oracle),
         )
     });
-    let (mdav_opt, mdav_ref, int_engine, int_oracle) = digests;
+    let (harvest_engine, harvest_ref, mdav_opt, mdav_ref, int_engine, int_oracle) = digests;
+    assert_eq!(
+        harvest_engine, harvest_ref,
+        "the harvest must match its exhaustive reference on the sampled rows"
+    );
     assert_eq!(
         mdav_opt, mdav_ref,
         "hierarchical MDAV must match its per-leaf reference on the subsample"
@@ -2440,9 +2358,8 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
         sample_rows: sub_table.len(),
         peak_rss_mb: peak_rss_mb(),
         stages,
-        shard_rows,
-        harvest_digest_sharded: digest_harvest(&harvest_sharded),
-        harvest_digest_unsharded: digest_harvest(&harvest_unsharded),
+        harvest_digest_engine: harvest_engine,
+        harvest_digest_reference: harvest_ref,
         mdav_digest_optimized: mdav_opt,
         mdav_digest_reference: mdav_ref,
         intersect_digest_engine: int_engine,
@@ -2750,23 +2667,14 @@ mod tests {
         // in-process bit-identity asserts ran, and no defects survived.
         let zero = &rob.rows[0];
         assert_eq!(
-            zero.pages_rejected
-                + zero.rows_skipped
-                + zero.fields_imputed
-                + zero.workers_restarted
-                + zero.shards_lost,
+            zero.pages_rejected + zero.rows_skipped + zero.fields_imputed + zero.workers_restarted,
             0,
             "{zero:?}"
         );
         // The top uniform rate actually registered damage somewhere.
         let top = &rob.rows[2];
         assert!(
-            top.pages_rejected
-                + top.rows_skipped
-                + top.fields_imputed
-                + top.workers_restarted
-                + top.shards_lost
-                > 0,
+            top.pages_rejected + top.rows_skipped + top.fields_imputed + top.workers_restarted > 0,
             "10% corruption left no trace: {top:?}"
         );
         // The targeted plan hits exactly its victims: release rows
@@ -2793,7 +2701,6 @@ mod tests {
         assert!(json.contains("\"fault_rate\""));
         assert!(json.contains("\"mode\": \"targeted\""));
         assert!(json.contains("\"composition_gain\""));
-        assert!(json.contains("\"shards_lost\""));
         assert!(json.contains("\"recovery\""));
         assert!(json.contains("\"transient_rate\""));
         assert!(json.trim_end().ends_with('}'));
@@ -2824,9 +2731,9 @@ mod tests {
     #[test]
     fn quick_bench_sharded_stage_runs_and_serializes() {
         // A "100k" world of 80 rows keeps the test fast while driving the
-        // exact code path `--size 100000` exercises; below the per-shard
-        // floor the plan degenerates to one shard, so every sharded path
-        // runs against its reference over identical row ranges.
+        // exact code path `--size 100000` exercises; below the per-leaf
+        // floor the plan degenerates to one hierarchical-MDAV leaf, and
+        // the equivalence sample covers every row.
         let bench = quick_bench(
             &WorldConfig {
                 size: 30,
@@ -2836,53 +2743,39 @@ mod tests {
             3,
             1,
             &QuickBenchOptions {
-                sharded_size: Some(80),
+                size_100k: Some(80),
                 ..QuickBenchOptions::default()
             },
         );
-        let sharded = bench.large_100k.as_ref().expect("sharded stage requested");
-        assert_eq!(sharded.size, 80);
-        assert_eq!(sharded.shards, 1, "80 rows sit below the 12.5k shard floor");
-        assert!(sharded.cores >= 1);
-        let names: Vec<&str> = sharded.stages.iter().map(|s| s.name).collect();
+        let big = bench.large_100k.as_ref().expect("100k stage requested");
+        assert_eq!(big.size, 80);
+        assert_eq!(big.shards, 1, "80 rows sit below the 12.5k leaf floor");
+        assert!(big.cores >= 1);
+        let names: Vec<&str> = big.stages.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
             vec![
                 "world_build_100k",
                 "mdav_hier_100k",
-                "harvest_sharded_100k",
-                "harvest_unsharded_100k",
+                "harvest_100k",
                 "intersect_100k",
                 "equivalence_100k",
             ]
         );
-        // One accounting row per shard, jointly covering every row.
-        assert_eq!(sharded.shard_rows.len(), sharded.shards);
-        assert_eq!(
-            sharded.shard_rows.iter().map(|r| r.rows).sum::<usize>(),
-            sharded.size
-        );
         // The in-process equivalence asserts passed, and the recorded
         // digest pairs agree — the same predicate compare.rs re-gates.
-        assert_eq!(
-            sharded.harvest_digest_sharded,
-            sharded.harvest_digest_unsharded
-        );
-        assert_eq!(sharded.mdav_digest_optimized, sharded.mdav_digest_reference);
-        assert_eq!(
-            sharded.intersect_digest_engine,
-            sharded.intersect_digest_oracle
-        );
-        assert_eq!(sharded.sample_rows, 80.min(EQUIVALENCE_SAMPLE_ROWS));
+        assert_eq!(big.harvest_digest_engine, big.harvest_digest_reference);
+        assert_eq!(big.mdav_digest_optimized, big.mdav_digest_reference);
+        assert_eq!(big.intersect_digest_engine, big.intersect_digest_oracle);
+        assert_eq!(big.sample_rows, 80.min(EQUIVALENCE_SAMPLE_ROWS));
         let json = bench.to_json();
         assert!(json.contains("\"large_100k\""));
         assert!(json.contains("\"mdav_hier_100k\""));
         assert!(json.contains("\"intersect_100k\""));
-        assert!(json.contains("\"shard_rows\""));
-        assert!(json.contains("\"harvest_sharded\""));
+        assert!(json.contains("\"harvest_engine\""));
         assert!(json.trim_end().ends_with('}'));
         let ascii = bench.to_ascii();
-        assert!(ascii.contains("sharded world"));
+        assert!(ascii.contains("100k world"));
         assert!(ascii.contains("digest-pinned"));
     }
 

@@ -49,19 +49,17 @@ pub const ESTIMATE_STREAM_LARGE: &str = "estimate_stream_large";
 /// The composition attack on the large world.
 pub const COMPOSITION_LARGE: &str = "composition_large";
 
-/// Sharded 100k-world timed stages (`repro --quick --size 100000`), in
-/// emission order.
+/// 100k-world timed stages (`repro --quick --size 100000`), in emission
+/// order.
 pub const WORLD_BUILD_100K: &str = "world_build_100k";
 /// Hierarchical (per-leaf) MDAV at the tracked k over the full world.
 pub const MDAV_HIER_100K: &str = "mdav_hier_100k";
-/// The shard-partitioned harvest over the full world.
-pub const HARVEST_SHARDED_100K: &str = "harvest_sharded_100k";
-/// The unsharded parallel harvest reference at the same size.
-pub const HARVEST_UNSHARDED_100K: &str = "harvest_unsharded_100k";
+/// The parallel harvest over the full world.
+pub const HARVEST_100K: &str = "harvest_100k";
 /// The intersection of every core target of a full-size scenario.
 pub const INTERSECT_100K: &str = "intersect_100k";
-/// The seeded-subsample equivalence pass (optimized-vs-reference MDAV and
-/// intersection digest pairs).
+/// The seeded-subsample equivalence pass (optimized-vs-reference harvest,
+/// MDAV and intersection digest pairs).
 pub const EQUIVALENCE_100K: &str = "equivalence_100k";
 
 /// Every timed stage name a baseline may carry, quick then large, in
@@ -91,8 +89,7 @@ pub const TIMING_ROSTER: &[&str] = &[
     COMPOSITION_LARGE,
     WORLD_BUILD_100K,
     MDAV_HIER_100K,
-    HARVEST_SHARDED_100K,
-    HARVEST_UNSHARDED_100K,
+    HARVEST_100K,
     INTERSECT_100K,
     EQUIVALENCE_100K,
 ];
@@ -122,7 +119,7 @@ pub mod runner {
     pub const ROBUSTNESS: &str = "robustness";
     /// The large-world block.
     pub const LARGE: &str = "large";
-    /// The sharded 100k-world block.
+    /// The 100k-world block.
     pub const LARGE_100K: &str = "large_100k";
 
     /// All runner stages in execution order.

@@ -5,8 +5,8 @@
 //! drifted, a profile block whose `mdav` stage row vanished and whose
 //! `faults.fields_imputed` counter disagrees with the robustness
 //! ledger, an eval block with a NaN ε row, an AUC above 1, and a
-//! drifted undefended cell, a shard row misreporting cap saturation,
-//! and a `harvest.name_ms` histogram that disagrees with the
+//! drifted undefended cell, a `large_100k` block over its memory
+//! ceiling, and a `harvest.name_ms` histogram that disagrees with the
 //! `harvest.names` counter — pin [`fred_bench::compare`] end to end
 //! against the *written* baseline format, not just against JSON the
 //! tests synthesize themselves. The parser has twice grown silent-skip
@@ -35,7 +35,7 @@ fn clean_fixture_parses_every_documented_block() {
         "composition_large",
         "world_build_100k",
         "mdav_hier_100k",
-        "harvest_sharded_100k",
+        "harvest_100k",
         "intersect_100k",
         "equivalence_100k",
     ] {
@@ -85,35 +85,28 @@ fn clean_fixture_parses_every_documented_block() {
     assert_eq!(b.robustness[0].harvest_precision, 1.0);
     assert_eq!(b.robustness[0].composition_gain, 8377.8);
     assert_eq!(b.robustness[0].defects, 0);
-    assert_eq!(b.robustness[1].defects, 14 + 5 + 9 + 6 + 2);
-    assert_eq!(b.robustness[1].shards_lost, 2);
+    assert_eq!(b.robustness[1].defects, 14 + 5 + 9 + 6);
     assert_eq!(b.robustness[2].fault_rate, 0.1);
-    assert_eq!(b.robustness[2].defects, 31 + 11 + 17 + 13 + 4);
-    assert_eq!(b.robustness[2].shards_lost, 4);
-    // The sharded-scale block: shard accounting dense and covering, the
-    // three digest pairs agreeing, and the peak-rss witness.
+    assert_eq!(b.robustness[2].defects, 31 + 11 + 17 + 13);
+    // The scale block: its MDAV leaf count, the three digest pairs
+    // agreeing, and the peak-rss witness.
     let big = b
         .large_100k
         .as_ref()
-        .expect("clean fixture carries the sharded block");
+        .expect("clean fixture carries the large_100k block");
     assert_eq!(big.size, 100_000);
     assert_eq!(big.shards, 8);
     assert_eq!(big.sample_rows, 2048);
     assert_eq!(big.peak_rss_mb, 612.4);
-    assert_eq!(big.shard_rows.len(), 8);
-    assert_eq!(big.shard_rows.iter().map(|r| r.1).sum::<usize>(), 100_000);
     assert_eq!(big.digests.len(), 6);
     assert_eq!(
-        big.digests.get("harvest_sharded"),
-        big.digests.get("harvest_unsharded")
+        big.digests.get("harvest_engine"),
+        big.digests.get("harvest_reference")
     );
     assert_eq!(
         big.digests.get("intersect_engine"),
         Some(&"e6b20a9f7d1c5438".to_owned())
     );
-    // Every shard row carries the cap-saturation flag, false below the
-    // 64-shard derivation ceiling.
-    assert!(big.shard_rows.iter().all(|r| !r.3));
     // The hypothesis-testing eval block: four undefended cells, one per
     // deployed defense at the stage (k, R), every metric finite.
     assert_eq!(b.eval.len(), 7);
@@ -145,7 +138,6 @@ fn clean_fixture_parses_every_documented_block() {
     assert!(prof.stages.iter().any(|s| s.stage == "eval"));
     assert_eq!(prof.counters.get("faults.pages_rejected"), Some(&45));
     assert_eq!(prof.counters.get("faults.workers_restarted"), Some(&19));
-    assert_eq!(prof.counters.get("faults.shards_lost"), Some(&6));
     // The latency histogram the obs-reconciliation gate reads, agreeing
     // with its counter to the unit.
     assert_eq!(prof.counters.get("harvest.names"), Some(&226));
@@ -166,7 +158,7 @@ fn clean_self_diff_stays_silent_and_notes_every_series() {
         "defense `calibrated_widen_k5`",
         "robustness: precision",
         "profile: 11 spans",
-        "large_100k: 100000 rows across 8 shard(s)",
+        "large_100k: 100000 rows, MDAV leaves 8",
         "eval: 7 cell(s)",
     ] {
         assert!(
@@ -194,29 +186,24 @@ fn poisoned_fresh_run_fires_exactly_the_documented_gates() {
     // two — the dirty zero row and the collapsed 10% row — stay in.
     assert_eq!(b.robustness.len(), 2);
     assert_eq!(b.robustness[0].defects, 2);
-    // Pre-shard-loss rows parse with zero lost shards, so the counter
-    // reconciliation stays silent on the absent `faults.shards_lost`.
-    assert!(b.robustness.iter().all(|r| r.shards_lost == 0));
-    // The poisoned sharded block parses structurally — its defects are
-    // semantic (a vanished shard row, a blown memory ceiling), caught by
-    // the gates below, not by the parser.
+    // The poisoned scale block parses structurally — its defect is
+    // semantic (a blown memory ceiling), caught by the gates below, not
+    // by the parser.
     let big = b
         .large_100k
         .as_ref()
-        .expect("poisoned sharded block parses");
-    assert_eq!((big.shards, big.shard_rows.len()), (2, 1));
+        .expect("poisoned large_100k block parses");
+    assert_eq!((big.size, big.shards), (200, 2));
 
     let report = compare_baselines(CLEAN, POISONED);
-    // Exactly nineteen findings: the two timed stages that vanished, the
+    // Exactly seventeen findings: the two timed stages that vanished, the
     // defense series that vanished, the zero-fault robustness row that
     // survived defects AND drifted from the pin, the 10% row breaking
     // both the precision slack and the gain floor, the three NaN rows,
     // the profile stage row that vanished, the obs counter that
     // disagrees with the parsed robustness ledger, the histogram whose
-    // observation count disagrees with its counter, the sharded block's
-    // three structural defects (one shard-accounting row for two shards,
-    // a peak rss over the ceiling, a shard row claiming cap saturation
-    // far below the derivation ceiling), and the eval block's three: an
+    // observation count disagrees with its counter, the scale block's
+    // peak rss over the ceiling, and the eval block's three: an
     // AUC above a perfect test, a defended cell whose undefended
     // reference was eaten by the NaN row, and an undefended cell that
     // drifted from the committed pin. The NaN-adjacent composition
@@ -224,12 +211,11 @@ fn poisoned_fresh_run_fires_exactly_the_documented_gates() {
     // NOT additionally trip the monotonicity gate, and the NaN
     // robustness row must not be held to the envelope it failed to
     // parse into — nor feed the counter reconciliation, which sums the
-    // *parsed* rows only. The single shard row covers all 200 master
-    // rows, so the coverage gate stays silent, and the (size, shards)
-    // pair differs from the committed block, so the cross-run digest
+    // *parsed* rows only. The scale block's (size, shards) pair differs
+    // from the committed block, so the cross-run digest
     // pin is skipped (a note), not fired. The surviving eval pair (one
     // row per (R, defense) group) must not trip the ε-vs-k gate.
-    assert_eq!(report.violations.len(), 19, "{:?}", report.violations);
+    assert_eq!(report.violations.len(), 17, "{:?}", report.violations);
     assert!(report
         .violations
         .iter()
@@ -245,10 +231,6 @@ fn poisoned_fresh_run_fires_exactly_the_documented_gates() {
         .violations
         .iter()
         .any(|v| v.contains("ε rose with k")));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("misreport cap saturation at 200 rows")));
     assert!(report.violations.iter().any(|v| {
         v.contains("obs histogram `harvest.name_ms` recorded 226")
             && v.contains("`harvest.names` = 230")
@@ -256,15 +238,11 @@ fn poisoned_fresh_run_fires_exactly_the_documented_gates() {
     assert!(report
         .violations
         .iter()
-        .any(|v| v.contains("large_100k shard accounting lost a shard: 1 row(s) for 2 shard(s)")));
-    assert!(report
-        .violations
-        .iter()
         .any(|v| v.contains("large_100k peak rss reached 4096.0 MiB")));
     assert!(!report
         .violations
         .iter()
-        .any(|v| v.contains("master rows") || v.contains("digests drifted")));
+        .any(|v| v.contains("digests drifted")));
     assert!(report
         .notes
         .iter()
@@ -362,7 +340,7 @@ fn poisoned_committed_baseline_refuses_to_gate() {
         .violations
         .iter()
         .any(|v| v.contains("composition_defense")));
-    // The clean fresh sharded block passes every in-run gate; the
+    // The clean fresh scale block passes every in-run gate; the
     // committed block's own poisons never gate (in-run gates read the
     // fresh side only), and its different (size, shards) downgrades the
     // cross-run digest pin to a note.

@@ -14,8 +14,8 @@
 //!   dropped instrumentation.
 //! * **Histogram reconciliation** — the `harvest.name_ms` latency
 //!   histogram and the `harvest.names` counter are bumped by the same
-//!   classify-extract tail (cached, sharded and tolerant paths all
-//!   funnel through it), so the histogram's observation count equals
+//!   per-name routine (the parallel, single-threaded and tolerant paths
+//!   all funnel through it), so the histogram's observation count equals
 //!   the counter to the unit, and its buckets sum to that count.
 //! * **Work-counter reconciliation** — `harvest.postings_scanned`, summed
 //!   over the harvest's per-name deltas, equals the postings the searcher
@@ -177,7 +177,7 @@ fn harvest_latency_histogram_reconciles_with_the_names_counter() {
             hist.count,
             counter(&bench, "harvest.names"),
             "seed {seed}: histogram observations disagree with `harvest.names` — \
-             both are written by the same classify-extract tail"
+             both are written by the same per-name harvest routine"
         );
         assert_eq!(
             hist.buckets.iter().sum::<u64>(),

@@ -415,9 +415,8 @@ pub fn compose_attack(
 /// ledger is returned alongside the outcome. A zero-rate `plan` is an
 /// exact passthrough — the outcome is bit-identical to
 /// [`compose_attack`] and the ledger is clean. Callers injecting
-/// `worker_panic` should wrap the call in
-/// [`rayon::silence_panics`](rayon::silence_panics) to keep the
-/// contained panics off stderr.
+/// `worker_panic` should wrap the call in [`rayon::silence_panics`] to
+/// keep the contained panics off stderr.
 pub fn compose_attack_tolerant(
     master: &Table,
     web: &SearchEngine,

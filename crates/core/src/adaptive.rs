@@ -1,6 +1,6 @@
 //! Adaptive (risk-directed) anonymization — the paper's stated extension.
 //!
-//! Reference [11] of the paper (the authors' companion work, "Adaptive data
+//! Reference \[11\] of the paper (the authors' companion work, "Adaptive data
 //! anonymization against information fusion based privacy attacks", SAC
 //! 2008) replaces the single global level `k` with *local* protection:
 //! individuals whose sensitive value the fusion attack pins down most

@@ -2,12 +2,12 @@
 //!
 //! The paper's primary contribution:
 //!
-//! * [`dissimilarity`] — Definition 1's measure
+//! * [`dissimilarity`](mod@dissimilarity) — Definition 1's measure
 //!   `D1 ∘ D2 = (1/m)·Tr((D1−D2)ᵀ(D1−D2))` and the adversary's
 //!   information gain `G = (P∘P′) − (P∘P̂)`;
 //! * [`objective`] — the weighted objective `H = W1·(P∘P̂) + W2·U`,
 //!   thresholds `Tp`/`Tu` and min-max-normalized scoring;
-//! * [`sweep`] — the per-`k` measurement engine behind Figures 4-8;
+//! * [`sweep`](mod@sweep) — the per-`k` measurement engine behind Figures 4-8;
 //! * [`fred`] — **Algorithm 1**, FRED Anonymization: the iterative search
 //!   for the fusion-resilient level `k_opt`.
 //!

@@ -6,11 +6,12 @@
 //! halves of the robustness axis:
 //!
 //! - [`FaultPlan`] — a seeded plan that decides, purely as a function of
-//!   `(seed, stage, index)`, whether a given page / row / cell / worker is
-//!   corrupted. There is no RNG stream: every decision is an independent
-//!   hash, so decisions are identical regardless of evaluation order or
-//!   thread count, and a rate of zero short-circuits to "no fault" without
-//!   hashing at all. That makes the zero-rate plan an *exact passthrough*
+//!   `(seed, stage, index)`, whether a given page / row / cell / chunk /
+//!   worker / stage attempt / checkpoint is corrupted, one rate per fault
+//!   class and one [`salt`] per fault site. There is no RNG stream: every
+//!   decision is an independent hash, so decisions are identical
+//!   regardless of evaluation order or thread count, and a rate of zero
+//!   short-circuits to "no fault" without hashing at all. That makes the zero-rate plan an *exact passthrough*
 //!   and every faulted run bit-reproducible.
 //! - [`Degradation`] — the skip-and-count report every tolerant stage
 //!   returns instead of panicking: how many rows were skipped, pages
@@ -24,6 +25,10 @@ use std::fmt;
 
 /// Per-stage salts separating the hash streams of the different fault
 /// sites, so e.g. dropping page 7 is independent of garbling page 7.
+///
+/// A salt is never renumbered or reused: changing one reshuffles every
+/// seeded faulted result that depends on it. `0x4841_5256_0002` belonged
+/// to a retired fault class.
 pub mod salt {
     /// Page-level: drop (tombstone) a page from the corpus.
     pub const PAGE_DROP: u64 = 0x5041_4745_0001;
@@ -39,8 +44,6 @@ pub mod salt {
     pub const PAGE_DUPLICATE: u64 = 0x5041_4745_0006;
     /// Harvest-level: drop an identifier row before linkage.
     pub const HARVEST_ROW_DROP: u64 = 0x4841_5256_0001;
-    /// Harvest-level: lose a whole index shard mid-harvest.
-    pub const SHARD_LOSS: u64 = 0x4841_5256_0002;
     /// Worker-level: panic inside the pool while processing a row.
     pub const WORKER_PANIC: u64 = 0x574f_524b_0001;
     /// Release-level: drop a row from a published release.
@@ -155,10 +158,6 @@ pub struct FaultPlan {
     pub chunk_truncate: f64,
     /// Probability a pool worker panics on a given row.
     pub worker_panic: f64,
-    /// Probability a whole index shard is lost mid-harvest (its pages
-    /// vanish from every query's candidate pool; the tolerant harvest
-    /// degrades to the surviving shards).
-    pub shard_loss: f64,
     /// Probability one pipeline-stage attempt fails transiently (the
     /// stage runner retries it with seeded backoff).
     pub stage_transient: f64,
@@ -202,7 +201,6 @@ impl FaultPlan {
             cell_corrupt: rate,
             chunk_truncate: rate,
             worker_panic: rate,
-            shard_loss: rate,
             stage_transient: rate,
             ckpt_write_truncate: rate,
             ckpt_bitflip: rate,
@@ -222,7 +220,6 @@ impl FaultPlan {
             && self.cell_corrupt == 0.0
             && self.chunk_truncate == 0.0
             && self.worker_panic == 0.0
-            && self.shard_loss == 0.0
             && self.stage_transient == 0.0
             && self.ckpt_write_truncate == 0.0
             && self.ckpt_bitflip == 0.0
@@ -292,9 +289,6 @@ pub enum InputDefect {
     TruncatedChunk,
     /// A pool worker that panicked mid-row and was restarted.
     WorkerPanic,
-    /// A whole index shard lost mid-harvest; queries degraded to the
-    /// surviving shards.
-    LostShard,
 }
 
 impl fmt::Display for InputDefect {
@@ -308,7 +302,6 @@ impl fmt::Display for InputDefect {
             InputDefect::MissingRow => "missing row",
             InputDefect::TruncatedChunk => "truncated chunk",
             InputDefect::WorkerPanic => "worker panic",
-            InputDefect::LostShard => "lost shard",
         };
         f.write_str(s)
     }
@@ -341,8 +334,6 @@ pub struct Degradation {
     pub chunks_truncated: usize,
     /// Pool workers that panicked and were restarted mid-batch.
     pub workers_restarted: usize,
-    /// Index shards lost mid-harvest; queries degraded to the survivors.
-    pub shards_lost: usize,
     /// A muted report records defects without mirroring them onto the
     /// global `faults.*` observability counters. Shadow computations
     /// whose report is deliberately discarded (the baseline re-digest of
@@ -364,7 +355,6 @@ impl PartialEq for Degradation {
             && self.fields_imputed == other.fields_imputed
             && self.chunks_truncated == other.chunks_truncated
             && self.workers_restarted == other.workers_restarted
-            && self.shards_lost == other.shards_lost
     }
 }
 
@@ -413,10 +403,6 @@ impl Degradation {
                 self.workers_restarted += 1;
                 "faults.workers_restarted"
             }
-            InputDefect::LostShard => {
-                self.shards_lost += 1;
-                "faults.shards_lost"
-            }
         };
         if !self.muted {
             fred_obs::counter(counter, 1);
@@ -434,7 +420,6 @@ impl Degradation {
         self.fields_imputed += other.fields_imputed;
         self.chunks_truncated += other.chunks_truncated;
         self.workers_restarted += other.workers_restarted;
-        self.shards_lost += other.shards_lost;
     }
 
     /// True when nothing was injected, skipped or imputed anywhere —
@@ -452,7 +437,6 @@ impl Degradation {
             + self.fields_imputed
             + self.chunks_truncated
             + self.workers_restarted
-            + self.shards_lost
     }
 }
 
@@ -462,7 +446,7 @@ impl fmt::Display for Degradation {
             f,
             "dropped {} / truncated {} / garbled {} / duplicated {} pages; \
              rejected {} pages, skipped {} rows, imputed {} fields, \
-             {} truncated chunks, restarted {} workers, lost {} shards",
+             {} truncated chunks, restarted {} workers",
             self.pages_dropped,
             self.pages_truncated,
             self.pages_garbled,
@@ -471,8 +455,7 @@ impl fmt::Display for Degradation {
             self.rows_skipped,
             self.fields_imputed,
             self.chunks_truncated,
-            self.workers_restarted,
-            self.shards_lost
+            self.workers_restarted
         )
     }
 }
@@ -540,6 +523,41 @@ mod tests {
             .map(|i| plan.decide(plan.page_garble, salt::PAGE_GARBLE, i))
             .collect();
         assert_ne!(drops, garbles);
+    }
+
+    #[test]
+    fn salt_streams_are_pinned() {
+        // Fire counts per salt over a fixed (seed, rate): renumbering a
+        // salt reshuffles its stream and moves its count, which would
+        // silently change every committed faulted result.
+        let plan = FaultPlan::uniform(0xFA17, 0.05);
+        let pinned = [
+            (salt::PAGE_DROP, 484),
+            (salt::PAGE_TRUNCATE, 476),
+            (salt::PAGE_TRUNCATE_AT, 531),
+            (salt::PAGE_GARBLE, 497),
+            (salt::PAGE_GARBLE_AT, 506),
+            (salt::PAGE_DUPLICATE, 498),
+            (salt::HARVEST_ROW_DROP, 501),
+            (salt::WORKER_PANIC, 503),
+            (salt::RELEASE_ROW_DROP, 490),
+            (salt::CELL_CORRUPT, 518),
+            (salt::CELL_FLAVOR, 568),
+            (salt::CHUNK_TRUNCATE, 518),
+            (salt::STAGE_TRANSIENT, 497),
+            (salt::RETRY_JITTER, 491),
+            (salt::CKPT_WRITE_TRUNCATE, 511),
+            (salt::CKPT_TRUNCATE_AT, 476),
+            (salt::CKPT_BITFLIP, 495),
+            (salt::CKPT_BITFLIP_AT, 496),
+            (salt::CKPT_STALE, 507),
+        ];
+        for (salt, expected) in pinned {
+            let fired = (0..10_000u64)
+                .filter(|&i| plan.decide(plan.row_drop, salt, i))
+                .count();
+            assert_eq!(fired, expected, "salt {salt:#x}");
+        }
     }
 
     #[test]
@@ -611,7 +629,6 @@ mod tests {
     #[test]
     fn uniform_sets_runner_and_checkpoint_rates() {
         let plan = FaultPlan::uniform(21, 0.4);
-        assert_eq!(plan.shard_loss, 0.4);
         assert_eq!(plan.stage_transient, 0.4);
         assert_eq!(plan.ckpt_write_truncate, 0.4);
         assert_eq!(plan.ckpt_bitflip, 0.4);
@@ -635,14 +652,12 @@ mod tests {
         deg.record(InputDefect::MissingRow);
         deg.record(InputDefect::TruncatedChunk);
         deg.record(InputDefect::WorkerPanic);
-        deg.record(InputDefect::LostShard);
         assert_eq!(deg.pages_rejected, 2);
         assert_eq!(deg.fields_imputed, 1);
         assert_eq!(deg.rows_skipped, 1);
         assert_eq!(deg.chunks_truncated, 1);
         assert_eq!(deg.workers_restarted, 1);
-        assert_eq!(deg.shards_lost, 1);
-        assert_eq!(deg.defects_survived(), 7);
+        assert_eq!(deg.defects_survived(), 6);
         assert!(!deg.is_clean());
 
         let mut other = Degradation {
@@ -652,13 +667,11 @@ mod tests {
         other.merge(&deg);
         assert_eq!(other.pages_dropped, 3);
         assert_eq!(other.pages_rejected, 2);
-        assert_eq!(other.shards_lost, 1);
         // Injection-side counters do not count as survived defects.
-        assert_eq!(other.defects_survived(), 7);
+        assert_eq!(other.defects_survived(), 6);
         let text = format!("{other}");
         assert!(text.contains("dropped 3"), "{text}");
         assert!(text.contains("restarted 1 workers"), "{text}");
-        assert!(text.contains("lost 1 shards"), "{text}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fuzzy-set algebra on sampled sets: union, intersection, complement,
 //! alpha-cuts and the standard scalar descriptors (height, support,
 //! cardinality). Complements the inference engine with the set-theoretic
-//! toolbox of Kosko's book (the paper's reference [21]).
+//! toolbox of Kosko's book (the paper's reference \[21\]).
 
 use crate::membership::MembershipFunction;
 

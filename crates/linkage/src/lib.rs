@@ -5,7 +5,7 @@
 //! Section I). On the real web, names are noisy; this crate provides the
 //! full programmatic equivalent of that lookup:
 //!
-//! * string comparators — [`edit`] (Levenshtein, OSA), [`jaro`]
+//! * string comparators — [`edit`] (Levenshtein, OSA), [`jaro`](mod@jaro)
 //!   (Jaro/Jaro-Winkler), [`ngram`] (Jaccard/Dice/cosine) and [`phonetic`]
 //!   (Soundex, consonant skeletons);
 //! * [`normalize`] — titles, punctuation, nicknames, initials;

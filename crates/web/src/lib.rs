@@ -12,7 +12,7 @@
 //!   honorifics, reordering) between the enterprise name and the web name;
 //! * [`index`] — an inverted-index search engine with TF-IDF ranking (the
 //!   adversary's "index into the web");
-//! * [`extract`] — semi-structured attribute extraction back into
+//! * [`extract`](mod@extract) — semi-structured attribute extraction back into
 //!   [`extract::AuxRecord`]s (the paper's Table IV rows);
 //! * [`corpus`] — ties a `fred-synth` population to a searchable corpus.
 //!
@@ -42,8 +42,6 @@ pub mod page;
 pub use corpus::{audit_property_pages, build_corpus, CorpusConfig, PropertyAudit};
 pub use corrupt::corrupt_pages;
 pub use extract::{consolidate, extract, extract_checked, title_seniority, AuxRecord};
-pub use index::{
-    merge_hits, SearchEngine, SearchHit, SearchScratch, ShardedSearchEngine, TermCache,
-};
+pub use index::{SearchEngine, SearchHit, SearchScratch, TermCache};
 pub use noise::NameNoise;
 pub use page::{tokenize, PageKind, WebPage};

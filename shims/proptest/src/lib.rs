@@ -208,7 +208,7 @@ pub mod collection {
     use std::fmt::Debug;
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`].
+    /// Element-count specification for [`vec`](fn@vec).
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

@@ -441,49 +441,6 @@ proptest! {
     }
 
     #[test]
-    fn sharded_harvest_equals_unsharded_for_every_plan(
-        size in 8usize..40,
-        seed in 0u64..1_000,
-        shards in 1usize..7,
-        noisy in any::<bool>(),
-    ) {
-        use fred_suite::attack::harvest_auxiliary_sharded;
-        use fred_suite::data::ShardPlan;
-        use fred_suite::web::ShardedSearchEngine;
-        let people = generate_population(&PopulationConfig {
-            size,
-            web_presence_rate: 0.85,
-            seed,
-            ..PopulationConfig::default()
-        });
-        let table = customer_table(&people, &CustomerConfig::default());
-        let web = build_corpus(
-            &people,
-            &CorpusConfig {
-                noise: if noisy { NameNoise::default() } else { NameNoise::none() },
-                pages_per_person: (1, 3),
-                seed: seed ^ 0x51AB,
-                ..CorpusConfig::default()
-            },
-        );
-        let release = table.suppress_sensitive();
-        let config = HarvestConfig::default();
-        let reference = harvest_auxiliary(&release, &web, &config).unwrap();
-        // Whatever the shard count or hash seed, partitioned postings
-        // merged per query must reproduce the whole-corpus harvest —
-        // records, links and counters alike.
-        let sharded_engine = ShardedSearchEngine::build(&web, ShardPlan::new(shards, seed ^ 0x9A));
-        let sharded = harvest_auxiliary_sharded(&release, &sharded_engine, &config).unwrap();
-        prop_assert_eq!(sharded.records.len(), reference.records.len());
-        for (i, (s, r)) in sharded.records.iter().zip(&reference.records).enumerate() {
-            prop_assert_eq!(s, r, "record {} differs at {} shards", i, shards);
-        }
-        prop_assert_eq!(&sharded.linked, &reference.linked);
-        prop_assert_eq!(sharded.pages_inspected, reference.pages_inspected);
-        prop_assert_eq!(sharded.pages_linked, reference.pages_linked);
-    }
-
-    #[test]
     fn hierarchical_mdav_equals_its_reference_and_collapses_on_one_shard(
         n in 4usize..200,
         dims in 1usize..4,
