@@ -6,8 +6,7 @@
 //! parallel call) and every subsequent call only enqueues its chunk jobs,
 //! so the per-call cost is a channel send + condvar wait instead of a
 //! thread spawn/join cycle. That keeps fan-out profitable for much
-//! smaller inputs — MDAV's distance scans fan out from a few thousand
-//! active rows instead of sixteen thousand.
+//! smaller inputs: a few thousand items instead of sixteen thousand.
 //!
 //! Work is split into per-thread chunks and results are re-assembled
 //! **in input order**, so a parallel map is always bit-identical to its

@@ -66,6 +66,62 @@ fn random_qi_table(n: usize, dims: usize, seed: u64) -> Table {
     Table::with_rows(schema, rows).unwrap()
 }
 
+/// An integer-grid quasi-identifier table: `n` rows over `dims` columns,
+/// each value one of `levels` consecutive integers. Review scores on 1–10
+/// with one decimal have 91 levels, so distances tie constantly; without
+/// normalization every coordinate and sum is an exact integer in `f64`,
+/// so the optimized MDAV must break every one of those ties exactly like
+/// the reference, including at equal box bounds deep in its kd-tree.
+fn grid_qi_table(n: usize, dims: usize, levels: u64, seed: u64) -> Table {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % levels
+    };
+    let mut builder = Schema::builder();
+    for d in 0..dims {
+        builder = builder.quasi_numeric(format!("q{d}"));
+    }
+    let schema = builder.build().unwrap();
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|_| (0..dims).map(|_| Value::Float(next() as f64)).collect())
+        .collect();
+    Table::with_rows(schema, rows).unwrap()
+}
+
+proptest! {
+    // Every flat run builds a kd-tree (pools above 1,024 rows), and each
+    // case runs the O(n²/k) reference loops on up to ~2,000 rows, so the
+    // count stays small for the debug-mode suite.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn optimized_mdav_equals_reference_on_tie_heavy_grids(
+        n in 1_100usize..2_100,
+        dims in 1usize..4,
+        levels in 2u64..92,
+        seed in 0u64..1_000_000,
+        k in 1usize..8,
+        shards in 1usize..9,
+    ) {
+        use fred_suite::data::ShardPlan;
+        let table = grid_qi_table(n, dims, levels, seed);
+        let mdav = Mdav::without_normalization();
+        let fast = mdav.partition(&table, k).unwrap();
+        let reference = mdav.partition_reference(&table, k).unwrap();
+        prop_assert_eq!(fast, reference, "flat n={} dims={} levels={} k={}", n, dims, levels, k);
+        let plan = ShardPlan::new(shards, seed);
+        let fast = mdav.partition_hierarchical(&table, k, &plan).unwrap();
+        let reference = mdav.partition_hierarchical_reference(&table, k, &plan).unwrap();
+        prop_assert_eq!(
+            fast, reference,
+            "hierarchical n={} dims={} levels={} k={} shards={}", n, dims, levels, k, shards
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
