@@ -158,10 +158,14 @@ fn main() {
             }
             "--seed" => {
                 i += 1;
+                // Seeds are written to BENCH_sweep.json and to checkpoints
+                // as JSON numbers, which carry integers exactly only below
+                // 2^53: a larger seed would resume under a different one.
                 config.seed = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs an integer"));
+                    .filter(|&seed| seed < fred_recover::json::MAX_EXACT_INT)
+                    .unwrap_or_else(|| usage("--seed needs an integer below 2^53"));
             }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown flag `{other}`")),

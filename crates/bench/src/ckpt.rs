@@ -9,19 +9,17 @@
 //! configuration before any downstream checkpoint is trusted. *Block
 //! artifacts* are the bench blocks themselves ([`super::perf`] structs),
 //! which a resumed run loads instead of recomputing — the actual time
-//! saved by resumption.
+//! saved by resumption. Their encoding is [`crate::codec`]'s: a block's
+//! checkpoint payload is the block's value in `BENCH_sweep.json`.
 //!
-//! Every float is rendered with `{:?}` (Rust's shortest round-trip
-//! form), so a load-then-render at the bench's fixed precision is
-//! bit-identical to an uninterrupted run; 64-bit digests are rendered as
-//! hex strings because JSON numbers lose integer precision past 2^53.
+//! The checkpoint-only artifacts here keep every float at full precision
+//! (rendered in Rust's shortest round-trip form), so a recomputed anchor
+//! compares equal to its stored copy; 64-bit digests travel as hex
+//! strings because JSON numbers lose integer precision past 2^53.
 
-use fred_recover::{json, Artifact};
+use fred_recover::{json::Value, Artifact};
 
-use crate::perf::{
-    CompositionBench, CompositionBenchRow, DefenseBench, DefenseBenchRow, EvalBench, EvalCellRow,
-    Large100kBench, LargeBench, RobustnessBench, RobustnessBenchRow, StageTiming,
-};
+use crate::codec::{dec, enc, obj, schema};
 use crate::world::World;
 use fred_attack::Harvest;
 
@@ -124,29 +122,11 @@ pub fn digest_bits(bits: &[u64]) -> u64 {
     d.finish()
 }
 
-/// Interns a parsed stage name back to the `&'static str` the
-/// [`StageTiming`] roster uses. `None` for unknown names — a checkpoint
-/// naming a stage this build does not know is corrupt or stale.
-pub fn intern_stage_name(name: &str) -> Option<&'static str> {
-    crate::stages::TIMING_ROSTER
-        .iter()
-        .find(|&&n| n == name)
-        .copied()
-}
-
-/// Interns a robustness-row mode label.
-fn intern_mode(mode: &str) -> Option<&'static str> {
-    match mode {
-        "uniform" => Some("uniform"),
-        "targeted" => Some("targeted"),
-        _ => None,
-    }
-}
-
 /// The always-recomputed anchor artifact: a content digest of one cheap
-/// upstream stage plus the [`StageTiming`] rows it contributes. Under a
-/// checkpoint store timings are zeroed (deterministic mode), so two runs
-/// of the same configuration produce `PartialEq`-identical anchors.
+/// upstream stage plus the [`crate::perf::StageTiming`] rows it
+/// contributes. Under a checkpoint store timings are zeroed
+/// (deterministic mode), so two runs of the same configuration produce
+/// `PartialEq`-identical anchors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageAnchor {
     /// Checkpoint stage name.
@@ -160,44 +140,44 @@ pub struct StageAnchor {
 }
 
 impl Artifact for StageAnchor {
-    fn to_payload(&self) -> String {
-        let timings: Vec<String> = self
-            .timings
-            .iter()
-            .map(|(name, wall, rows)| {
-                format!(
-                    "{{\"name\": \"{}\", \"wall_ms\": {wall:?}, \"rows\": {rows}}}",
-                    json::escape(name)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"label\": \"{}\", \"rows\": {}, \"content_hash\": \"{:016x}\", \"timings\": [{}]}}",
-            json::escape(&self.label),
-            self.rows,
-            self.content_hash,
-            timings.join(", ")
-        )
+    fn to_value(&self) -> Value {
+        let timing = |(name, wall_ms, rows): &(String, f64, usize)| {
+            obj([
+                ("name", enc::text(name)),
+                ("wall_ms", enc::exact(wall_ms)),
+                ("rows", enc::count(rows)),
+            ])
+        };
+        obj([
+            ("label", enc::text(&self.label)),
+            ("rows", enc::count(&self.rows)),
+            ("content_hash", enc::hex(&self.content_hash)),
+            (
+                "timings",
+                Value::Arr(self.timings.iter().map(timing).collect()),
+            ),
+        ])
     }
 
-    fn from_payload(value: &json::Value) -> Option<StageAnchor> {
-        let timings = value
-            .get("timings")?
-            .as_arr()?
-            .iter()
-            .map(|t| {
-                Some((
-                    t.get("name")?.as_str()?.to_string(),
-                    t.get("wall_ms")?.as_f64()?,
-                    t.get("rows")?.as_usize()?,
-                ))
-            })
-            .collect::<Option<Vec<_>>>()?;
+    fn from_value(value: &Value) -> Option<StageAnchor> {
+        let get = |key| value.get(key);
+        let timing = |t: &Value| {
+            let field = |key| t.get(key);
+            Some((
+                dec::text(field("name")?)?,
+                dec::exact(field("wall_ms")?)?,
+                dec::count(field("rows")?)?,
+            ))
+        };
         Some(StageAnchor {
-            label: value.get("label")?.as_str()?.to_string(),
-            rows: value.get("rows")?.as_usize()?,
-            content_hash: u64::from_str_radix(value.get("content_hash")?.as_str()?, 16).ok()?,
-            timings,
+            label: dec::text(get("label")?)?,
+            rows: dec::count(get("rows")?)?,
+            content_hash: dec::hex(get("content_hash")?)?,
+            timings: get("timings")?
+                .as_arr()?
+                .iter()
+                .map(timing)
+                .collect::<Option<_>>()?,
         })
     }
 }
@@ -218,24 +198,13 @@ pub struct EstimatesArtifact {
     pub estimate_hash: u64,
 }
 
-impl Artifact for EstimatesArtifact {
-    fn to_payload(&self) -> String {
-        format!(
-            "{{\"naive_ms\": {:?}, \"batch_ms\": {:?}, \"rows\": {}, \"speedup\": {:?}, \"estimate_hash\": \"{:016x}\"}}",
-            self.naive_ms, self.batch_ms, self.rows, self.speedup, self.estimate_hash
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<EstimatesArtifact> {
-        Some(EstimatesArtifact {
-            naive_ms: value.get("naive_ms")?.as_f64()?,
-            batch_ms: value.get("batch_ms")?.as_f64()?,
-            rows: value.get("rows")?.as_usize()?,
-            speedup: value.get("speedup")?.as_f64()?,
-            estimate_hash: u64::from_str_radix(value.get("estimate_hash")?.as_str()?, 16).ok()?,
-        })
-    }
-}
+schema!(EstimatesArtifact {
+    naive_ms: "naive_ms" as exact,
+    batch_ms: "batch_ms" as exact,
+    rows: "rows" as count,
+    speedup: "speedup" as exact,
+    estimate_hash: "estimate_hash" as hex,
+});
 
 /// The end-to-end sweep stage's artifact (the sweep result itself is
 /// not part of the bench output — only its cost).
@@ -247,361 +216,29 @@ pub struct SweepArtifact {
     pub rows: usize,
 }
 
-impl Artifact for SweepArtifact {
-    fn to_payload(&self) -> String {
-        format!(
-            "{{\"wall_ms\": {:?}, \"rows\": {}}}",
-            self.wall_ms, self.rows
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<SweepArtifact> {
-        Some(SweepArtifact {
-            wall_ms: value.get("wall_ms")?.as_f64()?,
-            rows: value.get("rows")?.as_usize()?,
-        })
-    }
-}
-
-fn composition_payload(comp: &CompositionBench) -> String {
-    let rows: Vec<String> = comp
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"releases\": {}, \"disclosure_gain\": {:?}, \"mean_candidates\": {:?}, \"estimate_gain\": {:?}}}",
-                r.releases, r.disclosure_gain, r.mean_candidates, r.estimate_gain
-            )
-        })
-        .collect();
-    format!(
-        "{{\"k\": {}, \"overlap\": {:?}, \"wall_ms\": {:?}, \"rows\": [{}]}}",
-        comp.k,
-        comp.overlap,
-        comp.wall_ms,
-        rows.join(", ")
-    )
-}
-
-fn composition_from_payload(value: &json::Value) -> Option<CompositionBench> {
-    let rows = value
-        .get("rows")?
-        .as_arr()?
-        .iter()
-        .map(|r| {
-            Some(CompositionBenchRow {
-                releases: r.get("releases")?.as_usize()?,
-                disclosure_gain: r.get("disclosure_gain")?.as_f64()?,
-                mean_candidates: r.get("mean_candidates")?.as_f64()?,
-                estimate_gain: r.get("estimate_gain")?.as_f64()?,
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(CompositionBench {
-        k: value.get("k")?.as_usize()?,
-        overlap: value.get("overlap")?.as_f64()?,
-        wall_ms: value.get("wall_ms")?.as_f64()?,
-        rows,
-    })
-}
-
-impl Artifact for CompositionBench {
-    fn to_payload(&self) -> String {
-        composition_payload(self)
-    }
-
-    fn from_payload(value: &json::Value) -> Option<CompositionBench> {
-        composition_from_payload(value)
-    }
-}
-
-impl Artifact for DefenseBench {
-    fn to_payload(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"policy\": \"{}\", \"releases\": {}, \"residual_gain\": {:?}, \"undefended_gain\": {:?}, \"mean_candidates\": {:?}, \"utility_cost\": {:?}}}",
-                    json::escape(&r.policy),
-                    r.releases,
-                    r.residual_gain,
-                    r.undefended_gain,
-                    r.mean_candidates,
-                    r.utility_cost
-                )
-            })
-            .collect();
-        format!(
-            "{{\"k\": {}, \"overlap\": {:?}, \"wall_ms\": {:?}, \"rows\": [{}]}}",
-            self.k,
-            self.overlap,
-            self.wall_ms,
-            rows.join(", ")
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<DefenseBench> {
-        let rows = value
-            .get("rows")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(DefenseBenchRow {
-                    policy: r.get("policy")?.as_str()?.to_string(),
-                    releases: r.get("releases")?.as_usize()?,
-                    residual_gain: r.get("residual_gain")?.as_f64()?,
-                    undefended_gain: r.get("undefended_gain")?.as_f64()?,
-                    mean_candidates: r.get("mean_candidates")?.as_f64()?,
-                    utility_cost: r.get("utility_cost")?.as_f64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(DefenseBench {
-            k: value.get("k")?.as_usize()?,
-            overlap: value.get("overlap")?.as_f64()?,
-            wall_ms: value.get("wall_ms")?.as_f64()?,
-            rows,
-        })
-    }
-}
-
-impl Artifact for EvalBench {
-    fn to_payload(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"k\": {}, \"releases\": {}, \"defense\": \"{}\", \"targets\": {}, \"decoys\": {}, \"auc\": {:?}, \"tpr_at_fpr3\": {:?}, \"epsilon\": {:?}}}",
-                    r.k,
-                    r.releases,
-                    json::escape(&r.defense),
-                    r.targets,
-                    r.decoys,
-                    r.auc,
-                    r.tpr_at_fpr3,
-                    r.epsilon
-                )
-            })
-            .collect();
-        format!(
-            "{{\"wall_ms\": {:?}, \"rows\": [{}]}}",
-            self.wall_ms,
-            rows.join(", ")
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<EvalBench> {
-        let rows = value
-            .get("rows")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(EvalCellRow {
-                    k: r.get("k")?.as_usize()?,
-                    releases: r.get("releases")?.as_usize()?,
-                    defense: r.get("defense")?.as_str()?.to_string(),
-                    targets: r.get("targets")?.as_usize()?,
-                    decoys: r.get("decoys")?.as_usize()?,
-                    auc: r.get("auc")?.as_f64()?,
-                    tpr_at_fpr3: r.get("tpr_at_fpr3")?.as_f64()?,
-                    epsilon: r.get("epsilon")?.as_f64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(EvalBench {
-            wall_ms: value.get("wall_ms")?.as_f64()?,
-            rows,
-        })
-    }
-}
-
-impl Artifact for RobustnessBench {
-    fn to_payload(&self) -> String {
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"fault_rate\": {:?}, \"mode\": \"{}\", \"harvest_precision\": {:?}, \"harvest_coverage\": {:?}, \"composition_gain\": {:?}, \"pages_rejected\": {}, \"rows_skipped\": {}, \"fields_imputed\": {}, \"workers_restarted\": {}}}",
-                    r.fault_rate,
-                    r.mode,
-                    r.harvest_precision,
-                    r.harvest_coverage,
-                    r.composition_gain,
-                    r.pages_rejected,
-                    r.rows_skipped,
-                    r.fields_imputed,
-                    r.workers_restarted
-                )
-            })
-            .collect();
-        format!(
-            "{{\"max_rate\": {:?}, \"seed\": {}, \"wall_ms\": {:?}, \"rows\": [{}]}}",
-            self.max_rate,
-            self.seed,
-            self.wall_ms,
-            rows.join(", ")
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<RobustnessBench> {
-        let rows = value
-            .get("rows")?
-            .as_arr()?
-            .iter()
-            .map(|r| {
-                Some(RobustnessBenchRow {
-                    fault_rate: r.get("fault_rate")?.as_f64()?,
-                    mode: intern_mode(r.get("mode")?.as_str()?)?,
-                    harvest_precision: r.get("harvest_precision")?.as_f64()?,
-                    harvest_coverage: r.get("harvest_coverage")?.as_f64()?,
-                    composition_gain: r.get("composition_gain")?.as_f64()?,
-                    pages_rejected: r.get("pages_rejected")?.as_usize()?,
-                    rows_skipped: r.get("rows_skipped")?.as_usize()?,
-                    fields_imputed: r.get("fields_imputed")?.as_usize()?,
-                    workers_restarted: r.get("workers_restarted")?.as_usize()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(RobustnessBench {
-            max_rate: value.get("max_rate")?.as_f64()?,
-            seed: value.get("seed")?.as_f64()? as u64,
-            wall_ms: value.get("wall_ms")?.as_f64()?,
-            rows,
-        })
-    }
-}
-
-impl Artifact for LargeBench {
-    fn to_payload(&self) -> String {
-        let stages: Vec<String> = self
-            .stages
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\": \"{}\", \"wall_ms\": {:?}, \"rows\": {}}}",
-                    s.name, s.wall_ms, s.rows
-                )
-            })
-            .collect();
-        let composition = match &self.composition {
-            Some(comp) => composition_payload(comp),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"size\": {}, \"cores\": {}, \"speedup_harvest_parallel_vs_single\": {:?}, \"stages\": [{}], \"composition\": {}}}",
-            self.size,
-            self.cores,
-            self.speedup_harvest_parallel_vs_single,
-            stages.join(", "),
-            composition
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<LargeBench> {
-        let stages = value
-            .get("stages")?
-            .as_arr()?
-            .iter()
-            .map(|s| {
-                Some(StageTiming {
-                    name: intern_stage_name(s.get("name")?.as_str()?)?,
-                    wall_ms: s.get("wall_ms")?.as_f64()?,
-                    rows: s.get("rows")?.as_usize()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let composition = match value.get("composition")? {
-            json::Value::Null => None,
-            comp => Some(composition_from_payload(comp)?),
-        };
-        Some(LargeBench {
-            size: value.get("size")?.as_usize()?,
-            cores: value.get("cores")?.as_usize()?,
-            stages,
-            speedup_harvest_parallel_vs_single: value
-                .get("speedup_harvest_parallel_vs_single")?
-                .as_f64()?,
-            composition,
-        })
-    }
-}
-
-impl Artifact for Large100kBench {
-    fn to_payload(&self) -> String {
-        let stages: Vec<String> = self
-            .stages
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\": \"{}\", \"wall_ms\": {:?}, \"rows\": {}}}",
-                    s.name, s.wall_ms, s.rows
-                )
-            })
-            .collect();
-        format!(
-            "{{\"size\": {}, \"shards\": {}, \"cores\": {}, \"sample_rows\": {}, \"peak_rss_mb\": {:?}, \
-             \"harvest_digest_engine\": \"{:016x}\", \"harvest_digest_reference\": \"{:016x}\", \
-             \"mdav_digest_optimized\": \"{:016x}\", \"mdav_digest_reference\": \"{:016x}\", \
-             \"intersect_digest_engine\": \"{:016x}\", \"intersect_digest_oracle\": \"{:016x}\", \
-             \"stages\": [{}]}}",
-            self.size,
-            self.shards,
-            self.cores,
-            self.sample_rows,
-            self.peak_rss_mb,
-            self.harvest_digest_engine,
-            self.harvest_digest_reference,
-            self.mdav_digest_optimized,
-            self.mdav_digest_reference,
-            self.intersect_digest_engine,
-            self.intersect_digest_oracle,
-            stages.join(", ")
-        )
-    }
-
-    fn from_payload(value: &json::Value) -> Option<Large100kBench> {
-        let stages = value
-            .get("stages")?
-            .as_arr()?
-            .iter()
-            .map(|s| {
-                Some(StageTiming {
-                    name: intern_stage_name(s.get("name")?.as_str()?)?,
-                    wall_ms: s.get("wall_ms")?.as_f64()?,
-                    rows: s.get("rows")?.as_usize()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()?;
-        let hex =
-            |key: &str| -> Option<u64> { u64::from_str_radix(value.get(key)?.as_str()?, 16).ok() };
-        Some(Large100kBench {
-            size: value.get("size")?.as_usize()?,
-            shards: value.get("shards")?.as_usize()?,
-            cores: value.get("cores")?.as_usize()?,
-            sample_rows: value.get("sample_rows")?.as_usize()?,
-            peak_rss_mb: value.get("peak_rss_mb")?.as_f64()?,
-            stages,
-            harvest_digest_engine: hex("harvest_digest_engine")?,
-            harvest_digest_reference: hex("harvest_digest_reference")?,
-            mdav_digest_optimized: hex("mdav_digest_optimized")?,
-            mdav_digest_reference: hex("mdav_digest_reference")?,
-            intersect_digest_engine: hex("intersect_digest_engine")?,
-            intersect_digest_oracle: hex("intersect_digest_oracle")?,
-        })
-    }
-}
+schema!(SweepArtifact {
+    wall_ms: "wall_ms" as exact,
+    rows: "rows" as count,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::{
+        CompositionBench, CompositionBenchRow, DefenseBench, DefenseBenchRow, EvalBench,
+        EvalCellRow, Large100kBench, LargeBench, RobustnessBench, RobustnessBenchRow, StageTiming,
+    };
+    use fred_recover::json;
 
+    /// Encodes, renders, parses and decodes an artifact — the checkpoint
+    /// path — and checks the decoded artifact re-encodes to the same
+    /// value (canonical and idempotent).
     fn round_trip<T: Artifact>(artifact: &T) -> T {
-        let payload = artifact.to_payload();
+        let payload = json::render(&artifact.to_value());
         let value = json::parse(&payload).expect("payload parses");
-        T::from_payload(&value).expect("payload decodes")
+        let back = T::from_value(&value).expect("payload decodes");
+        assert_eq!(back.to_value(), value, "re-encoding changed the payload");
+        back
     }
 
     #[test]
@@ -695,12 +332,12 @@ mod tests {
             ],
         };
         let back = round_trip(&eval);
-        assert_eq!(back, eval);
+        assert_eq!(back.rows.len(), 2);
         assert_eq!(back.rows[1].defense, "coordinated_seeds");
-        assert_eq!(
-            back.rows[0].epsilon.to_bits(),
-            eval.rows[0].epsilon.to_bits()
-        );
+        assert_eq!((back.rows[1].auc, back.rows[1].decoys), (0.5, 60));
+        // Blocks keep the precision the file prints: ε to 4 decimals.
+        assert_eq!(back.rows[0].epsilon, 4.0943);
+        assert_eq!(back.rows[1].epsilon, 0.0082);
 
         let rob = RobustnessBench {
             max_rate: 0.1,
@@ -756,25 +393,67 @@ mod tests {
             intersect_digest_oracle: 1,
         };
         let back = round_trip(&big);
-        assert_eq!(back, big);
+        assert_eq!(back.peak_rss_mb, 512.2);
+        assert_eq!(back.stages, big.stages);
+        assert_eq!(back.digests(), big.digests());
         assert_eq!(back.harvest_digest_engine, 0x0123_4567_89ab_cdef);
     }
 
     #[test]
     fn unknown_stage_or_mode_rejects_the_payload() {
-        let large = "{\"size\": 10, \"cores\": 1, \"speedup_harvest_parallel_vs_single\": 1.0, \
-                     \"stages\": [{\"name\": \"not_a_stage\", \"wall_ms\": 1.0, \"rows\": 10}], \
-                     \"composition\": null}";
-        let value = json::parse(large).unwrap();
-        assert!(LargeBench::from_payload(&value).is_none());
+        let stage = |name| StageTiming {
+            name,
+            wall_ms: 1.0,
+            rows: 10,
+        };
+        let large = |name| LargeBench {
+            size: 10,
+            cores: 1,
+            stages: vec![stage(name)],
+            speedup_harvest_parallel_vs_single: 1.0,
+            composition: None,
+        };
+        assert!(LargeBench::from_value(&large("mdav_k5_large").to_value()).is_some());
+        assert!(LargeBench::from_value(&large("not_a_stage").to_value()).is_none());
 
-        let rob =
-            "{\"max_rate\": 0.1, \"seed\": 1, \"wall_ms\": 1.0, \"rows\": [{\"fault_rate\": 0.1, \
-                   \"mode\": \"sideways\", \"harvest_precision\": 1.0, \"harvest_coverage\": 1.0, \
-                   \"composition_gain\": 1.0, \"pages_rejected\": 0, \"rows_skipped\": 0, \
-                   \"fields_imputed\": 0, \"workers_restarted\": 0}]}";
-        let value = json::parse(rob).unwrap();
-        assert!(RobustnessBench::from_payload(&value).is_none());
+        let rob = |mode| RobustnessBench {
+            max_rate: 0.1,
+            seed: 1,
+            wall_ms: 1.0,
+            rows: vec![RobustnessBenchRow {
+                fault_rate: 0.1,
+                mode,
+                harvest_precision: 1.0,
+                harvest_coverage: 1.0,
+                composition_gain: 1.0,
+                pages_rejected: 0,
+                rows_skipped: 0,
+                fields_imputed: 0,
+                workers_restarted: 0,
+            }],
+        };
+        assert!(RobustnessBench::from_value(&rob("targeted").to_value()).is_some());
+        assert!(RobustnessBench::from_value(&rob("sideways").to_value()).is_none());
+    }
+
+    #[test]
+    fn seeds_at_or_above_2_pow_53_reject_the_payload() {
+        // A JSON number cannot carry such a seed exactly, so decoding it
+        // would silently resume under a different seed.
+        let max = json::MAX_EXACT_INT;
+        let rob = |seed: u64| RobustnessBench {
+            max_rate: 0.0,
+            seed,
+            wall_ms: 0.0,
+            rows: Vec::new(),
+        };
+        let mut value = rob(max - 1).to_value();
+        assert_eq!(RobustnessBench::from_value(&value), Some(rob(max - 1)));
+        let json::Value::Obj(pairs) = &mut value else {
+            unreachable!("a block encodes as an object")
+        };
+        pairs[1] = ("seed".into(), json::Value::Num(max as f64));
+        assert!(RobustnessBench::from_value(&value).is_none());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The perf-smoke gate: diffs a fresh `BENCH_sweep.json` against the
 //! committed baseline and reports regressions.
 //!
-//! The workspace builds offline (no serde), and the only JSON either side
-//! of the diff ever sees is the output of
-//! [`QuickBench::to_json`](crate::perf::QuickBench::to_json), so parsing
-//! is a deliberately small line-oriented extractor over that one stable
-//! format rather than a general JSON reader.
+//! Both sides of the diff are read with the writer's own codec:
+//! [`parse_baseline`] is [`json::parse`] plus [`QuickBench::from_value`]
+//! (the schema in [`crate::codec`]), so the gate reads exactly the
+//! [`crate::perf`] structs [`QuickBench::to_json`] encoded, at the
+//! precision the file prints.
 //!
 //! Gate rules (enforced by `repro --quick --compare BASELINE` and the CI
 //! perf-smoke step):
@@ -20,10 +20,9 @@
 //!   is pure thread fan-out and a runner that silently lost all harvest
 //!   parallelism cannot clear the gate on algorithmic gains alone
 //!   (single-core runners skip this check — there is nothing to
-//!   parallelize over). The core count
-//!   is read from the `large` block itself when present (a heterogeneous
-//!   runner must not gate the 10k stage against the config block's
-//!   cores), falling back to the config block;
+//!   parallelize over). The core count is read from the `large` block
+//!   itself (a heterogeneous runner must not gate the 10k stage against
+//!   the config block's cores);
 //! * when the baseline carries a composition stage — the quick-world
 //!   `composition` block or the 10k-row `composition_large` block inside
 //!   `large` — the fresh run must carry the same stage, its per-record
@@ -38,10 +37,12 @@
 //!   (a defense that stops defending is a regression), and every
 //!   `calibrated_widen_*` row must keep `mean_candidates >= k` (the
 //!   block's own `k` line) — the floor the calibration exists to hold;
-//! * every composition/defense row's numbers must be finite: a NaN gain
-//!   would not even parse out of the baseline and would otherwise sail
-//!   through the strict-monotonicity check (NaN comparisons are all
-//!   false), so an unparseable or non-finite row is itself a violation;
+//! * every number in the file must be finite: a NaN gain would otherwise
+//!   sail through the strict-monotonicity check (NaN comparisons are all
+//!   false), so a row carrying a non-finite value drops out of its series
+//!   and is itself a violation, as is a non-finite scalar outside rows
+//!   (a speedup, the peak rss, the overhead share) — on either side of
+//!   the diff;
 //! * when the baseline carries a `robustness` block (`repro --quick
 //!   --faults <rate>`), the fresh run must carry it too, its zero-rate
 //!   row must have survived **zero** defects and match the committed
@@ -75,9 +76,12 @@
 //!   may vanish, and on a fresh non-deterministic run the obs counters
 //!   must reconcile *exactly* against the other ledgers in the same
 //!   file: `faults.*` against the robustness rows' summed degradation
-//!   fields and `recover.*` against the recovery ledger (counter and
-//!   ledger are incremented by the same source line, so any gap is
-//!   dropped instrumentation, not noise). The measured cost of
+//!   fields and `recover.attempts` / `recover.retries` against the
+//!   recovery ledger (counter and ledger are incremented by the same
+//!   source line, so any gap is dropped instrumentation, not noise;
+//!   `recover.quarantines` is reconciled in-process by
+//!   `tests/obs_reconcile.rs` — quarantines need a checkpoint store,
+//!   whose deterministic runs omit counters). The measured cost of
 //!   *disabled* tracing is held under [`MAX_OBS_OVERHEAD_PCT`] of the
 //!   large block's wall;
 //! * when the baseline carries an `eval` block (`repro --quick
@@ -88,10 +92,10 @@
 //!   `[0, 1]`, empirical ε must be non-negative and *non-increasing in
 //!   `k`* within a `(R, defense)` group (stronger anonymity must not
 //!   leak more), and every defended cell's ε must stay at or below the
-//!   undefended ε at the same `(k, R)`. A non-finite cell value is
-//!   unparseable by construction and lands in the malformed-row
-//!   violations — on *either* side, so a NaN-poisoned committed block
-//!   refuses to gate instead of disarming these checks. When the
+//!   undefended ε at the same `(k, R)`. A cell with a non-finite value
+//!   drops out of the series and lands in the malformed-row violations —
+//!   on *either* side, so a NaN-poisoned committed block refuses to gate
+//!   instead of disarming these checks. When the
 //!   committed baseline carries the block at the same seed and
 //!   populations, each matched `(k, R, defense)` cell is additionally
 //!   pinned within [`EVAL_DRIFT_SLACK`] — the cell is seeded and
@@ -100,13 +104,17 @@
 //!   `harvest.name_ms` histogram's observation count must reconcile
 //!   exactly with the `harvest.names` counter — both are written by the
 //!   same per-name harvest routine, so a gap is dropped instrumentation;
-//! * a baseline that fails structural sanity — no config line, no
-//!   parseable stage rows, or a truncated file — is reported as a
-//!   violation instead of silently parsing to an empty [`Baseline`]
-//!   that gates nothing (a corrupt committed baseline must fail loudly,
-//!   not pass vacuously).
+//! * a baseline that fails structural sanity — not valid JSON (a
+//!   truncated file), not decodable as a bench (a missing key, a wrong
+//!   type, an unknown stage name), or without stage rows — is reported
+//!   as a violation instead of gating nothing (a corrupt committed
+//!   baseline must fail loudly, not pass vacuously).
 
 use std::collections::BTreeMap;
+
+use fred_recover::{json, Artifact};
+
+use crate::perf::{CompositionBenchRow, DefenseBenchRow, QuickBench};
 
 /// A stage may regress up to this factor before the gate fails (CI
 /// runners are noisy; superlinear blow-ups clear 3× immediately).
@@ -170,172 +178,6 @@ pub const EVAL_EPSILON_SLACK: f64 = 1e-3;
 /// libm skew is a behavior change.
 pub const EVAL_DRIFT_SLACK: f64 = 0.05;
 
-/// One composition-stage row: `(releases, disclosure_gain,
-/// mean_candidates)`.
-pub type CompositionRow = (usize, f64, f64);
-
-/// One `(k, R, defense)` cell of the hypothesis-testing `eval` block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalRow {
-    /// Anonymization level the cell's scenario was generated at.
-    pub k: usize,
-    /// Number of composed releases the adversary scored.
-    pub releases: usize,
-    /// Defense label (`"none"` for undefended cells).
-    pub defense: String,
-    /// Core targets scored (the positive population).
-    pub targets: usize,
-    /// Matched decoys scored through the identical path (the negatives).
-    pub decoys: usize,
-    /// Trapezoidal area under the ROC curve.
-    pub auc: f64,
-    /// True-positive rate at the largest threshold with FPR ≤ 10⁻³.
-    pub tpr_at_fpr3: f64,
-    /// Empirical ε (max log-likelihood ratio over thresholds, Laplace
-    /// corrected — finite by construction).
-    pub epsilon: f64,
-}
-
-/// One robustness-stage row, as parsed from a `robustness` block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustnessRow {
-    /// Injected per-fault corruption rate (`0.0` is the passthrough
-    /// reference row the bit-identity gate pins).
-    pub fault_rate: f64,
-    /// Corruption placement: `uniform` (seeded random) or `targeted`
-    /// (adversarial, aimed at the highest-gain records). Old baselines
-    /// predate the field and parse as `uniform`. Envelope gates match
-    /// rows by `(fault_rate, mode)`, never by rate alone.
-    pub mode: String,
-    /// Harvest precision over the corrupted corpus.
-    pub harvest_precision: f64,
-    /// Harvest coverage over the corrupted corpus.
-    pub harvest_coverage: f64,
-    /// Composition disclosure gain under the same faults.
-    pub composition_gain: f64,
-    /// Total defects the tolerant pipeline survived (pages rejected +
-    /// rows skipped + fields imputed + workers restarted).
-    pub defects: usize,
-    /// Pages the tolerant parser rejected outright.
-    pub pages_rejected: usize,
-    /// Rows dropped by the row-level salvage path.
-    pub rows_skipped: usize,
-    /// Field values imputed after cell-level damage.
-    pub fields_imputed: usize,
-    /// Harvest workers restarted after an injected panic.
-    pub workers_restarted: usize,
-}
-
-/// One defense-stage row, as parsed from a `composition_defense` block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DefenseRow {
-    /// Stable policy label (`calibrated_widen_*` rows carry the
-    /// candidate-floor gate).
-    pub policy: String,
-    /// Number of composed releases.
-    pub releases: usize,
-    /// Disclosure gain the composition still achieves under the policy.
-    pub residual_gain: f64,
-    /// The undefended gain at the same release count.
-    pub undefended_gain: f64,
-    /// Mean effective anonymity under the defense.
-    pub mean_candidates: f64,
-    /// Widening price of the policy.
-    pub utility_cost: f64,
-}
-
-/// One per-stage row of a `recovery` ledger.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryRow {
-    /// Checkpoint stage name (`world_build`, `mdav`, ... `large`).
-    pub stage: String,
-    /// Compute attempts the stage took (1 means first-try success).
-    pub attempts: usize,
-    /// Retries after injected transients (`attempts - 1` when computed).
-    pub retries: usize,
-    /// Total deterministic backoff slept before success, in ms.
-    pub backoff_ms: f64,
-}
-
-/// The `recovery` ledger, as parsed from a checkpointed or faulted run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryBlock {
-    /// Config seed the retry trace is keyed to.
-    pub seed: u64,
-    /// Injected transient-failure rate per stage attempt.
-    pub transient_rate: f64,
-    /// Retry-policy attempt cap in force during the run.
-    pub max_attempts: usize,
-    /// Total retries across every stage — pinned exactly when the
-    /// committed ledger shares `(seed, transient_rate, max_attempts)`.
-    pub retries_total: usize,
-    /// Checkpoint files quarantined for failing integrity checks.
-    /// Baselines that predate the field parse as zero.
-    pub quarantined_total: usize,
-    /// Panics that escaped the runner. The whole point of the ledger:
-    /// this must be zero.
-    pub escaped_panics: usize,
-    /// Per-stage rows, in pipeline order.
-    pub rows: Vec<RecoveryRow>,
-}
-
-/// One per-stage row of a `profile` block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileRow {
-    /// Runner stage name (`world_build`, `mdav`, ... `large`).
-    pub stage: String,
-    /// Stage span wall minus its child spans' wall, in ms.
-    pub self_ms: f64,
-    /// Spans in the stage's subtree (including itself).
-    pub spans: usize,
-}
-
-/// The `profile` block, as parsed from a self-profiled run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileBlock {
-    /// Whether the trace was taken in deterministic mode (durations
-    /// zeroed at source, counter rows omitted).
-    pub deterministic: bool,
-    /// Total spans opened during the run.
-    pub spans_total: u64,
-    /// Total events recorded during the run.
-    pub events_total: u64,
-    /// Structural digest of the span tree — pinned committed-vs-fresh.
-    pub span_tree_digest: String,
-    /// Calls the disabled-tracing overhead probe made.
-    pub overhead_probe_calls: u64,
-    /// Wall-clock of the probe loop, ms.
-    pub overhead_wall_ms: f64,
-    /// Probe wall as a percentage of the large block's stage wall — the
-    /// number gated under [`MAX_OBS_OVERHEAD_PCT`].
-    pub overhead_pct_of_large: f64,
-    /// Per-stage self-time rows.
-    pub stages: Vec<ProfileRow>,
-    /// Merged counter totals by name (empty on deterministic runs).
-    pub counters: BTreeMap<String, u64>,
-    /// Latency histograms by name → `(count, sum_ms)` (empty on
-    /// deterministic runs and on baselines that predate the rows).
-    pub hists: BTreeMap<String, (u64, f64)>,
-}
-
-/// The `large_100k` block, as parsed from a scale run
-/// (`repro --quick --size 100000`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Large100kBlock {
-    /// World row count the block ran at.
-    pub size: usize,
-    /// Hierarchical-MDAV leaves the run's `ShardPlan` derived for that
-    /// size.
-    pub shards: usize,
-    /// Rows in the seeded equivalence subsample.
-    pub sample_rows: usize,
-    /// Peak resident set in MiB (`0.0` = unavailable/deterministic).
-    pub peak_rss_mb: f64,
-    /// Equivalence digests by their current [`DIGEST_PAIRS`] name, as hex
-    /// strings (keys older baselines wrote are read under their new name).
-    pub digests: BTreeMap<String, String>,
-}
-
 /// The `large_100k` equivalence digest pairs, `(path, reference, label)`:
 /// each path's digest must equal its reference's in-run. The harvest
 /// pair digests the full harvest and its exhaustive reference over the
@@ -346,68 +188,31 @@ pub const DIGEST_PAIRS: [(&str, &str, &str); 3] = [
     ("intersect_engine", "intersect_oracle", "intersection"),
 ];
 
-/// Digest keys older baselines wrote, `(legacy, current)`. The MDAV pair
-/// always compared the optimized hierarchical partitioner with its
-/// reference, never sharded against flat; the intersection pair compared
-/// a sharded engine that no longer exists.
-const LEGACY_DIGEST_KEYS: [(&str, &str); 4] = [
-    ("mdav_sharded", "mdav_optimized"),
-    ("mdav_unsharded", "mdav_reference"),
-    ("intersect_sharded", "intersect_engine"),
-    ("intersect_unsharded", "intersect_oracle"),
-];
-
-/// Everything [`parse_baseline`] can recover from one baseline file.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A decoded baseline: the bench the file encodes, with every row that
+/// carried a non-finite value removed from its series.
+#[derive(Debug, Clone)]
 pub struct Baseline {
-    /// Stage name → wall milliseconds (small- and large-world stages share
-    /// one namespace; large stages carry a `_large` suffix by construction).
-    pub stage_wall_ms: BTreeMap<String, f64>,
-    /// `speedup_batch_vs_naive`, when present.
-    pub speedup_batch_vs_naive: Option<f64>,
-    /// `speedup_harvest_parallel_vs_single` (older baselines:
-    /// `speedup_harvest_parallel_vs_seq`), when present.
-    pub speedup_harvest_parallel_vs_single: Option<f64>,
-    /// `cores` recorded in the config block, when present.
-    pub cores: Option<usize>,
-    /// `cores` recorded inside the `large` block, when present — the
-    /// count the large-world gates key off.
-    pub large_cores: Option<usize>,
-    /// Quick-world composition rows, ascending in releases, when present.
-    pub composition: Vec<CompositionRow>,
-    /// Large-world (`composition_large`) rows, when present.
-    pub composition_large: Vec<CompositionRow>,
-    /// Defense rows (policy-major), when present.
-    pub composition_defense: Vec<DefenseRow>,
-    /// `k` recorded in the `composition_defense` block, when present —
-    /// the floor the `calibrated_widen_*` candidate gate checks against.
-    pub defense_k: Option<usize>,
-    /// Hypothesis-testing eval cells, when present (undefended cells
-    /// first, then one row per defense policy).
-    pub eval: Vec<EvalRow>,
-    /// Robustness rows, ascending in fault rate, when present.
-    pub robustness: Vec<RobustnessRow>,
-    /// The scale-run `large_100k` block, when present.
-    pub large_100k: Option<Large100kBlock>,
-    /// `seed` recorded in the config block, when present — the
-    /// `large_100k` digest pin only binds runs of the same seed.
-    pub seed: Option<u64>,
-    /// The recovery ledger, when present.
-    pub recovery: Option<RecoveryBlock>,
-    /// The observability profile block, when present.
-    pub profile: Option<ProfileBlock>,
-    /// `deterministic` recorded in the config block; `None` for
-    /// baselines that predate the field (equivalent to `false`).
-    pub deterministic: Option<bool>,
-    /// Composition/defense row lines that carried an unparseable or
-    /// non-finite value — each one is a gate violation when found in a
-    /// fresh run.
+    /// The decoded bench.
+    pub bench: QuickBench,
+    /// Rendered text of each row — and each scalar outside rows — that
+    /// carried a non-finite value. Every entry is a gate violation, on
+    /// either side of the diff.
     pub malformed_rows: Vec<String>,
-    /// Structural sanity failures — a file with any of these is corrupt
-    /// (truncated write, wrong file, hand-edit gone wrong) and must not
-    /// gate anything: every entry is a violation on either side of the
-    /// diff.
-    pub structural_errors: Vec<String>,
+}
+
+impl Baseline {
+    /// Stage name → wall milliseconds over the quick, large and 100k
+    /// stage lists (one namespace: large stages carry a `_large` or
+    /// `_100k` suffix by construction).
+    pub fn stage_wall_ms(&self) -> BTreeMap<&'static str, f64> {
+        let b = &self.bench;
+        b.stages
+            .iter()
+            .chain(b.large.iter().flat_map(|l| &l.stages))
+            .chain(b.large_100k.iter().flat_map(|l| &l.stages))
+            .map(|s| (s.name, s.wall_ms))
+            .collect()
+    }
 }
 
 /// The outcome of [`compare_baselines`].
@@ -419,450 +224,65 @@ pub struct CompareReport {
     pub violations: Vec<String>,
 }
 
-/// Pulls the quoted value following `"key":` out of a line, if present.
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let rest = &line[line.find(&needle)? + needle.len()..];
-    let open = rest.find('"')?;
-    let rest = &rest[open + 1..];
-    Some(&rest[..rest.find('"')?])
+/// Parses a `BENCH_sweep.json` with the writer's codec. A row carrying a
+/// non-finite number drops out of its series and is listed, rendered, in
+/// [`Baseline::malformed_rows`], as is each non-finite scalar outside
+/// rows. `Err` names the structural defect of a corrupt file.
+pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
+    let mut value = json::parse(text).ok_or("not valid JSON (truncated write?)")?;
+    let mut malformed_rows = Vec::new();
+    drop_non_finite(&mut value, "", &mut malformed_rows);
+    let bench = QuickBench::from_value(&value)
+        .ok_or("does not decode as a BENCH_sweep.json (missing key, wrong type or unknown name)")?;
+    if bench.stages.is_empty() {
+        return Err("no stage rows found".into());
+    }
+    Ok(Baseline {
+        bench,
+        malformed_rows,
+    })
 }
 
-/// Pulls the numeric value following `"key":` out of a line, if present.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = line[line.find(&needle)? + needle.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// True when any number inside `value` is non-finite.
+fn has_non_finite(value: &json::Value) -> bool {
+    match value {
+        json::Value::Num(n) => !n.is_finite(),
+        json::Value::Arr(items) => items.iter().any(has_non_finite),
+        json::Value::Obj(pairs) => pairs.iter().any(|(_, v)| has_non_finite(v)),
+        _ => false,
+    }
 }
 
-/// Parses a `BENCH_sweep.json` produced by
-/// [`QuickBench::to_json`](crate::perf::QuickBench::to_json).
-///
-/// The scan is line-oriented over that one writer's stable shape; the
-/// only structure it tracks is which block it is inside — `large` (for
-/// its `cores` line) and whichever composition block (`composition` vs
-/// `composition_large`) opened most recently (for attributing rows).
-pub fn parse_baseline(json: &str) -> Baseline {
-    /// Which composition block subsequent rows belong to.
-    enum Series {
-        Quick,
-        Large,
-        Defense,
+/// Removes every array entry (row) that carries a non-finite number and
+/// records its rendered text; a non-finite scalar outside rows stays in
+/// place (the gate reads around it) and is recorded under its dotted key
+/// path.
+fn drop_non_finite(value: &mut json::Value, path: &str, malformed: &mut Vec<String>) {
+    match value {
+        json::Value::Arr(items) => items.retain(|item| {
+            let bad = has_non_finite(item);
+            if bad {
+                malformed.push(json::render(item));
+            }
+            !bad
+        }),
+        json::Value::Obj(pairs) => {
+            for (key, child) in pairs {
+                let path = if path.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{path}.{key}")
+                };
+                match child {
+                    json::Value::Num(n) if !n.is_finite() => {
+                        malformed.push(format!("{path}: {}", json::render(child)));
+                    }
+                    _ => drop_non_finite(child, &path, malformed),
+                }
+            }
+        }
+        _ => {}
     }
-    let mut out = Baseline::default();
-    let mut in_large = false;
-    let mut in_large_100k = false;
-    let mut saw_config = false;
-    let mut series = Series::Quick;
-    for line in json.lines() {
-        if line.contains("\"config\":") {
-            saw_config = true;
-            if let Some(seed) = num_field(line, "seed") {
-                out.seed = Some(seed as u64);
-            }
-            if line.contains("\"deterministic\": true") {
-                out.deterministic = Some(true);
-            } else if line.contains("\"deterministic\": false") {
-                out.deterministic = Some(false);
-            }
-        }
-        if line.contains("\"large\":") {
-            in_large = true;
-        }
-        if line.contains("\"large_100k\":") {
-            // The writer emits the 100k block after (and outside)
-            // `large`, so its header closes that block's cores scope.
-            in_large_100k = true;
-            in_large = false;
-            out.large_100k = Some(Large100kBlock::default());
-        }
-        if line.contains("\"composition_defense\":") {
-            series = Series::Defense;
-            in_large = false;
-            in_large_100k = false;
-        } else if line.contains("\"composition_large\":") {
-            series = Series::Large;
-        } else if line.contains("\"composition\":") {
-            // The quick-world block closes the large block (the writer
-            // emits it after `large`).
-            series = Series::Quick;
-            in_large = false;
-            in_large_100k = false;
-        }
-        // The 100k block's scalar header lines and digest line. Stage
-        // rows inside it fall through to the shared `"name"`/`"wall_ms"`
-        // branch below: the 100k stages live in the same timing namespace
-        // as every other stage.
-        if in_large_100k {
-            if let Some(big) = &mut out.large_100k {
-                if line.contains("\"digests\":") {
-                    let mut complete = true;
-                    for key in DIGEST_PAIRS.iter().flat_map(|&(a, b, _)| [a, b]) {
-                        let legacy = LEGACY_DIGEST_KEYS
-                            .iter()
-                            .find(|&&(_, current)| current == key)
-                            .and_then(|&(old, _)| str_field(line, old));
-                        match str_field(line, key).or(legacy) {
-                            Some(hex) => {
-                                big.digests.insert(key.to_owned(), hex.to_owned());
-                            }
-                            None => complete = false,
-                        }
-                    }
-                    if !complete {
-                        out.malformed_rows.push(line.trim().to_owned());
-                    }
-                    // The digest line is the block's final field.
-                    in_large_100k = false;
-                    continue;
-                }
-                if !line.contains("\"name\":") {
-                    if let Some(v) = num_field(line, "size") {
-                        big.size = v as usize;
-                    }
-                    if let Some(v) = num_field(line, "shards") {
-                        big.shards = v as usize;
-                    }
-                    if let Some(v) = num_field(line, "sample_rows") {
-                        big.sample_rows = v as usize;
-                    }
-                    if let Some(v) = num_field(line, "peak_rss_mb") {
-                        if v.is_finite() {
-                            big.peak_rss_mb = v;
-                        } else {
-                            out.malformed_rows.push(line.trim().to_owned());
-                        }
-                    }
-                }
-            }
-        }
-        if matches!(series, Series::Defense) && line.contains("\"overlap\":") {
-            if let Some(k) = num_field(line, "k") {
-                out.defense_k = Some(k as usize);
-            }
-        }
-        if let (Some(name), Some(wall)) = (str_field(line, "name"), num_field(line, "wall_ms")) {
-            out.stage_wall_ms.insert(name.to_owned(), wall);
-            continue;
-        }
-        if let Some(v) = num_field(line, "speedup_batch_vs_naive") {
-            out.speedup_batch_vs_naive = Some(v);
-        }
-        // Current key first; pre-PR-4 baselines recorded the ratio
-        // against the exhaustive sequential reference under the old name.
-        if let Some(v) = num_field(line, "speedup_harvest_parallel_vs_single")
-            .or_else(|| num_field(line, "speedup_harvest_parallel_vs_seq"))
-        {
-            out.speedup_harvest_parallel_vs_single = Some(v);
-        }
-        if let Some(v) = num_field(line, "cores") {
-            if line.contains("\"config\"") {
-                out.cores = Some(v as usize);
-            } else if in_large {
-                out.large_cores = Some(v as usize);
-            }
-        }
-        if line.contains("\"fault_rate\":") {
-            let fields = (
-                num_field(line, "fault_rate"),
-                num_field(line, "harvest_precision"),
-                num_field(line, "harvest_coverage"),
-                num_field(line, "composition_gain"),
-                num_field(line, "pages_rejected"),
-                num_field(line, "rows_skipped"),
-                num_field(line, "fields_imputed"),
-                num_field(line, "workers_restarted"),
-            );
-            match fields {
-                (
-                    Some(rate),
-                    Some(prec),
-                    Some(cov),
-                    Some(gain),
-                    Some(pages),
-                    Some(rows),
-                    Some(cells),
-                    Some(workers),
-                ) if rate.is_finite()
-                    && prec.is_finite()
-                    && cov.is_finite()
-                    && gain.is_finite() =>
-                {
-                    out.robustness.push(RobustnessRow {
-                        fault_rate: rate,
-                        // Pre-targeted-corruption baselines carry no
-                        // mode field; every row they have is uniform.
-                        mode: str_field(line, "mode").unwrap_or("uniform").to_owned(),
-                        harvest_precision: prec,
-                        harvest_coverage: cov,
-                        composition_gain: gain,
-                        defects: (pages + rows + cells + workers) as usize,
-                        pages_rejected: pages as usize,
-                        rows_skipped: rows as usize,
-                        fields_imputed: cells as usize,
-                        workers_restarted: workers as usize,
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // The recovery ledger header — keyed off `transient_rate`, which
-        // no other block carries (the robustness header's rate line is
-        // `max_rate`).
-        if line.contains("\"transient_rate\":") {
-            let fields = (
-                num_field(line, "seed"),
-                num_field(line, "transient_rate"),
-                num_field(line, "max_attempts"),
-                num_field(line, "retries_total"),
-                num_field(line, "escaped_panics"),
-            );
-            match fields {
-                (Some(seed), Some(rate), Some(max_a), Some(total), Some(esc))
-                    if rate.is_finite() =>
-                {
-                    out.recovery = Some(RecoveryBlock {
-                        seed: seed as u64,
-                        transient_rate: rate,
-                        max_attempts: max_a as usize,
-                        retries_total: total as usize,
-                        // Pre-observability baselines predate the field.
-                        quarantined_total: num_field(line, "quarantined_total")
-                            .map_or(0, |q| q as usize),
-                        escaped_panics: esc as usize,
-                        rows: Vec::new(),
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // A recovery stage row — `"stage"` + `"attempts"` together occur
-        // nowhere else (timing stages are keyed `"name"`).
-        if line.contains("\"stage\":") && line.contains("\"attempts\":") {
-            let fields = (
-                str_field(line, "stage"),
-                num_field(line, "attempts"),
-                num_field(line, "retries"),
-                num_field(line, "backoff_ms"),
-            );
-            match (&mut out.recovery, fields) {
-                (Some(rec), (Some(stage), Some(att), Some(ret), Some(back)))
-                    if back.is_finite() =>
-                {
-                    rec.rows.push(RecoveryRow {
-                        stage: stage.to_owned(),
-                        attempts: att as usize,
-                        retries: ret as usize,
-                        backoff_ms: back,
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // The profile header — keyed off `spans_total`, which no other
-        // block carries.
-        if line.contains("\"spans_total\":") {
-            let fields = (
-                num_field(line, "spans_total"),
-                num_field(line, "events_total"),
-                str_field(line, "span_tree_digest"),
-            );
-            match fields {
-                (Some(spans), Some(events), Some(digest)) => {
-                    out.profile = Some(ProfileBlock {
-                        deterministic: line.contains("\"deterministic\": true"),
-                        spans_total: spans as u64,
-                        events_total: events as u64,
-                        span_tree_digest: digest.to_owned(),
-                        overhead_probe_calls: 0,
-                        overhead_wall_ms: 0.0,
-                        overhead_pct_of_large: 0.0,
-                        stages: Vec::new(),
-                        counters: BTreeMap::new(),
-                        hists: BTreeMap::new(),
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // The profile's overhead line — `probe_calls` is unique to it.
-        if line.contains("\"probe_calls\":") {
-            let fields = (
-                num_field(line, "probe_calls"),
-                num_field(line, "wall_ms"),
-                num_field(line, "pct_of_large"),
-            );
-            match (&mut out.profile, fields) {
-                (Some(prof), (Some(calls), Some(wall), Some(pct)))
-                    if wall.is_finite() && pct.is_finite() =>
-                {
-                    prof.overhead_probe_calls = calls as u64;
-                    prof.overhead_wall_ms = wall;
-                    prof.overhead_pct_of_large = pct;
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // A profile stage row — `"stage"` + `"self_ms"` together occur
-        // nowhere else (recovery rows pair `"stage"` with `"attempts"`).
-        if line.contains("\"stage\":") && line.contains("\"self_ms\":") {
-            let fields = (
-                str_field(line, "stage"),
-                num_field(line, "self_ms"),
-                num_field(line, "spans"),
-            );
-            match (&mut out.profile, fields) {
-                (Some(prof), (Some(stage), Some(self_ms), Some(spans))) if self_ms.is_finite() => {
-                    prof.stages.push(ProfileRow {
-                        stage: stage.to_owned(),
-                        self_ms,
-                        spans: spans as usize,
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // A profile counter row.
-        if line.contains("\"counter\":") {
-            let fields = (str_field(line, "counter"), num_field(line, "value"));
-            match (&mut out.profile, fields) {
-                (Some(prof), (Some(name), Some(value))) => {
-                    prof.counters.insert(name.to_owned(), value as u64);
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // A profile histogram row — `"hist"` occurs nowhere else.
-        if line.contains("\"hist\":") {
-            let fields = (
-                str_field(line, "hist"),
-                num_field(line, "count"),
-                num_field(line, "sum_ms"),
-            );
-            match (&mut out.profile, fields) {
-                (Some(prof), (Some(name), Some(count), Some(sum))) if sum.is_finite() => {
-                    prof.hists.insert(name.to_owned(), (count as u64, sum));
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        // A hypothesis-testing eval cell — `"auc"` occurs nowhere else.
-        // A NaN metric does not survive `num_field` (the writer renders
-        // it as `NaN`, which the numeric scan rejects), so a poisoned
-        // cell lands in `malformed_rows` and refuses to gate instead of
-        // slipping past the comparison gates below.
-        if line.contains("\"auc\":") {
-            let fields = (
-                num_field(line, "k"),
-                num_field(line, "releases"),
-                str_field(line, "defense"),
-                num_field(line, "targets"),
-                num_field(line, "decoys"),
-                num_field(line, "auc"),
-                num_field(line, "tpr_at_fpr3"),
-                num_field(line, "epsilon"),
-            );
-            match fields {
-                (
-                    Some(k),
-                    Some(releases),
-                    Some(defense),
-                    Some(targets),
-                    Some(decoys),
-                    Some(auc),
-                    Some(tpr),
-                    Some(eps),
-                ) if auc.is_finite() && tpr.is_finite() && eps.is_finite() => {
-                    out.eval.push(EvalRow {
-                        k: k as usize,
-                        releases: releases as usize,
-                        defense: defense.to_owned(),
-                        targets: targets as usize,
-                        decoys: decoys as usize,
-                        auc,
-                        tpr_at_fpr3: tpr,
-                        epsilon: eps,
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        if line.contains("\"residual_gain\":") {
-            let fields = (
-                str_field(line, "policy"),
-                num_field(line, "releases"),
-                num_field(line, "residual_gain"),
-                num_field(line, "undefended_gain"),
-                num_field(line, "mean_candidates"),
-                num_field(line, "utility_cost"),
-            );
-            match fields {
-                (Some(policy), Some(r), Some(res), Some(undef), Some(cand), Some(cost))
-                    if res.is_finite()
-                        && undef.is_finite()
-                        && cand.is_finite()
-                        && cost.is_finite() =>
-                {
-                    out.composition_defense.push(DefenseRow {
-                        policy: policy.to_owned(),
-                        releases: r as usize,
-                        residual_gain: res,
-                        undefended_gain: undef,
-                        mean_candidates: cand,
-                        utility_cost: cost,
-                    });
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-            continue;
-        }
-        if line.contains("\"disclosure_gain\":") {
-            let fields = (
-                num_field(line, "releases"),
-                num_field(line, "disclosure_gain"),
-                num_field(line, "mean_candidates"),
-                num_field(line, "estimate_gain"),
-            );
-            match fields {
-                (Some(r), Some(gain), Some(cand), Some(est))
-                    if gain.is_finite() && cand.is_finite() && est.is_finite() =>
-                {
-                    let row = (r as usize, gain, cand);
-                    match series {
-                        Series::Quick => out.composition.push(row),
-                        Series::Large => out.composition_large.push(row),
-                        Series::Defense => out.malformed_rows.push(line.trim().to_owned()),
-                    }
-                }
-                _ => out.malformed_rows.push(line.trim().to_owned()),
-            }
-        }
-    }
-    if !saw_config {
-        out.structural_errors
-            .push("no config line found — not a BENCH_sweep.json".into());
-    }
-    if out.stage_wall_ms.is_empty() {
-        out.structural_errors
-            .push("no parseable stage rows found".into());
-    }
-    if !json.trim_end().ends_with('}') {
-        out.structural_errors
-            .push("file does not end with a closing brace (truncated write?)".into());
-    }
-    out
 }
 
 /// Diffs a fresh baseline against the committed one under the gate rules.
@@ -874,24 +294,25 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // Structural corruption disarms every gate below (an empty parse
     // trivially has no stages to regress, no blocks to lose), so it must
     // refuse to gate, loudly, before anything else runs.
-    for err in &committed.structural_errors {
+    if let Err(err) = &committed {
         report.violations.push(format!(
             "committed baseline is structurally corrupt (regenerate it): {err}"
         ));
     }
-    for err in &fresh.structural_errors {
+    if let Err(err) = &fresh {
         report
             .violations
             .push(format!("fresh baseline is structurally corrupt: {err}"));
     }
-    if !report.violations.is_empty() {
+    let (Ok(committed), Ok(fresh)) = (committed, fresh) else {
         return report;
-    }
+    };
+    let (c, f) = (&committed.bench, &fresh.bench);
 
     // A checkpointed run zeroes every wall-clock at source so resume can
     // be bit-identical; its timings are all sentinel zeros.
-    let fresh_det = fresh.deterministic == Some(true);
-    if committed.deterministic == Some(true) {
+    let fresh_det = f.deterministic;
+    if c.deterministic {
         report.violations.push(
             "committed baseline is a deterministic (checkpointed) run — its zeroed \
              timings disarm every timing gate; regenerate it without --checkpoint-dir"
@@ -899,26 +320,26 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         );
     }
 
+    // A non-finite speedup (or any other scalar below) is already a
+    // malformed-value violation; it must not also pass as a note.
+    let speedup = f.speedup_batch_vs_naive;
     if fresh_det {
         report
             .notes
             .push("fresh run is deterministic (checkpointed): timing gates skipped".into());
-    } else {
-        match fresh.speedup_batch_vs_naive {
-            Some(v) if v < MIN_BATCH_SPEEDUP => report.violations.push(format!(
-                "speedup_batch_vs_naive fell to {v:.2} (must stay >= {MIN_BATCH_SPEEDUP:.1})"
-            )),
-            Some(v) => report
-                .notes
-                .push(format!("speedup_batch_vs_naive = {v:.2}")),
-            None => report
-                .violations
-                .push("fresh baseline carries no speedup_batch_vs_naive".into()),
-        }
+    } else if speedup < MIN_BATCH_SPEEDUP {
+        report.violations.push(format!(
+            "speedup_batch_vs_naive fell to {speedup:.2} (must stay >= {MIN_BATCH_SPEEDUP:.1})"
+        ));
+    } else if speedup.is_finite() {
+        report
+            .notes
+            .push(format!("speedup_batch_vs_naive = {speedup:.2}"));
     }
 
-    for (name, &committed_ms) in &committed.stage_wall_ms {
-        let Some(&fresh_ms) = fresh.stage_wall_ms.get(name) else {
+    let fresh_walls = fresh.stage_wall_ms();
+    for (name, committed_ms) in committed.stage_wall_ms() {
+        let Some(&fresh_ms) = fresh_walls.get(name) else {
             report.violations.push(format!(
                 "stage `{name}` disappeared from the fresh baseline"
             ));
@@ -942,8 +363,8 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // pool grow with an added release. The quick-world block and the
     // 10k-row `composition_large` block gate independently.
     let gate_series = |label: &str,
-                       committed: &[CompositionRow],
-                       fresh: &[CompositionRow],
+                       committed: &[CompositionBenchRow],
+                       fresh: &[CompositionBenchRow],
                        report: &mut CompareReport| {
         if !committed.is_empty() && fresh.is_empty() {
             report
@@ -951,7 +372,9 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 .push(format!("{label} stage disappeared from the fresh baseline"));
         }
         for pair in fresh.windows(2) {
-            let ((r0, g0, c0), (r1, g1, c1)) = (pair[0], pair[1]);
+            let (a, b) = (&pair[0], &pair[1]);
+            let (r0, g0, c0) = (a.releases, a.disclosure_gain, a.mean_candidates);
+            let (r1, g1, c1) = (b.releases, b.disclosure_gain, b.mean_candidates);
             if g1 <= g0 {
                 report.violations.push(format!(
                     "{label} disclosure gain not strictly increasing: R={r0} -> {g0:.1}, \
@@ -965,22 +388,27 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 ));
             }
         }
-        if let Some((r, last_gain, _)) = fresh.last() {
+        if let Some(last) = fresh.last() {
             report.notes.push(format!(
-                "{label} disclosure gain at R={r} is {last_gain:.1}"
+                "{label} disclosure gain at R={} is {:.1}",
+                last.releases, last.disclosure_gain
             ));
         }
     };
     gate_series(
         "composition",
-        &committed.composition,
-        &fresh.composition,
+        rows_of(c.composition.as_ref(), |b| &b.rows),
+        rows_of(f.composition.as_ref(), |b| &b.rows),
         &mut report,
     );
     gate_series(
         "composition_large",
-        &committed.composition_large,
-        &fresh.composition_large,
+        rows_of(c.large.as_ref().and_then(|l| l.composition.as_ref()), |b| {
+            &b.rows
+        }),
+        rows_of(f.large.as_ref().and_then(|l| l.composition.as_ref()), |b| {
+            &b.rows
+        }),
         &mut report,
     );
     // The defense gates: a deployed policy that stops defending is a
@@ -988,7 +416,9 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // must keep its residual gain strictly below the undefended gain,
     // and calibrated widening must hold the candidate floor it is named
     // for at every R.
-    if !committed.composition_defense.is_empty() && fresh.composition_defense.is_empty() {
+    let committed_defense = rows_of(c.composition_defense.as_ref(), |b| &b.rows);
+    let fresh_defense = rows_of(f.composition_defense.as_ref(), |b| &b.rows);
+    if !committed_defense.is_empty() && fresh_defense.is_empty() {
         report
             .violations
             .push("composition_defense stage disappeared from the fresh baseline".into());
@@ -996,12 +426,9 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // A single policy vanishing from a still-present block is the same
     // regression as the block vanishing — the per-policy gates below
     // only see the fresh run's policies, so guard the roster here.
-    if !fresh.composition_defense.is_empty() {
-        for row in &committed.composition_defense {
-            if !fresh
-                .composition_defense
-                .iter()
-                .any(|f| f.policy == row.policy)
+    if !fresh_defense.is_empty() {
+        for row in committed_defense {
+            if !fresh_defense.iter().any(|f| f.policy == row.policy)
                 && !report.violations.iter().any(|v| v.contains(&row.policy))
             {
                 report.violations.push(format!(
@@ -1012,14 +439,13 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         }
     }
     let mut policies: Vec<&str> = Vec::new();
-    for row in &fresh.composition_defense {
+    for row in fresh_defense {
         if !policies.contains(&row.policy.as_str()) {
             policies.push(&row.policy);
         }
     }
     for policy in policies {
-        let rows: Vec<&DefenseRow> = fresh
-            .composition_defense
+        let rows: Vec<&DefenseBenchRow> = fresh_defense
             .iter()
             .filter(|r| r.policy == policy)
             .collect();
@@ -1045,23 +471,17 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 ));
             }
         }
+        // Rows only decode inside their block, so the block's k is there.
+        let k = f.composition_defense.as_ref().map_or(0, |d| d.k);
         if policy.starts_with("calibrated_widen") {
-            match fresh.defense_k {
-                Some(k) => {
-                    for row in &rows {
-                        if row.mean_candidates + 1e-9 < k as f64 {
-                            report.violations.push(format!(
-                                "defense `{policy}` mean candidates fell to {:.2} at R={} \
-                                 (must stay >= k = {k})",
-                                row.mean_candidates, row.releases
-                            ));
-                        }
-                    }
+            for row in &rows {
+                if row.mean_candidates + 1e-9 < k as f64 {
+                    report.violations.push(format!(
+                        "defense `{policy}` mean candidates fell to {:.2} at R={} \
+                         (must stay >= k = {k})",
+                        row.mean_candidates, row.releases
+                    ));
                 }
-                None => report.violations.push(format!(
-                    "defense `{policy}` rows present but the composition_defense block \
-                     carries no k line to gate the candidate floor against"
-                )),
             }
         }
     }
@@ -1071,13 +491,15 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // the block — only the cross-run drift pin needs a committed
     // counterpart (and says so in a note when it cannot bind, so the
     // gate is never silently vacuous).
-    if !committed.eval.is_empty() && fresh.eval.is_empty() {
+    let committed_eval = rows_of(c.eval.as_ref(), |b| &b.rows);
+    let fresh_eval = rows_of(f.eval.as_ref(), |b| &b.rows);
+    if !committed_eval.is_empty() && fresh_eval.is_empty() {
         report
             .violations
             .push("eval (hypothesis-testing) block disappeared from the fresh baseline".into());
     }
-    if !fresh.eval.is_empty() {
-        for row in &fresh.eval {
+    if !fresh_eval.is_empty() {
+        for row in fresh_eval {
             if row.targets == 0 || row.decoys == 0 {
                 report.violations.push(format!(
                     "eval cell k={} R={} `{}` scored an empty population ({} targets, \
@@ -1114,8 +536,8 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         }
         // Stronger anonymity must not leak more: within a (R, defense)
         // group, ε is non-increasing in k.
-        for a in &fresh.eval {
-            for b in &fresh.eval {
+        for a in fresh_eval {
+            for b in fresh_eval {
                 if a.defense == b.defense
                     && a.releases == b.releases
                     && a.k < b.k
@@ -1131,9 +553,8 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         }
         // A deployed defense must not make the attacker's test better
         // than the undefended reference at the same cell.
-        for row in fresh.eval.iter().filter(|r| r.defense != "none") {
-            match fresh
-                .eval
+        for row in fresh_eval.iter().filter(|r| r.defense != "none") {
+            match fresh_eval
                 .iter()
                 .find(|u| u.defense == "none" && u.k == row.k && u.releases == row.releases)
             {
@@ -1156,20 +577,20 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         }
         // Cross-run drift pin: the cell is a pure function of (seed,
         // size, defense), so matched cells must agree across runs.
-        if committed.eval.is_empty() {
+        if committed_eval.is_empty() {
             report.notes.push(format!(
                 "committed baseline predates the eval block: in-run eval gates applied \
                  over {} cell(s); cross-run drift pin starts once the baseline is \
                  regenerated",
-                fresh.eval.len()
+                fresh_eval.len()
             ));
-        } else if committed.seed != fresh.seed {
+        } else if c.seed != f.seed {
             report.notes.push(
                 "eval seed changed: cross-run drift pin skipped, in-run gates still applied".into(),
             );
         } else {
-            for row in &fresh.eval {
-                let Some(base) = committed.eval.iter().find(|b| {
+            for row in fresh_eval {
+                let Some(base) = committed_eval.iter().find(|b| {
                     b.k == row.k
                         && b.releases == row.releases
                         && b.defense == row.defense
@@ -1194,15 +615,14 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 }
             }
         }
-        if let Some(top) = fresh
-            .eval
+        if let Some(top) = fresh_eval
             .iter()
             .filter(|r| r.defense == "none")
             .max_by_key(|r| (r.k, r.releases))
         {
             report.notes.push(format!(
                 "eval: {} cell(s); undefended k={} R={} reaches AUC {:.4}, ε {:.4}",
-                fresh.eval.len(),
+                fresh_eval.len(),
                 top.k,
                 top.releases,
                 top.auc,
@@ -1216,25 +636,27 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // noise), and faulted rows must stay inside the committed envelope —
     // corruption is seeded, so rate-matched rows measure the identical
     // injected pattern and legitimately differ only through code changes.
-    if !committed.robustness.is_empty() && fresh.robustness.is_empty() {
+    let committed_rob = rows_of(c.robustness.as_ref(), |b| &b.rows);
+    let fresh_rob = rows_of(f.robustness.as_ref(), |b| &b.rows);
+    if !committed_rob.is_empty() && fresh_rob.is_empty() {
         report
             .violations
             .push("robustness stage disappeared from the fresh baseline".into());
     }
-    if !fresh.robustness.is_empty() {
-        match fresh.robustness.iter().find(|r| r.fault_rate == 0.0) {
+    if !fresh_rob.is_empty() {
+        match fresh_rob.iter().find(|r| r.fault_rate == 0.0) {
             None => report
                 .violations
                 .push("robustness block carries no zero-fault reference row".into()),
             Some(zero) => {
-                if zero.defects != 0 {
+                if zero.defects() != 0 {
                     report.violations.push(format!(
                         "zero-fault robustness row survived {} defect(s) — the fault-free \
                          path must be an exact passthrough",
-                        zero.defects
+                        zero.defects()
                     ));
                 }
-                if let Some(pinned) = committed.robustness.iter().find(|r| r.fault_rate == 0.0) {
+                if let Some(pinned) = committed_rob.iter().find(|r| r.fault_rate == 0.0) {
                     if zero != pinned {
                         report.violations.push(format!(
                             "zero-fault robustness row drifted from the committed baseline \
@@ -1250,12 +672,11 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         // budget), so envelope rows pair on `(rate, mode)` — matching on
         // rate alone would gate the adversarial row against the much
         // gentler average-case numbers.
-        for row in &fresh.robustness {
+        for row in fresh_rob {
             if row.fault_rate == 0.0 {
                 continue;
             }
-            let Some(base) = committed
-                .robustness
+            let Some(base) = committed_rob
                 .iter()
                 .find(|b| b.fault_rate == row.fault_rate && b.mode == row.mode)
             else {
@@ -1281,18 +702,22 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
         // A committed targeted row is a committed property like any
         // other: a fresh run that silently stops measuring the
         // worst case has lost the gate, not passed it.
-        if committed.robustness.iter().any(|r| r.mode == "targeted")
-            && !fresh.robustness.iter().any(|r| r.mode == "targeted")
+        if committed_rob.iter().any(|r| r.mode == "targeted")
+            && !fresh_rob.iter().any(|r| r.mode == "targeted")
         {
             report.violations.push(
                 "targeted (worst-case) robustness row disappeared from the fresh baseline".into(),
             );
         }
-        if let Some(top) = fresh.robustness.last() {
+        if let Some(top) = fresh_rob.last() {
             report.notes.push(format!(
                 "robustness: precision {:.3}, gain {:.1} at {} fault rate {:.3} \
                  ({} defects survived, zero panics)",
-                top.harvest_precision, top.composition_gain, top.mode, top.fault_rate, top.defects
+                top.harvest_precision,
+                top.composition_gain,
+                top.mode,
+                top.fault_rate,
+                top.defects()
             ));
         }
     }
@@ -1303,23 +728,24 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // function of (seed, size), so when the committed block shares the
     // fresh run's (seed, size, shards) triple, every equivalence digest
     // is pinned exactly.
-    if committed.large_100k.is_some() && fresh.large_100k.is_none() {
+    if c.large_100k.is_some() && f.large_100k.is_none() {
         report
             .violations
             .push("large_100k block disappeared from the fresh baseline".into());
     }
-    if let Some(big) = &fresh.large_100k {
+    if let Some(big) = &f.large_100k {
+        let digests = big.digests();
+        let digest = |key: &str| {
+            let found = digests.iter().find(|(k, _)| *k == key);
+            found.expect("every DIGEST_PAIRS key is a block digest").1
+        };
         for (path, reference, label) in DIGEST_PAIRS {
-            match (big.digests.get(path), big.digests.get(reference)) {
-                (Some(s), Some(u)) if s == u => {}
-                (Some(s), Some(u)) => report.violations.push(format!(
-                    "large_100k {label} diverged from its reference: digest {s} vs \
-                     reference {u}"
-                )),
-                _ => report.violations.push(format!(
-                    "large_100k block carries no {label} digest pair — the \
-                     equivalence gate cannot run"
-                )),
+            let (s, u) = (digest(path), digest(reference));
+            if s != u {
+                report.violations.push(format!(
+                    "large_100k {label} diverged from its reference: digest {s:016x} vs \
+                     reference {u:016x}"
+                ));
             }
         }
         if big.peak_rss_mb > MAX_100K_PEAK_RSS_MB {
@@ -1330,18 +756,19 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 big.peak_rss_mb, big.size
             ));
         }
-        match &committed.large_100k {
+        match &c.large_100k {
             Some(base)
-                if base.size == big.size
-                    && base.shards == big.shards
-                    && committed.seed == fresh.seed =>
+                if base.size == big.size && base.shards == big.shards && c.seed == f.seed =>
             {
-                if base.digests != big.digests {
+                if base.digests() != digests {
                     report.violations.push(format!(
                         "large_100k digests drifted at the same (seed, size {}, shards {}) \
                          — the scale pipeline is seeded and deterministic, so this is a \
-                         behavior change: committed {:?}, fresh {:?}",
-                        big.size, big.shards, base.digests, big.digests
+                         behavior change: committed {}, fresh {}",
+                        big.size,
+                        big.shards,
+                        hex_digests(&base.digests()),
+                        hex_digests(&digests)
                     ));
                 }
             }
@@ -1357,20 +784,22 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 big.size, big.shards
             )),
         }
-        report.notes.push(format!(
-            "large_100k: {} rows, MDAV leaves {}, peak rss {:.1} MiB",
-            big.size, big.shards, big.peak_rss_mb
-        ));
+        if big.peak_rss_mb.is_finite() {
+            report.notes.push(format!(
+                "large_100k: {} rows, MDAV leaves {}, peak rss {:.1} MiB",
+                big.size, big.shards, big.peak_rss_mb
+            ));
+        }
     }
     // The recovery gates: the ledger is the witness that the runner
     // absorbed every injected transient. Losing it, leaking a panic, or
     // drifting off the seeded retry trace are all regressions.
-    if committed.recovery.is_some() && fresh.recovery.is_none() {
+    if c.recovery.is_some() && f.recovery.is_none() {
         report
             .violations
             .push("recovery ledger disappeared from the fresh baseline".into());
     }
-    if let Some(rec) = &fresh.recovery {
+    if let Some(rec) = &f.recovery {
         if rec.escaped_panics != 0 {
             report.violations.push(format!(
                 "recovery ledger reports {} escaped panic(s) — every injected \
@@ -1378,7 +807,7 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 rec.escaped_panics
             ));
         }
-        if let Some(base) = &committed.recovery {
+        if let Some(base) = &c.recovery {
             // Injection sites hash only (plan seed, stage, attempt), so
             // the same triple must reproduce the identical retry trace.
             if base.seed == rec.seed
@@ -1424,13 +853,13 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     // fresh non-deterministic run the obs counters and the robustness/
     // recovery ledgers are incremented by the same source lines, so
     // they must agree to the unit; any gap is dropped instrumentation.
-    if committed.profile.is_some() && fresh.profile.is_none() {
+    if c.profile.is_some() && f.profile.is_none() {
         report
             .violations
             .push("profile block disappeared from the fresh baseline".into());
     }
-    if let Some(prof) = &fresh.profile {
-        if let Some(base) = &committed.profile {
+    if let Some(prof) = &f.profile {
+        if let Some(base) = &c.profile {
             if base.span_tree_digest != prof.span_tree_digest {
                 report.violations.push(format!(
                     "span tree digest drifted: fresh {} vs committed {} — the tree is a \
@@ -1461,24 +890,30 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 ));
             }
             if !prof.counters.is_empty() {
-                let count = |name: &str| prof.counters.get(name).copied().unwrap_or(0) as usize;
-                if !fresh.robustness.is_empty() {
+                let counter = |name: &str| {
+                    prof.counters
+                        .iter()
+                        .find(|(n, _)| n == name)
+                        .map(|&(_, v)| v)
+                };
+                let count = |name: &str| counter(name).unwrap_or(0) as usize;
+                if !fresh_rob.is_empty() {
                     let ledgers = [
                         (
                             "faults.pages_rejected",
-                            fresh.robustness.iter().map(|r| r.pages_rejected).sum(),
+                            fresh_rob.iter().map(|r| r.pages_rejected).sum(),
                         ),
                         (
                             "faults.rows_skipped",
-                            fresh.robustness.iter().map(|r| r.rows_skipped).sum(),
+                            fresh_rob.iter().map(|r| r.rows_skipped).sum(),
                         ),
                         (
                             "faults.fields_imputed",
-                            fresh.robustness.iter().map(|r| r.fields_imputed).sum(),
+                            fresh_rob.iter().map(|r| r.fields_imputed).sum(),
                         ),
                         (
                             "faults.workers_restarted",
-                            fresh.robustness.iter().map(|r| r.workers_restarted).sum(),
+                            fresh_rob.iter().map(|r| r.workers_restarted).sum(),
                         ),
                     ];
                     for (name, ledger) in ledgers {
@@ -1498,25 +933,23 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                 // parallel, single-threaded and tolerant paths all
                 // funnel through it), so their totals must agree to the
                 // unit whenever the histogram was recorded.
-                if let (Some((hist_count, _)), Some(&names)) = (
-                    prof.hists.get("harvest.name_ms"),
-                    prof.counters.get("harvest.names"),
-                ) {
-                    if *hist_count != names {
+                let hist = prof.hists.iter().find(|h| h.name == "harvest.name_ms");
+                if let (Some(hist), Some(names)) = (hist, counter("harvest.names")) {
+                    if hist.count != names {
                         report.violations.push(format!(
-                            "obs histogram `harvest.name_ms` recorded {hist_count} \
+                            "obs histogram `harvest.name_ms` recorded {} \
                              observation(s) but counter `harvest.names` = {names} — \
                              both are written by the same per-name harvest routine, so a gap is \
-                             dropped instrumentation"
+                             dropped instrumentation",
+                            hist.count
                         ));
                     }
                 }
-                if let Some(rec) = &fresh.recovery {
+                if let Some(rec) = &f.recovery {
                     let attempts: usize = rec.rows.iter().map(|r| r.attempts).sum();
                     let ledgers = [
                         ("recover.attempts", attempts),
                         ("recover.retries", rec.retries_total),
-                        ("recover.quarantines", rec.quarantined_total),
                     ];
                     for (name, ledger) in ledgers {
                         let counted = count(name);
@@ -1531,14 +964,16 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                     }
                 }
             }
-            report.notes.push(format!(
-                "profile: {} spans (tree {}), {} counters; disabled-tracing probe at \
-                 {:.2}% of the large block",
-                prof.spans_total,
-                prof.span_tree_digest,
-                prof.counters.len(),
-                prof.overhead_pct_of_large
-            ));
+            if prof.overhead_pct_of_large.is_finite() {
+                report.notes.push(format!(
+                    "profile: {} spans (tree {}), {} counters; disabled-tracing probe at \
+                     {:.2}% of the large block",
+                    prof.spans_total,
+                    prof.span_tree_digest,
+                    prof.counters.len(),
+                    prof.overhead_pct_of_large
+                ));
+            }
         }
     }
     for line in &fresh.malformed_rows {
@@ -1558,30 +993,47 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
     }
 
     // Key the large-world harvest gate off the cores that ran the large
-    // block when recorded, so a heterogeneous runner cannot gate the 10k
-    // stage against the wrong count.
-    let fresh_cores = fresh.large_cores.or(fresh.cores).unwrap_or(1);
-    match fresh.speedup_harvest_parallel_vs_single {
-        _ if fresh_det => {}
-        Some(v) if fresh_cores >= HARVEST_SPEEDUP_MIN_CORES && v < MIN_HARVEST_SPEEDUP => {
+    // block, so a heterogeneous runner cannot gate the 10k stage against
+    // the wrong count.
+    if let Some(large) = f.large.as_ref().filter(|_| !fresh_det) {
+        let (v, cores) = (large.speedup_harvest_parallel_vs_single, large.cores);
+        if cores >= HARVEST_SPEEDUP_MIN_CORES && v < MIN_HARVEST_SPEEDUP {
             report.violations.push(format!(
-                "harvest parallel speedup fell to {v:.2} on {fresh_cores} cores \
+                "harvest parallel speedup fell to {v:.2} on {cores} cores \
                  (must stay >= {MIN_HARVEST_SPEEDUP:.1} on >= {HARVEST_SPEEDUP_MIN_CORES})"
             ))
+        } else if v.is_finite() {
+            report.notes.push(format!(
+                "harvest parallel speedup = {v:.2} on {cores} core(s)"
+            ))
         }
-        Some(v) => report.notes.push(format!(
-            "harvest parallel speedup = {v:.2} on {fresh_cores} core(s)"
-        )),
-        None => {}
     }
 
     report
 }
 
+/// The rows of an optional block; empty when the block is absent.
+fn rows_of<'a, B, R>(block: Option<&'a B>, rows: impl FnOnce(&'a B) -> &'a Vec<R>) -> &'a [R] {
+    block.map_or(&[], |b| rows(b))
+}
+
+/// Renders digest pairs as `key=hex` for a drift message.
+fn hex_digests(digests: &[(&str, u64)]) -> String {
+    let pairs: Vec<String> = digests
+        .iter()
+        .map(|(key, digest)| format!("{key}={digest:016x}"))
+        .collect();
+    pairs.join(", ")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::{quick_bench, QuickBenchOptions};
+    use crate::perf::{
+        quick_bench, CompositionBench, DefenseBench, Large100kBench, LargeBench, ProfileBench,
+        ProfileStageRow, QuickBenchOptions, RecoveryBench, RecoveryBenchRow, RobustnessBench,
+        RobustnessBenchRow, StageTiming,
+    };
     use crate::world::WorldConfig;
 
     fn small_bench_json(large: Option<usize>) -> String {
@@ -1601,18 +1053,76 @@ mod tests {
         .to_json()
     }
 
+    /// Asserts that some violation mentions `needle`.
+    #[track_caller]
+    fn assert_fires(report: &CompareReport, needle: &str) {
+        assert!(
+            report.violations.iter().any(|v| v.contains(needle)),
+            "no violation mentions {needle:?}: {:?}",
+            report.violations
+        );
+    }
+
+    /// Diffs two baselines and asserts the fresh one passes every gate.
+    #[track_caller]
+    fn assert_passes(committed: &str, fresh: &str) -> CompareReport {
+        let report = compare_baselines(committed, fresh);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        report
+    }
+
+    /// Asserts that no violation mentions `needle`.
+    #[track_caller]
+    fn assert_silent(report: &CompareReport, needle: &str) {
+        assert!(
+            !report.violations.iter().any(|v| v.contains(needle)),
+            "a violation mentions {needle:?}: {:?}",
+            report.violations
+        );
+    }
+
+    /// Asserts that some note mentions `needle`.
+    #[track_caller]
+    fn assert_notes(report: &CompareReport, needle: &str) {
+        assert!(
+            report.notes.iter().any(|n| n.contains(needle)),
+            "no note mentions {needle:?}: {:?}",
+            report.notes
+        );
+    }
+
+    fn parse(json: &str) -> Baseline {
+        parse_baseline(json).expect("baseline decodes")
+    }
+
+    /// A decoded writer baseline, mutated and re-rendered.
+    fn edit(json: &str, mutate: impl FnOnce(&mut QuickBench)) -> String {
+        let mut bench = parse(json).bench;
+        mutate(&mut bench);
+        bench.to_json()
+    }
+
+    /// `(releases, disclosure_gain, mean_candidates)` per composition row.
+    fn series(rows: &[CompositionBenchRow]) -> Vec<(usize, f64, f64)> {
+        rows.iter()
+            .map(|r| (r.releases, r.disclosure_gain, r.mean_candidates))
+            .collect()
+    }
+
     #[test]
     fn parses_its_own_writer_round_trip() {
         let json = small_bench_json(Some(40));
-        let b = parse_baseline(&json);
-        assert!(b.stage_wall_ms.contains_key("world_build"));
-        assert!(b.stage_wall_ms.contains_key("mdav_k5"));
-        assert!(b.stage_wall_ms.contains_key("mdav_k5_large"));
-        assert!(b.stage_wall_ms.contains_key("harvest_parallel_large"));
-        assert!(b.speedup_batch_vs_naive.is_some());
-        assert!(b.speedup_harvest_parallel_vs_single.is_some());
-        assert!(b.cores.unwrap_or(0) >= 1);
-        assert!(b.large_cores.unwrap_or(0) >= 1);
+        let b = parse(&json);
+        let walls = b.stage_wall_ms();
+        assert!(walls.contains_key("world_build"));
+        assert!(walls.contains_key("mdav_k5"));
+        assert!(walls.contains_key("mdav_k5_large"));
+        assert!(walls.contains_key("harvest_parallel_large"));
+        assert!(b.bench.speedup_batch_vs_naive.is_finite());
+        let large = b.bench.large.as_ref().expect("large block decoded");
+        assert!(large.speedup_harvest_parallel_vs_single.is_finite());
+        assert!(b.bench.cores >= 1);
+        assert!(large.cores >= 1);
         assert!(b.malformed_rows.is_empty());
     }
 
@@ -1633,13 +1143,19 @@ mod tests {
             },
         )
         .to_json();
-        let b = parse_baseline(&json);
+        let b = parse(&json);
         // Both series present, attributed to their own blocks, R = 1..=3
         // each — not nine rows pooled into one series.
-        let releases = |rows: &[CompositionRow]| rows.iter().map(|r| r.0).collect::<Vec<_>>();
-        assert_eq!(releases(&b.composition), vec![1, 2, 3]);
-        assert_eq!(releases(&b.composition_large), vec![1, 2, 3]);
-        assert!(b.stage_wall_ms.contains_key("composition_large"));
+        let releases =
+            |rows: &[CompositionBenchRow]| rows.iter().map(|r| r.releases).collect::<Vec<_>>();
+        let quick = b.bench.composition.as_ref().expect("composition block");
+        let large = b.bench.large.as_ref().and_then(|l| l.composition.as_ref());
+        assert_eq!(releases(&quick.rows), vec![1, 2, 3]);
+        assert_eq!(
+            releases(&large.expect("composition_large block").rows),
+            vec![1, 2, 3]
+        );
+        assert!(b.stage_wall_ms().contains_key("composition_large"));
         assert!(b.malformed_rows.is_empty());
         // A self-diff passes the gates.
         let report = compare_baselines(&json, &json);
@@ -1656,8 +1172,7 @@ mod tests {
         // legitimately dip below the speedup gate, which is not what this
         // test is about.
         let json = synthetic_json(100.0, 5.0);
-        let report = compare_baselines(&json, &json);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&json, &json);
     }
 
     #[test]
@@ -1665,22 +1180,39 @@ mod tests {
         let committed = synthetic_json(100.0, 5.0);
         let degraded = synthetic_json(100.0, 1.10);
         let report = compare_baselines(&committed, &degraded);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("speedup_batch_vs_naive")));
+        assert_fires(&report, "speedup_batch_vs_naive");
     }
 
-    /// A handcrafted baseline in the writer's format: timings are pinned
-    /// so the test does not depend on how fast this machine happens to be.
+    /// A handcrafted baseline: timings are pinned so the test does not
+    /// depend on how fast this machine happens to be.
+    fn synthetic(mdav_ms: f64, speedup: f64) -> QuickBench {
+        let stage = |name, wall_ms| StageTiming {
+            name,
+            wall_ms,
+            rows: 120,
+        };
+        QuickBench {
+            size: 120,
+            seed: 2015,
+            cores: 1,
+            k_range: (2, 10),
+            stages: vec![stage("world_build", 1.5), stage("mdav_k5", mdav_ms)],
+            speedup_batch_vs_naive: speedup,
+            large: None,
+            large_100k: None,
+            composition: None,
+            composition_defense: None,
+            eval: None,
+            robustness: None,
+            deterministic: false,
+            recovery: None,
+            profile: None,
+            trace: None,
+        }
+    }
+
     fn synthetic_json(mdav_ms: f64, speedup: f64) -> String {
-        format!(
-            "{{\n  \"config\": {{ \"size\": 120, \"seed\": 2015, \"k_min\": 2, \"k_max\": 10, \"cores\": 1 }},\n  \
-             \"stages\": [\n    \
-             {{ \"name\": \"world_build\", \"wall_ms\": 1.500, \"rows\": 120, \"rows_per_sec\": 80000.0 }},\n    \
-             {{ \"name\": \"mdav_k5\", \"wall_ms\": {mdav_ms:.3}, \"rows\": 120, \"rows_per_sec\": 1000.0 }}\n  \
-             ],\n  \"speedup_batch_vs_naive\": {speedup:.2}\n}}\n"
-        )
+        synthetic(mdav_ms, speedup).to_json()
     }
 
     #[test]
@@ -1689,65 +1221,64 @@ mod tests {
         let committed = synthetic_json(100.0, 5.0);
         let fresh = synthetic_json(1000.0, 5.0);
         let report = compare_baselines(&committed, &fresh);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("`mdav_k5` regressed")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "`mdav_k5` regressed");
         // Same blow-up ratio below the floor is ignored as noise.
         let committed = synthetic_json(STAGE_FLOOR_MS / 2.0, 5.0);
         let fresh = synthetic_json(STAGE_FLOOR_MS * 4.0, 5.0);
-        let report = compare_baselines(&committed, &fresh);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&committed, &fresh);
+    }
+
+    /// A composition block whose `(releases, gain, candidates)` rows are
+    /// caller-controlled.
+    fn composition(wall_ms: f64, rows: &[(usize, f64, f64)]) -> CompositionBench {
+        CompositionBench {
+            k: 5,
+            overlap: 0.5,
+            wall_ms,
+            rows: rows
+                .iter()
+                .map(
+                    |&(releases, disclosure_gain, mean_candidates)| CompositionBenchRow {
+                        releases,
+                        disclosure_gain,
+                        mean_candidates,
+                        estimate_gain: 0.0,
+                    },
+                )
+                .collect(),
+        }
     }
 
     /// A synthetic baseline with a composition block whose rows are
     /// caller-controlled.
     fn synthetic_composition_json(rows: &[(usize, f64, f64)]) -> String {
-        let mut out = synthetic_json(100.0, 5.0);
-        out.truncate(out.rfind("\n}").expect("closing brace"));
-        out.push_str(",\n  \"composition\": {\n    \"k\": 5, \"overlap\": 0.50, \"wall_ms\": 10.000,\n    \"rows\": [\n");
-        for (i, (r, gain, cand)) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{ \"releases\": {r}, \"disclosure_gain\": {gain:.1}, \"mean_candidates\": {cand:.2}, \"estimate_gain\": 0.0 }}{}\n",
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }\n}\n");
-        out
+        let mut b = synthetic(100.0, 5.0);
+        b.composition = Some(composition(10.0, rows));
+        b.to_json()
     }
 
     #[test]
     fn composition_rows_parse() {
         let json = synthetic_composition_json(&[(1, 0.0, 5.0), (2, 7000.0, 2.3)]);
-        let b = parse_baseline(&json);
-        assert_eq!(b.composition, vec![(1, 0.0, 5.0), (2, 7000.0, 2.3)]);
+        let b = parse(&json);
+        let rows = &b.bench.composition.as_ref().expect("block decoded").rows;
+        assert_eq!(series(rows), vec![(1, 0.0, 5.0), (2, 7000.0, 2.3)]);
     }
 
     #[test]
     fn monotone_composition_passes_and_flat_gain_fails() {
         let committed =
             synthetic_composition_json(&[(1, 0.0, 5.0), (2, 7000.0, 2.3), (3, 9000.0, 1.7)]);
-        let report = compare_baselines(&committed, &committed);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&committed, &committed);
 
         let flat = synthetic_composition_json(&[(1, 0.0, 5.0), (2, 7000.0, 2.3), (3, 7000.0, 1.7)]);
         let report = compare_baselines(&committed, &flat);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("not strictly increasing")));
+        assert_fires(&report, "not strictly increasing");
 
         let rising_candidates =
             synthetic_composition_json(&[(1, 0.0, 5.0), (2, 7000.0, 2.3), (3, 9000.0, 2.9)]);
         let report = compare_baselines(&committed, &rising_candidates);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("candidate count rose")));
+        assert_fires(&report, "candidate count rose");
     }
 
     #[test]
@@ -1755,10 +1286,7 @@ mod tests {
         let committed = synthetic_composition_json(&[(1, 0.0, 5.0), (2, 7000.0, 2.3)]);
         let fresh = synthetic_json(100.0, 5.0);
         let report = compare_baselines(&committed, &fresh);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("composition stage disappeared")));
+        assert_fires(&report, "composition stage disappeared");
     }
 
     #[test]
@@ -1767,38 +1295,74 @@ mod tests {
             synthetic_composition_json(&[(1, 0.0, 5.0), (2, 7000.0, 2.3), (3, 9000.0, 1.7)]);
         let poisoned =
             synthetic_composition_json(&[(1, 0.0, 5.0), (2, f64::NAN, 2.3), (3, 9000.0, 1.7)]);
-        let b = parse_baseline(&poisoned);
+        let b = parse(&poisoned);
         // The NaN row must not silently vanish from the series.
         assert_eq!(b.malformed_rows.len(), 1, "{:?}", b.malformed_rows);
         let report = compare_baselines(&committed, &poisoned);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("non-finite or unparseable")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "non-finite or unparseable");
         // A poisoned COMMITTED baseline must refuse to gate, not let a
         // fresh run with a vanished composition stage sail through
         // (the NaN row drops out of the committed series, so the
         // stage-disappeared check alone would never fire).
         let fresh_without_composition = synthetic_json(100.0, 5.0);
         let report = compare_baselines(&poisoned, &fresh_without_composition);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("committed baseline carries")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "committed baseline carries");
     }
 
-    /// A handcrafted baseline with a `large` block carrying its own
-    /// cores line, a `composition_large` block, and a quick-world
-    /// composition block — the full writer shape, with every number
-    /// caller-pinned.
+    #[test]
+    fn non_finite_scalars_outside_rows_fail_both_sides() {
+        // A NaN outside any row cannot drop out of a series: it is a
+        // violation on either side of the diff and never a note.
+        let clean = {
+            let mut b = synthetic(100.0, 5.0);
+            b.large_100k = Some(large_100k(200, 2));
+            b.profile = Some(profile("00deadbeef00cafe", 0.5, &[("world_build", 1)], &[]));
+            b
+        };
+        type Poison = fn(&mut QuickBench);
+        let poisons: [(&str, Poison); 3] = [
+            ("speedup_batch_vs_naive", |b| {
+                b.speedup_batch_vs_naive = f64::NAN
+            }),
+            ("large_100k.peak_rss_mb", |b| {
+                b.large_100k.as_mut().unwrap().peak_rss_mb = f64::NAN
+            }),
+            ("profile.overhead.pct_of_large", |b| {
+                b.profile.as_mut().unwrap().overhead_pct_of_large = f64::NAN
+            }),
+        ];
+        let clean_json = clean.to_json();
+        assert!(compare_baselines(&clean_json, &clean_json)
+            .violations
+            .is_empty());
+        for (key, poison) in poisons {
+            let mut poisoned = clean.clone();
+            poison(&mut poisoned);
+            let poisoned = poisoned.to_json();
+            assert_eq!(parse(&poisoned).malformed_rows, vec![format!("{key}: NaN")]);
+            for (committed, fresh, side) in [
+                (&clean_json, &poisoned, "non-finite"),
+                (&poisoned, &clean_json, "committed baseline carries"),
+            ] {
+                let report = compare_baselines(committed, fresh);
+                assert_eq!(report.violations.len(), 1, "{key}: {:?}", report.violations);
+                assert!(
+                    report.violations[0].contains(side) && report.violations[0].contains(key),
+                    "{key}: {:?}",
+                    report.violations
+                );
+                assert!(
+                    !report.notes.iter().any(|n| n.contains("NaN")),
+                    "{key}: {:?}",
+                    report.notes
+                );
+            }
+        }
+    }
+
+    /// A synthetic baseline with a `large` block carrying its own cores,
+    /// a `composition_large` block, and a quick-world composition block —
+    /// the full writer shape, with every number caller-pinned.
     fn synthetic_large_json(
         config_cores: usize,
         large_cores: usize,
@@ -1806,29 +1370,22 @@ mod tests {
         large_rows: &[(usize, f64, f64)],
         quick_rows: &[(usize, f64, f64)],
     ) -> String {
-        let render_rows = |rows: &[(usize, f64, f64)], indent: &str| -> String {
-            let mut out = String::new();
-            for (i, (r, gain, cand)) in rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "{indent}{{ \"releases\": {r}, \"disclosure_gain\": {gain:.1}, \"mean_candidates\": {cand:.2}, \"estimate_gain\": 0.0 }}{}\n",
-                    if i + 1 < rows.len() { "," } else { "" }
-                ));
-            }
-            out
-        };
-        format!(
-            "{{\n  \"config\": {{ \"size\": 120, \"seed\": 2015, \"k_min\": 2, \"k_max\": 10, \"cores\": {config_cores} }},\n  \
-             \"stages\": [\n    \
-             {{ \"name\": \"mdav_k5\", \"wall_ms\": 100.000, \"rows\": 120, \"rows_per_sec\": 1000.0 }}\n  \
-             ],\n  \"speedup_batch_vs_naive\": 5.00,\n  \
-             \"large\": {{\n    \"size\": 10000,\n    \"cores\": {large_cores},\n    \"stages\": [\n      \
-             {{ \"name\": \"harvest_parallel_large\", \"wall_ms\": 500.000, \"rows\": 10000, \"rows_per_sec\": 20000.0 }}\n    \
-             ],\n    \"speedup_harvest_parallel_vs_single\": {harvest_speedup:.2},\n    \
-             \"composition_large\": {{\n      \"k\": 5, \"overlap\": 0.50, \"wall_ms\": 900.000,\n      \"rows\": [\n{}      ]\n    }}\n  }},\n  \
-             \"composition\": {{\n    \"k\": 5, \"overlap\": 0.50, \"wall_ms\": 10.000,\n    \"rows\": [\n{}    ]\n  }}\n}}\n",
-            render_rows(large_rows, "        "),
-            render_rows(quick_rows, "      "),
-        )
+        let mut b = synthetic(100.0, 5.0);
+        b.stages.retain(|s| s.name == "mdav_k5");
+        b.cores = config_cores;
+        b.large = Some(LargeBench {
+            size: 10_000,
+            cores: large_cores,
+            stages: vec![StageTiming {
+                name: "harvest_parallel_large",
+                wall_ms: 500.0,
+                rows: 10_000,
+            }],
+            speedup_harvest_parallel_vs_single: harvest_speedup,
+            composition: Some(composition(900.0, large_rows)),
+        });
+        b.composition = Some(composition(10.0, quick_rows));
+        b.to_json()
     }
 
     #[test]
@@ -1840,14 +1397,15 @@ mod tests {
             &[(1, 0.0, 5.0), (2, 4000.0, 2.8), (3, 6000.0, 2.1)],
             &[(1, 0.0, 5.0), (2, 7000.0, 2.3), (3, 9000.0, 1.7)],
         );
-        let b = parse_baseline(&good);
-        assert_eq!(b.composition.len(), 3);
-        assert_eq!(b.composition_large.len(), 3);
-        assert_eq!(b.composition_large[1], (2, 4000.0, 2.8));
-        assert_eq!(b.large_cores, Some(1));
-        assert_eq!(b.cores, Some(1));
-        let report = compare_baselines(&good, &good);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let b = parse(&good);
+        let large = b.bench.large.as_ref().expect("large block decoded");
+        let large_rows = &large.composition.as_ref().expect("composition_large").rows;
+        assert_eq!(b.bench.composition.as_ref().unwrap().rows.len(), 3);
+        assert_eq!(large_rows.len(), 3);
+        assert_eq!(series(large_rows)[1], (2, 4000.0, 2.8));
+        assert_eq!(large.cores, 1);
+        assert_eq!(b.bench.cores, 1);
+        assert_passes(&good, &good);
 
         // A flat *large* series fails even while the quick series is
         // fine — the blocks gate independently.
@@ -1859,14 +1417,7 @@ mod tests {
             &[(1, 0.0, 5.0), (2, 7000.0, 2.3), (3, 9000.0, 1.7)],
         );
         let report = compare_baselines(&good, &flat_large);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("composition_large disclosure gain")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "composition_large disclosure gain");
     }
 
     #[test]
@@ -1877,42 +1428,40 @@ mod tests {
         // harvest speedup must NOT gate.
         let fresh = synthetic_large_json(8, 1, 1.0, &rows_l, &rows_q);
         let report = compare_baselines(&fresh, &fresh);
-        assert!(
-            !report.violations.iter().any(|v| v.contains("harvest")),
-            "{:?}",
-            report.violations
-        );
+        assert_silent(&report, "harvest");
         // Config says 1 core but the large block ran on 8: the weak
         // speedup MUST gate.
         let fresh = synthetic_large_json(1, 8, 1.0, &rows_l, &rows_q);
         let report = compare_baselines(&fresh, &fresh);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("harvest parallel speedup fell")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "harvest parallel speedup fell");
     }
 
     /// A synthetic baseline with a `composition_defense` block whose
     /// rows are caller-controlled `(policy, releases, residual,
     /// undefended, candidates)`.
     fn synthetic_defense_json(k: usize, rows: &[(&str, usize, f64, f64, f64)]) -> String {
-        let mut out = synthetic_json(100.0, 5.0);
-        out.truncate(out.rfind("\n}").expect("closing brace"));
-        out.push_str(&format!(
-            ",\n  \"composition_defense\": {{\n    \"k\": {k}, \"overlap\": 0.50, \"wall_ms\": 25.000,\n    \"rows\": [\n"
-        ));
-        for (i, (policy, r, res, undef, cand)) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{ \"policy\": \"{policy}\", \"releases\": {r}, \"residual_gain\": {res:.1}, \"undefended_gain\": {undef:.1}, \"mean_candidates\": {cand:.2}, \"utility_cost\": 100.0 }}{}\n",
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }\n}\n");
-        out
+        let mut b = synthetic(100.0, 5.0);
+        b.composition_defense = Some(DefenseBench {
+            k,
+            overlap: 0.5,
+            wall_ms: 25.0,
+            rows: rows
+                .iter()
+                .map(
+                    |&(policy, releases, residual_gain, undefended_gain, mean_candidates)| {
+                        DefenseBenchRow {
+                            policy: policy.to_owned(),
+                            releases,
+                            residual_gain,
+                            undefended_gain,
+                            mean_candidates,
+                            utility_cost: 100.0,
+                        }
+                    },
+                )
+                .collect(),
+        });
+        b.to_json()
     }
 
     #[test]
@@ -1925,12 +1474,13 @@ mod tests {
                 ("calibrated_widen_k5", 3, 4000.0, 9000.0, 6.1),
             ],
         );
-        let b = parse_baseline(&json);
-        assert_eq!(b.defense_k, Some(5));
-        assert_eq!(b.composition_defense.len(), 3);
-        assert_eq!(b.composition_defense[1].policy, "coordinated_seeds");
-        assert_eq!(b.composition_defense[1].undefended_gain, 9000.0);
-        assert_eq!(b.composition_defense[2].mean_candidates, 6.1);
+        let b = parse(&json);
+        let defense = b.bench.composition_defense.as_ref().expect("block decoded");
+        assert_eq!(defense.k, 5);
+        assert_eq!(defense.rows.len(), 3);
+        assert_eq!(defense.rows[1].policy, "coordinated_seeds");
+        assert_eq!(defense.rows[1].undefended_gain, 9000.0);
+        assert_eq!(defense.rows[2].mean_candidates, 6.1);
         assert!(b.malformed_rows.is_empty());
     }
 
@@ -1944,9 +1494,8 @@ mod tests {
                 ("overlap_cap_0.90", 3, 2000.0, 9000.0, 4.0),
             ],
         );
-        let report = compare_baselines(&good, &good);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(report.notes.iter().any(|n| n.contains("coordinated_seeds")));
+        let report = assert_passes(&good, &good);
+        assert_notes(&report, "coordinated_seeds");
 
         // A policy whose residual gain reaches the undefended gain fails.
         let broken = synthetic_defense_json(
@@ -2017,7 +1566,7 @@ mod tests {
             report.violations
         );
         // The surviving policy still gates (and passes) normally.
-        assert!(report.notes.iter().any(|n| n.contains("coordinated_seeds")));
+        assert_notes(&report, "coordinated_seeds");
     }
 
     #[test]
@@ -2025,18 +1574,10 @@ mod tests {
         let committed = synthetic_defense_json(5, &[("coordinated_seeds", 3, 0.0, 9000.0, 5.0)]);
         let fresh = synthetic_json(100.0, 5.0);
         let report = compare_baselines(&committed, &fresh);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("composition_defense stage disappeared")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "composition_defense stage disappeared");
         // The other direction — a defense block newly appearing — is
         // fine.
-        let report = compare_baselines(&fresh, &committed);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&fresh, &committed);
     }
 
     #[test]
@@ -2044,61 +1585,76 @@ mod tests {
         let good = synthetic_defense_json(5, &[("coordinated_seeds", 3, 0.0, 9000.0, 5.0)]);
         let poisoned =
             synthetic_defense_json(5, &[("coordinated_seeds", 3, f64::NAN, 9000.0, 5.0)]);
-        let b = parse_baseline(&poisoned);
+        let b = parse(&poisoned);
         assert_eq!(b.malformed_rows.len(), 1, "{:?}", b.malformed_rows);
         let report = compare_baselines(&good, &poisoned);
-        assert!(report
-            .violations
-            .iter()
-            .any(|v| v.contains("non-finite or unparseable")));
+        assert_fires(&report, "non-finite or unparseable");
         // A poisoned committed defense series must refuse to gate.
         let fresh_without = synthetic_json(100.0, 5.0);
         let report = compare_baselines(&poisoned, &fresh_without);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("committed baseline carries")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "committed baseline carries");
     }
 
     /// A synthetic baseline with a `robustness` block whose rows are
-    /// caller-controlled `(fault_rate, precision, coverage, gain,
-    /// defects)`.
+    /// caller-controlled `(fault_rate, mode, precision, coverage, gain,
+    /// defects)`; the defects are written as `pages_rejected`.
+    fn synthetic_mode_robustness_json(
+        rows: &[(f64, &'static str, f64, f64, f64, usize)],
+    ) -> String {
+        let mut b = synthetic(100.0, 5.0);
+        b.robustness = Some(RobustnessBench {
+            max_rate: 0.1,
+            seed: 2015,
+            wall_ms: 50.0,
+            rows: rows
+                .iter()
+                .map(
+                    |&(fault_rate, mode, precision, coverage, gain, defects)| RobustnessBenchRow {
+                        fault_rate,
+                        mode,
+                        harvest_precision: precision,
+                        harvest_coverage: coverage,
+                        composition_gain: gain,
+                        pages_rejected: defects,
+                        rows_skipped: 0,
+                        fields_imputed: 0,
+                        workers_restarted: 0,
+                    },
+                )
+                .collect(),
+        });
+        b.to_json()
+    }
+
+    /// [`synthetic_mode_robustness_json`] with every row `uniform`.
     fn synthetic_robustness_json(rows: &[(f64, f64, f64, f64, usize)]) -> String {
-        let mut out = synthetic_json(100.0, 5.0);
-        out.truncate(out.rfind("\n}").expect("closing brace"));
-        out.push_str(
-            ",\n  \"robustness\": {\n    \"max_rate\": 0.100, \"seed\": 2015, \"wall_ms\": 50.000,\n    \"rows\": [\n",
-        );
-        for (i, (rate, prec, cov, gain, defects)) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{ \"fault_rate\": {rate:.3}, \"harvest_precision\": {prec:.4}, \"harvest_coverage\": {cov:.4}, \"composition_gain\": {gain:.1}, \"pages_rejected\": {defects}, \"rows_skipped\": 0, \"fields_imputed\": 0, \"workers_restarted\": 0 }}{}\n",
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }\n}\n");
-        out
+        let rows: Vec<_> = rows
+            .iter()
+            .map(|&(rate, prec, cov, gain, defects)| (rate, "uniform", prec, cov, gain, defects))
+            .collect();
+        synthetic_mode_robustness_json(&rows)
+    }
+
+    fn robustness_rows(b: &Baseline) -> &[RobustnessBenchRow] {
+        b.bench.robustness.as_ref().map_or(&[], |r| &r.rows)
     }
 
     #[test]
     fn robustness_rows_parse() {
         let json =
             synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 0), (0.1, 0.9, 0.7, 6000.0, 42)]);
-        let b = parse_baseline(&json);
-        assert_eq!(b.robustness.len(), 2);
-        assert_eq!(b.robustness[0].fault_rate, 0.0);
-        assert_eq!(b.robustness[0].defects, 0);
-        assert_eq!(b.robustness[1].harvest_precision, 0.9);
-        assert_eq!(b.robustness[1].defects, 42);
+        let b = parse(&json);
+        let rows = robustness_rows(&b);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].fault_rate, 0.0);
+        assert_eq!(rows[0].defects(), 0);
+        assert_eq!(rows[1].harvest_precision, 0.9);
+        assert_eq!(rows[1].defects(), 42);
         assert!(b.malformed_rows.is_empty());
         // Robustness rows never leak into the composition series.
-        assert!(b.composition.is_empty());
-        let report = compare_baselines(&json, &json);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(report.notes.iter().any(|n| n.contains("robustness")));
+        assert!(b.bench.composition.is_none());
+        let report = assert_passes(&json, &json);
+        assert_notes(&report, "robustness");
     }
 
     #[test]
@@ -2108,34 +1664,16 @@ mod tests {
         // A dirty zero row fails even against itself.
         let dirty = synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 3)]);
         let report = compare_baselines(&committed, &dirty);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("exact passthrough")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "exact passthrough");
         // A drifted (but clean) zero row fails the bit-identity pin.
         let drifted =
             synthetic_robustness_json(&[(0.0, 0.94, 0.9, 8000.0, 0), (0.1, 0.9, 0.7, 6000.0, 42)]);
         let report = compare_baselines(&committed, &drifted);
-        assert!(
-            report.violations.iter().any(|v| v.contains("drifted")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "drifted");
         // A block with no zero row at all fails.
         let no_zero = synthetic_robustness_json(&[(0.1, 0.9, 0.7, 6000.0, 42)]);
         let report = compare_baselines(&committed, &no_zero);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("no zero-fault reference row")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "no zero-fault reference row");
     }
 
     #[test]
@@ -2146,31 +1684,16 @@ mod tests {
         let collapsed =
             synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 0), (0.1, 0.5, 0.7, 6000.0, 42)]);
         let report = compare_baselines(&committed, &collapsed);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("harvest precision at uniform fault rate")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "harvest precision at uniform fault rate");
         // Gain collapse below the committed floor fails.
         let no_gain =
             synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 0), (0.1, 0.9, 0.7, 1000.0, 42)]);
         let report = compare_baselines(&committed, &no_gain);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("composition gain at uniform fault rate")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "composition gain at uniform fault rate");
         // Within-envelope degradation passes.
         let fine =
             synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 0), (0.1, 0.8, 0.6, 4000.0, 50)]);
-        let report = compare_baselines(&committed, &fine);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&committed, &fine);
     }
 
     #[test]
@@ -2178,64 +1701,34 @@ mod tests {
         let committed = synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 0)]);
         let fresh = synthetic_json(100.0, 5.0);
         let report = compare_baselines(&committed, &fresh);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("robustness stage disappeared")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "robustness stage disappeared");
         // A newly appearing robustness block is fine.
-        let report = compare_baselines(&fresh, &committed);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&fresh, &committed);
         // A NaN metric drops the row into malformed_rows and gates.
         let poisoned = synthetic_robustness_json(&[(0.1, f64::NAN, 0.7, 6000.0, 42)]);
-        let b = parse_baseline(&poisoned);
+        let b = parse(&poisoned);
         assert_eq!(b.malformed_rows.len(), 1, "{:?}", b.malformed_rows);
         let report = compare_baselines(&committed, &poisoned);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("non-finite or unparseable")),
-            "{:?}",
-            report.violations
-        );
-    }
-
-    /// A synthetic robustness block with caller-controlled modes:
-    /// `(fault_rate, mode, precision, coverage, gain, defects)`.
-    fn synthetic_mode_robustness_json(rows: &[(f64, &str, f64, f64, f64, usize)]) -> String {
-        let mut out = synthetic_json(100.0, 5.0);
-        out.truncate(out.rfind("\n}").expect("closing brace"));
-        out.push_str(
-            ",\n  \"robustness\": {\n    \"max_rate\": 0.100, \"seed\": 2015, \"wall_ms\": 50.000,\n    \"rows\": [\n",
-        );
-        for (i, (rate, mode, prec, cov, gain, defects)) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{ \"fault_rate\": {rate:.3}, \"mode\": \"{mode}\", \"harvest_precision\": {prec:.4}, \"harvest_coverage\": {cov:.4}, \"composition_gain\": {gain:.1}, \"pages_rejected\": {defects}, \"rows_skipped\": 0, \"fields_imputed\": 0, \"workers_restarted\": 0 }}{}\n",
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }\n}\n");
-        out
+        assert_fires(&report, "non-finite or unparseable");
     }
 
     #[test]
-    fn robustness_mode_parses_and_defaults_to_uniform() {
-        // Mode-less rows (pre-targeted baselines) parse as uniform.
-        let old = synthetic_robustness_json(&[(0.0, 0.95, 0.9, 8000.0, 0)]);
-        let b = parse_baseline(&old);
-        assert_eq!(b.robustness[0].mode, "uniform");
+    fn robustness_mode_is_required_and_round_trips() {
         // Mode-carrying rows keep their mode.
         let new = synthetic_mode_robustness_json(&[
             (0.0, "uniform", 0.95, 0.9, 8000.0, 0),
             (0.1, "targeted", 0.9, 0.7, 1000.0, 12),
         ]);
-        let b = parse_baseline(&new);
-        assert_eq!(b.robustness[1].mode, "targeted");
+        let b = parse(&new);
+        assert_eq!(robustness_rows(&b)[1].mode, "targeted");
         assert!(b.malformed_rows.is_empty());
+        // A row without a mode does not decode: the writer always emits
+        // one, so the file is corrupt.
+        let json::Value::Obj(mut row) = robustness_rows(&b)[0].to_value() else {
+            unreachable!("a row encodes as an object")
+        };
+        row.retain(|(key, _)| key != "mode");
+        assert!(RobustnessBenchRow::from_value(&json::Value::Obj(row)).is_none());
     }
 
     #[test]
@@ -2254,8 +1747,7 @@ mod tests {
             (0.1, "uniform", 0.9, 0.7, 6000.0, 42),
             (0.1, "targeted", 0.85, 0.6, 900.0, 12),
         ]);
-        let report = compare_baselines(&committed, &fine);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&committed, &fine);
         // A genuinely collapsed targeted row still fails against its own
         // committed envelope.
         let collapsed = synthetic_mode_robustness_json(&[
@@ -2264,14 +1756,7 @@ mod tests {
             (0.1, "targeted", 0.85, 0.6, 400.0, 12),
         ]);
         let report = compare_baselines(&committed, &collapsed);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("targeted fault rate 0.100")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "targeted fault rate 0.100");
     }
 
     #[test]
@@ -2285,39 +1770,40 @@ mod tests {
             (0.1, "uniform", 0.9, 0.7, 6000.0, 42),
         ]);
         let report = compare_baselines(&committed, &fresh);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("targeted (worst-case) robustness row disappeared")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "targeted (worst-case) robustness row disappeared");
     }
 
-    /// A synthetic baseline with a `recovery` ledger, rows as
-    /// `(stage, attempts, retries, backoff_ms)`.
+    /// A synthetic baseline with a `recovery` ledger, rows as `(stage,
+    /// attempts, retries, backoff_ms)`.
     fn synthetic_recovery_json(
         seed: u64,
-        rate: f64,
+        transient_rate: f64,
         max_attempts: usize,
         retries_total: usize,
-        escaped: usize,
+        escaped_panics: usize,
         rows: &[(&str, usize, usize, f64)],
     ) -> String {
-        let mut out = synthetic_json(100.0, 5.0);
-        out.truncate(out.rfind("\n}").expect("closing brace"));
-        out.push_str(&format!(
-            ",\n  \"recovery\": {{\n    \"seed\": {seed}, \"transient_rate\": {rate:.3}, \"max_attempts\": {max_attempts}, \"retries_total\": {retries_total}, \"escaped_panics\": {escaped},\n    \"rows\": [\n"
-        ));
-        for (i, (stage, att, ret, back)) in rows.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{ \"stage\": \"{stage}\", \"attempts\": {att}, \"retries\": {ret}, \"backoff_ms\": {back:.3} }}{}\n",
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }\n}\n");
-        out
+        let rows = rows
+            .iter()
+            .map(|&(stage, attempts, retries, backoff_ms)| RecoveryBenchRow {
+                stage: stage.to_owned(),
+                attempts,
+                retries,
+                backoff_ms,
+            })
+            .collect();
+        let mut b = synthetic(100.0, 5.0);
+        b.recovery = Some(RecoveryBench {
+            seed,
+            transient_rate,
+            max_attempts,
+            retries_total,
+            quarantined_total: 0,
+            escaped_panics,
+            rows,
+            resumed: false,
+        });
+        b.to_json()
     }
 
     #[test]
@@ -2330,8 +1816,8 @@ mod tests {
             0,
             &[("world_build", 1, 0, 0.0), ("mdav", 3, 2, 14.5)],
         );
-        let b = parse_baseline(&json);
-        let rec = b.recovery.expect("recovery block parsed");
+        let b = parse(&json);
+        let rec = b.bench.recovery.as_ref().expect("recovery block parsed");
         assert_eq!(rec.seed, 2015);
         assert_eq!(rec.transient_rate, 0.1);
         assert_eq!(rec.max_attempts, 4);
@@ -2343,10 +1829,9 @@ mod tests {
         assert_eq!(rec.rows[1].backoff_ms, 14.5);
         assert!(b.malformed_rows.is_empty());
         // Recovery rows never leak into the timing-stage namespace.
-        assert!(!b.stage_wall_ms.contains_key("mdav"));
-        let report = compare_baselines(&json, &json);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(report.notes.iter().any(|n| n.contains("recovery")));
+        assert!(!b.stage_wall_ms().contains_key("mdav"));
+        let report = assert_passes(&json, &json);
+        assert_notes(&report, "recovery");
     }
 
     #[test]
@@ -2355,28 +1840,13 @@ mod tests {
         // Ledger disappeared entirely.
         let fresh = synthetic_json(100.0, 5.0);
         let report = compare_baselines(&committed, &fresh);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("recovery ledger disappeared")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "recovery ledger disappeared");
         // A newly appearing ledger is fine.
-        let report = compare_baselines(&fresh, &committed);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&fresh, &committed);
         // An escaped panic fails even against itself.
         let leaky = synthetic_recovery_json(2015, 0.1, 4, 3, 1, &[("world_build", 1, 0, 0.0)]);
         let report = compare_baselines(&committed, &leaky);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("escaped panic")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "escaped panic");
     }
 
     #[test]
@@ -2385,95 +1855,48 @@ mod tests {
         // Same (seed, rate, max_attempts), different total: drift.
         let drifted = synthetic_recovery_json(2015, 0.1, 4, 5, 0, &[("robustness", 2, 1, 4.0)]);
         let report = compare_baselines(&committed, &drifted);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("retry trace drifted")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "retry trace drifted");
         // A different seed legitimately produces a different trace.
         let other_seed = synthetic_recovery_json(77, 0.1, 4, 5, 0, &[("robustness", 2, 1, 4.0)]);
         let report = compare_baselines(&committed, &other_seed);
-        assert!(
-            !report.violations.iter().any(|v| v.contains("drifted")),
-            "{:?}",
-            report.violations
-        );
+        assert_silent(&report, "drifted");
         // A stage row vanishing from a still-present ledger fails.
         let hollow = synthetic_recovery_json(2015, 0.1, 4, 3, 0, &[("world_build", 1, 0, 0.0)]);
         let report = compare_baselines(&committed, &hollow);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("`robustness` vanished from the fresh ledger")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "`robustness` vanished from the fresh ledger");
     }
 
-    /// A synthetic baseline whose config marks a deterministic
-    /// (checkpointed) run: every wall-clock zeroed, speedups at the 0.0
-    /// sentinel.
-    fn synthetic_det_json() -> String {
-        "{\n  \"config\": { \"size\": 120, \"seed\": 2015, \"k_min\": 2, \"k_max\": 10, \"cores\": 1, \"deterministic\": true },\n  \
-         \"stages\": [\n    \
-         { \"name\": \"world_build\", \"wall_ms\": 0.000, \"rows\": 120, \"rows_per_sec\": 0.0 },\n    \
-         { \"name\": \"mdav_k5\", \"wall_ms\": 0.000, \"rows\": 120, \"rows_per_sec\": 0.0 }\n  \
-         ],\n  \"speedup_batch_vs_naive\": 0.00\n}\n"
-            .to_owned()
+    /// A synthetic deterministic (checkpointed) run: every wall-clock
+    /// zeroed, the speedup at the 0.0 sentinel.
+    fn synthetic_det() -> QuickBench {
+        let mut b = synthetic(0.0, 0.0);
+        b.deterministic = true;
+        b.stages.iter_mut().for_each(|s| s.wall_ms = 0.0);
+        b
     }
 
     #[test]
     fn deterministic_fresh_run_skips_timing_gates_but_not_structure() {
         let committed = synthetic_json(100.0, 5.0);
-        let det = synthetic_det_json();
-        assert_eq!(parse_baseline(&det).deterministic, Some(true));
-        assert_eq!(parse_baseline(&committed).deterministic, None);
+        let det = synthetic_det().to_json();
+        assert!(parse(&det).bench.deterministic);
+        assert!(!parse(&committed).bench.deterministic);
         // Zeroed speedup and zeroed stage walls pass: timing gates are
         // skipped for a deterministic fresh run.
-        let report = compare_baselines(&committed, &det);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(
-            report
-                .notes
-                .iter()
-                .any(|n| n.contains("timing gates skipped")),
-            "{:?}",
-            report.notes
-        );
+        let report = assert_passes(&committed, &det);
+        assert_notes(&report, "timing gates skipped");
         // The stage-disappeared gate still applies in full.
-        let hollow: String = det
-            .lines()
-            .filter(|l| !l.contains("\"mdav_k5\""))
-            .map(|l| format!("{l}\n"))
-            .collect();
+        let hollow = edit(&det, |b| b.stages.retain(|s| s.name != "mdav_k5"));
         let report = compare_baselines(&committed, &hollow);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("`mdav_k5` disappeared")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "`mdav_k5` disappeared");
     }
 
     #[test]
     fn committed_deterministic_baseline_is_a_violation() {
-        let det = synthetic_det_json();
+        let det = synthetic_det().to_json();
         let fresh = synthetic_json(100.0, 5.0);
         let report = compare_baselines(&det, &fresh);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("deterministic (checkpointed) run")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "deterministic (checkpointed) run");
     }
 
     #[test]
@@ -2483,7 +1906,7 @@ mod tests {
         // ONLY structural violations — no spurious disappeared-stage
         // noise from the half-parsed remains.
         let torn = &good[..good.len() / 2];
-        assert!(!parse_baseline(torn).structural_errors.is_empty());
+        assert!(parse_baseline(torn).is_err());
         let report = compare_baselines(torn, &good);
         assert!(!report.violations.is_empty());
         assert!(
@@ -2494,75 +1917,74 @@ mod tests {
             "{:?}",
             report.violations
         );
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("regenerate it")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "regenerate it");
         // A torn fresh run fails the same way.
         let report = compare_baselines(&good, torn);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("fresh baseline is structurally corrupt")),
-            "{:?}",
-            report.violations
-        );
-        // Not-a-baseline input reports every missing landmark.
-        let b = parse_baseline("");
-        assert_eq!(b.structural_errors.len(), 3, "{:?}", b.structural_errors);
+        assert_fires(&report, "fresh baseline is structurally corrupt");
+        // Not-a-baseline input is one parse error; a well-formed JSON
+        // document that is not a bench, or one without stage rows, is
+        // corrupt too.
+        assert!(parse_baseline("").unwrap_err().contains("not valid JSON"));
+        assert!(parse_baseline("{}")
+            .unwrap_err()
+            .contains("does not decode"));
+        let stageless = edit(&good, |b| b.stages.clear());
+        assert!(parse_baseline(&stageless)
+            .unwrap_err()
+            .contains("no stage rows"));
     }
 
     #[test]
     fn missing_stage_fails() {
         let json = small_bench_json(None);
-        let fresh: String = json
-            .lines()
-            .filter(|l| !l.contains("\"mdav_k5\""))
-            .map(|l| format!("{l}\n"))
-            .collect();
+        let fresh = edit(&json, |b| b.stages.retain(|s| s.name != "mdav_k5"));
         let report = compare_baselines(&json, &fresh);
-        assert!(report.violations.iter().any(|v| v.contains("disappeared")));
+        assert_fires(&report, "disappeared");
     }
 
-    /// Appends a `profile` block in the writer's shape onto an existing
-    /// synthetic baseline.
+    /// A non-deterministic `profile` block with one self-time row per
+    /// `(stage, spans)` and the given counter rows.
+    fn profile(
+        digest: &str,
+        pct: f64,
+        stages: &[(&str, usize)],
+        counters: &[(&str, u64)],
+    ) -> ProfileBench {
+        ProfileBench {
+            deterministic: false,
+            spans_total: stages.len() as u64 + 1,
+            events_total: 0,
+            span_tree_digest: digest.to_owned(),
+            overhead_probe_calls: 1_000_000,
+            overhead_wall_ms: 4.0,
+            overhead_pct_of_large: pct,
+            stages: stages
+                .iter()
+                .map(|&(stage, spans)| ProfileStageRow {
+                    stage: stage.to_owned(),
+                    self_ms: 1.0,
+                    spans,
+                })
+                .collect(),
+            counters: counters
+                .iter()
+                .map(|&(name, value)| (name.to_owned(), value))
+                .collect(),
+            hists: Vec::new(),
+        }
+    }
+
+    /// Adds a `profile` block onto an existing synthetic baseline.
     fn with_profile(
-        mut out: String,
+        json: String,
         digest: &str,
         pct: f64,
         stages: &[(&str, usize)],
         counters: &[(&str, u64)],
     ) -> String {
-        out.truncate(out.rfind("\n}").expect("closing brace"));
-        out.push_str(",\n  \"profile\": {\n");
-        out.push_str(&format!(
-            "    \"deterministic\": false, \"spans_total\": {}, \"events_total\": 0, \"span_tree_digest\": \"{digest}\",\n",
-            stages.len() + 1
-        ));
-        out.push_str(&format!(
-            "    \"overhead\": {{ \"probe_calls\": 1000000, \"wall_ms\": 4.000, \"pct_of_large\": {pct:.3} }},\n"
-        ));
-        out.push_str("    \"stages\": [\n");
-        for (i, (stage, spans)) in stages.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{ \"stage\": \"{stage}\", \"self_ms\": 1.000, \"spans\": {spans} }}{}\n",
-                if i + 1 < stages.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ],\n    \"counters\": [\n");
-        for (i, (name, value)) in counters.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{ \"counter\": \"{name}\", \"value\": {value} }}{}\n",
-                if i + 1 < counters.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("    ]\n  }\n}\n");
-        out
+        edit(&json, |b| {
+            b.profile = Some(profile(digest, pct, stages, counters))
+        })
     }
 
     #[test]
@@ -2574,8 +1996,8 @@ mod tests {
             &[("world_build", 1), ("mdav", 1)],
             &[("mdav.rounds", 12), ("release.chunks", 3)],
         );
-        let b = parse_baseline(&json);
-        let prof = b.profile.expect("profile block parsed");
+        let b = parse(&json);
+        let prof = b.bench.profile.as_ref().expect("profile block parsed");
         assert!(!prof.deterministic);
         assert_eq!(prof.spans_total, 3);
         assert_eq!(prof.span_tree_digest, "00deadbeef00cafe");
@@ -2583,15 +2005,14 @@ mod tests {
         assert_eq!(prof.overhead_pct_of_large, 0.5);
         assert_eq!(prof.stages.len(), 2);
         assert_eq!(prof.stages[1].stage, "mdav");
-        assert_eq!(prof.counters.get("mdav.rounds"), Some(&12));
+        assert_eq!(prof.counters[0], ("mdav.rounds".to_owned(), 12));
         assert!(b.malformed_rows.is_empty());
         // Profile stage rows never leak into the timing-stage namespace
         // or the recovery ledger.
-        assert!(!b.stage_wall_ms.contains_key("mdav"));
-        assert!(b.recovery.is_none());
-        let report = compare_baselines(&json, &json);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(report.notes.iter().any(|n| n.contains("profile")));
+        assert!(!b.stage_wall_ms().contains_key("mdav"));
+        assert!(b.bench.recovery.is_none());
+        let report = assert_passes(&json, &json);
+        assert_notes(&report, "profile");
     }
 
     #[test]
@@ -2612,24 +2033,10 @@ mod tests {
             &[],
         );
         let report = compare_baselines(&committed, &drifted);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("span tree digest drifted")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "span tree digest drifted");
         // The whole block vanishing fails.
         let report = compare_baselines(&committed, &synthetic_json(100.0, 5.0));
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("profile block disappeared")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "profile block disappeared");
         // A committed stage row vanishing from a still-present block fails.
         let hollow = with_profile(
             synthetic_json(100.0, 5.0),
@@ -2639,17 +2046,9 @@ mod tests {
             &[],
         );
         let report = compare_baselines(&committed, &hollow);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("profile stage `world_build` disappeared")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "profile stage `world_build` disappeared");
         // A newly appearing profile is fine.
-        let report = compare_baselines(&synthetic_json(100.0, 5.0), &committed);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&synthetic_json(100.0, 5.0), &committed);
     }
 
     #[test]
@@ -2661,8 +2060,7 @@ mod tests {
             &[("world_build", 1)],
             &[],
         );
-        let report = compare_baselines(&fast, &fast);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&fast, &fast);
         let slow = with_profile(
             synthetic_json(100.0, 5.0),
             "00deadbeef00cafe",
@@ -2671,14 +2069,7 @@ mod tests {
             &[],
         );
         let report = compare_baselines(&fast, &slow);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("disabled-tracing overhead")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "disabled-tracing overhead");
     }
 
     #[test]
@@ -2699,8 +2090,7 @@ mod tests {
                 ("faults.workers_restarted", 0),
             ],
         );
-        let report = compare_baselines(&agree, &agree);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&agree, &agree);
         // One dropped increment fails — the reconciliation is exact.
         let disagree = with_profile(
             base,
@@ -2715,14 +2105,7 @@ mod tests {
             ],
         );
         let report = compare_baselines(&disagree, &disagree);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("`faults.pages_rejected` = 41 disagrees")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "`faults.pages_rejected` = 41 disagrees");
     }
 
     #[test]
@@ -2735,40 +2118,24 @@ mod tests {
             0,
             &[("world_build", 1, 0, 0.0), ("mdav", 3, 2, 14.5)],
         );
-        // attempts sum to 4, retries_total 3, quarantines default 0.
+        // attempts sum to 4, retries_total 3.
         let agree = with_profile(
             base.clone(),
             "00deadbeef00cafe",
             0.5,
             &[("world_build", 1), ("mdav", 1)],
-            &[
-                ("recover.attempts", 4),
-                ("recover.retries", 3),
-                ("recover.quarantines", 0),
-            ],
+            &[("recover.attempts", 4), ("recover.retries", 3)],
         );
-        let report = compare_baselines(&agree, &agree);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_passes(&agree, &agree);
         let disagree = with_profile(
             base,
             "00deadbeef00cafe",
             0.5,
             &[("world_build", 1), ("mdav", 1)],
-            &[
-                ("recover.attempts", 5),
-                ("recover.retries", 3),
-                ("recover.quarantines", 0),
-            ],
+            &[("recover.attempts", 5), ("recover.retries", 3)],
         );
         let report = compare_baselines(&disagree, &disagree);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("`recover.attempts` = 5 disagrees")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "`recover.attempts` = 5 disagrees");
     }
 
     #[test]
@@ -2783,63 +2150,50 @@ mod tests {
             &[("world_build", 1)],
             &[],
         );
-        let det = committed
-            .replace("\"deterministic\": false", "\"deterministic\": true")
-            .replace("\"pct_of_large\": 0.500", "\"pct_of_large\": 0.000");
-        let report = compare_baselines(&committed, &det);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(
-            report
-                .notes
-                .iter()
-                .any(|n| n.contains("counter gates skipped")),
-            "{:?}",
-            report.notes
-        );
+        let det = edit(&committed, |b| {
+            let prof = b.profile.as_mut().unwrap();
+            prof.deterministic = true;
+            prof.overhead_pct_of_large = 0.0;
+        });
+        let report = assert_passes(&committed, &det);
+        assert_notes(&report, "counter gates skipped");
         // Digest drift still fails a deterministic profile.
-        let drifted = det.replace("00deadbeef00cafe", "ffffffffffffffff");
+        let drifted = edit(&det, |b| {
+            b.profile.as_mut().unwrap().span_tree_digest = "ffffffffffffffff".into()
+        });
         let report = compare_baselines(&committed, &drifted);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("span tree digest drifted")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "span tree digest drifted");
     }
 
-    #[test]
-    fn quarantined_total_round_trips_and_defaults() {
-        // Old-format header (no quarantined_total) parses as zero.
-        let old = synthetic_recovery_json(2015, 0.1, 4, 3, 0, &[("world_build", 1, 0, 0.0)]);
-        assert_eq!(parse_baseline(&old).recovery.unwrap().quarantined_total, 0);
-        // New-format header round-trips the field.
-        let new = old.replace(
-            "\"retries_total\": 3,",
-            "\"retries_total\": 3, \"quarantined_total\": 2,",
-        );
-        assert_eq!(parse_baseline(&new).recovery.unwrap().quarantined_total, 2);
+    /// A well-formed `large_100k` block: `shards` MDAV leaves over
+    /// `size` rows, all three digest pairs agreeing, peak rss under the
+    /// ceiling.
+    fn large_100k(size: usize, shards: usize) -> Large100kBench {
+        Large100kBench {
+            size,
+            shards,
+            cores: 1,
+            sample_rows: size,
+            peak_rss_mb: 512.0,
+            stages: vec![StageTiming {
+                name: "harvest_100k",
+                wall_ms: 100.0,
+                rows: 200,
+            }],
+            harvest_digest_engine: 0xaa,
+            harvest_digest_reference: 0xaa,
+            mdav_digest_optimized: 0xbb,
+            mdav_digest_reference: 0xbb,
+            intersect_digest_engine: 0xcc,
+            intersect_digest_oracle: 0xcc,
+        }
     }
 
-    /// A synthetic baseline carrying a well-formed `large_100k` block in
-    /// the writer's format: `shards` MDAV leaves over `size` rows, all
-    /// three digest pairs agreeing, peak rss under the ceiling.
+    /// A synthetic baseline carrying a [`large_100k`] block.
     fn synthetic_100k_sized_json(size: usize, shards: usize) -> String {
-        let mut out = synthetic_json(100.0, 5.0);
-        out.truncate(out.rfind("\n}").expect("closing brace"));
-        out.push_str(&format!(
-            ",\n  \"large_100k\": {{\n    \"size\": {size},\n    \"shards\": {shards},\n    \
-             \"cores\": 1,\n    \"sample_rows\": {size},\n    \"peak_rss_mb\": 512.0,\n"
-        ));
-        out.push_str(
-            "    \"stages\": [\n      \
-             { \"name\": \"harvest_100k\", \"wall_ms\": 100.000, \"rows\": 200, \"rows_per_sec\": 2000.0 }\n    \
-             ],\n    \
-             \"digests\": { \"harvest_engine\": \"00000000000000aa\", \"harvest_reference\": \"00000000000000aa\", \"mdav_optimized\": \"00000000000000bb\", \"mdav_reference\": \"00000000000000bb\", \"intersect_engine\": \"00000000000000cc\", \"intersect_oracle\": \"00000000000000cc\" }\n  \
-             }\n}\n",
-        );
-        out
+        let mut b = synthetic(100.0, 5.0);
+        b.large_100k = Some(large_100k(size, shards));
+        b.to_json()
     }
 
     /// The two-leaf, 200-row default most gate tests mutate.
@@ -2847,107 +2201,60 @@ mod tests {
         synthetic_100k_sized_json(200, 2)
     }
 
+    /// Edits the `large_100k` block of a baseline.
+    fn edit_100k(json: &str, mutate: impl FnOnce(&mut Large100kBench)) -> String {
+        edit(json, |b| {
+            mutate(b.large_100k.as_mut().expect("large_100k block"))
+        })
+    }
+
     #[test]
     fn sharded_block_parses_and_self_diff_passes() {
         let json = synthetic_100k_json();
-        let b = parse_baseline(&json);
-        let big = b.large_100k.as_ref().expect("block parsed");
+        let b = parse(&json);
+        let big = b.bench.large_100k.as_ref().expect("block parsed");
         assert_eq!((big.size, big.shards, big.sample_rows), (200, 2, 200));
         assert_eq!(big.peak_rss_mb, 512.0);
-        assert_eq!(big.digests.len(), 6);
-        assert_eq!(b.seed, Some(2015));
+        assert_eq!(big.digests()[2], ("mdav_optimized", 0xbb));
+        assert_eq!(b.bench.seed, 2015);
         // The 100k stages share the common timing namespace.
-        assert!(b.stage_wall_ms.contains_key("harvest_100k"));
+        assert!(b.stage_wall_ms().contains_key("harvest_100k"));
         assert!(b.malformed_rows.is_empty(), "{:?}", b.malformed_rows);
-        let report = compare_baselines(&json, &json);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(
-            report.notes.iter().any(|n| n.contains("large_100k")),
-            "{:?}",
-            report.notes
-        );
+        let report = assert_passes(&json, &json);
+        assert_notes(&report, "large_100k");
     }
 
     #[test]
     fn sharded_digest_mismatch_fails() {
         let committed = synthetic_100k_json();
-        let fresh = committed.replace(
-            "\"mdav_reference\": \"00000000000000bb\"",
-            "\"mdav_reference\": \"00000000000000be\"",
-        );
+        let fresh = edit_100k(&committed, |big| big.mdav_digest_reference = 0xbe);
         let report = compare_baselines(&committed, &fresh);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("hierarchical MDAV diverged")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "hierarchical MDAV diverged");
         // The drifted pair also breaks the cross-run pin at the same
         // (seed, size, shards).
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("digests drifted")),
-            "{:?}",
-            report.violations
-        );
-    }
-
-    #[test]
-    fn legacy_digest_keys_read_under_their_current_names() {
-        let current = synthetic_100k_json();
-        let legacy = current
-            .replace("mdav_optimized", "mdav_sharded")
-            .replace("mdav_reference", "mdav_unsharded")
-            .replace("intersect_engine", "intersect_sharded")
-            .replace("intersect_oracle", "intersect_unsharded");
-        assert_ne!(legacy, current);
-        let (old, new) = (parse_baseline(&legacy), parse_baseline(&current));
-        assert!(old.malformed_rows.is_empty(), "{:?}", old.malformed_rows);
-        let digests = |b: &Baseline| b.large_100k.as_ref().expect("block parsed").digests.clone();
-        assert_eq!(digests(&old), digests(&new));
-        // An older committed baseline still pins a fresh run's digests.
-        let report = compare_baselines(&legacy, &current);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        let drifted = current.replace(
-            "\"intersect_engine\": \"00000000000000cc\", \"intersect_oracle\": \"00000000000000cc\"",
-            "\"intersect_engine\": \"00000000000000cd\", \"intersect_oracle\": \"00000000000000cd\"",
-        );
-        let report = compare_baselines(&legacy, &drifted);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("digests drifted")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "digests drifted");
+        // A pair that drifts together passes in-run but not cross-run.
+        let drifted = edit_100k(&committed, |big| {
+            big.intersect_digest_engine = 0xcd;
+            big.intersect_digest_oracle = 0xcd;
+        });
+        let report = compare_baselines(&committed, &drifted);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(report.violations[0].contains("intersect_engine=00000000000000cd"));
     }
 
     #[test]
     fn sharded_rss_ceiling_gates_and_zero_skips() {
         let committed = synthetic_100k_json();
-        let breach = committed.replace(
-            "\"peak_rss_mb\": 512.0",
-            &format!("\"peak_rss_mb\": {:.1}", MAX_100K_PEAK_RSS_MB * 2.0),
-        );
+        let breach = edit_100k(&committed, |big| {
+            big.peak_rss_mb = MAX_100K_PEAK_RSS_MB * 2.0
+        });
         let report = compare_baselines(&committed, &breach);
-        assert!(
-            report.violations.iter().any(|v| v.contains("peak rss")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "peak rss");
         // A deterministic/unavailable 0.0 reading skips the ceiling.
-        let zeroed = committed.replace("\"peak_rss_mb\": 512.0", "\"peak_rss_mb\": 0.0");
+        let zeroed = edit_100k(&committed, |big| big.peak_rss_mb = 0.0);
         let report = compare_baselines(&committed, &zeroed);
-        assert!(
-            !report.violations.iter().any(|v| v.contains("peak rss")),
-            "{:?}",
-            report.violations
-        );
+        assert_silent(&report, "peak rss");
     }
 
     #[test]
@@ -2955,41 +2262,16 @@ mod tests {
         // Committed predates the block: the in-run gates still fire.
         let committed = synthetic_json(100.0, 5.0);
         let fresh = synthetic_100k_json();
-        let report = compare_baselines(&committed, &fresh);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(
-            report
-                .notes
-                .iter()
-                .any(|n| n.contains("predates the large_100k block")),
-            "{:?}",
-            report.notes
-        );
+        let report = assert_passes(&committed, &fresh);
+        assert_notes(&report, "predates the large_100k block");
         // ... and a broken fresh block fails against that same old
         // baseline — no vacuous pass.
-        let broken = fresh.replace(
-            "\"intersect_oracle\": \"00000000000000cc\"",
-            "\"intersect_oracle\": \"00000000000000cd\"",
-        );
+        let broken = edit_100k(&fresh, |big| big.intersect_digest_oracle = 0xcd);
         let report = compare_baselines(&committed, &broken);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("intersection diverged")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "intersection diverged");
         // A committed block that vanishes from the fresh run fails.
         let report = compare_baselines(&fresh, &committed);
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.contains("large_100k block disappeared")),
-            "{:?}",
-            report.violations
-        );
+        assert_fires(&report, "large_100k block disappeared");
     }
 
     #[test]
@@ -2998,16 +2280,8 @@ mod tests {
         // hold and the cross-run pin steps aside with a note.
         let committed = synthetic_100k_json();
         let fresh = synthetic_100k_sized_json(400, 4);
-        let report = compare_baselines(&committed, &fresh);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(
-            report
-                .notes
-                .iter()
-                .any(|n| n.contains("cross-run digest pin skipped")),
-            "{:?}",
-            report.notes
-        );
+        let report = assert_passes(&committed, &fresh);
+        assert_notes(&report, "cross-run digest pin skipped");
     }
 
     #[test]
@@ -3026,11 +2300,10 @@ mod tests {
             },
         )
         .to_json();
-        let b = parse_baseline(&json);
-        let big = b.large_100k.as_ref().expect("block parsed");
+        let b = parse(&json);
+        let big = b.bench.large_100k.as_ref().expect("block parsed");
         assert_eq!((big.size, big.shards), (80, 1));
-        assert_eq!(big.digests.len(), 6);
-        assert!(b.stage_wall_ms.contains_key("equivalence_100k"));
+        assert!(b.stage_wall_ms().contains_key("equivalence_100k"));
         assert!(b.malformed_rows.is_empty(), "{:?}", b.malformed_rows);
         let report = compare_baselines(&json, &json);
         assert!(

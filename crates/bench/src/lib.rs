@@ -21,6 +21,7 @@
 
 pub mod ablations;
 pub mod ckpt;
+pub mod codec;
 pub mod compare;
 pub mod figures;
 pub mod perf;

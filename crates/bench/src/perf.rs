@@ -34,13 +34,14 @@ use fred_composition::{
 use fred_core::{sweep, SweepConfig};
 use fred_data::{ShardPlan, Table};
 use fred_faults::{FaultPlan, TargetedCorruption};
-use fred_recover::{RetryPolicy, StageRunner};
+use fred_recover::{json, Artifact, RetryPolicy, StageRunner};
 use fred_web::{corrupt_pages, SearchEngine};
 
 use crate::ckpt::{
-    digest_bits, digest_harvest, digest_harvest_rows, digest_world, intern_stage_name, Digest,
-    EstimatesArtifact, StageAnchor, SweepArtifact,
+    digest_bits, digest_harvest, digest_harvest_rows, digest_world, Digest, EstimatesArtifact,
+    StageAnchor, SweepArtifact,
 };
+use crate::codec::intern_stage_name;
 use crate::stages::{self as sn, runner as rstage};
 use crate::world::{faculty_world, World, WorldConfig};
 
@@ -110,6 +111,21 @@ pub struct Large100kBench {
     pub intersect_digest_oracle: u64,
 }
 
+impl Large100kBench {
+    /// The six equivalence digests under their keys in the block's
+    /// `digests` object, each path next to its reference.
+    pub fn digests(&self) -> [(&'static str, u64); 6] {
+        [
+            ("harvest_engine", self.harvest_digest_engine),
+            ("harvest_reference", self.harvest_digest_reference),
+            ("mdav_optimized", self.mdav_digest_optimized),
+            ("mdav_reference", self.mdav_digest_reference),
+            ("intersect_engine", self.intersect_digest_engine),
+            ("intersect_oracle", self.intersect_digest_oracle),
+        ]
+    }
+}
+
 /// Wall-clock + throughput of one pipeline stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTiming {
@@ -133,7 +149,7 @@ impl StageTiming {
 
 /// The large-world add-on: the same hot stages timed at enterprise scale
 /// (defaults to 10 000 rows), where superlinear behavior cannot hide.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LargeBench {
     /// Large-world row count.
     pub size: usize,
@@ -158,7 +174,7 @@ pub struct LargeBench {
 }
 
 /// One `(releases)` cell of the composition stage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompositionBenchRow {
     /// Number of composed releases.
     pub releases: usize,
@@ -173,7 +189,7 @@ pub struct CompositionBenchRow {
 
 /// The `--compose` add-on: the composition attack swept over release
 /// counts at the tracked `k`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompositionBench {
     /// Anonymization level every curator applied.
     pub k: usize,
@@ -186,7 +202,7 @@ pub struct CompositionBench {
 }
 
 /// One `(policy, releases)` cell of the defense stage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefenseBenchRow {
     /// Stable policy label ([`DefensePolicy::label`]).
     pub policy: String,
@@ -208,7 +224,7 @@ pub struct DefenseBenchRow {
 
 /// The `--defend` add-on: every policy swept over release counts at the
 /// tracked `k`, next to the undefended gain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefenseBench {
     /// Anonymization level every curator applied.
     pub k: usize,
@@ -264,7 +280,7 @@ pub struct EvalBench {
 }
 
 /// One fault-rate cell of the robustness sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessBenchRow {
     /// Per-fault injection probability every [`FaultPlan`] knob was set
     /// to for this cell (`0.0` is the passthrough reference row). For the
@@ -291,10 +307,18 @@ pub struct RobustnessBenchRow {
     pub workers_restarted: usize,
 }
 
+impl RobustnessBenchRow {
+    /// Every defect the tolerant pipeline survived: pages rejected, rows
+    /// skipped, fields imputed and workers restarted.
+    pub fn defects(&self) -> usize {
+        self.pages_rejected + self.rows_skipped + self.fields_imputed + self.workers_restarted
+    }
+}
+
 /// The `--faults` add-on: the harvest + composition attack re-run under
 /// seeded fault injection at increasing corruption rates, recording how
 /// gracefully the measured signal degrades.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessBench {
     /// The top corruption rate swept (the CLI's `--faults` argument).
     pub max_rate: f64,
@@ -511,230 +535,10 @@ pub struct QuickBenchOptions {
 }
 
 impl QuickBench {
-    /// Renders the machine-readable baseline (hand-rolled JSON — the
-    /// workspace builds offline, without serde).
+    /// Renders the machine-readable baseline: [`Self::to_value`]
+    /// (the schema in [`crate::codec`]) through [`json::render`].
     pub fn to_json(&self) -> String {
-        let render_stages = |stages: &[StageTiming], indent: &str| -> String {
-            let mut out = String::new();
-            for (i, s) in stages.iter().enumerate() {
-                out.push_str(&format!(
-                    "{indent}{{ \"name\": \"{}\", \"wall_ms\": {:.3}, \"rows\": {}, \"rows_per_sec\": {:.1} }}{}\n",
-                    s.name,
-                    s.wall_ms,
-                    s.rows,
-                    s.rows_per_sec(),
-                    if i + 1 < stages.len() { "," } else { "" }
-                ));
-            }
-            out
-        };
-        let render_composition = |comp: &CompositionBench, key: &str, indent: &str| -> String {
-            let mut out = format!("{indent}\"{key}\": {{\n");
-            out.push_str(&format!(
-                "{indent}  \"k\": {}, \"overlap\": {:.2}, \"wall_ms\": {:.3},\n",
-                comp.k, comp.overlap, comp.wall_ms
-            ));
-            out.push_str(&format!("{indent}  \"rows\": [\n"));
-            for (i, row) in comp.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "{indent}    {{ \"releases\": {}, \"disclosure_gain\": {:.1}, \"mean_candidates\": {:.2}, \"estimate_gain\": {:.1} }}{}\n",
-                    row.releases,
-                    row.disclosure_gain,
-                    row.mean_candidates,
-                    row.estimate_gain,
-                    if i + 1 < comp.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str(&format!("{indent}  ]\n{indent}}}"));
-            out
-        };
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"config\": {{ \"size\": {}, \"seed\": {}, \"k_min\": {}, \"k_max\": {}, \"cores\": {}, \"deterministic\": {} }},\n",
-            self.size, self.seed, self.k_range.0, self.k_range.1, self.cores, self.deterministic
-        ));
-        out.push_str("  \"stages\": [\n");
-        out.push_str(&render_stages(&self.stages, "    "));
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"speedup_batch_vs_naive\": {:.2}",
-            self.speedup_batch_vs_naive
-        ));
-        if let Some(large) = &self.large {
-            out.push_str(",\n  \"large\": {\n");
-            out.push_str(&format!("    \"size\": {},\n", large.size));
-            out.push_str(&format!("    \"cores\": {},\n", large.cores));
-            out.push_str("    \"stages\": [\n");
-            out.push_str(&render_stages(&large.stages, "      "));
-            out.push_str("    ],\n");
-            out.push_str(&format!(
-                "    \"speedup_harvest_parallel_vs_single\": {:.2}",
-                large.speedup_harvest_parallel_vs_single
-            ));
-            if let Some(comp) = &large.composition {
-                out.push_str(",\n");
-                out.push_str(&render_composition(comp, "composition_large", "    "));
-            }
-            out.push_str("\n  }");
-        }
-        if let Some(big) = &self.large_100k {
-            out.push_str(",\n  \"large_100k\": {\n");
-            out.push_str(&format!("    \"size\": {},\n", big.size));
-            out.push_str(&format!("    \"shards\": {},\n", big.shards));
-            out.push_str(&format!("    \"cores\": {},\n", big.cores));
-            out.push_str(&format!("    \"sample_rows\": {},\n", big.sample_rows));
-            out.push_str(&format!("    \"peak_rss_mb\": {:.1},\n", big.peak_rss_mb));
-            out.push_str("    \"stages\": [\n");
-            out.push_str(&render_stages(&big.stages, "      "));
-            out.push_str("    ],\n");
-            out.push_str(&format!(
-                "    \"digests\": {{ \"harvest_engine\": \"{:016x}\", \"harvest_reference\": \"{:016x}\", \"mdav_optimized\": \"{:016x}\", \"mdav_reference\": \"{:016x}\", \"intersect_engine\": \"{:016x}\", \"intersect_oracle\": \"{:016x}\" }}\n",
-                big.harvest_digest_engine,
-                big.harvest_digest_reference,
-                big.mdav_digest_optimized,
-                big.mdav_digest_reference,
-                big.intersect_digest_engine,
-                big.intersect_digest_oracle
-            ));
-            out.push_str("  }");
-        }
-        if let Some(comp) = &self.composition {
-            out.push_str(",\n");
-            out.push_str(&render_composition(comp, "composition", "  "));
-        }
-        if let Some(defense) = &self.composition_defense {
-            out.push_str(",\n  \"composition_defense\": {\n");
-            out.push_str(&format!(
-                "    \"k\": {}, \"overlap\": {:.2}, \"wall_ms\": {:.3},\n",
-                defense.k, defense.overlap, defense.wall_ms
-            ));
-            out.push_str("    \"rows\": [\n");
-            for (i, row) in defense.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"policy\": \"{}\", \"releases\": {}, \"residual_gain\": {:.1}, \"undefended_gain\": {:.1}, \"mean_candidates\": {:.2}, \"utility_cost\": {:.1} }}{}\n",
-                    row.policy,
-                    row.releases,
-                    row.residual_gain,
-                    row.undefended_gain,
-                    row.mean_candidates,
-                    row.utility_cost,
-                    if i + 1 < defense.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        if let Some(eval) = &self.eval {
-            out.push_str(",\n  \"eval\": {\n");
-            out.push_str(&format!("    \"wall_ms\": {:.3},\n", eval.wall_ms));
-            out.push_str("    \"rows\": [\n");
-            for (i, row) in eval.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"k\": {}, \"releases\": {}, \"defense\": \"{}\", \"targets\": {}, \"decoys\": {}, \"auc\": {:.4}, \"tpr_at_fpr3\": {:.4}, \"epsilon\": {:.4} }}{}\n",
-                    row.k,
-                    row.releases,
-                    row.defense,
-                    row.targets,
-                    row.decoys,
-                    row.auc,
-                    row.tpr_at_fpr3,
-                    row.epsilon,
-                    if i + 1 < eval.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        if let Some(rob) = &self.robustness {
-            out.push_str(",\n  \"robustness\": {\n");
-            out.push_str(&format!(
-                "    \"max_rate\": {:.3}, \"seed\": {}, \"wall_ms\": {:.3},\n",
-                rob.max_rate, rob.seed, rob.wall_ms
-            ));
-            out.push_str("    \"rows\": [\n");
-            for (i, row) in rob.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"fault_rate\": {:.3}, \"mode\": \"{}\", \"harvest_precision\": {:.4}, \"harvest_coverage\": {:.4}, \"composition_gain\": {:.1}, \"pages_rejected\": {}, \"rows_skipped\": {}, \"fields_imputed\": {}, \"workers_restarted\": {} }}{}\n",
-                    row.fault_rate,
-                    row.mode,
-                    row.harvest_precision,
-                    row.harvest_coverage,
-                    row.composition_gain,
-                    row.pages_rejected,
-                    row.rows_skipped,
-                    row.fields_imputed,
-                    row.workers_restarted,
-                    if i + 1 < rob.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        if let Some(rec) = &self.recovery {
-            out.push_str(",\n  \"recovery\": {\n");
-            out.push_str(&format!(
-                "    \"seed\": {}, \"transient_rate\": {:.3}, \"max_attempts\": {}, \"retries_total\": {}, \"escaped_panics\": {},\n",
-                rec.seed, rec.transient_rate, rec.max_attempts, rec.retries_total, rec.escaped_panics
-            ));
-            out.push_str("    \"rows\": [\n");
-            for (i, row) in rec.rows.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"stage\": \"{}\", \"attempts\": {}, \"retries\": {}, \"backoff_ms\": {:.3} }}{}\n",
-                    row.stage,
-                    row.attempts,
-                    row.retries,
-                    row.backoff_ms,
-                    if i + 1 < rec.rows.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        if let Some(prof) = &self.profile {
-            out.push_str(",\n  \"profile\": {\n");
-            out.push_str(&format!(
-                "    \"deterministic\": {}, \"spans_total\": {}, \"events_total\": {}, \"span_tree_digest\": \"{}\",\n",
-                prof.deterministic, prof.spans_total, prof.events_total, prof.span_tree_digest
-            ));
-            out.push_str(&format!(
-                "    \"overhead\": {{ \"probe_calls\": {}, \"wall_ms\": {:.3}, \"pct_of_large\": {:.3} }},\n",
-                prof.overhead_probe_calls, prof.overhead_wall_ms, prof.overhead_pct_of_large
-            ));
-            out.push_str("    \"stages\": [\n");
-            for (i, row) in prof.stages.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"stage\": \"{}\", \"self_ms\": {:.3}, \"spans\": {} }}{}\n",
-                    row.stage,
-                    row.self_ms,
-                    row.spans,
-                    if i + 1 < prof.stages.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ],\n    \"counters\": [\n");
-            for (i, (name, value)) in prof.counters.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{ \"counter\": \"{name}\", \"value\": {value} }}{}\n",
-                    if i + 1 < prof.counters.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ],\n    \"hists\": [\n");
-            for (i, row) in prof.hists.iter().enumerate() {
-                let buckets = row
-                    .buckets
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                out.push_str(&format!(
-                    "      {{ \"hist\": \"{}\", \"count\": {}, \"sum_ms\": {:.3}, \"buckets\": [{}] }}{}\n",
-                    row.name,
-                    row.count,
-                    row.sum_ms,
-                    buckets,
-                    if i + 1 < prof.hists.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("    ]\n  }");
-        }
-        out.push('\n');
-        out.push_str("}\n");
-        out
+        json::render(&self.to_value()) + "\n"
     }
 
     /// One-screen human summary for the terminal.
@@ -873,10 +677,7 @@ impl QuickBench {
                     row.harvest_precision,
                     row.harvest_coverage,
                     row.composition_gain,
-                    row.pages_rejected
-                        + row.rows_skipped
-                        + row.fields_imputed
-                        + row.workers_restarted
+                    row.defects()
                 ));
             }
         }

@@ -1,8 +1,9 @@
 //! Canonical stage names, shared by every layer that speaks them.
 //!
 //! Three places used to spell these strings independently — `perf.rs`
-//! (the emitter), `ckpt.rs` (the checkpoint interner) and `compare.rs`
-//! (the gate) — so a typo in one drifted silently until compare time.
+//! (the emitter), the checkpoint interner (now in `codec.rs`) and
+//! `compare.rs` (the gate) — so a typo in one drifted silently until
+//! compare time.
 //! This module is now the single source: the timed-stage roster, the
 //! checkpoint/runner stage names, and the span names the observability
 //! layer pins in its structural digest.

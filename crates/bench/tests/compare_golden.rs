@@ -9,18 +9,53 @@
 //! ceiling, and a `harvest.name_ms` histogram that disagrees with the
 //! `harvest.names` counter — pin [`fred_bench::compare`] end to end
 //! against the *written* baseline format, not just against JSON the
-//! tests synthesize themselves. The parser has twice grown silent-skip
-//! bugs against real files (PR 4); these fixtures make every
-//! documented fire/stay-silent decision a committed artifact.
+//! tests synthesize themselves: these fixtures make every documented
+//! fire/stay-silent decision a committed artifact.
 
-use fred_bench::compare::{compare_baselines, parse_baseline};
+use fred_bench::compare::{compare_baselines, parse_baseline, Baseline, CompareReport};
+use fred_bench::perf::CompositionBenchRow;
 
 const CLEAN: &str = include_str!("fixtures/bench_clean.json");
 const POISONED: &str = include_str!("fixtures/bench_poisoned.json");
 
+/// Asserts that some violation mentions `needle`.
+#[track_caller]
+fn assert_fires(report: &CompareReport, needle: &str) {
+    assert!(
+        report.violations.iter().any(|v| v.contains(needle)),
+        "no violation mentions {needle:?}: {:?}",
+        report.violations
+    );
+}
+
+/// Asserts that no violation mentions `needle`.
+#[track_caller]
+fn assert_silent(report: &CompareReport, needle: &str) {
+    assert!(
+        !report.violations.iter().any(|v| v.contains(needle)),
+        "a violation mentions {needle:?}: {:?}",
+        report.violations
+    );
+}
+
+/// Asserts that some note mentions `needle`.
+#[track_caller]
+fn assert_notes(report: &CompareReport, needle: &str) {
+    assert!(
+        report.notes.iter().any(|n| n.contains(needle)),
+        "no note mentions {needle:?}: {:?}",
+        report.notes
+    );
+}
+
+fn parse(json: &str) -> Baseline {
+    parse_baseline(json).expect("fixture decodes")
+}
+
 #[test]
 fn clean_fixture_parses_every_documented_block() {
-    let b = parse_baseline(CLEAN);
+    let b = parse(CLEAN);
+    let walls = b.stage_wall_ms();
     // Stages from both worlds share one namespace; the defense stage is
     // a first-class timed stage.
     for stage in [
@@ -40,29 +75,42 @@ fn clean_fixture_parses_every_documented_block() {
         "equivalence_100k",
     ] {
         assert!(
-            b.stage_wall_ms.contains_key(stage),
+            walls.contains_key(stage),
             "stage `{stage}` missing from the parsed clean fixture"
         );
     }
-    assert_eq!(b.cores, Some(1));
-    assert_eq!(b.large_cores, Some(1));
-    assert_eq!(b.speedup_batch_vs_naive, Some(5.38));
+    let bench = &b.bench;
+    let large = bench
+        .large
+        .as_ref()
+        .expect("clean fixture carries a large block");
+    assert_eq!(bench.cores, 1);
+    assert_eq!(large.cores, 1);
+    assert_eq!(bench.speedup_batch_vs_naive, 5.38);
     // The sampled reference records its sample size, not the world size.
-    assert_eq!(
-        b.stage_wall_ms.get("harvest_sequential_large"),
-        Some(&92.126)
-    );
+    assert_eq!(walls.get("harvest_sequential_large"), Some(&92.126));
     // Both composition series, attributed to their own blocks.
+    let series = |rows: &[CompositionBenchRow]| {
+        rows.iter()
+            .map(|r| (r.releases, r.disclosure_gain, r.mean_candidates))
+            .collect::<Vec<_>>()
+    };
+    let composition = series(&bench.composition.as_ref().expect("composition").rows);
+    let composition_large = series(&large.composition.as_ref().expect("composition_large").rows);
     let releases = |rows: &[(usize, f64, f64)]| rows.iter().map(|r| r.0).collect::<Vec<_>>();
-    assert_eq!(releases(&b.composition), vec![1, 2, 3]);
-    assert_eq!(releases(&b.composition_large), vec![1, 2, 3]);
-    assert_eq!(b.composition[2], (3, 8377.8, 1.88));
-    assert_eq!(b.composition_large[2], (3, 2306.2, 1.50));
+    assert_eq!(releases(&composition), vec![1, 2, 3]);
+    assert_eq!(releases(&composition_large), vec![1, 2, 3]);
+    assert_eq!(composition[2], (3, 8377.8, 1.88));
+    assert_eq!(composition_large[2], (3, 2306.2, 1.50));
     // The defense block: nine rows (three policies x three Rs), its own k.
-    assert_eq!(b.defense_k, Some(5));
-    assert_eq!(b.composition_defense.len(), 9);
-    let coordinated: Vec<_> = b
+    let defense = bench
         .composition_defense
+        .as_ref()
+        .expect("clean fixture carries a defense block");
+    assert_eq!(defense.k, 5);
+    assert_eq!(defense.rows.len(), 9);
+    let coordinated: Vec<_> = defense
+        .rows
         .iter()
         .filter(|r| r.policy == "coordinated_seeds")
         .collect();
@@ -70,8 +118,8 @@ fn clean_fixture_parses_every_documented_block() {
     assert_eq!(coordinated[2].releases, 3);
     assert_eq!(coordinated[2].residual_gain, -4148.1);
     assert_eq!(coordinated[2].undefended_gain, 8377.8);
-    let widen: Vec<_> = b
-        .composition_defense
+    let widen: Vec<_> = defense
+        .rows
         .iter()
         .filter(|r| r.policy == "calibrated_widen_k5")
         .collect();
@@ -80,17 +128,18 @@ fn clean_fixture_parses_every_documented_block() {
     // The robustness block: zero-fault reference row first, defect-free,
     // then the two faulted rows with their skip-and-count totals pooled
     // into `defects`.
-    assert_eq!(b.robustness.len(), 3);
-    assert_eq!(b.robustness[0].fault_rate, 0.0);
-    assert_eq!(b.robustness[0].harvest_precision, 1.0);
-    assert_eq!(b.robustness[0].composition_gain, 8377.8);
-    assert_eq!(b.robustness[0].defects, 0);
-    assert_eq!(b.robustness[1].defects, 14 + 5 + 9 + 6);
-    assert_eq!(b.robustness[2].fault_rate, 0.1);
-    assert_eq!(b.robustness[2].defects, 31 + 11 + 17 + 13);
+    let robustness = &bench.robustness.as_ref().expect("robustness block").rows;
+    assert_eq!(robustness.len(), 3);
+    assert_eq!(robustness[0].fault_rate, 0.0);
+    assert_eq!(robustness[0].harvest_precision, 1.0);
+    assert_eq!(robustness[0].composition_gain, 8377.8);
+    assert_eq!(robustness[0].defects(), 0);
+    assert_eq!(robustness[1].defects(), 14 + 5 + 9 + 6);
+    assert_eq!(robustness[2].fault_rate, 0.1);
+    assert_eq!(robustness[2].defects(), 31 + 11 + 17 + 13);
     // The scale block: its MDAV leaf count, the three digest pairs
     // agreeing, and the peak-rss witness.
-    let big = b
+    let big = bench
         .large_100k
         .as_ref()
         .expect("clean fixture carries the large_100k block");
@@ -98,21 +147,14 @@ fn clean_fixture_parses_every_documented_block() {
     assert_eq!(big.shards, 8);
     assert_eq!(big.sample_rows, 2048);
     assert_eq!(big.peak_rss_mb, 612.4);
-    assert_eq!(big.digests.len(), 6);
-    assert_eq!(
-        big.digests.get("harvest_engine"),
-        big.digests.get("harvest_reference")
-    );
-    assert_eq!(
-        big.digests.get("intersect_engine"),
-        Some(&"e6b20a9f7d1c5438".to_owned())
-    );
+    assert_eq!(big.harvest_digest_engine, big.harvest_digest_reference);
+    assert_eq!(big.intersect_digest_engine, 0xe6b2_0a9f_7d1c_5438);
     // The hypothesis-testing eval block: four undefended cells, one per
     // deployed defense at the stage (k, R), every metric finite.
-    assert_eq!(b.eval.len(), 7);
-    assert_eq!(b.eval.iter().filter(|r| r.defense == "none").count(), 4);
-    let top = b
-        .eval
+    let eval = &bench.eval.as_ref().expect("eval block").rows;
+    assert_eq!(eval.len(), 7);
+    assert_eq!(eval.iter().filter(|r| r.defense == "none").count(), 4);
+    let top = eval
         .iter()
         .find(|r| r.k == 5 && r.releases == 3 && r.defense == "none")
         .expect("undefended stage cell present");
@@ -121,13 +163,21 @@ fn clean_fixture_parses_every_documented_block() {
         (top.auc, top.tpr_at_fpr3, top.epsilon),
         (0.9984, 0.9167, 4.5499)
     );
-    assert!(b
-        .eval
+    assert!(eval
         .iter()
         .any(|r| r.defense == "coordinated_seeds" && r.epsilon == 1.6917));
     // The profile block: header, overhead, one self-time row per runner
     // stage, and the counter rows the reconciliation gate reads.
-    let prof = b.profile.as_ref().expect("clean fixture carries a profile");
+    let prof = bench
+        .profile
+        .as_ref()
+        .expect("clean fixture carries a profile");
+    let counter = |name: &str| {
+        prof.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    };
     assert!(!prof.deterministic);
     assert_eq!(prof.spans_total, 11);
     assert_eq!(prof.span_tree_digest, "3f94c1d2a07be586");
@@ -136,12 +186,17 @@ fn clean_fixture_parses_every_documented_block() {
     assert_eq!(prof.stages.len(), 10);
     assert!(prof.stages.iter().any(|s| s.stage == "mdav"));
     assert!(prof.stages.iter().any(|s| s.stage == "eval"));
-    assert_eq!(prof.counters.get("faults.pages_rejected"), Some(&45));
-    assert_eq!(prof.counters.get("faults.workers_restarted"), Some(&19));
+    assert_eq!(counter("faults.pages_rejected"), Some(45));
+    assert_eq!(counter("faults.workers_restarted"), Some(19));
     // The latency histogram the obs-reconciliation gate reads, agreeing
     // with its counter to the unit.
-    assert_eq!(prof.counters.get("harvest.names"), Some(&226));
-    assert_eq!(prof.hists.get("harvest.name_ms"), Some(&(226, 7.150)));
+    assert_eq!(counter("harvest.names"), Some(226));
+    let hist = prof
+        .hists
+        .iter()
+        .find(|h| h.name == "harvest.name_ms")
+        .expect("harvest latency histogram");
+    assert_eq!((hist.count, hist.sum_ms), (226, 7.150));
     assert!(b.malformed_rows.is_empty(), "{:?}", b.malformed_rows);
 }
 
@@ -171,25 +226,26 @@ fn clean_self_diff_stays_silent_and_notes_every_series() {
 
 #[test]
 fn poisoned_fresh_run_fires_exactly_the_documented_gates() {
-    let b = parse_baseline(POISONED);
+    let b = parse(POISONED);
     // All three NaN rows (composition, robustness, eval ε) must surface
     // as malformed, not silently drop.
     assert_eq!(b.malformed_rows.len(), 3, "{:?}", b.malformed_rows);
     assert!(b.malformed_rows.iter().all(|l| l.contains("NaN")));
     // The NaN ε row drops out of the parsed eval series; the drifted
     // undefended cell and the impossible defended cell stay in.
-    assert_eq!(b.eval.len(), 2);
+    assert_eq!(b.bench.eval.as_ref().expect("eval block").rows.len(), 2);
     // The defense block is gone entirely.
-    assert!(b.composition_defense.is_empty());
-    assert_eq!(b.defense_k, None);
+    assert!(b.bench.composition_defense.is_none());
     // The NaN robustness row drops out of the parsed series; the other
     // two — the dirty zero row and the collapsed 10% row — stay in.
-    assert_eq!(b.robustness.len(), 2);
-    assert_eq!(b.robustness[0].defects, 2);
+    let robustness = &b.bench.robustness.as_ref().expect("robustness block").rows;
+    assert_eq!(robustness.len(), 2);
+    assert_eq!(robustness[0].defects(), 2);
     // The poisoned scale block parses structurally — its defect is
     // semantic (a blown memory ceiling), caught by the gates below, not
     // by the parser.
     let big = b
+        .bench
         .large_100k
         .as_ref()
         .expect("poisoned large_100k block parses");
@@ -216,78 +272,39 @@ fn poisoned_fresh_run_fires_exactly_the_documented_gates() {
     // pin is skipped (a note), not fired. The surviving eval pair (one
     // row per (R, defense) group) must not trip the ε-vs-k gate.
     assert_eq!(report.violations.len(), 17, "{:?}", report.violations);
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("AUC 1.2000 is outside")));
+    assert_fires(&report, "AUC 1.2000 is outside");
     assert!(report.violations.iter().any(
         |v| v.contains("eval defended cell `overlap_cap_0.90` at (k=5, R=3) has no undefended")
     ));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("eval ε drifted at (k=2, R=3, `none`)")));
-    assert!(!report
-        .violations
-        .iter()
-        .any(|v| v.contains("ε rose with k")));
+    assert_fires(&report, "eval ε drifted at (k=2, R=3, `none`)");
+    assert_silent(&report, "ε rose with k");
     assert!(report.violations.iter().any(|v| {
         v.contains("obs histogram `harvest.name_ms` recorded 226")
             && v.contains("`harvest.names` = 230")
     }));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("large_100k peak rss reached 4096.0 MiB")));
-    assert!(!report
-        .violations
-        .iter()
-        .any(|v| v.contains("digests drifted")));
-    assert!(report
-        .notes
-        .iter()
-        .any(|n| n.contains("large_100k config changed")));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("profile stage `mdav` disappeared")));
+    assert_fires(&report, "large_100k peak rss reached 4096.0 MiB");
+    assert_silent(&report, "digests drifted");
+    assert_notes(&report, "large_100k config changed");
+    assert_fires(&report, "profile stage `mdav` disappeared");
     assert!(report.violations.iter().any(|v| {
         v.contains("obs counter `faults.fields_imputed` = 99")
             && v.contains("robustness ledger total 17")
     }));
     // The identical digest must not fire: the tree did not change shape.
-    assert!(!report
-        .violations
-        .iter()
-        .any(|v| v.contains("span tree digest drifted")));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("stage `composition_defense` disappeared")));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("stage `robustness_sweep` disappeared")));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("composition_defense stage disappeared")));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("zero-fault robustness row survived 2 defect(s)")));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("zero-fault robustness row drifted")));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("robustness harvest precision at uniform fault rate 0.100")));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("robustness composition gain at uniform fault rate 0.100")));
+    assert_silent(&report, "span tree digest drifted");
+    assert_fires(&report, "stage `composition_defense` disappeared");
+    assert_fires(&report, "stage `robustness_sweep` disappeared");
+    assert_fires(&report, "composition_defense stage disappeared");
+    assert_fires(&report, "zero-fault robustness row survived 2 defect(s)");
+    assert_fires(&report, "zero-fault robustness row drifted");
+    assert_fires(
+        &report,
+        "robustness harvest precision at uniform fault rate 0.100",
+    );
+    assert_fires(
+        &report,
+        "robustness composition gain at uniform fault rate 0.100",
+    );
     assert_eq!(
         report
             .violations
@@ -298,10 +315,7 @@ fn poisoned_fresh_run_fires_exactly_the_documented_gates() {
         "{:?}",
         report.violations
     );
-    assert!(!report
-        .violations
-        .iter()
-        .any(|v| v.contains("not strictly increasing")));
+    assert_silent(&report, "not strictly increasing");
 }
 
 #[test]
@@ -325,30 +339,18 @@ fn poisoned_committed_baseline_refuses_to_gate() {
         "{:?}",
         report.violations
     );
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("zero-fault robustness row drifted")));
-    assert!(report
-        .violations
-        .iter()
-        .any(|v| v.contains("eval ε drifted at (k=2, R=3, `none`)")));
+    assert_fires(&report, "zero-fault robustness row drifted");
+    assert_fires(&report, "eval ε drifted at (k=2, R=3, `none`)");
     // A fresh run *adding* the defense block on top of a committed
     // baseline without one is growth, not a regression — nothing else
     // fires.
-    assert!(!report
-        .violations
-        .iter()
-        .any(|v| v.contains("composition_defense")));
+    assert_silent(&report, "composition_defense");
     // The clean fresh scale block passes every in-run gate; the
     // committed block's own poisons never gate (in-run gates read the
     // fresh side only), and its different (size, shards) downgrades the
     // cross-run digest pin to a note.
-    assert!(!report.violations.iter().any(|v| v.contains("large_100k")));
-    assert!(report
-        .notes
-        .iter()
-        .any(|n| n.contains("large_100k config changed")));
+    assert_silent(&report, "large_100k");
+    assert_notes(&report, "large_100k config changed");
 }
 
 #[test]
@@ -359,23 +361,10 @@ fn vanished_eval_block_fires_the_disappearance_gate() {
     // no fresh cells, every other eval gate — including the cross-run
     // drift pin — has nothing to bind to and must stay silent rather
     // than panic or double-report.
-    let mut stripped = String::new();
-    let mut in_eval = false;
-    for line in CLEAN.lines() {
-        if line.starts_with("  \"eval\": {") {
-            in_eval = true;
-            continue;
-        }
-        if in_eval {
-            if line == "  }," {
-                in_eval = false;
-            }
-            continue;
-        }
-        stripped.push_str(line);
-        stripped.push('\n');
-    }
-    assert!(!parse_baseline(&stripped).eval.iter().any(|_| true));
+    let mut bench = parse(CLEAN).bench;
+    bench.eval = None;
+    let stripped = bench.to_json();
+    assert!(parse(&stripped).bench.eval.is_none());
     let report = compare_baselines(CLEAN, &stripped);
     assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
     assert!(report.violations[0].contains("eval (hypothesis-testing) block disappeared"));

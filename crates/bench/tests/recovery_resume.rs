@@ -286,3 +286,31 @@ fn corrupted_checkpoints_are_quarantined_and_resume_stays_bit_identical() {
         "quarantine dir must hold the corrupted artifacts"
     );
 }
+
+#[test]
+fn seeds_at_or_above_2_pow_53_are_rejected_at_the_cli() {
+    // JSON numbers carry integers exactly only below 2^53, so a larger
+    // seed would be checkpointed rounded and resume under another seed.
+    let exe = env!("CARGO_BIN_EXE_repro");
+    let max = fred_recover::json::MAX_EXACT_INT;
+    for seed in [max, u64::MAX] {
+        let out = Command::new(exe)
+            .args(["--tables", "--seed", &seed.to_string()])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "seed {seed} accepted");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("below 2^53"));
+    }
+    let out = Command::new(exe)
+        .args([
+            "--fig",
+            "5",
+            "--size",
+            "20",
+            "--seed",
+            &(max - 1).to_string(),
+        ])
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success(), "largest exact seed rejected: {out:?}");
+}

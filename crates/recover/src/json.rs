@@ -1,17 +1,22 @@
-//! Minimal JSON reader for checkpoint envelopes and artifact payloads.
-//!
-//! The workspace writes all of its JSON by hand (there is no serde in the
-//! offline build), so the recovery layer only needs the *reading* half: a
-//! small recursive-descent parser producing a [`Value`] tree, plus the
-//! accessors checkpoint loading uses. Two deliberate deviations from
-//! strict JSON match what Rust's `{:?}` float formatting emits inside
-//! artifacts: the bare tokens `NaN`, `inf` and `-inf` parse as their f64
-//! counterparts, so a checkpointed non-finite metric round-trips instead
-//! of poisoning the whole envelope.
+//! The workspace's JSON codec: a small recursive-descent parser
+//! producing a [`Value`] tree, the accessors decoders use, and one
+//! renderer ([`render`]) that every writer shares — checkpoint payloads
+//! and `BENCH_sweep.json` alike (there is no serde in the offline
+//! build). Two deliberate deviations from strict JSON keep non-finite
+//! floats representable: the bare tokens `NaN`, `inf` and `-inf` render
+//! and parse as their f64 counterparts, so a checkpointed non-finite
+//! metric round-trips instead of poisoning the whole envelope. Rejecting
+//! such a value is the reader's decision, not the codec's.
+
+/// Numbers at or above this magnitude are not all representable as
+/// `f64`, so whole numbers below it are the only integers a JSON number
+/// carries exactly: [`Value::as_u64`] and [`Value::as_usize`] reject
+/// anything larger, and [`render`] prints whole numbers below it without
+/// a fraction.
+pub const MAX_EXACT_INT: u64 = 1 << 53;
 
 /// A parsed JSON value. Object keys keep insertion order; numbers are
-/// all `f64`, which round-trips every integer the artifacts store
-/// (counts far below 2^53).
+/// all `f64`, which round-trips every integer below [`MAX_EXACT_INT`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
@@ -45,14 +50,20 @@ impl Value {
         }
     }
 
-    /// The value as a non-negative integer, if it is a whole number.
-    pub fn as_usize(&self) -> Option<usize> {
+    /// The value as a non-negative integer, if it is a whole number below
+    /// [`MAX_EXACT_INT`] (larger numbers may already have been rounded).
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < (1u64 << 53) as f64 => {
-                Some(*n as usize)
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < MAX_EXACT_INT as f64 => {
+                Some(*n as u64)
             }
             _ => None,
         }
+    }
+
+    /// [`Value::as_u64`] as a `usize`.
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_u64().and_then(|n| usize::try_from(n).ok())
     }
 
     /// The value as a string slice, if it is a string.
@@ -95,7 +106,100 @@ pub fn parse(text: &str) -> Option<Value> {
     }
 }
 
-/// Escapes a string for embedding in hand-rolled JSON output.
+/// Rounds `x` to `places` decimals by formatting and re-parsing it, so the
+/// value a writer keeps is exactly the value a reader of its rendered
+/// text gets back. Idempotent: rounding a rounded value changes nothing.
+/// Non-finite values pass through unchanged.
+pub fn round_to(x: f64, places: usize) -> f64 {
+    format!("{x:.places$}").parse().unwrap_or(x)
+}
+
+/// Renders a value as JSON text (no trailing newline). Whole numbers
+/// below [`MAX_EXACT_INT`] print as integers, other finite numbers in
+/// Rust's shortest round-trip form, non-finite ones as `NaN` / `inf` /
+/// `-inf`. An object whose values are all scalars or arrays of scalars
+/// renders on one line (`{ "k": 1, "v": [1, 2] }`), as does an array of
+/// scalars; every other object or array puts one entry per line,
+/// indented two spaces per level.
+pub fn render(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(&mut out, value, 0);
+    out
+}
+
+/// Scalars, arrays of scalars, and objects whose values are all such
+/// scalars or arrays render on one line.
+fn is_one_line(value: &Value) -> bool {
+    match value {
+        Value::Arr(items) => items
+            .iter()
+            .all(|v| !matches!(v, Value::Arr(_) | Value::Obj(_))),
+        Value::Obj(pairs) => pairs
+            .iter()
+            .all(|(_, v)| !matches!(v, Value::Obj(_)) && is_one_line(v)),
+        _ => true,
+    }
+}
+
+fn write_num(out: &mut String, n: f64) {
+    if n.is_nan() {
+        out.push_str("NaN");
+    } else if n.is_infinite() {
+        out.push_str(if n > 0.0 { "inf" } else { "-inf" });
+    } else if n.fract() == 0.0 && n.abs() < MAX_EXACT_INT as f64 {
+        out.push_str(&(n as i64).to_string());
+    } else {
+        out.push_str(&format!("{n:?}"));
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(&escape(s));
+    out.push('"');
+}
+
+fn write_value(out: &mut String, value: &Value, depth: usize) {
+    let (open, close, entries): (char, char, Vec<(Option<&str>, &Value)>) = match value {
+        Value::Null => return out.push_str("null"),
+        Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(n) => return write_num(out, *n),
+        Value::Str(s) => return write_str(out, s),
+        Value::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+        Value::Obj(pairs) => (
+            '{',
+            '}',
+            pairs.iter().map(|(k, v)| (Some(&**k), v)).collect(),
+        ),
+    };
+    // (before the first entry, between entries, after the last entry)
+    let (lead, gap, tail) = if entries.is_empty() {
+        (String::new(), String::new(), String::new())
+    } else if !is_one_line(value) {
+        let pad = "\n".to_string() + &"  ".repeat(depth + 1);
+        (pad.clone(), pad, "\n".to_string() + &"  ".repeat(depth))
+    } else if open == '{' {
+        (" ".into(), " ".into(), " ".into())
+    } else {
+        (String::new(), " ".into(), String::new())
+    };
+    out.push(open);
+    for (i, (key, v)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(if i == 0 { &lead } else { &gap });
+        if let Some(key) = key {
+            write_str(out, key);
+            out.push_str(": ");
+        }
+        write_value(out, v, depth + 1);
+    }
+    out.push_str(&tail);
+    out.push(close);
+}
+
+/// Escapes a string for embedding in JSON text.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -313,6 +417,47 @@ mod tests {
         assert_eq!(parse("42").unwrap().as_usize(), Some(42));
         assert_eq!(parse("4.2").unwrap().as_usize(), None);
         assert_eq!(parse("-1").unwrap().as_usize(), None);
+    }
+
+    #[test]
+    fn as_u64_is_exact_below_2_pow_53_only() {
+        let max = MAX_EXACT_INT - 1;
+        assert_eq!(Value::Num(max as f64).as_u64(), Some(max));
+        assert_eq!(Value::Num(MAX_EXACT_INT as f64).as_u64(), None);
+        assert_eq!(parse("18446744073709551615").unwrap().as_u64(), None);
+        assert_eq!(parse("4.2").unwrap().as_u64(), None);
+        assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("NaN").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn round_to_is_idempotent() {
+        for &(x, places) in &[(0.1 + 0.2, 3), (8377.849999, 1), (2.125, 2), (1e-9, 4)] {
+            let once = round_to(x, places);
+            assert_eq!(round_to(once, places).to_bits(), once.to_bits(), "{x}");
+            assert_eq!(format!("{once:.places$}"), format!("{x:.places$}"));
+        }
+        assert!(round_to(f64::NAN, 3).is_nan());
+        assert_eq!(round_to(f64::NEG_INFINITY, 3), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn render_layout_and_round_trip() {
+        let doc = r#"{"config": {"size": 120, "ok": true, "v": [1, 2.5]}, "rows": [{"a": NaN, "b": "x\"y"}, {"a": -inf}], "empty": [], "none": {}, "big": 1e300}"#;
+        let value = parse(doc).unwrap();
+        let text = render(&value);
+        let expected = r#"{
+  "config": { "size": 120, "ok": true, "v": [1, 2.5] },
+  "rows": [
+    { "a": NaN, "b": "x\"y" },
+    { "a": -inf }
+  ],
+  "empty": [],
+  "none": {},
+  "big": 1e300
+}"#;
+        assert_eq!(text, expected);
+        assert_eq!(render(&parse(&text).unwrap()), text);
     }
 
     #[test]

@@ -95,20 +95,22 @@ impl RetryPolicy {
     }
 }
 
-/// A stage result that can round-trip through a checkpoint: serialized
-/// to a canonical JSON payload and reconstructed from the parsed value.
+/// A stage result that can round-trip through a checkpoint: encoded as
+/// one JSON [`json::Value`] (rendered with [`json::render`]) and decoded
+/// from the parsed value.
 ///
-/// Implementations must be *canonical*: `to_payload` output depends only
-/// on the artifact's value (floats via `{:?}`, Rust's shortest
-/// round-trip form), and `from_payload(parse(to_payload(a))) == Some(a)`.
-pub trait Artifact {
-    /// Renders the artifact as one canonical JSON value.
-    fn to_payload(&self) -> String;
-    /// Rebuilds the artifact from a parsed payload; `None` if the shape
-    /// is wrong (treated as a corrupt checkpoint).
-    fn from_payload(value: &json::Value) -> Option<Self>
-    where
-        Self: Sized;
+/// Implementations must be *canonical and idempotent*: `to_value`
+/// depends only on the artifact's value, and every `v = a.to_value()`
+/// decodes and re-encodes to itself: `to_value(from_value(v)) == v`. An
+/// encoder may round (a bench block keeps the precision its file
+/// prints), so the decoded artifact need not equal `a`, but a loaded
+/// artifact always re-renders to the bytes it was loaded from.
+pub trait Artifact: Sized {
+    /// Encodes the artifact as one JSON value.
+    fn to_value(&self) -> json::Value;
+    /// Rebuilds the artifact from a parsed value; `None` if the shape is
+    /// wrong (treated as a corrupt checkpoint).
+    fn from_value(value: &json::Value) -> Option<Self>;
 }
 
 /// What happened to one stage: attempts made, retries burned, total
@@ -318,7 +320,7 @@ impl StageRunner {
         artifact: &T,
         report: &StageReport,
     ) -> String {
-        let payload = artifact.to_payload();
+        let payload = json::render(&artifact.to_value());
         let checksum = fnv1a64(payload.as_bytes());
         format!(
             "{{\"fred_checkpoint\": 1, \"stage\": \"{}\", \"fingerprint\": \"{:016x}\", \
@@ -380,7 +382,7 @@ impl StageRunner {
         match self.read_validated(&path, stage) {
             Ok((value, attempts, retries, backoff_ms)) => {
                 let payload = value.get("payload")?;
-                match T::from_payload(payload) {
+                match T::from_value(payload) {
                     Some(artifact) => {
                         fred_obs::counter("recover.loads", 1);
                         Some((
@@ -557,15 +559,14 @@ mod tests {
     }
 
     impl Artifact for Blob {
-        fn to_payload(&self) -> String {
-            format!(
-                "{{\"label\": \"{}\", \"score\": {:?}, \"rows\": {}}}",
-                json::escape(&self.label),
-                self.score,
-                self.rows
-            )
+        fn to_value(&self) -> json::Value {
+            json::Value::Obj(vec![
+                ("label".into(), json::Value::Str(self.label.clone())),
+                ("score".into(), json::Value::Num(self.score)),
+                ("rows".into(), json::Value::Num(self.rows as f64)),
+            ])
         }
-        fn from_payload(value: &json::Value) -> Option<Blob> {
+        fn from_value(value: &json::Value) -> Option<Blob> {
             Some(Blob {
                 label: value.get("label")?.as_str()?.to_string(),
                 score: value.get("score")?.as_f64()?,
