@@ -50,16 +50,11 @@ pub fn build_release(
     let qi_cols = table.quasi_identifier_columns();
     let sens_cols = table.sensitive_columns();
     let class_of = partition.class_of_rows();
-
-    // Precompute per-class, per-QI summaries.
-    let mut summaries: Vec<Vec<Value>> = Vec::with_capacity(partition.len());
-    for class in partition.classes() {
-        let mut per_col = Vec::with_capacity(qi_cols.len());
-        for &c in &qi_cols {
-            per_col.push(summarize_class(table, class, c, style));
-        }
-        summaries.push(per_col);
-    }
+    let summaries: Vec<Vec<Value>> = partition
+        .classes()
+        .iter()
+        .map(|class| class_summary(table, class, style))
+        .collect();
 
     let mut out = table.clone();
     for (row_idx, _) in table.rows().iter().enumerate() {
@@ -125,17 +120,11 @@ pub struct ReleaseChunks<'a> {
 }
 
 impl ReleaseChunks<'_> {
-    fn class_summary(&mut self, class_idx: usize) -> &[Value] {
+    fn warm_summary(&mut self, class_idx: usize) {
         if self.summaries[class_idx].is_none() {
             let class = &self.partition.classes()[class_idx];
-            let per_col: Vec<Value> = self
-                .qi_cols
-                .iter()
-                .map(|&c| summarize_class(self.table, class, c, self.style))
-                .collect();
-            self.summaries[class_idx] = Some(per_col);
+            self.summaries[class_idx] = Some(class_summary(self.table, class, self.style));
         }
-        self.summaries[class_idx].as_deref().expect("just filled")
     }
 }
 
@@ -154,7 +143,7 @@ impl Iterator for ReleaseChunks<'_> {
         // Warm the summary cache for every class this chunk touches, then
         // rewrite rows through immutable reads.
         for row_idx in lo..hi {
-            self.class_summary(self.class_of[row_idx]);
+            self.warm_summary(self.class_of[row_idx]);
         }
         let mut rows = Vec::with_capacity(hi - lo);
         for row_idx in lo..hi {
@@ -172,6 +161,20 @@ impl Iterator for ReleaseChunks<'_> {
         }
         Some(Table::with_rows(self.table.schema().clone(), rows).map_err(Into::into))
     }
+}
+
+/// The published quasi-identifier cells of one equivalence class, one per
+/// [`Table::quasi_identifier_columns`] entry, in that order: what every
+/// row of the class carries in the release. [`build_release`] and
+/// [`Release::chunks`] both rewrite rows from it, so a consumer that
+/// needs only the summaries can call it once per class instead of
+/// reading rewritten rows.
+pub fn class_summary(table: &Table, class_rows: &[usize], style: QiStyle) -> Vec<Value> {
+    table
+        .quasi_identifier_columns()
+        .into_iter()
+        .map(|c| summarize_class(table, class_rows, c, style))
+        .collect()
 }
 
 fn summarize_class(table: &Table, class: &[usize], col: usize, style: QiStyle) -> Value {
@@ -302,6 +305,26 @@ mod tests {
                 let first = rel.table.cell(class[0], c).unwrap();
                 for &r in class {
                     assert_eq!(rel.table.cell(r, c).unwrap(), first);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn class_summary_is_what_every_member_row_publishes() {
+        let t = customer_table();
+        let p = Mdav::new().partition(&t, 2).unwrap();
+        let qi_cols = t.quasi_identifier_columns();
+        for style in [QiStyle::Range, QiStyle::Centroid] {
+            let rel = build_release(&t, &p, 2, style).unwrap();
+            for class in p.classes() {
+                let summary = class_summary(&t, class, style);
+                for &r in class {
+                    let published: Vec<Value> = qi_cols
+                        .iter()
+                        .map(|&c| rel.table.rows()[r][c].clone())
+                        .collect();
+                    assert_eq!(summary, published, "{style:?} row {r}");
                 }
             }
         }

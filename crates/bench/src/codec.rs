@@ -23,6 +23,13 @@ use crate::perf::{
     RecoveryBench, RecoveryBenchRow, RobustnessBench, RobustnessBenchRow, StageTiming,
 };
 
+/// Version of the payload encoding: the keys and field kinds below and
+/// in the `StageAnchor` codec (`ckpt.rs`). It is hashed into every
+/// checkpoint's config fingerprint, so a store written under another
+/// encoding reads as stale and is recomputed instead of decoded. Bump it
+/// whenever a key, a field's kind or a block's shape changes.
+pub const PAYLOAD_SCHEMA: u64 = 1;
+
 /// An object from `(key, value)` entries, in order.
 pub(crate) fn obj(entries: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
     Value::Obj(

@@ -41,7 +41,7 @@ use crate::ckpt::{
     digest_bits, digest_harvest, digest_harvest_rows, digest_world, Digest, EstimatesArtifact,
     StageAnchor, SweepArtifact,
 };
-use crate::codec::intern_stage_name;
+use crate::codec::{intern_stage_name, PAYLOAD_SCHEMA};
 use crate::stages::{self as sn, runner as rstage};
 use crate::world::{faculty_world, World, WorldConfig};
 
@@ -811,7 +811,7 @@ pub fn quick_bench(
     let mut runner = StageRunner::new(
         runner_plan,
         RetryPolicy::default(),
-        config_fingerprint(config, k_min, k_max, repeats, options),
+        config_fingerprint(PAYLOAD_SCHEMA, config, k_min, k_max, repeats, options),
     );
     if let Some(dir) = &options.checkpoint_dir {
         runner = runner.with_store(dir.clone(), options.resume);
@@ -1248,11 +1248,14 @@ fn distill_profile(
 /// never alias.
 pub const RECOVERY_SEED_SALT: u64 = 0x5EC0;
 
-/// Hashes the full run configuration into the checkpoint fingerprint: a
-/// checkpoint written under any other configuration is stale. Store
-/// location, resume flag and halt hook are deliberately excluded — they
-/// vary between the runs a resume is supposed to bridge.
+/// Hashes the full run configuration and the payload encoding
+/// (`schema`, [`PAYLOAD_SCHEMA`] in every run) into the checkpoint
+/// fingerprint: a checkpoint written under any other configuration or
+/// encoding is stale. Store location, resume flag and halt hook are
+/// deliberately excluded — they vary between the runs a resume is
+/// supposed to bridge.
 fn config_fingerprint(
+    schema: u64,
     config: &WorldConfig,
     k_min: usize,
     k_max: usize,
@@ -1260,6 +1263,7 @@ fn config_fingerprint(
     options: &QuickBenchOptions,
 ) -> u64 {
     let mut d = Digest::new();
+    d.u64(schema);
     d.u64(config.size as u64);
     d.u64(config.seed);
     d.u64(config.web_presence_rate.to_bits());
@@ -2665,5 +2669,55 @@ mod tests {
         let large = bench.large.as_ref().expect("large stage requested");
         assert!(large.composition.is_none());
         assert!(!large.stages.iter().any(|s| s.name == "composition_large"));
+    }
+
+    #[test]
+    fn a_checkpoint_under_another_payload_schema_is_stale_and_recomputed() {
+        let dir = std::env::temp_dir().join(format!("fred_schema_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = WorldConfig {
+            size: 30,
+            ..WorldConfig::default()
+        };
+        let opts = |resume| QuickBenchOptions {
+            checkpoint_dir: Some(dir.clone()),
+            resume,
+            ..QuickBenchOptions::default()
+        };
+        let fingerprint = |schema| config_fingerprint(schema, &config, 2, 4, 1, &opts(false));
+        let (current, older) = (fingerprint(PAYLOAD_SCHEMA), fingerprint(PAYLOAD_SCHEMA + 1));
+        assert_ne!(current, older, "the payload schema feeds the fingerprint");
+        // An older build's store: the same payload, stamped with the
+        // fingerprint its encoding produced.
+        let sweep_ckpt = dir.join("sweep.ckpt.json");
+        let stamp_older = || {
+            let stamp = |fp: u64| format!("\"fingerprint\": \"{fp:016x}\"");
+            let text = std::fs::read_to_string(&sweep_ckpt).expect("sweep checkpoint");
+            assert!(text.contains(&stamp(current)), "{text}");
+            std::fs::write(&sweep_ckpt, text.replace(&stamp(current), &stamp(older)))
+                .expect("restamp checkpoint");
+        };
+
+        let reference = quick_bench(&config, 2, 4, 1, &opts(false)).to_json();
+        stamp_older();
+        let resumed = quick_bench(&config, 2, 4, 1, &opts(true));
+        assert_eq!(resumed.to_json(), reference);
+        let rec = resumed
+            .recovery
+            .expect("a checkpointed run keeps the ledger");
+        assert_eq!(rec.quarantined_total, 1);
+        assert!(dir.join("quarantine").join("sweep.0.json").exists());
+
+        // The reason, at the runner: a stale fingerprint, recomputed.
+        stamp_older();
+        let mut runner = StageRunner::new(FaultPlan::none(), RetryPolicy::default(), current)
+            .with_store(dir.clone(), true);
+        let fresh = SweepArtifact {
+            wall_ms: 0.0,
+            rows: 7,
+        };
+        assert_eq!(runner.run(rstage::SWEEP, || fresh.clone()), fresh);
+        assert_eq!(runner.quarantined_files()[0].1, "stale fingerprint");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -20,7 +20,9 @@
 //! * **Work-counter reconciliation** — `harvest.postings_scanned`, summed
 //!   over the harvest's per-name deltas, equals the postings the searcher
 //!   itself reports for the same release names; `intersect.probes` equals
-//!   the smallest class size of each target, summed, once per call.
+//!   the smallest class size of each target, summed, once per call; and
+//!   `intersect.summaries` equals the classes with a readable row, while
+//!   no release chunk is streamed.
 //! * **Deterministic trace bit-identity** — two zero-fault checkpointed
 //!   runs of the same configuration (separate stores, both computing
 //!   fresh) drain byte-identical trace JSON and the same structural
@@ -40,7 +42,7 @@ use fred_bench::perf::{quick_bench, QuickBench, QuickBenchOptions};
 use fred_bench::world::WorldConfig;
 use fred_composition::{
     candidate_counts, generate_scenario, intersect_releases, intersect_releases_sequential,
-    intersect_releases_tolerant, ScenarioConfig,
+    intersect_releases_tolerant, CompositionScenario, ScenarioConfig,
 };
 use fred_faults::{Degradation, FaultPlan};
 
@@ -223,16 +225,14 @@ fn harvest_postings_counter_reconciles_with_the_searcher() {
     assert_eq!(tolerant, searched, "zero-rate tolerant harvest vs searcher");
 }
 
-#[test]
-fn intersect_probes_counter_reconciles_with_the_class_sizes() {
-    let _g = obs_lock();
+/// A three-release Mondrian scenario over a 400-row faculty world, and
+/// the world's row count. Mondrian's classes vary in size, so the
+/// smallest class of a target differs from its others.
+fn mondrian_scenario() -> (CompositionScenario, usize) {
     let world = fred_bench::faculty_world(&WorldConfig {
         size: 400,
         ..WorldConfig::default()
     });
-    let n = world.table.len();
-    // Mondrian's classes vary in size, so the smallest class of a target
-    // differs from its others and the pin checks which one is probed.
     let scenario = generate_scenario(
         &world.table,
         &Mondrian::new(),
@@ -243,6 +243,14 @@ fn intersect_probes_counter_reconciles_with_the_class_sizes() {
         },
     )
     .expect("scenario");
+    (scenario, world.table.len())
+}
+
+#[test]
+fn intersect_probes_counter_reconciles_with_the_class_sizes() {
+    let _g = obs_lock();
+    // The pin checks which of a target's classes is probed.
+    let (scenario, n) = mondrian_scenario();
     // Every row: the core, and rows some or every source lacks.
     let rows: Vec<usize> = (0..n).collect();
     // The engine probes each target's smallest class over the sources
@@ -302,6 +310,68 @@ fn intersect_probes_counter_reconciles_with_the_class_sizes() {
     );
     assert_eq!(counts, expected, "candidate_counts vs class sizes");
     assert_eq!(oracle, 0, "the row-scan oracle probes nothing");
+}
+
+#[test]
+fn intersect_summaries_counter_counts_each_readable_class_once() {
+    let _g = obs_lock();
+    let (scenario, n) = mondrian_scenario();
+    let rows: Vec<usize> = (0..n).collect();
+    // Without faults every row is readable, so every class (none is
+    // empty) is summarized — once, however many rows it has.
+    let expected: u64 = scenario
+        .sources
+        .iter()
+        .map(|s| s.partition.len() as u64)
+        .sum();
+    let rows_total: usize = scenario.sources.iter().map(|s| s.table.len()).sum();
+    assert!(
+        expected < rows_total as u64,
+        "classes must hold several rows for the pin to separate per-class from per-row work"
+    );
+    let counts = |call: &dyn Fn()| {
+        fred_obs::enable(true);
+        call();
+        let trace = fred_obs::drain();
+        (
+            trace.counter_total("intersect.summaries"),
+            trace.counter_total("release.chunks"),
+        )
+    };
+    let chunk = 64;
+    let paths = [
+        (
+            "strict engine",
+            counts(&|| {
+                intersect_releases(&scenario.sources, &rows, n, chunk).expect("intersect");
+            }),
+        ),
+        (
+            "zero-rate tolerant engine",
+            counts(&|| {
+                let mut deg = Degradation::default();
+                intersect_releases_tolerant(
+                    &scenario.sources,
+                    &rows,
+                    n,
+                    chunk,
+                    &FaultPlan::none(),
+                    &mut deg,
+                )
+                .expect("tolerant intersect");
+            }),
+        ),
+        (
+            "candidate_counts",
+            counts(&|| {
+                candidate_counts(&scenario.sources, &rows, n, chunk).expect("counts");
+            }),
+        ),
+    ];
+    for (path, (summaries, chunks)) in paths {
+        assert_eq!(summaries, expected, "{path}: summaries vs readable classes");
+        assert_eq!(chunks, 0, "{path}: the index streamed release rows");
+    }
 }
 
 #[test]

@@ -27,7 +27,7 @@
 //! * [`DefensePolicy::CalibratedWiden`] — post-partition widening: after
 //!   every curator has partitioned, classes are iteratively merged with
 //!   their nearest neighbor class (widening the published feasible
-//!   boxes) until the streamed intersection provably keeps
+//!   boxes) until the composed intersection provably keeps
 //!   `|∩ classes| ≥ target_k` for every core target. This is noise
 //!   calibrated against the *composition*, not against any single
 //!   release — a single release at `target_k = k` needs no widening at
@@ -65,7 +65,7 @@ pub enum DefensePolicy {
         /// sources may share.
         max_shared_fraction: f64,
     },
-    /// Classes are merged (feasible boxes widened) until the streamed
+    /// Classes are merged (feasible boxes widened) until the composed
     /// intersection keeps at least this many candidates for every core
     /// target, at every release count.
     CalibratedWiden {

@@ -32,8 +32,9 @@ pub struct CompositionConfig {
     pub scenario: ScenarioConfig,
     /// Harvesting configuration for the web evidence.
     pub harvest: HarvestConfig,
-    /// Row-chunk size for streaming each release through
-    /// [`fred_anon::Release::chunks`].
+    /// Chunk geometry of the release fault model (a truncated chunk of
+    /// this many rows hides its second half); strict results do not
+    /// depend on it.
     pub chunk_rows: usize,
     /// The adversary's domain knowledge of the quasi-identifier universe
     /// (matches [`fred_attack::FuzzyFusionConfig::qi_range`]); used to
@@ -324,7 +325,7 @@ fn cell_from_inters(
 }
 
 /// Runs the full composition attack: generates the `R`-release world,
-/// intersects the releases (streamed), fuses the posterior with the web
+/// intersects the releases, fuses the posterior with the web
 /// harvest, and measures per-record disclosure gain against the
 /// single-release world at the same `k`.
 pub fn compose_attack(

@@ -17,18 +17,21 @@
 //!   the range every estimate is drawn from. Centroid-style summaries are
 //!   points, not bounds, and contribute a hint instead.
 //!
-//! Each source is indexed once, in O(n): a class per master row, the
-//! class members as one CSR list (ascending within each class), and the
-//! class summaries read from the release, which is **streamed** through
-//! [`fred_anon::Release::chunks`] and never materialized whole. A target
-//! is then answered by probing the members of its smallest class against
-//! the other sources' class maps — O(R·|class|) work, no per-target
-//! scratch, candidates ascending by construction. Every call emits the
-//! probed class sizes summed over its targets as the `intersect.probes`
-//! work counter. [`intersect_releases_sequential`] is the definition-level
-//! oracle: it scans all `n` master rows per target instead.
+//! Each source is indexed once, in O(n), the sources in parallel: a class
+//! per master row, the class members as one CSR list (ascending within
+//! each class), and one constraint vector per class, summarized straight
+//! from the source table by [`fred_anon::class_summary`] — the cells every
+//! row of the class carries in the release, which is never materialized.
+//! A target is then answered by probing the members of its smallest class
+//! against the other sources' class maps — O(R·|class|) work, no
+//! per-target scratch, candidates ascending by construction. Every call
+//! emits the classes summarized as the `intersect.summaries` work counter
+//! and the probed class sizes summed over its targets as
+//! `intersect.probes`. [`intersect_releases_sequential`] is the
+//! definition-level oracle: it reads the constraints off each materialized
+//! release and scans all `n` master rows per target instead.
 
-use fred_anon::Release;
+use fred_anon::{build_release, class_summary};
 use fred_data::{Interval, Value};
 use fred_faults::{key2, key3, salt, Degradation, FaultPlan, InputDefect};
 use rayon::prelude::*;
@@ -38,6 +41,9 @@ use crate::scenario::Source;
 
 /// Work counter: class members probed, summed over a call's targets.
 const INTERSECT_PROBES: &str = "intersect.probes";
+
+/// Work counter: class summaries computed, summed over a call's sources.
+const INTERSECT_SUMMARIES: &str = "intersect.summaries";
 
 /// Class-map sentinel for a master row absent from a source.
 const ABSENT: u32 = u32::MAX;
@@ -126,34 +132,40 @@ fn checked_con(con: CellCon) -> std::result::Result<CellCon, InputDefect> {
     }
 }
 
-/// Builds one source's index in one streamed pass over its release.
-///
-/// Malformed input is an error, not a panic: a release row mapped
-/// outside the master table, or the same master row twice in one source.
-/// Under a fault plan, release rows can go missing, class-summary cells
-/// can arrive NaN (imputed as unconstrained and counted) or inflated
-/// out-of-range (kept — narrowing makes it harmless), and streamed chunks
-/// can arrive truncated (only their first half is readable; a class
-/// whose every readable row was lost keeps no constraint). All
-/// skip-and-count into `deg`; under [`FaultPlan::none`] the index is the
-/// strict one and `deg` stays clean.
-fn index_source(
+/// One source's class maps, validated against the master table.
+struct ClassMaps {
+    /// Class index per release (local) row.
+    class_of_local: Vec<usize>,
+    /// Class index per master row ([`ABSENT`] when the row is absent).
+    class_of_master: Vec<u32>,
+}
+
+/// Maps one source's rows to their classes. Malformed input is an
+/// error, not a panic: a release, partition and master-id list of
+/// different lengths, quasi-identifier columns other than `qi_cols`, a
+/// release row mapped outside the master table, or the same master row
+/// twice in one source.
+fn map_classes(
     source: &Source,
     source_idx: usize,
     n_master: usize,
     qi_cols: &[usize],
-    chunk_rows: usize,
-    plan: &FaultPlan,
-    deg: &mut Degradation,
-) -> Result<SourceIndex> {
-    let class_of_local = source.partition.class_of_rows();
-    if class_of_local.len() != source.global_rows.len() {
+) -> Result<ClassMaps> {
+    let n = source.table.len();
+    if source.partition.n_rows() != n || source.global_rows.len() != n {
         return Err(CompositionError::InvalidConfig(format!(
-            "source {source_idx}: partition covers {} rows but {} carry master ids",
-            class_of_local.len(),
+            "source {source_idx}: the release has {n} rows, its partition covers {} and {} \
+             carry master ids",
+            source.partition.n_rows(),
             source.global_rows.len()
         )));
     }
+    if source.table.quasi_identifier_columns() != qi_cols {
+        return Err(CompositionError::InvalidConfig(format!(
+            "source {source_idx}: quasi-identifier columns differ from source 0's"
+        )));
+    }
+    let class_of_local = source.partition.class_of_rows();
     let mut class_of_master = vec![ABSENT; n_master];
     for (local, &g) in source.global_rows.iter().enumerate() {
         let slot = class_of_master.get_mut(g).ok_or_else(|| {
@@ -169,6 +181,40 @@ fn index_source(
         }
         *slot = class_of_local[local] as u32;
     }
+    Ok(ClassMaps {
+        class_of_local,
+        class_of_master,
+    })
+}
+
+/// Builds one source's index from its validated class maps, summarizing
+/// each class with a readable row once, straight from the source table.
+/// Returns the index and the number of classes summarized.
+///
+/// Under a fault plan, release rows can go missing, class-summary cells
+/// can arrive NaN (imputed as unconstrained and counted) or inflated
+/// out-of-range (kept — narrowing makes it harmless), and chunks of the
+/// release can arrive truncated. `chunk_rows` is that fault model's
+/// chunk geometry: chunk `i` holds local rows `[i·chunk_rows,
+/// (i+1)·chunk_rows)`, and a truncated chunk keeps only the first half of
+/// its rows readable. A class keeps its constraint iff one of its rows
+/// is readable and not dropped; otherwise its constraint vector stays
+/// empty. All skip-and-count into `deg`; under [`FaultPlan::none`] the
+/// index is the strict one, independent of `chunk_rows`, and `deg`
+/// stays clean.
+fn index_source(
+    source: &Source,
+    source_idx: usize,
+    maps: ClassMaps,
+    qi_len: usize,
+    chunk_rows: usize,
+    plan: &FaultPlan,
+    deg: &mut Degradation,
+) -> (SourceIndex, usize) {
+    let ClassMaps {
+        class_of_local,
+        mut class_of_master,
+    } = maps;
     let mut dropped_local = vec![false; source.global_rows.len()];
     for (local, &g) in source.global_rows.iter().enumerate() {
         if plan.targets_row(g)
@@ -203,72 +249,84 @@ fn index_source(
         }
     }
 
-    // The first readable row of a class carries the whole class's summary.
-    let mut class_cons: Vec<Vec<CellCon>> = vec![Vec::new(); n_classes];
-    let mut filled = vec![false; n_classes];
-    let mut lo = 0usize;
-    for (chunk_idx, chunk) in
-        Release::chunks(&source.table, &source.partition, source.style, chunk_rows).enumerate()
-    {
-        let chunk = chunk?;
+    // Which classes published a readable row: the chunk geometry decides
+    // which rows a truncation hides.
+    let n = class_of_local.len();
+    let chunk_rows = chunk_rows.max(1);
+    let mut readable = vec![false; n_classes];
+    for (chunk_idx, lo) in (0..n).step_by(chunk_rows).enumerate() {
+        let len = chunk_rows.min(n - lo);
         let take = if plan.decide(
             plan.chunk_truncate,
             salt::CHUNK_TRUNCATE,
             key2(source_idx, chunk_idx),
         ) {
             deg.record(InputDefect::TruncatedChunk);
-            chunk.len() / 2
+            len / 2
         } else {
-            chunk.len()
+            len
         };
-        for (i, row) in chunk.rows().iter().take(take).enumerate() {
-            let local = lo + i;
-            if dropped_local[local] {
-                continue;
-            }
-            let class = class_of_local[local];
-            if !filled[class] {
-                filled[class] = true;
-                class_cons[class] = qi_cols
-                    .iter()
-                    .enumerate()
-                    .map(|(qi, &c)| {
-                        let mut con = CellCon::from_value(&row[c]);
-                        let site = key3(source_idx, class, qi);
-                        if plan.decide(plan.cell_corrupt, salt::CELL_CORRUPT, site) {
-                            con = corrupt_con(con, plan, site);
-                        }
-                        match checked_con(con) {
-                            Ok(con) => con,
-                            Err(defect) => {
-                                deg.record(defect);
-                                CellCon::Free
-                            }
-                        }
-                    })
-                    .collect();
+        for local in lo..lo + take {
+            if !dropped_local[local] {
+                readable[class_of_local[local]] = true;
             }
         }
-        lo += chunk.len();
     }
-    // A class whose every row fell in truncated tails or dropped rows
-    // never published a readable summary: its constraint vector stays
-    // empty, which `fold_cons` treats as all-Free — count the imputed
-    // fields so the report reflects the loss.
-    let unfilled = filled.iter().filter(|&&f| !f).count();
-    for _ in 0..unfilled * qi_cols.len() {
-        deg.record(InputDefect::MissingField);
-    }
-    Ok(SourceIndex {
+
+    // Each readable class is summarized once; the rest stay empty, which
+    // `fold_cons` treats as all-Free — count the imputed fields so the
+    // report reflects the loss.
+    let mut summarized = 0usize;
+    let class_cons: Vec<Vec<CellCon>> = source
+        .partition
+        .classes()
+        .iter()
+        .zip(&readable)
+        .enumerate()
+        .map(|(class, (rows, &readable))| {
+            if !readable {
+                for _ in 0..qi_len {
+                    deg.record(InputDefect::MissingField);
+                }
+                return Vec::new();
+            }
+            summarized += 1;
+            class_summary(&source.table, rows, source.style)
+                .iter()
+                .enumerate()
+                .map(|(qi, value)| {
+                    let mut con = CellCon::from_value(value);
+                    let site = key3(source_idx, class, qi);
+                    if plan.decide(plan.cell_corrupt, salt::CELL_CORRUPT, site) {
+                        con = corrupt_con(con, plan, site);
+                    }
+                    match checked_con(con) {
+                        Ok(con) => con,
+                        Err(defect) => {
+                            deg.record(defect);
+                            CellCon::Free
+                        }
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let index = SourceIndex {
         class_of_master,
         class_start,
         members,
         class_cons,
-    })
+    };
+    (index, summarized)
 }
 
-/// Validates the call and indexes every source. Targets outside the
-/// master table are an error.
+/// Validates the call and indexes every source, the sources in parallel.
+/// Targets outside the master table are an error; so is any malformed
+/// source ([`map_classes`]), the first in source order. Every source is
+/// validated before any is faulted, so a failed call leaves `deg`
+/// untouched. Each source records into its own report, muted iff `deg`
+/// is, merged into `deg` in source order. Emits the classes summarized,
+/// summed over the sources, as the `intersect.summaries` work counter.
 fn index_sources(
     sources: &[Source],
     targets: &[usize],
@@ -291,11 +349,40 @@ fn index_sources(
         )));
     }
     let qi_cols = first.table.quasi_identifier_columns();
-    let indexes = sources
-        .iter()
-        .enumerate()
-        .map(|(idx, s)| index_source(s, idx, n_master, &qi_cols, chunk_rows, plan, deg))
+    let maps = (0..sources.len())
+        .into_par_iter()
+        .map(|idx| map_classes(&sources[idx], idx, n_master, &qi_cols))
         .collect::<Result<Vec<_>>>()?;
+    let blank = deg.empty_like();
+    let indexed = maps
+        .into_iter()
+        .enumerate()
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|(idx, maps)| {
+            let mut own = blank;
+            let (index, summarized) = index_source(
+                &sources[idx],
+                idx,
+                maps,
+                qi_cols.len(),
+                chunk_rows,
+                plan,
+                &mut own,
+            );
+            (index, own, summarized)
+        })
+        .collect::<Vec<_>>();
+    let mut summaries = 0usize;
+    let indexes = indexed
+        .into_iter()
+        .map(|(index, own, summarized)| {
+            deg.merge(&own);
+            summaries += summarized;
+            index
+        })
+        .collect();
+    fred_obs::counter(INTERSECT_SUMMARIES, summaries as u64);
     Ok((indexes, qi_cols.len()))
 }
 
@@ -500,10 +587,13 @@ fn index_strict(
     index_sources(sources, targets, n_master, chunk_rows, &plan, &mut deg)
 }
 
-/// The intersection engine: indexes every source in one streamed pass
-/// each, then answers the targets in parallel by probing each one's
+/// The intersection engine: indexes the sources in parallel, one summary
+/// per class, then answers the targets in parallel by probing each one's
 /// smallest class. Output is index-aligned with `targets` and equal to
 /// [`intersect_releases_sequential`] (pinned by property test).
+/// `chunk_rows` is the chunk geometry of the fault model that
+/// [`intersect_releases_tolerant`] applies; strict results never depend
+/// on it.
 pub fn intersect_releases(
     sources: &[Source],
     targets: &[usize],
@@ -517,13 +607,14 @@ pub fn intersect_releases(
 /// Fault-tolerant [`intersect_releases`]: indexes every source under the
 /// plan's release-level faults (missing rows, corrupt QI cells,
 /// truncated chunks) with skip-and-count semantics, then runs the same
-/// per-target probe. Defects are recorded straight into the caller's
-/// `deg` — a [muted](Degradation::muted) report keeps a shadow pass off
-/// the observability counters. A target dropped from every source
-/// degrades to an empty candidate set with no feasible box — downstream
-/// fusion reads that as fully unconstrained — and under a zero-rate plan
-/// the result is bit-identical to [`intersect_releases`] with a clean
-/// report (pinned by property test).
+/// per-target probe. A chunk is `chunk_rows` consecutive release rows; a
+/// truncated one hides the second half of its rows. Defects are recorded
+/// into the caller's `deg` — a [muted](Degradation::muted) report keeps a
+/// shadow pass off the observability counters. A target dropped from
+/// every source degrades to an empty candidate set with no feasible box
+/// — downstream fusion reads that as fully unconstrained — and under a
+/// zero-rate plan the result is bit-identical to [`intersect_releases`]
+/// with a clean report (pinned by property test).
 pub fn intersect_releases_tolerant(
     sources: &[Source],
     targets: &[usize],
@@ -538,7 +629,8 @@ pub fn intersect_releases_tolerant(
 
 /// Per-target effective anonymity `|∩ classes|` alone: the same engine
 /// without the box arithmetic. Index-aligned with `targets`, `0` for a
-/// target no source contains, and invariant in `chunk_rows`.
+/// target no source contains, and invariant in `chunk_rows` (the fault
+/// model's chunk geometry, kept for signature parity).
 pub fn candidate_counts(
     sources: &[Source],
     targets: &[usize],
@@ -552,9 +644,33 @@ pub fn candidate_counts(
     }))
 }
 
+/// Each class's constraints as the materialized release publishes them:
+/// the quasi-identifier cells of the class's first row in
+/// [`build_release`]`(..).table`, validated as the engine validates
+/// them.
+fn published_cons(source: &Source) -> Result<Vec<Vec<CellCon>>> {
+    let release = build_release(&source.table, &source.partition, source.k, source.style)?;
+    let qi_cols = release.table.quasi_identifier_columns();
+    Ok(release
+        .partition
+        .classes()
+        .iter()
+        .map(|class| {
+            let row = &release.table.rows()[class[0]];
+            qi_cols
+                .iter()
+                .map(|&c| checked_con(CellCon::from_value(&row[c])).unwrap_or(CellCon::Free))
+                .collect()
+        })
+        .collect())
+}
+
 /// The definition-level oracle: for every target, a plain scan of all
 /// `n_master` rows that keeps those sharing the target's class in every
-/// source containing it. No worker threads, no probing, no counter.
+/// source containing it, with the constraints read off each source's
+/// materialized release ([`build_release`], one per source, dropped
+/// before the next) rather than the engine's class summaries. It shares
+/// only the engine's class maps. No probing and no `intersect.probes`.
 /// Kept public for equivalence property tests and output checks.
 pub fn intersect_releases_sequential(
     sources: &[Source],
@@ -562,7 +678,10 @@ pub fn intersect_releases_sequential(
     n_master: usize,
     chunk_rows: usize,
 ) -> Result<Vec<TargetIntersection>> {
-    let (indexes, qi_len) = index_strict(sources, targets, n_master, chunk_rows)?;
+    let (mut indexes, qi_len) = index_strict(sources, targets, n_master, chunk_rows)?;
+    for (ix, source) in indexes.iter_mut().zip(sources) {
+        ix.class_cons = published_cons(source)?;
+    }
     Ok(targets
         .iter()
         .map(|&t| {
@@ -914,6 +1033,160 @@ mod tests {
         let sources = [hand_source(&table, &[&[0, 1], &[2, 3]])];
         assert!(both_reject(&sources, &[0, table.len()], table.len()));
         assert!(candidate_counts(&sources, &[table.len() + 7], table.len(), 4).is_err());
+    }
+
+    #[test]
+    fn release_partition_and_master_ids_of_different_lengths_are_rejected() {
+        let table = master(8, 5);
+        let source = hand_source(&table, &[&[0, 1], &[2, 3]]);
+        let mut short_table = source.clone();
+        short_table.table =
+            Table::with_rows(table.schema().clone(), source.table.rows()[..3].to_vec()).unwrap();
+        let mut long_table = source.clone();
+        long_table.table = Table::with_rows(
+            table.schema().clone(),
+            (0..5).map(|g| table.rows()[g].clone()).collect(),
+        )
+        .unwrap();
+        let mut short_ids = source.clone();
+        short_ids.global_rows.pop();
+        for bad in [short_table, long_table, short_ids] {
+            let bad = [bad];
+            assert!(both_reject(&bad, &[0], table.len()));
+            assert!(candidate_counts(&bad, &[0], table.len(), 4).is_err());
+        }
+    }
+
+    #[test]
+    fn sources_with_different_quasi_identifiers_are_rejected() {
+        let table = master(8, 5);
+        let source = hand_source(&table, &[&[0, 1], &[2, 3]]);
+        let mut other = hand_source(&table, &[&[4, 5], &[6, 7]]);
+        let qi = table.quasi_identifier_columns()[0];
+        let schema = table
+            .schema()
+            .with_role(qi, fred_data::AttributeRole::Insensitive)
+            .unwrap();
+        other.table = Table::with_rows(schema, other.table.rows().to_vec()).unwrap();
+        assert!(both_reject(&[source, other], &[0], table.len()));
+    }
+
+    /// The streamed indexing rule the summary index replaces: walk the
+    /// rewritten release chunk by chunk, and let the first readable,
+    /// undropped row of each class carry the class's constraints.
+    fn streamed_cons(
+        source: &Source,
+        source_idx: usize,
+        chunk_rows: usize,
+        plan: &FaultPlan,
+        deg: &mut Degradation,
+    ) -> Vec<Vec<CellCon>> {
+        let qi_cols = source.table.quasi_identifier_columns();
+        let class_of_local = source.partition.class_of_rows();
+        let dropped: Vec<bool> = source
+            .global_rows
+            .iter()
+            .map(|&g| {
+                plan.targets_row(g)
+                    || plan.decide(plan.row_drop, salt::RELEASE_ROW_DROP, key2(source_idx, g))
+            })
+            .collect();
+        for _ in dropped.iter().filter(|&&d| d) {
+            deg.record(InputDefect::MissingRow);
+        }
+        let mut cons: Vec<Option<Vec<CellCon>>> = vec![None; source.partition.len()];
+        let mut lo = 0usize;
+        let chunks =
+            fred_anon::Release::chunks(&source.table, &source.partition, source.style, chunk_rows);
+        for (chunk_idx, chunk) in chunks.enumerate() {
+            let chunk = chunk.unwrap();
+            let take = if plan.decide(
+                plan.chunk_truncate,
+                salt::CHUNK_TRUNCATE,
+                key2(source_idx, chunk_idx),
+            ) {
+                deg.record(InputDefect::TruncatedChunk);
+                chunk.len() / 2
+            } else {
+                chunk.len()
+            };
+            for (i, row) in chunk.rows().iter().take(take).enumerate() {
+                let class = class_of_local[lo + i];
+                if dropped[lo + i] || cons[class].is_some() {
+                    continue;
+                }
+                cons[class] = Some(
+                    qi_cols
+                        .iter()
+                        .enumerate()
+                        .map(|(qi, &c)| {
+                            let mut con = CellCon::from_value(&row[c]);
+                            let site = key3(source_idx, class, qi);
+                            if plan.decide(plan.cell_corrupt, salt::CELL_CORRUPT, site) {
+                                con = corrupt_con(con, plan, site);
+                            }
+                            checked_con(con).unwrap_or_else(|defect| {
+                                deg.record(defect);
+                                CellCon::Free
+                            })
+                        })
+                        .collect(),
+                );
+            }
+            lo += chunk.len();
+        }
+        cons.into_iter()
+            .map(|c| {
+                c.unwrap_or_else(|| {
+                    for _ in &qi_cols {
+                        deg.record(InputDefect::MissingField);
+                    }
+                    Vec::new()
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn summary_index_keeps_the_streamed_fault_geometry() {
+        let table = master(90, 9);
+        let s = generate_scenario(
+            &table,
+            &Mdav::new(),
+            &ScenarioConfig {
+                releases: 3,
+                k: 4,
+                styles: vec![QiStyle::Range, QiStyle::Centroid],
+                ..ScenarioConfig::default()
+            },
+        )
+        .unwrap();
+        let plan = FaultPlan {
+            chunk_truncate: 0.5,
+            row_drop: 0.15,
+            cell_corrupt: 0.3,
+            ..FaultPlan::uniform(41, 0.0)
+        };
+        let mut lost_a_class = false;
+        for chunk_rows in [1usize, 3, 7, 1024] {
+            let mut deg = Degradation::default();
+            let (indexes, _) =
+                index_sources(&s.sources, &[], table.len(), chunk_rows, &plan, &mut deg).unwrap();
+            let mut streamed = Degradation::default();
+            for (idx, (ix, source)) in indexes.iter().zip(&s.sources).enumerate() {
+                let cons = streamed_cons(source, idx, chunk_rows, &plan, &mut streamed);
+                assert_eq!(ix.class_cons, cons, "chunk_rows={chunk_rows} source {idx}");
+            }
+            assert_eq!(deg, streamed, "chunk_rows={chunk_rows}");
+            assert!(
+                deg.rows_skipped > 0 && deg.chunks_truncated > 0,
+                "chunk_rows={chunk_rows}: {deg}"
+            );
+            lost_a_class |= indexes
+                .iter()
+                .any(|ix| ix.class_cons.iter().any(Vec::is_empty));
+        }
+        assert!(lost_a_class, "no class ever lost its every readable row");
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! * [`scenario`] — splits one population into `R` overlapping
 //!   sub-populations and anonymizes each independently through the
 //!   existing `fred-anon` pipeline (per-source seeds and QI styles);
-//! * [`intersect`] — the intersection engine: per-target candidate
-//!   bitsets and quasi-identifier feasible boxes intersected across the
-//!   releases, which are *streamed* via [`fred_anon::Release::chunks`]
-//!   (exact bitset reference + parallel batched path, property-pinned);
+//! * [`intersect`] — the intersection engine: per-target candidate sets
+//!   and quasi-identifier feasible boxes intersected across the
+//!   releases, each indexed from one [`fred_anon::class_summary`] per
+//!   class and never materialized (parallel probing engine + row-scan
+//!   oracle over the built releases, property-pinned);
 //! * [`fuse`] — folds the intersection posterior together with the
 //!   web-harvest evidence through any [`fred_attack::FusionSystem`],
 //!   yielding a [`CompositionOutcome`] with per-record disclosure gain;

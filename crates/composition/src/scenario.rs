@@ -61,8 +61,8 @@ impl Default for ScenarioConfig {
 
 /// One curator's slice of the world: the private sub-table, the partition
 /// its anonymizer produced, and the mapping back to master rows. The
-/// anonymized release itself is never materialized — consumers stream it
-/// through [`fred_anon::Release::chunks`].
+/// anonymized release itself is never materialized — the intersection
+/// reads one [`fred_anon::class_summary`] per class instead.
 #[derive(Debug, Clone)]
 pub struct Source {
     /// Master-table row id of each sub-table row (release row `i`
@@ -175,7 +175,7 @@ pub fn core_targets(n: usize, config: &ScenarioConfig) -> Result<Vec<usize>> {
 /// partition (each curator still anonymizes its extras alone, and drops
 /// them entirely when it holds fewer than `k`), and
 /// [`DefensePolicy::CalibratedWiden`] post-processes the generated
-/// partitions until the streamed intersection keeps every core target at
+/// partitions until the composed intersection keeps every core target at
 /// `target_k` candidates. The target core — and therefore the harvest —
 /// is identical to the undefended scenario's by construction.
 pub fn generate_scenario(

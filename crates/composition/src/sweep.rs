@@ -39,7 +39,8 @@ pub struct CompositionSweepConfig {
     pub styles: Vec<QiStyle>,
     /// Harvesting configuration.
     pub harvest: HarvestConfig,
-    /// Row-chunk size for streaming releases.
+    /// Chunk geometry of the release fault model (see
+    /// [`crate::CompositionConfig::chunk_rows`]).
     pub chunk_rows: usize,
     /// Adversary QI-universe knowledge (see
     /// [`crate::CompositionConfig::qi_range`]).

@@ -373,6 +373,17 @@ impl Degradation {
         }
     }
 
+    /// A clean report muted exactly when this one is: for a parallel
+    /// stage that records into one report per worker and
+    /// [merges](Degradation::merge) them back, so the counters still see
+    /// each defect once, or not at all.
+    pub fn empty_like(&self) -> Self {
+        Degradation {
+            muted: self.muted,
+            ..Degradation::default()
+        }
+    }
+
     /// Routes one observed defect onto its counter. Every survival-side
     /// field is fed exclusively through here, so each increment is
     /// mirrored onto the matching `faults.*` observability counter
@@ -672,6 +683,16 @@ mod tests {
         let text = format!("{other}");
         assert!(text.contains("dropped 3"), "{text}");
         assert!(text.contains("restarted 1 workers"), "{text}");
+    }
+
+    #[test]
+    fn empty_like_keeps_only_the_muting() {
+        let mut loud = Degradation::default();
+        loud.record(InputDefect::MissingRow);
+        let mut quiet = Degradation::muted();
+        quiet.record(InputDefect::MissingRow);
+        assert!(loud.empty_like().is_clean() && !loud.empty_like().muted);
+        assert!(quiet.empty_like().is_clean() && quiet.empty_like().muted);
     }
 
     #[test]

@@ -539,10 +539,11 @@ impl Trace {
     }
 }
 
-/// Escapes a string for hand-rolled JSON output (same rules as
-/// `fred_recover::json::escape`, copied to keep this crate at the bottom
-/// of the dependency order).
-fn escape(s: &str) -> String {
+/// Escapes a string for embedding in JSON text: quotes, backslashes and
+/// control characters. The workspace's one JSON escaper; `fred-recover`
+/// re-exports it as `json::escape`, since this crate sits below it in the
+/// dependency order.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

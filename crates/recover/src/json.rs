@@ -15,6 +15,10 @@
 /// a fraction.
 pub const MAX_EXACT_INT: u64 = 1 << 53;
 
+/// Escapes a string for embedding in JSON text; the one escaper the
+/// workspace's JSON writers share, trace output included.
+pub use fred_obs::escape;
+
 /// A parsed JSON value. Object keys keep insertion order; numbers are
 /// all `f64`, which round-trips every integer below [`MAX_EXACT_INT`].
 #[derive(Debug, Clone, PartialEq)]
@@ -197,23 +201,6 @@ fn write_value(out: &mut String, value: &Value, depth: usize) {
     }
     out.push_str(&tail);
     out.push(close);
-}
-
-/// Escapes a string for embedding in JSON text.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
