@@ -5,15 +5,15 @@
 //! present in the release to search for additional information about the
 //! customers available on the web" (Section I), made programmatic.
 
-use std::collections::HashMap;
-
 use fred_data::Table;
 use fred_faults::{salt, Degradation, FaultPlan, InputDefect};
 use fred_linkage::{
     compare_prepared, AgreementCache, AgreementScratch, Decision, FellegiSunter, LinkKey,
     NameNormalizer, PreparedName, ScoreFloor,
 };
-use fred_web::{consolidate, extract, extract_checked, AuxRecord, SearchEngine, WebPage};
+use fred_web::{
+    consolidate, extract, extract_checked, AuxRecord, PageFacts, SearchEngine, WebPage,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -111,15 +111,14 @@ fn classify_hits(
 }
 
 /// [`classify_hits`] through the linkage fast path: hits are classified
-/// via the worker's [`AgreementCache`] (keyed by prepared-query id ×
-/// deduplicated page-name id) and the precomputed [`ScoreFloor`], so a
-/// repeated pair replays its decision and a hopeless one is pruned
-/// before any string comparator runs. Decision-for-decision identical to
-/// [`classify_hits`] by the floor's exactness guarantee.
+/// via the worker's per-name [`AgreementCache`] (keyed by deduplicated
+/// page-name id) and the precomputed [`ScoreFloor`], so a page name
+/// repeated among the hits replays its decision and a hopeless one is
+/// pruned before any string comparator runs. Decision-for-decision
+/// identical to [`classify_hits`] by the floor's exactness guarantee.
 #[allow(clippy::too_many_arguments)]
 fn classify_hits_cached(
     hits: &[fred_web::SearchHit],
-    query_id: u32,
     query: &LinkKey,
     engine: &SearchEngine,
     config: &HarvestConfig,
@@ -138,8 +137,7 @@ fn classify_hits_cached(
         }
         inspected += 1;
         let nid = page_name_ids[hit.page];
-        let decision =
-            agreement.classify(query_id, nid, floor, query, &name_keys[nid as usize], cmp);
+        let decision = agreement.classify(nid, floor, query, &name_keys[nid as usize], cmp);
         match decision {
             Decision::Match => matches.push(hit.page),
             Decision::Possible if config.accept_possible => possibles.push(hit.page),
@@ -150,14 +148,16 @@ fn classify_hits_cached(
 }
 
 /// Per-worker mutable state of the parallel harvest: search scratch and
-/// term cache (per-corpus), comparator scratch, the agreement memo and
-/// the dense-id interner for prepared query token sequences.
+/// term cache (per-corpus), comparator scratch, and the agreement memo,
+/// which holds one name's decisions at a time (cleared per name: release
+/// names are distinct, so a (query, page-name) pair practically never
+/// recurs across names, while a name's own hits often repeat a page
+/// name).
 struct LinkState {
     search: fred_web::SearchScratch,
     terms: fred_web::TermCache,
     cmp: AgreementScratch,
     agreement: AgreementCache,
-    query_ids: HashMap<String, u32>,
 }
 
 impl LinkState {
@@ -167,19 +167,7 @@ impl LinkState {
             terms: engine.term_cache(),
             cmp: AgreementScratch::default(),
             agreement: AgreementCache::new(),
-            query_ids: HashMap::new(),
         }
-    }
-
-    /// Dense id of a prepared query, by its normalized token sequence
-    /// (the `joined` form determines every comparator input, so equal
-    /// ids imply equal [`LinkKey`]s — the cache's contract).
-    fn query_id(&mut self, query: &LinkKey) -> u32 {
-        let next = self.query_ids.len() as u32;
-        *self
-            .query_ids
-            .entry(query.prepared().joined.clone())
-            .or_insert(next)
     }
 }
 
@@ -205,8 +193,11 @@ fn assemble(per_name: Vec<NameHarvest>) -> Harvest {
 
 /// Per-corpus immutable context of the cached harvest path: the floor,
 /// the deduplicated page-name ids and each distinct name's comparator
-/// keys. Shared by the parallel and single-threaded variants so they run
-/// the exact same classification, differing only in fan-out.
+/// keys — compact keys, one short buffer per distinct page name, so a
+/// hit's classification touches the query's buffer and one other (see
+/// [`fred_linkage::agreement`]). Shared by the parallel and
+/// single-threaded variants so they run the exact same classification,
+/// differing only in fan-out.
 struct HarvestContext {
     normalizer: NameNormalizer,
     floor: ScoreFloor,
@@ -256,14 +247,13 @@ const HARVEST_NAME_MS: &str = "harvest.name_ms";
 
 /// Emits one harvested name's observability deltas: pages linked and
 /// inspected, the postings its search visited, plus what the memo and the
-/// score floor absorbed (read as deltas over the worker's `LinkState`,
-/// which lives across names). Free when tracing is off — one relaxed
-/// atomic load.
+/// score floor absorbed. The memo is per name (its tallies restart at
+/// every name), the prune tally is read as a delta over the worker's
+/// scratch, which lives across names. Free when tracing is off — one
+/// relaxed atomic load.
 fn note_harvest_metrics(
     state: &LinkState,
     postings_scanned: u64,
-    lookups_before: u64,
-    hits_before: u64,
     prunes_before: u64,
     linked: usize,
     inspected: usize,
@@ -275,11 +265,8 @@ fn note_harvest_metrics(
     fred_obs::counter("harvest.pages_linked", linked as u64);
     fred_obs::counter("harvest.pages_inspected", inspected as u64);
     fred_obs::counter("harvest.postings_scanned", postings_scanned);
-    fred_obs::counter(
-        "harvest.cache_lookups",
-        state.agreement.lookups() - lookups_before,
-    );
-    fred_obs::counter("harvest.cache_hits", state.agreement.hits() - hits_before);
+    fred_obs::counter("harvest.cache_lookups", state.agreement.lookups());
+    fred_obs::counter("harvest.cache_hits", state.agreement.hits());
     fred_obs::counter("harvest.floor_prunes", state.cmp.prunes() - prunes_before);
 }
 
@@ -292,29 +279,28 @@ type NameHarvest = (Option<AuxRecord>, Vec<usize>, usize);
 /// accepted page through `extract_page` and consolidation. The single
 /// per-name routine of every cached harvest variant: the strict ones pass
 /// [`extract`] (as `extract_strict`), the tolerant one passes
-/// [`extract_checked`], which skips pages whose template frame is damaged
-/// and counts them in the returned [`Degradation`] instead of parsing
-/// them as if intact. On a clean corpus both extractors accept every
-/// page, so the results agree bit for bit and the report stays clean.
+/// [`extract_checked`], which skips pages whose template frame is
+/// damaged and counts each rejected occurrence in the returned
+/// [`Degradation`] instead of parsing it as if intact. On a clean corpus
+/// both extractors accept every page, so the results agree bit for bit
+/// and the report stays clean. Pages are parsed into borrowed
+/// [`PageFacts`], so strings are copied once, into the consolidated
+/// record.
 fn harvest_one_name(
     name: &str,
     engine: &SearchEngine,
     config: &HarvestConfig,
     ctx: &HarvestContext,
     state: &mut LinkState,
-    extract_page: impl Fn(&WebPage) -> std::result::Result<AuxRecord, InputDefect>,
+    extract_page: impl for<'p> Fn(&'p WebPage) -> std::result::Result<PageFacts<'p>, InputDefect>,
 ) -> (NameHarvest, Degradation) {
     let mut deg = Degradation::default();
     if name.trim().is_empty() {
         return ((None, Vec::new(), 0), deg);
     }
     let started = fred_obs::is_enabled().then(std::time::Instant::now);
-    let (scanned0, lookups0, hits0, prunes0) = (
-        state.search.postings_scanned(),
-        state.agreement.lookups(),
-        state.agreement.hits(),
-        state.cmp.prunes(),
-    );
+    let (scanned0, prunes0) = (state.search.postings_scanned(), state.cmp.prunes());
+    state.agreement.clear();
     let hits = engine.search_topk_with(
         name,
         config.hits_per_name,
@@ -322,10 +308,8 @@ fn harvest_one_name(
         &mut state.terms,
     );
     let query = LinkKey::prepare(&ctx.normalizer, name);
-    let query_id = state.query_id(&query);
     let (accepted, inspected) = classify_hits_cached(
         &hits,
-        query_id,
         &query,
         engine,
         config,
@@ -335,10 +319,10 @@ fn harvest_one_name(
         &mut state.agreement,
         &mut state.cmp,
     );
-    let extractions: Vec<AuxRecord> = accepted
+    let facts: Vec<PageFacts<'_>> = accepted
         .iter()
         .filter_map(|&p| match extract_page(engine.page(p)?) {
-            Ok(record) => Some(record),
+            Ok(facts) => Some(facts),
             Err(defect) => {
                 deg.record(defect);
                 None
@@ -351,18 +335,16 @@ fn harvest_one_name(
     note_harvest_metrics(
         state,
         state.search.postings_scanned() - scanned0,
-        lookups0,
-        hits0,
         prunes0,
         accepted.len(),
         inspected,
     );
-    ((consolidate(&extractions), accepted, inspected), deg)
+    ((consolidate(&facts), accepted, inspected), deg)
 }
 
 /// [`extract`] in the shape [`harvest_one_name`] takes: the strict
 /// extractor never rejects a page.
-fn extract_strict(page: &WebPage) -> std::result::Result<AuxRecord, InputDefect> {
+fn extract_strict(page: &WebPage) -> std::result::Result<PageFacts<'_>, InputDefect> {
     Ok(extract(page))
 }
 
@@ -449,12 +431,12 @@ pub fn harvest_auxiliary_tolerant(
 /// scratch, term cache, comparator scratch and [`AgreementCache`]. Page
 /// display names are *deduplicated* once for the whole corpus (several
 /// pages per person, most rendered verbatim) and each distinct name's
-/// comparator keys ([`LinkKey`]) built up front in parallel; each query
-/// then runs through the engine's exact top-k searcher
+/// compact comparator keys ([`LinkKey`]) built up front in parallel; each
+/// query then runs through the engine's exact top-k searcher
 /// ([`SearchEngine::search_topk_with`]) and classifies its hits through
-/// the precomputed [`ScoreFloor`] — repeated (query, page-name) pairs
-/// replay their memoized decision, hopeless pairs are pruned before any
-/// string comparison. Results are row-order stable and
+/// the precomputed [`ScoreFloor`] — a page name repeated among one
+/// name's hits replays its memoized decision, hopeless pairs are pruned
+/// before any string comparison. Results are row-order stable and
 /// record-for-record identical to [`harvest_auxiliary_sequential`]
 /// (pinned by property test).
 pub fn harvest_auxiliary(
@@ -540,7 +522,7 @@ pub fn harvest_auxiliary_sequential(
         let prepared = normalizer.prepare(name);
         let (accepted, inspected) =
             classify_hits(&hits, &prepared, engine, config, &prepared_pages, &fs_model);
-        let extractions: Vec<AuxRecord> = accepted
+        let extractions: Vec<PageFacts<'_>> = accepted
             .iter()
             .filter_map(|&p| engine.page(p).map(extract))
             .collect();

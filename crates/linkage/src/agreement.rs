@@ -1,16 +1,24 @@
-//! Batch-rate agreement classification: precomputed comparator keys, a
-//! model-derived score floor that prunes hopeless pairs, and a memo of
-//! decided pairs.
+//! Batch-rate agreement classification: compact comparator keys with
+//! bit-parallel string comparators, a model-derived score floor that
+//! prunes hopeless pairs, and a per-query memo of decided pairs.
 //!
 //! The harvest loop classifies every (release name, search hit) pair
 //! through the five-field name model. Three observations make that loop
 //! cheap without changing a single decision:
 //!
-//! * **Comparator keys** ([`LinkKey`]) — everything the comparators
-//!   re-derive per *pair* (scalar buffers for Jaro-Winkler and
-//!   Levenshtein, the padded-bigram multiset for Dice) is a pure function
-//!   of one name, so it is computed once per *record* and reused across
-//!   all of that record's pairs.
+//! * **Compact comparator keys** ([`LinkKey`]) — everything the
+//!   comparators re-derive per *pair* is a pure function of one name, so
+//!   it is computed once per *record*. A name whose normalized form is
+//!   ASCII and at most 64 bytes (every name of the synthetic worlds)
+//!   keeps its whole key in one allocation: the order-preserving and
+//!   canonical forms as bytes, then the sorted padded-bigram multiset for
+//!   Dice, with the surname Soundex code inline. Its tokens are the
+//!   words of the order-preserving form. A pair of such keys touches two
+//!   short buffers instead of a dozen scattered heap objects, and its
+//!   Levenshtein and Jaro-Winkler run as one-word bit-parallel kernels
+//!   ([`crate::bitpar`]). Any other name keeps its [`PreparedName`] and
+//!   goes through the `&str` reference comparators, counted by
+//!   [`AgreementScratch::fallbacks`].
 //! * **Score floor** ([`ScoreFloor`]) — the Fellegi-Sunter weight each
 //!   still-unevaluated field could contribute is bounded by its
 //!   precomputed agreement/disagreement weights. Fields are evaluated
@@ -22,29 +30,30 @@
 //!   without the expensive tail (with the default name model that skips
 //!   Jaro-Winkler for clear non-matches and both Levenshtein and
 //!   Jaro-Winkler for clear matches).
-//! * **Agreement memo** ([`AgreementCache`]) — web corpora repeat display
-//!   names (several pages per person, most rendered verbatim), so the
-//!   same (query, page-name) pair is classified again and again. The
-//!   cache keys on caller-assigned dense ids for the prepared query
-//!   token sequence and the hit page's (deduplicated) display name and
-//!   replays the decision.
+//! * **Per-query memo** ([`AgreementCache`]) — web corpora repeat display
+//!   names (several pages per person, most rendered verbatim), so one
+//!   query's hits often carry the same name more than once. The memo
+//!   keys one query's decisions on the caller's dense candidate ids and
+//!   replays them; it is cleared between queries, because release names
+//!   are distinct and a pair almost never recurs across them.
 //!
-//! All three layers are exact: the pruned path either evaluates every
-//! field and delegates the final decision to
-//! [`FellegiSunter::classify`] over the same agreement vector the
-//! reference builds, or stops on a bound that holds with a safety margin
-//! wider than any float-reassociation error — so its decisions are
-//! pinned identical to `model.classify(&compare_prepared(a, b)
-//! .agreement_vector())` (property-tested at the harvest level).
+//! All three layers are exact: the kernels return the references' values
+//! to the bit, the pruned path either evaluates every field and sums the
+//! same field weights in the same order as [`FellegiSunter::classify`]
+//! over the agreement vector the reference builds, or stops on a bound
+//! that holds with a safety margin wider than any float-reassociation
+//! error — so its decisions are pinned identical to
+//! `model.classify(&compare_prepared(a, b).agreement_vector())`
+//! (property-tested on random names and at the harvest level).
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::borrow::Cow;
 
-use crate::edit::{levenshtein_similarity_chars, EditScratch};
+use crate::bitpar::{jaro_winkler_ascii, levenshtein_similarity_ascii, PeqTable, MAX_LEN};
+use crate::edit::levenshtein_similarity;
 use crate::fellegi_sunter::{Decision, FellegiSunter};
-use crate::jaro::{jaro_winkler_chars, JaroScratch};
+use crate::jaro::jaro_winkler;
 use crate::linker::{DICE_AGREE, JARO_WINKLER_AGREE, LEVENSHTEIN_AGREE};
-use crate::ngram::{bigrams_sorted, dice_sorted_bigrams};
+use crate::ngram::dice;
 use crate::normalize::{NameNormalizer, PreparedName};
 
 /// Number of fields in the name model this module accelerates (the
@@ -58,29 +67,31 @@ pub const NAME_FIELDS: usize = 5;
 /// any real m/u configuration.
 const PRUNE_MARGIN: f64 = 1e-9;
 
-/// Every derived comparator input of one name, computed once per record:
-/// the [`PreparedName`] linkage keys plus the scalar buffers and the
-/// sorted padded-bigram multiset the string comparators consume.
+/// Every derived comparator input of one name, computed once per record.
+/// See the module docs for the compact and the fallback form.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkKey {
-    prepared: PreparedName,
-    joined_chars: Vec<char>,
-    canonical_chars: Vec<char>,
-    bigrams: Vec<u64>,
+    repr: Repr,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Repr {
+    /// `joined ‖ canonical ‖ bigrams` for a name of `n` ASCII bytes:
+    /// `n` + `n` bytes, then the `n + 1` padded bigrams of the canonical
+    /// form as byte pairs in ascending order (`4n + 2` bytes in all).
+    Compact {
+        bytes: Box<[u8]>,
+        soundex: Option<[u8; 4]>,
+    },
+    /// Any other name, compared by the reference comparators.
+    Wide(Box<PreparedName>),
 }
 
 impl LinkKey {
     /// Builds the comparator keys from an already-prepared name.
     pub fn new(prepared: PreparedName) -> LinkKey {
-        let joined_chars = prepared.joined.chars().collect();
-        let canonical_chars = prepared.canonical.chars().collect();
-        let bigrams = bigrams_sorted(&prepared.canonical);
-        LinkKey {
-            prepared,
-            joined_chars,
-            canonical_chars,
-            bigrams,
-        }
+        let repr = compact(&prepared).unwrap_or_else(|| Repr::Wide(Box::new(prepared)));
+        LinkKey { repr }
     }
 
     /// Normalizes a raw name and builds its comparator keys.
@@ -88,9 +99,222 @@ impl LinkKey {
         LinkKey::new(normalizer.prepare(raw))
     }
 
-    /// The underlying linkage keys.
-    pub fn prepared(&self) -> &PreparedName {
-        &self.prepared
+    /// Whether the key has the compact form (and its pairs the
+    /// bit-parallel comparators). A name prepared by a normalizer whose
+    /// nickname expansions are single words is compact exactly when its
+    /// normalized form is ASCII and at most [`MAX_LEN`] bytes.
+    pub fn is_compact(&self) -> bool {
+        matches!(self.repr, Repr::Compact { .. })
+    }
+
+    /// The linkage keys this key was built from (rebuilt for a compact
+    /// key — the fallback path only).
+    fn prepared(&self) -> Cow<'_, PreparedName> {
+        match &self.repr {
+            Repr::Wide(prepared) => Cow::Borrowed(prepared),
+            Repr::Compact { bytes, soundex } => {
+                let name = Compact::new(bytes, *soundex);
+                let text =
+                    |b: &[u8]| String::from_utf8(b.to_vec()).expect("compact keys are ASCII");
+                Cow::Owned(PreparedName {
+                    tokens: name.words().map(text).collect(),
+                    joined: text(name.joined),
+                    canonical: text(name.canonical),
+                    surname_soundex: soundex.map(|code| text(&code)),
+                })
+            }
+        }
+    }
+}
+
+/// The compact form of a prepared name, when it has one: ASCII joined and
+/// canonical forms of equal length at most [`MAX_LEN`], tokens exactly the
+/// words of the joined form, and a four-byte Soundex code if any.
+fn compact(p: &PreparedName) -> Option<Repr> {
+    let n = p.joined.len();
+    let fits = n <= MAX_LEN
+        && p.joined.is_ascii()
+        && p.canonical.is_ascii()
+        && p.canonical.len() == n
+        && words(p.joined.as_bytes()).eq(p.tokens.iter().map(String::as_bytes));
+    if !fits {
+        return None;
+    }
+    let soundex = match &p.surname_soundex {
+        None => None,
+        Some(code) => Some(<[u8; 4]>::try_from(code.as_bytes()).ok()?),
+    };
+    let mut grams: Vec<[u8; 2]> = Vec::with_capacity(n + 1);
+    let mut prev = b'#';
+    for c in p.canonical.bytes().chain(std::iter::once(b'#')) {
+        grams.push([prev, c]);
+        prev = c;
+    }
+    grams.sort_unstable();
+    let mut bytes = Vec::with_capacity(4 * n + 2);
+    bytes.extend_from_slice(p.joined.as_bytes());
+    bytes.extend_from_slice(p.canonical.as_bytes());
+    bytes.extend(grams.iter().flatten());
+    Some(Repr::Compact {
+        bytes: bytes.into_boxed_slice(),
+        soundex,
+    })
+}
+
+/// The space-separated words of an ASCII joined form.
+fn words(joined: &[u8]) -> impl Iterator<Item = &[u8]> + Clone {
+    joined.split(|&c| c == b' ').filter(|w| !w.is_empty())
+}
+
+/// A compact key's buffer, split into its three parts.
+struct Compact<'a> {
+    joined: &'a [u8],
+    canonical: &'a [u8],
+    bigrams: &'a [u8],
+    soundex: Option<[u8; 4]>,
+}
+
+impl<'a> Compact<'a> {
+    #[inline]
+    fn new(bytes: &'a [u8], soundex: Option<[u8; 4]>) -> Compact<'a> {
+        let n = (bytes.len() - 2) / 4;
+        let (joined, rest) = bytes.split_at(n);
+        let (canonical, bigrams) = rest.split_at(n);
+        Compact {
+            joined,
+            canonical,
+            bigrams,
+            soundex,
+        }
+    }
+
+    /// The tokens: the words of the joined form.
+    fn words(&self) -> impl Iterator<Item = &'a [u8]> + Clone {
+        words(self.joined)
+    }
+}
+
+/// The comparator inputs of one pair, field by field, as the staged
+/// classifier consumes them: the compact pair computes each field with
+/// the byte kernels, the wide pair with the `&str` references of
+/// [`crate::linker::compare_prepared`].
+trait PairFields {
+    /// Whether the two keys are equal in every comparator input (then
+    /// every continuous comparator scores 1.0 and the token lists are
+    /// identical, hence compatible).
+    fn same(&self) -> bool;
+    /// Both Soundex codes present and equal.
+    fn soundex_agrees(&self) -> bool;
+    /// [`NameNormalizer::tokens_compatible`] of the token lists.
+    fn tokens_compatible(&self) -> bool;
+    /// Bigram Dice of the canonical forms.
+    fn dice(&mut self) -> f64;
+    /// Levenshtein similarity of the canonical forms.
+    fn levenshtein(&mut self) -> f64;
+    /// Jaro-Winkler of the order-preserving forms.
+    fn jaro_winkler(&mut self) -> f64;
+}
+
+struct CompactPair<'a> {
+    a: Compact<'a>,
+    b: Compact<'a>,
+    peq: &'a mut PeqTable,
+}
+
+impl PairFields for CompactPair<'_> {
+    #[inline]
+    fn same(&self) -> bool {
+        self.a.joined == self.b.joined && self.a.canonical == self.b.canonical
+    }
+
+    #[inline]
+    fn soundex_agrees(&self) -> bool {
+        self.a.soundex.is_some() && self.a.soundex == self.b.soundex
+    }
+
+    fn tokens_compatible(&self) -> bool {
+        // `NameNormalizer::tokens_compatible` over the byte words of the
+        // joined forms, without decoding: an ASCII word is an initial
+        // when it is one letter, and its first character is its first
+        // byte.
+        let initial = |w: &[u8]| w.len() == 1 && w[0].is_ascii_alphabetic();
+        let covered = |xs: &Compact<'_>, ys: &Compact<'_>| {
+            xs.words().all(|x| {
+                if initial(x) {
+                    ys.words().any(|y| y[0] == x[0])
+                } else {
+                    ys.words().any(|y| y == x || (initial(y) && y[0] == x[0]))
+                }
+            })
+        };
+        covered(&self.a, &self.b) && covered(&self.b, &self.a)
+    }
+
+    fn dice(&mut self) -> f64 {
+        // A linear merge of the sorted bigram multisets: the same
+        // intersection and total sizes as `ngram::dice(_, _, 2)`, and its
+        // final expression (the totals are never zero: padding gives
+        // every form at least one bigram).
+        let (a, b) = (self.a.bigrams, self.b.bigrams);
+        let denom = a.len() / 2 + b.len() / 2;
+        let mut inter = 0usize;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            match a[i..i + 2].cmp(&b[j..j + 2]) {
+                std::cmp::Ordering::Less => i += 2,
+                std::cmp::Ordering::Greater => j += 2,
+                std::cmp::Ordering::Equal => {
+                    inter += 1;
+                    i += 2;
+                    j += 2;
+                }
+            }
+        }
+        2.0 * inter as f64 / denom as f64
+    }
+
+    fn levenshtein(&mut self) -> f64 {
+        levenshtein_similarity_ascii(self.a.canonical, self.b.canonical, self.peq)
+    }
+
+    fn jaro_winkler(&mut self) -> f64 {
+        jaro_winkler_ascii(self.a.joined, self.b.joined, self.peq)
+    }
+}
+
+struct WidePair<'a> {
+    a: &'a PreparedName,
+    b: &'a PreparedName,
+}
+
+impl PairFields for WidePair<'_> {
+    fn same(&self) -> bool {
+        self.a.joined == self.b.joined
+            && self.a.canonical == self.b.canonical
+            && self.a.tokens == self.b.tokens
+    }
+
+    fn soundex_agrees(&self) -> bool {
+        match (&self.a.surname_soundex, &self.b.surname_soundex) {
+            (Some(x), Some(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    fn tokens_compatible(&self) -> bool {
+        NameNormalizer::tokens_compatible(&self.a.tokens, &self.b.tokens)
+    }
+
+    fn dice(&mut self) -> f64 {
+        dice(&self.a.canonical, &self.b.canonical, 2)
+    }
+
+    fn levenshtein(&mut self) -> f64 {
+        levenshtein_similarity(&self.a.canonical, &self.b.canonical)
+    }
+
+    fn jaro_winkler(&mut self) -> f64 {
+        jaro_winkler(&self.a.joined, &self.b.joined)
     }
 }
 
@@ -191,64 +415,99 @@ impl ScoreFloor {
     /// [`FellegiSunter::classify`] returns for the pair's full agreement
     /// vector.
     pub fn classify(&self, a: &LinkKey, b: &LinkKey, scratch: &mut AgreementScratch) -> Decision {
-        let (pa, pb) = (&a.prepared, &b.prepared);
+        match (&a.repr, &b.repr) {
+            (
+                Repr::Compact {
+                    bytes: x,
+                    soundex: sx,
+                },
+                Repr::Compact {
+                    bytes: y,
+                    soundex: sy,
+                },
+            ) => {
+                let pair = CompactPair {
+                    a: Compact::new(x, *sx),
+                    b: Compact::new(y, *sy),
+                    peq: &mut scratch.peq,
+                };
+                self.staged(pair, &mut scratch.prunes)
+            }
+            _ => {
+                scratch.fallbacks += 1;
+                let (pa, pb) = (a.prepared(), b.prepared());
+                self.staged(WidePair { a: &pa, b: &pb }, &mut scratch.prunes)
+            }
+        }
+    }
+
+    /// The staged classification of one pair: cached-key fields, the floor
+    /// check, then the string comparators cheapest first, stopping on the
+    /// first forced decision (counted in `prunes`).
+    #[inline]
+    fn staged(&self, mut pair: impl PairFields, prunes: &mut u64) -> Decision {
         let mut agreement = [false; NAME_FIELDS];
-        // Equal normalized names: every comparator scores 1.0, so the
-        // continuous bits all agree and only the cached-key bits need a
-        // look. (Soundex equality still requires a code on both sides.)
-        if pa.joined == pb.joined {
+        agreement[3] = pair.soundex_agrees();
+        // Equal keys: every comparator scores 1.0, so the continuous
+        // bits all agree and only the Soundex bit needs a look.
+        if pair.same() {
             agreement[0] = true;
             agreement[1] = true;
             agreement[2] = true;
-            agreement[3] = pa.surname_soundex.is_some();
             agreement[4] = true;
-            return self.model.classify(&agreement);
+            return self.decide(&agreement);
         }
         // Stages 0-1: the cached-key fields.
-        agreement[3] = match (&pa.surname_soundex, &pb.surname_soundex) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        };
-        agreement[4] = NameNormalizer::tokens_compatible(&pa.tokens, &pb.tokens);
+        agreement[4] = pair.tokens_compatible();
         let mut w = self.weight_of(3, agreement[3]) + self.weight_of(4, agreement[4]);
         // The headline floor check: prune before any string comparator.
         if let Some(decision) = self.forced(w, FIRST_STRING_STAGE) {
-            scratch.prunes += 1;
+            *prunes += 1;
             return decision;
         }
         // Stage 2: Dice over the precomputed bigram multisets.
-        agreement[1] = dice_sorted_bigrams(&a.bigrams, &b.bigrams) >= DICE_AGREE;
+        agreement[1] = pair.dice() >= DICE_AGREE;
         w += self.weight_of(1, agreement[1]);
         if let Some(decision) = self.forced(w, FIRST_STRING_STAGE + 1) {
-            scratch.prunes += 1;
+            *prunes += 1;
             return decision;
         }
         // Stage 3: Levenshtein on the canonical forms.
-        agreement[2] =
-            levenshtein_similarity_chars(&a.canonical_chars, &b.canonical_chars, &mut scratch.edit)
-                >= LEVENSHTEIN_AGREE;
+        agreement[2] = pair.levenshtein() >= LEVENSHTEIN_AGREE;
         w += self.weight_of(2, agreement[2]);
         if let Some(decision) = self.forced(w, FIRST_STRING_STAGE + 2) {
-            scratch.prunes += 1;
+            *prunes += 1;
             return decision;
         }
         // Stage 4: Jaro-Winkler on the order-preserving forms. The vector
-        // is now complete, so the model classifies it exactly as the
-        // unpruned reference would.
-        agreement[0] = jaro_winkler_chars(&a.joined_chars, &b.joined_chars, &mut scratch.jaro)
-            >= JARO_WINKLER_AGREE;
-        self.model.classify(&agreement)
+        // is now complete, so it is classified exactly as the unpruned
+        // reference would.
+        agreement[0] = pair.jaro_winkler() >= JARO_WINKLER_AGREE;
+        self.decide(&agreement)
+    }
+
+    /// [`FellegiSunter::classify`] of a complete agreement vector over
+    /// the precomputed field weights: the same weights (computed once by
+    /// the same functions), summed in the same field order, so the same
+    /// total and the same decision without five logarithms per pair.
+    #[inline]
+    fn decide(&self, agreement: &[bool; NAME_FIELDS]) -> Decision {
+        let w: f64 = (0..NAME_FIELDS)
+            .map(|f| self.weight_of(f, agreement[f]))
+            .sum();
+        self.model.decide(w)
     }
 }
 
-/// Reusable comparator buffers for [`ScoreFloor::classify`] — one per
-/// worker, not per pair — plus a running tally of floor prunes, read by
-/// the harvest's observability hooks.
+/// Reusable comparator state for [`ScoreFloor::classify`] — one per
+/// worker, not per pair: the bit-parallel kernels' position table, plus
+/// running tallies read by the harvest's observability hooks and work
+/// gates.
 #[derive(Debug, Clone, Default)]
 pub struct AgreementScratch {
-    jaro: JaroScratch,
-    edit: EditScratch,
+    peq: PeqTable,
     prunes: u64,
+    fallbacks: u64,
 }
 
 impl AgreementScratch {
@@ -257,38 +516,25 @@ impl AgreementScratch {
     pub fn prunes(&self) -> u64 {
         self.prunes
     }
-}
 
-/// Multiplicative mixer for the packed pair key: the ids are dense and
-/// sequential, so SipHash buys nothing over one multiply.
-#[derive(Default)]
-struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    /// Number of classifications that took the reference-comparator
+    /// fallback because a key was not compact (monotone over the
+    /// scratch's life; zero on the synthetic worlds).
+    pub fn fallbacks(&self) -> u64 {
+        self.fallbacks
     }
 }
 
-/// A reusable memo of classified pairs, keyed by caller-assigned dense
-/// ids: the prepared *query* token sequence on the left, the prepared
-/// candidate record (for the harvest: the hit page's deduplicated display
-/// name) on the right. The caller owns the id assignment and must keep it
-/// bijective with the prepared names — two ids may be equal only when the
-/// [`LinkKey`]s they denote are.
+/// A memo of one query's classified candidates, keyed by caller-assigned
+/// dense candidate ids (for the harvest: the hit page's deduplicated
+/// display name). The caller must keep the ids bijective with the
+/// candidate keys — two ids may be equal only when the [`LinkKey`]s they
+/// denote are — and [`clear`](AgreementCache::clear) the memo before the
+/// next query. A query holds a handful of candidates, so the memo is a
+/// short list scanned linearly.
 #[derive(Debug, Clone, Default)]
 pub struct AgreementCache {
-    map: HashMap<u64, Decision, BuildHasherDefault<PairHasher>>,
+    memo: Vec<(u32, Decision)>,
     lookups: u64,
     hits: u64,
 }
@@ -299,44 +545,44 @@ impl AgreementCache {
         AgreementCache::default()
     }
 
-    /// Classifies `(left, right)` through the floor, replaying the memo
-    /// when the pair (by id) was classified before.
+    /// Classifies `(query, candidate)` through the floor, replaying the
+    /// memo when the candidate (by id) was classified against this query
+    /// before.
     pub fn classify(
         &mut self,
-        left_id: u32,
-        right_id: u32,
+        candidate_id: u32,
         floor: &ScoreFloor,
-        left: &LinkKey,
-        right: &LinkKey,
+        query: &LinkKey,
+        candidate: &LinkKey,
         scratch: &mut AgreementScratch,
     ) -> Decision {
-        let key = (u64::from(left_id) << 32) | u64::from(right_id);
         self.lookups += 1;
-        if let Some(&decision) = self.map.get(&key) {
+        if let Some(&(_, decision)) = self.memo.iter().find(|(id, _)| *id == candidate_id) {
             self.hits += 1;
             return decision;
         }
-        let decision = floor.classify(left, right, scratch);
-        self.map.insert(key, decision);
+        let decision = floor.classify(query, candidate, scratch);
+        self.memo.push((candidate_id, decision));
         decision
     }
 
-    /// Number of memoized pairs.
+    /// Number of memoized candidates.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.memo.len()
     }
 
     /// Whether the memo is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.memo.is_empty()
     }
 
-    /// Total classify calls routed through the memo.
+    /// Classify calls routed through the memo since the last clear.
     pub fn lookups(&self) -> u64 {
         self.lookups
     }
 
-    /// Lookups served from the memo without re-classifying.
+    /// Lookups served from the memo without re-classifying, since the
+    /// last clear.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -349,9 +595,10 @@ impl AgreementCache {
         self.hits as f64 / self.lookups as f64
     }
 
-    /// Drops every memoized pair (id spaces may be reused afterwards).
+    /// Drops every memoized decision and zeroes the tallies, ready for
+    /// the next query.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.memo.clear();
         self.lookups = 0;
         self.hits = 0;
     }
@@ -386,7 +633,20 @@ mod tests {
         "...  ,,",
         "Dr. Prof.",
         "X",
+        // Fallback keys: non-ASCII, and longer than one 64-bit word.
+        "José Núñez",
+        "Jose Nunez",
+        "Maximiliana Alexandrina Konstantinopoulou-Papadimitriou Worthington",
+        "Maximiliana Alexandrina Konstantinopoulou Papadimitriou Worthingtn",
     ];
+
+    /// Every name's key next to its independently prepared linkage keys.
+    fn keyed(normalizer: &NameNormalizer) -> Vec<(LinkKey, PreparedName)> {
+        NAMES
+            .iter()
+            .map(|n| (LinkKey::prepare(normalizer, n), normalizer.prepare(n)))
+            .collect()
+    }
 
     fn reference_decision(model: &FellegiSunter, a: &PreparedName, b: &PreparedName) -> Decision {
         model.classify(&compare_prepared(a, b).agreement_vector())
@@ -398,20 +658,58 @@ mod tests {
         let model = default_name_model();
         let floor = ScoreFloor::new(&model);
         let mut scratch = AgreementScratch::default();
-        let keys: Vec<LinkKey> = NAMES
-            .iter()
-            .map(|n| LinkKey::prepare(&normalizer, n))
-            .collect();
-        for a in &keys {
-            for b in &keys {
-                let expected = reference_decision(&model, a.prepared(), b.prepared());
+        let keys = keyed(&normalizer);
+        for (a, pa) in &keys {
+            for (b, pb) in &keys {
+                let expected = reference_decision(&model, pa, pb);
                 let got = floor.classify(a, b, &mut scratch);
+                assert_eq!(got, expected, "{:?} vs {:?}", pa.joined, pb.joined);
+            }
+        }
+        // Three names are fallback keys; each of their pairs with any key
+        // (themselves included) took the reference path.
+        let wide = keys.iter().filter(|(k, _)| !k.is_compact()).count();
+        assert_eq!(wide, 3);
+        let expected_fallbacks = keys.len() * keys.len() - (keys.len() - wide).pow(2);
+        assert_eq!(scratch.fallbacks(), expected_fallbacks as u64);
+    }
+
+    #[test]
+    fn compact_form_follows_the_normalized_name() {
+        let normalizer = NameNormalizer::new();
+        let compact = |raw: &str| LinkKey::prepare(&normalizer, raw).is_compact();
+        assert!(compact("Robert Smith") && compact("") && compact("Alice Smith 17"));
+        assert!(!compact("José Núñez"));
+        assert!(compact(&format!("{} b", "a".repeat(62))), "64 bytes");
+        assert!(!compact(&format!("{} bc", "a".repeat(62))), "65 bytes");
+        // A nickname expanding to two words breaks the token/word
+        // correspondence, so the key falls back.
+        let spaced = NameNormalizer::new().with_nickname("jd", "john doe");
+        assert!(!LinkKey::prepare(&spaced, "JD Smith").is_compact());
+        // A compact key rebuilds exactly the keys it was made from.
+        for raw in NAMES {
+            let key = LinkKey::prepare(&normalizer, raw);
+            assert_eq!(*key.prepared(), normalizer.prepare(raw), "{raw:?}");
+        }
+    }
+
+    #[test]
+    fn floor_matches_reference_with_multiword_nicknames() {
+        // Tokens containing spaces: joined forms may coincide while the
+        // token lists and canonical forms differ.
+        let normalizer = NameNormalizer::new().with_nickname("jd", "john doe");
+        let model = default_name_model();
+        let floor = ScoreFloor::new(&model);
+        let mut scratch = AgreementScratch::default();
+        let names = ["JD", "John Doe", "Doe John", "J. Doe", "JD Smith"];
+        for a in names {
+            for b in names {
+                let (pa, pb) = (normalizer.prepare(a), normalizer.prepare(b));
+                let (ka, kb) = (LinkKey::new(pa.clone()), LinkKey::new(pb.clone()));
                 assert_eq!(
-                    got,
-                    expected,
-                    "{:?} vs {:?}",
-                    a.prepared().joined,
-                    b.prepared().joined
+                    floor.classify(&ka, &kb, &mut scratch),
+                    reference_decision(&model, &pa, &pb),
+                    "{a:?} vs {b:?}"
                 );
             }
         }
@@ -430,17 +728,14 @@ mod tests {
             FellegiSunter::new(vec![FieldParams::new(0.5, 0.5); NAME_FIELDS], 0.0, 0.0),
             default_name_model(),
         ];
-        let keys: Vec<LinkKey> = NAMES
-            .iter()
-            .map(|n| LinkKey::prepare(&normalizer, n))
-            .collect();
+        let keys = keyed(&normalizer);
         for model in &models {
             let floor = ScoreFloor::new(model);
-            for a in &keys {
-                for b in &keys {
+            for (a, pa) in &keys {
+                for (b, pb) in &keys {
                     assert_eq!(
                         floor.classify(a, b, &mut scratch),
-                        reference_decision(model, a.prepared(), b.prepared()),
+                        reference_decision(model, pa, pb),
                     );
                 }
             }
@@ -455,13 +750,14 @@ mod tests {
         let mut cache = AgreementCache::new();
         let a = LinkKey::prepare(&normalizer, "Robert Smith");
         let b = LinkKey::prepare(&normalizer, "Dr. Bob Smith");
-        let first = cache.classify(0, 0, &floor, &a, &b, &mut scratch);
-        let second = cache.classify(0, 0, &floor, &a, &b, &mut scratch);
+        let first = cache.classify(0, &floor, &a, &b, &mut scratch);
+        let second = cache.classify(0, &floor, &a, &b, &mut scratch);
         assert_eq!(first, second);
         assert_eq!(cache.len(), 1);
-        assert!(cache.hit_rate() > 0.49);
+        assert_eq!((cache.lookups(), cache.hits()), (2, 1));
         cache.clear();
         assert!(cache.is_empty());
+        assert_eq!((cache.lookups(), cache.hits()), (0, 0));
         assert_eq!(cache.hit_rate(), 0.0);
     }
 

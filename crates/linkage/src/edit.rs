@@ -5,31 +5,14 @@
 pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    levenshtein_chars(&a, &b, &mut EditScratch::default())
-}
-
-/// Reusable DP rows for [`levenshtein_chars`], hoisted out of the per-call
-/// path so batch comparators allocate them once.
-#[derive(Debug, Clone, Default)]
-pub struct EditScratch {
-    prev: Vec<usize>,
-    curr: Vec<usize>,
-}
-
-/// [`levenshtein`] over pre-collected scalar slices with caller-provided
-/// scratch — same dynamic program, same distance, no per-call allocation.
-pub fn levenshtein_chars(a: &[char], b: &[char], scratch: &mut EditScratch) -> usize {
     if a.is_empty() {
         return b.len();
     }
     if b.is_empty() {
         return a.len();
     }
-    scratch.prev.clear();
-    scratch.prev.extend(0..=b.len());
-    scratch.curr.clear();
-    scratch.curr.resize(b.len() + 1, 0);
-    let (mut prev, mut curr) = (&mut scratch.prev, &mut scratch.curr);
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    let mut curr = vec![0usize; b.len() + 1];
     for (i, &ca) in a.iter().enumerate() {
         curr[0] = i + 1;
         for (j, &cb) in b.iter().enumerate() {
@@ -39,17 +22,6 @@ pub fn levenshtein_chars(a: &[char], b: &[char], scratch: &mut EditScratch) -> u
         std::mem::swap(&mut prev, &mut curr);
     }
     prev[b.len()]
-}
-
-/// Normalized Levenshtein similarity over pre-collected scalar slices
-/// (see [`levenshtein_similarity`]; identical value by identical
-/// expression).
-pub fn levenshtein_similarity_chars(a: &[char], b: &[char], scratch: &mut EditScratch) -> f64 {
-    let max_len = a.len().max(b.len());
-    if max_len == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein_chars(a, b, scratch) as f64 / max_len as f64
 }
 
 /// Optimal string alignment distance: Levenshtein plus transposition of two

@@ -133,7 +133,13 @@ impl FellegiSunter {
 
     /// Classifies an agreement vector.
     pub fn classify(&self, agreement: &[bool]) -> Decision {
-        let w = self.weight(agreement);
+        self.decide(self.weight(agreement))
+    }
+
+    /// The decision for a total log2-weight: [`Decision::Match`] at or
+    /// above the upper threshold, [`Decision::NonMatch`] at or below the
+    /// lower one, [`Decision::Possible`] between them.
+    pub fn decide(&self, w: f64) -> Decision {
         if w >= self.upper {
             Decision::Match
         } else if w <= self.lower {

@@ -1,16 +1,6 @@
 //! Jaro and Jaro-Winkler similarity — the standard comparators for short
 //! person-name strings in record linkage.
 
-/// Reusable buffers for [`jaro_chars`]: the match bookkeeping vectors the
-/// plain [`jaro`] allocates per call, hoisted out so batch comparators
-/// (one query against many candidate names) pay for them once.
-#[derive(Debug, Clone, Default)]
-pub struct JaroScratch {
-    b_matched: Vec<bool>,
-    a_matches: Vec<char>,
-    b_matches: Vec<char>,
-}
-
 /// Jaro similarity in `[0, 1]`.
 ///
 /// Matches are characters equal within a window of
@@ -19,14 +9,6 @@ pub struct JaroScratch {
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    jaro_chars(&a, &b, &mut JaroScratch::default())
-}
-
-/// [`jaro`] over pre-collected scalar slices with caller-provided
-/// scratch — the batch entry point. Bit-identical to [`jaro`] on the
-/// strings the slices were collected from: the same algorithm runs over
-/// the same scalars, only the allocations moved.
-pub fn jaro_chars(a: &[char], b: &[char], scratch: &mut JaroScratch) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -34,13 +16,8 @@ pub fn jaro_chars(a: &[char], b: &[char], scratch: &mut JaroScratch) -> f64 {
         return 0.0;
     }
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
-    scratch.b_matched.clear();
-    scratch.b_matched.resize(b.len(), false);
-    scratch.a_matches.clear();
-    scratch.b_matches.clear();
-    let b_matched = &mut scratch.b_matched;
-    let a_matches = &mut scratch.a_matches;
-    let b_matches = &mut scratch.b_matches;
+    let mut b_matched = vec![false; b.len()];
+    let mut a_matches = Vec::new();
     for (i, &ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
@@ -55,16 +32,16 @@ pub fn jaro_chars(a: &[char], b: &[char], scratch: &mut JaroScratch) -> f64 {
     if a_matches.is_empty() {
         return 0.0;
     }
-    for (j, &cb) in b.iter().enumerate() {
-        if b_matched[j] {
-            b_matches.push(cb);
-        }
-    }
+    let b_matches = b
+        .iter()
+        .zip(&b_matched)
+        .filter(|(_, &matched)| matched)
+        .map(|(&cb, _)| cb);
     let m = a_matches.len() as f64;
     let t = a_matches
         .iter()
-        .zip(b_matches.iter())
-        .filter(|(x, y)| x != y)
+        .zip(b_matches)
+        .filter(|(&x, y)| x != *y)
         .count() as f64
         / 2.0;
     (m / a.len() as f64 + m / b.len() as f64 + (m - t) / m) / 3.0
@@ -79,24 +56,11 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
 /// Jaro-Winkler with an explicit prefix scaling factor `p` (clamped to the
 /// valid `[0, 0.25]` range so the score cannot exceed 1).
 pub fn jaro_winkler_with(a: &str, b: &str, p: f64) -> f64 {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    jaro_winkler_chars_with(&a, &b, p, &mut JaroScratch::default())
-}
-
-/// [`jaro_winkler`] over pre-collected scalar slices with caller-provided
-/// scratch (bit-identical; see [`jaro_chars`]).
-pub fn jaro_winkler_chars(a: &[char], b: &[char], scratch: &mut JaroScratch) -> f64 {
-    jaro_winkler_chars_with(a, b, 0.1, scratch)
-}
-
-/// [`jaro_winkler_with`] over pre-collected scalar slices.
-pub fn jaro_winkler_chars_with(a: &[char], b: &[char], p: f64, scratch: &mut JaroScratch) -> f64 {
     let p = p.clamp(0.0, 0.25);
-    let j = jaro_chars(a, b, scratch);
+    let j = jaro(a, b);
     let prefix = a
-        .iter()
-        .zip(b.iter())
+        .chars()
+        .zip(b.chars())
         .take(4)
         .take_while(|(x, y)| x == y)
         .count() as f64;

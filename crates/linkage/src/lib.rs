@@ -7,15 +7,17 @@
 //!
 //! * string comparators — [`edit`] (Levenshtein, OSA), [`jaro`](mod@jaro)
 //!   (Jaro/Jaro-Winkler), [`ngram`] (Jaccard/Dice/cosine) and [`phonetic`]
-//!   (Soundex, consonant skeletons);
+//!   (Soundex, consonant skeletons), plus [`bitpar`] — bit-parallel
+//!   Levenshtein and Jaro-Winkler for short ASCII strings, bit-identical
+//!   to the references;
 //! * [`normalize`] — titles, punctuation, nicknames, initials;
 //! * [`blocking`] — candidate generation (first-letter, surname-Soundex,
 //!   sorted neighbourhood);
 //! * [`fellegi_sunter`] — the probabilistic linkage model with EM
 //!   parameter estimation;
-//! * [`agreement`] — batch-rate classification: per-record comparator
-//!   keys, a model-derived score floor that prunes hopeless pairs before
-//!   any string comparison, and a reusable decided-pair memo;
+//! * [`agreement`] — batch-rate classification: compact per-record
+//!   comparator keys, a model-derived score floor that prunes hopeless
+//!   pairs before any string comparison, and a per-query decision memo;
 //! * [`linker`] — the end-to-end pipeline with one-to-one assignment and
 //!   precision/recall evaluation.
 //!
@@ -34,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod agreement;
+pub mod bitpar;
 pub mod blocking;
 pub mod edit;
 pub mod fellegi_sunter;
@@ -56,7 +59,7 @@ pub use linker::{
     compare_names, compare_prepared, default_name_model, evaluate, Link, LinkageQuality, Linker,
     LinkerConfig, NameFeatures,
 };
-pub use ngram::{bigrams_sorted, cosine, dice, dice_sorted_bigrams, jaccard, ngrams};
+pub use ngram::{cosine, dice, jaccard, ngrams};
 pub use normalize::{NameNormalizer, PreparedName, NICKNAMES};
 pub use phonetic::{phonetic_skeleton, soundex};
 pub use tfidf::TfIdf;

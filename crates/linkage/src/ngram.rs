@@ -54,56 +54,6 @@ pub fn dice(a: &str, b: &str, n: usize) -> f64 {
     2.0 * intersection_size(&ga, &gb) as f64 / denom as f64
 }
 
-/// The padded character bigrams of a string as a *sorted multiset* of
-/// packed `u64`s (each gram's two scalars in the high/low halves) — the
-/// precomputable comparator key behind [`dice_sorted_bigrams`].
-///
-/// The multiset is exactly the one [`ngrams`]`(s, 2)` counts: same `#`
-/// padding, same windows; only the representation differs (a sorted
-/// vector with duplicates instead of a hash multiset), so set arithmetic
-/// becomes an allocation-free linear merge.
-pub fn bigrams_sorted(s: &str) -> Vec<u64> {
-    let mut prev = '#';
-    let mut out: Vec<u64> = s
-        .chars()
-        .chain(std::iter::once('#'))
-        .map(|c| {
-            let packed = ((prev as u64) << 32) | c as u64;
-            prev = c;
-            packed
-        })
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-/// Sørensen-Dice over two [`bigrams_sorted`] keys.
-///
-/// Returns the *identical* `f64` that [`dice`]`(a, b, 2)` returns for the
-/// underlying strings: the intersection and total sizes are the same
-/// integers (a linear merge over sorted multisets computes the same
-/// `Σ min(count_a, count_b)`), and the final expression is unchanged.
-pub fn dice_sorted_bigrams(a: &[u64], b: &[u64]) -> f64 {
-    let denom = a.len() + b.len();
-    if denom == 0 {
-        return 1.0;
-    }
-    let mut inter = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                inter += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    2.0 * inter as f64 / denom as f64
-}
-
 /// Cosine similarity of n-gram count vectors.
 pub fn cosine(a: &str, b: &str, n: usize) -> f64 {
     let (ga, gb) = (ngrams(a, n), ngrams(b, n));

@@ -23,37 +23,106 @@ pub struct AuxRecord {
     pub property_sqft: Option<f64>,
 }
 
+/// The facts [`extract`] reads off one page, borrowed from the page's
+/// text. Strings are copied only by [`consolidate`], once per
+/// consolidated record, not once per page.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PageFacts<'a> {
+    /// The page the facts came from.
+    pub page_id: usize,
+    /// Name as printed on the page (noisy).
+    pub name: &'a str,
+    /// Job title, when the page carries one.
+    pub title: Option<&'a str>,
+    /// Employer, when the page carries one.
+    pub employer: Option<&'a str>,
+    /// Seniority level of the title ([`title_seniority`]).
+    pub seniority_level: Option<u8>,
+    /// Property holdings in square feet, when the page carries them.
+    pub property_sqft: Option<f64>,
+}
+
 /// Maps a job title to a seniority level 1..=4 by keyword — the domain
 /// knowledge the paper's adversary applies to the Employment column.
+/// Keywords match anywhere in the Unicode lowercase of the title.
 pub fn title_seniority(title: &str) -> Option<u8> {
-    let t = title.to_lowercase();
-    // Most-senior keywords first so "assistant professor" and "assistant"
-    // resolve correctly.
-    if t.contains("ceo") || t.contains("chief") || t.contains("chair") || t.contains("president") {
+    let found = if title.is_ascii() {
+        keywords_in(title.as_bytes())
+    } else {
+        keywords_in(title.to_lowercase().as_bytes())
+    };
+    let has = |keywords: u16| found & keywords != 0;
+    // Most-senior keywords first so "assistant professor" and
+    // "assistant" resolve correctly.
+    if has(CEO | CHIEF | CHAIR | PRESIDENT) {
         Some(4)
-    } else if t.contains("director")
-        || (t.contains("professor") && !t.contains("assistant") && !t.contains("associate"))
-        || t.contains("vp")
-    {
+    } else if has(DIRECTOR) || (has(PROFESSOR) && !has(ASSISTANT | ASSOCIATE)) || has(VP) {
         Some(3)
-    } else if t.contains("manager") || t.contains("associate") {
+    } else if has(MANAGER | ASSOCIATE) {
         Some(2)
-    } else if t.contains("assistant") || t.contains("analyst") || t.contains("intern") {
+    } else if has(ASSISTANT | ANALYST | INTERN) {
         Some(1)
     } else {
         None
     }
 }
 
-/// Extracts an [`AuxRecord`] from a page.
+// The seniority keywords, one bit each.
+const CEO: u16 = 1;
+const CHIEF: u16 = 1 << 1;
+const CHAIR: u16 = 1 << 2;
+const PRESIDENT: u16 = 1 << 3;
+const DIRECTOR: u16 = 1 << 4;
+const PROFESSOR: u16 = 1 << 5;
+const VP: u16 = 1 << 6;
+const MANAGER: u16 = 1 << 7;
+const ASSOCIATE: u16 = 1 << 8;
+const ASSISTANT: u16 = 1 << 9;
+const ANALYST: u16 = 1 << 10;
+const INTERN: u16 = 1 << 11;
+
+/// The seniority keywords occurring in `text` (ignoring ASCII case), in
+/// one pass: at each position at most one keyword can start, found by its
+/// first letter. On the bytes of an ASCII title this is substring search
+/// in its lowercase; on the bytes of an already-lowercased title it is
+/// plain substring search (ASCII keyword bytes never match inside a
+/// multi-byte character).
+fn keywords_in(text: &[u8]) -> u16 {
+    let mut found = 0;
+    for i in 0..text.len() {
+        let rest = &text[i..];
+        let at = |word: &str| {
+            rest.len() >= word.len() && rest[..word.len()].eq_ignore_ascii_case(word.as_bytes())
+        };
+        found |= match rest[0].to_ascii_lowercase() {
+            b'a' if at("assistant") => ASSISTANT,
+            b'a' if at("associate") => ASSOCIATE,
+            b'a' if at("analyst") => ANALYST,
+            b'c' if at("ceo") => CEO,
+            b'c' if at("chief") => CHIEF,
+            b'c' if at("chair") => CHAIR,
+            b'd' if at("director") => DIRECTOR,
+            b'i' if at("intern") => INTERN,
+            b'm' if at("manager") => MANAGER,
+            b'p' if at("president") => PRESIDENT,
+            b'p' if at("professor") => PROFESSOR,
+            b'v' if at("vp") => VP,
+            _ => 0,
+        };
+    }
+    found
+}
+
+/// Extracts a page's facts.
 ///
 /// Extraction is template-aware but intentionally lossy in exactly the ways
 /// the page kinds are: news blurbs yield no title or property, directory
 /// entries no property, and so on.
-pub fn extract(page: &WebPage) -> AuxRecord {
-    let mut record = AuxRecord {
+pub fn extract(page: &WebPage) -> PageFacts<'_> {
+    let text = page.text.as_str();
+    let mut facts = PageFacts {
         page_id: page.id,
-        name: page.display_name.clone(),
+        name: &page.display_name,
         title: None,
         employer: None,
         seniority_level: None,
@@ -61,47 +130,47 @@ pub fn extract(page: &WebPage) -> AuxRecord {
     };
     match page.kind {
         PageKind::Directory => {
-            record.title = field_after(&page.text, "Position:");
-            record.employer = field_after(&page.text, "Organization:");
+            facts.title = field_after(text, "Position:");
+            facts.employer = field_after(text, "Organization:");
         }
         PageKind::Homepage => {
             // "I work as a {title} at {employer}."
-            if let Some(rest) = page.text.split("work as a ").nth(1) {
+            if let Some(rest) = text.split("work as a ").nth(1) {
                 if let Some(stop) = rest.find(" at ") {
-                    record.title = Some(rest[..stop].trim().to_owned());
+                    facts.title = Some(rest[..stop].trim());
                     let after = &rest[stop + 4..];
                     let end = after.find('.').unwrap_or(after.len());
-                    record.employer = Some(after[..end].trim().to_owned());
+                    facts.employer = Some(after[..end].trim());
                 }
             }
-            record.property_sqft = sqft_before(&page.text, "sq ft");
+            facts.property_sqft = sqft_before(text, "sq ft");
         }
         PageKind::News => {
             // "{name} of {employer} spoke at ..."
-            if let Some(rest) = page.text.split(" of ").nth(1) {
+            if let Some(rest) = text.split(" of ").nth(1) {
                 if let Some(stop) = rest.find(" spoke at") {
-                    record.employer = Some(rest[..stop].trim().to_owned());
+                    facts.employer = Some(rest[..stop].trim());
                 }
             }
         }
         PageKind::PropertyRecord => {
-            record.property_sqft = sqft_before(&page.text, "sq ft");
+            facts.property_sqft = sqft_before(text, "sq ft");
         }
         PageKind::Blog => {
             // "By day I'm a {title}, paying my dues at {employer};"
-            if let Some(rest) = page.text.split("I'm a ").nth(1) {
+            if let Some(rest) = text.split("I'm a ").nth(1) {
                 if let Some(stop) = rest.find(',') {
-                    record.title = Some(rest[..stop].trim().to_owned());
+                    facts.title = Some(rest[..stop].trim());
                 }
             }
-            if let Some(rest) = page.text.split(" dues at ").nth(1) {
+            if let Some(rest) = text.split(" dues at ").nth(1) {
                 let end = rest.find(';').unwrap_or(rest.len());
-                record.employer = Some(rest[..end].trim().to_owned());
+                facts.employer = Some(rest[..end].trim());
             }
         }
     }
-    record.seniority_level = record.title.as_deref().and_then(title_seniority);
-    record
+    facts.seniority_level = facts.title.and_then(title_seniority);
+    facts
 }
 
 /// Checked variant of [`extract`] for dirty corpora: instead of parsing
@@ -116,7 +185,7 @@ pub fn extract(page: &WebPage) -> AuxRecord {
 /// rendered page this returns exactly `Ok(extract(page))` (a non-finite
 /// square footage is additionally dropped, defensively — templates never
 /// render one).
-pub fn extract_checked(page: &WebPage) -> Result<AuxRecord, InputDefect> {
+pub fn extract_checked(page: &WebPage) -> Result<PageFacts<'_>, InputDefect> {
     if page.display_name.trim().is_empty() || page.text.trim().is_empty() {
         return Err(InputDefect::MalformedPage);
     }
@@ -132,66 +201,67 @@ pub fn extract_checked(page: &WebPage) -> Result<AuxRecord, InputDefect> {
     if !page.text.starts_with(head) || !page.text.contains(tail) {
         return Err(InputDefect::TruncatedPage);
     }
-    let mut record = extract(page);
-    if record.property_sqft.is_some_and(|s| !s.is_finite()) {
-        record.property_sqft = None;
+    let mut facts = extract(page);
+    if facts.property_sqft.is_some_and(|s| !s.is_finite()) {
+        facts.property_sqft = None;
     }
-    Ok(record)
+    Ok(facts)
 }
 
 /// Merges several extractions about the same person into one consolidated
 /// record: first non-missing title/employer, maximum seniority, mean of the
 /// property figures (a real adversary would reconcile sources similarly).
-pub fn consolidate(records: &[AuxRecord]) -> Option<AuxRecord> {
-    let first = records.first()?;
-    let mut out = AuxRecord {
-        page_id: first.page_id,
-        name: first.name.clone(),
-        title: None,
-        employer: None,
-        seniority_level: None,
-        property_sqft: None,
-    };
-    let mut sqfts = Vec::new();
-    for r in records {
-        if out.title.is_none() {
-            out.title = r.title.clone();
-        }
-        if out.employer.is_none() {
-            out.employer = r.employer.clone();
-        }
-        out.seniority_level = match (out.seniority_level, r.seniority_level) {
+/// The record's page id and name are the first extraction's.
+pub fn consolidate(facts: &[PageFacts<'_>]) -> Option<AuxRecord> {
+    let first = facts.first()?;
+    let mut title = None;
+    let mut employer = None;
+    let mut seniority_level: Option<u8> = None;
+    for f in facts {
+        title = title.or(f.title);
+        employer = employer.or(f.employer);
+        seniority_level = match (seniority_level, f.seniority_level) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
-        if let Some(s) = r.property_sqft {
-            sqfts.push(s);
-        }
     }
-    if !sqfts.is_empty() {
-        out.property_sqft = Some(sqfts.iter().sum::<f64>() / sqfts.len() as f64);
-    }
-    Some(out)
+    let sqfts = facts.iter().filter_map(|f| f.property_sqft);
+    let count = sqfts.clone().count();
+    Some(AuxRecord {
+        page_id: first.page_id,
+        name: first.name.to_owned(),
+        title: title.map(str::to_owned),
+        employer: employer.map(str::to_owned),
+        seniority_level,
+        property_sqft: (count > 0).then(|| sqfts.sum::<f64>() / count as f64),
+    })
 }
 
-fn field_after(text: &str, label: &str) -> Option<String> {
+fn field_after<'a>(text: &'a str, label: &str) -> Option<&'a str> {
     let start = text.find(label)? + label.len();
     let rest = &text[start..];
     let end = rest.find('\n').unwrap_or(rest.len());
     let value = rest[..end].trim();
-    (!value.is_empty()).then(|| value.to_owned())
+    (!value.is_empty()).then_some(value)
 }
 
 /// Finds the number immediately preceding `unit` in the text.
 fn sqft_before(text: &str, unit: &str) -> Option<f64> {
     let pos = text.find(unit)?;
     let before = text[..pos].trim_end();
+    // The number starts after the last character that cannot be part of
+    // it (stepping over that character's full UTF-8 width).
     let start = before
-        .rfind(|c: char| !(c.is_ascii_digit() || c == '.' || c == ','))
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let num: String = before[start..].chars().filter(|c| *c != ',').collect();
-    num.parse().ok()
+        .char_indices()
+        .rev()
+        .find(|&(_, c)| !(c.is_ascii_digit() || c == '.' || c == ','))
+        .map_or(0, |(i, c)| i + c.len_utf8());
+    let digits = &before[start..];
+    if digits.contains(',') {
+        digits.replace(',', "").parse().ok()
+    } else {
+        digits.parse().ok()
+    }
 }
 
 #[cfg(test)]
@@ -211,8 +281,8 @@ mod tests {
             None,
         );
         let r = extract(&p);
-        assert_eq!(r.title.as_deref(), Some("Assistant Professor"));
-        assert_eq!(r.employer.as_deref(), Some("NYU"));
+        assert_eq!(r.title, Some("Assistant Professor"));
+        assert_eq!(r.employer, Some("NYU"));
         assert_eq!(r.seniority_level, Some(1));
         assert_eq!(r.property_sqft, None);
         assert_eq!(r.page_id, 7);
@@ -230,8 +300,8 @@ mod tests {
             Some(5430.0),
         );
         let r = extract(&p);
-        assert_eq!(r.title.as_deref(), Some("CEO"));
-        assert_eq!(r.employer.as_deref(), Some("Microsoft"));
+        assert_eq!(r.title, Some("CEO"));
+        assert_eq!(r.employer, Some("Microsoft"));
         assert_eq!(r.seniority_level, Some(4));
         assert_eq!(r.property_sqft, Some(5430.0));
     }
@@ -248,7 +318,7 @@ mod tests {
             Some(2000.0),
         );
         let r = extract(&p);
-        assert_eq!(r.employer.as_deref(), Some("General Electric"));
+        assert_eq!(r.employer, Some("General Electric"));
         assert_eq!(r.title, None);
         assert_eq!(r.property_sqft, None);
     }
@@ -281,8 +351,8 @@ mod tests {
             None,
         );
         let r = extract(&p);
-        assert_eq!(r.title.as_deref(), Some("Manager"));
-        assert_eq!(r.employer.as_deref(), Some("Verizon"));
+        assert_eq!(r.title, Some("Manager"));
+        assert_eq!(r.employer, Some("Verizon"));
         assert_eq!(r.seniority_level, Some(2));
         assert_eq!(r.property_sqft, None);
     }
@@ -298,6 +368,80 @@ mod tests {
         assert_eq!(title_seniority("Assistant Professor"), Some(1));
         assert_eq!(title_seniority("Analyst"), Some(1));
         assert_eq!(title_seniority("Wizard"), None);
+        // Case-insensitive, on ASCII and non-ASCII titles alike.
+        assert_eq!(title_seniority("VICE PRESIDENT"), Some(4));
+        assert_eq!(title_seniority("Senior Analyst"), Some(1));
+        assert_eq!(title_seniority("Directeur Général · DIRECTOR"), Some(3));
+        assert_eq!(title_seniority("Ärztlicher ASSISTANT"), Some(1));
+        assert_eq!(title_seniority("Ärztin"), None);
+        assert_eq!(title_seniority(""), None);
+    }
+
+    #[test]
+    fn title_seniority_equals_lowercase_substring_search() {
+        // The rule as first written: lowercase the title, then substring
+        // search for each keyword.
+        fn reference(title: &str) -> Option<u8> {
+            let t = title.to_lowercase();
+            if t.contains("ceo")
+                || t.contains("chief")
+                || t.contains("chair")
+                || t.contains("president")
+            {
+                Some(4)
+            } else if t.contains("director")
+                || (t.contains("professor") && !t.contains("assistant") && !t.contains("associate"))
+                || t.contains("vp")
+            {
+                Some(3)
+            } else if t.contains("manager") || t.contains("associate") {
+                Some(2)
+            } else if t.contains("assistant") || t.contains("analyst") || t.contains("intern") {
+                Some(1)
+            } else {
+                None
+            }
+        }
+        let fragments = [
+            "",
+            " ",
+            "CEO",
+            "ce",
+            "o",
+            "Chair",
+            "VP",
+            "v",
+            "Assist",
+            "ant",
+            "associate",
+            "PROFESSOR",
+            "Intern",
+            "Ärzt",
+            "İ",
+            "\u{212A}",
+            "manag",
+            "ER",
+            "analyst",
+        ];
+        for a in fragments {
+            for b in fragments {
+                for c in fragments {
+                    let title = format!("{a}{b}{c}");
+                    assert_eq!(title_seniority(&title), reference(&title), "{title:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sqft_before_steps_over_multibyte_characters() {
+        // A multi-byte character right before the number used to slice
+        // inside it and panic.
+        assert_eq!(sqft_before("é1234 sq ft", "sq ft"), Some(1234.0));
+        assert_eq!(sqft_before("home — 2,400 sq ft", "sq ft"), Some(2400.0));
+        assert_eq!(sqft_before("1234 sq ft", "sq ft"), Some(1234.0));
+        assert_eq!(sqft_before("no figure sq ft", "sq ft"), None);
+        assert_eq!(sqft_before("no unit", "sq ft"), None);
     }
 
     #[test]
@@ -353,35 +497,41 @@ mod tests {
 
     #[test]
     fn consolidation_merges_sources() {
-        let dir = extract(&WebPage::render(
-            0,
-            Some(1),
-            PageKind::Directory,
-            "R. Smith",
-            "Manager",
-            "Verizon",
-            None,
-        ));
-        let prop = extract(&WebPage::render(
-            1,
-            Some(1),
-            PageKind::PropertyRecord,
-            "Robert Smith",
-            "",
-            "",
-            Some(2000.0),
-        ));
-        let prop2 = extract(&WebPage::render(
-            2,
-            Some(1),
-            PageKind::PropertyRecord,
-            "Robert Smith",
-            "",
-            "",
-            Some(2400.0),
-        ));
-        let merged = consolidate(&[dir, prop, prop2]).unwrap();
+        let pages = [
+            WebPage::render(
+                0,
+                Some(1),
+                PageKind::Directory,
+                "R. Smith",
+                "Manager",
+                "Verizon",
+                None,
+            ),
+            WebPage::render(
+                1,
+                Some(1),
+                PageKind::PropertyRecord,
+                "Robert Smith",
+                "",
+                "",
+                Some(2000.0),
+            ),
+            WebPage::render(
+                2,
+                Some(1),
+                PageKind::PropertyRecord,
+                "Robert Smith",
+                "",
+                "",
+                Some(2400.0),
+            ),
+        ];
+        let facts: Vec<PageFacts<'_>> = pages.iter().map(extract).collect();
+        let merged = consolidate(&facts).unwrap();
+        assert_eq!(merged.page_id, 0);
+        assert_eq!(merged.name, "R. Smith");
         assert_eq!(merged.title.as_deref(), Some("Manager"));
+        assert_eq!(merged.employer.as_deref(), Some("Verizon"));
         assert_eq!(merged.seniority_level, Some(2));
         assert_eq!(merged.property_sqft, Some(2200.0));
         assert!(consolidate(&[]).is_none());

@@ -109,6 +109,27 @@ fn hit_beats(score: f64, page: u32, best_score: f64, best_page: u32) -> bool {
     score > best_score || (score == best_score && page < best_page)
 }
 
+/// The first position at or after `from` whose page is not below `page`
+/// in page-ascending `postings` (`postings.len()` when there is none),
+/// given that every page before `from` is below it: an exponential probe
+/// from `from`, then a binary search inside the last step. A lookup
+/// that lands `d` entries on costs `O(log d)`, not `O(log len)`.
+#[inline]
+fn gallop_to(postings: &[(u32, u32)], from: usize, page: u32) -> usize {
+    let below = |&(p, _): &(u32, u32)| p < page;
+    let mut lo = from;
+    let mut step = 1;
+    while lo + step < postings.len() && below(&postings[lo + step]) {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step).min(postings.len());
+    match postings.get(lo) {
+        Some(entry) if below(entry) => lo + 1 + postings[lo + 1..hi].partition_point(below),
+        _ => lo,
+    }
+}
+
 /// The early-exit top-`limit` scan of [`SearchEngine::search_topk_with`]
 /// over the query's resolved term ids (query order, duplicates kept).
 /// Every page first seen gets its full score in `resolved` (query) term
@@ -149,6 +170,11 @@ fn topk_scan(
     // page still unseen afterwards is provably absent from it, so
     // scoring can skip that term without a lookup.
     let mut exhausted = vec![false; scan.len()];
+    // `cursor[j]`: a position in `postings[scan[j]]` below which every
+    // page is smaller than the current run's frontier. Pages ascend
+    // within a run, so each lookup gallops on from the last one instead
+    // of binary-searching the whole list; reset at every run start.
+    let mut cursor = vec![0usize; scan.len()];
 
     scratch.begin(engine.pages.len());
     let mut visited = 0u64;
@@ -176,6 +202,7 @@ fn topk_scan(
                 std::cmp::Ordering::Greater => ub + head[s],
                 std::cmp::Ordering::Less => ub,
             });
+            cursor.fill(0);
             for &(page, _) in &list[at..run_end] {
                 if tracker.is_full() {
                     let (kth_score, kth_page) = tracker.worst();
@@ -209,16 +236,20 @@ fn topk_scan(
                 // same addition sequence as the exhaustive path. The
                 // term being scanned contributes its known tf; terms
                 // whose lists were already exhausted cannot contain a
-                // page first seen here; everything else is a binary
-                // search.
+                // page first seen here; everything else is a galloping
+                // search from the term's cursor.
                 let mut score = 0.0f64;
                 for (&t, &s) in resolved.iter().zip(&slot) {
                     if s == li {
                         score += c;
                     } else if !exhausted[s] {
                         let postings = &engine.postings[t as usize];
-                        if let Ok(pos) = postings.binary_search_by_key(&page, |&(p, _)| p) {
-                            score += contribution(postings[pos].1, idf[t as usize]);
+                        let pos = gallop_to(postings, cursor[s], page);
+                        cursor[s] = pos;
+                        if let Some(&(p, tf)) = postings.get(pos) {
+                            if p == page {
+                                score += contribution(tf, idf[t as usize]);
+                            }
                         }
                     }
                 }
@@ -879,6 +910,25 @@ mod tests {
         }
         let top: Vec<usize> = e.search_topk("ann bea", 5).iter().map(|h| h.page).collect();
         assert_eq!(top, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn gallop_to_finds_the_lower_bound_from_any_valid_cursor() {
+        let postings: Vec<(u32, u32)> = [1, 3, 4, 8, 9, 15, 16, 23, 42, 43, 44, 60]
+            .iter()
+            .map(|&p| (p, 1))
+            .collect();
+        for page in 0..70 {
+            let expected = postings.partition_point(|&(p, _)| p < page);
+            for from in 0..=expected {
+                assert_eq!(
+                    gallop_to(&postings, from, page),
+                    expected,
+                    "page {page} from {from}"
+                );
+            }
+        }
+        assert_eq!(gallop_to(&[], 0, 5), 0);
     }
 
     #[test]

@@ -251,6 +251,7 @@ proptest! {
         size in 4usize..24,
         seed in 0u64..1_000,
         noisy in any::<bool>(),
+        odd_name in "[a-zé .]{0,90}",
     ) {
         use fred_suite::linkage::{
             compare_prepared, default_name_model, AgreementCache, AgreementScratch, LinkKey,
@@ -258,8 +259,12 @@ proptest! {
         };
         // Release names against every distinct corpus display name — the
         // exact pair population the harvest classifies — through the
-        // score floor and the agreement memo (each pair twice, so the
-        // replay path is exercised), versus the full feature vector.
+        // compact keys, the score floor and the per-query memo (each
+        // pair twice, so the replay path is exercised), versus the full
+        // feature vector of independently prepared names. One extra
+        // query of random letters, accents, dots and spaces (often
+        // non-ASCII or longer than 64 bytes) drives the fallback path
+        // against every compact candidate.
         let people = generate_population(&PopulationConfig {
             size,
             web_presence_rate: 0.9,
@@ -280,38 +285,38 @@ proptest! {
         let floor = ScoreFloor::new(&model);
         let mut scratch = AgreementScratch::default();
         let mut cache = AgreementCache::new();
-        let queries: Vec<LinkKey> = people
-            .iter()
-            .map(|p| LinkKey::prepare(&normalizer, &p.name))
-            .collect();
         let (_, distinct) = web.distinct_display_names();
-        let candidates: Vec<LinkKey> = distinct
+        let candidates: Vec<_> = distinct
             .iter()
-            .map(|n| LinkKey::prepare(&normalizer, n))
+            .map(|n| (LinkKey::prepare(&normalizer, n), normalizer.prepare(n)))
             .collect();
-        for (qi, query) in queries.iter().enumerate() {
-            for (ci, candidate) in candidates.iter().enumerate() {
-                let expected = model.classify(
-                    &compare_prepared(query.prepared(), candidate.prepared()).agreement_vector(),
-                );
-                for round in 0..2 {
-                    let got = cache.classify(
-                        qi as u32,
-                        ci as u32,
-                        &floor,
-                        query,
-                        candidate,
-                        &mut scratch,
+        let mut raw_queries: Vec<&str> = people.iter().map(|p| p.name.as_str()).collect();
+        raw_queries.push(&odd_name);
+        for raw in raw_queries {
+            let query = LinkKey::prepare(&normalizer, raw);
+            let prepared = normalizer.prepare(raw);
+            cache.clear();
+            for round in 0..2 {
+                for (ci, (candidate, candidate_prepared)) in candidates.iter().enumerate() {
+                    let expected = model.classify(
+                        &compare_prepared(&prepared, candidate_prepared).agreement_vector(),
                     );
+                    let got = cache.classify(ci as u32, &floor, &query, candidate, &mut scratch);
                     prop_assert_eq!(
                         got, expected,
                         "round {}: {:?} vs {:?}",
-                        round, query.prepared().joined, candidate.prepared().joined
+                        round, prepared.joined, candidate_prepared.joined
                     );
                 }
             }
+            prop_assert_eq!(cache.hits() * 2, cache.lookups(), "every pair ran twice");
         }
-        prop_assert!(cache.hit_rate() > 0.49, "every pair ran twice");
+        // The synthetic names are all compact: only the odd query's pairs
+        // may have fallen back.
+        prop_assert!(candidates.iter().all(|(key, _)| key.is_compact()));
+        let odd_is_compact = LinkKey::prepare(&normalizer, &odd_name).is_compact();
+        let odd_pairs = if odd_is_compact { 0 } else { candidates.len() as u64 };
+        prop_assert_eq!(scratch.fallbacks(), odd_pairs);
     }
 
     #[test]

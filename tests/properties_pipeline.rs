@@ -56,15 +56,15 @@ proptest! {
         let kind = PageKind::ALL[kind_idx];
         let page = WebPage::render(0, Some(1), kind, "Alice Walker", "Manager", "Verizon", Some(sqft));
         let record = extract(&page);
-        prop_assert_eq!(record.name.as_str(), "Alice Walker");
+        prop_assert_eq!(record.name, "Alice Walker");
         match kind {
             PageKind::Directory | PageKind::Homepage | PageKind::Blog => {
-                prop_assert_eq!(record.title.as_deref(), Some("Manager"));
+                prop_assert_eq!(record.title, Some("Manager"));
                 prop_assert_eq!(record.seniority_level, Some(2));
-                prop_assert_eq!(record.employer.as_deref(), Some("Verizon"));
+                prop_assert_eq!(record.employer, Some("Verizon"));
             }
             PageKind::News => {
-                prop_assert_eq!(record.employer.as_deref(), Some("Verizon"));
+                prop_assert_eq!(record.employer, Some("Verizon"));
                 prop_assert_eq!(record.title, None);
             }
             PageKind::PropertyRecord => {
