@@ -304,7 +304,7 @@ pub fn counter(name: &str, delta: u64) {
     }
     let worker = rayon::current_worker_id();
     let mut inner = lock();
-    *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+    bump(&mut inner.counters, name, delta);
     // Merged totals are a pure function of the workload; which pool
     // worker processed which chunk is not. Deterministic windows omit
     // the per-worker split so the drained trace stays bit-identical
@@ -313,12 +313,19 @@ pub fn counter(name: &str, delta: u64) {
         return;
     }
     if let Some(w) = worker {
-        *inner
-            .worker_counters
-            .entry(w)
-            .or_default()
-            .entry(name.to_string())
-            .or_insert(0) += delta;
+        bump(inner.worker_counters.entry(w).or_default(), name, delta);
+    }
+}
+
+/// Adds `delta` to `counters[name]`, looking the key up by `&str` so the
+/// name is copied only on its first insert: the harvest bumps a handful
+/// of counters per release name under the collector's lock.
+fn bump(counters: &mut BTreeMap<String, u64>, name: &str, delta: u64) {
+    match counters.get_mut(name) {
+        Some(total) => *total += delta,
+        None => {
+            counters.insert(name.to_string(), delta);
+        }
     }
 }
 
@@ -344,11 +351,14 @@ pub fn observe_ms(name: &str, ms: f64) {
     }
     let mut inner = lock();
     let ms = if inner.deterministic { 0.0 } else { ms };
-    inner
-        .histograms
-        .entry(name.to_string())
-        .or_insert_with(Histogram::new)
-        .observe(ms);
+    match inner.histograms.get_mut(name) {
+        Some(histogram) => histogram.observe(ms),
+        None => {
+            let mut histogram = Histogram::new();
+            histogram.observe(ms);
+            inner.histograms.insert(name.to_string(), histogram);
+        }
+    }
 }
 
 /// Ends the window: switches collection off, force-closes any spans

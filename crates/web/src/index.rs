@@ -7,7 +7,9 @@
 //! interning removes almost all per-posting string traffic). Two postings
 //! orders are kept per term: page-ascending (the classic scan + binary
 //! search order) and score-contribution-descending (the order the top-k
-//! searcher consumes, enabling its early exit).
+//! searcher consumes, enabling its early exit). The top-k searcher also
+//! walks a query's two most common terms as one lazily built pair list
+//! of the pages holding both, kept in the batch's [`TermCache`].
 
 use crate::page::{tokenize, WebPage};
 use rayon::prelude::*;
@@ -130,91 +132,127 @@ fn gallop_to(postings: &[(u32, u32)], from: usize, page: u32) -> usize {
     }
 }
 
-/// The early-exit top-`limit` scan of [`SearchEngine::search_topk_with`]
-/// over the query's resolved term ids (query order, duplicates kept).
-/// Every page first seen gets its full score in `resolved` (query) term
-/// order, and the bound argument documented on `search_topk_with` holds
-/// for any scan order.
-fn topk_scan(
-    engine: &SearchEngine,
-    resolved: &[u32],
-    limit: usize,
-    scratch: &mut SearchScratch,
-) -> Vec<SearchHit> {
-    let idf = &engine.idf;
-    // Scan order: distinct lists, rarest first (stable on equal
-    // lengths), so the upper bound collapses as early as possible.
-    let mut scan: Vec<u32> = resolved.to_vec();
-    scan.sort_unstable();
-    scan.dedup();
-    scan.sort_by_key(|&t| engine.postings[t as usize].len());
-    // `slot[i]`: position in `scan` of the query token `resolved[i]`.
-    let slot: Vec<usize> = resolved
-        .iter()
-        .map(|t| {
-            scan.iter()
-                .position(|s| s == t)
-                .expect("scan holds every token")
-        })
-        .collect();
-    // Head (largest) contribution of each list.
-    let head: Vec<f64> = scan
-        .iter()
-        .map(|&t| {
-            engine.by_contribution[t as usize]
-                .first()
-                .map_or(0.0, |&(_, tf)| contribution(tf, idf[t as usize]))
-        })
-        .collect();
-    // `exhausted[j]` once list `scan[j]` has been scanned to the end: a
-    // page still unseen afterwards is provably absent from it, so
-    // scoring can skip that term without a lookup.
-    let mut exhausted = vec![false; scan.len()];
-    // `cursor[j]`: a position in `postings[scan[j]]` below which every
-    // page is smaller than the current run's frontier. Pages ascend
-    // within a run, so each lookup gallops on from the last one instead
-    // of binary-searching the whole list; reset at every run start.
-    let mut cursor = vec![0usize; scan.len()];
+/// One pair-list entry: a page holding both terms of a pair, with the
+/// term frequency of the lower and of the higher term id.
+type PairPosting = (u32, u32, u32);
 
-    scratch.begin(engine.pages.len());
-    let mut visited = 0u64;
-    let mut tracker = TopHits::new(limit);
-    for (li, &tid) in scan.iter().enumerate() {
-        let list = &engine.by_contribution[tid as usize];
-        let term_idf = idf[tid as usize];
+/// A pair list is built only when the shorter member list is longer than
+/// this. Below it, walking the shorter member as a single list reads at
+/// most that many postings, about what the build (a merge of both
+/// members plus an allocation) would cost, and a small corpus rarely
+/// repeats a pair within one batch to pay the build back.
+const PAIR_MIN_POSTINGS: usize = 64;
+
+/// The pages holding both `lo` and `hi` (term ids, `lo < hi`), merged
+/// from their page-ascending postings and sorted by pair contribution
+/// descending, then page ascending, plus the merge steps it took. The
+/// contribution `c_lo + c_hi` is the float score of a page that holds no
+/// other query term, whatever the query order (float addition commutes).
+fn build_pair_list(engine: &SearchEngine, lo: u32, hi: u32) -> (Box<[PairPosting]>, u64) {
+    let (a, b) = (&engine.postings[lo as usize], &engine.postings[hi as usize]);
+    let mut pairs = Vec::new();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let ((pa, tfa), (pb, tfb)) = (a[i], b[j]);
+        if pa == pb {
+            pairs.push((pa, tfa, tfb));
+        }
+        // Branch-free advance: the two lists interleave unpredictably.
+        i += usize::from(pa <= pb);
+        j += usize::from(pb <= pa);
+    }
+    // Stable, so pages stay ascending within equal contributions; most
+    // entries share the tf = 1 contribution, so the list is a few
+    // presorted runs and the sort close to linear.
+    let key = |&(_, tfa, tfb): &PairPosting| pair_contribution(engine, lo, hi, tfa, tfb);
+    pairs.sort_by(|x, y| key(y).total_cmp(&key(x)));
+    (pairs.into_boxed_slice(), (i + j) as u64)
+}
+
+/// A pair-list entry's contribution: the two member contributions added.
+#[inline]
+fn pair_contribution(engine: &SearchEngine, lo: u32, hi: u32, tf_lo: u32, tf_hi: u32) -> f64 {
+    contribution(tf_lo, engine.idf[lo as usize]) + contribution(tf_hi, engine.idf[hi as usize])
+}
+
+/// The state of one query's top-`limit` scan, shared by every list it
+/// walks.
+struct Scan<'q> {
+    engine: &'q SearchEngine,
+    /// The query's term ids in query order, duplicates kept.
+    resolved: &'q [u32],
+    /// `slot[i]`: the walk position of the list of `resolved[i]`.
+    slot: Vec<usize>,
+    /// Head (largest) contribution of each term list, by walk position.
+    head: Vec<f64>,
+    /// `exhausted[j]`: a page first seen from here on is absent from
+    /// list `j`, so scoring skips that term without a lookup. Set once a
+    /// list has been walked to its end, and for both members once their
+    /// pair list has (only their own lists are left to walk).
+    exhausted: Vec<bool>,
+    /// `cursor[j]`: a position in the page-ascending postings of list
+    /// `j` below which every page is smaller than the current run's
+    /// frontier. Pages ascend within a run, so each lookup gallops on
+    /// from the last one instead of binary-searching the whole list;
+    /// reset at every run start.
+    cursor: Vec<usize>,
+    tracker: TopHits,
+    visited: u64,
+}
+
+impl Scan<'_> {
+    /// Walks one list in `(contribution desc, page asc)` order, one
+    /// equal-contribution run at a time, and reports whether it reached
+    /// the end. `run_key` identifies a run, `own(entry, j)` is the
+    /// entry's contribution for the term at walk position `j` when the
+    /// list carries it, and `last` is the walk position of the list's
+    /// last term: the lists after it are not yet walked.
+    fn walk<E: Copy>(
+        &mut self,
+        list: &[E],
+        last: usize,
+        page_of: impl Fn(E) -> u32,
+        run_key: impl Fn(E) -> u64,
+        own: impl Fn(E, usize) -> Option<f64>,
+        scratch: &mut SearchScratch,
+    ) -> bool {
         let mut completed = true;
         let mut at = 0;
-        // One pass per equal-tf run: `(tf desc, page asc)` order makes
-        // each run page-ascending, and the bound is constant across it.
-        'runs: while at < list.len() {
-            let tf = list[at].1;
-            let run_end = at + list[at..].partition_point(|&(_, t)| t == tf);
-            let c = contribution(tf, term_idf);
+        while at < list.len() {
             // The most an unseen page of this run can score, summed in
-            // query-term order like the score itself: `c` per occurrence
-            // of this term, the head of every later list, nothing from
+            // query-term order like the score itself: the run's own
+            // contributions, the head of every later list, nothing from
             // earlier lists (an unseen page is absent from them, or sits
             // in a remainder an earlier exit already ruled out).
             // Rounding is monotone and every term is non-negative, so no
             // such page's float score exceeds `ub`.
-            let ub = slot.iter().fold(0.0f64, |ub, &s| match s.cmp(&li) {
-                std::cmp::Ordering::Equal => ub + c,
-                std::cmp::Ordering::Greater => ub + head[s],
-                std::cmp::Ordering::Less => ub,
-            });
-            cursor.fill(0);
-            for &(page, _) in &list[at..run_end] {
-                if tracker.is_full() {
-                    let (kth_score, kth_page) = tracker.worst();
+            let ub = self
+                .slot
+                .iter()
+                .fold(0.0f64, |ub, &s| match own(list[at], s) {
+                    Some(c) => ub + c,
+                    None if s > last => ub + self.head[s],
+                    None => ub,
+                });
+            if self.tracker.is_full() && ub < self.tracker.worst().0 {
+                // The exit below, taken before searching for the run's
+                // end: most lists walked after a pair list end here.
+                return false;
+            }
+            let key = run_key(list[at]);
+            let run_end = at + list[at..].partition_point(|&e| run_key(e) == key);
+            self.cursor.fill(0);
+            for &entry in &list[at..run_end] {
+                let page = page_of(entry);
+                if self.tracker.is_full() {
+                    let (kth_score, kth_page) = self.tracker.worst();
                     if ub < kth_score {
-                        // No page of this list's remainder can reach
-                        // the boundary: later runs only bound lower,
-                        // and the boundary only rises from here.
-                        // (Pages of the remainder that also sit in a
-                        // later list still get scored there, via the
-                        // lookup path.)
-                        completed = false;
-                        break 'runs;
+                        // No page of this list's remainder can reach the
+                        // boundary: later runs only bound lower, and the
+                        // boundary only rises from here. (Pages of the
+                        // remainder that also sit in a later list still
+                        // get scored there, via the lookup path.)
+                        return false;
                     }
                     if ub == kth_score && page > kth_page {
                         // Tie at the boundary: the rest of this run can
@@ -227,40 +265,165 @@ fn topk_scan(
                         break;
                     }
                 }
-                visited += 1;
+                self.visited += 1;
                 if scratch.mark[page as usize] == scratch.epoch {
                     continue; // already scored on first sight
                 }
                 scratch.mark[page as usize] = scratch.epoch;
                 // Full exact score, accumulated in query-term order: the
                 // same addition sequence as the exhaustive path. The
-                // term being scanned contributes its known tf; terms
+                // list's own terms contribute their known tfs; terms
                 // whose lists were already exhausted cannot contain a
                 // page first seen here; everything else is a galloping
                 // search from the term's cursor.
                 let mut score = 0.0f64;
-                for (&t, &s) in resolved.iter().zip(&slot) {
-                    if s == li {
+                for (&t, &s) in self.resolved.iter().zip(&self.slot) {
+                    if let Some(c) = own(entry, s) {
                         score += c;
-                    } else if !exhausted[s] {
-                        let postings = &engine.postings[t as usize];
-                        let pos = gallop_to(postings, cursor[s], page);
-                        cursor[s] = pos;
+                    } else if !self.exhausted[s] {
+                        let postings = &self.engine.postings[t as usize];
+                        let pos = gallop_to(postings, self.cursor[s], page);
+                        self.cursor[s] = pos;
                         if let Some(&(p, tf)) = postings.get(pos) {
                             if p == page {
-                                score += contribution(tf, idf[t as usize]);
+                                score += contribution(tf, self.engine.idf[t as usize]);
                             }
                         }
                     }
                 }
-                tracker.offer(score, page);
+                self.tracker.offer(score, page);
             }
             at = run_end;
         }
-        exhausted[li] = completed;
+        completed
     }
-    scratch.postings_scanned += visited;
-    tracker.into_hits()
+}
+
+/// The early-exit top-`limit` scan of [`SearchEngine::search_topk_with`]
+/// over the query's resolved term ids (query order, duplicates kept).
+/// Every page first seen gets its full score in `resolved` (query) term
+/// order, and the bound argument documented on `search_topk_with` holds
+/// for any walk order.
+fn topk_scan(
+    engine: &SearchEngine,
+    resolved: &[u32],
+    limit: usize,
+    scratch: &mut SearchScratch,
+    cache: &mut TermCache,
+) -> Vec<SearchHit> {
+    let idf = &engine.idf;
+    // Walk order: distinct lists, rarest first (stable on equal
+    // lengths), so the upper bound collapses as early as possible.
+    let mut scan: Vec<u32> = resolved.to_vec();
+    scan.sort_unstable();
+    scan.dedup();
+    scan.sort_by_key(|&t| engine.postings[t as usize].len());
+    let n = scan.len();
+    let slot: Vec<usize> = resolved
+        .iter()
+        .map(|t| {
+            scan.iter()
+                .position(|s| s == t)
+                .expect("scan holds every token")
+        })
+        .collect();
+    let head: Vec<f64> = scan
+        .iter()
+        .map(|&t| {
+            engine.by_contribution[t as usize]
+                .first()
+                .map_or(0.0, |&(_, tf)| contribution(tf, idf[t as usize]))
+        })
+        .collect();
+    // The two most common terms are walked as a pair list before their
+    // own lists, when each occurs once in the query and the pair list
+    // can pay for itself.
+    let once = |t: u32| resolved.iter().filter(|&&r| r == t).count() == 1;
+    let pair = (n >= 2)
+        .then(|| (scan[n - 2], scan[n - 1]))
+        .filter(|&(a, b)| {
+            engine.postings[a as usize].len() > PAIR_MIN_POSTINGS && once(a) && once(b)
+        })
+        .map(|(a, b)| {
+            let (lo, hi) = (a.min(b), a.max(b));
+            let TermCache {
+                pairs,
+                pair_postings_merged,
+                ..
+            } = cache;
+            let list: &[PairPosting] = pairs.entry((lo, hi)).or_insert_with(|| {
+                let (list, merged) = build_pair_list(engine, lo, hi);
+                *pair_postings_merged += merged;
+                list
+            });
+            (list, lo, hi)
+        });
+
+    scratch.begin(engine.pages.len());
+    let mut state = Scan {
+        engine,
+        resolved,
+        slot,
+        head,
+        exhausted: vec![false; n],
+        cursor: vec![0; n],
+        tracker: TopHits::new(limit),
+        visited: 0,
+    };
+    let walk_single = |state: &mut Scan, li: usize, scratch: &mut SearchScratch| {
+        let tid = scan[li] as usize;
+        let completed = state.walk(
+            &engine.by_contribution[tid],
+            li,
+            |(page, _)| page,
+            |(_, tf)| u64::from(tf),
+            |(_, tf), s| (s == li).then(|| contribution(tf, idf[tid])),
+            scratch,
+        );
+        state.exhausted[li] |= completed;
+    };
+    let singles_before_pair = if pair.is_some() { n - 2 } else { n };
+    for li in 0..singles_before_pair {
+        walk_single(&mut state, li, scratch);
+    }
+    if let Some((list, lo, hi)) = pair {
+        let (slot_lo, slot_hi) = if scan[n - 2] == lo {
+            (n - 2, n - 1)
+        } else {
+            (n - 1, n - 2)
+        };
+        let completed = state.walk(
+            list,
+            n - 1,
+            |(page, _, _)| page,
+            |(_, tf_lo, tf_hi)| pair_contribution(engine, lo, hi, tf_lo, tf_hi).to_bits(),
+            |(_, tf_lo, tf_hi), s| {
+                if s == slot_lo {
+                    Some(contribution(tf_lo, idf[lo as usize]))
+                } else if s == slot_hi {
+                    Some(contribution(tf_hi, idf[hi as usize]))
+                } else {
+                    None
+                }
+            },
+            scratch,
+        );
+        // A page unseen after the pair list that holds both members sits
+        // in a remainder the walk ruled out, so the first member's bound
+        // drops the second's head. If the walk reached the end, no
+        // unseen page holds both: a page first seen in one member's list
+        // is absent from the other's.
+        state.head[n - 1] = 0.0;
+        if completed {
+            state.exhausted[n - 2] = true;
+            state.exhausted[n - 1] = true;
+        }
+        for li in n - 2..n {
+            walk_single(&mut state, li, scratch);
+        }
+    }
+    scratch.postings_scanned += state.visited;
+    state.tracker.into_hits()
 }
 
 impl SearchEngine {
@@ -435,9 +598,9 @@ impl SearchEngine {
     ///   score, so float rounding cannot push a page past it) only
     ///   decreases from run to run.
     /// * A page's full score is computed the moment it is first seen, by
-    ///   binary-searching every query term's page-ascending postings and
-    ///   accumulating in query-term order — the exact float-addition
-    ///   sequence of the exhaustive path.
+    ///   galloping through every other query term's page-ascending
+    ///   postings and accumulating in query-term order — the exact
+    ///   float-addition sequence of the exhaustive path.
     /// * Once `limit` candidates are held and `ub` falls strictly below
     ///   the current `limit`-th best score, no unseen page can enter the
     ///   result, so the rest of the list is never touched.
@@ -451,6 +614,30 @@ impl SearchEngine {
     ///   ties the boundary. The scan resumes at the next (lower-tf) run
     ///   rather than leaving the list: a lower contribution can round to
     ///   the same `ub` and restart at small page ids.
+    /// * The query's two most common distinct terms `a` and `b` are
+    ///   walked as one *pair list* after the rarer lists and before
+    ///   their own: the pages holding both, sorted by
+    ///   `c_a + c_b` descending, then page ascending, with both tfs
+    ///   stored. A page of the list that holds no other query term
+    ///   scores exactly `c_a + c_b` (the absent terms add nothing in
+    ///   query order, and float addition commutes), so
+    ///   each equal-contribution run has `ub = c_a + c_b`, and the exit
+    ///   and the boundary-tie skip above apply unchanged. A page holding
+    ///   another, rarer term was seen in that term's list or sits in a
+    ///   remainder its exit ruled out.
+    /// * After the pair list, every unseen page holding both `a` and `b`
+    ///   sits in a remainder the pair walk ruled out, so the bound of
+    ///   `a`'s own list drops `b`'s head, and the common case exits
+    ///   before its first posting. When the pair walk reached the end,
+    ///   a page first seen in one member's list is absent from the
+    ///   other's and skips that lookup.
+    ///
+    /// The pair list is built on first use by merging the two
+    /// page-ascending postings lists, and kept in `cache` for the rest of
+    /// the batch ([`TermCache::pair_postings_merged`] counts the merge
+    /// steps). Where a member repeats in the query, or the shorter member
+    /// list is too short for the build to pay, the terms are walked as
+    /// single lists.
     ///
     /// Selection is a bounded worst-out tracker instead of a full sort of
     /// every candidate, which is the other constant-factor win at harvest
@@ -478,7 +665,7 @@ impl SearchEngine {
         if resolved.is_empty() {
             return Vec::new();
         }
-        topk_scan(self, &resolved, limit, scratch)
+        topk_scan(self, &resolved, limit, scratch, cache)
     }
 
     /// [`search_topk_with`](SearchEngine::search_topk_with) with one-shot
@@ -600,11 +787,27 @@ impl SearchScratch {
     }
 }
 
-/// Per-batch memo of token → term id resolved against one
-/// [`SearchEngine`]; negative lookups are cached too.
+/// Per-batch memo against one [`SearchEngine`]: token → term id
+/// (negative lookups too), and the pair lists
+/// [`SearchEngine::search_topk_with`] builds on first use.
 #[derive(Default)]
 pub struct TermCache {
     map: FnvMap<String, Option<u32>>,
+    /// Pair lists by `(lower term id, higher term id)`: every page that
+    /// holds both terms, sorted by pair contribution descending, then
+    /// page ascending.
+    pairs: FnvMap<(u32, u32), Box<[PairPosting]>>,
+    /// Running total of postings merged to build `pairs`.
+    pair_postings_merged: u64,
+}
+
+impl TermCache {
+    /// Postings merged to build this cache's pair lists: a deterministic
+    /// work counter. A pair list is built once per cache, so a batch
+    /// pays for it once however many of its queries reuse it.
+    pub fn pair_postings_merged(&self) -> u64 {
+        self.pair_postings_merged
+    }
 }
 
 #[cfg(test)]
@@ -910,6 +1113,53 @@ mod tests {
         }
         let top: Vec<usize> = e.search_topk("ann bea", 5).iter().map(|h| h.page).collect();
         assert_eq!(top, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn pair_list_walk_reads_a_short_prefix_exactly() {
+        // "ann" on every second page, "lee" on every third, both on every
+        // sixth (100 pages), and a few pages carry both twice. Walked as
+        // one pair list, the query stops right after the k-th full match
+        // instead of walking "lee" until it has met k of them.
+        let texts: Vec<String> = (0..600)
+            .map(|i| match (i % 2 == 0, i % 3 == 0) {
+                (true, true) if i % 120 == 0 => format!("ann ann lee lee s{i}"),
+                (true, true) => format!("ann lee s{i}"),
+                (true, false) => "ann".to_string(),
+                (false, true) => "lee".to_string(),
+                _ => "filler".to_string(),
+            })
+            .collect();
+        let e = text_corpus(&texts);
+        for limit in [1usize, 3, 8, 20] {
+            let visited = assert_topk_exact(&e, "ann lee", limit);
+            assert!(
+                visited <= limit as u64 + 1,
+                "limit {limit}: visited {visited}"
+            );
+            assert_topk_exact(&e, "lee s240 ann", limit);
+            assert_topk_exact(&e, "s18 zzyzx ann lee", limit);
+            // A repeated member falls back to the single-list walk.
+            assert_topk_exact(&e, "ann lee ann", limit);
+        }
+        // One build per cache, shared by both query orders.
+        let mut scratch = e.scratch();
+        let mut cache = e.term_cache();
+        e.search_topk_with("ann lee", 8, &mut scratch, &mut cache);
+        let merged = cache.pair_postings_merged();
+        assert!(merged > 0 && merged <= 300 + 200, "merged {merged}");
+        e.search_topk_with("lee ann", 8, &mut scratch, &mut cache);
+        e.search_topk_with("s60 lee ann", 3, &mut scratch, &mut cache);
+        assert_eq!(cache.pair_postings_merged(), merged);
+    }
+
+    #[test]
+    fn short_lists_build_no_pair_list() {
+        let e = corpus();
+        let mut scratch = e.scratch();
+        let mut cache = e.term_cache();
+        e.search_topk_with("Robert Smith", 8, &mut scratch, &mut cache);
+        assert_eq!(cache.pair_postings_merged(), 0);
     }
 
     #[test]

@@ -447,6 +447,141 @@ proptest! {
     }
 
     #[test]
+    fn topk_search_with_pair_lists_equals_exhaustive_search(
+        n_pages in 160usize..320,
+        vocab in 2usize..5,
+        seed in 0u64..100_000,
+        limit in 1usize..12,
+        mirror in any::<bool>(),
+        damage in any::<bool>(),
+    ) {
+        // Common tokens sit on about two pages in three each, so their
+        // lists are long enough for the searcher to walk a query's two
+        // most common terms as one pair list; each is drawn at tf 1-3
+        // independently, so many pages hold both pair terms more than
+        // once. Rare tokens give 3- and 4-token queries lists that are
+        // walked before the pair. `mirror` appends every page again with
+        // common token t renamed to vocab - 1 - t, so mirrored tokens
+        // have equal df (hence IDF) and pages of different pairs tie
+        // exactly; `damage` runs the corpus through `corrupt_pages`
+        // (dropped, truncated, garbled and duplicated pages) first.
+        use fred_suite::faults::FaultPlan;
+        use fred_suite::web::corrupt_pages;
+        let mut state = seed | 1;
+        let mut next = move |m: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as usize) % m
+        };
+        // `Some(t)`: common token t; `None`: the page's rare token.
+        let mut texts: Vec<Vec<(Option<usize>, usize)>> = (0..n_pages)
+            .map(|_| {
+                let mut words = Vec::new();
+                for t in 0..vocab {
+                    if next(3) != 0 {
+                        let tf = if next(3) == 0 { 2 + next(2) } else { 1 };
+                        words.push((Some(t), tf));
+                    }
+                }
+                if next(4) == 0 {
+                    words.push((None, next(12)));
+                }
+                words
+            })
+            .collect();
+        if mirror {
+            let mirrored: Vec<Vec<(Option<usize>, usize)>> = texts
+                .iter()
+                .map(|ws| {
+                    ws.iter()
+                        .map(|&(t, x)| (t.map(|t| vocab - 1 - t), x))
+                        .collect()
+                })
+                .collect();
+            texts.extend(mirrored);
+        }
+        let render = |ws: &[(Option<usize>, usize)]| {
+            ws.iter()
+                .flat_map(|&(t, x)| match t {
+                    Some(t) => vec![format!("tok{t}"); x],
+                    None => vec![format!("rare{x}")],
+                })
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let mut pages: Vec<WebPage> = texts
+            .iter()
+            .enumerate()
+            .map(|(id, ws)| WebPage {
+                id,
+                person_id: None,
+                display_name: String::new(),
+                kind: PageKind::News,
+                text: render(ws),
+            })
+            .collect();
+        if damage {
+            pages = corrupt_pages(pages, &FaultPlan::uniform(seed, 0.1)).0;
+        }
+        let web = SearchEngine::build(pages);
+
+        let mut queries: Vec<String> = Vec::new();
+        for a in 0..vocab {
+            for b in 0..vocab {
+                // Duplicated tokens when a == b.
+                queries.push(format!("tok{a} tok{b}"));
+                queries.push(format!("tok{a} tok{b} rare{}", next(12)));
+                queries.push(format!("rare{} tok{a} zzyzx tok{b}", next(12)));
+            }
+        }
+        queries.push("tok0 tok1 tok0".into());
+        queries.push("tok1 rare3 tok0 tok1".into());
+        queries.push(format!("tok{} rare{} tok0 rare{}", vocab - 1, next(12), next(12)));
+        queries.push("zzyzx tok0 tok1 unknown".into());
+        for _ in 0..24 {
+            let q: Vec<String> = (0..2 + next(3))
+                .map(|_| match next(6) {
+                    0..=2 => format!("tok{}", next(vocab)),
+                    3 | 4 => format!("rare{}", next(12)),
+                    _ => "zzyzx".to_string(),
+                })
+                .collect();
+            queries.push(q.join(" "));
+        }
+
+        let mut scratch = web.scratch();
+        let mut warm = web.term_cache();
+        let mut merged_after_first_pass = 0;
+        for pass in 0..2 {
+            for q in &queries {
+                let exhaustive = web.search(q, limit);
+                let mut cold = web.term_cache();
+                for (cache, which) in [(&mut warm, "warm"), (&mut cold, "cold")] {
+                    let fast = web.search_topk_with(q, limit, &mut scratch, cache);
+                    prop_assert_eq!(fast.len(), exhaustive.len(), "{} query {:?}", which, q);
+                    for (a, b) in fast.iter().zip(&exhaustive) {
+                        prop_assert_eq!(a.page, b.page, "{} query {:?}", which, q);
+                        prop_assert_eq!(
+                            a.score.to_bits(),
+                            b.score.to_bits(),
+                            "{} query {:?}",
+                            which,
+                            q
+                        );
+                    }
+                }
+            }
+            if pass == 0 {
+                merged_after_first_pass = warm.pair_postings_merged();
+            }
+        }
+        // The pair path ran, and the warm pass reused every list it built.
+        prop_assert!(merged_after_first_pass > 0, "no pair list was built");
+        prop_assert_eq!(warm.pair_postings_merged(), merged_after_first_pass);
+    }
+
+    #[test]
     fn parallel_intersection_engine_equals_sequential_reference(
         size in 20usize..90,
         seed in 0u64..1_000,
