@@ -5,6 +5,8 @@
 //! present in the release to search for additional information about the
 //! customers available on the web" (Section I), made programmatic.
 
+use std::sync::Arc;
+
 use fred_data::Table;
 use fred_faults::{salt, Degradation, FaultPlan, InputDefect};
 use fred_linkage::{
@@ -12,7 +14,8 @@ use fred_linkage::{
     NameNormalizer, PreparedName, ScoreFloor,
 };
 use fred_web::{
-    consolidate, extract, extract_checked, AuxRecord, PageFacts, SearchEngine, WebPage,
+    consolidate, extract, extract_checked, AuxRecord, DisplayNames, PackedFacts, PageFacts,
+    PairLists, SearchEngine, WebPage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -147,12 +150,13 @@ fn classify_hits_cached(
     (select_accepted(matches, possibles), inspected)
 }
 
-/// Per-worker mutable state of the parallel harvest: search scratch and
-/// term cache (per-corpus), comparator scratch, and the agreement memo,
-/// which holds one name's decisions at a time (cleared per name: release
-/// names are distinct, so a (query, page-name) pair practically never
-/// recurs across names, while a name's own hits often repeat a page
-/// name).
+/// Per-worker mutable state of the parallel harvest: search scratch, term
+/// cache, comparator scratch, and the agreement memo, which holds one
+/// name's decisions at a time (cleared per name: release names are
+/// distinct, so a (query, page-name) pair practically never recurs across
+/// names, while a name's own hits often repeat a page name). The term
+/// cache reads the pair lists the [`HarvestContext`] built for the whole
+/// release, so workers do not each merge the same lists.
 struct LinkState {
     search: fred_web::SearchScratch,
     terms: fred_web::TermCache,
@@ -161,10 +165,13 @@ struct LinkState {
 }
 
 impl LinkState {
-    fn new(engine: &SearchEngine) -> LinkState {
+    fn new(engine: &SearchEngine, ctx: &HarvestContext<'_>) -> LinkState {
         LinkState {
             search: engine.scratch(),
-            terms: engine.term_cache(),
+            terms: match &ctx.pairs {
+                Some(pairs) => engine.term_cache_sharing(Arc::clone(pairs)),
+                None => engine.term_cache(),
+            },
             cmp: AgreementScratch::default(),
             agreement: AgreementCache::new(),
         }
@@ -191,70 +198,116 @@ fn assemble(per_name: Vec<NameHarvest>) -> Harvest {
     }
 }
 
-/// Per-corpus immutable context of the cached harvest path: the floor,
-/// the deduplicated page-name ids and each distinct name's comparator
-/// keys — compact keys, one short buffer per distinct page name, so a
-/// hit's classification touches the query's buffer and one other (see
-/// [`fred_linkage::agreement`]). Shared by the parallel and
-/// single-threaded variants so they run the exact same classification,
-/// differing only in fan-out.
-struct HarvestContext {
-    normalizer: NameNormalizer,
-    floor: ScoreFloor,
-    page_name_ids: Vec<u32>,
-    name_keys: Vec<LinkKey>,
+/// One page's facts in a [`HarvestContext`]'s table: what the harvest's
+/// extractor read off the page, or the defect it rejected the page for.
+type PageEntry = std::result::Result<PackedFacts, InputDefect>;
+
+/// `items` mapped through `f` in order: on the pool when `parallel`, else
+/// inline on the calling thread.
+fn map_items<T: Sync, R: Send>(items: &[T], parallel: bool, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    if parallel {
+        items.par_iter().map(f).collect()
+    } else {
+        items.iter().map(f).collect()
+    }
 }
 
-impl HarvestContext {
-    /// Builds the context. `parallel` controls whether the per-name key
-    /// preparation fans out (the single-threaded variant keeps even this
-    /// setup on one thread, so its wall-clock is a pure one-core run of
-    /// the fast path).
-    fn new(engine: &SearchEngine, parallel: bool) -> HarvestContext {
+/// The read-only context of one cached harvest call, built once and
+/// shared by every worker, dropped when the call returns:
+///
+/// * the score floor;
+/// * the deduplicated page display names and each distinct name's
+///   comparator keys: compact keys, one short buffer per distinct page
+///   name, so a hit's classification touches the query's buffer and one
+///   other (see [`fred_linkage::agreement`]); a query equal to a page
+///   name borrows that name's key;
+/// * the page-facts table: every page extracted once, in page order, by
+///   the call's extractor, so a page linked by many names is parsed once;
+/// * the pair lists of the release's queries
+///   ([`SearchEngine::pair_lists`]), which the workers' term caches read.
+///
+/// Shared by the parallel and single-threaded variants so they run the
+/// exact same classification and extraction, differing only in fan-out.
+struct HarvestContext<'e> {
+    normalizer: NameNormalizer,
+    floor: ScoreFloor,
+    display: DisplayNames<'e>,
+    name_keys: Vec<LinkKey>,
+    facts: Vec<PageEntry>,
+    pairs: Option<Arc<PairLists>>,
+}
+
+impl<'e> HarvestContext<'e> {
+    /// Builds the context for harvesting `names`, extracting every page
+    /// through `extract_page`. `parallel` controls whether the key
+    /// preparation, the extraction and the pair-list build fan out. The
+    /// single-threaded variant keeps even this setup on one thread, so
+    /// its wall-clock is a pure one-core run of the fast path; its one
+    /// term cache builds each pair list on first use, the same merges.
+    fn new(
+        engine: &'e SearchEngine,
+        names: &[String],
+        config: &HarvestConfig,
+        extract_page: impl for<'p> Fn(&'p WebPage) -> std::result::Result<PageFacts<'p>, InputDefect>
+            + Sync,
+        parallel: bool,
+    ) -> HarvestContext<'e> {
         let normalizer = NameNormalizer::new();
         // Blocking is provided by the search engine itself: only the
         // pages a name-query surfaces are compared, so the linker's
         // model is applied directly without a second blocking pass.
         let floor = ScoreFloor::new(&fred_linkage::default_name_model());
-        let (page_name_ids, distinct_names) = engine.distinct_display_names();
-        let name_keys: Vec<LinkKey> = if parallel {
-            distinct_names
-                .par_iter()
-                .map(|name| LinkKey::prepare(&normalizer, name))
-                .collect()
-        } else {
-            distinct_names
-                .iter()
-                .map(|name| LinkKey::prepare(&normalizer, name))
-                .collect()
-        };
+        let display = engine.distinct_display_names();
+        let name_keys = map_items(&display.names, parallel, |name| {
+            LinkKey::prepare(&normalizer, name)
+        });
+        let facts = map_items(engine.pages(), parallel, |page| {
+            extract_page(page).map(|facts| PackedFacts::pack(page, &facts))
+        });
+        let pairs = parallel.then(|| Arc::new(engine.pair_lists(names, config.hits_per_name)));
+        fred_obs::counter(PAGES_EXTRACTED, facts.len() as u64);
+        let merged = pairs.as_deref().map_or(0, PairLists::postings_merged);
+        fred_obs::counter(PAIR_POSTINGS_MERGED, merged);
         HarvestContext {
             normalizer,
             floor,
-            page_name_ids,
+            display,
             name_keys,
+            facts,
+            pairs,
         }
     }
 }
 
+/// Pages parsed by one harvest call: a deterministic work counter, the
+/// corpus size once per call.
+const PAGES_EXTRACTED: &str = "harvest.pages_extracted";
+
+/// Postings merged to build one harvest call's pair lists, up front or by
+/// a worker's term cache: a deterministic work counter, independent of
+/// the number of workers.
+const PAIR_POSTINGS_MERGED: &str = "harvest.pair_postings_merged";
+
 /// Per-name latency histogram: one observation per non-blank name,
-/// spanning its search, classification and extraction, recorded by the
-/// same routine that bumps the `harvest.names` counter — so the
-/// histogram's `count` reconciles exactly with the counter in every
-/// cached path (parallel, single-threaded, tolerant), which
-/// `tests/obs_reconcile.rs` pins.
+/// spanning its search, classification and the reading of its accepted
+/// pages' facts, recorded by the same routine that bumps the
+/// `harvest.names` counter — so the histogram's `count` reconciles
+/// exactly with the counter in every cached path (parallel,
+/// single-threaded, tolerant), which `tests/obs_reconcile.rs` pins.
 const HARVEST_NAME_MS: &str = "harvest.name_ms";
 
 /// Emits one harvested name's observability deltas: pages linked and
-/// inspected, the postings its search visited, plus what the memo and the
-/// score floor absorbed. The memo is per name (its tallies restart at
-/// every name), the prune tally is read as a delta over the worker's
-/// scratch, which lives across names. Free when tracing is off — one
-/// relaxed atomic load.
+/// inspected, the postings its search visited and the pair-list merges it
+/// triggered, plus what the memo and the score floor absorbed. The memo
+/// is per name (its tallies restart at every name); the prune and merge
+/// tallies are read as deltas over the worker's scratch and cache, which
+/// live across names. Free when tracing is off — one relaxed atomic
+/// load.
 fn note_harvest_metrics(
     state: &LinkState,
     postings_scanned: u64,
     prunes_before: u64,
+    merged_before: u64,
     linked: usize,
     inspected: usize,
 ) {
@@ -265,6 +318,10 @@ fn note_harvest_metrics(
     fred_obs::counter("harvest.pages_linked", linked as u64);
     fred_obs::counter("harvest.pages_inspected", inspected as u64);
     fred_obs::counter("harvest.postings_scanned", postings_scanned);
+    fred_obs::counter(
+        PAIR_POSTINGS_MERGED,
+        state.terms.pair_postings_merged() - merged_before,
+    );
     fred_obs::counter("harvest.cache_lookups", state.agreement.lookups());
     fred_obs::counter("harvest.cache_hits", state.agreement.hits());
     fred_obs::counter("harvest.floor_prunes", state.cmp.prunes() - prunes_before);
@@ -275,31 +332,34 @@ fn note_harvest_metrics(
 type NameHarvest = (Option<AuxRecord>, Vec<usize>, usize);
 
 /// One release name through the cached path: exact top-k search, then
-/// floor/memo classification of the hits, then extraction of every
-/// accepted page through `extract_page` and consolidation. The single
-/// per-name routine of every cached harvest variant: the strict ones pass
-/// [`extract`] (as `extract_strict`), the tolerant one passes
-/// [`extract_checked`], which skips pages whose template frame is
-/// damaged and counts each rejected occurrence in the returned
-/// [`Degradation`] instead of parsing it as if intact. On a clean corpus
-/// both extractors accept every page, so the results agree bit for bit
-/// and the report stays clean. Pages are parsed into borrowed
-/// [`PageFacts`], so strings are copied once, into the consolidated
-/// record.
+/// floor/memo classification of the hits, then the accepted pages' facts
+/// from the context's table and their consolidation. The single per-name
+/// routine of every cached harvest variant. The table holds what the
+/// call's extractor made of each page: the strict variants extract with
+/// [`extract`], the tolerant one with [`extract_checked`], which rejects
+/// pages whose template frame is damaged; each accepted occurrence of a
+/// rejected page is counted in the returned [`Degradation`] instead of
+/// being fused as if intact. On a clean corpus both extractors accept
+/// every page, so the results agree bit for bit and the report stays
+/// clean. Facts borrow the pages' text, so strings are copied once, into
+/// the consolidated record.
 fn harvest_one_name(
     name: &str,
     engine: &SearchEngine,
     config: &HarvestConfig,
-    ctx: &HarvestContext,
+    ctx: &HarvestContext<'_>,
     state: &mut LinkState,
-    extract_page: impl for<'p> Fn(&'p WebPage) -> std::result::Result<PageFacts<'p>, InputDefect>,
 ) -> (NameHarvest, Degradation) {
     let mut deg = Degradation::default();
     if name.trim().is_empty() {
         return ((None, Vec::new(), 0), deg);
     }
     let started = fred_obs::is_enabled().then(std::time::Instant::now);
-    let (scanned0, prunes0) = (state.search.postings_scanned(), state.cmp.prunes());
+    let (scanned0, prunes0, merged0) = (
+        state.search.postings_scanned(),
+        state.cmp.prunes(),
+        state.terms.pair_postings_merged(),
+    );
     state.agreement.clear();
     let hits = engine.search_topk_with(
         name,
@@ -307,13 +367,20 @@ fn harvest_one_name(
         &mut state.search,
         &mut state.terms,
     );
-    let query = LinkKey::prepare(&ctx.normalizer, name);
+    let prepared;
+    let query = match ctx.display.id_of(name) {
+        Some(id) => &ctx.name_keys[id as usize],
+        None => {
+            prepared = LinkKey::prepare(&ctx.normalizer, name);
+            &prepared
+        }
+    };
     let (accepted, inspected) = classify_hits_cached(
         &hits,
-        &query,
+        query,
         engine,
         config,
-        &ctx.page_name_ids,
+        &ctx.display.page_name_ids,
         &ctx.name_keys,
         &ctx.floor,
         &mut state.agreement,
@@ -321,10 +388,10 @@ fn harvest_one_name(
     );
     let facts: Vec<PageFacts<'_>> = accepted
         .iter()
-        .filter_map(|&p| match extract_page(engine.page(p)?) {
-            Ok(facts) => Some(facts),
+        .filter_map(|&p| match &ctx.facts[p] {
+            Ok(packed) => Some(packed.unpack(engine.page(p)?)),
             Err(defect) => {
-                deg.record(defect);
+                deg.record(*defect);
                 None
             }
         })
@@ -336,13 +403,14 @@ fn harvest_one_name(
         state,
         state.search.postings_scanned() - scanned0,
         prunes0,
+        merged0,
         accepted.len(),
         inspected,
     );
     ((consolidate(&facts), accepted, inspected), deg)
 }
 
-/// [`extract`] in the shape [`harvest_one_name`] takes: the strict
+/// [`extract`] in the shape [`HarvestContext::new`] takes: the strict
 /// extractor never rejects a page.
 fn extract_strict(page: &WebPage) -> std::result::Result<PageFacts<'_>, InputDefect> {
     Ok(extract(page))
@@ -376,7 +444,7 @@ pub fn harvest_auxiliary_tolerant(
         return Err(AttackError::NoIdentifiers);
     }
     let mut deg = Degradation::default();
-    let items: Vec<(usize, String)> = release
+    let names: Vec<String> = release
         .identifier_strings()
         .into_iter()
         .enumerate()
@@ -387,21 +455,22 @@ pub fn harvest_auxiliary_tolerant(
                 deg.record(InputDefect::MissingRow);
                 // A blanked identifier harvests nothing, exactly like a
                 // release row that never arrived.
-                (row, String::new())
+                String::new()
             } else {
-                (row, name)
+                name
             }
         })
         .collect();
-    let ctx = HarvestContext::new(engine, true);
+    let ctx = HarvestContext::new(engine, &names, config, extract_checked, true);
+    let items: Vec<(usize, String)> = names.into_iter().enumerate().collect();
     let (results, _caught) = rayon::map_catch_init(
         items,
-        || LinkState::new(engine),
+        || LinkState::new(engine, &ctx),
         |state, (row, name)| {
             if plan.decide(plan.worker_panic, salt::WORKER_PANIC, row as u64) {
                 panic!("injected worker fault at harvest row {row}");
             }
-            harvest_one_name(&name, engine, config, &ctx, state, extract_checked)
+            harvest_one_name(&name, engine, config, &ctx, state)
         },
     );
     let mut per_name = Vec::with_capacity(results.len());
@@ -427,18 +496,24 @@ pub fn harvest_auxiliary_tolerant(
 /// keep pages classified Match (and optionally Possible), and consolidate
 /// their extractions into one [`AuxRecord`].
 ///
-/// The per-name loop runs across worker threads, each with its own search
-/// scratch, term cache, comparator scratch and [`AgreementCache`]. Page
-/// display names are *deduplicated* once for the whole corpus (several
-/// pages per person, most rendered verbatim) and each distinct name's
-/// compact comparator keys ([`LinkKey`]) built up front in parallel; each
-/// query then runs through the engine's exact top-k searcher
+/// Work done once per corpus or per release is done once per call, on
+/// the pool, before the per-name loop, and shared read-only by every
+/// worker: page display names are *deduplicated* (several pages per
+/// person, most rendered verbatim) and each distinct name's compact
+/// comparator keys ([`LinkKey`]) built; every page is extracted once
+/// into a compact facts table; and the pair list of every distinct
+/// first+last query pair is built once ([`SearchEngine::pair_lists`]).
+/// The per-name loop then runs across worker threads, each with its own
+/// search scratch, term cache (reading the shared pair lists),
+/// comparator scratch and [`AgreementCache`]: each query runs through
+/// the engine's exact top-k searcher
 /// ([`SearchEngine::search_topk_with`]) and classifies its hits through
 /// the precomputed [`ScoreFloor`] — a page name repeated among one
 /// name's hits replays its memoized decision, hopeless pairs are pruned
-/// before any string comparison. Results are row-order stable and
-/// record-for-record identical to [`harvest_auxiliary_sequential`]
-/// (pinned by property test).
+/// before any string comparison — and its accepted pages' facts are read
+/// from the table. Results are row-order stable and record-for-record
+/// identical to [`harvest_auxiliary_sequential`] (pinned by property
+/// test), which still extracts per link.
 pub fn harvest_auxiliary(
     release: &Table,
     engine: &SearchEngine,
@@ -449,12 +524,12 @@ pub fn harvest_auxiliary(
         return Err(AttackError::NoIdentifiers);
     }
     let names = release.identifier_strings();
-    let ctx = HarvestContext::new(engine, true);
+    let ctx = HarvestContext::new(engine, &names, config, extract_strict, true);
     let per_name: Vec<NameHarvest> = names
         .into_par_iter()
         .map_init(
-            || LinkState::new(engine),
-            |state, name| harvest_one_name(&name, engine, config, &ctx, state, extract_strict).0,
+            || LinkState::new(engine, &ctx),
+            |state, name| harvest_one_name(&name, engine, config, &ctx, state).0,
         )
         .collect();
     Ok(assemble(per_name))
@@ -463,7 +538,8 @@ pub fn harvest_auxiliary(
 /// [`harvest_auxiliary`] pinned to one thread: the identical cached path
 /// (same context, same per-name routine, one `LinkState` reused for
 /// the whole loop), with no fan-out anywhere — even the comparator-key
-/// preparation runs inline.
+/// preparation and the page extraction run inline, and the one term
+/// cache builds each pair list on first use.
 ///
 /// This is the denominator of the bench's harvest-parallelism ratio:
 /// dividing it by the parallel wall-clock isolates what the worker
@@ -481,11 +557,11 @@ pub fn harvest_auxiliary_single_threaded(
         return Err(AttackError::NoIdentifiers);
     }
     let names = release.identifier_strings();
-    let ctx = HarvestContext::new(engine, false);
-    let mut state = LinkState::new(engine);
+    let ctx = HarvestContext::new(engine, &names, config, extract_strict, false);
+    let mut state = LinkState::new(engine, &ctx);
     let per_name: Vec<NameHarvest> = names
         .iter()
-        .map(|name| harvest_one_name(name, engine, config, &ctx, &mut state, extract_strict).0)
+        .map(|name| harvest_one_name(name, engine, config, &ctx, &mut state).0)
         .collect();
     Ok(assemble(per_name))
 }
@@ -822,6 +898,48 @@ mod tests {
         assert!(deg_a.pages_rejected > 0, "{deg_a}");
         // The pipeline still stands something up from the surviving pages.
         assert!(a.coverage() > 0.0);
+    }
+
+    #[test]
+    fn tolerant_harvest_counts_each_accepted_occurrence_of_a_damaged_page() {
+        use fred_web::corrupt_pages;
+        use std::collections::BTreeSet;
+        let (_, table, engine) = world();
+        let release = table.suppress_sensitive();
+        let (pages, _) = corrupt_pages(engine.pages().to_vec(), &FaultPlan::uniform(31, 0.05));
+        let dirty = SearchEngine::build(pages);
+        let config = HarvestConfig::default();
+        let clean_plan = FaultPlan::none();
+        let damaged = |p: usize| extract_checked(dirty.page(p).expect("linked page")).is_err();
+        // A release row that links a damaged page, released twice: both
+        // copies link the same page.
+        let (first, _) =
+            harvest_auxiliary_tolerant(&release, &dirty, &config, &clean_plan).unwrap();
+        let row = first
+            .linked
+            .iter()
+            .position(|links| links.iter().any(|&p| damaged(p)))
+            .expect("some row links a damaged page");
+        let mut rows = release.rows().to_vec();
+        rows.push(rows[row].clone());
+        let doubled = Table::with_rows(release.schema().clone(), rows).unwrap();
+        let (h, deg) = harvest_auxiliary_tolerant(&doubled, &dirty, &config, &clean_plan).unwrap();
+        let occurrences: Vec<usize> = h
+            .linked
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&p| damaged(p))
+            .collect();
+        let distinct: BTreeSet<usize> = occurrences.iter().copied().collect();
+        assert!(
+            occurrences.len() > distinct.len(),
+            "a damaged page is linked twice"
+        );
+        // One rejection per accepted occurrence, not one per page: the
+        // facts table parses each page once, the count stays per link.
+        assert_eq!(deg.pages_rejected, occurrences.len(), "{deg}");
+        assert_eq!(h.records[release.len()], h.records[row]);
     }
 
     #[test]

@@ -55,6 +55,7 @@ use crate::jaro::jaro_winkler;
 use crate::linker::{DICE_AGREE, JARO_WINKLER_AGREE, LEVENSHTEIN_AGREE};
 use crate::ngram::dice;
 use crate::normalize::{NameNormalizer, PreparedName};
+use crate::phonetic::soundex_code;
 
 /// Number of fields in the name model this module accelerates (the
 /// [`crate::linker::NameFeatures`] agreement vector).
@@ -94,9 +95,14 @@ impl LinkKey {
         LinkKey { repr }
     }
 
-    /// Normalizes a raw name and builds its comparator keys.
+    /// Normalizes a raw name and builds its comparator keys: equal to
+    /// `LinkKey::new(normalizer.prepare(raw))`, but an ASCII name whose
+    /// key is compact is normalized straight into its key's one buffer,
+    /// with no intermediate allocation.
     pub fn prepare(normalizer: &NameNormalizer, raw: &str) -> LinkKey {
-        LinkKey::new(normalizer.prepare(raw))
+        let repr = compact_ascii(normalizer, raw)
+            .unwrap_or_else(|| LinkKey::new(normalizer.prepare(raw)).repr);
+        LinkKey { repr }
     }
 
     /// Whether the key has the compact form (and its pairs the
@@ -144,21 +150,108 @@ fn compact(p: &PreparedName) -> Option<Repr> {
         None => None,
         Some(code) => Some(<[u8; 4]>::try_from(code.as_bytes()).ok()?),
     };
-    let mut grams: Vec<[u8; 2]> = Vec::with_capacity(n + 1);
+    Some(compact_repr(
+        p.joined.as_bytes(),
+        p.canonical.as_bytes(),
+        soundex,
+    ))
+}
+
+/// [`compact`]`(&normalizer.prepare(raw))` for an ASCII `raw`, computed
+/// on the stack from `raw`'s bytes by the steps of
+/// [`NameNormalizer::tokens`]: split on bytes that are neither
+/// alphanumeric nor an apostrophe, keep the alphanumeric bytes
+/// lowercased, drop empty tokens and titles, expand nicknames. `None`
+/// (the caller then takes the reference path) for a non-ASCII name, a
+/// normalized form over [`MAX_LEN`] bytes, and a nickname expansion that
+/// is empty, non-ASCII or holds a space (its key is not compact, or its
+/// tokens are not the words of the joined form).
+fn compact_ascii(normalizer: &NameNormalizer, raw: &str) -> Option<Repr> {
+    if !raw.is_ascii() {
+        return None;
+    }
+    let mut joined = [0u8; MAX_LEN];
+    let mut n = 0;
+    // Token `(start, end)` in `joined`: at most one per two bytes.
+    let mut spans = [(0usize, 0usize); MAX_LEN / 2 + 1];
+    let mut count = 0;
+    let mut cleaned = [0u8; MAX_LEN];
+    for piece in raw
+        .as_bytes()
+        .split(|&c| !c.is_ascii_alphanumeric() && c != b'\'')
+    {
+        let mut len = 0;
+        for &c in piece.iter().filter(|c| c.is_ascii_alphanumeric()) {
+            *cleaned.get_mut(len)? = c.to_ascii_lowercase();
+            len += 1;
+        }
+        let token = std::str::from_utf8(&cleaned[..len]).ok()?;
+        if token.is_empty() || NameNormalizer::is_title(token) {
+            continue;
+        }
+        let word = match normalizer.expansion(token) {
+            Some(full) if full.is_empty() || !full.is_ascii() || full.contains(' ') => {
+                return None;
+            }
+            Some(full) => full.as_bytes(),
+            None => token.as_bytes(),
+        };
+        let start = n + usize::from(count > 0);
+        let end = start + word.len();
+        if end > MAX_LEN {
+            return None;
+        }
+        if count > 0 {
+            joined[n] = b' ';
+        }
+        joined[start..end].copy_from_slice(word);
+        spans[count] = (start, end);
+        count += 1;
+        n = end;
+    }
+    let soundex = spans[..count]
+        .last()
+        .and_then(|&(start, end)| soundex_code(&joined[start..end]));
+    let spans = &mut spans[..count];
+    spans.sort_unstable_by(|&(a0, a1), &(b0, b1)| joined[a0..a1].cmp(&joined[b0..b1]));
+    let mut canonical = [0u8; MAX_LEN];
+    let mut at = 0;
+    for (i, &(start, end)) in spans.iter().enumerate() {
+        if i > 0 {
+            canonical[at] = b' ';
+            at += 1;
+        }
+        canonical[at..at + end - start].copy_from_slice(&joined[start..end]);
+        at += end - start;
+    }
+    Some(compact_repr(&joined[..n], &canonical[..n], soundex))
+}
+
+/// The compact key buffer `joined ‖ canonical ‖ bigrams` of ASCII forms
+/// of equal length `n` at most [`MAX_LEN`]: its one allocation.
+fn compact_repr(joined: &[u8], canonical: &[u8], soundex: Option<[u8; 4]>) -> Repr {
+    let n = joined.len();
+    // Each bigram as one big-endian `u16`: sorted as integers, in the
+    // byte pairs' lexicographic order.
+    let mut grams = [0u16; MAX_LEN + 1];
     let mut prev = b'#';
-    for c in p.canonical.bytes().chain(std::iter::once(b'#')) {
-        grams.push([prev, c]);
+    for (gram, c) in grams
+        .iter_mut()
+        .zip(canonical.iter().copied().chain(std::iter::once(b'#')))
+    {
+        *gram = u16::from_be_bytes([prev, c]);
         prev = c;
     }
+    let grams = &mut grams[..n + 1];
     grams.sort_unstable();
     let mut bytes = Vec::with_capacity(4 * n + 2);
-    bytes.extend_from_slice(p.joined.as_bytes());
-    bytes.extend_from_slice(p.canonical.as_bytes());
-    bytes.extend(grams.iter().flatten());
-    Some(Repr::Compact {
+    bytes.extend_from_slice(joined);
+    bytes.extend_from_slice(canonical);
+    bytes.extend(grams.iter().flat_map(|gram| gram.to_be_bytes()));
+    Repr::Compact {
         bytes: bytes.into_boxed_slice(),
         soundex,
-    })
+    }
 }
 
 /// The space-separated words of an ASCII joined form.

@@ -153,17 +153,30 @@ impl NameNormalizer {
                 .filter(|c| c.is_alphanumeric())
                 .collect::<String>()
                 .to_lowercase();
-            if cleaned.is_empty() || TITLES.contains(&cleaned.as_str()) {
+            if cleaned.is_empty() || Self::is_title(&cleaned) {
                 continue;
             }
-            let expanded = if self.expand_nicknames {
-                self.nicknames.get(&cleaned).cloned().unwrap_or(cleaned)
-            } else {
-                cleaned
-            };
-            out.push(expanded);
+            out.push(match self.expansion(&cleaned) {
+                Some(full) => full.to_owned(),
+                None => cleaned,
+            });
         }
         out
+    }
+
+    /// The expansion [`tokens`](Self::tokens) substitutes for one
+    /// cleaned, non-title token, if any.
+    pub(crate) fn expansion(&self, cleaned: &str) -> Option<&str> {
+        if !self.expand_nicknames {
+            return None;
+        }
+        self.nicknames.get(cleaned).map(String::as_str)
+    }
+
+    /// Whether [`tokens`](Self::tokens) drops a cleaned token as a title
+    /// or suffix.
+    pub(crate) fn is_title(cleaned: &str) -> bool {
+        TITLES.contains(&cleaned)
     }
 
     /// Canonical form: normalized tokens sorted and joined with single

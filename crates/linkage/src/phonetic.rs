@@ -7,44 +7,48 @@
 ///
 /// Returns `None` for inputs with no ASCII-alphabetic characters.
 pub fn soundex(s: &str) -> Option<String> {
-    let letters: Vec<char> = s
-        .chars()
-        .filter(|c| c.is_ascii_alphabetic())
-        .map(|c| c.to_ascii_uppercase())
-        .collect();
-    let first = *letters.first()?;
+    soundex_code(s.as_bytes()).map(|code| code.iter().map(|&b| char::from(b)).collect())
+}
 
-    fn code(c: char) -> u8 {
+/// [`soundex`] over the bytes of a string, as four ASCII bytes and
+/// without allocating. Only ASCII letters count, and no byte of a
+/// multi-byte UTF-8 character is one, so any string's bytes give its
+/// [`soundex`].
+pub(crate) fn soundex_code(s: &[u8]) -> Option<[u8; 4]> {
+    fn code(c: u8) -> u8 {
         match c {
-            'B' | 'F' | 'P' | 'V' => 1,
-            'C' | 'G' | 'J' | 'K' | 'Q' | 'S' | 'X' | 'Z' => 2,
-            'D' | 'T' => 3,
-            'L' => 4,
-            'M' | 'N' => 5,
-            'R' => 6,
+            b'B' | b'F' | b'P' | b'V' => 1,
+            b'C' | b'G' | b'J' | b'K' | b'Q' | b'S' | b'X' | b'Z' => 2,
+            b'D' | b'T' => 3,
+            b'L' => 4,
+            b'M' | b'N' => 5,
+            b'R' => 6,
             _ => 0, // vowels + H, W, Y
         }
     }
 
-    let mut out = String::with_capacity(4);
-    out.push(first);
+    let mut letters = s
+        .iter()
+        .filter(|c| c.is_ascii_alphabetic())
+        .map(|c| c.to_ascii_uppercase());
+    let first = letters.next()?;
+    let mut out = [first, b'0', b'0', b'0'];
+    let mut len = 1;
     let mut last_code = code(first);
-    for &c in &letters[1..] {
+    for c in letters {
         let k = code(c);
         // H and W are transparent: they do not reset the previous code.
-        if c == 'H' || c == 'W' {
+        if c == b'H' || c == b'W' {
             continue;
         }
         if k != 0 && k != last_code {
-            out.push((b'0' + k) as char);
-            if out.len() == 4 {
+            out[len] = b'0' + k;
+            len += 1;
+            if len == 4 {
                 break;
             }
         }
         last_code = k;
-    }
-    while out.len() < 4 {
-        out.push('0');
     }
     Some(out)
 }

@@ -42,6 +42,83 @@ pub struct PageFacts<'a> {
     pub property_sqft: Option<f64>,
 }
 
+/// [`PageFacts`] stored compactly, for a table of every page of a corpus:
+/// the title and employer as byte ranges of the page's text, the page's
+/// id and name left on the page. 40 bytes a page.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PackedFacts {
+    title: Span,
+    employer: Span,
+    property_sqft: Option<f64>,
+    seniority_level: Option<u8>,
+}
+
+/// A byte range `start..end` of a page's text, or none when `start` is
+/// `u32::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    const NONE: Span = Span {
+        start: u32::MAX,
+        end: u32::MAX,
+    };
+
+    /// The range of `part` within `text`, which must hold it.
+    fn of(text: &str, part: Option<&str>) -> Span {
+        let Some(part) = part else {
+            return Span::NONE;
+        };
+        let start = (part.as_ptr() as usize)
+            .checked_sub(text.as_ptr() as usize)
+            .filter(|&start| start + part.len() <= text.len())
+            .expect("extracted fields are slices of the page text");
+        let offset = |at: usize| u32::try_from(at).expect("page text under 4 GiB");
+        Span {
+            start: offset(start),
+            end: offset(start + part.len()),
+        }
+    }
+
+    fn get(self, text: &str) -> Option<&str> {
+        (self != Span::NONE).then(|| &text[self.start as usize..self.end as usize])
+    }
+}
+
+impl PackedFacts {
+    /// Packs the facts [`extract`] (or [`extract_checked`]) read off
+    /// `page`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the facts are not `page`'s: their title or employer
+    /// is not a slice of its text.
+    pub fn pack(page: &WebPage, facts: &PageFacts<'_>) -> PackedFacts {
+        PackedFacts {
+            title: Span::of(&page.text, facts.title),
+            employer: Span::of(&page.text, facts.employer),
+            property_sqft: facts.property_sqft,
+            seniority_level: facts.seniority_level,
+        }
+    }
+
+    /// The facts as packed from `page` (which must be the page they were
+    /// packed from).
+    pub fn unpack<'p>(&self, page: &'p WebPage) -> PageFacts<'p> {
+        PageFacts {
+            page_id: page.id,
+            name: &page.display_name,
+            title: self.title.get(&page.text),
+            employer: self.employer.get(&page.text),
+            seniority_level: self.seniority_level,
+            property_sqft: self.property_sqft,
+        }
+    }
+}
+
 /// Maps a job title to a seniority level 1..=4 by keyword — the domain
 /// knowledge the paper's adversary applies to the Employment column.
 /// Keywords match anywhere in the Unicode lowercase of the title.
@@ -355,6 +432,45 @@ mod tests {
         assert_eq!(r.employer, Some("Verizon"));
         assert_eq!(r.seniority_level, Some(2));
         assert_eq!(r.property_sqft, None);
+    }
+
+    #[test]
+    fn packed_facts_unpack_to_the_extraction() {
+        let kinds = [
+            PageKind::Directory,
+            PageKind::Homepage,
+            PageKind::News,
+            PageKind::PropertyRecord,
+            PageKind::Blog,
+        ];
+        for (i, kind) in kinds.into_iter().enumerate() {
+            for (title, employer, sqft) in [
+                ("Assistant Professor", "NYU", Some(1234.0)),
+                ("", "", None),
+                ("Chief Économiste", "Société Générale", Some(2e6)),
+            ] {
+                let p = WebPage::render(i, Some(i), kind, "Wei Chen", title, employer, sqft);
+                let facts = extract(&p);
+                assert_eq!(PackedFacts::pack(&p, &facts).unpack(&p), facts, "{kind:?}");
+            }
+        }
+        assert_eq!(std::mem::size_of::<PackedFacts>(), 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "slices of the page text")]
+    fn packed_facts_refuse_another_pages_fields() {
+        let p = WebPage::render(
+            0,
+            None,
+            PageKind::Blog,
+            "Wei Chen",
+            "Manager",
+            "Verizon",
+            None,
+        );
+        let q = p.clone();
+        PackedFacts::pack(&p, &extract(&q));
     }
 
     #[test]

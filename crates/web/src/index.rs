@@ -8,16 +8,19 @@
 //! orders are kept per term: page-ascending (the classic scan + binary
 //! search order) and score-contribution-descending (the order the top-k
 //! searcher consumes, enabling its early exit). The top-k searcher also
-//! walks a query's two most common terms as one lazily built pair list
-//! of the pages holding both, kept in the batch's [`TermCache`].
+//! walks a query's two most common terms as one pair list of the pages
+//! holding both: built lazily in the batch's [`TermCache`], or up front
+//! for a whole batch of queries ([`SearchEngine::pair_lists`]) and shared
+//! read-only by every worker's cache.
 
 use crate::page::{tokenize, WebPage};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
-/// FNV-1a. The build interner and the query term cache hash hundreds of
-/// thousands of short tokens; the default SipHash costs more than the
+/// FNV-1a. The build interner and the query token lookups hash hundreds
+/// of thousands of short tokens; the default SipHash costs more than the
 /// rest of the merge combined.
 struct Fnv(u64);
 
@@ -56,6 +59,24 @@ pub struct SearchEngine {
     by_contribution: Vec<Vec<(u32, u32)>>,
     /// Per-term IDF (`ln(n / df) + 1`), precomputed at build.
     idf: Vec<f64>,
+}
+
+/// A corpus's page display names, deduplicated; see
+/// [`SearchEngine::distinct_display_names`].
+#[derive(Debug, Clone)]
+pub struct DisplayNames<'e> {
+    /// Each page's dense name id: an index into `names`.
+    pub page_name_ids: Vec<u32>,
+    /// The distinct display names, in first-occurrence order.
+    pub names: Vec<&'e str>,
+    ids: FnvMap<&'e str, u32>,
+}
+
+impl DisplayNames<'_> {
+    /// The id of `name`, when some page displays it.
+    pub fn id_of(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
 }
 
 /// A ranked search hit.
@@ -175,28 +196,58 @@ fn pair_contribution(engine: &SearchEngine, lo: u32, hi: u32, tf_lo: u32, tf_hi:
     contribution(tf_lo, engine.idf[lo as usize]) + contribution(tf_hi, engine.idf[hi as usize])
 }
 
+/// The walk order of a query's resolved term ids (query order,
+/// duplicates kept) into `scan`: distinct lists, rarest first (stable on
+/// equal lengths), so the upper bound collapses as early as possible.
+fn walk_order(engine: &SearchEngine, resolved: &[u32], scan: &mut Vec<u32>) {
+    scan.clear();
+    scan.extend_from_slice(resolved);
+    scan.sort_unstable();
+    scan.dedup();
+    scan.sort_by_key(|&t| engine.postings[t as usize].len());
+}
+
+/// The `(lower, higher)` term ids of the pair list a query walks, given
+/// its resolved terms and their [`walk_order`]: its two most common
+/// terms, when each occurs once in the query and the pair list can pay
+/// for itself.
+fn query_pair(engine: &SearchEngine, resolved: &[u32], scan: &[u32]) -> Option<(u32, u32)> {
+    let n = scan.len();
+    let once = |t: u32| resolved.iter().filter(|&&r| r == t).count() == 1;
+    (n >= 2)
+        .then(|| (scan[n - 2], scan[n - 1]))
+        .filter(|&(a, b)| {
+            engine.postings[a as usize].len() > PAIR_MIN_POSTINGS && once(a) && once(b)
+        })
+        .map(|(a, b)| (a.min(b), a.max(b)))
+}
+
 /// The state of one query's top-`limit` scan, shared by every list it
-/// walks.
+/// walks; its buffers live in the caller's [`SearchScratch`].
 struct Scan<'q> {
     engine: &'q SearchEngine,
     /// The query's term ids in query order, duplicates kept.
     resolved: &'q [u32],
     /// `slot[i]`: the walk position of the list of `resolved[i]`.
-    slot: Vec<usize>,
+    slot: &'q [usize],
     /// Head (largest) contribution of each term list, by walk position.
-    head: Vec<f64>,
+    head: &'q mut [f64],
     /// `exhausted[j]`: a page first seen from here on is absent from
     /// list `j`, so scoring skips that term without a lookup. Set once a
     /// list has been walked to its end, and for both members once their
     /// pair list has (only their own lists are left to walk).
-    exhausted: Vec<bool>,
+    exhausted: &'q mut [bool],
     /// `cursor[j]`: a position in the page-ascending postings of list
     /// `j` below which every page is smaller than the current run's
     /// frontier. Pages ascend within a run, so each lookup gallops on
     /// from the last one instead of binary-searching the whole list;
     /// reset at every run start.
-    cursor: Vec<usize>,
-    tracker: TopHits,
+    cursor: &'q mut [usize],
+    /// Page `p` was already scored by this query iff
+    /// `mark[p] == epoch`.
+    mark: &'q mut [u32],
+    epoch: u32,
+    tracker: &'q mut TopHits,
     visited: u64,
 }
 
@@ -214,7 +265,6 @@ impl Scan<'_> {
         page_of: impl Fn(E) -> u32,
         run_key: impl Fn(E) -> u64,
         own: impl Fn(E, usize) -> Option<f64>,
-        scratch: &mut SearchScratch,
     ) -> bool {
         let mut completed = true;
         let mut at = 0;
@@ -266,10 +316,10 @@ impl Scan<'_> {
                     }
                 }
                 self.visited += 1;
-                if scratch.mark[page as usize] == scratch.epoch {
+                if self.mark[page as usize] == self.epoch {
                     continue; // already scored on first sight
                 }
-                scratch.mark[page as usize] = scratch.epoch;
+                self.mark[page as usize] = self.epoch;
                 // Full exact score, accumulated in query-term order: the
                 // same addition sequence as the exhaustive path. The
                 // list's own terms contribute their known tfs; terms
@@ -277,7 +327,7 @@ impl Scan<'_> {
                 // page first seen here; everything else is a galloping
                 // search from the term's cursor.
                 let mut score = 0.0f64;
-                for (&t, &s) in self.resolved.iter().zip(&self.slot) {
+                for (&t, &s) in self.resolved.iter().zip(self.slot) {
                     if let Some(c) = own(entry, s) {
                         score += c;
                     } else if !self.exhausted[s] {
@@ -300,77 +350,69 @@ impl Scan<'_> {
 }
 
 /// The early-exit top-`limit` scan of [`SearchEngine::search_topk_with`]
-/// over the query's resolved term ids (query order, duplicates kept).
-/// Every page first seen gets its full score in `resolved` (query) term
-/// order, and the bound argument documented on `search_topk_with` holds
-/// for any walk order.
+/// over the query's resolved term ids (query order, duplicates kept) in
+/// `scratch.resolved`. Every page first seen gets its full score in
+/// query term order, and the bound argument documented on
+/// `search_topk_with` holds for any walk order.
 fn topk_scan(
     engine: &SearchEngine,
-    resolved: &[u32],
     limit: usize,
     scratch: &mut SearchScratch,
     cache: &mut TermCache,
 ) -> Vec<SearchHit> {
     let idf = &engine.idf;
-    // Walk order: distinct lists, rarest first (stable on equal
-    // lengths), so the upper bound collapses as early as possible.
-    let mut scan: Vec<u32> = resolved.to_vec();
-    scan.sort_unstable();
-    scan.dedup();
-    scan.sort_by_key(|&t| engine.postings[t as usize].len());
-    let n = scan.len();
-    let slot: Vec<usize> = resolved
-        .iter()
-        .map(|t| {
-            scan.iter()
-                .position(|s| s == t)
-                .expect("scan holds every token")
-        })
-        .collect();
-    let head: Vec<f64> = scan
-        .iter()
-        .map(|&t| {
-            engine.by_contribution[t as usize]
-                .first()
-                .map_or(0.0, |&(_, tf)| contribution(tf, idf[t as usize]))
-        })
-        .collect();
-    // The two most common terms are walked as a pair list before their
-    // own lists, when each occurs once in the query and the pair list
-    // can pay for itself.
-    let once = |t: u32| resolved.iter().filter(|&&r| r == t).count() == 1;
-    let pair = (n >= 2)
-        .then(|| (scan[n - 2], scan[n - 1]))
-        .filter(|&(a, b)| {
-            engine.postings[a as usize].len() > PAIR_MIN_POSTINGS && once(a) && once(b)
-        })
-        .map(|(a, b)| {
-            let (lo, hi) = (a.min(b), a.max(b));
-            let TermCache {
-                pairs,
-                pair_postings_merged,
-                ..
-            } = cache;
-            let list: &[PairPosting] = pairs.entry((lo, hi)).or_insert_with(|| {
-                let (list, merged) = build_pair_list(engine, lo, hi);
-                *pair_postings_merged += merged;
-                list
-            });
-            (list, lo, hi)
-        });
-
     scratch.begin(engine.pages.len());
+    let SearchScratch {
+        mark,
+        epoch,
+        postings_scanned,
+        resolved,
+        scan,
+        slot,
+        head,
+        exhausted,
+        cursor,
+        tracker,
+        ..
+    } = scratch;
+    walk_order(engine, resolved, scan);
+    let scan: &[u32] = scan;
+    let n = scan.len();
+    slot.clear();
+    slot.extend(resolved.iter().map(|t| {
+        scan.iter()
+            .position(|s| s == t)
+            .expect("scan holds every token")
+    }));
+    head.clear();
+    head.extend(scan.iter().map(|&t| {
+        engine.by_contribution[t as usize]
+            .first()
+            .map_or(0.0, |&(_, tf)| contribution(tf, idf[t as usize]))
+    }));
+    exhausted.clear();
+    exhausted.resize(n, false);
+    cursor.clear();
+    cursor.resize(n, 0);
+    tracker.reset(limit);
+    // The two most common terms are walked as a pair list before their
+    // own lists.
+    let pair = query_pair(engine, resolved, scan)
+        .map(|(lo, hi)| (cache.pair_list(engine, lo, hi), lo, hi));
+
     let mut state = Scan {
         engine,
         resolved,
         slot,
         head,
-        exhausted: vec![false; n],
-        cursor: vec![0; n],
-        tracker: TopHits::new(limit),
+        exhausted,
+        cursor,
+        mark,
+        epoch: *epoch,
+        tracker,
         visited: 0,
     };
-    let walk_single = |state: &mut Scan, li: usize, scratch: &mut SearchScratch| {
+    let walk_single = |state: &mut Scan, li: usize| {
         let tid = scan[li] as usize;
         let completed = state.walk(
             &engine.by_contribution[tid],
@@ -378,13 +420,12 @@ fn topk_scan(
             |(page, _)| page,
             |(_, tf)| u64::from(tf),
             |(_, tf), s| (s == li).then(|| contribution(tf, idf[tid])),
-            scratch,
         );
         state.exhausted[li] |= completed;
     };
     let singles_before_pair = if pair.is_some() { n - 2 } else { n };
     for li in 0..singles_before_pair {
-        walk_single(&mut state, li, scratch);
+        walk_single(&mut state, li);
     }
     if let Some((list, lo, hi)) = pair {
         let (slot_lo, slot_hi) = if scan[n - 2] == lo {
@@ -406,7 +447,6 @@ fn topk_scan(
                     None
                 }
             },
-            scratch,
         );
         // A page unseen after the pair list that holds both members sits
         // in a remainder the walk ruled out, so the first member's bound
@@ -419,11 +459,11 @@ fn topk_scan(
             state.exhausted[n - 1] = true;
         }
         for li in n - 2..n {
-            walk_single(&mut state, li, scratch);
+            walk_single(&mut state, li);
         }
     }
-    scratch.postings_scanned += state.visited;
-    state.tracker.into_hits()
+    *postings_scanned += state.visited;
+    state.tracker.hits()
 }
 
 impl SearchEngine {
@@ -499,16 +539,17 @@ impl SearchEngine {
         self.pages.get(idx)
     }
 
-    /// Deduplicates page display names: returns each page's dense
-    /// name id plus the distinct names in first-occurrence order.
+    /// Deduplicates page display names: each page's dense name id, the
+    /// distinct names in first-occurrence order, and a lookup from a name
+    /// to its id.
     ///
     /// A corpus renders several pages per person and most display names
     /// verbatim, so the distinct-name set is a fraction of the page
     /// count. Name-comparison consumers (the harvest's agreement cache
     /// and its per-name comparator keys) key their work on the name id
     /// instead of the page id and skip the duplicates entirely.
-    pub fn distinct_display_names(&self) -> (Vec<u32>, Vec<&str>) {
-        let mut name_of_page = Vec::with_capacity(self.pages.len());
+    pub fn distinct_display_names(&self) -> DisplayNames<'_> {
+        let mut page_name_ids = Vec::with_capacity(self.pages.len());
         let mut ids: FnvMap<&str, u32> = FnvMap::default();
         let mut names: Vec<&str> = Vec::new();
         for page in &self.pages {
@@ -517,9 +558,13 @@ impl SearchEngine {
             if id == next {
                 names.push(&page.display_name);
             }
-            name_of_page.push(id);
+            page_name_ids.push(id);
         }
-        (name_of_page, names)
+        DisplayNames {
+            page_name_ids,
+            names,
+            ids,
+        }
     }
 
     /// Searches for pages matching the query, ranked by summed TF-IDF of
@@ -564,8 +609,7 @@ impl SearchEngine {
     pub fn scratch(&self) -> SearchScratch {
         SearchScratch {
             mark: vec![0; self.pages.len()],
-            epoch: 0,
-            postings_scanned: 0,
+            ..SearchScratch::default()
         }
     }
 
@@ -575,13 +619,73 @@ impl SearchEngine {
         TermCache::default()
     }
 
-    /// Resolves one query token to its term id through the cache.
-    #[inline]
-    fn resolve_term(&self, term: String, cache: &mut TermCache) -> Option<u32> {
-        *cache
-            .map
-            .entry(term)
-            .or_insert_with_key(|t| self.terms.get(t).copied())
+    /// A per-worker term cache that reads `pairs` (built by
+    /// [`pair_lists`](SearchEngine::pair_lists) for the worker's batch)
+    /// before building any pair list of its own.
+    pub fn term_cache_sharing(&self, pairs: Arc<PairLists>) -> TermCache {
+        TermCache {
+            shared: Some(pairs),
+            ..TermCache::default()
+        }
+    }
+
+    /// The term ids of `query`'s tokens that the index holds, in query
+    /// order with duplicates kept, into `resolved`: the tokens of
+    /// [`tokenize`]`(query)`, lowercased into the reusable `token` (ASCII
+    /// in place, anything else through `str::to_lowercase`).
+    fn resolve_query(&self, query: &str, token: &mut String, resolved: &mut Vec<u32>) {
+        resolved.clear();
+        for raw in query
+            .split(|c: char| !c.is_alphanumeric())
+            .filter(|t| !t.is_empty())
+        {
+            token.clear();
+            if raw.is_ascii() {
+                token.extend(raw.bytes().map(|b| char::from(b.to_ascii_lowercase())));
+            } else {
+                token.push_str(&raw.to_lowercase());
+            }
+            resolved.extend(self.terms.get(token.as_str()));
+        }
+    }
+
+    /// Builds, on the pool, the pair list of every distinct pair that
+    /// [`search_topk_with`](SearchEngine::search_topk_with)`(q, limit, ..)`
+    /// walks for some `q` of `queries`, each once. Worker caches made by
+    /// [`term_cache_sharing`](SearchEngine::term_cache_sharing) then read
+    /// them instead of each merging the same lists again, so the batch's
+    /// merge work is that of one lazily filled cache, whatever the
+    /// number of workers.
+    pub fn pair_lists<Q: AsRef<str> + Sync>(&self, queries: &[Q], limit: usize) -> PairLists {
+        if limit == 0 || self.pages.is_empty() {
+            return PairLists::default();
+        }
+        let mut pairs: Vec<(u32, u32)> = queries
+            .par_iter()
+            .map_init(
+                || (String::new(), Vec::new(), Vec::new()),
+                |(token, resolved, scan), query| {
+                    self.resolve_query(query.as_ref(), token, resolved);
+                    walk_order(self, resolved, scan);
+                    query_pair(self, resolved, scan)
+                },
+            )
+            .collect::<Vec<_>>()
+            .into_iter()
+            .flatten()
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let built: Vec<(Box<[PairPosting]>, u64)> = pairs
+            .par_iter()
+            .map(|&(lo, hi)| build_pair_list(self, lo, hi))
+            .collect();
+        let mut lists = PairLists::default();
+        for ((lo, hi), (list, merged)) in pairs.into_iter().zip(built) {
+            lists.lists.insert((lo, hi), list);
+            lists.postings_merged += merged;
+        }
+        lists
     }
 
     /// Top-`limit` search with early exit — the harvest fast path.
@@ -632,7 +736,8 @@ impl SearchEngine {
     ///   a page first seen in one member's list is absent from the
     ///   other's and skips that lookup.
     ///
-    /// The pair list is built on first use by merging the two
+    /// The pair list is read from the [`PairLists`] `cache` shares, if
+    /// it holds it; otherwise it is built on first use by merging the two
     /// page-ascending postings lists, and kept in `cache` for the rest of
     /// the batch ([`TermCache::pair_postings_merged`] counts the merge
     /// steps). Where a member repeats in the query, or the shorter member
@@ -641,7 +746,10 @@ impl SearchEngine {
     ///
     /// Selection is a bounded worst-out tracker instead of a full sort of
     /// every candidate, which is the other constant-factor win at harvest
-    /// scale (hundreds of candidates, `limit` of eight).
+    /// scale (hundreds of candidates, `limit` of eight). The tokens, term
+    /// ids, walk order, bounds, cursors and tracker live in `scratch`, so
+    /// a query allocates only the hits it returns (and a pair list on its
+    /// first use).
     pub fn search_topk_with(
         &self,
         query: &str,
@@ -649,23 +757,16 @@ impl SearchEngine {
         scratch: &mut SearchScratch,
         cache: &mut TermCache,
     ) -> Vec<SearchHit> {
-        if limit == 0 {
-            return Vec::new();
-        }
-        let tokens = tokenize(query);
-        if tokens.is_empty() || self.pages.is_empty() {
+        if limit == 0 || self.pages.is_empty() {
             return Vec::new();
         }
         // Query-order term ids (duplicates kept: they contribute twice,
         // exactly like the exhaustive accumulation).
-        let resolved: Vec<u32> = tokens
-            .into_iter()
-            .filter_map(|t| self.resolve_term(t, cache))
-            .collect();
-        if resolved.is_empty() {
+        self.resolve_query(query, &mut scratch.token, &mut scratch.resolved);
+        if scratch.resolved.is_empty() {
             return Vec::new();
         }
-        topk_scan(self, &resolved, limit, scratch, cache)
+        topk_scan(self, limit, scratch, cache)
     }
 
     /// [`search_topk_with`](SearchEngine::search_topk_with) with one-shot
@@ -680,6 +781,7 @@ impl SearchEngine {
 /// Bounded best-`k` tracker under the `(score desc, page asc)` hit order:
 /// a candidate enters only by beating the current worst member, so the
 /// final contents are exactly the unique k-best set.
+#[derive(Debug, Clone, Default)]
 struct TopHits {
     k: usize,
     items: Vec<(f64, u32)>,
@@ -688,12 +790,11 @@ struct TopHits {
 }
 
 impl TopHits {
-    fn new(k: usize) -> Self {
-        TopHits {
-            k,
-            items: Vec::with_capacity(k),
-            worst: 0,
-        }
+    /// Empties the tracker for a query keeping the best `k`.
+    fn reset(&mut self, k: usize) {
+        self.k = k;
+        self.items.clear();
+        self.worst = 0;
     }
 
     #[inline]
@@ -736,15 +837,16 @@ impl TopHits {
         self.worst = wi;
     }
 
-    fn into_hits(mut self) -> Vec<SearchHit> {
+    /// The held hits, best first.
+    fn hits(&mut self) -> Vec<SearchHit> {
         self.items.sort_by(|a, b| {
             b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.1.cmp(&b.1))
         });
         self.items
-            .into_iter()
-            .map(|(score, page)| SearchHit {
+            .iter()
+            .map(|&(score, page)| SearchHit {
                 page: page as usize,
                 score,
             })
@@ -754,8 +856,9 @@ impl TopHits {
 
 /// Reusable per-query state of [`SearchEngine::search_topk_with`]: a
 /// dense first-seen mark per page, generation-stamped so resetting between
-/// queries is O(1) instead of O(pages).
-#[derive(Debug, Clone)]
+/// queries is O(1) instead of O(pages), and the buffers one query's scan
+/// fills, kept so a query allocates only the hits it returns.
+#[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     /// Page `p` was already scored by the current query iff
     /// `mark[p] == epoch`.
@@ -763,6 +866,18 @@ pub struct SearchScratch {
     epoch: u32,
     /// Running total of postings the top-k scan has visited.
     postings_scanned: u64,
+    /// One query token, lowercased.
+    token: String,
+    /// The query's term ids in query order, duplicates kept.
+    resolved: Vec<u32>,
+    /// The query's distinct term ids in walk order.
+    scan: Vec<u32>,
+    /// The per-list state of [`Scan`], by walk position.
+    slot: Vec<usize>,
+    head: Vec<f64>,
+    exhausted: Vec<bool>,
+    cursor: Vec<usize>,
+    tracker: TopHits,
 }
 
 impl SearchScratch {
@@ -787,26 +902,65 @@ impl SearchScratch {
     }
 }
 
-/// Per-batch memo against one [`SearchEngine`]: token → term id
-/// (negative lookups too), and the pair lists
-/// [`SearchEngine::search_topk_with`] builds on first use.
-#[derive(Default)]
+/// Pair lists by `(lower term id, higher term id)`: every page that holds
+/// both terms, sorted by pair contribution descending, then page
+/// ascending. Built for a whole batch by [`SearchEngine::pair_lists`] and
+/// shared read-only by worker caches, or filled lazily inside one
+/// [`TermCache`].
+#[derive(Debug, Default)]
+pub struct PairLists {
+    lists: FnvMap<(u32, u32), Box<[PairPosting]>>,
+    /// Running total of postings merged to build `lists`.
+    postings_merged: u64,
+}
+
+impl PairLists {
+    /// Postings merged to build these lists: a deterministic work
+    /// counter.
+    pub fn postings_merged(&self) -> u64 {
+        self.postings_merged
+    }
+
+    /// The list of `(lo, hi)`, built and kept on first use.
+    fn get_or_build(&mut self, engine: &SearchEngine, lo: u32, hi: u32) -> &[PairPosting] {
+        let PairLists {
+            lists,
+            postings_merged,
+        } = self;
+        lists.entry((lo, hi)).or_insert_with(|| {
+            let (list, merged) = build_pair_list(engine, lo, hi);
+            *postings_merged += merged;
+            list
+        })
+    }
+}
+
+/// Per-batch memo against one [`SearchEngine`]: the pair lists
+/// [`SearchEngine::search_topk_with`] walks, read from a shared
+/// [`PairLists`] when the cache was made with one, else built on first
+/// use and kept.
+#[derive(Debug, Default)]
 pub struct TermCache {
-    map: FnvMap<String, Option<u32>>,
-    /// Pair lists by `(lower term id, higher term id)`: every page that
-    /// holds both terms, sorted by pair contribution descending, then
-    /// page ascending.
-    pairs: FnvMap<(u32, u32), Box<[PairPosting]>>,
-    /// Running total of postings merged to build `pairs`.
-    pair_postings_merged: u64,
+    shared: Option<Arc<PairLists>>,
+    own: PairLists,
 }
 
 impl TermCache {
-    /// Postings merged to build this cache's pair lists: a deterministic
-    /// work counter. A pair list is built once per cache, so a batch
-    /// pays for it once however many of its queries reuse it.
+    /// Postings merged to build the pair lists this cache built itself:
+    /// a deterministic work counter. A pair list is built once per cache,
+    /// so a batch pays for it once however many of its queries reuse it;
+    /// lists read from a shared [`PairLists`] count there.
     pub fn pair_postings_merged(&self) -> u64 {
-        self.pair_postings_merged
+        self.own.postings_merged
+    }
+
+    /// The pair list of `(lo, hi)`: the shared one if there is one, else
+    /// this cache's own, built on first use.
+    fn pair_list(&mut self, engine: &SearchEngine, lo: u32, hi: u32) -> &[PairPosting] {
+        if let Some(list) = self.shared.as_deref().and_then(|s| s.lists.get(&(lo, hi))) {
+            return list;
+        }
+        self.own.get_or_build(engine, lo, hi)
     }
 }
 
@@ -891,18 +1045,21 @@ mod tests {
     #[test]
     fn distinct_display_names_dedupe_and_align() {
         let e = corpus();
-        let (ids, names) = e.distinct_display_names();
+        let display = e.distinct_display_names();
+        let (ids, names) = (&display.page_name_ids, &display.names);
         assert_eq!(ids.len(), e.len());
         // Pages 0 and 2 are both "Robert Smith".
         assert_eq!(ids[0], ids[2]);
         assert_ne!(ids[0], ids[1]);
         assert_eq!(names.len(), 3);
-        for (page, &id) in e.pages().iter().zip(&ids) {
+        for (page, &id) in e.pages().iter().zip(ids) {
             assert_eq!(page.display_name, names[id as usize]);
+            assert_eq!(display.id_of(&page.display_name), Some(id));
         }
+        assert_eq!(display.id_of("Robert"), None);
         let empty = SearchEngine::build(vec![]);
-        let (ids, names) = empty.distinct_display_names();
-        assert!(ids.is_empty() && names.is_empty());
+        let display = empty.distinct_display_names();
+        assert!(display.page_name_ids.is_empty() && display.names.is_empty());
     }
 
     #[test]
@@ -1151,6 +1308,60 @@ mod tests {
         e.search_topk_with("lee ann", 8, &mut scratch, &mut cache);
         e.search_topk_with("s60 lee ann", 3, &mut scratch, &mut cache);
         assert_eq!(cache.pair_postings_merged(), merged);
+    }
+
+    #[test]
+    fn shared_pair_lists_serve_every_worker_cache_exactly() {
+        // The corpus of the pair-list test above: "ann lee" and "lee ann"
+        // share one pair, "ann ann lee" walks single lists, "filler" and
+        // the unknown token build nothing.
+        let texts: Vec<String> = (0..600)
+            .map(|i| match (i % 2 == 0, i % 3 == 0) {
+                (true, true) => format!("ann lee s{i}"),
+                (true, false) => "ann".to_string(),
+                (false, true) => "lee filler".to_string(),
+                _ => "filler".to_string(),
+            })
+            .collect();
+        let e = text_corpus(&texts);
+        let queries = [
+            "ann lee",
+            "lee ann",
+            "ann ann lee",
+            "s60 lee ann",
+            "filler lee",
+            "zzyzx",
+            "",
+        ];
+        // One lazily filled cache over the batch: the reference work.
+        let mut scratch = e.scratch();
+        let mut lazy = e.term_cache();
+        for q in queries {
+            e.search_topk_with(q, 8, &mut scratch, &mut lazy);
+        }
+        let shared = Arc::new(e.pair_lists(&queries, 8));
+        assert_eq!(shared.lists.len(), 2, "ann+lee and lee+filler");
+        assert_eq!(shared.postings_merged(), lazy.pair_postings_merged());
+        assert!(e.pair_lists(&queries, 0).lists.is_empty());
+        // A cache reading the shared lists builds nothing and answers
+        // every query bit for bit as the exhaustive search.
+        let mut cache = e.term_cache_sharing(Arc::clone(&shared));
+        for limit in [1usize, 3, 8, 20] {
+            for q in queries {
+                let fast = e.search_topk_with(q, limit, &mut scratch, &mut cache);
+                let exhaustive = e.search(q, limit);
+                assert_eq!(fast.len(), exhaustive.len(), "query {q:?} limit {limit}");
+                for (a, b) in fast.iter().zip(&exhaustive) {
+                    assert_eq!(a.page, b.page, "query {q:?} limit {limit}");
+                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "query {q:?}");
+                }
+            }
+        }
+        assert_eq!(cache.pair_postings_merged(), 0);
+        // A pair the shared lists lack is built in the cache's own.
+        let mut partial = e.term_cache_sharing(Arc::new(e.pair_lists(&["ann lee"], 8)));
+        e.search_topk_with("filler lee", 8, &mut scratch, &mut partial);
+        assert!(partial.pair_postings_merged() > 0);
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub mod page;
 
 pub use corpus::{audit_property_pages, build_corpus, CorpusConfig, PropertyAudit};
 pub use corrupt::corrupt_pages;
-pub use extract::{consolidate, extract, extract_checked, title_seniority, AuxRecord, PageFacts};
-pub use index::{SearchEngine, SearchHit, SearchScratch, TermCache};
+pub use extract::{
+    consolidate, extract, extract_checked, title_seniority, AuxRecord, PackedFacts, PageFacts,
+};
+pub use index::{DisplayNames, PairLists, SearchEngine, SearchHit, SearchScratch, TermCache};
 pub use noise::NameNoise;
 pub use page::{tokenize, PageKind, WebPage};

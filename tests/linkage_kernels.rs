@@ -5,14 +5,17 @@
 //! references' values to the bit on every input they accept, and refuse
 //! exactly the inputs outside one 64-bit word or outside ASCII. The
 //! compact-key classifier must decide every pair as the full reference
-//! feature vector does. And on the canonical faculty world every release
-//! name and every distinct page name must get a compact key, so a silent
-//! return to the slow fallback path fails here even when wall-clock
-//! noise would hide it.
+//! feature vector does, and `LinkKey::prepare`'s allocation-free ASCII
+//! path must build exactly the key of the reference normalizer. And on
+//! the canonical faculty world every release name and every distinct page
+//! name must get a compact key, so a silent return to the slow fallback
+//! path fails here even when wall-clock noise would hide it.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use fred_bench::{faculty_world, WorldConfig};
+use fred_bench::{faculty_world, World, WorldConfig};
 use fred_suite::attack::{reference_sample_rows, HarvestConfig};
 use fred_suite::linkage::bitpar::{self, PeqTable};
 use fred_suite::linkage::{
@@ -116,6 +119,147 @@ proptest! {
     }
 }
 
+/// Name pieces for the key property test: titles and suffixes the
+/// normalizer drops, nicknames it expands (built-in and custom), names
+/// with apostrophes, hyphens and digits, junk, and long words that push
+/// the normalized form past one 64-bit word.
+const PIECES: &[&str] = &[
+    "Dr.",
+    "mr",
+    "Prof",
+    "PhD",
+    "Jr.",
+    "iii",
+    "Bob",
+    "liz",
+    "JIMMY",
+    "jd",
+    "zz",
+    "ghost",
+    "doc",
+    "longnick",
+    "Robert",
+    "O'Brien",
+    "Mary-Jane",
+    "d'Angelo",
+    "Smith",
+    "Tanaka",
+    "1771",
+    "x",
+    "...",
+    ",,",
+    "'",
+    "-",
+    "",
+    "Konstantinopoulou",
+    "Papadimitriou-Worthington",
+];
+
+/// The normalizers the key property runs under: the default, one without
+/// nickname expansion, and one whose custom expansions are multi-word,
+/// empty, non-ASCII, a title, or longer than one word.
+fn normalizers() -> Vec<NameNormalizer> {
+    vec![
+        NameNormalizer::new(),
+        NameNormalizer::new().without_nicknames(),
+        NameNormalizer::new()
+            .with_nickname("jd", "john doe")
+            .with_nickname("zz", "")
+            .with_nickname("ghost", "José")
+            .with_nickname("doc", "dr")
+            .with_nickname("longnick", &"n".repeat(70))
+            .with_nickname("bob", "o'neil"),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn fast_path_keys_equal_the_reference_keys(
+        parts in prop::collection::vec(
+            (0usize..PIECES.len() + 1, "[A-Za-z0-9'.,-]{0,12}", "[ ,.'-]{0,3}"),
+            0..14,
+        ),
+    ) {
+        // Each part is a vocabulary piece, or a random chunk when the
+        // index runs past the vocabulary, followed by a separator run.
+        let raw: String = parts
+            .iter()
+            .flat_map(|(pick, chunk, sep)| {
+                [PIECES.get(*pick).copied().unwrap_or(chunk.as_str()), sep.as_str()]
+            })
+            .collect();
+        for normalizer in normalizers() {
+            prop_assert_eq!(
+                LinkKey::prepare(&normalizer, &raw),
+                LinkKey::new(normalizer.prepare(&raw)),
+                "raw {:?}", raw
+            );
+        }
+    }
+}
+
+#[test]
+fn fast_path_keys_equal_the_reference_keys_on_edge_names() {
+    let long_word = "a".repeat(64);
+    let over = format!("{} bc", "a".repeat(62));
+    let edges = [
+        "",
+        " ",
+        "Dr. Prof.",
+        "...  ,, ",
+        "JD",
+        "Robert 'Bob' Smith",
+        "Smith, Bob",
+        "José Núñez",
+        long_word.as_str(),
+        over.as_str(),
+        "Ghost Writer",
+        "longnick x",
+    ];
+    for normalizer in normalizers() {
+        for raw in edges {
+            assert_eq!(
+                LinkKey::prepare(&normalizer, raw),
+                LinkKey::new(normalizer.prepare(raw)),
+                "raw {raw:?}"
+            );
+        }
+    }
+}
+
+/// The canonical 20k-row faculty world, built once per binary.
+fn canonical_world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        faculty_world(&WorldConfig {
+            size: 20_000,
+            ..WorldConfig::default()
+        })
+    })
+}
+
+#[test]
+fn canonical_world_keys_equal_the_reference_keys() {
+    let world = canonical_world();
+    let normalizer = NameNormalizer::new();
+    let release = world.table.identifier_strings();
+    let display = world.web.distinct_display_names();
+    let names = release
+        .iter()
+        .map(String::as_str)
+        .chain(display.names.iter().copied());
+    let mut checked = 0usize;
+    for name in names {
+        assert_eq!(
+            LinkKey::prepare(&normalizer, name),
+            LinkKey::new(normalizer.prepare(name)),
+            "name {name:?}"
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, release.len() + display.names.len());
+}
+
 /// Names among `names` whose comparator key falls back to the reference
 /// comparators.
 fn fallback_names<'a>(normalizer: &NameNormalizer, names: impl Iterator<Item = &'a str>) -> usize {
@@ -126,13 +270,11 @@ fn fallback_names<'a>(normalizer: &NameNormalizer, names: impl Iterator<Item = &
 
 #[test]
 fn canonical_world_names_all_take_the_compact_path() {
-    let world = faculty_world(&WorldConfig {
-        size: 20_000,
-        ..WorldConfig::default()
-    });
+    let world = canonical_world();
     let normalizer = NameNormalizer::new();
     let release = world.table.identifier_strings();
-    let (page_name_ids, page_names) = world.web.distinct_display_names();
+    let display = world.web.distinct_display_names();
+    let (page_name_ids, page_names) = (&display.page_name_ids, &display.names);
     assert!(!release.is_empty() && !page_names.is_empty());
     let release_fallbacks = fallback_names(&normalizer, release.iter().map(String::as_str));
     let page_fallbacks = fallback_names(&normalizer, page_names.iter().copied());

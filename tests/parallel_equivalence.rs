@@ -285,7 +285,7 @@ proptest! {
         let floor = ScoreFloor::new(&model);
         let mut scratch = AgreementScratch::default();
         let mut cache = AgreementCache::new();
-        let (_, distinct) = web.distinct_display_names();
+        let distinct = web.distinct_display_names().names;
         let candidates: Vec<_> = distinct
             .iter()
             .map(|n| (LinkKey::prepare(&normalizer, n), normalizer.prepare(n)))
