@@ -15,10 +15,15 @@
 //! Each round's farthest-point and k-nearest queries prune on box bounds
 //! instead of scanning the whole pool, and they order rows by the same
 //! `(distance, row)` total order as the reference scan, so the partition
-//! is bit-identical to [`Mdav::partition_reference`]. Hierarchical MDAV
-//! runs its leaves in parallel, one tree per leaf. Every MDAV run
-//! emits the deterministic work counters `mdav.rounds` and
-//! `mdav.dist_evals` (row distance evaluations) once per call.
+//! is bit-identical to [`Mdav::partition_reference`].
+//!
+//! MDAV has one body, [`Mdav::partition_hierarchical`], which splits the
+//! rows into leaves and runs the loop in each leaf in parallel, one tree
+//! per leaf; a flat [`partition`](Anonymizer::partition) is its one-leaf
+//! run ([`ShardPlan::single`]), and [`Mdav::partition_reference`] is the
+//! one-leaf run of the reference twin. Every MDAV run emits the
+//! deterministic work counters `mdav.rounds`, `mdav.dist_evals` (row
+//! distance evaluations) and `mdav.leaves` once per call.
 
 use crate::anonymizer::{dist2, normalize_columns, numeric_qi_matrix, Anonymizer};
 use crate::error::Result;
@@ -59,14 +64,7 @@ impl Mdav {
     /// property tests (and future anonymizer rewrites) can diff against
     /// the known-good semantics.
     pub fn partition_reference(&self, table: &Table, k: usize) -> Result<Partition> {
-        let mut matrix = numeric_qi_matrix(table, k)?;
-        if !self.skip_normalization {
-            normalize_columns(&mut matrix);
-        }
-        let n = matrix.len();
-        let mut selected = vec![false; n];
-        let classes = reference_classes(&matrix, (0..n).collect(), &mut selected, k);
-        Partition::new(classes, n)
+        self.partition_hierarchical_reference(table, k, &ShardPlan::single())
     }
 
     /// Hierarchical MDAV: the rows are first recursively split along the
@@ -79,9 +77,9 @@ impl Mdav {
     /// cluster independently, so they run in parallel, one leaf per
     /// task, and each leaf's kd-tree holds `n / leaves` rows.
     ///
-    /// With a single-shard plan the split is a no-op and the result is
-    /// bit-identical to [`partition`](Anonymizer::partition); for any
-    /// plan it is pinned bit-identical to
+    /// With a single-shard plan the split is a no-op: that run is
+    /// [`partition`](Anonymizer::partition). For any plan the result is
+    /// pinned bit-identical to
     /// [`partition_hierarchical_reference`](Mdav::partition_hierarchical_reference)
     /// by property test (same ulp caveat as the flat pair).
     pub fn partition_hierarchical(
@@ -191,13 +189,15 @@ impl Anonymizer for Mdav {
         "mdav"
     }
 
-    /// The optimized MDAV loop: the unclustered rows live in a static
-    /// bucketed kd-tree with live counts and live bounding boxes, the
-    /// global centroid is maintained incrementally as clusters leave the
-    /// pool, and each round's four queries (farthest from the centroid,
-    /// the k nearest to `r`, farthest from `r`, the k nearest to `s`)
-    /// prune subtrees on box bounds instead of scanning every row. A pool
-    /// of at most 1 024 rows is a single bucket, scanned whole.
+    /// The optimized MDAV loop over all rows: the one-leaf run of
+    /// [`partition_hierarchical`](Mdav::partition_hierarchical). The
+    /// unclustered rows live in a static bucketed kd-tree with live
+    /// counts and live bounding boxes, the global centroid is maintained
+    /// incrementally as clusters leave the pool, and each round's four
+    /// queries (farthest from the centroid, the k nearest to `r`,
+    /// farthest from `r`, the k nearest to `s`) prune subtrees on box
+    /// bounds instead of scanning every row. A pool of at most 1 024 rows
+    /// is a single bucket, scanned whole.
     ///
     /// Ties are broken by row index everywhere (farthest queries pick the
     /// lowest-index maximum, nearest selection orders by `(distance, row)`),
@@ -213,20 +213,7 @@ impl Anonymizer for Mdav {
     /// raw-integer attribute data is unaffected (ties are measure-zero,
     /// and integer sums are exact in `f64`).
     fn partition(&self, table: &Table, k: usize) -> Result<Partition> {
-        let mut matrix = numeric_qi_matrix(table, k)?;
-        if !self.skip_normalization {
-            normalize_columns(&mut matrix);
-        }
-        let n = matrix.len();
-        let dims = matrix[0].len();
-        let mut flat = Vec::with_capacity(n * dims);
-        for row in &matrix {
-            flat.extend_from_slice(row);
-        }
-        drop(matrix);
-        let (classes, work) = pool_classes(flat, n, dims, k);
-        work.emit();
-        Partition::new(classes, n)
+        self.partition_hierarchical(table, k, &ShardPlan::single())
     }
 }
 

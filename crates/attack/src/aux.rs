@@ -4,18 +4,25 @@
 //! This is the step the paper describes as "he uses the customer names
 //! present in the release to search for additional information about the
 //! customers available on the web" (Section I), made programmatic.
+//!
+//! The harvest has one body, [`harvest_auxiliary_tolerant`]: fault
+//! tolerance is its [`FaultPlan`] parameter, and [`harvest_auxiliary`] is
+//! its zero-fault call. Its width is the pool's: run it inside a
+//! one-thread [`rayon::ThreadPool::install`] for a single-threaded
+//! harvest. [`harvest_auxiliary_sequential`] is the exhaustive reference
+//! the body is pinned against.
 
 use std::sync::Arc;
 
 use fred_data::Table;
-use fred_faults::{salt, Degradation, FaultPlan, InputDefect};
+use fred_faults::{salt, strict, Degradation, FaultPlan, InputDefect};
 use fred_linkage::{
     compare_prepared, AgreementCache, AgreementScratch, Decision, FellegiSunter, LinkKey,
     NameNormalizer, PreparedName, ScoreFloor,
 };
 use fred_web::{
     consolidate, extract, extract_checked, AuxRecord, DisplayNames, PackedFacts, PageFacts,
-    PairLists, SearchEngine, WebPage,
+    PairLists, SearchEngine,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -150,7 +157,7 @@ fn classify_hits_cached(
     (select_accepted(matches, possibles), inspected)
 }
 
-/// Per-worker mutable state of the parallel harvest: search scratch, term
+/// Per-worker mutable state of the harvest: search scratch, term
 /// cache, comparator scratch, and the agreement memo, which holds one
 /// name's decisions at a time (cleared per name: release names are
 /// distinct, so a (query, page-name) pair practically never recurs across
@@ -168,10 +175,7 @@ impl LinkState {
     fn new(engine: &SearchEngine, ctx: &HarvestContext<'_>) -> LinkState {
         LinkState {
             search: engine.scratch(),
-            terms: match &ctx.pairs {
-                Some(pairs) => engine.term_cache_sharing(Arc::clone(pairs)),
-                None => engine.term_cache(),
-            },
+            terms: engine.term_cache_sharing(Arc::clone(&ctx.pairs)),
             cmp: AgreementScratch::default(),
             agreement: AgreementCache::new(),
         }
@@ -198,21 +202,12 @@ fn assemble(per_name: Vec<NameHarvest>) -> Harvest {
     }
 }
 
-/// One page's facts in a [`HarvestContext`]'s table: what the harvest's
-/// extractor read off the page, or the defect it rejected the page for.
+/// One page's facts in a [`HarvestContext`]'s table: what
+/// [`extract_checked`] read off the page, or the defect it rejected the
+/// page for.
 type PageEntry = std::result::Result<PackedFacts, InputDefect>;
 
-/// `items` mapped through `f` in order: on the pool when `parallel`, else
-/// inline on the calling thread.
-fn map_items<T: Sync, R: Send>(items: &[T], parallel: bool, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if parallel {
-        items.par_iter().map(f).collect()
-    } else {
-        items.iter().map(f).collect()
-    }
-}
-
-/// The read-only context of one cached harvest call, built once and
+/// The read-only context of one harvest call, built once and
 /// shared by every worker, dropped when the call returns:
 ///
 /// * the score floor;
@@ -222,35 +217,27 @@ fn map_items<T: Sync, R: Send>(items: &[T], parallel: bool, f: impl Fn(&T) -> R 
 ///   other (see [`fred_linkage::agreement`]); a query equal to a page
 ///   name borrows that name's key;
 /// * the page-facts table: every page extracted once, in page order, by
-///   the call's extractor, so a page linked by many names is parsed once;
+///   [`extract_checked`], so a page linked by many names is parsed once;
 /// * the pair lists of the release's queries
 ///   ([`SearchEngine::pair_lists`]), which the workers' term caches read.
 ///
-/// Shared by the parallel and single-threaded variants so they run the
-/// exact same classification and extraction, differing only in fan-out.
+/// Every step fans out on the pool at the pool's width, so a one-thread
+/// install builds the same context inline.
 struct HarvestContext<'e> {
     normalizer: NameNormalizer,
     floor: ScoreFloor,
     display: DisplayNames<'e>,
     name_keys: Vec<LinkKey>,
     facts: Vec<PageEntry>,
-    pairs: Option<Arc<PairLists>>,
+    pairs: Arc<PairLists>,
 }
 
 impl<'e> HarvestContext<'e> {
-    /// Builds the context for harvesting `names`, extracting every page
-    /// through `extract_page`. `parallel` controls whether the key
-    /// preparation, the extraction and the pair-list build fan out. The
-    /// single-threaded variant keeps even this setup on one thread, so
-    /// its wall-clock is a pure one-core run of the fast path; its one
-    /// term cache builds each pair list on first use, the same merges.
+    /// Builds the context for harvesting `names`.
     fn new(
         engine: &'e SearchEngine,
         names: &[String],
         config: &HarvestConfig,
-        extract_page: impl for<'p> Fn(&'p WebPage) -> std::result::Result<PageFacts<'p>, InputDefect>
-            + Sync,
-        parallel: bool,
     ) -> HarvestContext<'e> {
         let normalizer = NameNormalizer::new();
         // Blocking is provided by the search engine itself: only the
@@ -258,16 +245,19 @@ impl<'e> HarvestContext<'e> {
         // model is applied directly without a second blocking pass.
         let floor = ScoreFloor::new(&fred_linkage::default_name_model());
         let display = engine.distinct_display_names();
-        let name_keys = map_items(&display.names, parallel, |name| {
-            LinkKey::prepare(&normalizer, name)
-        });
-        let facts = map_items(engine.pages(), parallel, |page| {
-            extract_page(page).map(|facts| PackedFacts::pack(page, &facts))
-        });
-        let pairs = parallel.then(|| Arc::new(engine.pair_lists(names, config.hits_per_name)));
+        let name_keys: Vec<LinkKey> = display
+            .names
+            .par_iter()
+            .map(|name| LinkKey::prepare(&normalizer, name))
+            .collect();
+        let facts: Vec<PageEntry> = engine
+            .pages()
+            .par_iter()
+            .map(|page| extract_checked(page).map(|facts| PackedFacts::pack(page, &facts)))
+            .collect();
+        let pairs = Arc::new(engine.pair_lists(names, config.hits_per_name));
         fred_obs::counter(PAGES_EXTRACTED, facts.len() as u64);
-        let merged = pairs.as_deref().map_or(0, PairLists::postings_merged);
-        fred_obs::counter(PAIR_POSTINGS_MERGED, merged);
+        fred_obs::counter(PAIR_POSTINGS_MERGED, pairs.postings_merged());
         HarvestContext {
             normalizer,
             floor,
@@ -285,15 +275,15 @@ const PAGES_EXTRACTED: &str = "harvest.pages_extracted";
 
 /// Postings merged to build one harvest call's pair lists, up front or by
 /// a worker's term cache: a deterministic work counter, independent of
-/// the number of workers.
+/// the pool's width.
 const PAIR_POSTINGS_MERGED: &str = "harvest.pair_postings_merged";
 
 /// Per-name latency histogram: one observation per non-blank name,
 /// spanning its search, classification and the reading of its accepted
 /// pages' facts, recorded by the same routine that bumps the
 /// `harvest.names` counter — so the histogram's `count` reconciles
-/// exactly with the counter in every cached path (parallel,
-/// single-threaded, tolerant), which `tests/obs_reconcile.rs` pins.
+/// exactly with the counter at any pool width and fault plan, which
+/// `tests/obs_reconcile.rs` pins.
 const HARVEST_NAME_MS: &str = "harvest.name_ms";
 
 /// Emits one harvested name's observability deltas: pages linked and
@@ -331,18 +321,16 @@ fn note_harvest_metrics(
 /// page indices and the number of pages inspected.
 type NameHarvest = (Option<AuxRecord>, Vec<usize>, usize);
 
-/// One release name through the cached path: exact top-k search, then
+/// One release name through the harvest: exact top-k search, then
 /// floor/memo classification of the hits, then the accepted pages' facts
-/// from the context's table and their consolidation. The single per-name
-/// routine of every cached harvest variant. The table holds what the
-/// call's extractor made of each page: the strict variants extract with
-/// [`extract`], the tolerant one with [`extract_checked`], which rejects
-/// pages whose template frame is damaged; each accepted occurrence of a
-/// rejected page is counted in the returned [`Degradation`] instead of
-/// being fused as if intact. On a clean corpus both extractors accept
-/// every page, so the results agree bit for bit and the report stays
-/// clean. Facts borrow the pages' text, so strings are copied once, into
-/// the consolidated record.
+/// from the context's table and their consolidation. The table holds
+/// what [`extract_checked`] made of each page; it rejects pages whose
+/// template frame is damaged, and each accepted occurrence of a rejected
+/// page is counted in the returned [`Degradation`] instead of being
+/// fused as if intact. On a cleanly rendered page it returns exactly
+/// `Ok(extract(page))`, so on a clean corpus the report stays clean.
+/// Facts borrow the pages' text, so strings are copied once, into the
+/// consolidated record.
 fn harvest_one_name(
     name: &str,
     engine: &SearchEngine,
@@ -410,26 +398,43 @@ fn harvest_one_name(
     ((consolidate(&facts), accepted, inspected), deg)
 }
 
-/// [`extract`] in the shape [`HarvestContext::new`] takes: the strict
-/// extractor never rejects a page.
-fn extract_strict(page: &WebPage) -> std::result::Result<PageFacts<'_>, InputDefect> {
-    Ok(extract(page))
-}
-
-/// Fault-tolerant [`harvest_auxiliary`]: survives the dirty corpus and
-/// the injected faults of a [`FaultPlan`] with skip-and-count semantics
-/// instead of panicking, returning the harvest plus its [`Degradation`]
-/// report.
+/// Harvests auxiliary data for every identifier in the release under a
+/// [`FaultPlan`], surviving the dirty corpus and the plan's injected
+/// faults with skip-and-count semantics instead of panicking, and
+/// returns the harvest plus its [`Degradation`] report. The one harvest
+/// body: [`harvest_auxiliary`] is its zero-fault call.
 ///
-/// Three things differ from the strict path, each degrading one row at
-/// worst: an identifier row the plan drops harvests nothing
-/// (`rows_skipped`); a worker panic on a row — injected by the plan, or
-/// any real one — is contained by the pool's tolerant entry point and
-/// costs that row only (`workers_restarted`); and a linked page whose
-/// template frame is damaged is skipped and counted (`pages_rejected`)
-/// rather than parsed. Under a zero-rate plan on a clean corpus the
-/// result is bit-identical to [`harvest_auxiliary`] with a clean report
-/// (pinned by property test).
+/// For each release name: query the search engine, compare each hit's
+/// display name against the release name with the full linkage feature
+/// set, keep pages classified Match (and optionally Possible), and
+/// consolidate their extractions into one [`AuxRecord`].
+///
+/// Work done once per corpus or per release is done once per call, on
+/// the pool, before the per-name loop, and shared read-only by every
+/// worker: page display names are *deduplicated* (several pages per
+/// person, most rendered verbatim) and each distinct name's compact
+/// comparator keys ([`LinkKey`]) built; every page is extracted once
+/// into a compact facts table; and the pair list of every distinct
+/// first+last query pair is built once ([`SearchEngine::pair_lists`]).
+/// The per-name loop then runs across worker threads, each with its own
+/// search scratch, term cache (reading the shared pair lists),
+/// comparator scratch and [`AgreementCache`]: each query runs through
+/// the engine's exact top-k searcher
+/// ([`SearchEngine::search_topk_with`]) and classifies its hits through
+/// the precomputed [`ScoreFloor`] — a page name repeated among one
+/// name's hits replays its memoized decision, hopeless pairs are pruned
+/// before any string comparison — and its accepted pages' facts are read
+/// from the table. Results are row-order stable at any pool width, and
+/// under a zero-rate plan on a clean corpus record-for-record identical
+/// to [`harvest_auxiliary_sequential`] (pinned by property test), which
+/// still extracts per link.
+///
+/// Each fault degrades one row at worst: an identifier row the plan
+/// drops harvests nothing (`rows_skipped`); a worker panic on a row —
+/// injected by the plan, or any real one — is contained by the pool's
+/// tolerant entry point and costs that row only (`workers_restarted`);
+/// and a linked page whose template frame is damaged is skipped and
+/// counted (`pages_rejected`) rather than parsed.
 ///
 /// Callers expecting injected panics should wrap the call in
 /// [`rayon::silence_panics`] to keep recovered backtraces off stderr.
@@ -461,7 +466,7 @@ pub fn harvest_auxiliary_tolerant(
             }
         })
         .collect();
-    let ctx = HarvestContext::new(engine, &names, config, extract_checked, true);
+    let ctx = HarvestContext::new(engine, &names, config);
     let items: Vec<(usize, String)> = names.into_iter().enumerate().collect();
     let (results, _caught) = rayon::map_catch_init(
         items,
@@ -489,85 +494,25 @@ pub fn harvest_auxiliary_tolerant(
     Ok((assemble(per_name), deg))
 }
 
-/// Harvests auxiliary data for every identifier in the release.
+/// Harvests auxiliary data for every identifier in the release: the
+/// zero-fault call of [`harvest_auxiliary_tolerant`], under
+/// [`FaultPlan::none`].
 ///
-/// For each release name: query the search engine, compare each hit's
-/// display name against the release name with the full linkage feature set,
-/// keep pages classified Match (and optionally Possible), and consolidate
-/// their extractions into one [`AuxRecord`].
-///
-/// Work done once per corpus or per release is done once per call, on
-/// the pool, before the per-name loop, and shared read-only by every
-/// worker: page display names are *deduplicated* (several pages per
-/// person, most rendered verbatim) and each distinct name's compact
-/// comparator keys ([`LinkKey`]) built; every page is extracted once
-/// into a compact facts table; and the pair list of every distinct
-/// first+last query pair is built once ([`SearchEngine::pair_lists`]).
-/// The per-name loop then runs across worker threads, each with its own
-/// search scratch, term cache (reading the shared pair lists),
-/// comparator scratch and [`AgreementCache`]: each query runs through
-/// the engine's exact top-k searcher
-/// ([`SearchEngine::search_topk_with`]) and classifies its hits through
-/// the precomputed [`ScoreFloor`] — a page name repeated among one
-/// name's hits replays its memoized decision, hopeless pairs are pruned
-/// before any string comparison — and its accepted pages' facts are read
-/// from the table. Results are row-order stable and record-for-record
-/// identical to [`harvest_auxiliary_sequential`] (pinned by property
-/// test), which still extracts per link.
+/// A worker panic is not contained here: the call panics in turn (the
+/// original message has already gone to stderr through the panic hook).
+/// A page whose template frame is damaged is skipped rather than parsed,
+/// as in the tolerant call; strict callers feed clean corpora, where no
+/// page is skipped.
 pub fn harvest_auxiliary(
     release: &Table,
     engine: &SearchEngine,
     config: &HarvestConfig,
 ) -> Result<Harvest> {
-    let id_cols = release.identifier_columns();
-    if id_cols.is_empty() {
-        return Err(AttackError::NoIdentifiers);
-    }
-    let names = release.identifier_strings();
-    let ctx = HarvestContext::new(engine, &names, config, extract_strict, true);
-    let per_name: Vec<NameHarvest> = names
-        .into_par_iter()
-        .map_init(
-            || LinkState::new(engine, &ctx),
-            |state, name| harvest_one_name(&name, engine, config, &ctx, state).0,
-        )
-        .collect();
-    Ok(assemble(per_name))
+    harvest_auxiliary_tolerant(release, engine, config, &FaultPlan::none()).map(strict)
 }
 
-/// [`harvest_auxiliary`] pinned to one thread: the identical cached path
-/// (same context, same per-name routine, one `LinkState` reused for
-/// the whole loop), with no fan-out anywhere — even the comparator-key
-/// preparation and the page extraction run inline, and the one term
-/// cache builds each pair list on first use.
-///
-/// This is the denominator of the bench's harvest-parallelism ratio:
-/// dividing it by the parallel wall-clock isolates what the worker
-/// threads buy, with the algorithmic gains (top-k search, floor, memo)
-/// present in both numerator and denominator. Results are bit-identical
-/// to [`harvest_auxiliary`] — classification is deterministic and the
-/// memo is exact, so fan-out width cannot change a single record.
-pub fn harvest_auxiliary_single_threaded(
-    release: &Table,
-    engine: &SearchEngine,
-    config: &HarvestConfig,
-) -> Result<Harvest> {
-    let id_cols = release.identifier_columns();
-    if id_cols.is_empty() {
-        return Err(AttackError::NoIdentifiers);
-    }
-    let names = release.identifier_strings();
-    let ctx = HarvestContext::new(engine, &names, config, extract_strict, false);
-    let mut state = LinkState::new(engine, &ctx);
-    let per_name: Vec<NameHarvest> = names
-        .iter()
-        .map(|name| harvest_one_name(name, engine, config, &ctx, &mut state).0)
-        .collect();
-    Ok(assemble(per_name))
-}
-
-/// The plain one-name-at-a-time harvest loop the parallel
-/// [`harvest_auxiliary`] is pinned against: same search engine, same
+/// The plain one-name-at-a-time harvest loop [`harvest_auxiliary`] is
+/// pinned against: same search engine, same
 /// linkage model, no scratch reuse, no worker threads. Kept public as the
 /// reference implementation for equivalence property tests.
 pub fn harvest_auxiliary_sequential(
@@ -757,9 +702,15 @@ mod tests {
         let parallel = harvest_auxiliary(&release, &engine, &config).unwrap();
         let sequential = harvest_auxiliary_sequential(&release, &engine, &config).unwrap();
         assert_eq!(parallel, sequential);
-        // The one-thread run of the same cached path (the bench's
-        // parallelism denominator) agrees too.
-        let single = harvest_auxiliary_single_threaded(&release, &engine, &config).unwrap();
+        // The same call on a one-thread pool (the bench's parallelism
+        // denominator) agrees too.
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let single = one_thread
+            .install(|| harvest_auxiliary(&release, &engine, &config))
+            .unwrap();
         assert_eq!(parallel, single);
     }
 
@@ -838,6 +789,24 @@ mod tests {
             harvest_auxiliary_tolerant(&release, &engine, &config, &FaultPlan::none()).unwrap();
         assert_eq!(tolerant, strict);
         assert!(deg.is_clean(), "{deg}");
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panic(s) contained during a strict call")]
+    fn strict_rule_refuses_a_contained_worker_panic() {
+        let (_, table, engine) = world();
+        let release = table.suppress_sensitive();
+        let plan = FaultPlan {
+            worker_panic: 1.0,
+            ..FaultPlan::none()
+        };
+        let contained = rayon::silence_panics(|| {
+            harvest_auxiliary_tolerant(&release, &engine, &HarvestConfig::default(), &plan)
+        })
+        .unwrap();
+        assert_eq!(contained.1.workers_restarted, 50, "{}", contained.1);
+        // The rule `harvest_auxiliary` applies to its zero-fault run.
+        strict(contained);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! suppressed sensitive attribute.
 //!
 //! * [`aux`] — harvesting: search → record linkage → extraction →
-//!   consolidation;
+//!   consolidation, one body with the fault plan as a parameter
+//!   ([`harvest_auxiliary_tolerant`]; [`harvest_auxiliary`] is its
+//!   zero-fault call);
 //! * [`fusion`] — the fusion systems: [`FuzzyFusion`] (the paper's F),
 //!   [`LinearFusion`] and [`MidpointEstimator`] baselines;
 //! * [`attack`] — the end-to-end [`WebFusionAttack`] pipeline.
@@ -44,8 +46,7 @@ pub mod fusion;
 pub use attack::{AttackOutcome, WebFusionAttack};
 pub use aux::{
     harvest_auxiliary, harvest_auxiliary_reference_sampled, harvest_auxiliary_sequential,
-    harvest_auxiliary_single_threaded, harvest_auxiliary_tolerant, harvest_precision,
-    reference_sample_rows, Harvest, HarvestConfig,
+    harvest_auxiliary_tolerant, harvest_precision, reference_sample_rows, Harvest, HarvestConfig,
 };
 pub use error::{AttackError, Result};
 pub use explain::{explain_attack, most_exposed, RecordExplanation};

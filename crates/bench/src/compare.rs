@@ -15,8 +15,8 @@
 //!   slower (stages faster than the timing floor are skipped as noise);
 //! * a stage present in the baseline must not disappear;
 //! * on machines with ≥ 4 cores, the large-world harvest must keep
-//!   `speedup_harvest_parallel_vs_single` ≥ 2.0 — the parallel cached
-//!   path versus the same cached path pinned to one thread, so the ratio
+//!   `speedup_harvest_parallel_vs_single` ≥ 2.0 — `harvest_auxiliary`
+//!   versus the same call on a one-thread pool, so the ratio
 //!   is pure thread fan-out and a runner that silently lost all harvest
 //!   parallelism cannot clear the gate on algorithmic gains alone
 //!   (single-core runners skip this check — there is nothing to
@@ -929,10 +929,10 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                     }
                 }
                 // The harvest latency histogram and the harvest.names
-                // counter are bumped by the same per-name routine (the
-                // parallel, single-threaded and tolerant paths all
-                // funnel through it), so their totals must agree to the
-                // unit whenever the histogram was recorded.
+                // counter are bumped by the same per-name routine of the
+                // one harvest body (at any pool width and fault plan),
+                // so their totals must agree to the unit whenever the
+                // histogram was recorded.
                 let hist = prof.hists.iter().find(|h| h.name == "harvest.name_ms");
                 if let (Some(hist), Some(names)) = (hist, counter("harvest.names")) {
                     if hist.count != names {

@@ -590,7 +590,7 @@ impl QuickBench {
                 ));
             }
             out.push_str(&format!(
-                "  parallel harvest is {:.1}x the single-threaded fast path\n",
+                "  parallel harvest is {:.1}x the same harvest on one thread\n",
                 large.speedup_harvest_parallel_vs_single
             ));
             if let Some(comp) = &large.composition {
@@ -1816,15 +1816,20 @@ fn large_bench(config: &WorldConfig, size: usize, compose: bool, exhaustive: boo
         rows: world.table.len(),
     });
 
-    // The same cached fast path pinned to one thread: the parallelism
-    // ratio's denominator. Timing the *exhaustive* reference here
-    // instead would fold the algorithmic speedup (top-k search, score
-    // floor, agreement memo) into the ratio and let a runner that lost
-    // all thread fan-out still clear the >= 4-core gate on caching
-    // alone.
+    // The same call on a one-thread pool: the parallelism ratio's
+    // denominator. Timing the *exhaustive* reference here instead would
+    // fold the algorithmic speedup (top-k search, score floor, agreement
+    // memo) into the ratio and let a runner that lost all thread fan-out
+    // still clear the >= 4-core gate on caching alone.
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-thread pool builds");
     let (harvest_single, single_wall) = time_ms(|| {
-        fred_attack::harvest_auxiliary_single_threaded(&release.table, &world.web, &harvest_config)
-            .expect("harvest over a generated corpus cannot fail")
+        one_thread.install(|| {
+            harvest_auxiliary(&release.table, &world.web, &harvest_config)
+                .expect("harvest over a generated corpus cannot fail")
+        })
     });
     stages.push(StageTiming {
         name: sn::HARVEST_SINGLE_THREAD_LARGE,
@@ -1881,7 +1886,7 @@ fn large_bench(config: &WorldConfig, size: usize, compose: bool, exhaustive: boo
     }
     assert_eq!(
         harvest_par, harvest_single,
-        "single-threaded fast path must be record-for-record identical to the parallel one"
+        "the one-thread harvest must be record-for-record identical to the parallel one"
     );
 
     // The batch/parallel estimator driven through the streaming release —

@@ -14,8 +14,8 @@
 //!   dropped instrumentation.
 //! * **Histogram reconciliation** — the `harvest.name_ms` latency
 //!   histogram and the `harvest.names` counter are bumped by the same
-//!   per-name routine (the parallel, single-threaded and tolerant paths
-//!   all funnel through it), so the histogram's observation count equals
+//!   per-name routine of the one harvest body (at any pool width, strict
+//!   or under a fault plan), so the histogram's observation count equals
 //!   the counter to the unit, and its buckets sum to that count.
 //! * **Work-counter reconciliation** — `harvest.postings_scanned`, summed
 //!   over the harvest's per-name deltas, equals the postings the searcher

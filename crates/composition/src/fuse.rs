@@ -11,18 +11,21 @@
 //! Disclosure gain is the paper's `G` measured along a new axis: how much
 //! closer composition moves the adversary compared to the best
 //! single-release attack at the same `k`.
+//!
+//! The attack has one body, [`compose_attack_tolerant`], with the
+//! [`FaultPlan`] as a parameter; [`compose_attack`] is its zero-fault
+//! call, and the sweeps evaluate their cells through the same cell
+//! evaluator under [`FaultPlan::none`].
 
 use fred_anon::Anonymizer;
-use fred_attack::{
-    harvest_auxiliary, harvest_auxiliary_tolerant, FusionSystem, Harvest, HarvestConfig,
-};
+use fred_attack::{harvest_auxiliary_tolerant, FusionSystem, Harvest, HarvestConfig};
 use fred_core::dissimilarity;
 use fred_data::{Table, Value};
-use fred_faults::{Degradation, FaultPlan};
+use fred_faults::{strict, Degradation, FaultPlan};
 use fred_web::SearchEngine;
 
 use crate::error::{CompositionError, Result};
-use crate::intersect::{intersect_releases, intersect_releases_tolerant, TargetIntersection};
+use crate::intersect::{intersect_releases_tolerant, TargetIntersection};
 use crate::scenario::{generate_scenario, ScenarioConfig};
 
 /// Configuration of one end-to-end composition attack.
@@ -227,36 +230,11 @@ pub(crate) struct CellEval {
 /// scenario's source prefix. Source construction is `R`-invariant, so
 /// one max-`R` scenario serves every `R` of a sweep — callers slice
 /// `&sources[..r]` instead of re-anonymizing the same sources per cell.
+/// The sources are digested under `plan`'s release-level faults,
+/// counting into `deg`; a zero-rate plan evaluates exactly as a
+/// fault-free intersection.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_sources(
-    master: &Table,
-    fusion: &dyn FusionSystem,
-    harvest: &Harvest,
-    truth: &[f64],
-    sources: &[crate::scenario::Source],
-    targets: &[usize],
-    chunk_rows: usize,
-    qi_range: (f64, f64),
-    income_range: (f64, f64),
-) -> Result<CellEval> {
-    let inters = intersect_releases(sources, targets, master.len(), chunk_rows)?;
-    cell_from_inters(
-        master,
-        fusion,
-        harvest,
-        truth,
-        inters,
-        qi_range,
-        income_range,
-    )
-}
-
-/// [`evaluate_sources`] through the tolerant intersection engine: the
-/// sources are digested under `plan`'s release-level faults, counting
-/// into `deg`; everything downstream of the intersection is shared with
-/// the strict path, so a zero-rate plan evaluates bit-identically.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_sources_tolerant(
     master: &Table,
     fusion: &dyn FusionSystem,
     harvest: &Harvest,
@@ -271,29 +249,6 @@ fn evaluate_sources_tolerant(
 ) -> Result<CellEval> {
     let inters =
         intersect_releases_tolerant(sources, targets, master.len(), chunk_rows, plan, deg)?;
-    cell_from_inters(
-        master,
-        fusion,
-        harvest,
-        truth,
-        inters,
-        qi_range,
-        income_range,
-    )
-}
-
-/// The shared back half of cell evaluation: from intersections to fused
-/// estimates and aggregates. One body for the strict and tolerant paths
-/// keeps their zero-fault float sequences identical by construction.
-fn cell_from_inters(
-    master: &Table,
-    fusion: &dyn FusionSystem,
-    harvest: &Harvest,
-    truth: &[f64],
-    inters: Vec<TargetIntersection>,
-    qi_range: (f64, f64),
-    income_range: (f64, f64),
-) -> Result<CellEval> {
     let fused = fused_table(master, &inters)?;
     let estimates = fusion.estimate(&fused, &harvest.records)?;
     let dissim = dissimilarity(truth, &estimates)?;
@@ -324,100 +279,17 @@ fn cell_from_inters(
     })
 }
 
-/// Runs the full composition attack: generates the `R`-release world,
-/// intersects the releases, fuses the posterior with the web
-/// harvest, and measures per-record disclosure gain against the
-/// single-release world at the same `k`.
-pub fn compose_attack(
-    master: &Table,
-    web: &SearchEngine,
-    anonymizer: &dyn Anonymizer,
-    fusion: &dyn FusionSystem,
-    config: &CompositionConfig,
-) -> Result<CompositionOutcome> {
-    let scenario_config = &config.scenario;
-    // The target core depends only on (overlap, seed): harvest once,
-    // without anonymizing a throwaway probe world.
-    let targets = crate::scenario::core_targets(master.len(), scenario_config)?;
-    let release = targets_release(master, &targets)?;
-    let harvest = harvest_auxiliary(&release, web, &config.harvest)?;
-    let truth = target_truth(master, &targets)?;
-
-    // One scenario serves both cells: its first source *is* the
-    // single-release world (source construction is R-invariant).
-    let scenario = generate_scenario(master, anonymizer, scenario_config)?;
-    debug_assert_eq!(scenario.targets, targets);
-    let baseline = evaluate_sources(
-        master,
-        fusion,
-        &harvest,
-        &truth,
-        &scenario.sources[..1],
-        &targets,
-        config.chunk_rows,
-        config.qi_range,
-        config.income_range,
-    )?;
-    let composed = if scenario_config.releases == 1 {
-        None
-    } else {
-        Some(evaluate_sources(
-            master,
-            fusion,
-            &harvest,
-            &truth,
-            &scenario.sources,
-            &targets,
-            config.chunk_rows,
-            config.qi_range,
-            config.income_range,
-        )?)
-    };
-    let composed = composed.as_ref().unwrap_or(&baseline);
-
-    let records: Vec<CompositionRecord> = composed
-        .inters
-        .iter()
-        .enumerate()
-        .map(|(i, inter)| CompositionRecord {
-            master_row: inter.master_row,
-            candidates: inter.candidates(),
-            feasible_width: inter.mean_feasible_width(),
-            feasible_income_width: composed.income_widths[i],
-            baseline_income_width: baseline.income_widths[i],
-            estimate: composed.estimates[i],
-            baseline_estimate: baseline.estimates[i],
-            truth: truth[i],
-        })
-        .collect();
-    let disclosure_gain = records
-        .iter()
-        .map(|r| r.baseline_income_width - r.feasible_income_width)
-        .sum::<f64>()
-        / records.len().max(1) as f64;
-    Ok(CompositionOutcome {
-        releases: scenario_config.releases,
-        k: scenario_config.k,
-        records,
-        mean_candidates: composed.mean_candidates,
-        mean_feasible_width: composed.mean_feasible_width,
-        dissim_single: baseline.dissim,
-        dissim_composed: composed.dissim,
-        disclosure_gain,
-        estimate_gain: baseline.dissim - composed.dissim,
-        aux_coverage: harvest.coverage(),
-        defense: scenario_config.defense.as_ref().map(|d| d.label()),
-    })
-}
-
-/// [`compose_attack`] under fault injection: the harvest tolerates
-/// damaged pages, dropped rows and worker panics, the intersection
-/// tolerates release-level corruption, and the combined [`Degradation`]
-/// ledger is returned alongside the outcome. A zero-rate `plan` is an
-/// exact passthrough — the outcome is bit-identical to
-/// [`compose_attack`] and the ledger is clean. Callers injecting
-/// `worker_panic` should wrap the call in [`rayon::silence_panics`] to
-/// keep the contained panics off stderr.
+/// Runs the full composition attack under a [`FaultPlan`]: generates the
+/// `R`-release world, intersects the releases, fuses the posterior with
+/// the web harvest, and measures per-record disclosure gain against the
+/// single-release world at the same `k`. The harvest tolerates damaged
+/// pages, dropped rows and worker panics, the intersection tolerates
+/// release-level corruption, and the combined [`Degradation`] ledger is
+/// returned alongside the outcome. The one composition body:
+/// [`compose_attack`] is its zero-fault call, and under a zero-rate
+/// `plan` the ledger is clean. Callers injecting `worker_panic` should
+/// wrap the call in [`rayon::silence_panics`] to keep the contained
+/// panics off stderr.
 pub fn compose_attack_tolerant(
     master: &Table,
     web: &SearchEngine,
@@ -427,11 +299,15 @@ pub fn compose_attack_tolerant(
     plan: &FaultPlan,
 ) -> Result<(CompositionOutcome, Degradation)> {
     let scenario_config = &config.scenario;
+    // The target core depends only on (overlap, seed): harvest once,
+    // without anonymizing a throwaway probe world.
     let targets = crate::scenario::core_targets(master.len(), scenario_config)?;
     let release = targets_release(master, &targets)?;
     let (harvest, mut deg) = harvest_auxiliary_tolerant(&release, web, &config.harvest, plan)?;
     let truth = target_truth(master, &targets)?;
 
+    // One scenario serves both cells: its first source *is* the
+    // single-release world (source construction is R-invariant).
     let scenario = generate_scenario(master, anonymizer, scenario_config)?;
     debug_assert_eq!(scenario.targets, targets);
     // The baseline re-digests source 0 under the *same* pure-hash fault
@@ -443,7 +319,7 @@ pub fn compose_attack_tolerant(
     let mut discard = Degradation::muted();
     let single = scenario_config.releases == 1;
     let mut baseline_deg = Degradation::default();
-    let baseline = evaluate_sources_tolerant(
+    let baseline = evaluate_sources(
         master,
         fusion,
         &harvest,
@@ -463,7 +339,7 @@ pub fn compose_attack_tolerant(
     let composed = if single {
         None
     } else {
-        Some(evaluate_sources_tolerant(
+        Some(evaluate_sources(
             master,
             fusion,
             &harvest,
@@ -514,6 +390,20 @@ pub fn compose_attack_tolerant(
         defense: scenario_config.defense.as_ref().map(|d| d.label()),
     };
     Ok((outcome, deg))
+}
+
+/// Runs the full composition attack: the zero-fault call of
+/// [`compose_attack_tolerant`], under [`FaultPlan::none`]. A worker panic
+/// in the harvest is not contained here: the call panics in turn (the
+/// original message has already gone to stderr through the panic hook).
+pub fn compose_attack(
+    master: &Table,
+    web: &SearchEngine,
+    anonymizer: &dyn Anonymizer,
+    fusion: &dyn FusionSystem,
+    config: &CompositionConfig,
+) -> Result<CompositionOutcome> {
+    compose_attack_tolerant(master, web, anonymizer, fusion, config, &FaultPlan::none()).map(strict)
 }
 
 #[cfg(test)]
@@ -645,6 +535,32 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "worker panic(s) contained during a strict call")]
+    fn strict_rule_refuses_a_contained_worker_panic() {
+        let (table, web) = world(60);
+        let fusion = FuzzyFusion::new(FuzzyFusionConfig::default()).unwrap();
+        let config = CompositionConfig {
+            scenario: ScenarioConfig {
+                releases: 2,
+                k: 4,
+                ..ScenarioConfig::default()
+            },
+            ..CompositionConfig::default()
+        };
+        let plan = FaultPlan {
+            worker_panic: 1.0,
+            ..FaultPlan::none()
+        };
+        let contained = rayon::silence_panics(|| {
+            compose_attack_tolerant(&table, &web, &Mdav::new(), &fusion, &config, &plan)
+        })
+        .unwrap();
+        assert!(contained.1.workers_restarted > 0, "{}", contained.1);
+        // The rule `compose_attack` applies to its zero-fault run.
+        strict(contained);
+    }
+
+    #[test]
     fn tolerant_compose_survives_heavy_corruption_with_finite_metrics() {
         let (table, web) = world(60);
         let fusion = FuzzyFusion::new(FuzzyFusionConfig::default()).unwrap();
@@ -696,7 +612,9 @@ mod tests {
             },
         )
         .unwrap();
-        let inters = intersect_releases(&scenario.sources, &scenario.targets, 40, 16).unwrap();
+        let inters =
+            crate::intersect::intersect_releases(&scenario.sources, &scenario.targets, 40, 16)
+                .unwrap();
         let fused = fused_table(&table, &inters).unwrap();
         assert_eq!(fused.len(), scenario.targets.len());
         let sens = table.sensitive_columns()[0];

@@ -12,6 +12,7 @@
 use fred_anon::{Anonymizer, QiStyle};
 use fred_attack::{harvest_auxiliary, FusionSystem, HarvestConfig};
 use fred_data::Table;
+use fred_faults::{Degradation, FaultPlan};
 use fred_web::SearchEngine;
 use rayon::prelude::*;
 
@@ -328,6 +329,8 @@ fn composition_sweep_with_context(
                             config.chunk_rows,
                             config.qi_range,
                             config.income_range,
+                            &FaultPlan::none(),
+                            &mut Degradation::muted(),
                         )?;
                         Ok(((k, r), eval))
                     })
@@ -536,6 +539,8 @@ pub fn defense_sweep(
                         config.chunk_rows,
                         config.qi_range,
                         config.income_range,
+                        &FaultPlan::none(),
+                        &mut Degradation::muted(),
                     )
                 };
                 let shared_scenario = if per_r_generation {

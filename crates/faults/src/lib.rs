@@ -451,6 +451,22 @@ impl Degradation {
     }
 }
 
+/// The strict entry points' rule over a tolerant body run under
+/// [`FaultPlan::none`]: returns the result and drops the report, but
+/// panics when the report counts a worker restart. A zero-rate plan
+/// injects no panic, so a restart there is a real one, contained by the
+/// tolerant body after the panic hook printed its message; a strict call
+/// must not swallow it.
+pub fn strict<T>((value, deg): (T, Degradation)) -> T {
+    if deg.workers_restarted > 0 {
+        panic!(
+            "{} worker panic(s) contained during a strict call (message above)",
+            deg.workers_restarted
+        );
+    }
+    value
+}
+
 impl fmt::Display for Degradation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

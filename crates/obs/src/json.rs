@@ -1,8 +1,9 @@
 //! The workspace's JSON codec: a small recursive-descent parser
 //! producing a [`Value`] tree, the accessors decoders use, and one
-//! renderer ([`render`]) that every writer shares — checkpoint payloads
-//! and `BENCH_sweep.json` alike (there is no serde in the offline
-//! build). Two deliberate deviations from strict JSON keep non-finite
+//! renderer ([`render`]) that every writer shares — trace exports,
+//! checkpoint payloads and `BENCH_sweep.json` alike (there is no serde
+//! in the offline build). It lives in this bottom-layer crate so the
+//! trace writers can use it; `fred_recover::json` re-exports it. Two deliberate deviations from strict JSON keep non-finite
 //! floats representable: the bare tokens `NaN`, `inf` and `-inf` render
 //! and parse as their f64 counterparts, so a checkpointed non-finite
 //! metric round-trips instead of poisoning the whole envelope. Rejecting
@@ -15,9 +16,24 @@
 /// a fraction.
 pub const MAX_EXACT_INT: u64 = 1 << 53;
 
-/// Escapes a string for embedding in JSON text; the one escaper the
-/// workspace's JSON writers share, trace output included.
-pub use fred_obs::escape;
+/// Escapes a string for embedding in JSON text: quotes, backslashes and
+/// control characters. The one escaper the workspace's JSON writers
+/// share.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value. Object keys keep insertion order; numbers are
 /// all `f64`, which round-trips every integer below [`MAX_EXACT_INT`].

@@ -5,9 +5,9 @@
 //! (rows linked, cache hits, faults injected, checkpoint commits), events
 //! for point-in-time markers, and fixed-bucket duration histograms. It is
 //! deliberately zero-dependency (the rayon *shim* is the only import, for
-//! worker attribution) and hand-rolls its JSON like the rest of the
-//! workspace, so `fred_recover::json::parse` can read every byte it
-//! writes.
+//! worker attribution) and carries the workspace's JSON codec
+//! ([`json`]), which its trace exports render through, so
+//! [`json::parse`] reads every byte it writes.
 //!
 //! Design constraints, in order:
 //!
@@ -31,10 +31,14 @@
 //! [`span`] / [`counter`] / [`event`] / [`observe_ms`], and [`drain`]
 //! returns the finished [`Trace`] and switches collection back off.
 
+pub mod json;
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use json::Value;
 
 /// FNV-1a 64-bit, same constants as `fred_recover::fnv1a64` (this crate
 /// sits below `recover` in the dependency order, so it carries its own
@@ -415,158 +419,101 @@ impl Trace {
         format!("{state:016x}")
     }
 
-    /// Canonical JSON, parseable by `fred_recover::json::parse`. Span
-    /// IDs are 16-hex strings (u64 does not fit an f64 exactly).
+    /// Canonical JSON, rendered by [`json::render`]. Span IDs are 16-hex
+    /// strings (u64 does not fit an f64 exactly); times are rounded to
+    /// 3 decimals.
     pub fn to_json(&self) -> String {
-        fn write_span(out: &mut String, node: &SpanNode, indent: usize) {
-            let pad = "  ".repeat(indent);
-            out.push_str(&format!(
-                "{pad}{{\"id\": \"{:016x}\", \"name\": \"{}\", \"seq\": {}, \"start_ms\": {:.3}, \"wall_ms\": {:.3}, \"events\": [",
-                node.id,
-                escape(&node.name),
-                node.seq,
-                node.start_ms,
-                node.wall_ms,
-            ));
-            for (i, e) in node.events.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\"", escape(e)));
-            }
-            out.push_str("], \"children\": [");
-            if node.children.is_empty() {
-                out.push_str("]}");
-            } else {
-                out.push('\n');
-                for (i, child) in node.children.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    write_span(out, child, indent + 1);
-                }
-                out.push_str(&format!("\n{pad}]}}"));
-            }
+        fn span(node: &SpanNode) -> Value {
+            obj([
+                ("id", Value::Str(format!("{:016x}", node.id))),
+                ("name", Value::Str(node.name.clone())),
+                ("seq", num(node.seq)),
+                ("start_ms", Value::Num(json::round_to(node.start_ms, 3))),
+                ("wall_ms", Value::Num(json::round_to(node.wall_ms, 3))),
+                (
+                    "events",
+                    Value::Arr(node.events.iter().cloned().map(Value::Str).collect()),
+                ),
+                (
+                    "children",
+                    Value::Arr(node.children.iter().map(span).collect()),
+                ),
+            ])
         }
-
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"deterministic\": {},\n  \"spans_total\": {},\n  \"events_total\": {},\n  \"span_tree_digest\": \"{}\",\n",
-            self.deterministic,
-            self.spans_total,
-            self.events_total,
-            self.structural_digest(),
-        ));
-        out.push_str("  \"spans\": [");
-        if !self.spans.is_empty() {
-            out.push('\n');
-            for (i, root) in self.spans.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                write_span(&mut out, root, 2);
-            }
-            out.push_str("\n  ");
+        fn counters(totals: &BTreeMap<String, u64>) -> Value {
+            Value::Arr(
+                totals
+                    .iter()
+                    .map(|(k, &v)| obj([("counter", Value::Str(k.clone())), ("value", num(v))]))
+                    .collect(),
+            )
         }
-        out.push_str("],\n  \"counters\": [");
-        if !self.counters.is_empty() {
-            out.push('\n');
-            let rows: Vec<String> = self
-                .counters
-                .iter()
-                .map(|(k, v)| format!("    {{\"counter\": \"{}\", \"value\": {v}}}", escape(k)))
-                .collect();
-            out.push_str(&rows.join(",\n"));
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"workers\": [");
-        if !self.worker_counters.is_empty() {
-            out.push('\n');
-            let rows: Vec<String> = self
-                .worker_counters
-                .iter()
-                .map(|(w, counters)| {
-                    let inner: Vec<String> = counters
-                        .iter()
-                        .map(|(k, v)| {
-                            format!("      {{\"counter\": \"{}\", \"value\": {v}}}", escape(k))
-                        })
-                        .collect();
-                    format!(
-                        "    {{\"worker\": {w}, \"counters\": [\n{}\n    ]}}",
-                        inner.join(",\n")
-                    )
-                })
-                .collect();
-            out.push_str(&rows.join(",\n"));
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"histograms\": [");
-        if !self.histograms.is_empty() {
-            out.push('\n');
-            let rows: Vec<String> = self
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    let buckets: Vec<String> =
-                        h.buckets.iter().map(|b| b.to_string()).collect();
-                    format!(
-                        "    {{\"name\": \"{}\", \"count\": {}, \"sum_ms\": {:.3}, \"buckets\": [{}]}}",
-                        escape(k),
-                        h.count,
-                        h.sum_ms,
-                        buckets.join(", ")
-                    )
-                })
-                .collect();
-            out.push_str(&rows.join(",\n"));
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        let workers = self
+            .worker_counters
+            .iter()
+            .map(|(&w, totals)| obj([("worker", num(w as u64)), ("counters", counters(totals))]))
+            .collect();
+        let histograms = self
+            .histograms
+            .iter()
+            .map(|(k, h)| {
+                obj([
+                    ("name", Value::Str(k.clone())),
+                    ("count", num(h.count)),
+                    ("sum_ms", Value::Num(json::round_to(h.sum_ms, 3))),
+                    (
+                        "buckets",
+                        Value::Arr(h.buckets.iter().map(|&b| num(b)).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        let trace = obj([
+            ("deterministic", Value::Bool(self.deterministic)),
+            ("spans_total", num(self.spans_total)),
+            ("events_total", num(self.events_total)),
+            ("span_tree_digest", Value::Str(self.structural_digest())),
+            ("spans", Value::Arr(self.spans.iter().map(span).collect())),
+            ("counters", counters(&self.counters)),
+            ("workers", Value::Arr(workers)),
+            ("histograms", Value::Arr(histograms)),
+        ]);
+        json::render(&trace) + "\n"
     }
 
     /// The span tree as a chrome://tracing / Perfetto-compatible JSON
-    /// array of complete (`"ph": "X"`) events, timestamps in µs.
+    /// array of complete (`"ph": "X"`) events, timestamps in µs rounded
+    /// to 1 decimal.
     pub fn to_chrome_json(&self) -> String {
-        fn walk(out: &mut Vec<String>, node: &SpanNode) {
-            out.push(format!(
-                "{{\"name\": \"{}\", \"ph\": \"X\", \"ts\": {:.1}, \"dur\": {:.1}, \"pid\": 1, \"tid\": 1}}",
-                escape(&node.name),
-                node.start_ms * 1e3,
-                node.wall_ms * 1e3,
-            ));
+        fn walk(out: &mut Vec<Value>, node: &SpanNode) {
+            out.push(obj([
+                ("name", Value::Str(node.name.clone())),
+                ("ph", Value::Str("X".into())),
+                ("ts", Value::Num(json::round_to(node.start_ms * 1e3, 1))),
+                ("dur", Value::Num(json::round_to(node.wall_ms * 1e3, 1))),
+                ("pid", num(1)),
+                ("tid", num(1)),
+            ]));
             for child in &node.children {
                 walk(out, child);
             }
         }
-        let mut rows = Vec::new();
+        let mut events = Vec::new();
         for root in &self.spans {
-            walk(&mut rows, root);
+            walk(&mut events, root);
         }
-        format!("[\n{}\n]\n", rows.join(",\n"))
+        json::render(&Value::Arr(events)) + "\n"
     }
 }
 
-/// Escapes a string for embedding in JSON text: quotes, backslashes and
-/// control characters. The workspace's one JSON escaper; `fred-recover`
-/// re-exports it as `json::escape`, since this crate sits below it in the
-/// dependency order.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A JSON object from `(key, value)` pairs, in order.
+fn obj<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+/// A count as a JSON number (exact below [`json::MAX_EXACT_INT`]).
+fn num(n: u64) -> Value {
+    Value::Num(n as f64)
 }
 
 #[cfg(test)]
@@ -737,8 +684,13 @@ mod tests {
         let json = t.to_json();
         assert!(json.contains("\"span_tree_digest\""));
         assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("{\"counter\": \"c.one\", \"value\": 2}"));
+        assert!(json.contains("{ \"counter\": \"c.one\", \"value\": 2 }"));
         assert!(json.ends_with("}\n"));
+        let parsed = json::parse(&json).expect("the trace export parses");
+        assert_eq!(
+            parsed.get("span_tree_digest").and_then(json::Value::as_str),
+            Some(&*t.structural_digest())
+        );
         let chrome = t.to_chrome_json();
         assert!(chrome.starts_with("[\n"));
         assert!(chrome.contains("\"ph\": \"X\""));

@@ -30,7 +30,9 @@
 
 #![warn(missing_docs)]
 
-pub mod json;
+/// The workspace's JSON codec, which lives in `fred-obs` so the trace
+/// writers below this crate share it.
+pub use fred_obs::json;
 
 use fred_faults::{salt, FaultPlan};
 use std::fs;

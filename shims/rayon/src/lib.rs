@@ -16,6 +16,12 @@
 //! worker thread runs sequentially (one pool for the whole process keeps
 //! the thread count bounded at `available_parallelism`, overridable via
 //! `RAYON_NUM_THREADS` like the real crate).
+//!
+//! [`ThreadPoolBuilder`] and [`ThreadPool::install`] mirror the real
+//! crate's API for scoping a narrower pool: inside `install`, every
+//! parallel call made on the calling thread fans out at most
+//! `num_threads` wide (a width of one runs each call inline), while the
+//! process keeps its one set of workers.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -26,6 +32,9 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
     /// Stable index of the current pool worker (`usize::MAX` off-pool).
     static WORKER_ID: Cell<usize> = const { Cell::new(usize::MAX) };
+    /// Width cap of the innermost [`ThreadPool::install`] running on this
+    /// thread (`0`: none, the process-wide width applies).
+    static WIDTH_CAP: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Stable index of the worker thread this call runs on: `Some(i)` with
@@ -45,15 +54,19 @@ pub fn current_worker_id() -> Option<usize> {
 }
 
 /// Number of worker threads parallel calls will use, mirroring
-/// `rayon::current_num_threads`: the `RAYON_NUM_THREADS` override, else
+/// `rayon::current_num_threads`: the width of the enclosing
+/// [`ThreadPool::install`], else the `RAYON_NUM_THREADS` override, else
 /// `available_parallelism`. Callers sizing their own fan-out (or
 /// recording "cores" in a benchmark baseline) should read this instead
 /// of `available_parallelism`, which ignores the override.
 pub fn current_num_threads() -> usize {
-    pool_width()
+    match WIDTH_CAP.with(Cell::get) {
+        0 => pool_width(),
+        cap => cap,
+    }
 }
 
-/// Number of worker threads a parallel call may use
+/// Number of worker threads the process-wide pool spawns
 /// (`RAYON_NUM_THREADS` override, else `available_parallelism`).
 fn pool_width() -> usize {
     static WIDTH: OnceLock<usize> = OnceLock::new();
@@ -70,6 +83,72 @@ fn pool_width() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
+}
+
+/// Builder of a [`ThreadPool`], mirroring `rayon::ThreadPoolBuilder`.
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+impl ThreadPoolBuilder {
+    /// A builder for a pool of the default width.
+    pub fn new() -> ThreadPoolBuilder {
+        ThreadPoolBuilder::default()
+    }
+
+    /// Sets the pool's width; `0` (the default) means the process-wide
+    /// width, as in the real crate.
+    pub fn num_threads(mut self, num_threads: usize) -> ThreadPoolBuilder {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Builds the pool. The shim's pools share the process's workers, so
+    /// this never fails; the `Result` keeps the real crate's signature.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let width = match self.num_threads {
+            0 => pool_width(),
+            n => n,
+        };
+        Ok(ThreadPool { width })
+    }
+}
+
+/// Error type of [`ThreadPoolBuilder::build`], kept for signature parity
+/// with the real crate; the shim never returns it.
+#[derive(Debug)]
+pub struct ThreadPoolBuildError {
+    _private: (),
+}
+
+/// A scoped fan-out width, mirroring `rayon::ThreadPool`.
+#[derive(Debug)]
+pub struct ThreadPool {
+    width: usize,
+}
+
+impl ThreadPool {
+    /// Runs `op` on the calling thread with every parallel call it makes
+    /// there capped at this pool's width: with a width of one, each call
+    /// runs inline, and [`current_num_threads`] reports the cap. The
+    /// previous cap is restored when `op` returns or unwinds, so installs
+    /// nest.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        /// Puts the enclosing cap back on drop, on return and on unwind.
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                WIDTH_CAP.with(|c| c.set(self.0));
+            }
+        }
+        let _restore = Restore(WIDTH_CAP.with(|c| c.replace(self.width)));
+        op()
+    }
 }
 
 mod pool {
@@ -231,24 +310,34 @@ fn split_chunks<T>(mut items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
     chunks
 }
 
-/// Parallel, order-preserving map over `items`. Falls back to sequential
-/// when the input is small, the machine has one core, or the caller is
-/// already inside a worker thread.
-fn parallel_map_vec<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+/// Parallel, order-preserving map over `items` with one scratch value
+/// from `init` per worker chunk, reused across the chunk's items (the
+/// `map_init` pattern; a plain map passes `()`). The one body behind
+/// every parallel call: it runs inline, with a single scratch value,
+/// when the input is small, the width is one (one core, or a one-thread
+/// [`ThreadPool::install`]), or the caller is already inside a worker
+/// thread.
+fn map_init_vec<T, S, R, I, F>(items: Vec<T>, init: I, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(T) -> R + Sync,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
 {
-    let width = pool_width();
+    let width = current_num_threads();
     let n = items.len();
     if width <= 1 || n < 2 || IN_POOL.with(|c| c.get()) {
-        return items.into_iter().map(f).collect();
+        let mut scratch = init();
+        return items.into_iter().map(|t| f(&mut scratch, t)).collect();
     }
     let chunks = split_chunks(items, width.min(n));
+    let init = &init;
     let f = &f;
     pool::global()
-        .map_chunks(chunks, |chunk| chunk.into_iter().map(f).collect())
+        .map_chunks(chunks, |chunk| {
+            let mut scratch = init();
+            chunk.into_iter().map(|t| f(&mut scratch, t)).collect()
+        })
         .into_iter()
         .flatten()
         .collect()
@@ -282,33 +371,9 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, T) -> R + Sync,
 {
-    let run_item = |scratch: &mut S, t: T| -> Option<R> {
+    let results = map_init_vec(items, init, |scratch, t| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(scratch, t))).ok()
-    };
-    let width = pool_width();
-    let n = items.len();
-    let results: Vec<Option<R>> = if width <= 1 || n < 2 || IN_POOL.with(|c| c.get()) {
-        let mut scratch = init();
-        items
-            .into_iter()
-            .map(|t| run_item(&mut scratch, t))
-            .collect()
-    } else {
-        let chunks = split_chunks(items, width.min(n));
-        let init = &init;
-        let run_item = &run_item;
-        pool::global()
-            .map_chunks(chunks, |chunk| {
-                let mut scratch = init();
-                chunk
-                    .into_iter()
-                    .map(|t| run_item(&mut scratch, t))
-                    .collect()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
-    };
+    });
     let caught = results.iter().filter(|r| r.is_none()).count();
     (results, caught)
 }
@@ -425,7 +490,8 @@ impl<T: Send, R: Send, F: Fn(T) -> R + Sync> ParallelIterator for Map<T, F> {
     type Item = R;
 
     fn run(self) -> Vec<R> {
-        parallel_map_vec(self.items, self.f)
+        let f = self.f;
+        map_init_vec(self.items, || (), |(), t| f(t))
     }
 
     fn run_items(self) -> Vec<R> {
@@ -443,26 +509,7 @@ where
     type Item = R;
 
     fn run(self) -> Vec<R> {
-        let init = self.init;
-        let f = self.f;
-        // Chunked so each worker creates one scratch value per chunk.
-        let width = pool_width();
-        let n = self.items.len();
-        if width <= 1 || n < 2 || IN_POOL.with(|c| c.get()) {
-            let mut scratch = init();
-            return self.items.into_iter().map(|t| f(&mut scratch, t)).collect();
-        }
-        let chunks = split_chunks(self.items, width.min(n));
-        let init = &init;
-        let f = &f;
-        pool::global()
-            .map_chunks(chunks, |chunk| {
-                let mut scratch = init();
-                chunk.into_iter().map(|t| f(&mut scratch, t)).collect()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+        map_init_vec(self.items, self.init, self.f)
     }
 
     fn run_items(self) -> Vec<R> {
@@ -724,6 +771,101 @@ mod tests {
         // still reaches a hook (smoke-checked by catching one quietly).
         let again = std::panic::catch_unwind(|| super::silence_panics(|| 1));
         assert_eq!(again.unwrap(), 1);
+    }
+
+    fn one_thread() -> super::ThreadPool {
+        super::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("the shim always builds")
+    }
+
+    #[test]
+    fn one_thread_install_runs_every_call_inline() {
+        let outside = super::current_num_threads();
+        let (width, mapped, caught) = one_thread().install(|| {
+            let width = super::current_num_threads();
+            let xs: Vec<usize> = (0..64).collect();
+            let mapped: Vec<(usize, Option<usize>)> = xs
+                .par_iter()
+                .map(|&x| (x, super::current_worker_id()))
+                .collect();
+            let (caught, _) =
+                super::map_catch_init(xs, || (), |(), x| (x, super::current_worker_id()));
+            (width, mapped, caught)
+        });
+        assert_eq!(width, 1);
+        for (i, (x, worker)) in mapped.into_iter().enumerate() {
+            assert_eq!((x, worker), (i, None), "map ran off the calling thread");
+        }
+        for (i, slot) in caught.into_iter().enumerate() {
+            assert_eq!(
+                slot,
+                Some((i, None)),
+                "map_catch_init ran off the calling thread"
+            );
+        }
+        assert_eq!(
+            super::current_num_threads(),
+            outside,
+            "cap restored on return"
+        );
+    }
+
+    #[test]
+    fn install_restores_the_cap_after_a_panic_and_when_nested() {
+        let outside = super::current_num_threads();
+        let unwound = std::panic::catch_unwind(|| {
+            super::silence_panics(|| one_thread().install(|| panic!("inside install")))
+        });
+        assert!(unwound.is_err());
+        assert_eq!(
+            super::current_num_threads(),
+            outside,
+            "cap restored on unwind"
+        );
+        let three = super::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        let (inner, outer) = three.install(|| {
+            let inner = one_thread().install(super::current_num_threads);
+            (inner, super::current_num_threads())
+        });
+        assert_eq!(
+            (inner, outer),
+            (1, 3),
+            "a nested install restores the outer cap"
+        );
+        assert_eq!(super::current_num_threads(), outside);
+        // Width 0 is the process-wide default, as in the real crate.
+        let default = super::ThreadPoolBuilder::new().build().unwrap();
+        assert_eq!(
+            default.install(super::current_num_threads),
+            super::pool_width()
+        );
+    }
+
+    #[test]
+    fn two_thread_install_keeps_input_order() {
+        let two = super::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let (mapped, inited, caught) = two.install(|| {
+            assert_eq!(super::current_num_threads(), 2);
+            let mapped: Vec<usize> = (0..1000).into_par_iter().map(|x| x * 3).collect();
+            let inited: Vec<usize> = (0..1000)
+                .into_par_iter()
+                .map_init(|| 1usize, |one, x| x + *one)
+                .collect();
+            let (caught, n) = super::map_catch((0..1000).collect(), |x: usize| x + 2);
+            assert_eq!(n, 0);
+            (mapped, inited, caught)
+        });
+        assert_eq!(mapped, (0..1000).map(|x| x * 3).collect::<Vec<_>>());
+        assert_eq!(inited, (1..1001).collect::<Vec<_>>());
+        assert_eq!(caught, (2..1002).map(Some).collect::<Vec<_>>());
     }
 
     #[test]
