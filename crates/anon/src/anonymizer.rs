@@ -11,6 +11,7 @@
 use crate::error::{AnonError, Result};
 use crate::partition::Partition;
 use fred_data::Table;
+use rayon::prelude::*;
 
 /// A partitioning anonymization algorithm.
 /// `Sync` is a supertrait so anonymizers can be shared across the worker
@@ -25,51 +26,95 @@ pub trait Anonymizer: Sync {
     /// `len >= k` whenever `table.len() >= k`, and must fail with
     /// [`AnonError::NotEnoughRows`] otherwise.
     fn partition(&self, table: &Table, k: usize) -> Result<Partition>;
+
+    /// Partitions every table in `tables` at level `k`, returning the
+    /// partitions in table order; fails with the first table's error in
+    /// that order. The default maps [`partition`](Self::partition) over the
+    /// tables on the pool. An anonymizer whose own body fans out (MDAV's
+    /// leaves) overrides it to run the whole batch as one flat task list,
+    /// since a parallel call made inside a pool worker runs inline.
+    fn partition_all(&self, tables: &[&Table], k: usize) -> Result<Vec<Partition>> {
+        tables
+            .par_iter()
+            .map(|table| self.partition(table, k))
+            .collect()
+    }
 }
 
-/// Validates the common preconditions shared by all anonymizers and returns
-/// the numeric quasi-identifier matrix.
-pub(crate) fn numeric_qi_matrix(table: &Table, k: usize) -> Result<Vec<Vec<f64>>> {
-    if k == 0 {
-        return Err(AnonError::InvalidK(k));
-    }
-    if table.len() < k {
-        return Err(AnonError::NotEnoughRows {
-            rows: table.len(),
-            k,
-        });
-    }
-    let qi = table.schema().quasi_identifier_indices();
-    if qi.is_empty() {
-        return Err(AnonError::NoQuasiIdentifiers);
-    }
-    table
-        .numeric_matrix(&qi)
-        .map_err(|_| AnonError::NonNumericQuasiIdentifiers)
+/// A table's numeric quasi-identifiers as row-major points in one buffer:
+/// row `r` is `coords[r * dims..(r + 1) * dims]`.
+pub(crate) struct Points {
+    pub(crate) coords: Vec<f64>,
+    pub(crate) dims: usize,
 }
 
-/// Z-score normalizes a matrix column-wise in place (population std).
-/// Constant columns are left at zero so they never influence distances.
-pub(crate) fn normalize_columns(matrix: &mut [Vec<f64>]) {
-    if matrix.is_empty() {
-        return;
+impl Points {
+    /// Validates the common preconditions shared by all anonymizers and
+    /// reads the table's numeric quasi-identifiers.
+    pub(crate) fn numeric_qi(table: &Table, k: usize) -> Result<Points> {
+        if k == 0 {
+            return Err(AnonError::InvalidK(k));
+        }
+        if table.len() < k {
+            return Err(AnonError::NotEnoughRows {
+                rows: table.len(),
+                k,
+            });
+        }
+        let qi = table.schema().quasi_identifier_indices();
+        if qi.is_empty() {
+            return Err(AnonError::NoQuasiIdentifiers);
+        }
+        let mut coords = Vec::with_capacity(table.len() * qi.len());
+        for row in table.rows() {
+            for &c in &qi {
+                let value = row[c]
+                    .as_f64()
+                    .ok_or(AnonError::NonNumericQuasiIdentifiers)?;
+                coords.push(value);
+            }
+        }
+        Ok(Points {
+            coords,
+            dims: qi.len(),
+        })
     }
-    let cols = matrix[0].len();
-    let n = matrix.len() as f64;
-    for c in 0..cols {
-        let mean = matrix.iter().map(|r| r[c]).sum::<f64>() / n;
-        let var = matrix
-            .iter()
-            .map(|r| (r[c] - mean) * (r[c] - mean))
-            .sum::<f64>()
-            / n;
-        let std = var.sqrt();
-        for row in matrix.iter_mut() {
-            row[c] = if std > 0.0 {
-                (row[c] - mean) / std
-            } else {
-                0.0
-            };
+
+    /// Number of points.
+    pub(crate) fn len(&self) -> usize {
+        self.coords.len() / self.dims
+    }
+
+    /// The point of row `r`.
+    #[inline]
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
+        &self.coords[r * self.dims..(r + 1) * self.dims]
+    }
+
+    /// Coordinate `d` of row `r`.
+    #[inline]
+    pub(crate) fn get(&self, r: usize, d: usize) -> f64 {
+        self.coords[r * self.dims + d]
+    }
+
+    /// Every point, in row order.
+    pub(crate) fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.coords.chunks_exact(self.dims)
+    }
+
+    /// Z-score normalizes each column in place (population std).
+    /// Constant columns are left at zero so they never influence
+    /// distances.
+    pub(crate) fn normalize(&mut self) {
+        let (n, dims) = (self.len() as f64, self.dims);
+        for c in 0..dims {
+            let column = || self.coords.iter().skip(c).step_by(dims);
+            let mean = column().sum::<f64>() / n;
+            let var = column().map(|&v| (v - mean) * (v - mean)).sum::<f64>() / n;
+            let std = var.sqrt();
+            for v in self.coords.iter_mut().skip(c).step_by(dims) {
+                *v = if std > 0.0 { (*v - mean) / std } else { 0.0 };
+            }
         }
     }
 }
@@ -104,19 +149,26 @@ mod tests {
     fn precondition_checks() {
         let t = table(&[(1.0, 2.0), (3.0, 4.0)]);
         assert!(matches!(
-            numeric_qi_matrix(&t, 0),
+            Points::numeric_qi(&t, 0),
             Err(AnonError::InvalidK(0))
         ));
         assert!(matches!(
-            numeric_qi_matrix(&t, 5),
+            Points::numeric_qi(&t, 5),
             Err(AnonError::NotEnoughRows { rows: 2, k: 5 })
         ));
-        assert_eq!(numeric_qi_matrix(&t, 2).unwrap().len(), 2);
+        assert_eq!(Points::numeric_qi(&t, 2).unwrap().len(), 2);
 
         let no_qi = Table::new(Schema::builder().identifier("Name").build().unwrap());
         assert!(matches!(
-            numeric_qi_matrix(&no_qi, 1),
+            Points::numeric_qi(&no_qi, 1),
             Err(AnonError::NotEnoughRows { .. })
+        ));
+
+        let schema = Schema::builder().quasi_categorical("q").build().unwrap();
+        let text = Table::with_rows(schema, vec![vec![Value::Categorical("a".into())]]).unwrap();
+        assert!(matches!(
+            Points::numeric_qi(&text, 1),
+            Err(AnonError::NonNumericQuasiIdentifiers)
         ));
     }
 
@@ -125,20 +177,22 @@ mod tests {
         let schema = Schema::builder().identifier("Name").build().unwrap();
         let t = Table::with_rows(schema, vec![vec![Value::Text("a".into())]]).unwrap();
         assert!(matches!(
-            numeric_qi_matrix(&t, 1),
+            Points::numeric_qi(&t, 1),
             Err(AnonError::NoQuasiIdentifiers)
         ));
     }
 
     #[test]
     fn normalization_zero_mean_unit_var() {
-        let mut m = vec![vec![1.0, 10.0], vec![3.0, 10.0], vec![5.0, 10.0]];
-        normalize_columns(&mut m);
-        let mean0: f64 = m.iter().map(|r| r[0]).sum::<f64>() / 3.0;
+        let t = table(&[(1.0, 10.0), (3.0, 10.0), (5.0, 10.0)]);
+        let mut p = Points::numeric_qi(&t, 1).unwrap();
+        assert_eq!(p.coords, vec![1.0, 10.0, 3.0, 10.0, 5.0, 10.0]);
+        p.normalize();
+        let mean0: f64 = p.rows().map(|r| r[0]).sum::<f64>() / 3.0;
         assert!(mean0.abs() < 1e-12);
         // Constant column collapses to zero.
-        assert!(m.iter().all(|r| r[1] == 0.0));
-        let var0: f64 = m.iter().map(|r| r[0] * r[0]).sum::<f64>() / 3.0;
+        assert!(p.rows().all(|r| r[1] == 0.0));
+        let var0: f64 = p.rows().map(|r| r[0] * r[0]).sum::<f64>() / 3.0;
         assert!((var0 - 1.0).abs() < 1e-12);
     }
 

@@ -17,15 +17,23 @@
 //! `(distance, row)` total order as the reference scan, so the partition
 //! is bit-identical to [`Mdav::partition_reference`].
 //!
-//! MDAV has one body, [`Mdav::partition_hierarchical`], which splits the
-//! rows into leaves and runs the loop in each leaf in parallel, one tree
-//! per leaf; a flat [`partition`](Anonymizer::partition) is its one-leaf
-//! run ([`ShardPlan::single`]), and [`Mdav::partition_reference`] is the
-//! one-leaf run of the reference twin. Every MDAV run emits the
+//! MDAV has one body, a batch over tables behind
+//! [`partition_all`](Anonymizer::partition_all). It prepares each table
+//! (QI points, normalization, leaf split), then runs every `(table, leaf)`
+//! pair as one task of a single flat parallel list, one kd-tree per leaf.
+//! The body exposes the leaves at the top level because the rayon shim
+//! runs a parallel call made from inside a worker inline: a caller that
+//! fanned out over tables and let each table fan out over its leaves
+//! would leave a worker idle whenever the tables do not divide evenly
+//! among the workers. [`Mdav::partition_hierarchical`] is the body's
+//! one-table call, a flat [`partition`](Anonymizer::partition) its
+//! one-leaf run ([`ShardPlan::single`]), and [`Mdav::partition_reference`]
+//! is the one-leaf run of the reference twin. Every MDAV run emits the
 //! deterministic work counters `mdav.rounds`, `mdav.dist_evals` (row
-//! distance evaluations) and `mdav.leaves` once per call.
+//! distance evaluations), `mdav.nodes_visited` (kd-tree nodes the queries
+//! opened, the walk's bookkeeping) and `mdav.leaves` once per table.
 
-use crate::anonymizer::{dist2, normalize_columns, numeric_qi_matrix, Anonymizer};
+use crate::anonymizer::{dist2, Anonymizer, Points};
 use crate::error::Result;
 use crate::partition::Partition;
 use fred_data::{ShardPlan, Table};
@@ -77,7 +85,9 @@ impl Mdav {
     /// cluster independently, so they run in parallel, one leaf per
     /// task, and each leaf's kd-tree holds `n / leaves` rows.
     ///
-    /// With a single-shard plan the split is a no-op: that run is
+    /// This is the one-table call of the batched body behind
+    /// [`partition_all`](Anonymizer::partition_all). With a single-shard
+    /// plan the split is a no-op: that run is
     /// [`partition`](Anonymizer::partition). For any plan the result is
     /// pinned bit-identical to
     /// [`partition_hierarchical_reference`](Mdav::partition_hierarchical_reference)
@@ -88,39 +98,62 @@ impl Mdav {
         k: usize,
         plan: &ShardPlan,
     ) -> Result<Partition> {
-        let mut matrix = numeric_qi_matrix(table, k)?;
-        if !self.skip_normalization {
-            normalize_columns(&mut matrix);
-        }
-        let n = matrix.len();
-        let dims = matrix[0].len();
-        let leaves = split_leaves(&matrix, (0..n).collect(), plan.shards(), k);
-        let n_leaves = leaves.len() as u64;
-        // The order-preserving collect keeps the classes in leaf order.
-        let per_leaf: Vec<(Vec<Vec<usize>>, Work)> = leaves
-            .into_par_iter()
-            .map(|leaf| {
-                let mut flat = Vec::with_capacity(leaf.len() * dims);
-                for &r in &leaf {
-                    flat.extend_from_slice(&matrix[r]);
-                }
-                let (local, work) = pool_classes(flat, leaf.len(), dims, k);
-                let classes = local
-                    .into_iter()
-                    .map(|class| class.into_iter().map(|l| leaf[l]).collect())
-                    .collect();
-                (classes, work)
-            })
+        let mut partitions = self.partition_leaves(&[table], k, plan.shards())?;
+        Ok(partitions.pop().expect("one partition per table"))
+    }
+
+    /// The one MDAV body. Each table is prepared on the pool (QI points,
+    /// normalization, split into at most `parts` leaves); then every
+    /// `(table, leaf)` pair runs the optimized loop as one task of a
+    /// single flat parallel list, so a batch of tables keeps every worker
+    /// busy even though a nested parallel call would run inline. Each
+    /// table's classes are assembled in leaf order, and its work counters
+    /// are emitted once per table.
+    fn partition_leaves(
+        &self,
+        tables: &[&Table],
+        k: usize,
+        parts: usize,
+    ) -> Result<Vec<Partition>> {
+        let prepared: Vec<Prepared> = tables
+            .par_iter()
+            .map(|table| self.prepare(table, k, parts))
+            .collect::<Result<_>>()?;
+        let tasks: Vec<(usize, usize)> = prepared
+            .iter()
+            .enumerate()
+            .flat_map(|(t, p)| (0..p.leaves.len()).map(move |l| (t, l)))
             .collect();
-        let mut classes: Vec<Vec<usize>> = Vec::with_capacity(n / k + 1);
-        let mut work = Work::default();
-        for (leaf_classes, leaf_work) in per_leaf {
-            classes.extend(leaf_classes);
-            work.add(leaf_work);
+        // The order-preserving collect keeps the leaves in task order.
+        let mut per_leaf = tasks
+            .into_par_iter()
+            .map(|(t, l)| leaf_classes(&prepared[t].points, &prepared[t].leaves[l], k))
+            .collect::<Vec<_>>()
+            .into_iter();
+        prepared
+            .iter()
+            .map(|p| {
+                let n = p.points.len();
+                let mut classes: Vec<Vec<usize>> = Vec::with_capacity(n / k + 1);
+                let mut work = Work::default();
+                for (leaf_classes, leaf_work) in per_leaf.by_ref().take(p.leaves.len()) {
+                    classes.extend(leaf_classes);
+                    work.add(leaf_work);
+                }
+                work.emit(p.leaves.len());
+                Partition::new(classes, n)
+            })
+            .collect()
+    }
+
+    /// A table's (normalized) QI points and its leaves.
+    fn prepare(&self, table: &Table, k: usize, parts: usize) -> Result<Prepared> {
+        let mut points = Points::numeric_qi(table, k)?;
+        if !self.skip_normalization {
+            points.normalize();
         }
-        work.emit();
-        fred_obs::counter("mdav.leaves", n_leaves);
-        Partition::new(classes, n)
+        let leaves = split_leaves(&points, (0..points.len()).collect(), parts, k);
+        Ok(Prepared { points, leaves })
     }
 
     /// The reference twin of [`partition_hierarchical`](Mdav::partition_hierarchical):
@@ -133,16 +166,12 @@ impl Mdav {
         k: usize,
         plan: &ShardPlan,
     ) -> Result<Partition> {
-        let mut matrix = numeric_qi_matrix(table, k)?;
-        if !self.skip_normalization {
-            normalize_columns(&mut matrix);
-        }
-        let n = matrix.len();
-        let leaves = split_leaves(&matrix, (0..n).collect(), plan.shards(), k);
+        let Prepared { points, leaves } = self.prepare(table, k, plan.shards())?;
+        let n = points.len();
         let mut selected = vec![false; n];
         let mut classes: Vec<Vec<usize>> = Vec::with_capacity(n / k + 1);
         for leaf in leaves {
-            classes.extend(reference_classes(&matrix, leaf, &mut selected, k));
+            classes.extend(reference_classes(&points, leaf, &mut selected, k));
         }
         Partition::new(classes, n)
     }
@@ -182,6 +211,11 @@ impl Anonymizer for HierarchicalMdav {
     fn partition(&self, table: &Table, k: usize) -> Result<Partition> {
         self.inner.partition_hierarchical(table, k, &self.plan)
     }
+
+    /// Every table's leaves run as one flat parallel task list.
+    fn partition_all(&self, tables: &[&Table], k: usize) -> Result<Vec<Partition>> {
+        self.inner.partition_leaves(tables, k, self.plan.shards())
+    }
 }
 
 impl Anonymizer for Mdav {
@@ -215,6 +249,19 @@ impl Anonymizer for Mdav {
     fn partition(&self, table: &Table, k: usize) -> Result<Partition> {
         self.partition_hierarchical(table, k, &ShardPlan::single())
     }
+
+    /// One task per table: each is a single leaf.
+    fn partition_all(&self, tables: &[&Table], k: usize) -> Result<Vec<Partition>> {
+        self.partition_leaves(tables, k, 1)
+    }
+}
+
+/// A table made ready for the leaf loop by [`Mdav::partition_leaves`].
+struct Prepared {
+    /// The (normalized) QI points, one per table row.
+    points: Points,
+    /// Ascending table rows of each leaf, in leaf order.
+    leaves: Vec<Vec<usize>>,
 }
 
 /// Deterministic work tallies of the optimized MDAV loop. They are summed
@@ -224,18 +271,39 @@ impl Anonymizer for Mdav {
 struct Work {
     rounds: u64,
     dist_evals: u64,
+    nodes_visited: u64,
 }
 
 impl Work {
     fn add(&mut self, other: Work) {
         self.rounds += other.rounds;
         self.dist_evals += other.dist_evals;
+        self.nodes_visited += other.nodes_visited;
     }
 
-    fn emit(self) {
+    /// Emits one table's tallies, with the number of leaves it ran.
+    fn emit(self, leaves: usize) {
         fred_obs::counter("mdav.rounds", self.rounds);
         fred_obs::counter("mdav.dist_evals", self.dist_evals);
+        fred_obs::counter("mdav.nodes_visited", self.nodes_visited);
+        fred_obs::counter("mdav.leaves", leaves as u64);
     }
+}
+
+/// Runs the optimized loop over one leaf (ascending table rows of the
+/// prepared `points`) and returns its classes in table row ids.
+fn leaf_classes(points: &Points, leaf: &[usize], k: usize) -> (Vec<Vec<usize>>, Work) {
+    let dims = points.dims;
+    let mut flat = Vec::with_capacity(leaf.len() * dims);
+    for &r in leaf {
+        flat.extend_from_slice(points.row(r));
+    }
+    let (local, work) = pool_classes(flat, leaf.len(), dims, k);
+    let classes = local
+        .into_iter()
+        .map(|class| class.into_iter().map(|l| leaf[l]).collect())
+        .collect();
+    (classes, work)
 }
 
 /// The optimized MDAV loop over a prepared flat point buffer: returns
@@ -285,16 +353,17 @@ fn pool_classes(flat: Vec<f64>, n: usize, dims: usize, k: usize) -> (Vec<Vec<usi
     let work = Work {
         rounds,
         dist_evals: pool.dist_evals,
+        nodes_visited: pool.nodes_visited,
     };
     (classes, work)
 }
 
-/// The straightforward MDAV loop over the row subset `remaining` of a
-/// prepared (normalized) matrix. `selected` is an all-false scratch mask
+/// The straightforward MDAV loop over the row subset `remaining` of
+/// prepared (normalized) points. `selected` is an all-false scratch mask
 /// of table size, restored before returning. Classes carry the global
 /// row ids from `remaining`.
 fn reference_classes(
-    matrix: &[Vec<f64>],
+    points: &Points,
     mut remaining: Vec<usize>,
     selected: &mut [bool],
     k: usize,
@@ -302,20 +371,20 @@ fn reference_classes(
     let mut classes: Vec<Vec<usize>> = Vec::with_capacity(remaining.len() / k + 1);
 
     while remaining.len() >= 3 * k {
-        let centroid = centroid_of(matrix, &remaining);
-        let r = farthest_from_point(matrix, &remaining, &centroid);
-        let cluster_r = take_nearest(matrix, &mut remaining, selected, r, k);
+        let centroid = centroid_of(points, &remaining);
+        let r = farthest_from_point(points, &remaining, &centroid);
+        let cluster_r = take_nearest(points, &mut remaining, selected, r, k);
         // `s`: the record farthest from `r` among what is left.
-        let s = farthest_from_row(matrix, &remaining, &matrix[r]);
-        let cluster_s = take_nearest(matrix, &mut remaining, selected, s, k);
+        let s = farthest_from_row(points, &remaining, points.row(r));
+        let cluster_s = take_nearest(points, &mut remaining, selected, s, k);
         classes.push(cluster_r);
         classes.push(cluster_s);
     }
 
     if remaining.len() >= 2 * k {
-        let centroid = centroid_of(matrix, &remaining);
-        let r = farthest_from_point(matrix, &remaining, &centroid);
-        let cluster_r = take_nearest(matrix, &mut remaining, selected, r, k);
+        let centroid = centroid_of(points, &remaining);
+        let r = farthest_from_point(points, &remaining, &centroid);
+        let cluster_r = take_nearest(points, &mut remaining, selected, r, k);
         classes.push(cluster_r);
         classes.push(std::mem::take(&mut remaining));
     } else if !remaining.is_empty() {
@@ -329,20 +398,23 @@ fn reference_classes(
 /// hierarchical MDAV. Each split picks the dimension with the widest
 /// value spread among the node's rows (ties to the lowest dimension),
 /// orders the rows by `(value, row)` along it, and cuts proportionally
-/// to the leaf budget of each side. A node stops splitting when its
-/// budget reaches one leaf or when a cut would leave a side below `3k`
-/// rows — so every leaf is big enough to run the full three-phase MDAV
-/// loop, keeping per-leaf cluster sizes in the same `[k, 2k-1]` bounds
-/// as a flat run. Leaves come back in deterministic left-to-right order
-/// with their rows ascending (the fold order both MDAV loops assume).
-fn split_leaves(matrix: &[Vec<f64>], rows: Vec<usize>, parts: usize, k: usize) -> Vec<Vec<usize>> {
+/// to the leaf budget of each side. The cut is found by selection, not
+/// by sorting: the row at the cut rank is the pivot, and one
+/// order-preserving pass sends every row ordered before it left, so a
+/// level costs O(n). A node stops splitting when its budget reaches one
+/// leaf or when a cut would leave a side below `3k` rows — so every leaf
+/// is big enough to run the full three-phase MDAV loop, keeping per-leaf
+/// cluster sizes in the same `[k, 2k-1]` bounds as a flat run. Leaves
+/// come back in deterministic left-to-right order with their rows
+/// ascending (the fold order both MDAV loops assume).
+fn split_leaves(points: &Points, rows: Vec<usize>, parts: usize, k: usize) -> Vec<Vec<usize>> {
     let mut leaves = Vec::with_capacity(parts);
-    split_rec(matrix, rows, parts, 3 * k, &mut leaves);
+    split_rec(points, rows, parts, 3 * k, &mut leaves);
     leaves
 }
 
 fn split_rec(
-    matrix: &[Vec<f64>],
+    points: &Points,
     rows: Vec<usize>,
     parts: usize,
     min_leaf: usize,
@@ -352,13 +424,39 @@ fn split_rec(
         out.push(rows);
         return;
     }
-    let dims = matrix[0].len();
-    let (split_dim, _) = (0..dims)
+    let split_dim = widest_dim(points, &rows);
+    let left_parts = parts / 2;
+    let right_parts = parts - left_parts;
+    let target_left = (rows.len() * left_parts / parts).clamp(min_leaf, rows.len() - min_leaf);
+    let key = |r: usize| (points.get(r, split_dim), r);
+    let mut keys: Vec<(f64, usize)> = rows.iter().map(|&r| key(r)).collect();
+    let (_, &mut pivot, _) = keys.select_nth_unstable_by(target_left, split_order);
+    drop(keys);
+    // Keys are distinct (the row breaks every tie), so exactly
+    // `target_left` rows order before the pivot; `rows` is ascending and
+    // both sides keep that order.
+    let mut left = Vec::with_capacity(target_left);
+    let mut right = Vec::with_capacity(rows.len() - target_left);
+    for r in rows {
+        if split_order(&key(r), &pivot).is_lt() {
+            left.push(r);
+        } else {
+            right.push(r);
+        }
+    }
+    split_rec(points, left, left_parts, min_leaf, out);
+    split_rec(points, right, right_parts, min_leaf, out);
+}
+
+/// The quasi-identifier dimension with the widest value spread among
+/// `rows` (ties to the lowest dimension).
+fn widest_dim(points: &Points, rows: &[usize]) -> usize {
+    let (split_dim, _) = (0..points.dims)
         .map(|d| {
             let mut lo = f64::INFINITY;
             let mut hi = f64::NEG_INFINITY;
-            for &r in &rows {
-                let v = matrix[r][d];
+            for &r in rows {
+                let v = points.get(r, d);
                 lo = lo.min(v);
                 hi = hi.max(v);
             }
@@ -371,22 +469,15 @@ fn split_rec(
                 best
             }
         });
-    let left_parts = parts / 2;
-    let right_parts = parts - left_parts;
-    let target_left = (rows.len() * left_parts / parts).clamp(min_leaf, rows.len() - min_leaf);
-    let mut sorted = rows;
-    sorted.sort_by(|&a, &b| {
-        matrix[a][split_dim]
-            .partial_cmp(&matrix[b][split_dim])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut right = sorted.split_off(target_left);
-    let mut left = sorted;
-    left.sort_unstable();
-    right.sort_unstable();
-    split_rec(matrix, left, left_parts, min_leaf, out);
-    split_rec(matrix, right, right_parts, min_leaf, out);
+    split_dim
+}
+
+/// The leaf split's `(value, row)` order: `partial_cmp` on the value, so
+/// `-0.0` and `0.0` compare equal, then the row id.
+fn split_order(a: &(f64, usize), b: &(f64, usize)) -> Ordering {
+    a.0.partial_cmp(&b.0)
+        .unwrap_or(Ordering::Equal)
+        .then(a.1.cmp(&b.1))
 }
 
 /// Rows per kd-tree bucket.
@@ -451,6 +542,9 @@ struct ActivePool {
     touched: Vec<u32>,
     /// Row distance evaluations made by queries so far.
     dist_evals: u64,
+    /// Tree nodes queries have opened so far (inner nodes whose children
+    /// were bounded, and buckets that were scanned).
+    nodes_visited: u64,
 }
 
 /// A kd-tree node awaiting a farthest-point walk, keyed by the upper
@@ -655,6 +749,7 @@ impl ActivePool {
             fit: Vec::with_capacity(2 * dims),
             touched: Vec::new(),
             dist_evals: 0,
+            nodes_visited: 0,
         };
         for i in (1..pool.nodes.len()).rev() {
             pool.refit(i);
@@ -738,7 +833,7 @@ impl ActivePool {
     /// distance, so rows tied with the best are always compared.
     fn farthest_from(&mut self, q: &[f64]) -> u32 {
         let mut best = (-1.0, u32::MAX);
-        let mut evals = 0u64;
+        let (mut evals, mut visited) = (0u64, 0u64);
         let mut heap = std::mem::take(&mut self.heap);
         heap.clear();
         heap.push(Pending(f64::INFINITY, 0));
@@ -746,6 +841,7 @@ impl ActivePool {
             if bound < best.0 {
                 break;
             }
+            visited += 1;
             let node = &self.nodes[i as usize];
             if node.left == 0 {
                 let live = node.start as usize..(node.start + node.live) as usize;
@@ -770,6 +866,7 @@ impl ActivePool {
         }
         self.heap = heap;
         self.dist_evals += evals;
+        self.nodes_visited += visited;
         debug_assert!(best.1 != u32::MAX, "farthest query on an empty pool");
         best.1
     }
@@ -780,13 +877,14 @@ impl ActivePool {
     /// strictly above the k-th best distance so far.
     fn take_nearest(&mut self, q: &[f64], k: usize) -> Vec<usize> {
         let mut top = TopK::new(k.min(self.live));
-        let mut evals = 0u64;
+        let (mut evals, mut visited) = (0u64, 0u64);
         let mut stack = std::mem::take(&mut self.stack);
         stack.push((0, 0.0));
         while let Some((i, bound)) = stack.pop() {
             if top.beyond(bound) {
                 continue;
             }
+            visited += 1;
             let node = &self.nodes[i as usize];
             if node.left == 0 {
                 let live = node.start as usize..(node.start + node.live) as usize;
@@ -817,6 +915,7 @@ impl ActivePool {
         }
         self.stack = stack;
         self.dist_evals += evals;
+        self.nodes_visited += visited;
         let mut selected = top.into_vec();
         selected.sort_unstable_by(|a, b| {
             a.0.partial_cmp(&b.0)
@@ -933,11 +1032,10 @@ impl ActivePool {
     }
 }
 
-fn centroid_of(matrix: &[Vec<f64>], rows: &[usize]) -> Vec<f64> {
-    let dims = matrix[0].len();
-    let mut c = vec![0.0; dims];
+fn centroid_of(points: &Points, rows: &[usize]) -> Vec<f64> {
+    let mut c = vec![0.0; points.dims];
     for &r in rows {
-        for (d, v) in matrix[r].iter().enumerate() {
+        for (d, v) in points.row(r).iter().enumerate() {
             c[d] += v;
         }
     }
@@ -947,11 +1045,11 @@ fn centroid_of(matrix: &[Vec<f64>], rows: &[usize]) -> Vec<f64> {
     c
 }
 
-fn farthest_from_point(matrix: &[Vec<f64>], rows: &[usize], point: &[f64]) -> usize {
+fn farthest_from_point(points: &Points, rows: &[usize], point: &[f64]) -> usize {
     let mut best = rows[0];
     let mut best_d = -1.0;
     for &r in rows {
-        let d = dist2(&matrix[r], point);
+        let d = dist2(points.row(r), point);
         if d > best_d {
             best_d = d;
             best = r;
@@ -960,8 +1058,8 @@ fn farthest_from_point(matrix: &[Vec<f64>], rows: &[usize], point: &[f64]) -> us
     best
 }
 
-fn farthest_from_row(matrix: &[Vec<f64>], rows: &[usize], anchor: &[f64]) -> usize {
-    farthest_from_point(matrix, rows, anchor)
+fn farthest_from_row(points: &Points, rows: &[usize], anchor: &[f64]) -> usize {
+    farthest_from_point(points, rows, anchor)
 }
 
 /// Removes `anchor` and its `k-1` nearest neighbours from `remaining`,
@@ -970,7 +1068,7 @@ fn farthest_from_row(matrix: &[Vec<f64>], rows: &[usize], anchor: &[f64]) -> usi
 /// to all-false before returning, so one allocation serves every cluster
 /// (the retain test is O(1) per row instead of an O(k) `contains` scan).
 fn take_nearest(
-    matrix: &[Vec<f64>],
+    points: &Points,
     remaining: &mut Vec<usize>,
     selected: &mut [bool],
     anchor: usize,
@@ -978,10 +1076,10 @@ fn take_nearest(
 ) -> Vec<usize> {
     // Sort candidates by distance to the anchor; ties broken by row index so
     // the algorithm is fully deterministic.
-    let anchor_point = matrix[anchor].clone();
+    let anchor_point = points.row(anchor);
     let mut scored: Vec<(f64, usize)> = remaining
         .iter()
-        .map(|&r| (dist2(&matrix[r], &anchor_point), r))
+        .map(|&r| (dist2(points.row(r), anchor_point), r))
         .collect();
     scored.sort_by(|a, b| {
         a.0.partial_cmp(&b.0)
@@ -1248,9 +1346,9 @@ mod tests {
     #[test]
     fn split_leaves_cover_rows_exactly_once() {
         let t = jittered_table(90);
-        let mut matrix = numeric_qi_matrix(&t, 3).unwrap();
-        normalize_columns(&mut matrix);
-        let leaves = split_leaves(&matrix, (0..90).collect(), 4, 3);
+        let mut points = Points::numeric_qi(&t, 3).unwrap();
+        points.normalize();
+        let leaves = split_leaves(&points, (0..90).collect(), 4, 3);
         assert!(leaves.len() <= 4 && !leaves.is_empty());
         let mut seen = [false; 90];
         for leaf in &leaves {
@@ -1262,5 +1360,98 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "some row missing from leaves");
+    }
+
+    /// The sort-based split the selection split replaced: every level
+    /// stable-sorts the node's rows by `(value, row)`, cuts at the same
+    /// rank and re-sorts both halves by row. The reference
+    /// [`split_leaves`] is pinned to.
+    fn split_leaves_sorted(
+        points: &Points,
+        rows: Vec<usize>,
+        parts: usize,
+        k: usize,
+    ) -> Vec<Vec<usize>> {
+        fn rec(
+            points: &Points,
+            rows: Vec<usize>,
+            parts: usize,
+            min_leaf: usize,
+            out: &mut Vec<Vec<usize>>,
+        ) {
+            if parts <= 1 || rows.len() < 2 * min_leaf {
+                out.push(rows);
+                return;
+            }
+            let split_dim = widest_dim(points, &rows);
+            let left_parts = parts / 2;
+            let target_left =
+                (rows.len() * left_parts / parts).clamp(min_leaf, rows.len() - min_leaf);
+            let mut sorted = rows;
+            sorted.sort_by(|&a, &b| {
+                points
+                    .get(a, split_dim)
+                    .partial_cmp(&points.get(b, split_dim))
+                    .unwrap_or(Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            let mut right = sorted.split_off(target_left);
+            let mut left = sorted;
+            left.sort_unstable();
+            right.sort_unstable();
+            rec(points, left, left_parts, min_leaf, out);
+            rec(points, right, parts - left_parts, min_leaf, out);
+        }
+        let mut leaves = Vec::new();
+        rec(points, rows, parts, 3 * k, &mut leaves);
+        leaves
+    }
+
+    /// `n` rows over `dims` columns drawn from `levels` values, so equal
+    /// keys are common; level 0 is `0.0` or `-0.0` at random, which the
+    /// split's order must treat as equal.
+    fn tie_points(n: usize, dims: usize, levels: u64, seed: u64) -> Points {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let coords = (0..n * dims)
+            .map(|_| match next() % levels {
+                0 if next() % 2 == 0 => -0.0,
+                level => level as f64,
+            })
+            .collect();
+        Points { coords, dims }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn selection_split_equals_sorted_split(
+            n in 1usize..400,
+            dims in 1usize..4,
+            levels in 1u64..6,
+            seed in 0u64..1_000_000,
+            k in 1usize..12,
+            parts in 1usize..10,
+            near_floor in any::<bool>(),
+        ) {
+            // Near the floor the root holds about `2 * 3k` rows, the
+            // smallest node a cut may split.
+            let n = if near_floor { 6 * k + (seed % 5) as usize - 2 } else { n };
+            let points = tie_points(n, dims, levels, seed);
+            let rows: Vec<usize> = (0..n).collect();
+            prop_assert_eq!(
+                split_leaves(&points, rows.clone(), parts, k),
+                split_leaves_sorted(&points, rows, parts, k),
+                "n={} dims={} levels={} k={} parts={}", n, dims, levels, k, parts
+            );
+        }
     }
 }

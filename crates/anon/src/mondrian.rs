@@ -6,7 +6,7 @@
 //! as long as both halves keep at least `k` records. Serves as the baseline
 //! `Basic_Anonymization` alternative to MDAV in the ablation benches.
 
-use crate::anonymizer::{numeric_qi_matrix, Anonymizer};
+use crate::anonymizer::{Anonymizer, Points};
 use crate::error::Result;
 use crate::partition::Partition;
 use fred_data::Table;
@@ -30,16 +30,15 @@ impl Anonymizer for Mondrian {
     }
 
     fn partition(&self, table: &Table, k: usize) -> Result<Partition> {
-        let matrix = numeric_qi_matrix(table, k)?;
-        let n = matrix.len();
-        let dims = matrix[0].len();
+        let points = Points::numeric_qi(table, k)?;
+        let n = points.len();
         // Global ranges normalize the per-class spread so wide-scaled
         // attributes are not always chosen.
-        let global_range: Vec<f64> = (0..dims)
+        let global_range: Vec<f64> = (0..points.dims)
             .map(|d| {
-                let lo = matrix.iter().map(|r| r[d]).fold(f64::INFINITY, f64::min);
-                let hi = matrix
-                    .iter()
+                let lo = points.rows().map(|r| r[d]).fold(f64::INFINITY, f64::min);
+                let hi = points
+                    .rows()
                     .map(|r| r[d])
                     .fold(f64::NEG_INFINITY, f64::max);
                 hi - lo
@@ -49,7 +48,7 @@ impl Anonymizer for Mondrian {
         let mut classes = Vec::new();
         let mut stack = vec![(0..n).collect::<Vec<usize>>()];
         while let Some(class) = stack.pop() {
-            match split(&matrix, &global_range, &class, k) {
+            match split(&points, &global_range, &class, k) {
                 Some((lhs, rhs)) => {
                     stack.push(lhs);
                     stack.push(rhs);
@@ -64,7 +63,7 @@ impl Anonymizer for Mondrian {
 /// Attempts to split `class` into two halves of at least `k` rows each.
 /// Dimensions are tried in decreasing order of normalized spread.
 fn split(
-    matrix: &[Vec<f64>],
+    points: &Points,
     global_range: &[f64],
     class: &[usize],
     k: usize,
@@ -72,16 +71,15 @@ fn split(
     if class.len() < 2 * k {
         return None;
     }
-    let dims = matrix[0].len();
-    let mut spreads: Vec<(f64, usize)> = (0..dims)
+    let mut spreads: Vec<(f64, usize)> = (0..points.dims)
         .map(|d| {
             let lo = class
                 .iter()
-                .map(|&r| matrix[r][d])
+                .map(|&r| points.get(r, d))
                 .fold(f64::INFINITY, f64::min);
             let hi = class
                 .iter()
-                .map(|&r| matrix[r][d])
+                .map(|&r| points.get(r, d))
                 .fold(f64::NEG_INFINITY, f64::max);
             let norm = if global_range[d] > 0.0 {
                 (hi - lo) / global_range[d]
@@ -102,16 +100,16 @@ fn split(
         if spread <= 0.0 {
             break; // all remaining dimensions are constant within the class
         }
-        let mut values: Vec<f64> = class.iter().map(|&r| matrix[r][d]).collect();
+        let mut values: Vec<f64> = class.iter().map(|&r| points.get(r, d)).collect();
         values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let median = values[values.len() / 2];
         // Strict Mondrian: lhs <= median < rhs. If the median equals the
         // maximum (heavy ties), fall back to < median | >= median.
         let (mut lhs, mut rhs): (Vec<usize>, Vec<usize>) =
-            class.iter().partition(|&&r| matrix[r][d] <= median);
+            class.iter().partition(|&&r| points.get(r, d) <= median);
         if rhs.len() < k || lhs.len() < k {
             let parts: (Vec<usize>, Vec<usize>) =
-                class.iter().partition(|&&r| matrix[r][d] < median);
+                class.iter().partition(|&&r| points.get(r, d) < median);
             lhs = parts.0;
             rhs = parts.1;
         }

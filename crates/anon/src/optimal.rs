@@ -13,7 +13,7 @@
 //! the original ones — in the ablation benches it lower-bounds MDAV's
 //! within-class spread on elongated data.
 
-use crate::anonymizer::{normalize_columns, numeric_qi_matrix, Anonymizer};
+use crate::anonymizer::{Anonymizer, Points};
 use crate::error::Result;
 use crate::partition::Partition;
 use fred_data::Table;
@@ -37,9 +37,9 @@ impl Anonymizer for OptimalUnivariate {
     }
 
     fn partition(&self, table: &Table, k: usize) -> Result<Partition> {
-        let mut matrix = numeric_qi_matrix(table, k)?;
-        normalize_columns(&mut matrix);
-        let projected = project_principal(&matrix);
+        let mut points = Points::numeric_qi(table, k)?;
+        points.normalize();
+        let projected = project_principal(&points);
         let mut order: Vec<usize> = (0..projected.len()).collect();
         order.sort_by(|&a, &b| {
             projected[a]
@@ -60,40 +60,38 @@ impl Anonymizer for OptimalUnivariate {
 }
 
 /// Projects rows onto the dominant principal direction of the (already
-/// normalized) matrix via power iteration. Falls back to the first column
-/// when the iteration degenerates (e.g. all-zero matrix).
-fn project_principal(matrix: &[Vec<f64>]) -> Vec<f64> {
-    let n = matrix.len();
-    let d = matrix[0].len();
+/// normalized) points via power iteration. Falls back to the first column
+/// when the iteration degenerates (e.g. all-zero points).
+fn project_principal(points: &Points) -> Vec<f64> {
+    let d = points.dims;
     if d == 1 {
-        return matrix.iter().map(|r| r[0]).collect();
+        return points.coords.clone();
     }
     // Covariance-free power iteration: v <- Xᵀ(Xv), normalized.
     let mut v = vec![1.0 / (d as f64).sqrt(); d];
     for _ in 0..64 {
         // w = X v  (length n)
-        let w: Vec<f64> = matrix
-            .iter()
+        let w: Vec<f64> = points
+            .rows()
             .map(|row| row.iter().zip(&v).map(|(&x, &vi)| x * vi).sum())
             .collect();
         // u = Xᵀ w (length d)
         let mut u = vec![0.0; d];
-        for (row, &wi) in matrix.iter().zip(&w) {
+        for (row, &wi) in points.rows().zip(&w) {
             for (j, &x) in row.iter().enumerate() {
                 u[j] += x * wi;
             }
         }
         let norm = u.iter().map(|x| x * x).sum::<f64>().sqrt();
         if norm < 1e-12 {
-            return matrix.iter().map(|r| r[0]).collect();
+            return points.rows().map(|r| r[0]).collect();
         }
         for (vi, ui) in v.iter_mut().zip(&u) {
             *vi = ui / norm;
         }
     }
-    let _ = n;
-    matrix
-        .iter()
+    points
+        .rows()
         .map(|row| row.iter().zip(&v).map(|(&x, &vi)| x * vi).sum())
         .collect()
 }
@@ -152,14 +150,13 @@ fn optimal_boundaries(sorted: &[f64], k: usize) -> Vec<usize> {
 /// quasi-identifiers — the quantity microaggregation minimizes. Exposed so
 /// benches can compare MDAV against the optimal partitioner.
 pub fn within_class_sse(table: &Table, partition: &Partition) -> Result<f64> {
-    let mut matrix = numeric_qi_matrix(table, 1)?;
-    normalize_columns(&mut matrix);
+    let mut points = Points::numeric_qi(table, 1)?;
+    points.normalize();
     let mut total = 0.0;
     for class in partition.classes() {
-        let dims = matrix[0].len();
-        let mut centroid = vec![0.0; dims];
+        let mut centroid = vec![0.0; points.dims];
         for &r in class {
-            for (j, &x) in matrix[r].iter().enumerate() {
+            for (j, &x) in points.row(r).iter().enumerate() {
                 centroid[j] += x;
             }
         }
@@ -167,7 +164,8 @@ pub fn within_class_sse(table: &Table, partition: &Partition) -> Result<f64> {
             *c /= class.len() as f64;
         }
         for &r in class {
-            total += matrix[r]
+            total += points
+                .row(r)
                 .iter()
                 .zip(&centroid)
                 .map(|(&x, &c)| (x - c) * (x - c))

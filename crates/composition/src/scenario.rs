@@ -7,6 +7,15 @@
 //! — and publishes its own k-anonymized release, each safe in isolation.
 //! The intersection engine then demonstrates that the *composition* of
 //! the releases is not.
+//!
+//! The sources are anonymized in one batched
+//! [`Anonymizer::partition_all`] call rather than one call per source on
+//! the pool. The rayon shim runs a parallel call made inside a pool
+//! worker inline, so per-source calls would run each source's MDAV
+//! leaves one after another on one worker, and with three sources on two
+//! workers one worker would take two sources while the other took one;
+//! the batch lets MDAV put every source's leaves in one flat task list
+//! at the top level.
 
 use fred_anon::{Anonymizer, Partition, QiStyle};
 use fred_data::Table;
@@ -163,10 +172,12 @@ pub fn core_targets(n: usize, config: &ScenarioConfig) -> Result<Vec<usize>> {
 /// releases exist.
 ///
 /// Sources are *mutually independent* (each one's RNG stream is seeded
-/// from `(seed, s)` alone), so their construction — including the
-/// per-source MDAV run, the dominant cost at enterprise scale — fans out
-/// across the worker pool. Results are collected in source order, so the
-/// scenario is bit-identical regardless of thread count.
+/// from `(seed, s)` alone), so their sub-tables are built across the
+/// worker pool; then all of them are anonymized in one
+/// [`Anonymizer::partition_all`] call, the dominant cost at enterprise
+/// scale (see the module docs for why it is one call). Results are
+/// collected in source order, so the scenario is bit-identical
+/// regardless of thread count.
 ///
 /// When [`ScenarioConfig::defense`] is set, the curators coordinate:
 /// [`DefensePolicy::OverlapCap`] replaces the independent extras samples
@@ -222,9 +233,9 @@ pub fn generate_scenario(
         _ => None,
     };
 
-    let mut sources: Vec<Source> = (0..config.releases)
+    let built: Vec<(Vec<usize>, Table)> = (0..config.releases)
         .into_par_iter()
-        .map(|s| -> Result<Source> {
+        .map(|s| -> Result<(Vec<usize>, Table)> {
             // `s + 1`: with a bare `s` the first source's stream would
             // equal the split's (the multiplier zeroes out), replaying
             // the core selection instead of sampling independently.
@@ -253,25 +264,33 @@ pub fn generate_scenario(
                 .map(|&r| table.rows()[r].clone())
                 .collect::<Vec<_>>();
             let sub_table = Table::with_rows(table.schema().clone(), sub_rows)?;
-            let partition = match &coordinated_core {
-                Some(core_classes) => defense::coordinated_partition(
-                    core_classes,
-                    &rows,
-                    &sub_table,
-                    anonymizer,
-                    config.k,
-                )?,
-                None => anonymizer.partition(&sub_table, config.k)?,
-            };
-            Ok(Source {
-                global_rows: rows,
-                table: sub_table,
-                partition,
-                k: config.k,
-                style: config.styles[s % config.styles.len()],
-            })
+            Ok((rows, sub_table))
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<Result<_>>()?;
+    let partitions: Vec<Partition> = match &coordinated_core {
+        Some(core_classes) => built
+            .par_iter()
+            .map(|(rows, sub_table)| {
+                defense::coordinated_partition(core_classes, rows, sub_table, anonymizer, config.k)
+            })
+            .collect::<Result<_>>()?,
+        None => {
+            let tables: Vec<&Table> = built.iter().map(|(_, sub_table)| sub_table).collect();
+            anonymizer.partition_all(&tables, config.k)?
+        }
+    };
+    let mut sources: Vec<Source> = built
+        .into_iter()
+        .zip(partitions)
+        .enumerate()
+        .map(|(s, ((rows, sub_table), partition))| Source {
+            global_rows: rows,
+            table: sub_table,
+            partition,
+            k: config.k,
+            style: config.styles[s % config.styles.len()],
+        })
+        .collect();
     if let Some(DefensePolicy::CalibratedWiden { target_k }) = config.defense {
         defense::calibrate_widen(&mut sources, &targets, table.len(), target_k)?;
     }

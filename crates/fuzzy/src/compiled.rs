@@ -10,19 +10,26 @@
 //!   postfix programs over an explicit stack — no recursion, no string
 //!   hashing);
 //! * the output universe `xs` and every consequent term's membership
-//!   curve sampled over it are precomputed;
+//!   curve sampled over it are precomputed, with the span of samples
+//!   where each curve is nonzero (its support), so a fired rule touches
+//!   only its support and the centroid sums only the union of the fired
+//!   supports;
 //! * the aggregated output curve lives in a caller-owned reusable
 //!   [`Scratch`], so steady-state evaluation performs **zero heap
 //!   allocations**.
 //!
 //! The compiled engine is float-for-float identical to the interpreted
 //! one: it performs the same operations on the same values in the same
-//! order (see the equivalence tests at the bottom of this module).
+//! order, leaving out only the terms of zero degree, which change no bit
+//! (see [`CompiledEngine::evaluate_with`] and the equivalence tests at
+//! the bottom of this module).
 
+use crate::defuzz::Defuzzifier;
 use crate::engine::{Aggregation, AndOp, EngineConfig, FuzzyEngine, Implication, OrOp};
 use crate::error::{FuzzyError, Result};
 use crate::membership::MembershipFunction;
 use crate::rule::Antecedent;
+use std::ops::Range;
 
 /// One postfix instruction of a compiled antecedent.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,6 +81,9 @@ pub struct CompiledEngine {
     xs: Vec<f64>,
     /// `consequent_curves[t][j]` = degree of output term `t` at `xs[j]`.
     consequent_curves: Vec<Vec<f64>>,
+    /// `supports[t]`: the samples from the first to the last nonzero
+    /// degree of output term `t` (empty when the curve is all zero).
+    supports: Vec<Range<usize>>,
 }
 
 impl CompiledEngine {
@@ -140,6 +150,13 @@ impl CompiledEngine {
             .iter()
             .map(|t| xs.iter().map(|&x| t.mf().degree(x)).collect())
             .collect();
+        let supports = consequent_curves
+            .iter()
+            .map(|curve| match curve.iter().position(|&m| m != 0.0) {
+                Some(first) => first..curve.iter().rposition(|&m| m != 0.0).unwrap_or(first) + 1,
+                None => 0..0,
+            })
+            .collect();
 
         Ok(CompiledEngine {
             input_names,
@@ -149,6 +166,7 @@ impl CompiledEngine {
             config: *engine.config(),
             xs,
             consequent_curves,
+            supports,
         })
     }
 
@@ -223,16 +241,37 @@ impl CompiledEngine {
 
     /// Runs inference on positional inputs (declaration order), reusing
     /// `scratch`; the hot-path equivalent of [`FuzzyEngine::evaluate`].
+    ///
+    /// A fired rule is applied only across its consequent's support.
+    /// Outside it the curve is `0`, and a zero degree implied by a finite
+    /// strength `w > 0` (`0.min(w)` or `0 · w`) leaves a nonnegative
+    /// aggregate unchanged under both `Max` and `BoundedSum`, so skipping
+    /// it changes no bit. A non-finite strength (a NaN input) can turn a
+    /// zero degree into a NaN term, so such a rule covers the whole
+    /// universe. The centroid then sums only the union span of the
+    /// applied supports: every sample outside it is `0` and would add
+    /// `±0` to sums that are `+0` or nonzero, which is exact. The other
+    /// defuzzifiers read the whole curve.
     pub fn evaluate_with(&self, values: &[f64], scratch: &mut Scratch) -> Result<f64> {
         self.fire(values, scratch)?;
+        let n = self.xs.len();
         let aggregate = &mut scratch.aggregate;
         aggregate.clear();
-        aggregate.resize(self.xs.len(), 0.0);
+        aggregate.resize(n, 0.0);
+        let mut span = n..0;
         for (rule, &w) in self.rules.iter().zip(&scratch.strengths) {
             if w <= 0.0 {
                 continue;
             }
-            let curve = &self.consequent_curves[rule.consequent as usize];
+            let t = rule.consequent as usize;
+            let support = if w.is_finite() {
+                self.supports[t].clone()
+            } else {
+                0..n
+            };
+            span = span.start.min(support.start)..span.end.max(support.end);
+            let curve = &self.consequent_curves[t][support.clone()];
+            let aggregate = &mut aggregate[support];
             match (self.config.implication, self.config.aggregation) {
                 (Implication::Min, Aggregation::Max) => {
                     for (agg, &m) in aggregate.iter_mut().zip(curve) {
@@ -256,9 +295,14 @@ impl CompiledEngine {
                 }
             }
         }
+        let span = match self.config.defuzzifier {
+            Defuzzifier::Centroid if span.start < span.end => span,
+            Defuzzifier::Centroid => 0..0,
+            _ => 0..n,
+        };
         self.config
             .defuzzifier
-            .defuzzify(&self.xs, aggregate)
+            .defuzzify(&self.xs[span.clone()], &aggregate[span])
             .ok_or(FuzzyError::NoRuleFired)
     }
 
@@ -377,6 +421,144 @@ mod tests {
             .unwrap();
         let engine = crate::engine::FuzzyEngine::new(vec![service], tip);
         assert!(matches!(engine.compile(), Err(FuzzyError::NoRules)));
+    }
+
+    /// A random rulebase under `config`: one to three inputs with two to
+    /// five uniform terms each (plus, on some inputs, a Gaussian term that
+    /// is nonzero across the universe), an output with uniform terms, a
+    /// trapezoid and a narrow triangle, and one to nine rules of random
+    /// shape and weight.
+    fn random_engine(seed: u64, config: EngineConfig, resolution: usize) -> FuzzyEngine {
+        use crate::rule::Rule;
+        const LABELS: [&str; 5] = ["a", "b", "c", "d", "e"];
+        struct Lcg(u64);
+        impl Lcg {
+            fn unit(&mut self) -> f64 {
+                self.0 = self
+                    .0
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (self.0 >> 11) as f64 / (1u64 << 53) as f64
+            }
+            fn pick(&mut self, n: usize) -> usize {
+                ((self.unit() * n as f64) as usize).min(n - 1)
+            }
+        }
+        let mut rng = Lcg(seed | 1);
+        let n_inputs = 1 + rng.pick(3);
+        let mut inputs = Vec::new();
+        let mut terms: Vec<Vec<String>> = Vec::new();
+        for i in 0..n_inputs {
+            let n_terms = 2 + rng.pick(4);
+            let mut var = LinguisticVariable::new(format!("x{i}"), 0.0, 10.0)
+                .unwrap()
+                .with_uniform_terms(&LABELS[..n_terms])
+                .unwrap();
+            let mut names: Vec<String> = LABELS[..n_terms].iter().map(|l| l.to_string()).collect();
+            if rng.pick(2) == 0 {
+                var = var
+                    .with_term("g", MembershipFunction::gaussian(5.0, 2.0).unwrap())
+                    .unwrap();
+                names.push("g".into());
+            }
+            inputs.push(var);
+            terms.push(names);
+        }
+        let out_terms = 2 + rng.pick(4);
+        let output = LinguisticVariable::new("y", -20.0, 40.0)
+            .unwrap()
+            .with_uniform_terms(&LABELS[..out_terms])
+            .unwrap()
+            .with_term(
+                "trap",
+                MembershipFunction::trapezoidal(-5.0, 0.0, 3.0, 9.0).unwrap(),
+            )
+            .unwrap()
+            .with_term(
+                "spike",
+                MembershipFunction::triangular(12.0, 12.5, 13.0).unwrap(),
+            )
+            .unwrap();
+        let mut out_names: Vec<&str> = LABELS[..out_terms].to_vec();
+        out_names.extend(["trap", "spike"]);
+        let mut engine = FuzzyEngine::new(inputs, output)
+            .with_config(config)
+            .with_resolution(resolution);
+        for _ in 0..1 + rng.pick(9) {
+            let atom = |rng: &mut Lcg| {
+                let i = rng.pick(n_inputs);
+                let t = &terms[i][rng.pick(terms[i].len())];
+                Antecedent::is(format!("x{i}"), t.clone())
+            };
+            let antecedent = match rng.pick(4) {
+                0 => atom(&mut rng).and(atom(&mut rng)),
+                1 => atom(&mut rng).or(atom(&mut rng)),
+                2 => atom(&mut rng).not(),
+                _ => atom(&mut rng),
+            };
+            let weight = 0.05 + 0.95 * rng.unit();
+            let rule = Rule::new(antecedent, out_names[rng.pick(out_names.len())])
+                .with_weight(weight)
+                .unwrap();
+            engine.add_rule(rule).unwrap();
+        }
+        engine
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn compiled_matches_interpreted_for_every_operator_and_defuzzifier(
+            seed in 0u64..1_000_000,
+            implication in 0usize..2,
+            aggregation in 0usize..2,
+            defuzzifier in 0usize..5,
+            and_op in 0usize..2,
+            or_op in 0usize..2,
+            resolution in 11usize..700,
+            nan_input in 0usize..8,
+        ) {
+            let config = EngineConfig {
+                and_op: [AndOp::Min, AndOp::Product][and_op],
+                or_op: [OrOp::Max, OrOp::ProbabilisticSum][or_op],
+                implication: [Implication::Min, Implication::Product][implication],
+                aggregation: [Aggregation::Max, Aggregation::BoundedSum][aggregation],
+                defuzzifier: [
+                    Defuzzifier::Centroid,
+                    Defuzzifier::Bisector,
+                    Defuzzifier::MeanOfMaxima,
+                    Defuzzifier::SmallestOfMaxima,
+                    Defuzzifier::LargestOfMaxima,
+                ][defuzzifier],
+            };
+            let engine = random_engine(seed, config, resolution);
+            let compiled = engine.compile().unwrap();
+            let mut scratch = compiled.scratch();
+            let names: Vec<String> = (0..compiled.n_inputs()).map(|i| format!("x{i}")).collect();
+            for step in 0..24u64 {
+                // Inputs sweep past both ends of the universe (clamped);
+                // a NaN input yields a NaN firing strength.
+                let mut values: Vec<f64> = (0..names.len())
+                    .map(|i| ((seed + step * 7 + i as u64 * 13) % 29) as f64 * 0.5 - 2.0)
+                    .collect();
+                if nan_input == 0 && step % 5 == 0 {
+                    values[0] = f64::NAN;
+                }
+                let map: HashMap<&str, f64> =
+                    names.iter().map(String::as_str).zip(values.iter().copied()).collect();
+                let interpreted = engine.evaluate(&map).map(f64::to_bits);
+                let fast = compiled.evaluate_with(&values, &mut scratch).map(f64::to_bits);
+                prop_assert_eq!(
+                    format!("{interpreted:?}"),
+                    format!("{fast:?}"),
+                    "seed={} config={:?} resolution={} values={:?}",
+                    seed, config, resolution, values
+                );
+            }
+        }
     }
 
     #[test]

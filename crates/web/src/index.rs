@@ -548,9 +548,14 @@ impl SearchEngine {
     /// count. Name-comparison consumers (the harvest's agreement cache
     /// and its per-name comparator keys) key their work on the name id
     /// instead of the page id and skip the duplicates entirely.
+    ///
+    /// The map is sized for every page up front: at 100k rows four in five
+    /// display names are distinct, and a map grown by doubling re-hashes
+    /// each name about twice more.
     pub fn distinct_display_names(&self) -> DisplayNames<'_> {
         let mut page_name_ids = Vec::with_capacity(self.pages.len());
-        let mut ids: FnvMap<&str, u32> = FnvMap::default();
+        let mut ids: FnvMap<&str, u32> =
+            FnvMap::with_capacity_and_hasher(self.pages.len(), Default::default());
         let mut names: Vec<&str> = Vec::new();
         for page in &self.pages {
             let next = names.len() as u32;
