@@ -36,7 +36,11 @@
 //!   must stay *strictly below* the undefended gain at the same `R`
 //!   (a defense that stops defending is a regression), and every
 //!   `calibrated_widen_*` row must keep `mean_candidates >= k` (the
-//!   block's own `k` line) — the floor the calibration exists to hold;
+//!   block's own `k` line) — the floor the calibration exists to hold —
+//!   and when the committed block was taken at the same seed, size, `k`
+//!   and overlap, each committed `(policy, releases)` row must match the
+//!   fresh one value-for-value (the defense is seeded and deterministic,
+//!   so any drift is a behavior change);
 //! * every number in the file must be finite: a NaN gain would otherwise
 //!   sail through the strict-monotonicity check (NaN comparisons are all
 //!   false), so a row carrying a non-finite value drops out of its series
@@ -480,6 +484,29 @@ pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareRepor
                         "defense `{policy}` mean candidates fell to {:.2} at R={} \
                          (must stay >= k = {k})",
                         row.mean_candidates, row.releases
+                    ));
+                }
+            }
+        }
+    }
+    // Cross-run pin: a defense row is a pure function of (seed, size, k,
+    // overlap, policy, R), so at a matched configuration every committed
+    // row must reappear value-for-value, like the zero-fault robustness
+    // row.
+    if let (Some(cd), Some(fd)) = (&c.composition_defense, &f.composition_defense) {
+        if (c.seed, c.size, cd.k, cd.overlap) == (f.seed, f.size, fd.k, fd.overlap) {
+            for row in &cd.rows {
+                let drifted = fd
+                    .rows
+                    .iter()
+                    .find(|r| r.policy == row.policy && r.releases == row.releases)
+                    .filter(|fresh_row| *fresh_row != row);
+                if let Some(fresh_row) = drifted {
+                    report.violations.push(format!(
+                        "defense `{}` row at R={} drifted from the committed baseline \
+                         (the defense is seeded and deterministic): committed {row:?}, \
+                         fresh {fresh_row:?}",
+                        row.policy, row.releases
                     ));
                 }
             }
@@ -1567,6 +1594,26 @@ mod tests {
         );
         // The surviving policy still gates (and passes) normally.
         assert_notes(&report, "coordinated_seeds");
+    }
+
+    #[test]
+    fn defense_rows_are_pinned_across_runs_at_a_matched_configuration() {
+        let rows = [
+            ("coordinated_seeds", 3, 0.0, 9000.0, 5.0),
+            ("calibrated_widen_k5", 3, 2000.0, 9000.0, 5.2),
+        ];
+        let committed = synthetic_defense_json(5, &rows);
+        assert_passes(&committed, &committed);
+        // One field of one row moves: the pin fires on that row alone.
+        let edited = edit(&committed, |b| {
+            b.composition_defense.as_mut().unwrap().rows[1].mean_candidates = 5.3;
+        });
+        let report = compare_baselines(&committed, &edited);
+        assert_fires(&report, "`calibrated_widen_k5` row at R=3 drifted");
+        assert_silent(&report, "`coordinated_seeds` row");
+        // At another configuration the rows legitimately differ.
+        let reseeded = edit(&edited, |b| b.seed += 1);
+        assert_silent(&compare_baselines(&committed, &reseeded), "drifted");
     }
 
     #[test]

@@ -41,7 +41,7 @@ use fred_attack::{harvest_auxiliary, harvest_auxiliary_tolerant, HarvestConfig};
 use fred_bench::perf::{quick_bench, QuickBench, QuickBenchOptions};
 use fred_bench::world::WorldConfig;
 use fred_composition::{
-    candidate_counts, generate_scenario, intersect_releases, intersect_releases_sequential,
+    generate_scenario, intersect_releases, intersect_releases_sequential,
     intersect_releases_tolerant, CompositionScenario, ScenarioConfig,
 };
 use fred_faults::{Degradation, FaultPlan};
@@ -296,9 +296,6 @@ fn intersect_probes_counter_reconciles_with_the_class_sizes() {
         )
         .expect("tolerant intersect");
     });
-    let counts = probes(&|| {
-        candidate_counts(&scenario.sources, &rows, n, chunk).expect("counts");
-    });
     let oracle = probes(&|| {
         intersect_releases_sequential(&scenario.sources, &rows, n, chunk).expect("oracle");
     });
@@ -308,7 +305,6 @@ fn intersect_probes_counter_reconciles_with_the_class_sizes() {
         tolerant, expected,
         "zero-rate tolerant engine vs class sizes"
     );
-    assert_eq!(counts, expected, "candidate_counts vs class sizes");
     assert_eq!(oracle, 0, "the row-scan oracle probes nothing");
 }
 
@@ -359,12 +355,6 @@ fn intersect_summaries_counter_counts_each_readable_class_once() {
                     &mut deg,
                 )
                 .expect("tolerant intersect");
-            }),
-        ),
-        (
-            "candidate_counts",
-            counts(&|| {
-                candidate_counts(&scenario.sources, &rows, n, chunk).expect("counts");
             }),
         ),
     ];

@@ -31,14 +31,17 @@
 //!   `|∩ classes| ≥ target_k` for every core target. This is noise
 //!   calibrated against the *composition*, not against any single
 //!   release — a single release at `target_k = k` needs no widening at
-//!   all.
+//!   all. The calibration works on the intersection engine's class maps
+//!   (one class per master row, O(n) per source) plus a member list per
+//!   class, relabelled in place as classes merge, and measures a target
+//!   by probing its smallest class: O(R·|class|) per re-measure.
 //!
 //! Policies are threaded through [`crate::ScenarioConfig::defense`]; the
 //! harness ([`crate::defense_sweep`], `repro --compose --defend`) reports
 //! each policy's *residual* disclosure gain next to the undefended gain
 //! plus the utility price of the widened boxes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use fred_anon::{Anonymizer, Partition};
 use fred_data::Table;
@@ -46,6 +49,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::error::{CompositionError, Result};
+use crate::intersect::{consistent, map_classes, ABSENT};
 use crate::scenario::{shuffle, Source};
 
 /// A coordinated-release countermeasure against composition attacks.
@@ -218,53 +222,80 @@ pub(crate) fn coordinated_partition(
     Partition::new(classes, rows.len()).map_err(Into::into)
 }
 
-/// Union-find root with path halving.
-fn find(parent: &mut [usize], mut x: usize) -> usize {
-    while parent[x] != x {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-    }
-    x
-}
+/// Work counter: master rows probed by one calibration, summed over its
+/// re-measures and unblock tallies.
+const DEFENSE_PROBES: &str = "defense.probes";
 
-/// One source's candidate geometry, derived from the partition alone (the
-/// calibration never needs the published summaries): `class_of_master[g]`
-/// is the class index of master row `g` (`u32::MAX` when absent from the
-/// source) and `class_bits[c]` is class `c` as a bitset over master rows.
-struct ClassBits {
+/// One source's live classes during calibration: the validated class map
+/// of [`map_classes`], relabelled in place as classes merge (a merged
+/// class carries its lowest original class id), and each class's master
+/// rows (empty once merged away).
+struct Groups {
     class_of_master: Vec<u32>,
-    class_bits: Vec<Vec<u64>>,
+    members: Vec<Vec<u32>>,
 }
 
-fn master_class_bits(source: &Source, n_master: usize) -> ClassBits {
-    let class_of_local = source.partition.class_of_rows();
-    let words = n_master.div_ceil(64);
-    let mut class_bits = vec![vec![0u64; words]; source.partition.len()];
-    let mut class_of_master = vec![u32::MAX; n_master];
-    for (local, &g) in source.global_rows.iter().enumerate() {
-        let class = class_of_local[local];
-        class_bits[class][g >> 6] |= 1u64 << (g & 63);
-        class_of_master[g] = class as u32;
-    }
-    ClassBits {
-        class_of_master,
-        class_bits,
-    }
-}
-
-/// Set master rows of `bits`.
-fn iter_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    bits.iter().enumerate().flat_map(|(wi, &word)| {
-        let mut w = word;
-        std::iter::from_fn(move || {
-            if w == 0 {
-                return None;
+impl Groups {
+    fn new(source: &Source, source_idx: usize, n_master: usize, qi_cols: &[usize]) -> Result<Self> {
+        let class_of_master = map_classes(source, source_idx, n_master, qi_cols)?.class_of_master;
+        let mut members = vec![Vec::new(); source.partition.len()];
+        for (g, &c) in class_of_master.iter().enumerate() {
+            if c != ABSENT {
+                members[c as usize].push(g as u32);
             }
-            let b = w.trailing_zeros() as usize;
-            w &= w - 1;
-            Some(wi * 64 + b)
+        }
+        Ok(Groups {
+            class_of_master,
+            members,
         })
-    })
+    }
+
+    /// The live class of master row `row`, `None` when the source lacks it.
+    fn of(&self, row: usize) -> Option<usize> {
+        match self.class_of_master[row] {
+            ABSENT => None,
+            c => Some(c as usize),
+        }
+    }
+
+    /// Merges classes `a` and `b` under the lower id.
+    fn merge(&mut self, a: usize, b: usize) {
+        let (lo, hi) = (a.min(b), a.max(b));
+        let moved = std::mem::take(&mut self.members[hi]);
+        for &g in &moved {
+            self.class_of_master[g as usize] = lo as u32;
+        }
+        self.members[lo].extend(moved);
+    }
+}
+
+/// The master rows sharing `t`'s class in every source but `skip` that
+/// holds `t`, found by probing the smallest such class with
+/// [`consistent`]; `None` when no such source holds `t`. Adds the rows
+/// probed to `probes`.
+fn shared_rows<'a>(
+    groups: &'a [Groups],
+    t: usize,
+    skip: Option<usize>,
+    probes: &mut usize,
+) -> Option<impl Iterator<Item = usize> + 'a> {
+    let held = move || {
+        groups
+            .iter()
+            .enumerate()
+            .filter(move |&(s, _)| Some(s) != skip)
+            .map(|(_, g)| g)
+    };
+    let probed = held()
+        .filter_map(|g| g.of(t).map(|c| &g.members[c]))
+        .min_by_key(|members| members.len())?;
+    *probes += probed.len();
+    Some(
+        probed
+            .iter()
+            .map(|&r| r as usize)
+            .filter(move |&r| consistent(held().map(|g| g.class_of_master.as_slice()), t, r)),
+    )
 }
 
 /// [`DefensePolicy::CalibratedWiden`] applied in place: walks the core
@@ -281,7 +312,17 @@ fn iter_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// — the loop provably terminates with `|∩ classes| ≥ target_k` for
 /// every target (the scenario validation pins `target_k ≤ core size`).
 /// The merge-measure-merge discipline keeps the widening near the
-/// minimum the floor needs instead of flattening whole releases.
+/// minimum the floor needs on small worlds; at 10k rows and more the
+/// tie-break to the lowest source still grows source 0 into one class.
+///
+/// Each source keeps the intersection engine's class map (class per
+/// master row, O(n)), relabelled in place on a merge, and a member list
+/// per live class. A re-measure probes the members of the target's
+/// smallest class against the other sources' maps, O(R·|class|); a
+/// source's unblock tally probes the smallest of the *other* sources'
+/// classes the same way, and scans the master table only when no other
+/// source holds the target. Emits the rows probed as the
+/// `defense.probes` work counter.
 ///
 /// Returns the number of class merges performed (the widening budget the
 /// calibration spent).
@@ -291,119 +332,71 @@ pub(crate) fn calibrate_widen(
     n_master: usize,
     target_k: usize,
 ) -> Result<usize> {
-    let words = n_master.div_ceil(64);
-    let digests: Vec<ClassBits> = sources
+    let qi_cols = sources
+        .first()
+        .map(|s| s.table.quasi_identifier_columns())
+        .unwrap_or_default();
+    let mut groups: Vec<Groups> = sources
         .iter()
-        .map(|s| master_class_bits(s, n_master))
-        .collect();
-    let mut parents: Vec<Vec<usize>> = sources
-        .iter()
-        .map(|s| (0..s.partition.len()).collect())
-        .collect();
-    // Live candidate bitset per class root (meaningful at root indices
-    // only); a union ORs the absorbed root into the surviving one.
-    let mut root_bits: Vec<Vec<Vec<u64>>> = digests.iter().map(|d| d.class_bits.clone()).collect();
+        .enumerate()
+        .map(|(s, source)| Groups::new(source, s, n_master, &qi_cols))
+        .collect::<Result<_>>()?;
     let total_classes: usize = sources.iter().map(|s| s.partition.len()).sum();
     let mut merges = 0usize;
-    let mut cand = vec![0u64; words];
-    let mut others = vec![0u64; words];
+    let mut probes = 0usize;
 
     for &t in targets {
         loop {
-            // Candidates of t under the current merged state.
-            let mut seen = 0usize;
-            for (s, digest) in digests.iter().enumerate() {
-                let class = digest.class_of_master[t];
-                if class == u32::MAX {
-                    continue;
-                }
-                let root = find(&mut parents[s], class as usize);
-                if seen == 0 {
-                    cand.copy_from_slice(&root_bits[s][root]);
-                } else {
-                    for (w, &src) in cand.iter_mut().zip(&root_bits[s][root]) {
-                        *w &= src;
-                    }
-                }
-                seen += 1;
-            }
-            if seen == 0 {
-                // Core targets sit in every source; an absent target has
-                // no classes to widen.
+            // Candidates of t under the current merged state. Core
+            // targets sit in every source; an absent target has no
+            // classes to widen.
+            let Some(candidates) = shared_rows(&groups, t, None, &mut probes) else {
+                break;
+            };
+            if candidates.count() >= target_k {
                 break;
             }
-            if cand.iter().map(|w| w.count_ones() as usize).sum::<usize>() >= target_k {
-                break;
-            }
-            // Best (rows unblocked, source, neighbor root): rows every
+            // Best (rows unblocked, source, neighbor class): rows every
             // other release allows that sit in one mergeable class of
-            // this source. Ties resolve to the lowest (source, root), so
-            // calibration is deterministic.
+            // this source. Sources and classes are visited ascending and
+            // only a strictly larger tally replaces the best, so ties
+            // resolve to the lowest (source, class) and calibration is
+            // deterministic.
             let mut best: Option<(usize, usize, usize)> = None;
-            for (s, digest) in digests.iter().enumerate() {
-                let class = digest.class_of_master[t];
-                if class == u32::MAX {
+            for (s, g) in groups.iter().enumerate() {
+                let Some(own) = g.of(t) else {
                     continue;
-                }
-                let own_root = find(&mut parents[s], class as usize);
-                others.iter_mut().for_each(|w| *w = !0u64);
-                for (s2, other) in digests.iter().enumerate() {
-                    if s2 == s {
-                        continue;
+                };
+                let mut tally: BTreeMap<usize, usize> = BTreeMap::new();
+                let mut unblock = |row: usize| {
+                    if let Some(c) = g.of(row).filter(|&c| c != own) {
+                        *tally.entry(c).or_insert(0) += 1;
                     }
-                    let c2 = other.class_of_master[t];
-                    if c2 == u32::MAX {
-                        continue;
-                    }
-                    let r2 = find(&mut parents[s2], c2 as usize);
-                    for (w, &src) in others.iter_mut().zip(&root_bits[s2][r2]) {
-                        *w &= src;
+                };
+                match shared_rows(&groups, t, Some(s), &mut probes) {
+                    Some(rows) => rows.for_each(&mut unblock),
+                    None => {
+                        probes += n_master;
+                        (0..n_master).for_each(&mut unblock);
                     }
                 }
-                // Clear the padding bits past n_master: with no other
-                // source to AND against (a lone release, or a target
-                // present in one source only) the all-ones seed would
-                // survive into ghost rows beyond the table.
-                let tail = n_master % 64;
-                if tail != 0 {
-                    if let Some(last) = others.last_mut() {
-                        *last &= (1u64 << tail) - 1;
-                    }
-                }
-                let mut tally: HashMap<usize, usize> = HashMap::new();
-                for row in iter_bits(&others) {
-                    let rc = digest.class_of_master[row];
-                    if rc == u32::MAX {
-                        continue;
-                    }
-                    let root = find(&mut parents[s], rc as usize);
-                    if root != own_root {
-                        *tally.entry(root).or_insert(0) += 1;
-                    }
-                }
-                for (&root, &count) in &tally {
-                    if best.is_none_or(|(bc, bs, br)| {
-                        count > bc || (count == bc && (s, root) < (bs, br))
-                    }) {
-                        best = Some((count, s, root));
+                for (class, count) in tally {
+                    if best.is_none_or(|(bc, _, _)| count > bc) {
+                        best = Some((count, s, class));
                     }
                 }
             }
-            let chosen = best.map(|(_, s, root)| (s, root)).or_else(|| {
+            let chosen = best.map(|(_, s, class)| (s, class)).or_else(|| {
                 // No single-source blocker (every missing row is blocked
                 // by two or more releases): fall back to the first
                 // source with something left to merge and take its
-                // lowest other root — progress over precision, the next
+                // lowest other class — progress over precision, the next
                 // iteration re-measures.
-                (0..sources.len()).find_map(|s| {
-                    let class = digests[s].class_of_master[t];
-                    if class == u32::MAX {
-                        return None;
-                    }
-                    let own_root = find(&mut parents[s], class as usize);
-                    (0..parents[s].len())
-                        .find(|&c| find(&mut parents[s], c) != own_root)
-                        .map(|root| (s, root))
+                groups.iter().enumerate().find_map(|(s, g)| {
+                    let own = g.of(t)?;
+                    (0..g.members.len())
+                        .find(|&c| c != own && !g.members[c].is_empty())
+                        .map(|c| (s, c))
                 })
             });
             let Some((s, neighbor)) = chosen else {
@@ -415,15 +408,8 @@ pub(crate) fn calibrate_widen(
                     "calibration stalled below target_k = {target_k} with nothing left to merge"
                 )));
             };
-            let a = find(&mut parents[s], digests[s].class_of_master[t] as usize);
-            let b = find(&mut parents[s], neighbor);
-            debug_assert_ne!(a, b, "merge candidates are distinct roots");
-            let (lo, hi) = (a.min(b), a.max(b));
-            parents[s][hi] = lo;
-            let (low_slice, high_slice) = root_bits[s].split_at_mut(hi);
-            for (w, &src) in low_slice[lo].iter_mut().zip(&high_slice[0]) {
-                *w |= src;
-            }
+            let own = groups[s].of(t).expect("a merge source holds the target");
+            groups[s].merge(own, neighbor);
             merges += 1;
             assert!(
                 merges <= total_classes,
@@ -431,20 +417,21 @@ pub(crate) fn calibrate_widen(
             );
         }
     }
-    for (source, parent) in sources.iter_mut().zip(&mut parents) {
-        let n_classes = source.partition.len();
-        if (0..n_classes).all(|c| parent[c] == c) {
+    fred_obs::counter(DEFENSE_PROBES, probes as u64);
+    for (source, g) in sources.iter_mut().zip(&groups) {
+        if g.members.iter().all(|m| !m.is_empty()) {
             continue;
         }
         // Rebuild: member classes concatenate in ascending original
-        // index under their root, roots stay in ascending order.
-        let mut grouped: Vec<Vec<usize>> = vec![Vec::new(); n_classes];
-        for c in 0..n_classes {
-            let root = find(parent, c);
-            grouped[root].extend(source.partition.classes()[c].iter().copied());
+        // index under their merged class, merged classes stay in
+        // ascending order.
+        let mut grouped: Vec<Vec<usize>> = vec![Vec::new(); g.members.len()];
+        for class in source.partition.classes() {
+            let merged = g.class_of_master[source.global_rows[class[0]]] as usize;
+            grouped[merged].extend(class.iter().copied());
         }
-        let classes: Vec<Vec<usize>> = grouped.into_iter().filter(|g| !g.is_empty()).collect();
-        source.partition = Partition::new(classes, source.global_rows.len())?;
+        grouped.retain(|class| !class.is_empty());
+        source.partition = Partition::new(grouped, source.global_rows.len())?;
     }
     Ok(merges)
 }
@@ -452,6 +439,198 @@ pub(crate) fn calibrate_widen(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intersect::intersect_releases;
+    use crate::intersect::tests::{hand_source, master};
+    use crate::scenario::{generate_scenario, ScenarioConfig};
+    use fred_anon::{Mdav, Mondrian, QiStyle};
+    use proptest::prelude::*;
+
+    /// The definition-level calibration: [`calibrate_widen`]'s merge rule
+    /// with every re-measure and every unblock tally a plain loop over
+    /// all `n_master` rows, the tie-break spelled out, and each merge a
+    /// relabel of the whole class map.
+    fn calibrate_widen_reference(
+        sources: &mut [Source],
+        targets: &[usize],
+        n_master: usize,
+        target_k: usize,
+    ) -> usize {
+        let mut class: Vec<Vec<Option<usize>>> = sources
+            .iter()
+            .map(|source| {
+                let mut of = vec![None; n_master];
+                for (c, rows) in source.partition.classes().iter().enumerate() {
+                    for &local in rows {
+                        of[source.global_rows[local]] = Some(c);
+                    }
+                }
+                of
+            })
+            .collect();
+        // Whether row `r` shares `t`'s class in every source but `skip`
+        // that holds `t`.
+        let shares = |class: &[Vec<Option<usize>>], t: usize, r: usize, skip: Option<usize>| {
+            (0..class.len())
+                .all(|s| Some(s) == skip || class[s][t].is_none() || class[s][r] == class[s][t])
+        };
+        let mut merges = 0usize;
+        for &t in targets {
+            loop {
+                if class.iter().all(|of| of[t].is_none()) {
+                    break;
+                }
+                let count = (0..n_master)
+                    .filter(|&r| shares(&class, t, r, None))
+                    .count();
+                if count >= target_k {
+                    break;
+                }
+                let mut best: Option<(usize, usize, usize)> = None;
+                for s in 0..class.len() {
+                    let Some(own) = class[s][t] else {
+                        continue;
+                    };
+                    let mut tally: HashMap<usize, usize> = HashMap::new();
+                    for r in 0..n_master {
+                        if let Some(c) = class[s][r] {
+                            if c != own && shares(&class, t, r, Some(s)) {
+                                *tally.entry(c).or_insert(0) += 1;
+                            }
+                        }
+                    }
+                    for (c, n) in tally {
+                        if best.is_none_or(|(bn, bs, bc)| n > bn || (n == bn && (s, c) < (bs, bc)))
+                        {
+                            best = Some((n, s, c));
+                        }
+                    }
+                }
+                let (s, neighbor) = best
+                    .map(|(_, s, c)| (s, c))
+                    .or_else(|| {
+                        (0..class.len()).find_map(|s| {
+                            let own = class[s][t]?;
+                            let other = class[s].iter().flatten().filter(|&&c| c != own).min();
+                            other.map(|&c| (s, c))
+                        })
+                    })
+                    .expect("target_k within the core always leaves a merge");
+                let own = class[s][t].expect("the merge source holds the target");
+                let (lo, hi) = (own.min(neighbor), own.max(neighbor));
+                for label in class[s].iter_mut().filter(|l| **l == Some(hi)) {
+                    *label = Some(lo);
+                }
+                merges += 1;
+            }
+        }
+        for (source, of) in sources.iter_mut().zip(&class) {
+            let mut grouped: Vec<Vec<usize>> = vec![Vec::new(); source.partition.len()];
+            for rows in source.partition.classes() {
+                let merged = of[source.global_rows[rows[0]]].expect("a source holds its rows");
+                grouped[merged].extend(rows.iter().copied());
+            }
+            grouped.retain(|rows| !rows.is_empty());
+            source.partition = Partition::new(grouped, source.global_rows.len()).unwrap();
+        }
+        merges
+    }
+
+    /// Runs the calibration and its reference on copies of `sources` and
+    /// returns (merges, partitions) of each, after checking the floor.
+    fn both_widen(
+        sources: &[Source],
+        targets: &[usize],
+        n_master: usize,
+        target_k: usize,
+    ) -> [(usize, Vec<Partition>); 2] {
+        let mut fast = sources.to_vec();
+        let merges = calibrate_widen(&mut fast, targets, n_master, target_k).unwrap();
+        for inter in intersect_releases(&fast, targets, n_master, 64).unwrap() {
+            if inter.sources_seen > 0 {
+                assert!(inter.candidates() >= target_k, "{inter:?}");
+            }
+        }
+        let mut reference = sources.to_vec();
+        let reference_merges =
+            calibrate_widen_reference(&mut reference, targets, n_master, target_k);
+        let partitions = |s: &[Source]| s.iter().map(|s| s.partition.clone()).collect();
+        [
+            (merges, partitions(&fast)),
+            (reference_merges, partitions(&reference)),
+        ]
+    }
+
+    #[test]
+    fn widen_holds_a_target_that_sits_in_one_source_only() {
+        // Rows 0 and 1 sit in source 0 only; with no other source to
+        // probe, the unblock tally scans the master table, and its 8 rows
+        // end short of a 64-row word, so a row-set tally must not count
+        // rows past the table.
+        let table = master(8, 5);
+        let sources = vec![
+            hand_source(&table, &[&[0, 1], &[2, 3], &[4, 5]]),
+            hand_source(&table, &[&[2, 4], &[3, 5], &[6, 7]]),
+        ];
+        let [fast, reference] = both_widen(&sources, &[0, 2], table.len(), 4);
+        assert_eq!(fast, reference);
+        let classes = |p: &Partition| p.classes().to_vec();
+        assert_eq!(fast.0, 3);
+        assert_eq!(classes(&fast.1[0]), vec![vec![0, 1, 2, 3, 4, 5]]);
+        assert_eq!(classes(&fast.1[1]), vec![vec![0, 1, 2, 3], vec![4, 5]]);
+        // A lone release widens against the whole table alone: target
+        // 0's neighbors {2, 3} and {4, 5} tie at two rows and the lower
+        // class wins.
+        let [fast, _] = both_widen(&sources[..1], &[0], table.len(), 4);
+        assert_eq!(classes(&fast.1[0]), vec![vec![0, 1, 2, 3], vec![4, 5]]);
+        for target_k in 2..=6 {
+            let [fast, reference] = both_widen(&sources[..1], &[0, 2, 4], table.len(), target_k);
+            assert_eq!(fast, reference, "target_k={target_k}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn widen_equals_its_row_scan_reference(
+            size in 24usize..72,
+            seed in 0u64..10_000,
+            releases in 1usize..5,
+            k in 2usize..6,
+            target_pick in 0usize..1_000,
+            style_pick in 0usize..3,
+            mondrian in any::<bool>(),
+        ) {
+            let table = master(size, seed);
+            let config = ScenarioConfig {
+                releases,
+                k,
+                seed: seed ^ 0xCA1B,
+                styles: [
+                    vec![QiStyle::Range],
+                    vec![QiStyle::Centroid],
+                    vec![QiStyle::Range, QiStyle::Centroid],
+                ][style_pick]
+                    .clone(),
+                ..ScenarioConfig::default()
+            };
+            let core = ((size as f64) * config.overlap).round() as usize;
+            prop_assume!(core >= k);
+            let target_k = k + target_pick % (core - k + 1);
+            let scenario = if mondrian {
+                generate_scenario(&table, &Mondrian::new(), &config)
+            } else {
+                generate_scenario(&table, &Mdav::new(), &config)
+            }
+            .unwrap();
+            let [fast, reference] =
+                both_widen(&scenario.sources, &scenario.targets, size, target_k);
+            prop_assert_eq!(fast.0, reference.0, "merges at target_k={}", target_k);
+            for (s, (a, b)) in fast.1.iter().zip(&reference.1).enumerate() {
+                prop_assert_eq!(a, b, "source {} at target_k={}", s, target_k);
+            }
+        }
+    }
 
     #[test]
     fn labels_are_stable() {

@@ -46,7 +46,7 @@ const INTERSECT_PROBES: &str = "intersect.probes";
 const INTERSECT_SUMMARIES: &str = "intersect.summaries";
 
 /// Class-map sentinel for a master row absent from a source.
-const ABSENT: u32 = u32::MAX;
+pub(crate) const ABSENT: u32 = u32::MAX;
 
 /// One class's constraint on one quasi-identifier cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,11 +133,11 @@ fn checked_con(con: CellCon) -> std::result::Result<CellCon, InputDefect> {
 }
 
 /// One source's class maps, validated against the master table.
-struct ClassMaps {
+pub(crate) struct ClassMaps {
     /// Class index per release (local) row.
     class_of_local: Vec<usize>,
     /// Class index per master row ([`ABSENT`] when the row is absent).
-    class_of_master: Vec<u32>,
+    pub(crate) class_of_master: Vec<u32>,
 }
 
 /// Maps one source's rows to their classes. Malformed input is an
@@ -145,7 +145,7 @@ struct ClassMaps {
 /// different lengths, quasi-identifier columns other than `qi_cols`, a
 /// release row mapped outside the master table, or the same master row
 /// twice in one source.
-fn map_classes(
+pub(crate) fn map_classes(
     source: &Source,
     source_idx: usize,
     n_master: usize,
@@ -467,13 +467,22 @@ fn fold_cons(
     }
 }
 
-/// Whether master row `row` shares `target`'s class in every source that
-/// contains the target.
-fn consistent(indexes: &[SourceIndex], target: usize, row: usize) -> bool {
-    indexes.iter().all(|ix| {
-        let class = ix.class_of_master[target];
-        class == ABSENT || ix.class_of_master[row] == class
+/// Whether master row `row` shares `target`'s class in every one of the
+/// sources' class maps (class per master row) that contains the target.
+pub(crate) fn consistent<'a>(
+    class_maps: impl IntoIterator<Item = &'a [u32]>,
+    target: usize,
+    row: usize,
+) -> bool {
+    class_maps.into_iter().all(|class_of_master| {
+        let class = class_of_master[target];
+        class == ABSENT || class_of_master[row] == class
     })
+}
+
+/// The class maps of `indexes`, for [`consistent`].
+fn class_maps(indexes: &[SourceIndex]) -> impl Iterator<Item = &[u32]> {
+    indexes.iter().map(|ix| ix.class_of_master.as_slice())
 }
 
 /// The members of `target`'s smallest class over the sources containing
@@ -494,7 +503,7 @@ fn candidates<'a>(
     probed
         .iter()
         .copied()
-        .filter(move |&r| consistent(indexes, target, r as usize))
+        .filter(move |&r| consistent(class_maps(indexes), target, r as usize))
 }
 
 /// One target's intersection, with the rows `candidate_rows` yields.
@@ -576,32 +585,21 @@ fn probe_all<R: Send>(
     out
 }
 
-/// [`index_sources`] with no faults and a report nobody reads.
-fn index_strict(
-    sources: &[Source],
-    targets: &[usize],
-    n_master: usize,
-    chunk_rows: usize,
-) -> Result<(Vec<SourceIndex>, usize)> {
-    let (plan, mut deg) = (FaultPlan::none(), Degradation::muted());
-    index_sources(sources, targets, n_master, chunk_rows, &plan, &mut deg)
-}
-
 /// The intersection engine: indexes the sources in parallel, one summary
 /// per class, then answers the targets in parallel by probing each one's
 /// smallest class. Output is index-aligned with `targets` and equal to
-/// [`intersect_releases_sequential`] (pinned by property test).
-/// `chunk_rows` is the chunk geometry of the fault model that
-/// [`intersect_releases_tolerant`] applies; strict results never depend
-/// on it.
+/// [`intersect_releases_sequential`] (pinned by property test). It is
+/// [`intersect_releases_tolerant`] under [`FaultPlan::none`] with a muted
+/// report; `chunk_rows` is that fault model's chunk geometry, and strict
+/// results never depend on it.
 pub fn intersect_releases(
     sources: &[Source],
     targets: &[usize],
     n_master: usize,
     chunk_rows: usize,
 ) -> Result<Vec<TargetIntersection>> {
-    let (indexes, qi_len) = index_strict(sources, targets, n_master, chunk_rows)?;
-    Ok(probe_all(targets, |t| probe_target(&indexes, qi_len, t)))
+    let (plan, mut deg) = (FaultPlan::none(), Degradation::muted());
+    intersect_releases_tolerant(sources, targets, n_master, chunk_rows, &plan, &mut deg)
 }
 
 /// Fault-tolerant [`intersect_releases`]: indexes every source under the
@@ -625,23 +623,6 @@ pub fn intersect_releases_tolerant(
 ) -> Result<Vec<TargetIntersection>> {
     let (indexes, qi_len) = index_sources(sources, targets, n_master, chunk_rows, plan, deg)?;
     Ok(probe_all(targets, |t| probe_target(&indexes, qi_len, t)))
-}
-
-/// Per-target effective anonymity `|∩ classes|` alone: the same engine
-/// without the box arithmetic. Index-aligned with `targets`, `0` for a
-/// target no source contains, and invariant in `chunk_rows` (the fault
-/// model's chunk geometry, kept for signature parity).
-pub fn candidate_counts(
-    sources: &[Source],
-    targets: &[usize],
-    n_master: usize,
-    chunk_rows: usize,
-) -> Result<Vec<usize>> {
-    let (indexes, _) = index_strict(sources, targets, n_master, chunk_rows)?;
-    Ok(probe_all(targets, |t| {
-        let probed = probed_class(&indexes, t).unwrap_or_default();
-        (candidates(&indexes, t, probed).count(), probed.len())
-    }))
 }
 
 /// Each class's constraints as the materialized release publishes them:
@@ -678,7 +659,9 @@ pub fn intersect_releases_sequential(
     n_master: usize,
     chunk_rows: usize,
 ) -> Result<Vec<TargetIntersection>> {
-    let (mut indexes, qi_len) = index_strict(sources, targets, n_master, chunk_rows)?;
+    let (plan, mut deg) = (FaultPlan::none(), Degradation::muted());
+    let (mut indexes, qi_len) =
+        index_sources(sources, targets, n_master, chunk_rows, &plan, &mut deg)?;
     for (ix, source) in indexes.iter_mut().zip(sources) {
         ix.class_cons = published_cons(source)?;
     }
@@ -687,7 +670,7 @@ pub fn intersect_releases_sequential(
         .map(|&t| {
             intersect_target(&indexes, qi_len, t, || {
                 (0..n_master)
-                    .filter(|&r| consistent(&indexes, t, r))
+                    .filter(|&r| consistent(class_maps(&indexes), t, r))
                     .map(|r| r as u32)
                     .collect()
             })
@@ -696,14 +679,14 @@ pub fn intersect_releases_sequential(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::scenario::{generate_scenario, ScenarioConfig};
     use fred_anon::{Mdav, Partition, QiStyle};
     use fred_data::Table;
     use fred_synth::{customer_table, generate_population, CustomerConfig, PopulationConfig};
 
-    fn master(n: usize, seed: u64) -> Table {
+    pub(crate) fn master(n: usize, seed: u64) -> Table {
         let people = generate_population(&PopulationConfig {
             size: n,
             seed,
@@ -928,7 +911,7 @@ mod tests {
 
     /// A source over `rows` of `table` whose classes are the given groups
     /// of master rows.
-    fn hand_source(table: &Table, classes: &[&[usize]]) -> Source {
+    pub(crate) fn hand_source(table: &Table, classes: &[&[usize]]) -> Source {
         let global_rows: Vec<usize> = classes.iter().flat_map(|c| c.iter().copied()).collect();
         let sub = Table::with_rows(
             table.schema().clone(),
@@ -984,10 +967,8 @@ mod tests {
             inters,
             intersect_releases_sequential(&sources, &[0, 1, 6], table.len(), 4).unwrap()
         );
-        assert_eq!(
-            candidate_counts(&sources, &[0, 1, 6], table.len(), 4).unwrap(),
-            vec![2, 1, 0]
-        );
+        let counts: Vec<usize> = inters.iter().map(TargetIntersection::candidates).collect();
+        assert_eq!(counts, vec![2, 1, 0]);
     }
 
     /// Whether the strict engine and the tolerant one under a live fault
@@ -1024,7 +1005,6 @@ mod tests {
         source.global_rows[2] = 1;
         let sources = [source];
         assert!(both_reject(&sources, &[0], table.len()));
-        assert!(candidate_counts(&sources, &[0], table.len(), 4).is_err());
     }
 
     #[test]
@@ -1032,7 +1012,7 @@ mod tests {
         let table = master(8, 5);
         let sources = [hand_source(&table, &[&[0, 1], &[2, 3]])];
         assert!(both_reject(&sources, &[0, table.len()], table.len()));
-        assert!(candidate_counts(&sources, &[table.len() + 7], table.len(), 4).is_err());
+        assert!(both_reject(&sources, &[table.len() + 7], table.len()));
     }
 
     #[test]
@@ -1053,7 +1033,6 @@ mod tests {
         for bad in [short_table, long_table, short_ids] {
             let bad = [bad];
             assert!(both_reject(&bad, &[0], table.len()));
-            assert!(candidate_counts(&bad, &[0], table.len(), 4).is_err());
         }
     }
 
@@ -1197,24 +1176,6 @@ mod tests {
             let other =
                 intersect_releases(&s.sources, &s.targets, table.len(), chunk_rows).unwrap();
             assert_eq!(other, baseline, "chunk_rows={chunk_rows}");
-        }
-    }
-
-    #[test]
-    fn candidate_counts_match_the_full_engine() {
-        let (table, s) = scenario(70, 3, 4);
-        let counts = candidate_counts(&s.sources, &s.targets, table.len(), 16).unwrap();
-        let full = intersect_releases(&s.sources, &s.targets, table.len(), 16).unwrap();
-        assert_eq!(counts.len(), full.len());
-        for (c, inter) in counts.iter().zip(&full) {
-            assert_eq!(*c, inter.candidates());
-        }
-        // Chunking cannot change the counts.
-        for chunk_rows in [1usize, 13, 1024] {
-            assert_eq!(
-                candidate_counts(&s.sources, &s.targets, table.len(), chunk_rows).unwrap(),
-                counts
-            );
         }
     }
 

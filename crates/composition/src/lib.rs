@@ -24,7 +24,8 @@
 //!   `repro --compose`);
 //! * [`defense`] — the countermeasure axis: [`DefensePolicy`]
 //!   (coordinated core partitions, capped source overlap, widening
-//!   calibrated against the composed intersection), threaded through the
+//!   calibrated against the composed intersection by probing the same
+//!   class maps the intersection engine builds), threaded through the
 //!   scenario generator and swept side by side with the attack by
 //!   [`defense_sweep`] (`repro --compose --defend`).
 //!
@@ -74,8 +75,8 @@ pub use fuse::{
     CompositionRecord,
 };
 pub use intersect::{
-    candidate_counts, intersect_releases, intersect_releases_sequential,
-    intersect_releases_tolerant, TargetIntersection,
+    intersect_releases, intersect_releases_sequential, intersect_releases_tolerant,
+    TargetIntersection,
 };
 pub use scenario::{core_targets, generate_scenario, CompositionScenario, ScenarioConfig, Source};
 pub use sweep::{

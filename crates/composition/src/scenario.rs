@@ -499,13 +499,16 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let scenario = generate_scenario(&table, &Mdav::new(), &config).unwrap();
-        let counts = crate::intersect::candidate_counts(
+        let counts: Vec<usize> = crate::intersect::intersect_releases(
             &scenario.sources,
             &scenario.targets,
             table.len(),
             64,
         )
-        .unwrap();
+        .unwrap()
+        .iter()
+        .map(crate::TargetIntersection::candidates)
+        .collect();
         assert!(counts.iter().all(|&c| c >= target_k), "{counts:?}");
         for source in &scenario.sources {
             assert!(
@@ -518,10 +521,10 @@ mod tests {
     #[test]
     fn calibrated_widen_handles_a_lone_release_with_a_higher_floor() {
         // Regression: with a single release (or a target present in one
-        // source only) there is no other source to AND the unblock scan
-        // against, and the all-ones scratch used to leak ghost rows past
-        // the table — an out-of-bounds panic. A floor above k forces the
-        // calibration to actually widen at R = 1.
+        // source only) there is no other source to probe for the unblock
+        // tally, which then scans the master table and must count no row
+        // past it. A floor above k forces the calibration to actually
+        // widen at R = 1.
         let table = master(60);
         let target_k = 5;
         let config = ScenarioConfig {
@@ -531,13 +534,16 @@ mod tests {
             ..ScenarioConfig::default()
         };
         let scenario = generate_scenario(&table, &Mdav::new(), &config).unwrap();
-        let counts = crate::intersect::candidate_counts(
+        let counts: Vec<usize> = crate::intersect::intersect_releases(
             &scenario.sources,
             &scenario.targets,
             table.len(),
             64,
         )
-        .unwrap();
+        .unwrap()
+        .iter()
+        .map(crate::TargetIntersection::candidates)
+        .collect();
         assert!(counts.iter().all(|&c| c >= target_k), "{counts:?}");
         assert!(scenario.sources[0].partition.satisfies_k(2));
     }

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 use fred_suite::anon::Mdav;
 use fred_suite::attack::{FusionSystem, FuzzyFusion, FuzzyFusionConfig, LinearFusion};
 use fred_suite::composition::{
-    candidate_counts, compose_attack, composition_sweep, defense_sweep, generate_scenario,
-    CompositionConfig, CompositionSweepConfig, DefensePolicy, ScenarioConfig,
+    compose_attack, composition_sweep, defense_sweep, generate_scenario, intersect_releases,
+    CompositionConfig, CompositionSweepConfig, DefensePolicy, ScenarioConfig, TargetIntersection,
 };
 use fred_suite::data::Table;
 use fred_suite::synth::{customer_table, generate_population, CustomerConfig, PopulationConfig};
@@ -429,8 +429,12 @@ proptest! {
             ((size as f64) * config.overlap).round() as usize >= k.max(target_k)
         );
         let scenario = generate_scenario(&table, &Mdav::new(), &config).unwrap();
-        let counts =
-            candidate_counts(&scenario.sources, &scenario.targets, size, 64).unwrap();
+        let counts: Vec<usize> =
+            intersect_releases(&scenario.sources, &scenario.targets, size, 64)
+                .unwrap()
+                .iter()
+                .map(TargetIntersection::candidates)
+                .collect();
         for (t, count) in scenario.targets.iter().zip(&counts) {
             prop_assert!(
                 *count >= target_k,
