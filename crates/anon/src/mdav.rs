@@ -12,10 +12,15 @@
 //!
 //! The optimized loop keeps the unclustered rows in a static bucketed
 //! kd-tree whose nodes carry live-row counts and live bounding boxes.
-//! Each round's farthest-point and k-nearest queries prune on box bounds
-//! instead of scanning the whole pool, and they order rows by the same
-//! `(distance, row)` total order as the reference scan, so the partition
-//! is bit-identical to [`Mdav::partition_reference`].
+//! Each round makes four queries. The farthest row from the centroid is
+//! read from a *shell*: the rows farthest from an earlier centroid, by
+//! that distance descending, scanned only while the triangle inequality
+//! (with a margin over float rounding) says a row could still reach the
+//! best distance. The k nearest to `r`, the farthest from `r` and the k
+//! nearest to `s` walk the tree and prune on box bounds. Every query
+//! orders rows by the same `(distance, row)` total order as the
+//! reference scan, so the partition is bit-identical to
+//! [`Mdav::partition_reference`].
 //!
 //! MDAV has one body, a batch over tables behind
 //! [`partition_all`](Anonymizer::partition_all). It prepares each table
@@ -30,8 +35,10 @@
 //! one-leaf run ([`ShardPlan::single`]), and [`Mdav::partition_reference`]
 //! is the one-leaf run of the reference twin. Every MDAV run emits the
 //! deterministic work counters `mdav.rounds`, `mdav.dist_evals` (row
-//! distance evaluations), `mdav.nodes_visited` (kd-tree nodes the queries
-//! opened, the walk's bookkeeping) and `mdav.leaves` once per table.
+//! distance evaluations, the shell's rebuilds included), `mdav.nodes_visited`
+//! (kd-tree nodes the queries opened, the walk's bookkeeping),
+//! `mdav.shell_rebuilds`, `mdav.shell_fallbacks` (centroid queries the
+//! tree walk answered) and `mdav.leaves` once per table.
 
 use crate::anonymizer::{dist2, Anonymizer, Points};
 use crate::error::Result;
@@ -180,7 +187,7 @@ impl Mdav {
 /// [`Mdav`] in hierarchical mode packaged as a drop-in [`Anonymizer`]:
 /// the composition stack selects it for large sweeps, where its
 /// parallel leaves beat the flat loop's single tree (at 100k rows and
-/// k = 5, ~0.2 s against ~0.85 s on two cores).
+/// k = 5, ~0.1 s against ~0.3 s on two cores).
 #[derive(Debug, Clone)]
 pub struct HierarchicalMdav {
     inner: Mdav,
@@ -226,12 +233,27 @@ impl Anonymizer for Mdav {
     /// The optimized MDAV loop over all rows: the one-leaf run of
     /// [`partition_hierarchical`](Mdav::partition_hierarchical). The
     /// unclustered rows live in a static bucketed kd-tree with live
-    /// counts and live bounding boxes, the global centroid is maintained
-    /// incrementally as clusters leave the pool, and each round's four
-    /// queries (farthest from the centroid, the k nearest to `r`,
-    /// farthest from `r`, the k nearest to `s`) prune subtrees on box
-    /// bounds instead of scanning every row. A pool of at most 1 024 rows
-    /// is a single bucket, scanned whole.
+    /// counts and live bounding boxes, and the global centroid `c` is
+    /// maintained incrementally as clusters leave the pool. Each round
+    /// makes four queries:
+    ///
+    /// * **farthest from `c`**, from the shell: the `⌈live / 8⌉` live rows
+    ///   (at least 256) farthest from an anchor `a`, the centroid when
+    ///   the shell was built, by `d(x, a)` descending. A row lies within
+    ///   `d(x, a) + |c − a|` of `c`, so the scan stops once that reach,
+    ///   inflated by a relative margin of `1e-9` over float rounding, is
+    ///   strictly below the best distance; rows that could tie are still
+    ///   compared. When the scan reaches the shell's end and the rows
+    ///   left out could still reach the best, the shell is rebuilt around
+    ///   `c` by O(live) selection; when even a fresh shell cannot certify
+    ///   (more rows tie at the maximum than it holds), the tree walk
+    ///   answers;
+    /// * **the k nearest to `r`**, **farthest from `r`** among the
+    ///   survivors, and **the k nearest to `s`**: kd-tree walks that prune
+    ///   subtrees on box bounds instead of scanning every row.
+    ///
+    /// A pool of at most 1 024 rows is a single bucket, and every query
+    /// scans it whole.
     ///
     /// Ties are broken by row index everywhere (farthest queries pick the
     /// lowest-index maximum, nearest selection orders by `(distance, row)`),
@@ -272,6 +294,8 @@ struct Work {
     rounds: u64,
     dist_evals: u64,
     nodes_visited: u64,
+    shell_rebuilds: u64,
+    shell_fallbacks: u64,
 }
 
 impl Work {
@@ -279,6 +303,8 @@ impl Work {
         self.rounds += other.rounds;
         self.dist_evals += other.dist_evals;
         self.nodes_visited += other.nodes_visited;
+        self.shell_rebuilds += other.shell_rebuilds;
+        self.shell_fallbacks += other.shell_fallbacks;
     }
 
     /// Emits one table's tallies, with the number of leaves it ran.
@@ -286,6 +312,8 @@ impl Work {
         fred_obs::counter("mdav.rounds", self.rounds);
         fred_obs::counter("mdav.dist_evals", self.dist_evals);
         fred_obs::counter("mdav.nodes_visited", self.nodes_visited);
+        fred_obs::counter("mdav.shell_rebuilds", self.shell_rebuilds);
+        fred_obs::counter("mdav.shell_fallbacks", self.shell_fallbacks);
         fred_obs::counter("mdav.leaves", leaves as u64);
     }
 }
@@ -309,9 +337,9 @@ fn leaf_classes(points: &Points, leaf: &[usize], k: usize) -> (Vec<Vec<usize>>, 
 /// The optimized MDAV loop over a prepared flat point buffer: returns
 /// classes of *local* ids `0..n` (the caller maps them back to table
 /// rows when the buffer is a leaf subset) and the loop's work tallies.
-/// Each round makes four tree queries: farthest from the centroid,
-/// k-nearest to `r`, farthest from `r` among the survivors, and
-/// k-nearest to `s`.
+/// Each round makes four queries: farthest from the centroid (from the
+/// shell), k-nearest to `r`, farthest from `r` among the survivors, and
+/// k-nearest to `s` (tree walks).
 fn pool_classes(flat: Vec<f64>, n: usize, dims: usize, k: usize) -> (Vec<Vec<usize>>, Work) {
     let mut pool = ActivePool::new(flat, n, dims);
     let mut centroid = vec![0.0f64; dims];
@@ -322,7 +350,7 @@ fn pool_classes(flat: Vec<f64>, n: usize, dims: usize, k: usize) -> (Vec<Vec<usi
     while pool.len() >= 3 * k {
         rounds += 1;
         pool.centroid_into(&mut centroid);
-        let r = pool.farthest_from(&centroid);
+        let r = pool.farthest_from_centroid(&centroid);
         anchor.copy_from_slice(pool.point(r));
         let cluster_r = pool.take_nearest(&anchor, k);
         // `s`: the record farthest from `r` among what is left.
@@ -341,7 +369,7 @@ fn pool_classes(flat: Vec<f64>, n: usize, dims: usize, k: usize) -> (Vec<Vec<usi
         // way. A fresh ascending-order fold is O(k·dims) here and
         // bit-identical to the reference by construction.
         pool.centroid_fresh_into(&mut centroid);
-        let r = pool.farthest_from(&centroid);
+        let r = pool.farthest_from_centroid(&centroid);
         anchor.copy_from_slice(pool.point(r));
         let cluster_r = pool.take_nearest(&anchor, k);
         classes.push(cluster_r);
@@ -354,6 +382,8 @@ fn pool_classes(flat: Vec<f64>, n: usize, dims: usize, k: usize) -> (Vec<Vec<usi
         rounds,
         dist_evals: pool.dist_evals,
         nodes_visited: pool.nodes_visited,
+        shell_rebuilds: pool.shell_rebuilds,
+        shell_fallbacks: pool.shell_fallbacks,
     };
     (classes, work)
 }
@@ -492,6 +522,18 @@ const BUCKET: usize = 16;
 /// tie near 2,000, and the tree is ~1.8x faster at 8,000.
 const SCAN_ROWS: usize = 1024;
 
+/// The shell of the centroid query holds this share of the live rows
+/// (one in `SHELL_SHARE`), and at least `SHELL_MIN` of them. A share, not
+/// a fixed size: rebuilds are O(live) each, and a fixed-size shell would
+/// need one every few rounds, which makes the loop quadratic.
+const SHELL_SHARE: usize = 8;
+const SHELL_MIN: usize = 256;
+
+/// Relative margin of the shell's triangle-inequality reach over float
+/// rounding: each distance fold and square root is off by a few ulps
+/// (about `1e-16` each), far below this.
+const SHELL_MARGIN: f64 = 1e-9;
+
 /// One node of the [`ActivePool`] kd-tree.
 struct Node {
     /// The node's rows sit at tree positions `start..end`; a bucket keeps
@@ -514,7 +556,7 @@ struct Node {
 /// bounds and reads a few buckets instead of the whole pool. A pool of
 /// one bucket is a plain compacted scan. The per-dimension sum is
 /// maintained incrementally so the global centroid never needs a full
-/// recompute.
+/// recompute, and the shell answers the query from the centroid.
 struct ActivePool {
     dims: usize,
     /// Points in tree order: `pts[p*dims..]` is the point of `ids[p]`.
@@ -540,11 +582,25 @@ struct ActivePool {
     /// Refit scratch: one box, and the buckets a cluster's removal touched.
     fit: Vec<f64>,
     touched: Vec<u32>,
+    /// The shell of [`farthest_from_centroid`](Self::farthest_from_centroid):
+    /// `(distance to the anchor, row)` of the rows that were farthest
+    /// from `anchor` when it was built, by distance ascending (scans run
+    /// from the end). Rows clustered since are skipped when met.
+    shell: Vec<(f64, u32)>,
+    /// The largest anchor distance among the live rows the shell left
+    /// out, or `None` when it holds every live row. Rows only leave the
+    /// pool, so it stays an upper bound until the next rebuild.
+    shell_rest: Option<f64>,
+    anchor: Vec<f64>,
     /// Row distance evaluations made by queries so far.
     dist_evals: u64,
     /// Tree nodes queries have opened so far (inner nodes whose children
     /// were bounded, and buckets that were scanned).
     nodes_visited: u64,
+    /// Shells built, and centroid queries a fresh shell could not
+    /// certify (answered by the tree walk instead).
+    shell_rebuilds: u64,
+    shell_fallbacks: u64,
 }
 
 /// A kd-tree node awaiting a farthest-point walk, keyed by the upper
@@ -748,8 +804,14 @@ impl ActivePool {
             heap: BinaryHeap::new(),
             fit: Vec::with_capacity(2 * dims),
             touched: Vec::new(),
+            shell: Vec::new(),
+            // An unbounded rest: the first centroid query builds the shell.
+            shell_rest: Some(f64::INFINITY),
+            anchor: vec![0.0; dims],
             dist_evals: 0,
             nodes_visited: 0,
+            shell_rebuilds: 0,
+            shell_fallbacks: 0,
         };
         for i in (1..pool.nodes.len()).rev() {
             pool.refit(i);
@@ -869,6 +931,113 @@ impl ActivePool {
         self.nodes_visited += visited;
         debug_assert!(best.1 != u32::MAX, "farthest query on an empty pool");
         best.1
+    }
+
+    /// Id of the live row farthest from the centroid `c` (ties to the
+    /// lowest id): the same row as [`farthest_from`](Self::farthest_from),
+    /// answered from the shell. By the triangle inequality a row at
+    /// distance `d` from the shell's anchor lies within `d + |c − anchor|`
+    /// of `c`, so a scan down the shell stops once that reach is strictly
+    /// below the best distance. A shell that cannot certify its answer is
+    /// rebuilt around `c`; when even a fresh shell cannot (more rows tie
+    /// at the maximum than it holds), the tree walk answers. A one-bucket
+    /// pool keeps its plain scan.
+    fn farthest_from_centroid(&mut self, c: &[f64]) -> u32 {
+        if self.nodes.len() == 1 {
+            return self.farthest_from(c);
+        }
+        if let Some(r) = self.shell_scan(c) {
+            return r;
+        }
+        self.build_shell(c);
+        if let Some(r) = self.shell_scan(c) {
+            return r;
+        }
+        self.shell_fallbacks += 1;
+        self.farthest_from(c)
+    }
+
+    /// The farthest live row from `c` if the shell certifies it: every
+    /// row the scan does not compare, in the shell or left out of it, has
+    /// a reach strictly below the best distance, so it can neither win
+    /// nor tie.
+    fn shell_scan(&mut self, c: &[f64]) -> Option<u32> {
+        let shift = dist2(c, &self.anchor).sqrt();
+        // Squared bound on the computed `dist2` from `c` of any row within
+        // `d` of the anchor: the relative margin covers the rounding of
+        // both square roots and of the three distance folds, the absolute
+        // slack their underflow.
+        let reach = |d: f64| {
+            let r = (d + shift) * (1.0 + SHELL_MARGIN) + f64::MIN_POSITIVE.sqrt();
+            r * r
+        };
+        // MDAV clusters the farthest rows first, so the dead rows gather
+        // at the shell's far end: drop them there for good.
+        while let Some(&(_, r)) = self.shell.last() {
+            if self.is_live(r) {
+                break;
+            }
+            self.shell.pop();
+        }
+        let mut best = (-1.0, u32::MAX);
+        let mut evals = 0u64;
+        let mut certified = None;
+        for &(d, r) in self.shell.iter().rev() {
+            if reach(d) < best.0 {
+                certified = Some(best.1);
+                break;
+            }
+            if self.is_live(r) {
+                let dr = dist2(self.point(r), c);
+                evals += 1;
+                if better(dr, r, best.0, best.1) {
+                    best = (dr, r);
+                }
+            }
+        }
+        self.dist_evals += evals;
+        certified.or_else(|| match self.shell_rest {
+            None => Some(best.1),
+            Some(d) => (reach(d) < best.0).then_some(best.1),
+        })
+    }
+
+    /// Rebuilds the shell around `c`: the `⌈live / SHELL_SHARE⌉` live rows
+    /// (at least `SHELL_MIN`) farthest from `c`, picked by O(live)
+    /// selection and then sorted by distance.
+    fn build_shell(&mut self, c: &[f64]) {
+        self.shell_rebuilds += 1;
+        self.dist_evals += self.live as u64;
+        self.anchor.copy_from_slice(c);
+        let mut shell = std::mem::take(&mut self.shell);
+        shell.clear();
+        for node in self.nodes.iter().filter(|node| node.left == 0) {
+            let live = node.start as usize..(node.start + node.live) as usize;
+            let pts = &self.pts[live.start * self.dims..live.end * self.dims];
+            for (point, &r) in pts.chunks_exact(self.dims).zip(&self.ids[live]) {
+                shell.push((dist2(point, c).sqrt(), r));
+            }
+        }
+        let by_distance = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0);
+        let keep = self.live.div_ceil(SHELL_SHARE).max(SHELL_MIN);
+        self.shell_rest = if keep < shell.len() {
+            let cut = shell.len() - keep;
+            let (_, &mut rest, _) = shell.select_nth_unstable_by(cut - 1, by_distance);
+            shell.drain(..cut);
+            Some(rest.0)
+        } else {
+            None
+        };
+        shell.sort_unstable_by(by_distance);
+        self.shell = shell;
+    }
+
+    /// Whether `row` has not been clustered yet.
+    #[inline]
+    fn is_live(&self, row: u32) -> bool {
+        let p = self.pos[row as usize];
+        let node = &self.nodes[self.bucket[p as usize] as usize];
+        p < node.start + node.live
     }
 
     /// Removes the `k` live rows nearest to `q` and returns them ordered
@@ -1255,6 +1424,92 @@ mod tests {
         assert_eq!(p.n_rows(), 4);
         // k=1 MDAV still caps classes at 2k-1 = 1.
         assert_eq!(p.max_class_size(), 1);
+    }
+
+    /// The optimized loop's one-leaf run over `t`, pinned to the
+    /// reference partition; returns the run's work tallies.
+    fn flat_run_matches_reference(m: &Mdav, t: &Table, k: usize, case: &str) -> Work {
+        let Prepared { points, leaves } = m.prepare(t, k, 1).unwrap();
+        let (classes, work) = leaf_classes(&points, &leaves[0], k);
+        let fast = Partition::new(classes, t.len()).unwrap();
+        assert_eq!(fast, m.partition_reference(t, k).unwrap(), "{case}");
+        work
+    }
+
+    /// `n` points uniform in `[0, 1)²` from a seeded LCG.
+    fn unit_points(n: usize, seed: u64) -> Vec<(f64, f64)> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        (0..n).map(|_| (next(), next())).collect()
+    }
+
+    #[test]
+    fn shell_falls_back_when_more_rows_tie_at_the_maximum_than_it_holds() {
+        // The twelve integer points at distance 5 from the origin, 60
+        // copies each, around 800 interior points in ± pairs, all in a
+        // shuffled row order. The table is symmetric, so the centroid is
+        // exactly the origin, and each round clusters copies of one
+        // circle point and of its antipode, which keeps it there: 720
+        // rows tie at the maximum, against a fresh shell of 190, so the
+        // rows left out tie with the best and the tree walk answers. The
+        // winner is the lowest row id among the ties, and the circle
+        // point it sits on decides the round's clusters, so a shell that
+        // certified its own lowest tie would move the partition. Raw
+        // integer data keeps every centroid exact, so the ties are real.
+        let circle = [(3.0, 4.0), (4.0, 3.0), (5.0, 0.0), (0.0, 5.0)];
+        let mut pts: Vec<(f64, f64)> = Vec::new();
+        for &(x, y) in &circle {
+            for (sx, sy) in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
+                if (x == 0.0 && sx < 0.0) || (y == 0.0 && sy < 0.0) {
+                    continue;
+                }
+                pts.extend(std::iter::repeat_n((sx * x, sy * y), 60));
+            }
+        }
+        for (x, y) in unit_points(400, 7) {
+            let p = ((x * 7.0).floor() - 3.0, (y * 7.0).floor() - 3.0);
+            pts.extend([p, (-p.0, -p.1)]);
+        }
+        let keys = unit_points(pts.len(), 9);
+        let mut rows: Vec<usize> = (0..pts.len()).collect();
+        rows.sort_by(|&a, &b| keys[a].0.total_cmp(&keys[b].0));
+        let pts: Vec<(f64, f64)> = rows.iter().map(|&r| pts[r]).collect();
+        assert_eq!(pts.len(), 1_520);
+        let t = numeric_table(&pts);
+        for k in [2usize, 3, 5] {
+            let m = Mdav::without_normalization();
+            let work = flat_run_matches_reference(&m, &t, k, &format!("ties k={k}"));
+            assert!(work.shell_fallbacks > 0, "k={k}: {work:?}");
+            assert!(
+                work.shell_rebuilds > work.shell_fallbacks,
+                "k={k}: {work:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn shell_rebuilds_when_the_centroid_drifts_far() {
+        // Two blobs of unequal size, 300 apart: MDAV clusters the far
+        // blob first, so the centroid walks toward the large blob and the
+        // shell built around the first centroid stops certifying.
+        let mut pts = unit_points(1_500, 11);
+        pts.extend(
+            unit_points(600, 13)
+                .iter()
+                .map(|&(x, y)| (x + 300.0, y + 300.0)),
+        );
+        let t = numeric_table(&pts);
+        for k in [2usize, 5] {
+            for m in [Mdav::new(), Mdav::without_normalization()] {
+                let work = flat_run_matches_reference(&m, &t, k, &format!("blobs k={k}"));
+                assert!(work.shell_rebuilds > 1, "k={k}: {work:?}");
+            }
+        }
     }
 
     use fred_data::ShardPlan;

@@ -206,11 +206,7 @@ pub(crate) fn coordinated_partition(
     }
     let extras_local: Vec<usize> = (0..rows.len()).filter(|&l| !in_core[l]).collect();
     if !extras_local.is_empty() {
-        let extra_rows: Vec<_> = extras_local
-            .iter()
-            .map(|&l| sub_table.rows()[l].clone())
-            .collect();
-        let extra_table = Table::with_rows(sub_table.schema().clone(), extra_rows)?;
+        let extra_table = sub_table.gather(&extras_local)?;
         let extra_partition = anonymizer.partition(&extra_table, k)?;
         classes.extend(
             extra_partition

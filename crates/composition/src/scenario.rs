@@ -172,8 +172,9 @@ pub fn core_targets(n: usize, config: &ScenarioConfig) -> Result<Vec<usize>> {
 /// releases exist.
 ///
 /// Sources are *mutually independent* (each one's RNG stream is seeded
-/// from `(seed, s)` alone), so their sub-tables are built across the
-/// worker pool; then all of them are anonymized in one
+/// from `(seed, s)` alone), so their row samples are drawn across the
+/// worker pool, and each sub-table is one [`Table::gather`] of the master
+/// rows, itself spread over the pool; then all of them are anonymized in one
 /// [`Anonymizer::partition_all`] call, the dominant cost at enterprise
 /// scale (see the module docs for why it is one call). Results are
 /// collected in source order, so the scenario is bit-identical
@@ -219,8 +220,7 @@ pub fn generate_scenario(
     // mapped into each source's local rows.
     let coordinated_core: Option<Vec<Vec<usize>>> = match &config.defense {
         Some(DefensePolicy::CoordinatedSeeds) => {
-            let core_rows: Vec<_> = core.iter().map(|&r| table.rows()[r].clone()).collect();
-            let core_table = Table::with_rows(table.schema().clone(), core_rows)?;
+            let core_table = table.gather(&core)?;
             let partition = anonymizer.partition(&core_table, config.k)?;
             Some(
                 partition
@@ -233,9 +233,9 @@ pub fn generate_scenario(
         _ => None,
     };
 
-    let built: Vec<(Vec<usize>, Table)> = (0..config.releases)
+    let selected: Vec<Vec<usize>> = (0..config.releases)
         .into_par_iter()
-        .map(|s| -> Result<(Vec<usize>, Table)> {
+        .map(|s| {
             // `s + 1`: with a bare `s` the first source's stream would
             // equal the split's (the multiplier zeroes out), replaying
             // the core selection instead of sampling independently.
@@ -259,11 +259,16 @@ pub fn generate_scenario(
             let mut rows: Vec<usize> = core.to_vec();
             rows.extend(extras);
             shuffle(&mut rows, &mut source_rng);
-            let sub_rows = rows
-                .iter()
-                .map(|&r| table.rows()[r].clone())
-                .collect::<Vec<_>>();
-            let sub_table = Table::with_rows(table.schema().clone(), sub_rows)?;
+            rows
+        })
+        .collect();
+    // One gather per source, each spread over the pool: a task per
+    // source would leave a worker idle whenever the sources do not
+    // divide evenly among the workers.
+    let built: Vec<(Vec<usize>, Table)> = selected
+        .into_iter()
+        .map(|rows| {
+            let sub_table = table.gather(&rows)?;
             Ok((rows, sub_table))
         })
         .collect::<Result<_>>()?;

@@ -3,6 +3,7 @@
 use crate::error::{DataError, Result};
 use crate::schema::{AttributeRole, Schema};
 use crate::value::Value;
+use rayon::prelude::*;
 use std::fmt;
 
 /// A row of cells; arity always matches the owning table's schema.
@@ -202,7 +203,7 @@ impl Table {
     }
 
     /// Returns a table with rows reordered by `order` (a permutation of row
-    /// indices).
+    /// indices): the [`gather`](Table::gather) of every row.
     pub fn reorder(&self, order: &[usize]) -> Result<Table> {
         if order.len() != self.rows.len() {
             return Err(DataError::ShapeMismatch {
@@ -210,17 +211,24 @@ impl Table {
                 right: (order.len(), self.schema.len()),
             });
         }
-        let mut rows = Vec::with_capacity(order.len());
-        for &i in order {
-            let r = self.rows.get(i).ok_or(DataError::IndexOutOfBounds {
-                index: i,
+        self.gather(order)
+    }
+
+    /// Returns a table of the rows at `rows`, in that order (a row may
+    /// repeat), under the same schema. Every index is bounds-checked; the
+    /// cells are not re-validated, since they come from this table. The
+    /// copy runs on the worker pool, so one large gather keeps every
+    /// worker busy.
+    pub fn gather(&self, rows: &[usize]) -> Result<Table> {
+        if let Some(&index) = rows.iter().find(|&&r| r >= self.rows.len()) {
+            return Err(DataError::IndexOutOfBounds {
+                index,
                 len: self.rows.len(),
-            })?;
-            rows.push(r.clone());
+            });
         }
         Ok(Table {
             schema: self.schema.clone(),
-            rows,
+            rows: rows.par_iter().map(|&r| self.rows[r].clone()).collect(),
         })
     }
 
@@ -463,6 +471,26 @@ mod tests {
         let sorted = t.reorder(&order).unwrap();
         assert_eq!(sorted.row(0).unwrap()[0].as_str(), Some("Bob"));
         assert!(t.reorder(&[0, 1]).is_err());
+    }
+
+    #[test]
+    fn gather_copies_rows_in_order_and_checks_bounds() {
+        let t = customer_table();
+        let g = t.gather(&[3, 1, 3]).unwrap();
+        assert_eq!(g.schema(), t.schema());
+        assert_eq!(
+            g.rows(),
+            &[
+                t.rows()[3].clone(),
+                t.rows()[1].clone(),
+                t.rows()[3].clone()
+            ]
+        );
+        assert!(t.gather(&[]).unwrap().is_empty());
+        assert_eq!(
+            t.gather(&[0, 4]),
+            Err(DataError::IndexOutOfBounds { index: 4, len: 4 })
+        );
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! Implements the `par_iter()` / `into_par_iter()` → `map` / `map_init` →
 //! `collect` pipeline used by the attack sweep on top of a **persistent
 //! worker pool**: worker threads are spawned once (lazily, on the first
-//! parallel call) and every subsequent call only enqueues its chunk jobs,
+//! parallel call) and every subsequent call only enqueues its jobs,
 //! so the per-call cost is a channel send + condvar wait instead of a
 //! thread spawn/join cycle. That keeps fan-out profitable for much
 //! smaller inputs: a few thousand items instead of sixteen thousand.
 //!
-//! Work is split into per-thread chunks and results are re-assembled
-//! **in input order**, so a parallel map is always bit-identical to its
-//! sequential counterpart for pure per-item functions.
+//! Work is split into ordered blocks, a contiguous run of them per
+//! worker; a worker whose run is done takes the blocks left at the tail
+//! of the other runs. Results are re-assembled **in input order**, so a
+//! parallel map is always bit-identical to its sequential counterpart
+//! for pure per-item functions.
 //!
 //! Nested parallelism is flattened: a `par_iter` launched from inside a
 //! worker thread runs sequentially (one pool for the whole process keeps
@@ -295,11 +297,11 @@ mod pool {
     }
 }
 
-/// Splits `items` into at most `threads` contiguous chunks, preserving
+/// Splits `items` into at most `parts` contiguous chunks, preserving
 /// input order across the concatenation of the chunks.
-fn split_chunks<T>(mut items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
-    let chunk = items.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
+fn split_chunks<T>(mut items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
+    let chunk = items.len().div_ceil(parts);
+    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(parts);
     // Split off tail-first so each chunk preserves input order.
     while items.len() > chunk {
         let tail = items.split_off(items.len() - chunk);
@@ -310,13 +312,17 @@ fn split_chunks<T>(mut items: Vec<T>, threads: usize) -> Vec<Vec<T>> {
     chunks
 }
 
+/// Ordered blocks per worker in a parallel map: enough that an idle
+/// worker can take over a share of a busy worker's run, few enough that
+/// a large map pays for a handful of blocks, not one per item.
+const BLOCKS_PER_WORKER: usize = 16;
+
 /// Parallel, order-preserving map over `items` with one scratch value
-/// from `init` per worker chunk, reused across the chunk's items (the
-/// `map_init` pattern; a plain map passes `()`). The one body behind
-/// every parallel call: it runs inline, with a single scratch value,
-/// when the input is small, the width is one (one core, or a one-thread
-/// [`ThreadPool::install`]), or the caller is already inside a worker
-/// thread.
+/// from `init` per worker (the `map_init` pattern; a plain map passes
+/// `()`). The one body behind every parallel call: it runs inline, with
+/// a single scratch value, when the input is small, the width is one
+/// (one core, or a one-thread [`ThreadPool::install`]), or the caller is
+/// already inside a worker thread.
 fn map_init_vec<T, S, R, I, F>(items: Vec<T>, init: I, f: F) -> Vec<R>
 where
     T: Send,
@@ -330,17 +336,70 @@ where
         let mut scratch = init();
         return items.into_iter().map(|t| f(&mut scratch, t)).collect();
     }
-    let chunks = split_chunks(items, width.min(n));
-    let init = &init;
-    let f = &f;
-    pool::global()
-        .map_chunks(chunks, |chunk| {
-            let mut scratch = init();
-            chunk.into_iter().map(|t| f(&mut scratch, t)).collect()
-        })
+    map_blocks(pool::global(), width.min(n), items, &init, &f)
+}
+
+/// Maps `items` on `workers` jobs of `pool`. The input is cut into
+/// ordered blocks, [`BLOCKS_PER_WORKER`] per worker, and each worker owns
+/// a contiguous run of them. A worker drains its own run front to back
+/// with one scratch value; then, with the same scratch value, it takes
+/// the blocks left at the tail of the other runs. Items of uneven cost
+/// thus keep every worker busy to the end, while the blocks a worker
+/// maps stay mostly contiguous. Block outputs are concatenated in block
+/// order, so the result is in input order whoever mapped each block.
+fn map_blocks<T, S, R, I, F>(
+    pool: &pool::WorkerPool,
+    workers: usize,
+    items: Vec<T>,
+    init: &I,
+    f: &F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
+{
+    use std::sync::Mutex;
+    let n = items.len();
+    let blocks: Vec<Mutex<Vec<T>>> = split_chunks(items, workers * BLOCKS_PER_WORKER)
         .into_iter()
-        .flatten()
-        .collect()
+        .map(Mutex::new)
+        .collect();
+    let n_blocks = blocks.len();
+    // Worker `w` owns blocks `runs[w]`: it takes from the front, and the
+    // other workers take from the back once their own runs are empty.
+    let runs: Vec<Mutex<Range<usize>>> = (0..workers)
+        .map(|w| Mutex::new(w * n_blocks / workers..(w + 1) * n_blocks / workers))
+        .collect();
+    let take = |w: usize| -> Option<usize> {
+        let own = runs[w].lock().expect("run poisoned").next();
+        own.or_else(|| {
+            (1..workers).find_map(|v| {
+                runs[(w + v) % workers]
+                    .lock()
+                    .expect("run poisoned")
+                    .next_back()
+            })
+        })
+    };
+    let outputs: Vec<Mutex<Vec<R>>> = (0..n_blocks).map(|_| Mutex::new(Vec::new())).collect();
+    // One pool job per worker; each job's own output is empty, its
+    // blocks' outputs land in `outputs`.
+    pool.map_chunks((0..workers).map(|w| vec![w]).collect(), |w| {
+        let mut scratch = init();
+        while let Some(b) = take(w[0]) {
+            let block = std::mem::take(&mut *blocks[b].lock().expect("block poisoned"));
+            let mapped: Vec<R> = block.into_iter().map(|t| f(&mut scratch, t)).collect();
+            *outputs[b].lock().expect("output poisoned") = mapped;
+        }
+        Vec::<()>::new()
+    });
+    let mut out = Vec::with_capacity(n);
+    for block in outputs {
+        out.extend(block.into_inner().expect("output poisoned"));
+    }
+    out
 }
 
 /// Fault-tolerant parallel map: like the strict pipeline, every item is
@@ -360,10 +419,10 @@ where
     map_catch_init(items, || (), |(), t| f(t))
 }
 
-/// [`map_catch`] with a per-worker-chunk scratch value created by `init`
+/// [`map_catch`] with a per-worker scratch value created by `init`
 /// (the `map_init` pattern). A panic mid-item discards that item's
-/// result only; the chunk's scratch value is reused for the remaining
-/// items, which is sound here because each chunk builds a fresh scratch.
+/// result only; the worker's scratch value is reused for the remaining
+/// items, which is sound here because each worker builds a fresh scratch.
 pub fn map_catch_init<T, S, R, I, F>(items: Vec<T>, init: I, f: F) -> (Vec<Option<R>>, usize)
 where
     T: Send,
@@ -408,8 +467,8 @@ pub struct Map<T, F> {
     f: F,
 }
 
-/// `map_init` stage: one `init()` per worker chunk, reused across its
-/// items (the allocation-lean scratch pattern).
+/// `map_init` stage: one `init()` per worker, reused across the items it
+/// maps (the allocation-lean scratch pattern).
 pub struct MapInit<T, I, F> {
     items: Vec<T>,
     init: I,
@@ -866,6 +925,40 @@ mod tests {
         assert_eq!(mapped, (0..1000).map(|x| x * 3).collect::<Vec<_>>());
         assert_eq!(inited, (1..1001).collect::<Vec<_>>());
         assert_eq!(caught, (2..1002).map(Some).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn an_idle_worker_takes_the_tail_of_a_busy_run() {
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        // Item 0 waits for the last item of the first half. Under one
+        // contiguous chunk per worker that item would sit behind item 0
+        // on the same worker and the wait would time out; with blocks,
+        // the second worker takes it once its own run is done.
+        let pool = super::pool::WorkerPool::new(2);
+        let n = 16;
+        let done = (Mutex::new(false), Condvar::new());
+        let timed_out = super::map_blocks(&pool, 2, (0..n).collect(), &|| (), &|(), i: usize| {
+            if i == 0 {
+                let guard = done.0.lock().unwrap();
+                let (guard, wait) = done
+                    .1
+                    .wait_timeout_while(guard, Duration::from_secs(10), |done| !*done)
+                    .unwrap();
+                drop(guard);
+                return wait.timed_out();
+            }
+            if i == n / 2 - 1 {
+                *done.0.lock().unwrap() = true;
+                done.1.notify_all();
+            }
+            false
+        });
+        assert_eq!(timed_out.len(), n);
+        assert!(
+            !timed_out[0],
+            "the first half's last item ran behind item 0"
+        );
     }
 
     #[test]
