@@ -50,7 +50,9 @@ pub(crate) struct Points {
 
 impl Points {
     /// Validates the common preconditions shared by all anonymizers and
-    /// reads the table's numeric quasi-identifiers.
+    /// reads the table's numeric quasi-identifiers. A NaN or infinite
+    /// cell is an error naming its row and column: it has no place in a
+    /// median split or a distance.
     pub(crate) fn numeric_qi(table: &Table, k: usize) -> Result<Points> {
         if k == 0 {
             return Err(AnonError::InvalidK(k));
@@ -66,11 +68,17 @@ impl Points {
             return Err(AnonError::NoQuasiIdentifiers);
         }
         let mut coords = Vec::with_capacity(table.len() * qi.len());
-        for row in table.rows() {
+        for (r, row) in table.rows().iter().enumerate() {
             for &c in &qi {
                 let value = row[c]
                     .as_f64()
                     .ok_or(AnonError::NonNumericQuasiIdentifiers)?;
+                if !value.is_finite() {
+                    return Err(AnonError::NonFiniteQuasiIdentifier {
+                        row: r,
+                        column: table.schema().attributes()[c].name().to_owned(),
+                    });
+                }
                 coords.push(value);
             }
         }

@@ -20,6 +20,14 @@ pub enum AnonError {
     /// The table's quasi-identifiers are not numeric but the algorithm
     /// requires numeric QIs.
     NonNumericQuasiIdentifiers,
+    /// A numeric quasi-identifier cell is NaN or infinite, so it has no
+    /// place in the order or the distances an anonymizer works with.
+    NonFiniteQuasiIdentifier {
+        /// Row of the cell.
+        row: usize,
+        /// Name of the cell's column.
+        column: String,
+    },
     /// The table has no quasi-identifier attributes.
     NoQuasiIdentifiers,
     /// The table has no sensitive attributes but the check requires one.
@@ -47,6 +55,9 @@ impl fmt::Display for AnonError {
             }
             AnonError::NonNumericQuasiIdentifiers => {
                 write!(f, "algorithm requires numeric quasi-identifiers")
+            }
+            AnonError::NonFiniteQuasiIdentifier { row, column } => {
+                write!(f, "quasi-identifier {column:?} of row {row} is not finite")
             }
             AnonError::NoQuasiIdentifiers => write!(f, "schema declares no quasi-identifiers"),
             AnonError::NoSensitiveAttribute => write!(f, "schema declares no sensitive attribute"),
@@ -88,5 +99,13 @@ mod tests {
         let e: AnonError = DataError::EmptyTable.into();
         assert!(std::error::Error::source(&e).is_some());
         assert!(AnonError::InvalidK(0).to_string().contains("k=0"));
+        let e = AnonError::NonFiniteQuasiIdentifier {
+            row: 7,
+            column: "Age".into(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "quasi-identifier \"Age\" of row 7 is not finite"
+        );
     }
 }

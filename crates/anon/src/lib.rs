@@ -65,7 +65,7 @@ pub use mdav::{HierarchicalMdav, Mdav};
 pub use mondrian::Mondrian;
 pub use optimal::{within_class_sse, OptimalUnivariate};
 pub use partition::{EquivalenceClass, Partition};
-pub use release::{build_release, class_summary, QiStyle, Release, ReleaseChunks};
+pub use release::{build_release, class_summary, ClassSummarizer, QiStyle, Release, ReleaseChunks};
 pub use utility::{
     average_class_size, discernibility, loss_metric, per_record_costs, per_record_utilities,
     utility,

@@ -1293,6 +1293,33 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_quasi_identifiers_are_an_error_not_a_silent_partition() {
+        // Flat MDAV used to partition such a table silently, and the
+        // release then published `Missing` for every row of each class
+        // holding one of these cells.
+        let expected = Err(crate::AnonError::NonFiniteQuasiIdentifier {
+            row: 3,
+            column: "y".into(),
+        });
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let pts: Vec<(f64, f64)> = (0..400)
+                .map(|i| (i as f64, if i % 7 == 3 { bad } else { (i % 13) as f64 }))
+                .collect();
+            let t = numeric_table(&pts);
+            let clean = linear_table(40);
+            assert_eq!(Mdav::new().partition(&t, 3), expected, "{bad}");
+            assert_eq!(Mdav::without_normalization().partition(&t, 3), expected);
+            let hier = HierarchicalMdav::new(ShardPlan::new(4, 7));
+            assert_eq!(hier.partition(&t, 3), expected, "{bad}");
+            assert_eq!(
+                hier.partition_all(&[&clean, &t, &clean], 3),
+                expected.clone().map(|p| vec![p]),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
     fn cluster_sizes_bounded_by_k_and_2k_minus_1() {
         for n in [6usize, 7, 10, 23, 50] {
             for k in [2usize, 3, 5] {

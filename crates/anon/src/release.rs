@@ -3,6 +3,13 @@
 //! A release keeps identifiers verbatim (the enterprise requirement that
 //! enables the attack), rewrites each quasi-identifier cell with a
 //! class-level summary, and suppresses every sensitive cell.
+//!
+//! Summaries of every class of a table come from one [`ClassSummarizer`]:
+//! it reads the table's quasi-identifier cells once, through
+//! [`Value::as_f64`], into one flat buffer, and folds each class from that
+//! buffer instead of chasing every member's row. [`class_summary`] is the
+//! one-class call. Both fold numeric cells through the same function, so
+//! their summaries agree to the bit (pinned by property test).
 
 use crate::error::Result;
 use crate::partition::Partition;
@@ -50,17 +57,19 @@ pub fn build_release(
     let qi_cols = table.quasi_identifier_columns();
     let sens_cols = table.sensitive_columns();
     let class_of = partition.class_of_rows();
-    let summaries: Vec<Vec<Value>> = partition
-        .classes()
-        .iter()
-        .map(|class| class_summary(table, class, style))
-        .collect();
+    // Class `c`'s summary is `summaries[c * q..(c + 1) * q]`.
+    let q = qi_cols.len();
+    let mut summarizer = ClassSummarizer::new(table, style);
+    let mut summaries = Vec::with_capacity(partition.len() * q);
+    for class in partition.classes() {
+        summaries.extend_from_slice(summarizer.summary(class));
+    }
 
     let mut out = table.clone();
     for (row_idx, _) in table.rows().iter().enumerate() {
-        let class_idx = class_of[row_idx];
+        let summary = &summaries[class_of[row_idx] * q..(class_of[row_idx] + 1) * q];
         for (qi_pos, &c) in qi_cols.iter().enumerate() {
-            out.set_cell(row_idx, c, summaries[class_idx][qi_pos].clone())?;
+            out.set_cell(row_idx, c, summary[qi_pos].clone())?;
         }
         for &c in &sens_cols {
             out.set_cell(row_idx, c, Value::Missing)?;
@@ -165,34 +174,103 @@ impl Iterator for ReleaseChunks<'_> {
 
 /// The published quasi-identifier cells of one equivalence class, one per
 /// [`Table::quasi_identifier_columns`] entry, in that order: what every
-/// row of the class carries in the release. [`build_release`] and
-/// [`Release::chunks`] both rewrite rows from it, so a consumer that
-/// needs only the summaries can call it once per class instead of
-/// reading rewritten rows.
+/// row of the class carries in the release. [`Release::chunks`] rewrites
+/// rows from it; a consumer that summarizes many classes of one table
+/// uses a [`ClassSummarizer`] instead, which returns the same cells.
 pub fn class_summary(table: &Table, class_rows: &[usize], style: QiStyle) -> Vec<Value> {
     table
         .quasi_identifier_columns()
         .into_iter()
-        .map(|c| summarize_class(table, class_rows, c, style))
+        .map(|c| {
+            let numeric: Option<Vec<f64>> = class_rows
+                .iter()
+                .map(|&r| table.cell(r, c).and_then(Value::as_f64))
+                .collect();
+            match numeric {
+                Some(xs) => numeric_summary(&xs, style),
+                None => categorical_summary(table, class_rows, c),
+            }
+        })
         .collect()
 }
 
-fn summarize_class(table: &Table, class: &[usize], col: usize, style: QiStyle) -> Value {
-    // Numeric path: all members numeric-viewable.
-    let numeric: Option<Vec<f64>> = class
-        .iter()
-        .map(|&r| table.cell(r, col).and_then(Value::as_f64))
-        .collect();
-    if let Some(xs) = numeric {
-        return match style {
-            QiStyle::Range => match Interval::cover(&xs) {
-                Some(iv) => Value::Interval(iv),
-                None => Value::Missing,
-            },
-            QiStyle::Centroid => Value::Float(xs.iter().sum::<f64>() / xs.len() as f64),
-        };
+/// Summaries of many classes of one table: the table's quasi-identifier
+/// cells are read once, through [`Value::as_f64`], into one row-major
+/// buffer, and each class is folded from it. A column in which some
+/// member of the class is not numeric takes [`class_summary`]'s
+/// categorical path.
+#[derive(Debug, Clone)]
+pub struct ClassSummarizer<'a> {
+    table: &'a Table,
+    style: QiStyle,
+    qi_cols: Vec<usize>,
+    /// Row `r`'s numeric views: `cells[r * q..(r + 1) * q]`.
+    cells: Vec<Option<f64>>,
+    /// One class's values in one column, in member order.
+    column: Vec<f64>,
+    /// The last class's summary.
+    summary: Vec<Value>,
+}
+
+impl<'a> ClassSummarizer<'a> {
+    /// Reads `table`'s quasi-identifier cells for summaries in `style`.
+    pub fn new(table: &'a Table, style: QiStyle) -> Self {
+        let qi_cols = table.quasi_identifier_columns();
+        let mut cells = Vec::with_capacity(table.len() * qi_cols.len());
+        for row in table.rows() {
+            cells.extend(qi_cols.iter().map(|&c| row[c].as_f64()));
+        }
+        ClassSummarizer {
+            table,
+            style,
+            qi_cols,
+            cells,
+            column: Vec::new(),
+            summary: Vec::new(),
+        }
     }
-    // Categorical path: distinct sorted values.
+
+    /// [`class_summary`]`(table, class_rows, style)`, read from the
+    /// buffer.
+    pub fn summary(&mut self, class_rows: &[usize]) -> &[Value] {
+        let q = self.qi_cols.len();
+        self.summary.clear();
+        for (qi, &c) in self.qi_cols.iter().enumerate() {
+            self.column.clear();
+            let numeric = class_rows
+                .iter()
+                .all(|&r| match self.cells.get(r * q + qi) {
+                    Some(&Some(x)) => {
+                        self.column.push(x);
+                        true
+                    }
+                    _ => false,
+                });
+            self.summary.push(if numeric {
+                numeric_summary(&self.column, self.style)
+            } else {
+                categorical_summary(self.table, class_rows, c)
+            });
+        }
+        &self.summary
+    }
+}
+
+/// The summary of a class whose cells in one column are all numeric,
+/// `xs` in member order: their cover, or their mean summed in order.
+fn numeric_summary(xs: &[f64], style: QiStyle) -> Value {
+    match style {
+        QiStyle::Range => match Interval::cover(xs) {
+            Some(iv) => Value::Interval(iv),
+            None => Value::Missing,
+        },
+        QiStyle::Centroid => Value::Float(xs.iter().sum::<f64>() / xs.len() as f64),
+    }
+}
+
+/// The summary of a class in a column where some member is not numeric:
+/// the distinct labels, sorted, joined with `|`.
+fn categorical_summary(table: &Table, class: &[usize], col: usize) -> Value {
     let mut labels: Vec<String> = class
         .iter()
         .filter_map(|&r| {
@@ -216,7 +294,7 @@ mod tests {
     use super::*;
     use crate::anonymizer::Anonymizer;
     use crate::mdav::Mdav;
-    use fred_data::{Schema, Table, Value};
+    use fred_data::{Interval, Schema, Table, Value};
 
     fn customer_table() -> Table {
         let schema = Schema::builder()
@@ -328,6 +406,160 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A table whose quasi-identifiers mix every cell kind a column of
+    /// its type admits: `Int`, `Float` (signed zeros and NaN among them),
+    /// `Interval` and `Missing` in a float column, `Int`, `Interval` and
+    /// `Missing` in an int column, `Categorical` and `Missing` in a
+    /// categorical one; seeded, `missing_share` in 1/16ths.
+    fn mixed_table(n: usize, missing_share: u64, seed: u64) -> Table {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let schema = Schema::builder()
+            .identifier("Name")
+            .quasi_numeric("F")
+            .quasi_int("I")
+            .quasi_categorical("C")
+            .sensitive_numeric("S")
+            .build()
+            .unwrap();
+        let rows = (0..n)
+            .map(|i| {
+                let mut cell = |kinds: &[u8]| -> Value {
+                    if next() % 16 < missing_share {
+                        return Value::Missing;
+                    }
+                    let v = (next() % 5) as f64 - 2.0;
+                    match kinds[(next() % kinds.len() as u64) as usize] {
+                        b'i' => Value::Int(v as i64),
+                        b'f' => Value::Float(match next() % 8 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            2 => f64::NAN,
+                            _ => v * 0.37,
+                        }),
+                        b'v' => Value::Interval(Interval::new(v, v + (next() % 3) as f64).unwrap()),
+                        _ => Value::Categorical(["FR", "DE", "IT"][(next() % 3) as usize].into()),
+                    }
+                };
+                let row = vec![cell(b"ifv"), cell(b"iv"), cell(b"c")];
+                let mut full = vec![Value::Text(format!("p{i}"))];
+                full.extend(row);
+                full.push(Value::Float(i as f64));
+                full
+            })
+            .collect();
+        Table::with_rows(schema, rows).unwrap()
+    }
+
+    /// `n` rows shuffled and cut into classes of 1..=`max_class` rows.
+    fn seeded_classes(n: usize, max_class: usize, seed: u64) -> Vec<Vec<usize>> {
+        let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut rows: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            rows.swap(i, next() % (i + 1));
+        }
+        let mut classes = Vec::new();
+        let mut rest = rows.as_slice();
+        while !rest.is_empty() {
+            let take = (1 + next() % max_class).min(rest.len());
+            classes.push(rest[..take].to_vec());
+            rest = &rest[take..];
+        }
+        classes
+    }
+
+    /// Value-for-value equality that tells `-0.0` from `0.0` and matches
+    /// NaN with NaN: the `Debug` forms.
+    fn same_cells(a: &[Value], b: &[Value]) -> bool {
+        format!("{a:?}") == format!("{b:?}")
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn summarizer_equals_class_summary_on_mixed_cells(
+            n in 1usize..80,
+            max_class in 1usize..9,
+            missing_share in 0u64..4,
+            seed in 0u64..1_000_000,
+        ) {
+            let table = mixed_table(n, missing_share, seed);
+            let classes = seeded_classes(n, max_class, seed);
+            for style in [QiStyle::Range, QiStyle::Centroid] {
+                let mut summarizer = ClassSummarizer::new(&table, style);
+                for class in &classes {
+                    let one = class_summary(&table, class, style);
+                    let read = summarizer.summary(class);
+                    prop_assert!(
+                        same_cells(read, &one),
+                        "{style:?} class {class:?}: {read:?} != {one:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn summarizer_takes_the_categorical_path_for_one_non_numeric_member() {
+        let schema = Schema::builder()
+            .quasi_numeric("F")
+            .quasi_categorical("C")
+            .build()
+            .unwrap();
+        let t = Table::with_rows(
+            schema,
+            vec![
+                vec![Value::Float(-0.0), Value::Categorical("FR".into())],
+                vec![Value::Float(-0.0), Value::Categorical("DE".into())],
+                vec![Value::Float(0.0), Value::Missing],
+                vec![Value::Missing, Value::Categorical("FR".into())],
+                vec![Value::Int(3), Value::Missing],
+            ],
+        )
+        .unwrap();
+        for style in [QiStyle::Range, QiStyle::Centroid] {
+            let mut summarizer = ClassSummarizer::new(&t, style);
+            for class in [&[0, 1][..], &[1, 0, 2], &[2, 3, 4], &[3], &[4, 2]] {
+                let one = class_summary(&t, class, style);
+                assert!(
+                    same_cells(summarizer.summary(class), &one),
+                    "{style:?} {class:?}"
+                );
+            }
+            // One `Missing` member sends the numeric column down the
+            // categorical path, which finds no label.
+            assert_eq!(summarizer.summary(&[2, 3, 4])[0], Value::Missing);
+            assert_eq!(
+                summarizer.summary(&[0, 1, 3])[1],
+                Value::Categorical("DE|FR".into())
+            );
+        }
+        let mut centroid = ClassSummarizer::new(&t, QiStyle::Centroid);
+        assert!(same_cells(
+            centroid.summary(&[0, 1]),
+            &class_summary(&t, &[0, 1], QiStyle::Centroid)
+        ));
+        let mut range = ClassSummarizer::new(&t, QiStyle::Range);
+        assert_eq!(
+            range.summary(&[1, 2])[0],
+            Value::Interval(Interval::new(-0.0, 0.0).unwrap())
+        );
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //!
 //! Each source is indexed once, in O(n), the sources in parallel: a class
 //! per master row, the class members as one CSR list (ascending within
-//! each class), and one constraint vector per class, summarized straight
-//! from the source table by [`fred_anon::class_summary`] — the cells every
-//! row of the class carries in the release, which is never materialized.
+//! each class), and every class's constraints in one flat list,
+//! summarized straight from the source table by a
+//! [`fred_anon::ClassSummarizer`] — the cells every row of the class
+//! carries in the release, which is never materialized. The summarizer
+//! reads the source's quasi-identifiers once, into one flat buffer, and
+//! folds every class from it.
 //! A target is then answered by probing the members of its smallest class
 //! against the other sources' class maps — O(R·|class|) work, no
 //! per-target scratch, candidates ascending by construction. Every call
@@ -31,7 +34,7 @@
 //! definition-level oracle: it reads the constraints off each materialized
 //! release and scans all `n` master rows per target instead.
 
-use fred_anon::{build_release, class_summary};
+use fred_anon::{build_release, ClassSummarizer};
 use fred_data::{Interval, Value};
 use fred_faults::{key2, key3, salt, Degradation, FaultPlan, InputDefect};
 use rayon::prelude::*;
@@ -81,8 +84,11 @@ struct SourceIndex {
     class_start: Vec<u32>,
     /// Master rows grouped by class, ascending within each class.
     members: Vec<u32>,
-    /// Per class, per quasi-identifier: the published constraint.
-    class_cons: Vec<Vec<CellCon>>,
+    /// Per class, per quasi-identifier: the published constraint, class
+    /// `c`'s at `class_cons[c * qi_len..(c + 1) * qi_len]`.
+    class_cons: Vec<CellCon>,
+    /// Quasi-identifiers per class in `class_cons`.
+    qi_len: usize,
 }
 
 impl SourceIndex {
@@ -97,6 +103,11 @@ impl SourceIndex {
     /// The master rows of `class`, ascending.
     fn members(&self, class: usize) -> &[u32] {
         &self.members[self.class_start[class] as usize..self.class_start[class + 1] as usize]
+    }
+
+    /// The published constraints of `class`, one per quasi-identifier.
+    fn cons(&self, class: usize) -> &[CellCon] {
+        &self.class_cons[class * self.qi_len..(class + 1) * self.qi_len]
     }
 }
 
@@ -198,8 +209,8 @@ pub(crate) fn map_classes(
 /// chunk geometry: chunk `i` holds local rows `[i·chunk_rows,
 /// (i+1)·chunk_rows)`, and a truncated chunk keeps only the first half of
 /// its rows readable. A class keeps its constraint iff one of its rows
-/// is readable and not dropped; otherwise its constraint vector stays
-/// empty. All skip-and-count into `deg`; under [`FaultPlan::none`] the
+/// is readable and not dropped; otherwise its constraints are all
+/// [`CellCon::Free`]. All skip-and-count into `deg`; under [`FaultPlan::none`] the
 /// index is the strict one, independent of `chunk_rows`, and `deg`
 /// stays clean.
 fn index_source(
@@ -273,49 +284,41 @@ fn index_source(
         }
     }
 
-    // Each readable class is summarized once; the rest stay empty, which
-    // `fold_cons` treats as all-Free — count the imputed fields so the
-    // report reflects the loss.
+    // Each readable class is summarized once, from one read of the
+    // source's quasi-identifiers; the rest stay all-Free, which
+    // `fold_cons` skips — count the imputed fields so the report reflects
+    // the loss.
+    let mut summarizer = ClassSummarizer::new(&source.table, source.style);
     let mut summarized = 0usize;
-    let class_cons: Vec<Vec<CellCon>> = source
-        .partition
-        .classes()
-        .iter()
-        .zip(&readable)
-        .enumerate()
-        .map(|(class, (rows, &readable))| {
-            if !readable {
-                for _ in 0..qi_len {
-                    deg.record(InputDefect::MissingField);
-                }
-                return Vec::new();
+    let mut class_cons = Vec::with_capacity(n_classes * qi_len);
+    let classes = source.partition.classes().iter().zip(&readable);
+    for (class, (rows, &readable)) in classes.enumerate() {
+        if !readable {
+            for _ in 0..qi_len {
+                deg.record(InputDefect::MissingField);
             }
-            summarized += 1;
-            class_summary(&source.table, rows, source.style)
-                .iter()
-                .enumerate()
-                .map(|(qi, value)| {
-                    let mut con = CellCon::from_value(value);
-                    let site = key3(source_idx, class, qi);
-                    if plan.decide(plan.cell_corrupt, salt::CELL_CORRUPT, site) {
-                        con = corrupt_con(con, plan, site);
-                    }
-                    match checked_con(con) {
-                        Ok(con) => con,
-                        Err(defect) => {
-                            deg.record(defect);
-                            CellCon::Free
-                        }
-                    }
-                })
-                .collect()
-        })
-        .collect();
+            class_cons.resize(class_cons.len() + qi_len, CellCon::Free);
+            continue;
+        }
+        summarized += 1;
+        for (qi, value) in summarizer.summary(rows).iter().enumerate() {
+            let mut con = CellCon::from_value(value);
+            let site = key3(source_idx, class, qi);
+            if plan.decide(plan.cell_corrupt, salt::CELL_CORRUPT, site) {
+                con = corrupt_con(con, plan, site);
+            }
+            class_cons.push(checked_con(con).unwrap_or_else(|defect| {
+                deg.record(defect);
+                CellCon::Free
+            }));
+        }
+    }
     let index = SourceIndex {
         class_of_master,
         class_start,
         members,
         class_cons,
+        qi_len,
     };
     (index, summarized)
 }
@@ -412,18 +415,13 @@ impl TargetIntersection {
     }
 
     /// Mean width of the constrained QIs' feasible intervals; `None`
-    /// when no release bounded any QI.
+    /// when no release bounded any QI. Sums left to right without
+    /// collecting the widths: scoring calls it once per row.
     pub fn mean_feasible_width(&self) -> Option<f64> {
-        let widths: Vec<f64> = self
-            .feasible
-            .iter()
-            .flatten()
-            .map(Interval::width)
-            .collect();
-        if widths.is_empty() {
-            None
-        } else {
-            Some(widths.iter().sum::<f64>() / widths.len() as f64)
+        let bounded = self.feasible.iter().flatten();
+        match bounded.clone().count() {
+            0 => None,
+            n => Some(bounded.map(Interval::width).sum::<f64>() / n as f64),
         }
     }
 }
@@ -520,7 +518,7 @@ fn intersect_target(
     for ix in indexes {
         if let Some(class) = ix.class(target) {
             fold_cons(
-                &ix.class_cons[class],
+                ix.cons(class),
                 &mut feasible,
                 &mut centroid_sum,
                 &mut centroid_n,
@@ -628,20 +626,19 @@ pub fn intersect_releases_tolerant(
 /// Each class's constraints as the materialized release publishes them:
 /// the quasi-identifier cells of the class's first row in
 /// [`build_release`]`(..).table`, validated as the engine validates
-/// them.
-fn published_cons(source: &Source) -> Result<Vec<Vec<CellCon>>> {
+/// them, class after class.
+fn published_cons(source: &Source) -> Result<Vec<CellCon>> {
     let release = build_release(&source.table, &source.partition, source.k, source.style)?;
     let qi_cols = release.table.quasi_identifier_columns();
     Ok(release
         .partition
         .classes()
         .iter()
-        .map(|class| {
+        .flat_map(|class| {
             let row = &release.table.rows()[class[0]];
             qi_cols
                 .iter()
                 .map(|&c| checked_con(CellCon::from_value(&row[c])).unwrap_or(CellCon::Free))
-                .collect()
         })
         .collect())
 }
@@ -815,6 +812,44 @@ pub(crate) mod tests {
             assert!(inter.feasible.iter().all(Option::is_none));
             assert!(inter.centroid_hint.iter().all(Option::is_some));
             assert!(inter.mean_feasible_width().is_none());
+        }
+    }
+
+    #[test]
+    fn mean_feasible_width_equals_the_collected_mean() {
+        // The formula it replaces: collect the widths, then sum them.
+        let collected = |inter: &TargetIntersection| {
+            let widths: Vec<f64> = inter
+                .feasible
+                .iter()
+                .flatten()
+                .map(Interval::width)
+                .collect();
+            (!widths.is_empty()).then(|| widths.iter().sum::<f64>() / widths.len() as f64)
+        };
+        let iv = |lo: f64, hi: f64| Some(Interval::new(lo, hi).unwrap());
+        let boxes = [
+            vec![],
+            vec![None, None, None],
+            vec![iv(0.0, 0.1), None, iv(0.2, 0.7)],
+            vec![None, iv(-3.0, 1e16), iv(0.0, 0.1), iv(1.0, 1.0)],
+            vec![iv(-0.0, 0.0)],
+        ];
+        for feasible in boxes {
+            let inter = TargetIntersection {
+                master_row: 0,
+                candidate_rows: Vec::new(),
+                centroid_hint: vec![None; feasible.len()],
+                feasible,
+                sources_seen: 1,
+            };
+            let (fast, slow) = (inter.mean_feasible_width(), collected(&inter));
+            assert_eq!(fast.map(f64::to_bits), slow.map(f64::to_bits), "{inter:?}");
+        }
+        let (table, s) = scenario(60, 3, 4);
+        for inter in intersect_releases(&s.sources, &every_row(&table), table.len(), 16).unwrap() {
+            let (fast, slow) = (inter.mean_feasible_width(), collected(&inter));
+            assert_eq!(fast.map(f64::to_bits), slow.map(f64::to_bits), "{inter:?}");
         }
     }
 
@@ -1154,16 +1189,24 @@ pub(crate) mod tests {
             let mut streamed = Degradation::default();
             for (idx, (ix, source)) in indexes.iter().zip(&s.sources).enumerate() {
                 let cons = streamed_cons(source, idx, chunk_rows, &plan, &mut streamed);
-                assert_eq!(ix.class_cons, cons, "chunk_rows={chunk_rows} source {idx}");
+                // A class with no readable row constrains nothing.
+                let lost = vec![CellCon::Free; ix.qi_len];
+                for (class, cons) in cons.iter().enumerate() {
+                    let expected = if cons.is_empty() { &lost } else { cons };
+                    assert_eq!(
+                        ix.cons(class),
+                        expected.as_slice(),
+                        "chunk_rows={chunk_rows} source {idx} class {class}"
+                    );
+                }
+                assert_eq!(ix.class_cons.len(), cons.len() * ix.qi_len);
+                lost_a_class |= cons.iter().any(Vec::is_empty);
             }
             assert_eq!(deg, streamed, "chunk_rows={chunk_rows}");
             assert!(
                 deg.rows_skipped > 0 && deg.chunks_truncated > 0,
                 "chunk_rows={chunk_rows}: {deg}"
             );
-            lost_a_class |= indexes
-                .iter()
-                .any(|ix| ix.class_cons.iter().any(Vec::is_empty));
         }
         assert!(lost_a_class, "no class ever lost its every readable row");
     }

@@ -13,9 +13,10 @@
 //!   existing `fred-anon` pipeline (per-source seeds and QI styles);
 //! * [`intersect`] — the intersection engine: per-target candidate sets
 //!   and quasi-identifier feasible boxes intersected across the
-//!   releases, each indexed from one [`fred_anon::class_summary`] per
-//!   class and never materialized (parallel probing engine + row-scan
-//!   oracle over the built releases, property-pinned);
+//!   releases, each indexed from one read of its quasi-identifiers by a
+//!   [`fred_anon::ClassSummarizer`] and never materialized (parallel
+//!   probing engine + row-scan oracle over the built releases,
+//!   property-pinned);
 //! * [`fuse`] — folds the intersection posterior together with the
 //!   web-harvest evidence through any [`fred_attack::FusionSystem`],
 //!   yielding a [`CompositionOutcome`] with per-record disclosure gain;

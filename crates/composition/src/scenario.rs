@@ -71,7 +71,7 @@ impl Default for ScenarioConfig {
 /// One curator's slice of the world: the private sub-table, the partition
 /// its anonymizer produced, and the mapping back to master rows. The
 /// anonymized release itself is never materialized — the intersection
-/// reads one [`fred_anon::class_summary`] per class instead.
+/// reads one class summary per class instead ([`fred_anon::ClassSummarizer`]).
 #[derive(Debug, Clone)]
 pub struct Source {
     /// Master-table row id of each sub-table row (release row `i`
