@@ -7,118 +7,30 @@
 //! [`crate::perf`] structs [`QuickBench::to_json`] encoded, at the
 //! precision the file prints.
 //!
-//! Gate rules (enforced by `repro --quick --compare BASELINE` and the CI
-//! perf-smoke step):
+//! [`compare_baselines`] (run by `repro --quick --compare BASELINE` and
+//! the CI perf-smoke step) refuses to gate a baseline that fails
+//! structural sanity — not valid JSON (a truncated file), not decodable
+//! as a bench (a missing key, a wrong type, an unknown stage name), or
+//! without stage rows — and otherwise runs the gate's rule table,
+//! `RULES`, in order: one function per block, each documented with what
+//! it checks. This module is the one place the rules are listed. Most
+//! rules are built from four shapes, each written once:
 //!
-//! * `speedup_batch_vs_naive` must stay ≥ 2.0;
-//! * no stage present in the committed baseline may run more than 3×
-//!   slower (stages faster than the timing floor are skipped as noise);
-//! * a stage present in the baseline must not disappear;
-//! * on machines with ≥ 4 cores, the large-world harvest must keep
-//!   `speedup_harvest_parallel_vs_single` ≥ 2.0 — `harvest_auxiliary`
-//!   versus the same call on a one-thread pool, so the ratio
-//!   is pure thread fan-out and a runner that silently lost all harvest
-//!   parallelism cannot clear the gate on algorithmic gains alone
-//!   (single-core runners skip this check — there is nothing to
-//!   parallelize over). The core count is read from the `large` block
-//!   itself (a heterogeneous runner must not gate the 10k stage against
-//!   the config block's cores);
-//! * when the baseline carries a composition stage — the quick-world
-//!   `composition` block or the 10k-row `composition_large` block inside
-//!   `large` — the fresh run must carry the same stage, its per-record
-//!   disclosure gain must be *strictly increasing* in the number of
-//!   composed releases, and the mean candidate count must never rise
-//!   with an added release (composition only adds constraints). The two
-//!   blocks gate independently;
-//! * when the baseline carries a `composition_defense` block (`repro
-//!   --quick --compose --defend ...`), the fresh run must carry it too,
-//!   every policy's residual disclosure gain at its top release count
-//!   must stay *strictly below* the undefended gain at the same `R`
-//!   (a defense that stops defending is a regression), and every
-//!   `calibrated_widen_*` row must keep `mean_candidates >= k` (the
-//!   block's own `k` line) — the floor the calibration exists to hold —
-//!   and when the committed block was taken at the same seed, size, `k`
-//!   and overlap, each committed `(policy, releases)` row must match the
-//!   fresh one value-for-value (the defense is seeded and deterministic,
-//!   so any drift is a behavior change);
-//! * every number in the file must be finite: a NaN gain would otherwise
-//!   sail through the strict-monotonicity check (NaN comparisons are all
-//!   false), so a row carrying a non-finite value drops out of its series
-//!   and is itself a violation, as is a non-finite scalar outside rows
-//!   (a speedup, the peak rss, the overhead share) — on either side of
-//!   the diff;
-//! * when the baseline carries a `robustness` block (`repro --quick
-//!   --faults <rate>`), the fresh run must carry it too, its zero-rate
-//!   row must have survived **zero** defects and match the committed
-//!   zero-rate row value-for-value (the fault-free path must stay an
-//!   exact passthrough of the strict pipeline), and each faulted row is
-//!   held to a committed envelope: harvest precision within
-//!   [`ROBUSTNESS_PRECISION_SLACK`] of the committed row at the same
-//!   `(fault_rate, mode)` pair — the worst-case `targeted` row gates
-//!   against the committed targeted row, never against the average-case
-//!   uniform row at the same rate — composition gain at least
-//!   [`ROBUSTNESS_GAIN_FLOOR`] of it;
-//! * when the baseline carries a `recovery` ledger (`repro --quick
-//!   --faults <rate>` or any checkpointed run), the fresh run must carry
-//!   it too, `escaped_panics` is pinned at zero, no stage row may vanish
-//!   from the ledger, and when the fresh run shares the committed
-//!   `(seed, transient_rate, max_attempts)` triple the total retry count
-//!   is pinned *exactly* — injection is seeded, so the retry trace is a
-//!   pure function of that triple and any drift is a behavior change;
-//! * a fresh run marked `"deterministic": true` (checkpointed) has every
-//!   wall-clock zeroed at source, so the timing gates (batch speedup,
-//!   stage regression ratios, harvest speedup) are skipped for it — the
-//!   physics gates still apply in full. A *committed* deterministic
-//!   baseline is itself a violation: zeroed timings cannot gate anything,
-//!   so committing one silently disarms every timing gate;
-//! * when the baseline carries a `profile` block (`repro --quick`
-//!   self-profiling through `fred_obs`), the fresh run must carry it
-//!   too, the span-tree digest is pinned exactly — the tree wraps each
-//!   runner stage *outside* its compute closure, so it is a pure
-//!   function of the enabled stages and identical across fresh,
-//!   deterministic and resumed runs — no committed profile stage row
-//!   may vanish, and on a fresh non-deterministic run the obs counters
-//!   must reconcile *exactly* against the other ledgers in the same
-//!   file: `faults.*` against the robustness rows' summed degradation
-//!   fields and `recover.attempts` / `recover.retries` against the
-//!   recovery ledger (counter and ledger are incremented by the same
-//!   source line, so any gap is dropped instrumentation, not noise;
-//!   `recover.quarantines` is reconciled in-process by
-//!   `tests/obs_reconcile.rs` — quarantines need a checkpoint store,
-//!   whose deterministic runs omit counters). The measured cost of
-//!   *disabled* tracing is held under [`MAX_OBS_OVERHEAD_PCT`] of the
-//!   large block's wall;
-//! * when the baseline carries an `eval` block (`repro --quick
-//!   --compose` hypothesis-testing evaluation), the fresh run must carry
-//!   it too, and the fresh block's physics gate unconditionally — even
-//!   against a committed baseline that predates the block: every cell's
-//!   AUC must sit in `[0.5 −` [`EVAL_AUC_SLACK`]`, 1.0]`, TPR@10⁻³ in
-//!   `[0, 1]`, empirical ε must be non-negative and *non-increasing in
-//!   `k`* within a `(R, defense)` group (stronger anonymity must not
-//!   leak more), and every defended cell's ε must stay at or below the
-//!   undefended ε at the same `(k, R)`. A cell with a non-finite value
-//!   drops out of the series and lands in the malformed-row violations —
-//!   on *either* side, so a NaN-poisoned committed block refuses to gate
-//!   instead of disarming these checks. When the
-//!   committed baseline carries the block at the same seed and
-//!   populations, each matched `(k, R, defense)` cell is additionally
-//!   pinned within [`EVAL_DRIFT_SLACK`] — the cell is seeded and
-//!   deterministic, so larger drift is a behavior change;
-//! * when a fresh non-deterministic profile carries histogram rows, the
-//!   `harvest.name_ms` histogram's observation count must reconcile
-//!   exactly with the `harvest.names` counter — both are written by the
-//!   same per-name harvest routine, so a gap is dropped instrumentation;
-//! * a baseline that fails structural sanity — not valid JSON (a
-//!   truncated file), not decodable as a bench (a missing key, a wrong
-//!   type, an unknown stage name), or without stage rows — is reported
-//!   as a violation instead of gating nothing (a corrupt committed
-//!   baseline must fail loudly, not pass vacuously).
+//! * block presence: a block the committed file carries must not vanish;
+//! * keyed-row roster: each distinct committed key keeps a fresh row;
+//! * matched-configuration pin: where the two runs share a key, a fresh
+//!   row or value must agree with the committed one;
+//! * counter-vs-ledger reconciliation: an obs counter must equal the
+//!   ledger total written by the same source line.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use fred_recover::{json, Artifact};
 
-use crate::perf::{CompositionBenchRow, DefenseBenchRow, QuickBench};
+use crate::perf::{
+    DefenseBench, EvalCellRow, Large100kBench, ProfileBench, QuickBench, RecoveryBench,
+    RobustnessBenchRow, StageTiming,
+};
 
 /// A stage may regress up to this factor before the gate fails (CI
 /// runners are noisy; superlinear blow-ups clear 3× immediately).
@@ -198,9 +110,10 @@ pub const DIGEST_PAIRS: [(&str, &str, &str); 3] = [
 pub struct Baseline {
     /// The decoded bench.
     pub bench: QuickBench,
-    /// Rendered text of each row — and each scalar outside rows — that
-    /// carried a non-finite value. Every entry is a gate violation, on
-    /// either side of the diff.
+    /// `path: text` of each row — and each scalar outside rows — that
+    /// carried a non-finite value, where `path` is the dotted key path of
+    /// the row's array or of the scalar. Every entry is a gate violation,
+    /// on either side of the diff.
     pub malformed_rows: Vec<String>,
 }
 
@@ -209,14 +122,19 @@ impl Baseline {
     /// stage lists (one namespace: large stages carry a `_large` or
     /// `_100k` suffix by construction).
     pub fn stage_wall_ms(&self) -> BTreeMap<&'static str, f64> {
-        let b = &self.bench;
-        b.stages
-            .iter()
-            .chain(b.large.iter().flat_map(|l| &l.stages))
-            .chain(b.large_100k.iter().flat_map(|l| &l.stages))
+        all_stages(&self.bench)
             .map(|s| (s.name, s.wall_ms))
             .collect()
     }
+}
+
+/// The quick, large and 100k stage lists of a bench, in that order.
+fn all_stages(b: &QuickBench) -> impl Iterator<Item = &StageTiming> {
+    let large = b.large.iter().flat_map(|l| &l.stages);
+    b.stages
+        .iter()
+        .chain(large)
+        .chain(b.large_100k.iter().flat_map(|l| &l.stages))
 }
 
 /// The outcome of [`compare_baselines`].
@@ -228,10 +146,21 @@ pub struct CompareReport {
     pub violations: Vec<String>,
 }
 
+impl CompareReport {
+    fn fail(&mut self, violation: impl Into<String>) {
+        self.violations.push(violation.into());
+    }
+
+    fn note(&mut self, note: impl Into<String>) {
+        self.notes.push(note.into());
+    }
+}
+
 /// Parses a `BENCH_sweep.json` with the writer's codec. A row carrying a
-/// non-finite number drops out of its series and is listed, rendered, in
-/// [`Baseline::malformed_rows`], as is each non-finite scalar outside
-/// rows. `Err` names the structural defect of a corrupt file.
+/// non-finite number drops out of its series and is listed, with its
+/// array's key path, in [`Baseline::malformed_rows`], as is each
+/// non-finite scalar outside rows. `Err` names the structural defect of
+/// a corrupt file.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
     let mut value = json::parse(text).ok_or("not valid JSON (truncated write?)")?;
     let mut malformed_rows = Vec::new();
@@ -258,15 +187,15 @@ fn has_non_finite(value: &json::Value) -> bool {
 }
 
 /// Removes every array entry (row) that carries a non-finite number and
-/// records its rendered text; a non-finite scalar outside rows stays in
-/// place (the gate reads around it) and is recorded under its dotted key
-/// path.
+/// records it as `path: text` under its array's dotted key path; a
+/// non-finite scalar outside rows stays in place (the gate reads around
+/// it) and is recorded under its own dotted key path.
 fn drop_non_finite(value: &mut json::Value, path: &str, malformed: &mut Vec<String>) {
     match value {
         json::Value::Arr(items) => items.retain(|item| {
             let bad = has_non_finite(item);
             if bad {
-                malformed.push(json::render(item));
+                malformed.push(format!("{path}: {}", json::render(item)));
             }
             !bad
         }),
@@ -289,754 +218,701 @@ fn drop_non_finite(value: &mut json::Value, path: &str, malformed: &mut Vec<Stri
     }
 }
 
-/// Diffs a fresh baseline against the committed one under the gate rules.
-pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareReport {
-    let committed = parse_baseline(committed_json);
-    let fresh = parse_baseline(fresh_json);
-    let mut report = CompareReport::default();
+/// One gate rule: reads the committed and the fresh baseline and appends
+/// its findings to the report.
+type Rule = fn(&Baseline, &Baseline, &mut CompareReport);
 
-    // Structural corruption disarms every gate below (an empty parse
-    // trivially has no stages to regress, no blocks to lose), so it must
-    // refuse to gate, loudly, before anything else runs.
+/// The gate, in report order.
+const RULES: &[Rule] = &[
+    timing,
+    composition,
+    defense,
+    eval,
+    robustness,
+    large_100k,
+    recovery,
+    profile,
+    obs_ledgers,
+    obs_counters,
+    malformed_values,
+    harvest_speedup,
+];
+
+/// Diffs a fresh baseline against the committed one: reports each side
+/// that is structurally corrupt, and runs every rule of the gate's table
+/// in order when both sides parse.
+pub fn compare_baselines(committed_json: &str, fresh_json: &str) -> CompareReport {
+    let (committed, fresh) = (parse_baseline(committed_json), parse_baseline(fresh_json));
+    let mut report = CompareReport::default();
+    // Structural corruption disarms every rule (an empty parse trivially
+    // has no stages to regress, no blocks to lose), so it must refuse to
+    // gate, loudly, before any rule runs.
     if let Err(err) = &committed {
-        report.violations.push(format!(
+        report.fail(format!(
             "committed baseline is structurally corrupt (regenerate it): {err}"
         ));
     }
     if let Err(err) = &fresh {
-        report
-            .violations
-            .push(format!("fresh baseline is structurally corrupt: {err}"));
+        report.fail(format!("fresh baseline is structurally corrupt: {err}"));
     }
-    let (Ok(committed), Ok(fresh)) = (committed, fresh) else {
-        return report;
-    };
-    let (c, f) = (&committed.bench, &fresh.bench);
+    if let (Ok(committed), Ok(fresh)) = (&committed, &fresh) {
+        for rule in RULES {
+            rule(committed, fresh, &mut report);
+        }
+    }
+    report
+}
 
-    // A checkpointed run zeroes every wall-clock at source so resume can
-    // be bit-identical; its timings are all sentinel zeros.
-    let fresh_det = f.deterministic;
-    if c.deterministic {
-        report.violations.push(
+/// Block presence: a violation when the committed side carries `block`
+/// and the fresh side lost it. True when the fresh side carries it.
+fn present<T>(report: &mut CompareReport, block: &str, committed: &[T], fresh: &[T]) -> bool {
+    if !committed.is_empty() && fresh.is_empty() {
+        report.fail(format!("{block} disappeared from the fresh baseline"));
+    }
+    !fresh.is_empty()
+}
+
+/// Keyed-row roster: the distinct committed keys that no fresh row
+/// carries, in committed order.
+fn missing<K: Ord + Copy, I: IntoIterator<Item = K>>(committed: I, fresh: I) -> Vec<K> {
+    let (fresh, mut reported): (BTreeSet<K>, _) = (fresh.into_iter().collect(), BTreeSet::new());
+    let lost = |key: &K| !fresh.contains(key) && reported.insert(*key);
+    committed.into_iter().filter(lost).collect()
+}
+
+/// Matched-configuration pin: each fresh row paired with the first
+/// committed row that shares its `key`, as `(committed, fresh)`; the
+/// caller holds the two to each other.
+fn matched<'a, T, K: PartialEq>(
+    committed: &'a [T],
+    fresh: impl IntoIterator<Item = &'a T>,
+    key: impl Fn(&'a T) -> K,
+) -> Vec<(&'a T, &'a T)> {
+    let partner = |now| committed.iter().find(|was| key(was) == key(now));
+    fresh
+        .into_iter()
+        .filter_map(|now| Some((partner(now)?, now)))
+        .collect()
+}
+
+/// Counter-vs-ledger reconciliation: each `(counter, total)` pair whose
+/// counter in `p` (absent reads 0) disagrees with the `ledger` total
+/// is a violation.
+fn reconcile(report: &mut CompareReport, p: &ProfileBench, ledger: &str, sums: &[(&str, usize)]) {
+    for &(name, total) in sums {
+        let counted = counter(p, name).unwrap_or(0);
+        if counted != total as u64 {
+            report.fail(format!(
+                "obs counter `{name}` = {counted} disagrees with the {ledger} ledger total \
+                 {total} — counter and ledger are written by the same line, so a gap is \
+                 dropped instrumentation"
+            ));
+        }
+    }
+}
+
+/// The timing rules. A *committed* deterministic (checkpointed) baseline
+/// is a violation: a checkpointed run zeroes every wall-clock at source
+/// so resume can be bit-identical, and zeroed timings cannot gate
+/// anything. `speedup_batch_vs_naive` must stay ≥ [`MIN_BATCH_SPEEDUP`];
+/// no committed stage (quick, large or 100k) may disappear; and none may
+/// run more than [`MAX_STAGE_REGRESSION`] times slower, committed stages
+/// faster than [`STAGE_FLOOR_MS`] being skipped as noise. A fresh
+/// deterministic run skips the speedup and regression checks, here and
+/// in [`harvest_speedup`]; every other rule still applies to it in full.
+fn timing(c: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    if c.bench.deterministic {
+        report.fail(
             "committed baseline is a deterministic (checkpointed) run — its zeroed \
-             timings disarm every timing gate; regenerate it without --checkpoint-dir"
-                .into(),
+             timings disarm every timing gate; regenerate it without --checkpoint-dir",
         );
     }
-
-    // A non-finite speedup (or any other scalar below) is already a
+    // A non-finite speedup (or any other scalar) is already a
     // malformed-value violation; it must not also pass as a note.
-    let speedup = f.speedup_batch_vs_naive;
-    if fresh_det {
-        report
-            .notes
-            .push("fresh run is deterministic (checkpointed): timing gates skipped".into());
+    let (speedup, det) = (f.bench.speedup_batch_vs_naive, f.bench.deterministic);
+    if det {
+        report.note("fresh run is deterministic (checkpointed): timing gates skipped");
     } else if speedup < MIN_BATCH_SPEEDUP {
-        report.violations.push(format!(
+        report.fail(format!(
             "speedup_batch_vs_naive fell to {speedup:.2} (must stay >= {MIN_BATCH_SPEEDUP:.1})"
         ));
     } else if speedup.is_finite() {
-        report
-            .notes
-            .push(format!("speedup_batch_vs_naive = {speedup:.2}"));
+        report.note(format!("speedup_batch_vs_naive = {speedup:.2}"));
     }
-
-    let fresh_walls = fresh.stage_wall_ms();
-    for (name, committed_ms) in committed.stage_wall_ms() {
-        let Some(&fresh_ms) = fresh_walls.get(name) else {
-            report.violations.push(format!(
-                "stage `{name}` disappeared from the fresh baseline"
-            ));
-            continue;
-        };
-        if fresh_det || committed_ms < STAGE_FLOOR_MS {
-            continue;
-        }
-        let ratio = fresh_ms / committed_ms;
-        if ratio > MAX_STAGE_REGRESSION {
-            report.violations.push(format!(
-                "stage `{name}` regressed {ratio:.2}x ({committed_ms:.3} ms -> {fresh_ms:.3} ms, \
+    let (committed, fresh) = (c.stage_wall_ms(), f.stage_wall_ms());
+    for name in missing(committed.keys(), fresh.keys()) {
+        report.fail(format!(
+            "stage `{name}` disappeared from the fresh baseline"
+        ));
+    }
+    for (name, &was) in committed.iter().filter(|_| !det) {
+        // A vanished stage reads NaN, which passes no ratio check.
+        let now = fresh.get(name).copied().unwrap_or(f64::NAN);
+        let ratio = now / was;
+        if was >= STAGE_FLOOR_MS && ratio > MAX_STAGE_REGRESSION {
+            report.fail(format!(
+                "stage `{name}` regressed {ratio:.2}x ({was:.3} ms -> {now:.3} ms, \
                  limit {MAX_STAGE_REGRESSION:.1}x)"
             ));
         }
     }
+}
 
-    // The composition gates: the physics of the stage, not its timing. A
-    // fresh run must keep the per-record disclosure gain strictly
-    // increasing in the release count and never let a target's candidate
-    // pool grow with an added release. The quick-world block and the
-    // 10k-row `composition_large` block gate independently.
-    let gate_series = |label: &str,
-                       committed: &[CompositionBenchRow],
-                       fresh: &[CompositionBenchRow],
-                       report: &mut CompareReport| {
-        if !committed.is_empty() && fresh.is_empty() {
-            report
-                .violations
-                .push(format!("{label} stage disappeared from the fresh baseline"));
-        }
+/// Each composition block — the quick-world `composition` stage and,
+/// independently, the 10k-row `composition_large` stage inside `large` —
+/// must not vanish, its per-record disclosure gain must be *strictly
+/// increasing* in the number of composed releases, and its mean
+/// candidate count must never rise with an added release (composition
+/// only adds constraints).
+fn composition(c: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    let quick = [c, f].map(|b| b.bench.composition.as_ref());
+    let large = [c, f].map(|b| b.bench.large.as_ref().and_then(|l| l.composition.as_ref()));
+    for (label, blocks) in [("composition", quick), ("composition_large", large)] {
+        let [committed, fresh] = blocks.map(|b| rows_of(b, |b| &b.rows));
+        present(report, &format!("{label} stage"), committed, fresh);
         for pair in fresh.windows(2) {
             let (a, b) = (&pair[0], &pair[1]);
             let (r0, g0, c0) = (a.releases, a.disclosure_gain, a.mean_candidates);
             let (r1, g1, c1) = (b.releases, b.disclosure_gain, b.mean_candidates);
             if g1 <= g0 {
-                report.violations.push(format!(
+                report.fail(format!(
                     "{label} disclosure gain not strictly increasing: R={r0} -> {g0:.1}, \
-                         R={r1} -> {g1:.1}"
+                     R={r1} -> {g1:.1}"
                 ));
             }
             if c1 > c0 + 1e-9 {
-                report.violations.push(format!(
+                report.fail(format!(
                     "{label} candidate count rose with an added release: R={r0} -> {c0:.2}, \
-                         R={r1} -> {c1:.2}"
+                     R={r1} -> {c1:.2}"
                 ));
             }
         }
         if let Some(last) = fresh.last() {
-            report.notes.push(format!(
-                "{label} disclosure gain at R={} is {:.1}",
-                last.releases, last.disclosure_gain
-            ));
-        }
-    };
-    gate_series(
-        "composition",
-        rows_of(c.composition.as_ref(), |b| &b.rows),
-        rows_of(f.composition.as_ref(), |b| &b.rows),
-        &mut report,
-    );
-    gate_series(
-        "composition_large",
-        rows_of(c.large.as_ref().and_then(|l| l.composition.as_ref()), |b| {
-            &b.rows
-        }),
-        rows_of(f.large.as_ref().and_then(|l| l.composition.as_ref()), |b| {
-            &b.rows
-        }),
-        &mut report,
-    );
-    // The defense gates: a deployed policy that stops defending is a
-    // regression just like a slowed stage. Per policy, the top-R row
-    // must keep its residual gain strictly below the undefended gain,
-    // and calibrated widening must hold the candidate floor it is named
-    // for at every R.
-    let committed_defense = rows_of(c.composition_defense.as_ref(), |b| &b.rows);
-    let fresh_defense = rows_of(f.composition_defense.as_ref(), |b| &b.rows);
-    if !committed_defense.is_empty() && fresh_defense.is_empty() {
-        report
-            .violations
-            .push("composition_defense stage disappeared from the fresh baseline".into());
-    }
-    // A single policy vanishing from a still-present block is the same
-    // regression as the block vanishing — the per-policy gates below
-    // only see the fresh run's policies, so guard the roster here.
-    if !fresh_defense.is_empty() {
-        for row in committed_defense {
-            if !fresh_defense.iter().any(|f| f.policy == row.policy)
-                && !report.violations.iter().any(|v| v.contains(&row.policy))
-            {
-                report.violations.push(format!(
-                    "defense `{}` disappeared from the fresh baseline",
-                    row.policy
-                ));
-            }
+            let (r, gain) = (last.releases, last.disclosure_gain);
+            report.note(format!("{label} disclosure gain at R={r} is {gain:.1}"));
         }
     }
-    let mut policies: Vec<&str> = Vec::new();
-    for row in fresh_defense {
-        if !policies.contains(&row.policy.as_str()) {
-            policies.push(&row.policy);
-        }
+}
+
+/// The `composition_defense` block must not vanish, and while it is
+/// present neither may any committed policy. A deployed policy that
+/// stops defending is a regression just like a slowed stage: per fresh
+/// policy, the residual disclosure gain at its top release count must
+/// stay *strictly below* the undefended gain at the same `R`, and every
+/// `calibrated_widen_*` row must keep `mean_candidates >= k` (the
+/// block's own `k`), the floor the calibration exists to hold. A defense
+/// row is a pure function of (seed, size, k, overlap, policy, R), so
+/// when the committed block was taken at the fresh run's seed, size, `k`
+/// and overlap, each `(policy, releases)` row is pinned value-for-value.
+fn defense(c: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    let blocks = [c, f].map(|b| b.bench.composition_defense.as_ref());
+    let [committed, fresh] = blocks.map(|b| rows_of(b, |d| &d.rows));
+    if !present(report, "composition_defense stage", committed, fresh) {
+        return;
     }
-    for policy in policies {
-        let rows: Vec<&DefenseBenchRow> = fresh_defense
-            .iter()
-            .filter(|r| r.policy == policy)
-            .collect();
-        // `policies` was built from the row list, so a group is never
-        // empty — but this path also runs against a *committed* baseline
-        // someone may have hand-edited, and the committed side must fail
-        // structurally, never panic the gate binary.
-        let Some(last) = rows.iter().max_by_key(|r| r.releases) else {
+    let [old, new] = [committed, fresh].map(|rows| rows.iter().map(|r| r.policy.as_str()));
+    for policy in missing(old, new) {
+        report.fail(format!(
+            "defense `{policy}` disappeared from the fresh baseline"
+        ));
+    }
+    let k = blocks[1].map_or(0, |d| d.k);
+    for (i, first) in fresh.iter().enumerate() {
+        let policy = &first.policy;
+        let rows = fresh.iter().filter(|r| &r.policy == policy);
+        if fresh[..i].iter().any(|r| &r.policy == policy) {
             continue;
-        };
-        if last.releases > 1 {
-            if last.residual_gain >= last.undefended_gain {
-                report.violations.push(format!(
-                    "defense `{policy}` residual gain {:.1} is not strictly below the \
-                     undefended gain {:.1} at R={}",
-                    last.residual_gain, last.undefended_gain, last.releases
-                ));
-            } else {
-                report.notes.push(format!(
-                    "defense `{policy}`: residual gain {:.1} vs undefended {:.1} at R={} \
-                     (utility cost {:.1})",
-                    last.residual_gain, last.undefended_gain, last.releases, last.utility_cost
-                ));
-            }
         }
-        // Rows only decode inside their block, so the block's k is there.
-        let k = f.composition_defense.as_ref().map_or(0, |d| d.k);
-        if policy.starts_with("calibrated_widen") {
-            for row in &rows {
-                if row.mean_candidates + 1e-9 < k as f64 {
-                    report.violations.push(format!(
-                        "defense `{policy}` mean candidates fell to {:.2} at R={} \
-                         (must stay >= k = {k})",
-                        row.mean_candidates, row.releases
-                    ));
-                }
-            }
-        }
-    }
-    // Cross-run pin: a defense row is a pure function of (seed, size, k,
-    // overlap, policy, R), so at a matched configuration every committed
-    // row must reappear value-for-value, like the zero-fault robustness
-    // row.
-    if let (Some(cd), Some(fd)) = (&c.composition_defense, &f.composition_defense) {
-        if (c.seed, c.size, cd.k, cd.overlap) == (f.seed, f.size, fd.k, fd.overlap) {
-            for row in &cd.rows {
-                let drifted = fd
-                    .rows
-                    .iter()
-                    .find(|r| r.policy == row.policy && r.releases == row.releases)
-                    .filter(|fresh_row| *fresh_row != row);
-                if let Some(fresh_row) = drifted {
-                    report.violations.push(format!(
-                        "defense `{}` row at R={} drifted from the committed baseline \
-                         (the defense is seeded and deterministic): committed {row:?}, \
-                         fresh {fresh_row:?}",
-                        row.policy, row.releases
-                    ));
-                }
-            }
-        }
-    }
-    // The hypothesis-testing eval gates: like the large_100k gates, the
-    // block's claims are physics, not timing, so every in-run gate runs
-    // on the fresh side even against a committed baseline that predates
-    // the block — only the cross-run drift pin needs a committed
-    // counterpart (and says so in a note when it cannot bind, so the
-    // gate is never silently vacuous).
-    let committed_eval = rows_of(c.eval.as_ref(), |b| &b.rows);
-    let fresh_eval = rows_of(f.eval.as_ref(), |b| &b.rows);
-    if !committed_eval.is_empty() && fresh_eval.is_empty() {
-        report
-            .violations
-            .push("eval (hypothesis-testing) block disappeared from the fresh baseline".into());
-    }
-    if !fresh_eval.is_empty() {
-        for row in fresh_eval {
-            if row.targets == 0 || row.decoys == 0 {
-                report.violations.push(format!(
-                    "eval cell k={} R={} `{}` scored an empty population ({} targets, \
-                     {} decoys) — both classes are required for a hypothesis test",
-                    row.k, row.releases, row.defense, row.targets, row.decoys
-                ));
-            }
-            if row.auc < 0.5 - EVAL_AUC_SLACK || row.auc > 1.0 + 1e-9 {
-                report.violations.push(format!(
-                    "eval cell k={} R={} `{}` AUC {:.4} is outside [{:.2}, 1.0] — the \
-                     score must discriminate no worse than chance and cannot beat a \
-                     perfect test",
-                    row.k,
-                    row.releases,
-                    row.defense,
-                    row.auc,
-                    0.5 - EVAL_AUC_SLACK
-                ));
-            }
-            if !(0.0..=1.0 + 1e-9).contains(&row.tpr_at_fpr3) {
-                report.violations.push(format!(
-                    "eval cell k={} R={} `{}` TPR@1e-3 {:.4} is outside [0, 1]",
-                    row.k, row.releases, row.defense, row.tpr_at_fpr3
-                ));
-            }
-            if row.epsilon < -EVAL_EPSILON_SLACK {
-                report.violations.push(format!(
-                    "eval cell k={} R={} `{}` empirical ε {:.4} is negative — the \
-                     Laplace-corrected max log-likelihood ratio over thresholds \
-                     includes the accept-nothing threshold, so it cannot fall below 0",
-                    row.k, row.releases, row.defense, row.epsilon
-                ));
-            }
-        }
-        // Stronger anonymity must not leak more: within a (R, defense)
-        // group, ε is non-increasing in k.
-        for a in fresh_eval {
-            for b in fresh_eval {
-                if a.defense == b.defense
-                    && a.releases == b.releases
-                    && a.k < b.k
-                    && b.epsilon > a.epsilon + EVAL_EPSILON_SLACK
-                {
-                    report.violations.push(format!(
-                        "eval ε rose with k at R={} `{}`: k={} -> {:.4}, k={} -> {:.4} \
-                         — stronger anonymity must not leak more",
-                        a.releases, a.defense, a.k, a.epsilon, b.k, b.epsilon
-                    ));
-                }
-            }
-        }
-        // A deployed defense must not make the attacker's test better
-        // than the undefended reference at the same cell.
-        for row in fresh_eval.iter().filter(|r| r.defense != "none") {
-            match fresh_eval
-                .iter()
-                .find(|u| u.defense == "none" && u.k == row.k && u.releases == row.releases)
-            {
-                Some(undef) => {
-                    if row.epsilon > undef.epsilon + EVAL_EPSILON_SLACK {
-                        report.violations.push(format!(
-                            "eval defended ε {:.4} under `{}` exceeds the undefended ε \
-                             {:.4} at the same (k={}, R={}) — the defense made the \
-                             attacker's test stronger",
-                            row.epsilon, row.defense, undef.epsilon, row.k, row.releases
-                        ));
-                    }
-                }
-                None => report.violations.push(format!(
-                    "eval defended cell `{}` at (k={}, R={}) has no undefended \
-                     reference cell to gate against",
-                    row.defense, row.k, row.releases
-                )),
-            }
-        }
-        // Cross-run drift pin: the cell is a pure function of (seed,
-        // size, defense), so matched cells must agree across runs.
-        if committed_eval.is_empty() {
-            report.notes.push(format!(
-                "committed baseline predates the eval block: in-run eval gates applied \
-                 over {} cell(s); cross-run drift pin starts once the baseline is \
-                 regenerated",
-                fresh_eval.len()
+        let last = rows.clone().max_by_key(|r| r.releases).unwrap_or(first);
+        let (residual, undefended, r) = (last.residual_gain, last.undefended_gain, last.releases);
+        let cost = last.utility_cost;
+        if r > 1 && residual >= undefended {
+            report.fail(format!(
+                "defense `{policy}` residual gain {residual:.1} is not strictly below the \
+                 undefended gain {undefended:.1} at R={r}"
             ));
-        } else if c.seed != f.seed {
-            report.notes.push(
-                "eval seed changed: cross-run drift pin skipped, in-run gates still applied".into(),
-            );
-        } else {
-            for row in fresh_eval {
-                let Some(base) = committed_eval.iter().find(|b| {
-                    b.k == row.k
-                        && b.releases == row.releases
-                        && b.defense == row.defense
-                        && b.targets == row.targets
-                        && b.decoys == row.decoys
-                }) else {
-                    continue;
-                };
-                for (metric, fresh_v, base_v) in [
-                    ("AUC", row.auc, base.auc),
-                    ("TPR@1e-3", row.tpr_at_fpr3, base.tpr_at_fpr3),
-                    ("ε", row.epsilon, base.epsilon),
-                ] {
-                    if (fresh_v - base_v).abs() > EVAL_DRIFT_SLACK {
-                        report.violations.push(format!(
-                            "eval {metric} drifted at (k={}, R={}, `{}`): {fresh_v:.4} \
-                             vs committed {base_v:.4} — the cell is seeded and \
-                             deterministic, so this is a behavior change",
-                            row.k, row.releases, row.defense
-                        ));
-                    }
-                }
-            }
+        } else if r > 1 {
+            report.note(format!(
+                "defense `{policy}`: residual gain {residual:.1} vs undefended {undefended:.1} \
+                 at R={r} (utility cost {cost:.1})"
+            ));
         }
-        if let Some(top) = fresh_eval
-            .iter()
-            .filter(|r| r.defense == "none")
-            .max_by_key(|r| (r.k, r.releases))
+        let widen = policy.starts_with("calibrated_widen");
+        for row in rows.filter(|row| widen && row.mean_candidates + 1e-9 < k as f64) {
+            let (floor, r) = (row.mean_candidates, row.releases);
+            report.fail(format!(
+                "defense `{policy}` mean candidates fell to {floor:.2} at R={r} (must stay >= k = {k})"
+            ));
+        }
+    }
+    let config = |b: &Baseline, d: Option<&DefenseBench>| {
+        (b.bench.seed, b.bench.size, d.map(|d| (d.k, d.overlap)))
+    };
+    if config(c, blocks[0]) != config(f, blocks[1]) {
+        return;
+    }
+    for (was, now) in matched(committed, fresh, |r| (r.policy.as_str(), r.releases)) {
+        if was != now {
+            report.fail(format!(
+                "defense `{}` row at R={} drifted from the committed baseline (the defense \
+                 is seeded and deterministic): committed {was:?}, fresh {now:?}",
+                was.policy, was.releases
+            ));
+        }
+    }
+}
+
+/// The `eval` (hypothesis-testing) block must not vanish, and every fresh
+/// cell — even against a committed baseline that predates the block —
+/// must score both populations, keep its AUC in `[0.5 −`
+/// [`EVAL_AUC_SLACK`]`, 1.0]`, its TPR@10⁻³ in `[0, 1]` and its empirical
+/// ε non-negative. Stronger anonymity must not leak more: within an `(R,
+/// defense)` group, ε is non-increasing in `k`; and a deployed defense
+/// must not make the attacker's test better than the undefended cell at
+/// the same `(k, R)`, which must exist. A cell is a pure function of
+/// (seed, size, defense): at the committed seed, each fresh cell matched
+/// on `(k, R, defense, targets, decoys)` must stay within
+/// [`EVAL_DRIFT_SLACK`] of its committed cell in AUC, TPR@10⁻³ and ε; a
+/// note says so when that pin cannot bind, so it is never silently
+/// vacuous. (A cell with a non-finite value is a [`malformed_values`]
+/// violation instead.)
+fn eval(c: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    let [committed, fresh] = [c, f].map(|b| rows_of(b.bench.eval.as_ref(), |e| &e.rows));
+    if !present(report, "eval (hypothesis-testing) block", committed, fresh) {
+        return;
+    }
+    let low = 0.5 - EVAL_AUC_SLACK;
+    for row in fresh {
+        let cell = format!("eval cell k={} R={} `{}`", row.k, row.releases, row.defense);
+        let (auc, tpr, eps) = (row.auc, row.tpr_at_fpr3, row.epsilon);
+        if row.targets == 0 || row.decoys == 0 {
+            report.fail(format!(
+                "{cell} scored an empty population ({} targets, {} decoys) — both classes \
+                 are required for a hypothesis test",
+                row.targets, row.decoys
+            ));
+        }
+        if auc < low || auc > 1.0 + 1e-9 {
+            report.fail(format!(
+                "{cell} AUC {auc:.4} is outside [{low:.2}, 1.0] — the score must discriminate \
+                 no worse than chance and cannot beat a perfect test"
+            ));
+        }
+        if !(0.0..=1.0 + 1e-9).contains(&tpr) {
+            report.fail(format!("{cell} TPR@1e-3 {tpr:.4} is outside [0, 1]"));
+        }
+        if eps < -EVAL_EPSILON_SLACK {
+            report.fail(format!(
+                "{cell} empirical ε {eps:.4} is negative — the Laplace-corrected max \
+                 log-likelihood ratio over thresholds includes the accept-nothing \
+                 threshold, so it cannot fall below 0"
+            ));
+        }
+    }
+    for (a, b) in fresh.iter().flat_map(|a| fresh.iter().map(move |b| (a, b))) {
+        if (a.defense == b.defense && a.releases == b.releases && a.k < b.k)
+            && b.epsilon > a.epsilon + EVAL_EPSILON_SLACK
         {
-            report.notes.push(format!(
-                "eval: {} cell(s); undefended k={} R={} reaches AUC {:.4}, ε {:.4}",
-                fresh_eval.len(),
-                top.k,
-                top.releases,
-                top.auc,
-                top.epsilon
+            report.fail(format!(
+                "eval ε rose with k at R={} `{}`: k={} -> {:.4}, k={} -> {:.4} — stronger \
+                 anonymity must not leak more",
+                a.releases, a.defense, a.k, a.epsilon, b.k, b.epsilon
             ));
         }
     }
-    // The robustness gates: graceful degradation is a committed
-    // property. The fault-free row is pinned exactly (it *is* the strict
-    // pipeline, so any drift there is a zero-fault behavior change, not
-    // noise), and faulted rows must stay inside the committed envelope —
-    // corruption is seeded, so rate-matched rows measure the identical
-    // injected pattern and legitimately differ only through code changes.
-    let committed_rob = rows_of(c.robustness.as_ref(), |b| &b.rows);
-    let fresh_rob = rows_of(f.robustness.as_ref(), |b| &b.rows);
-    if !committed_rob.is_empty() && fresh_rob.is_empty() {
-        report
-            .violations
-            .push("robustness stage disappeared from the fresh baseline".into());
-    }
-    if !fresh_rob.is_empty() {
-        match fresh_rob.iter().find(|r| r.fault_rate == 0.0) {
-            None => report
-                .violations
-                .push("robustness block carries no zero-fault reference row".into()),
-            Some(zero) => {
-                if zero.defects() != 0 {
-                    report.violations.push(format!(
-                        "zero-fault robustness row survived {} defect(s) — the fault-free \
-                         path must be an exact passthrough",
-                        zero.defects()
-                    ));
-                }
-                if let Some(pinned) = committed_rob.iter().find(|r| r.fault_rate == 0.0) {
-                    if zero != pinned {
-                        report.violations.push(format!(
-                            "zero-fault robustness row drifted from the committed baseline \
-                             (fault-free output must stay bit-identical): committed \
-                             {pinned:?}, fresh {zero:?}"
-                        ));
-                    }
-                }
-            }
-        }
-        // The worst-case `targeted` row shares its rate with a uniform
-        // row by design (worst-case next to average-case at the same
-        // budget), so envelope rows pair on `(rate, mode)` — matching on
-        // rate alone would gate the adversarial row against the much
-        // gentler average-case numbers.
-        for row in fresh_rob {
-            if row.fault_rate == 0.0 {
-                continue;
-            }
-            let Some(base) = committed_rob
-                .iter()
-                .find(|b| b.fault_rate == row.fault_rate && b.mode == row.mode)
-            else {
-                continue;
-            };
-            if row.harvest_precision + ROBUSTNESS_PRECISION_SLACK < base.harvest_precision {
-                report.violations.push(format!(
-                    "robustness harvest precision at {} fault rate {:.3} fell to {:.4} \
-                     (committed {:.4}, slack {ROBUSTNESS_PRECISION_SLACK})",
-                    row.mode, row.fault_rate, row.harvest_precision, base.harvest_precision
-                ));
-            }
-            if base.composition_gain > 0.0
-                && row.composition_gain < base.composition_gain * ROBUSTNESS_GAIN_FLOOR
-            {
-                report.violations.push(format!(
-                    "robustness composition gain at {} fault rate {:.3} fell to {:.1} \
-                     (committed {:.1}, floor {ROBUSTNESS_GAIN_FLOOR} of it)",
-                    row.mode, row.fault_rate, row.composition_gain, base.composition_gain
-                ));
-            }
-        }
-        // A committed targeted row is a committed property like any
-        // other: a fresh run that silently stops measuring the
-        // worst case has lost the gate, not passed it.
-        if committed_rob.iter().any(|r| r.mode == "targeted")
-            && !fresh_rob.iter().any(|r| r.mode == "targeted")
-        {
-            report.violations.push(
-                "targeted (worst-case) robustness row disappeared from the fresh baseline".into(),
-            );
-        }
-        if let Some(top) = fresh_rob.last() {
-            report.notes.push(format!(
-                "robustness: precision {:.3}, gain {:.1} at {} fault rate {:.3} \
-                 ({} defects survived, zero panics)",
-                top.harvest_precision,
-                top.composition_gain,
-                top.mode,
-                top.fault_rate,
-                top.defects()
-            ));
-        }
-    }
-    // The scale gates: the `large_100k` block's claims are structural,
-    // not timed, so every one of them holds on fresh runs even against a
-    // committed baseline that predates the block — an older baseline
-    // must never make these gates vacuous. The scale pipeline is a pure
-    // function of (seed, size), so when the committed block shares the
-    // fresh run's (seed, size, shards) triple, every equivalence digest
-    // is pinned exactly.
-    if c.large_100k.is_some() && f.large_100k.is_none() {
-        report
-            .violations
-            .push("large_100k block disappeared from the fresh baseline".into());
-    }
-    if let Some(big) = &f.large_100k {
-        let digests = big.digests();
-        let digest = |key: &str| {
-            let found = digests.iter().find(|(k, _)| *k == key);
-            found.expect("every DIGEST_PAIRS key is a block digest").1
-        };
-        for (path, reference, label) in DIGEST_PAIRS {
-            let (s, u) = (digest(path), digest(reference));
-            if s != u {
-                report.violations.push(format!(
-                    "large_100k {label} diverged from its reference: digest {s:016x} vs \
-                     reference {u:016x}"
-                ));
-            }
-        }
-        if big.peak_rss_mb > MAX_100K_PEAK_RSS_MB {
-            report.violations.push(format!(
-                "large_100k peak rss reached {:.1} MiB at {} rows (must stay <= \
-                 {MAX_100K_PEAK_RSS_MB:.0} MiB — the scale pipeline's memory must \
-                 not scale with the master width)",
-                big.peak_rss_mb, big.size
-            ));
-        }
-        match &c.large_100k {
-            Some(base)
-                if base.size == big.size && base.shards == big.shards && c.seed == f.seed =>
-            {
-                if base.digests() != digests {
-                    report.violations.push(format!(
-                        "large_100k digests drifted at the same (seed, size {}, shards {}) \
-                         — the scale pipeline is seeded and deterministic, so this is a \
-                         behavior change: committed {}, fresh {}",
-                        big.size,
-                        big.shards,
-                        hex_digests(&base.digests()),
-                        hex_digests(&digests)
-                    ));
-                }
-            }
-            Some(base) => report.notes.push(format!(
-                "large_100k config changed (committed size {} / {} shards, fresh size {} / \
-                 {} shards): cross-run digest pin skipped, in-run equivalence still gated",
-                base.size, base.shards, big.size, big.shards
+    for row in fresh.iter().filter(|r| r.defense != "none") {
+        let (k, r, defense, eps) = (row.k, row.releases, &row.defense, row.epsilon);
+        let reference = |u: &&EvalCellRow| u.defense == "none" && u.k == k && u.releases == r;
+        match fresh.iter().find(reference).map(|u| u.epsilon) {
+            Some(undefended) if eps > undefended + EVAL_EPSILON_SLACK => report.fail(format!(
+                "eval defended ε {eps:.4} under `{defense}` exceeds the undefended ε \
+                 {undefended:.4} at the same (k={k}, R={r}) — the defense made the attacker's \
+                 test stronger"
             )),
-            None => report.notes.push(format!(
-                "committed baseline predates the large_100k block: in-run gates \
-                 applied at size {} / {} shards; cross-run digest pin starts once the \
-                 baseline is regenerated",
-                big.size, big.shards
+            Some(_) => {}
+            None => report.fail(format!(
+                "eval defended cell `{defense}` at (k={k}, R={r}) has no undefended reference \
+                 cell to gate against"
             )),
         }
-        if big.peak_rss_mb.is_finite() {
-            report.notes.push(format!(
-                "large_100k: {} rows, MDAV leaves {}, peak rss {:.1} MiB",
-                big.size, big.shards, big.peak_rss_mb
-            ));
-        }
     }
-    // The recovery gates: the ledger is the witness that the runner
-    // absorbed every injected transient. Losing it, leaking a panic, or
-    // drifting off the seeded retry trace are all regressions.
-    if c.recovery.is_some() && f.recovery.is_none() {
-        report
-            .violations
-            .push("recovery ledger disappeared from the fresh baseline".into());
+    let n = fresh.len();
+    if committed.is_empty() {
+        report.note(format!(
+            "committed baseline predates the eval block: in-run eval gates applied over {n} \
+             cell(s); cross-run drift pin starts once the baseline is regenerated"
+        ));
+    } else if c.bench.seed != f.bench.seed {
+        report.note("eval seed changed: cross-run drift pin skipped, in-run gates still applied");
     }
-    if let Some(rec) = &f.recovery {
-        if rec.escaped_panics != 0 {
-            report.violations.push(format!(
-                "recovery ledger reports {} escaped panic(s) — every injected \
-                 transient must be absorbed by the retry policy",
-                rec.escaped_panics
-            ));
-        }
-        if let Some(base) = &c.recovery {
-            // Injection sites hash only (plan seed, stage, attempt), so
-            // the same triple must reproduce the identical retry trace.
-            if base.seed == rec.seed
-                && base.transient_rate == rec.transient_rate
-                && base.max_attempts == rec.max_attempts
-                && rec.retries_total != base.retries_total
-            {
-                report.violations.push(format!(
-                    "recovery retry trace drifted: {} total retries vs committed {} \
-                     at the same (seed {}, transient rate {:.3}, max attempts {}) — \
-                     seeded injection makes this a pure function of that triple",
-                    rec.retries_total,
-                    base.retries_total,
-                    rec.seed,
-                    rec.transient_rate,
-                    rec.max_attempts
-                ));
-            }
-            for row in &base.rows {
-                if !rec.rows.iter().any(|f| f.stage == row.stage) {
-                    report.violations.push(format!(
-                        "recovery stage `{}` vanished from the fresh ledger",
-                        row.stage
-                    ));
-                }
-            }
-        }
-        if rec.escaped_panics == 0 {
-            report.notes.push(format!(
-                "recovery: {} retries absorbed across {} stage(s) at transient rate \
-                 {:.3}, zero escaped panics",
-                rec.retries_total,
-                rec.rows.len(),
-                rec.transient_rate
-            ));
-        }
-    }
-    // The profile gates: the observability layer self-verifies against
-    // the other ledgers in the same file. The span tree wraps each
-    // runner stage outside its compute closure, so its digest is a pure
-    // function of the enabled stages — identical across fresh,
-    // deterministic and resumed runs — and is pinned exactly. On a
-    // fresh non-deterministic run the obs counters and the robustness/
-    // recovery ledgers are incremented by the same source lines, so
-    // they must agree to the unit; any gap is dropped instrumentation.
-    if c.profile.is_some() && f.profile.is_none() {
-        report
-            .violations
-            .push("profile block disappeared from the fresh baseline".into());
-    }
-    if let Some(prof) = &f.profile {
-        if let Some(base) = &c.profile {
-            if base.span_tree_digest != prof.span_tree_digest {
-                report.violations.push(format!(
-                    "span tree digest drifted: fresh {} vs committed {} — the tree is a \
-                     pure function of the enabled stages, so this is a structural \
-                     pipeline change, not noise",
-                    prof.span_tree_digest, base.span_tree_digest
-                ));
-            }
-            for row in &base.stages {
-                if !prof.stages.iter().any(|f| f.stage == row.stage) {
-                    report.violations.push(format!(
-                        "profile stage `{}` disappeared from the fresh profile",
-                        row.stage
-                    ));
-                }
-            }
-        }
-        if prof.deterministic {
-            report
-                .notes
-                .push("fresh profile is deterministic: overhead and counter gates skipped".into());
-        } else {
-            if prof.overhead_pct_of_large > MAX_OBS_OVERHEAD_PCT {
-                report.violations.push(format!(
-                    "disabled-tracing overhead reached {:.3}% of the large block over \
-                     {} probe calls (must stay < {MAX_OBS_OVERHEAD_PCT}%)",
-                    prof.overhead_pct_of_large, prof.overhead_probe_calls
-                ));
-            }
-            if !prof.counters.is_empty() {
-                let counter = |name: &str| {
-                    prof.counters
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|&(_, v)| v)
-                };
-                let count = |name: &str| counter(name).unwrap_or(0) as usize;
-                if !fresh_rob.is_empty() {
-                    let ledgers = [
-                        (
-                            "faults.pages_rejected",
-                            fresh_rob.iter().map(|r| r.pages_rejected).sum(),
-                        ),
-                        (
-                            "faults.rows_skipped",
-                            fresh_rob.iter().map(|r| r.rows_skipped).sum(),
-                        ),
-                        (
-                            "faults.fields_imputed",
-                            fresh_rob.iter().map(|r| r.fields_imputed).sum(),
-                        ),
-                        (
-                            "faults.workers_restarted",
-                            fresh_rob.iter().map(|r| r.workers_restarted).sum(),
-                        ),
-                    ];
-                    for (name, ledger) in ledgers {
-                        let counted = count(name);
-                        if counted != ledger {
-                            report.violations.push(format!(
-                                "obs counter `{name}` = {counted} disagrees with the \
-                                 robustness ledger total {ledger} — counter and ledger \
-                                 are written by the same line, so a gap is dropped \
-                                 instrumentation"
-                            ));
-                        }
-                    }
-                }
-                // The harvest latency histogram and the harvest.names
-                // counter are bumped by the same per-name routine of the
-                // one harvest body (at any pool width and fault plan),
-                // so their totals must agree to the unit whenever the
-                // histogram was recorded.
-                let hist = prof.hists.iter().find(|h| h.name == "harvest.name_ms");
-                if let (Some(hist), Some(names)) = (hist, counter("harvest.names")) {
-                    if hist.count != names {
-                        report.violations.push(format!(
-                            "obs histogram `harvest.name_ms` recorded {} \
-                             observation(s) but counter `harvest.names` = {names} — \
-                             both are written by the same per-name harvest routine, so a gap is \
-                             dropped instrumentation",
-                            hist.count
-                        ));
-                    }
-                }
-                if let Some(rec) = &f.recovery {
-                    let attempts: usize = rec.rows.iter().map(|r| r.attempts).sum();
-                    let ledgers = [
-                        ("recover.attempts", attempts),
-                        ("recover.retries", rec.retries_total),
-                    ];
-                    for (name, ledger) in ledgers {
-                        let counted = count(name);
-                        if counted != ledger {
-                            report.violations.push(format!(
-                                "obs counter `{name}` = {counted} disagrees with the \
-                                 recovery ledger total {ledger} — counter and ledger \
-                                 are written by the same line, so a gap is dropped \
-                                 instrumentation"
-                            ));
-                        }
-                    }
-                }
-            }
-            if prof.overhead_pct_of_large.is_finite() {
-                report.notes.push(format!(
-                    "profile: {} spans (tree {}), {} counters; disabled-tracing probe at \
-                     {:.2}% of the large block",
-                    prof.spans_total,
-                    prof.span_tree_digest,
-                    prof.counters.len(),
-                    prof.overhead_pct_of_large
+    let same_seed = c.bench.seed == f.bench.seed;
+    let key = |r: &EvalCellRow| (r.k, r.releases, r.defense.clone(), r.targets, r.decoys);
+    for (was, now) in matched(committed, fresh.iter().filter(|_| same_seed), key) {
+        let (k, r, defense) = (now.k, now.releases, &now.defense);
+        for (metric, v, w) in [
+            ("AUC", now.auc, was.auc),
+            ("TPR@1e-3", now.tpr_at_fpr3, was.tpr_at_fpr3),
+            ("ε", now.epsilon, was.epsilon),
+        ] {
+            if (v - w).abs() > EVAL_DRIFT_SLACK {
+                report.fail(format!(
+                    "eval {metric} drifted at (k={k}, R={r}, `{defense}`): {v:.4} vs committed \
+                     {w:.4} — the cell is seeded and deterministic, so this is a behavior change"
                 ));
             }
         }
     }
-    for line in &fresh.malformed_rows {
-        report.violations.push(format!(
-            "composition row carries a non-finite or unparseable value: {line}"
+    let undefended = fresh.iter().filter(|r| r.defense == "none");
+    if let Some(top) = undefended.max_by_key(|r| (r.k, r.releases)) {
+        let (k, r, auc, eps) = (top.k, top.releases, top.auc, top.epsilon);
+        report.note(format!(
+            "eval: {n} cell(s); undefended k={k} R={r} reaches AUC {auc:.4}, ε {eps:.4}"
         ));
     }
-    // A corrupt committed baseline is just as disarming: its rows drop
-    // out of the parsed series, so the disappeared/monotonicity checks
-    // above would silently stop guarding that block. Refuse to gate
-    // against it — regenerating the baseline is the remedy.
-    for line in &committed.malformed_rows {
-        report.violations.push(format!(
-            "committed baseline carries a non-finite or unparseable composition row \
-             (regenerate it): {line}"
-        ));
-    }
+}
 
-    // Key the large-world harvest gate off the cores that ran the large
-    // block, so a heterogeneous runner cannot gate the 10k stage against
-    // the wrong count.
-    if let Some(large) = f.large.as_ref().filter(|_| !fresh_det) {
-        let (v, cores) = (large.speedup_harvest_parallel_vs_single, large.cores);
-        if cores >= HARVEST_SPEEDUP_MIN_CORES && v < MIN_HARVEST_SPEEDUP {
-            report.violations.push(format!(
-                "harvest parallel speedup fell to {v:.2} on {cores} cores \
-                 (must stay >= {MIN_HARVEST_SPEEDUP:.1} on >= {HARVEST_SPEEDUP_MIN_CORES})"
-            ))
-        } else if v.is_finite() {
-            report.notes.push(format!(
-                "harvest parallel speedup = {v:.2} on {cores} core(s)"
-            ))
+/// The `robustness` block must not vanish, and its zero-fault row must
+/// exist, have survived **zero** defects, and match the committed
+/// zero-fault row value-for-value: the fault-free path *is* the strict
+/// pipeline, so any drift there is a zero-fault behavior change. Each
+/// faulted row is held to the committed envelope at the same
+/// `(fault_rate, mode)` pair: harvest precision within
+/// [`ROBUSTNESS_PRECISION_SLACK`], composition gain at least
+/// [`ROBUSTNESS_GAIN_FLOOR`] of the committed gain. Corruption is
+/// seeded, so rate-matched rows measure the identical injected pattern;
+/// the worst-case `targeted` row shares its rate with a uniform row by
+/// design and gates against the committed targeted row only, and a
+/// committed targeted row must not vanish.
+fn robustness(c: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    let [committed, fresh] = [c, f].map(|b| rows_of(b.bench.robustness.as_ref(), |r| &r.rows));
+    if !present(report, "robustness stage", committed, fresh) {
+        return;
+    }
+    let zero = fresh.iter().find(|r| r.fault_rate == 0.0);
+    match zero.map(|z| z.defects()) {
+        None => report.fail("robustness block carries no zero-fault reference row"),
+        Some(0) => {}
+        Some(n) => report.fail(format!(
+            "zero-fault robustness row survived {n} defect(s) — the fault-free path must be \
+             an exact passthrough"
+        )),
+    }
+    for (was, now) in matched(committed, zero, |r| r.fault_rate) {
+        if was != now {
+            report.fail(format!(
+                "zero-fault robustness row drifted from the committed baseline (fault-free \
+                 output must stay bit-identical): committed {was:?}, fresh {now:?}"
+            ));
         }
     }
+    let faulted = fresh.iter().filter(|r| r.fault_rate != 0.0);
+    for (was, now) in matched(committed, faulted, |r| (r.fault_rate, r.mode)) {
+        let (mode, rate) = (now.mode, now.fault_rate);
+        let (precision, floor) = (now.harvest_precision, was.harvest_precision);
+        if precision + ROBUSTNESS_PRECISION_SLACK < floor {
+            report.fail(format!(
+                "robustness harvest precision at {mode} fault rate {rate:.3} fell to \
+                 {precision:.4} (committed {floor:.4}, slack {ROBUSTNESS_PRECISION_SLACK})"
+            ));
+        }
+        let (gain, base) = (now.composition_gain, was.composition_gain);
+        if base > 0.0 && gain < base * ROBUSTNESS_GAIN_FLOOR {
+            report.fail(format!(
+                "robustness composition gain at {mode} fault rate {rate:.3} fell to {gain:.1} \
+                 (committed {base:.1}, floor {ROBUSTNESS_GAIN_FLOOR} of it)"
+            ));
+        }
+    }
+    let [old, new] = [committed, fresh].map(|rows| rows.iter().map(|r| r.mode));
+    if missing(old, new).contains(&"targeted") {
+        report.fail("targeted (worst-case) robustness row disappeared from the fresh baseline");
+    }
+    if let Some(top) = fresh.last() {
+        let (precision, gain, n) = (top.harvest_precision, top.composition_gain, top.defects());
+        let (mode, rate) = (top.mode, top.fault_rate);
+        report.note(format!(
+            "robustness: precision {precision:.3}, gain {gain:.1} at {mode} fault rate \
+             {rate:.3} ({n} defects survived, zero panics)"
+        ));
+    }
+}
 
-    report
+/// The `large_100k` block must not vanish, and a fresh block — even
+/// against a committed baseline that predates it — must have each of the
+/// [`DIGEST_PAIRS`] agree in-run and its peak rss at most
+/// [`MAX_100K_PEAK_RSS_MB`]. The scale pipeline is a pure function of
+/// (seed, size, MDAV leaves): when the committed block shares the fresh
+/// run's seed, size and `shards`, all six digests are pinned exactly; a
+/// note says why the pin steps aside otherwise.
+fn large_100k(c: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    let [committed, fresh] = [c, f].map(|b| b.bench.large_100k.as_slice());
+    if !present(report, "large_100k block", committed, fresh) {
+        return;
+    }
+    let big = &fresh[0];
+    let (size, shards, rss) = (big.size, big.shards, big.peak_rss_mb);
+    let digests: BTreeMap<_, _> = big.digests().into_iter().collect();
+    for (path, reference, label) in DIGEST_PAIRS {
+        let (s, u) = (digests[path], digests[reference]);
+        if s != u {
+            report.fail(format!(
+                "large_100k {label} diverged from its reference: digest {s:016x} vs \
+                 reference {u:016x}"
+            ));
+        }
+    }
+    if rss > MAX_100K_PEAK_RSS_MB {
+        report.fail(format!(
+            "large_100k peak rss reached {rss:.1} MiB at {size} rows (must stay <= \
+             {MAX_100K_PEAK_RSS_MB:.0} MiB — the scale pipeline's memory must not scale \
+             with the master width)"
+        ));
+    }
+    match committed.first() {
+        Some(base) if (base.size, base.shards, c.bench.seed) == (size, shards, f.bench.seed) => {
+            if base.digests() != big.digests() {
+                let (was, now) = (hex_digests(base), hex_digests(big));
+                report.fail(format!(
+                    "large_100k digests drifted at the same (seed, size {size}, shards \
+                     {shards}) — the scale pipeline is seeded and deterministic, so this is a \
+                     behavior change: committed {was}, fresh {now}"
+                ));
+            }
+        }
+        Some(base) => report.note(format!(
+            "large_100k config changed (committed size {} / {} shards, fresh size {size} / \
+             {shards} shards): cross-run digest pin skipped, in-run equivalence still gated",
+            base.size, base.shards
+        )),
+        None => report.note(format!(
+            "committed baseline predates the large_100k block: in-run gates applied at size \
+             {size} / {shards} shards; cross-run digest pin starts once the baseline is \
+             regenerated"
+        )),
+    }
+    if rss.is_finite() {
+        report.note(format!(
+            "large_100k: {size} rows, MDAV leaves {shards}, peak rss {rss:.1} MiB"
+        ));
+    }
+}
+
+/// The `recovery` ledger — the witness that the runner absorbed every
+/// injected transient — must not vanish, and `escaped_panics` is pinned
+/// at zero. Injection sites hash only (plan seed, stage, attempt), so at
+/// the committed `(seed, transient_rate, max_attempts)` triple the total
+/// retry count is pinned exactly; and no committed stage row may vanish
+/// from the fresh ledger.
+fn recovery(c: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    let [committed, fresh] = [c, f].map(|b| b.bench.recovery.as_slice());
+    if !present(report, "recovery ledger", committed, fresh) {
+        return;
+    }
+    let rec = &fresh[0];
+    let (retries, rate, panics) = (rec.retries_total, rec.transient_rate, rec.escaped_panics);
+    if panics != 0 {
+        report.fail(format!(
+            "recovery ledger reports {panics} escaped panic(s) — every injected transient must \
+             be absorbed by the retry policy"
+        ));
+    } else {
+        let n = rec.rows.len();
+        report.note(format!(
+            "recovery: {retries} retries absorbed across {n} stage(s) at transient rate \
+             {rate:.3}, zero escaped panics"
+        ));
+    }
+    let (seed, attempts) = (rec.seed, rec.max_attempts);
+    let key = |r: &RecoveryBench| (r.seed, r.transient_rate, r.max_attempts);
+    for (was, _) in matched(committed, [rec], key) {
+        if was.retries_total != retries {
+            report.fail(format!(
+                "recovery retry trace drifted: {retries} total retries vs committed {} at the \
+                 same (seed {seed}, transient rate {rate:.3}, max attempts {attempts}) — seeded \
+                 injection makes this a pure function of that triple",
+                was.retries_total
+            ));
+        }
+    }
+    let [old, new] =
+        [committed, fresh].map(|b| b.iter().flat_map(|b| &b.rows).map(|r| r.stage.as_str()));
+    for stage in missing(old, new) {
+        report.fail(format!(
+            "recovery stage `{stage}` vanished from the fresh ledger"
+        ));
+    }
+}
+
+/// The `profile` block must not vanish, its span-tree digest is pinned
+/// exactly, and no committed profile stage row may vanish. The tree
+/// wraps each runner stage *outside* its compute closure, so it is a
+/// pure function of the enabled stages — identical across fresh,
+/// deterministic and resumed runs. On a fresh non-deterministic profile
+/// the measured cost of *disabled* tracing must stay under
+/// [`MAX_OBS_OVERHEAD_PCT`] of the large block's wall; a deterministic
+/// profile skips this, [`obs_ledgers`] and [`obs_counters`].
+fn profile(c: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    let [committed, fresh] = [c, f].map(|b| b.bench.profile.as_slice());
+    if !present(report, "profile block", committed, fresh) {
+        return;
+    }
+    let prof = &fresh[0];
+    let tree = &prof.span_tree_digest;
+    if let Some(base) = committed.first() {
+        let was = &base.span_tree_digest;
+        if was != tree {
+            report.fail(format!(
+                "span tree digest drifted: fresh {tree} vs committed {was} — the tree is a pure \
+                 function of the enabled stages, so this is a structural pipeline change, not \
+                 noise"
+            ));
+        }
+        let [old, new] = [base, prof].map(|p| p.stages.iter().map(|s| s.stage.as_str()));
+        for stage in missing(old, new) {
+            report.fail(format!(
+                "profile stage `{stage}` disappeared from the fresh profile"
+            ));
+        }
+    }
+    if prof.deterministic {
+        return report.note("fresh profile is deterministic: overhead and counter gates skipped");
+    }
+    let (pct, calls) = (prof.overhead_pct_of_large, prof.overhead_probe_calls);
+    if pct > MAX_OBS_OVERHEAD_PCT {
+        report.fail(format!(
+            "disabled-tracing overhead reached {pct:.3}% of the large block over {calls} probe \
+             calls (must stay < {MAX_OBS_OVERHEAD_PCT}%)"
+        ));
+    }
+    if pct.is_finite() {
+        let (spans, counters) = (prof.spans_total, prof.counters.len());
+        report.note(format!(
+            "profile: {spans} spans (tree {tree}), {counters} counters; disabled-tracing probe \
+             at {pct:.2}% of the large block"
+        ));
+    }
+}
+
+/// On a fresh non-deterministic profile with counter rows, the obs
+/// counters reconcile *exactly* against the other ledgers in the same
+/// file: the four `faults.*` counters against the robustness rows'
+/// summed degradation fields, the `harvest.name_ms` histogram's
+/// observation count against `harvest.names`, and `recover.attempts` /
+/// `recover.retries` against the recovery ledger. Each pair is written
+/// by the same source line or routine, so any gap is dropped
+/// instrumentation, not noise. (`recover.quarantines` is reconciled
+/// in-process by `tests/obs_reconcile.rs`: quarantines need a checkpoint
+/// store, whose deterministic runs omit counters.)
+fn obs_ledgers(_: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    let Some(prof) = counted(f) else {
+        return;
+    };
+    let rob = rows_of(f.bench.robustness.as_ref(), |r| &r.rows);
+    let total = |field: fn(&RobustnessBenchRow) -> usize| rob.iter().map(field).sum();
+    let faults = [
+        ("faults.pages_rejected", total(|r| r.pages_rejected)),
+        ("faults.rows_skipped", total(|r| r.rows_skipped)),
+        ("faults.fields_imputed", total(|r| r.fields_imputed)),
+        ("faults.workers_restarted", total(|r| r.workers_restarted)),
+    ];
+    if !rob.is_empty() {
+        reconcile(report, prof, "robustness", &faults);
+    }
+    let hist = prof.hists.iter().find(|h| h.name == "harvest.name_ms");
+    if let (Some(hist), Some(names)) = (hist, counter(prof, "harvest.names")) {
+        let recorded = hist.count;
+        if recorded != names {
+            report.fail(format!(
+                "obs histogram `harvest.name_ms` recorded {recorded} observation(s) but counter \
+                 `harvest.names` = {names} — both are written by the same per-name harvest \
+                 routine, so a gap is dropped instrumentation"
+            ));
+        }
+    }
+    if let Some(rec) = &f.bench.recovery {
+        let (attempts, retries) = (rec.rows.iter().map(|r| r.attempts).sum(), rec.retries_total);
+        let sums = [("recover.attempts", attempts), ("recover.retries", retries)];
+        reconcile(report, prof, "recovery", &sums);
+    }
+}
+
+/// Every obs counter is a deterministic work counter — a pure function
+/// of the workload, each reading identically at pool widths 1, 2 and 4
+/// over repeated CI perf-smoke runs — so when both runs share a
+/// configuration (seed, per-stage row counts, span-tree digest and fault
+/// rates), each counter on either side must equal its committed value,
+/// an absent counter reading 0: a silent algorithmic change and a stale
+/// baseline both fail here. Deterministic runs omit counters, so the pin
+/// skips a deterministic fresh profile.
+fn obs_counters(c: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    let (Some(base), Some(prof)) = (&c.bench.profile, counted(f)) else {
+        return;
+    };
+    let [config_c, config_f] = [&c.bench, &f.bench].map(|b| {
+        let stages: Vec<_> = all_stages(b).map(|s| (s.name, s.rows)).collect();
+        let faults = b.robustness.as_ref().map(|r| r.max_rate);
+        let transients = b.recovery.as_ref().map(|r| r.transient_rate);
+        (b.seed, stages, faults, transients)
+    });
+    if (config_c, &base.span_tree_digest) != (config_f, &prof.span_tree_digest) {
+        return;
+    }
+    let names = [base, prof].map(|p| p.counters.iter().map(|(n, _)| n.as_str()));
+    for name in names.into_iter().flatten().collect::<BTreeSet<_>>() {
+        let [was, now] = [base, prof].map(|p| counter(p, name).unwrap_or(0));
+        if was != now {
+            report.fail(format!(
+                "obs counter `{name}` = {now} drifted from the committed {was} at the same \
+                 configuration — work counters are pure functions of the workload, so this is \
+                 an algorithmic change or a stale baseline"
+            ));
+        }
+    }
+}
+
+/// Every row or scalar that carried a non-finite or unparseable number
+/// is a violation, naming its dotted key path, on either side: a NaN
+/// gain would otherwise sail through the strict-monotonicity check (NaN
+/// comparisons are all false), and the rows of a corrupt committed
+/// baseline drop out of the parsed series, so the presence and series
+/// rules would silently stop guarding that block. Regenerating the
+/// baseline is the remedy.
+fn malformed_values(c: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    for line in &f.malformed_rows {
+        report.fail(format!(
+            "fresh baseline carries a non-finite or unparseable value at {line}"
+        ));
+    }
+    for line in &c.malformed_rows {
+        report.fail(format!(
+            "committed baseline carries a non-finite or unparseable value at {line} \
+             (regenerate it)"
+        ));
+    }
+}
+
+/// On a non-deterministic fresh run whose `large` block ran on ≥
+/// [`HARVEST_SPEEDUP_MIN_CORES`] cores, the large-world harvest must keep
+/// `speedup_harvest_parallel_vs_single` ≥ [`MIN_HARVEST_SPEEDUP`] —
+/// `harvest_auxiliary` against the same call on a one-thread pool, so
+/// the ratio is pure thread fan-out. The core count is read from the
+/// `large` block itself, so a heterogeneous runner cannot gate the 10k
+/// stage against the config block's cores.
+fn harvest_speedup(_: &Baseline, f: &Baseline, report: &mut CompareReport) {
+    let Some(large) = f.bench.large.as_ref().filter(|_| !f.bench.deterministic) else {
+        return;
+    };
+    let (v, cores) = (large.speedup_harvest_parallel_vs_single, large.cores);
+    if cores >= HARVEST_SPEEDUP_MIN_CORES && v < MIN_HARVEST_SPEEDUP {
+        report.fail(format!(
+            "harvest parallel speedup fell to {v:.2} on {cores} cores \
+             (must stay >= {MIN_HARVEST_SPEEDUP:.1} on >= {HARVEST_SPEEDUP_MIN_CORES})"
+        ))
+    } else if v.is_finite() {
+        report.note(format!(
+            "harvest parallel speedup = {v:.2} on {cores} core(s)"
+        ))
+    }
 }
 
 /// The rows of an optional block; empty when the block is absent.
@@ -1044,12 +920,23 @@ fn rows_of<'a, B, R>(block: Option<&'a B>, rows: impl FnOnce(&'a B) -> &'a Vec<R
     block.map_or(&[], |b| rows(b))
 }
 
-/// Renders digest pairs as `key=hex` for a drift message.
-fn hex_digests(digests: &[(&str, u64)]) -> String {
-    let pairs: Vec<String> = digests
-        .iter()
-        .map(|(key, digest)| format!("{key}={digest:016x}"))
-        .collect();
+/// The fresh profile, when it recorded counters (a deterministic run
+/// omits them).
+fn counted(f: &Baseline) -> Option<&ProfileBench> {
+    f.bench
+        .profile
+        .as_ref()
+        .filter(|p| !p.deterministic && !p.counters.is_empty())
+}
+
+/// A profile counter's total, if the run recorded it.
+fn counter(prof: &ProfileBench, name: &str) -> Option<u64> {
+    prof.counters.iter().find(|(n, _)| n == name).map(|c| c.1)
+}
+
+/// Renders a block's digests as `key=hex` for a drift message.
+fn hex_digests(block: &Large100kBench) -> String {
+    let pairs = block.digests().map(|(key, d)| format!("{key}={d:016x}"));
     pairs.join(", ")
 }
 
@@ -1057,9 +944,9 @@ fn hex_digests(digests: &[(&str, u64)]) -> String {
 mod tests {
     use super::*;
     use crate::perf::{
-        quick_bench, CompositionBench, DefenseBench, Large100kBench, LargeBench, ProfileBench,
-        ProfileStageRow, QuickBenchOptions, RecoveryBench, RecoveryBenchRow, RobustnessBench,
-        RobustnessBenchRow, StageTiming,
+        quick_bench, CompositionBench, CompositionBenchRow, DefenseBench, DefenseBenchRow,
+        Large100kBench, LargeBench, ProfileBench, ProfileStageRow, QuickBenchOptions,
+        RecoveryBench, RecoveryBenchRow, RobustnessBench, RobustnessBenchRow, StageTiming,
     };
     use crate::world::WorldConfig;
 
@@ -2358,5 +2245,118 @@ mod tests {
             "{:?}",
             report.violations
         );
+    }
+
+    #[test]
+    fn work_counters_are_pinned_at_a_matched_configuration() {
+        let counters = [("mdav.dist_evals", 4_153_961), ("mdav.shell_rebuilds", 348)];
+        let stages = [("world_build", 1), ("mdav", 1)];
+        let committed = with_profile(synthetic_json(100.0, 5.0), "0d", 0.5, &stages, &counters);
+        assert_passes(&committed, &committed);
+        let counter = |json: &str, name: &str, value: u64| {
+            edit(json, |b| {
+                let counters = &mut b.profile.as_mut().expect("profile").counters;
+                counters.retain(|(n, _)| n != name);
+                counters.extend((value != 0).then(|| (name.to_owned(), value)));
+            })
+        };
+        // One unit off on one counter is one violation naming both values.
+        let bumped = counter(&committed, "mdav.dist_evals", 4_153_962);
+        let report = compare_baselines(&committed, &bumped);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_fires(
+            &report,
+            "obs counter `mdav.dist_evals` = 4153962 drifted from the committed 4153961",
+        );
+        // An omitted counter reads 0, on either side: a counter the
+        // committed baseline lacks makes it stale.
+        let dropped = counter(&committed, "mdav.shell_rebuilds", 0);
+        let report = compare_baselines(&committed, &dropped);
+        assert_fires(
+            &report,
+            "`mdav.shell_rebuilds` = 0 drifted from the committed 348",
+        );
+        let report = compare_baselines(&dropped, &committed);
+        assert_fires(
+            &report,
+            "`mdav.shell_rebuilds` = 348 drifted from the committed 0",
+        );
+        // Another seed, another stage size or another span tree measures
+        // another workload; a deterministic fresh run carries no counters.
+        for other in [
+            edit(&bumped, |b| b.seed += 1),
+            edit(&bumped, |b| b.stages[0].rows += 1),
+            edit(&bumped, |b| {
+                b.profile.as_mut().unwrap().span_tree_digest = "0e".into()
+            }),
+            edit(&dropped, |b| {
+                let prof = b.profile.as_mut().unwrap();
+                prof.deterministic = true;
+                prof.counters.clear();
+            }),
+        ] {
+            assert_silent(&compare_baselines(&committed, &other), "obs counter");
+        }
+    }
+
+    /// The rule table applied to two parsing baselines: the seam through
+    /// which a test runs the gate without some of its rules.
+    fn violations_under(rules: &[Rule], committed: &str, fresh: &str) -> Vec<String> {
+        let (committed, fresh) = (parse(committed), parse(fresh));
+        let mut report = CompareReport::default();
+        for rule in rules {
+            rule(&committed, &fresh, &mut report);
+        }
+        report.violations
+    }
+
+    #[test]
+    fn every_rule_can_fail() {
+        // The golden fixture pairs, plus one synthetic pair from the unit
+        // tests above for each rule the fixtures do not reach.
+        let clean = include_str!("../tests/fixtures/bench_clean.json");
+        let poisoned = include_str!("../tests/fixtures/bench_poisoned.json");
+        let stripped = edit(clean, |b| b.eval = None);
+        let quick_rows = [(1, 0.0, 5.0), (2, 7000.0, 2.3), (3, 9000.0, 1.7)];
+        let flat_rows = [(1, 0.0, 5.0), (2, 7000.0, 2.3), (3, 7000.0, 1.7)];
+        let recovery =
+            |panics| synthetic_recovery_json(2015, 0.1, 4, 3, panics, &[("w", 1, 0, 0.0)]);
+        let profiled = |dist_evals| {
+            let counters = [("mdav.dist_evals", dist_evals)];
+            with_profile(
+                synthetic_json(100.0, 5.0),
+                "0d",
+                0.5,
+                &[("mdav", 1)],
+                &counters,
+            )
+        };
+        let weak_harvest = synthetic_large_json(1, 8, 1.0, &quick_rows, &quick_rows);
+        let cases = [
+            (clean.to_owned(), poisoned.to_owned()),
+            (poisoned.to_owned(), clean.to_owned()),
+            (clean.to_owned(), stripped),
+            (synthetic_json(100.0, 5.0), synthetic_json(1000.0, 1.1)),
+            (
+                synthetic_composition_json(&quick_rows),
+                synthetic_composition_json(&flat_rows),
+            ),
+            (recovery(0), recovery(1)),
+            (profiled(9), profiled(10)),
+            (weak_harvest.clone(), weak_harvest),
+        ];
+        for (committed, fresh) in &cases {
+            let report = compare_baselines(committed, fresh);
+            assert_eq!(violations_under(RULES, committed, fresh), report.violations);
+        }
+        for skipped in 0..RULES.len() {
+            let mut rules = RULES.to_vec();
+            rules.remove(skipped);
+            let caught = cases.iter().any(|(committed, fresh)| {
+                violations_under(&rules, committed, fresh)
+                    != violations_under(RULES, committed, fresh)
+            });
+            assert!(caught, "no case fails rule {skipped} of the table alone");
+        }
     }
 }

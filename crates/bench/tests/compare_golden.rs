@@ -270,7 +270,9 @@ fn poisoned_fresh_run_fires_exactly_the_documented_gates() {
     // *parsed* rows only. The scale block's (size, shards) pair differs
     // from the committed block, so the cross-run digest
     // pin is skipped (a note), not fired. The surviving eval pair (one
-    // row per (R, defense) group) must not trip the ε-vs-k gate.
+    // row per (R, defense) group) must not trip the ε-vs-k gate. Two
+    // stages vanished, so the runs do not share a configuration and the
+    // work-counter pin does not bind to the tampered counters.
     assert_eq!(report.violations.len(), 17, "{:?}", report.violations);
     assert_fires(&report, "AUC 1.2000 is outside");
     assert!(report.violations.iter().any(
@@ -315,6 +317,13 @@ fn poisoned_fresh_run_fires_exactly_the_documented_gates() {
         "{:?}",
         report.violations
     );
+    // Each malformed row names the array it was dropped from.
+    for block in ["composition.rows", "eval.rows", "robustness.rows"] {
+        assert_fires(
+            &report,
+            &format!("fresh baseline carries a non-finite or unparseable value at {block}: {{"),
+        );
+    }
     assert_silent(&report, "not strictly increasing");
 }
 
