@@ -82,7 +82,8 @@ pub struct Large100kBench {
     /// Hierarchical-MDAV leaves: the [`ShardPlan`] derived for this size
     /// splits the world into this many contiguous row ranges.
     pub shards: usize,
-    /// Worker threads available when this block's numbers were taken.
+    /// Worker threads that could run at once when this block's numbers
+    /// were taken: the pool width capped at the host's parallelism.
     pub cores: usize,
     /// Rows in the seeded equivalence subsample.
     pub sample_rows: usize,
@@ -153,7 +154,8 @@ impl StageTiming {
 pub struct LargeBench {
     /// Large-world row count.
     pub size: usize,
-    /// Worker threads available when *this* block's numbers were taken.
+    /// Worker threads that could run at once when *this* block's numbers
+    /// were taken (the pool width capped at the host's parallelism).
     /// Recorded alongside the stages (not only in the top-level config)
     /// so a gate evaluated on a heterogeneous runner keys the large-world
     /// checks off the cores that actually ran them.
@@ -456,8 +458,9 @@ pub struct QuickBench {
     pub size: usize,
     /// World seed.
     pub seed: u64,
-    /// Worker threads available when the numbers were taken (parallel
-    /// speedups are only meaningful relative to this).
+    /// Worker threads that could run at once when the numbers were taken:
+    /// the pool width capped at the host's parallelism (parallel speedups
+    /// are only meaningful relative to this).
     pub cores: usize,
     /// Swept anonymization levels.
     pub k_range: (usize, usize),
@@ -1153,10 +1156,7 @@ pub fn quick_bench(
     QuickBench {
         size: world.table.len(),
         seed: config.seed,
-        // The *effective* worker width (honors RAYON_NUM_THREADS), not
-        // raw available_parallelism: the >=4-core harvest-speedup gate
-        // keys off this, and an overridden pool must not trip it.
-        cores: rayon::current_num_threads(),
+        cores: effective_cores(),
         k_range: (k_min, k_max),
         stages,
         speedup_batch_vs_naive: estimates.speedup,
@@ -1932,7 +1932,7 @@ fn large_bench(config: &WorldConfig, size: usize, compose: bool, exhaustive: boo
 
     LargeBench {
         size: world.table.len(),
-        cores: rayon::current_num_threads(),
+        cores: effective_cores(),
         stages,
         speedup_harvest_parallel_vs_single: if par_wall > 0.0 {
             single_wall / par_wall
@@ -1941,6 +1941,16 @@ fn large_bench(config: &WorldConfig, size: usize, compose: bool, exhaustive: boo
         },
         composition,
     }
+}
+
+/// The worker width a block's numbers were taken at: the pool's width,
+/// which honors `RAYON_NUM_THREADS`, capped at the host's available
+/// parallelism. A pool wider than the host (four workers on two cores)
+/// cannot run four at once, and the >=4-core harvest-speedup gate keys
+/// off this value, so it must not count the extra workers as cores.
+fn effective_cores() -> usize {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    rayon::current_num_threads().min(host)
 }
 
 /// Peak resident set size of this process in MiB, read from
@@ -2164,7 +2174,7 @@ fn large_100k_bench(config: &WorldConfig, size: usize) -> Large100kBench {
     Large100kBench {
         size: n,
         shards: plan.shards(),
-        cores: rayon::current_num_threads(),
+        cores: effective_cores(),
         sample_rows: sub_table.len(),
         peak_rss_mb: peak_rss_mb(),
         stages,

@@ -20,9 +20,11 @@
 //! * **Work-counter reconciliation** — `harvest.postings_scanned`, summed
 //!   over the harvest's per-name deltas, equals the postings the searcher
 //!   itself reports for the same release names; `intersect.probes` equals
-//!   the smallest class size of each target, summed, once per call; and
+//!   the smallest class size of each target, summed, once per call;
 //!   `intersect.summaries` equals the classes with a readable row, while
-//!   no release chunk is streamed.
+//!   no release chunk is streamed; and a composition sweep, a defense
+//!   sweep and an attack each summarize every class of the scenarios
+//!   they generate exactly once.
 //! * **Deterministic trace bit-identity** — two zero-fault checkpointed
 //!   runs of the same configuration (separate stores, both computing
 //!   fresh) drain byte-identical trace JSON and the same structural
@@ -37,12 +39,15 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use fred_anon::Mondrian;
-use fred_attack::{harvest_auxiliary, harvest_auxiliary_tolerant, HarvestConfig};
+use fred_attack::{
+    harvest_auxiliary, harvest_auxiliary_tolerant, FuzzyFusion, FuzzyFusionConfig, HarvestConfig,
+};
 use fred_bench::perf::{quick_bench, QuickBench, QuickBenchOptions};
 use fred_bench::world::WorldConfig;
 use fred_composition::{
-    generate_scenario, intersect_releases, intersect_releases_sequential,
-    intersect_releases_tolerant, CompositionScenario, ScenarioConfig,
+    compose_attack, composition_sweep, defense_sweep, generate_scenario, intersect_releases,
+    intersect_releases_sequential, intersect_releases_tolerant, CompositionConfig,
+    CompositionScenario, CompositionSweepConfig, DefensePolicy, ScenarioConfig,
 };
 use fred_faults::{Degradation, FaultPlan};
 
@@ -361,6 +366,102 @@ fn intersect_summaries_counter_counts_each_readable_class_once() {
     for (path, (summaries, chunks)) in paths {
         assert_eq!(summaries, expected, "{path}: summaries vs readable classes");
         assert_eq!(chunks, 0, "{path}: the index streamed release rows");
+    }
+}
+
+/// The sweeps and the attack index each release of each generated
+/// scenario once: every R of a sweep, and the attack's single-release
+/// baseline, is a prefix of one scenario's indexes. So on a zero-fault
+/// run `intersect.summaries` equals the classes of the scenarios the
+/// call generates, each counted once.
+#[test]
+fn sweeps_and_the_attack_summarize_each_generated_class_once() {
+    let _g = obs_lock();
+    let world = fred_bench::faculty_world(&WorldConfig {
+        size: 400,
+        ..WorldConfig::default()
+    });
+    let fusion = FuzzyFusion::new(FuzzyFusionConfig::default()).expect("default fusion");
+    let k = 4;
+    let config = CompositionSweepConfig {
+        ks: vec![k],
+        releases: vec![1, 2, 3],
+        ..CompositionSweepConfig::default()
+    };
+    // The classes of the one R = 3 scenario a non-widening grid generates.
+    let classes = |defense: Option<DefensePolicy>| -> u64 {
+        let scenario = ScenarioConfig {
+            releases: 3,
+            k,
+            overlap: config.overlap,
+            extras: config.extras,
+            seed: config.seed,
+            styles: config.styles.clone(),
+            defense,
+        };
+        let scenario =
+            generate_scenario(&world.table, &Mondrian::new(), &scenario).expect("scenario");
+        scenario
+            .sources
+            .iter()
+            .map(|s| s.partition.len() as u64)
+            .sum()
+    };
+    let summaries = |call: &dyn Fn()| {
+        fred_obs::enable(true);
+        call();
+        fred_obs::drain().counter_total("intersect.summaries")
+    };
+    let policies: Vec<DefensePolicy> = DefensePolicy::default_set(k)
+        .into_iter()
+        .filter(|p| !matches!(p, DefensePolicy::CalibratedWiden { .. }))
+        .collect();
+    let undefended = classes(None);
+    let defended: u64 = policies.iter().map(|p| classes(Some(p.clone()))).sum();
+    let cases = [
+        (
+            "composition_sweep over R = 1, 2, 3",
+            undefended,
+            summaries(&|| {
+                composition_sweep(&world.table, &world.web, &Mondrian::new(), &fusion, &config)
+                    .expect("composition sweep");
+            }),
+        ),
+        (
+            "defense_sweep (undefended reference + non-widening policies)",
+            undefended + defended,
+            summaries(&|| {
+                defense_sweep(
+                    &world.table,
+                    &world.web,
+                    &Mondrian::new(),
+                    &fusion,
+                    &config,
+                    &policies,
+                )
+                .expect("defense sweep");
+            }),
+        ),
+        (
+            "compose_attack at R = 3",
+            undefended,
+            summaries(&|| {
+                let attack = CompositionConfig {
+                    scenario: ScenarioConfig {
+                        releases: 3,
+                        k,
+                        ..ScenarioConfig::default()
+                    },
+                    ..CompositionConfig::default()
+                };
+                compose_attack(&world.table, &world.web, &Mondrian::new(), &fusion, &attack)
+                    .expect("attack");
+            }),
+        ),
+    ];
+    assert!(policies.len() >= 2 && undefended > 0);
+    for (case, expected, read) in cases {
+        assert_eq!(read, expected, "{case}: summaries vs generated classes");
     }
 }
 

@@ -12,10 +12,16 @@
 //! closer composition moves the adversary compared to the best
 //! single-release attack at the same `k`.
 //!
-//! The attack has one body, [`compose_attack_tolerant`], with the
-//! [`FaultPlan`] as a parameter; [`compose_attack`] is its zero-fault
-//! call, and the sweeps evaluate their cells through the same cell
-//! evaluator under [`FaultPlan::none`].
+//! The attack and both sweeps share one context and one cell evaluator:
+//! the context holds the target core, its one web harvest and ground
+//! truth; a cell generates a scenario, indexes each of its releases once,
+//! and evaluates its single-release world and its `R`-release
+//! composition as prefixes of those indexes. The attack has one body,
+//! [`compose_attack_tolerant`], with the [`FaultPlan`] as a parameter;
+//! [`compose_attack`] is its zero-fault call, and the sweeps evaluate
+//! their `(k, R)` grids through the same cells under [`FaultPlan::none`].
+
+use std::sync::Arc;
 
 use fred_anon::Anonymizer;
 use fred_attack::{harvest_auxiliary_tolerant, FusionSystem, Harvest, HarvestConfig};
@@ -25,8 +31,8 @@ use fred_faults::{strict, Degradation, FaultPlan};
 use fred_web::SearchEngine;
 
 use crate::error::{CompositionError, Result};
-use crate::intersect::{intersect_releases_tolerant, TargetIntersection};
-use crate::scenario::{generate_scenario, ScenarioConfig};
+use crate::intersect::{index_sources, probe, SourceIndex, TargetIntersection};
+use crate::scenario::{core_targets, generate_scenario, ScenarioConfig};
 
 /// Configuration of one end-to-end composition attack.
 #[derive(Debug, Clone)]
@@ -151,7 +157,7 @@ pub fn fused_table(master: &Table, inters: &[TargetIntersection]) -> Result<Tabl
 /// The targets-only release used for harvesting: identifiers are
 /// invariant across `k` and `R`, so one harvest serves every cell of a
 /// composition sweep.
-pub(crate) fn targets_release(master: &Table, targets: &[usize]) -> Result<Table> {
+fn targets_release(master: &Table, targets: &[usize]) -> Result<Table> {
     let rows = targets
         .iter()
         .map(|&t| master.rows()[t].clone())
@@ -161,7 +167,7 @@ pub(crate) fn targets_release(master: &Table, targets: &[usize]) -> Result<Table
 }
 
 /// Ground-truth sensitive values for `targets`.
-pub(crate) fn target_truth(master: &Table, targets: &[usize]) -> Result<Vec<f64>> {
+fn target_truth(master: &Table, targets: &[usize]) -> Result<Vec<f64>> {
     let sens = *master.sensitive_columns().first().ok_or_else(|| {
         CompositionError::InvalidConfig("table has no sensitive attribute".into())
     })?;
@@ -213,8 +219,8 @@ pub(crate) fn implied_income_width(
     width
 }
 
-/// One evaluated sweep cell: intersections, estimates and dissimilarity
-/// for a `(k, R)` world against a shared harvest.
+/// One evaluated prefix of a scenario's indexes: intersections,
+/// estimates and dissimilarity against the context's shared harvest.
 pub(crate) struct CellEval {
     pub inters: Vec<TargetIntersection>,
     pub estimates: Vec<f64>,
@@ -226,70 +232,148 @@ pub(crate) struct CellEval {
     pub mean_income_width: f64,
 }
 
-/// Evaluates one release-count cell over an *already generated*
-/// scenario's source prefix. Source construction is `R`-invariant, so
-/// one max-`R` scenario serves every `R` of a sweep — callers slice
-/// `&sources[..r]` instead of re-anonymizing the same sources per cell.
-/// The sources are digested under `plan`'s release-level faults,
-/// counting into `deg`; a zero-rate plan evaluates exactly as a
-/// fault-free intersection.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_sources(
-    master: &Table,
-    fusion: &dyn FusionSystem,
-    harvest: &Harvest,
-    truth: &[f64],
-    sources: &[crate::scenario::Source],
-    targets: &[usize],
+/// One `(k, R)` cell: its scenario's single-release world (`base`, the
+/// indexes `[..1]`) and its `R`-release composition (`composed`, the
+/// indexes `[..R]`; the same evaluation as `base` at `R = 1`). Cells
+/// sliced from one scenario share its `base`.
+pub(crate) struct Cell {
+    pub k: usize,
+    pub releases: usize,
+    pub base: Arc<CellEval>,
+    pub composed: Arc<CellEval>,
+}
+
+/// The attack's shared set-up: the target core, its one web harvest and
+/// ground truth, and what every cell evaluation reads. The core depends
+/// only on `(overlap, seed)` and no defense policy touches its
+/// membership, so one context serves the attack and every `(k, R,
+/// policy)` cell of the sweeps.
+pub(crate) struct AttackContext<'a> {
+    master: &'a Table,
+    fusion: &'a dyn FusionSystem,
+    targets: Vec<usize>,
+    pub harvest: Harvest,
+    truth: Vec<f64>,
     chunk_rows: usize,
     qi_range: (f64, f64),
     income_range: (f64, f64),
-    plan: &FaultPlan,
-    deg: &mut Degradation,
-) -> Result<CellEval> {
-    let inters =
-        intersect_releases_tolerant(sources, targets, master.len(), chunk_rows, plan, deg)?;
-    let fused = fused_table(master, &inters)?;
-    let estimates = fusion.estimate(&fused, &harvest.records)?;
-    let dissim = dissimilarity(truth, &estimates)?;
-    let mean_candidates =
-        inters.iter().map(|i| i.candidates() as f64).sum::<f64>() / inters.len().max(1) as f64;
-    let widths: Vec<f64> = inters
-        .iter()
-        .filter_map(|i| i.mean_feasible_width())
-        .collect();
-    let mean_feasible_width = if widths.is_empty() {
-        0.0
-    } else {
-        widths.iter().sum::<f64>() / widths.len() as f64
-    };
-    let income_widths: Vec<f64> = inters
-        .iter()
-        .map(|i| implied_income_width(i, qi_range, income_range))
-        .collect();
-    let mean_income_width = income_widths.iter().sum::<f64>() / income_widths.len().max(1) as f64;
-    Ok(CellEval {
-        inters,
-        estimates,
-        income_widths,
-        dissim,
-        mean_candidates,
-        mean_feasible_width,
-        mean_income_width,
-    })
+}
+
+impl<'a> AttackContext<'a> {
+    /// Harvests the core of `config.scenario` (validated at its `k`)
+    /// under `plan`, without anonymizing a throwaway probe world. Returns
+    /// the context and the harvest's ledger.
+    pub fn new(
+        master: &'a Table,
+        web: &SearchEngine,
+        fusion: &'a dyn FusionSystem,
+        config: &CompositionConfig,
+        plan: &FaultPlan,
+    ) -> Result<(Self, Degradation)> {
+        let targets = core_targets(master.len(), &config.scenario)?;
+        let release = targets_release(master, &targets)?;
+        let (harvest, deg) = harvest_auxiliary_tolerant(&release, web, &config.harvest, plan)?;
+        let truth = target_truth(master, &targets)?;
+        let ctx = AttackContext {
+            master,
+            fusion,
+            targets,
+            harvest,
+            truth,
+            chunk_rows: config.chunk_rows,
+            qi_range: config.qi_range,
+            income_range: config.income_range,
+        };
+        Ok((ctx, deg))
+    }
+
+    /// Generates `scenario`, indexes its sources once under `plan`'s
+    /// release-level faults (counting into `deg`), and evaluates one cell
+    /// per entry of `releases` (each at most `scenario.releases`) as
+    /// prefixes of those indexes, all sharing the scenario's `base`.
+    pub fn cells(
+        &self,
+        anonymizer: &dyn Anonymizer,
+        scenario: &ScenarioConfig,
+        releases: &[usize],
+        plan: &FaultPlan,
+        deg: &mut Degradation,
+    ) -> Result<Vec<Cell>> {
+        let generated = generate_scenario(self.master, anonymizer, scenario)?;
+        debug_assert_eq!(generated.targets, self.targets);
+        let indexes = index_sources(
+            &generated.sources,
+            self.master.len(),
+            self.chunk_rows,
+            plan,
+            deg,
+        )?;
+        let base = Arc::new(self.evaluate(&indexes[..1])?);
+        releases
+            .iter()
+            .map(|&r| {
+                let composed = if r == 1 {
+                    Arc::clone(&base)
+                } else {
+                    Arc::new(self.evaluate(&indexes[..r])?)
+                };
+                Ok(Cell {
+                    k: scenario.k,
+                    releases: r,
+                    base: Arc::clone(&base),
+                    composed,
+                })
+            })
+            .collect()
+    }
+
+    /// Evaluates the composition of the sources `indexes`.
+    fn evaluate(&self, indexes: &[SourceIndex]) -> Result<CellEval> {
+        let inters = probe(indexes, &self.targets);
+        let fused = fused_table(self.master, &inters)?;
+        let estimates = self.fusion.estimate(&fused, &self.harvest.records)?;
+        let dissim = dissimilarity(&self.truth, &estimates)?;
+        let mean_candidates =
+            inters.iter().map(|i| i.candidates() as f64).sum::<f64>() / inters.len().max(1) as f64;
+        let widths: Vec<f64> = inters
+            .iter()
+            .filter_map(|i| i.mean_feasible_width())
+            .collect();
+        let mean_feasible_width = if widths.is_empty() {
+            0.0
+        } else {
+            widths.iter().sum::<f64>() / widths.len() as f64
+        };
+        let income_widths: Vec<f64> = inters
+            .iter()
+            .map(|i| implied_income_width(i, self.qi_range, self.income_range))
+            .collect();
+        let mean_income_width =
+            income_widths.iter().sum::<f64>() / income_widths.len().max(1) as f64;
+        Ok(CellEval {
+            inters,
+            estimates,
+            income_widths,
+            dissim,
+            mean_candidates,
+            mean_feasible_width,
+            mean_income_width,
+        })
+    }
 }
 
 /// Runs the full composition attack under a [`FaultPlan`]: generates the
-/// `R`-release world, intersects the releases, fuses the posterior with
-/// the web harvest, and measures per-record disclosure gain against the
-/// single-release world at the same `k`. The harvest tolerates damaged
-/// pages, dropped rows and worker panics, the intersection tolerates
-/// release-level corruption, and the combined [`Degradation`] ledger is
-/// returned alongside the outcome. The one composition body:
-/// [`compose_attack`] is its zero-fault call, and under a zero-rate
-/// `plan` the ledger is clean. Callers injecting `worker_panic` should
-/// wrap the call in [`rayon::silence_panics`] to keep the contained
-/// panics off stderr.
+/// `R`-release world, indexes each release once, intersects the first
+/// one and all `R` of them, fuses each posterior with the web harvest,
+/// and measures per-record disclosure gain against the single-release
+/// world at the same `k` (source construction is `R`-invariant, so the
+/// first source *is* that world). The harvest tolerates damaged pages,
+/// dropped rows and worker panics, the indexing tolerates release-level
+/// corruption, and both count each defect once into the returned
+/// [`Degradation`] ledger. The one composition body: [`compose_attack`]
+/// is its zero-fault call, and under a zero-rate `plan` the ledger is
+/// clean. Callers injecting `worker_panic` should wrap the call in
+/// [`rayon::silence_panics`] to keep the contained panics off stderr.
 pub fn compose_attack_tolerant(
     master: &Table,
     web: &SearchEngine,
@@ -298,64 +382,13 @@ pub fn compose_attack_tolerant(
     config: &CompositionConfig,
     plan: &FaultPlan,
 ) -> Result<(CompositionOutcome, Degradation)> {
-    let scenario_config = &config.scenario;
-    // The target core depends only on (overlap, seed): harvest once,
-    // without anonymizing a throwaway probe world.
-    let targets = crate::scenario::core_targets(master.len(), scenario_config)?;
-    let release = targets_release(master, &targets)?;
-    let (harvest, mut deg) = harvest_auxiliary_tolerant(&release, web, &config.harvest, plan)?;
-    let truth = target_truth(master, &targets)?;
-
-    // One scenario serves both cells: its first source *is* the
-    // single-release world (source construction is R-invariant).
-    let scenario = generate_scenario(master, anonymizer, scenario_config)?;
-    debug_assert_eq!(scenario.targets, targets);
-    // The baseline re-digests source 0 under the *same* pure-hash fault
-    // decisions the composed run makes for it, so its defects are counted
-    // once: in the composed ledger when R > 1, in the baseline's own when
-    // the baseline is the shipped outcome (R = 1). The discarded report
-    // is muted so the shadow pass stays off the observability counters
-    // too.
-    let mut discard = Degradation::muted();
-    let single = scenario_config.releases == 1;
-    let mut baseline_deg = Degradation::default();
-    let baseline = evaluate_sources(
-        master,
-        fusion,
-        &harvest,
-        &truth,
-        &scenario.sources[..1],
-        &targets,
-        config.chunk_rows,
-        config.qi_range,
-        config.income_range,
-        plan,
-        if single {
-            &mut baseline_deg
-        } else {
-            &mut discard
-        },
-    )?;
-    let composed = if single {
-        None
-    } else {
-        Some(evaluate_sources(
-            master,
-            fusion,
-            &harvest,
-            &truth,
-            &scenario.sources,
-            &targets,
-            config.chunk_rows,
-            config.qi_range,
-            config.income_range,
-            plan,
-            &mut baseline_deg,
-        )?)
-    };
-    deg.merge(&baseline_deg);
-    let composed = composed.as_ref().unwrap_or(&baseline);
-
+    let scenario = &config.scenario;
+    let (ctx, mut deg) = AttackContext::new(master, web, fusion, config, plan)?;
+    let cell = ctx
+        .cells(anonymizer, scenario, &[scenario.releases], plan, &mut deg)?
+        .pop()
+        .expect("one cell per release count");
+    let (baseline, composed) = (&cell.base, &cell.composed);
     let records: Vec<CompositionRecord> = composed
         .inters
         .iter()
@@ -368,7 +401,7 @@ pub fn compose_attack_tolerant(
             baseline_income_width: baseline.income_widths[i],
             estimate: composed.estimates[i],
             baseline_estimate: baseline.estimates[i],
-            truth: truth[i],
+            truth: ctx.truth[i],
         })
         .collect();
     let disclosure_gain = records
@@ -377,8 +410,8 @@ pub fn compose_attack_tolerant(
         .sum::<f64>()
         / records.len().max(1) as f64;
     let outcome = CompositionOutcome {
-        releases: scenario_config.releases,
-        k: scenario_config.k,
+        releases: scenario.releases,
+        k: scenario.k,
         records,
         mean_candidates: composed.mean_candidates,
         mean_feasible_width: composed.mean_feasible_width,
@@ -386,8 +419,8 @@ pub fn compose_attack_tolerant(
         dissim_composed: composed.dissim,
         disclosure_gain,
         estimate_gain: baseline.dissim - composed.dissim,
-        aux_coverage: harvest.coverage(),
-        defense: scenario_config.defense.as_ref().map(|d| d.label()),
+        aux_coverage: ctx.harvest.coverage(),
+        defense: scenario.defense.as_ref().map(|d| d.label()),
     };
     Ok((outcome, deg))
 }
@@ -597,6 +630,49 @@ mod tests {
         let (again, deg_again) = run();
         assert_eq!(outcome, again);
         assert_eq!(deg, deg_again);
+    }
+
+    #[test]
+    fn attack_ledger_counts_each_defect_once() {
+        // The attack's ledger is its harvest's plus one intersection's
+        // over the scenario's sources: the single-release baseline is a
+        // prefix of the same indexes, so source 0's defects count once.
+        let (table, web) = world(60);
+        let fusion = FuzzyFusion::new(FuzzyFusionConfig::default()).unwrap();
+        let plan = FaultPlan::uniform(91, 0.1);
+        for releases in [1, 3] {
+            let config = CompositionConfig {
+                scenario: ScenarioConfig {
+                    releases,
+                    k: 4,
+                    ..ScenarioConfig::default()
+                },
+                ..CompositionConfig::default()
+            };
+            let (_, deg) = rayon::silence_panics(|| {
+                compose_attack_tolerant(&table, &web, &Mdav::new(), &fusion, &config, &plan)
+            })
+            .unwrap();
+            let targets = core_targets(table.len(), &config.scenario).unwrap();
+            let release = targets_release(&table, &targets).unwrap();
+            let (_, mut expected) = rayon::silence_panics(|| {
+                harvest_auxiliary_tolerant(&release, &web, &config.harvest, &plan)
+            })
+            .unwrap();
+            let harvested = expected;
+            let scenario = generate_scenario(&table, &Mdav::new(), &config.scenario).unwrap();
+            crate::intersect::intersect_releases_tolerant(
+                &scenario.sources,
+                &scenario.targets,
+                table.len(),
+                config.chunk_rows,
+                &plan,
+                &mut expected,
+            )
+            .unwrap();
+            assert_ne!(expected, harvested, "R = {releases}: no release defect");
+            assert_eq!(deg, expected, "R = {releases}");
+        }
     }
 
     #[test]

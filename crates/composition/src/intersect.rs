@@ -17,22 +17,27 @@
 //!   the range every estimate is drawn from. Centroid-style summaries are
 //!   points, not bounds, and contribute a hint instead.
 //!
-//! Each source is indexed once, in O(n), the sources in parallel: a class
-//! per master row, the class members as one CSR list (ascending within
-//! each class), and every class's constraints in one flat list,
-//! summarized straight from the source table by a
-//! [`fred_anon::ClassSummarizer`] — the cells every row of the class
-//! carries in the release, which is never materialized. The summarizer
-//! reads the source's quasi-identifiers once, into one flat buffer, and
-//! folds every class from it.
-//! A target is then answered by probing the members of its smallest class
-//! against the other sources' class maps — O(R·|class|) work, no
-//! per-target scratch, candidates ascending by construction. Every call
-//! emits the classes summarized as the `intersect.summaries` work counter
-//! and the probed class sizes summed over its targets as
-//! `intersect.probes`. [`intersect_releases_sequential`] is the
-//! definition-level oracle: it reads the constraints off each materialized
-//! release and scans all `n` master rows per target instead.
+//! The engine runs in two phases: index each source once, then probe any
+//! prefix of the indexes. `index_sources` validates the sources and
+//! indexes each in O(n), the sources in parallel: a class per master row,
+//! the class members as one CSR list (ascending within each class), and
+//! every class's constraints in one flat list, summarized straight from
+//! the source table by a [`fred_anon::ClassSummarizer`] — the cells every
+//! row of the class carries in the release, which is never materialized.
+//! The summarizer reads the source's quasi-identifiers once, into one
+//! flat buffer, and folds every class from it. A source's index depends
+//! only on the source and its position, so the composition of the first
+//! `r` releases is `probe` over `&indexes[..r]`: the attack and the
+//! sweeps index a scenario once and evaluate every release count from
+//! it. The probe answers a target by probing the members of its smallest
+//! class against the other sources' class maps — O(R·|class|) work, no
+//! per-target scratch, candidates ascending by construction. Indexing
+//! emits the classes summarized as the `intersect.summaries` work
+//! counter, and each probe the probed class sizes summed over its
+//! targets as `intersect.probes`. [`intersect_releases_tolerant`] is the
+//! two phases in sequence. [`intersect_releases_sequential`] is the
+//! definition-level oracle: it reads the constraints off each
+//! materialized release and scans all `n` master rows per target instead.
 
 use fred_anon::{build_release, ClassSummarizer};
 use fred_data::{Interval, Value};
@@ -77,7 +82,7 @@ impl CellCon {
 }
 
 /// Everything the intersection needs from one source, O(n) in size.
-struct SourceIndex {
+pub(crate) struct SourceIndex {
     /// Class index per master row ([`ABSENT`] when the row is absent).
     class_of_master: Vec<u32>,
     /// CSR offsets: class `c` owns `members[class_start[c]..class_start[c + 1]]`.
@@ -323,32 +328,36 @@ fn index_source(
     (index, summarized)
 }
 
-/// Validates the call and indexes every source, the sources in parallel.
-/// Targets outside the master table are an error; so is any malformed
-/// source ([`map_classes`]), the first in source order. Every source is
-/// validated before any is faulted, so a failed call leaves `deg`
-/// untouched. Each source records into its own report, muted iff `deg`
-/// is, merged into `deg` in source order. Emits the classes summarized,
-/// summed over the sources, as the `intersect.summaries` work counter.
-fn index_sources(
+/// Rejects targets outside the master table.
+fn check_targets(targets: &[usize], n_master: usize) -> Result<()> {
+    match targets.iter().find(|&&t| t >= n_master) {
+        Some(t) => Err(CompositionError::InvalidConfig(format!(
+            "target row {t} is outside the {n_master}-row master table"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Validates the sources and indexes each once, in parallel. Any
+/// malformed source ([`map_classes`]) is an error, the first in source
+/// order. Every source is validated before any is faulted, so a failed
+/// call leaves `deg` untouched. Each source records into its own report,
+/// muted iff `deg` is, merged into `deg` in source order. Emits the
+/// classes summarized, summed over the sources, as the
+/// `intersect.summaries` work counter.
+pub(crate) fn index_sources(
     sources: &[Source],
-    targets: &[usize],
     n_master: usize,
     chunk_rows: usize,
     plan: &FaultPlan,
     deg: &mut Degradation,
-) -> Result<(Vec<SourceIndex>, usize)> {
+) -> Result<Vec<SourceIndex>> {
     let first = sources.first().ok_or_else(|| {
         CompositionError::InvalidConfig("intersection needs at least one source".into())
     })?;
     if n_master > ABSENT as usize {
         return Err(CompositionError::InvalidConfig(format!(
             "{n_master} master rows do not fit the u32 row ids"
-        )));
-    }
-    if let Some(&t) = targets.iter().find(|&&t| t >= n_master) {
-        return Err(CompositionError::InvalidConfig(format!(
-            "target row {t} is outside the {n_master}-row master table"
         )));
     }
     let qi_cols = first.table.quasi_identifier_columns();
@@ -386,7 +395,7 @@ fn index_sources(
         })
         .collect();
     fred_obs::counter(INTERSECT_SUMMARIES, summaries as u64);
-    Ok((indexes, qi_cols.len()))
+    Ok(indexes)
 }
 
 /// What the composition of all releases pins down about one target.
@@ -507,10 +516,10 @@ fn candidates<'a>(
 /// One target's intersection, with the rows `candidate_rows` yields.
 fn intersect_target(
     indexes: &[SourceIndex],
-    qi_len: usize,
     target: usize,
     candidate_rows: impl FnOnce() -> Vec<u32>,
 ) -> TargetIntersection {
+    let qi_len = indexes.first().map_or(0, |ix| ix.qi_len);
     let mut feasible: Vec<Option<Interval>> = vec![None; qi_len];
     let mut centroid_sum = vec![0.0f64; qi_len];
     let mut centroid_n = vec![0usize; qi_len];
@@ -547,36 +556,25 @@ fn intersect_target(
     }
 }
 
-/// One target's intersection by probing its smallest class, with the
-/// number of rows probed.
-fn probe_target(
-    indexes: &[SourceIndex],
-    qi_len: usize,
-    target: usize,
-) -> (TargetIntersection, usize) {
-    let probed = probed_class(indexes, target).unwrap_or_default();
-    let inter = intersect_target(indexes, qi_len, target, || {
-        candidates(indexes, target, probed).collect()
-    });
-    (inter, probed.len())
-}
-
-/// Fans `per_target` (result, probes) over the worker pool, emits the
-/// summed probes once, and returns the results index-aligned with
-/// `targets`.
-fn probe_all<R: Send>(
-    targets: &[usize],
-    per_target: impl Fn(usize) -> (R, usize) + Sync,
-) -> Vec<R> {
+/// Answers `targets` over the sources `indexes` — all of a call's
+/// indexes or any prefix of them — each target by probing its smallest
+/// class, the targets in parallel. Emits the probed class sizes, summed
+/// over the targets, as the `intersect.probes` work counter. Output is
+/// index-aligned with `targets`, which must lie inside the master table.
+pub(crate) fn probe(indexes: &[SourceIndex], targets: &[usize]) -> Vec<TargetIntersection> {
     let mut probes = 0usize;
     let out = targets
         .par_iter()
-        .map(|&t| per_target(t))
+        .map(|&t| {
+            let probed = probed_class(indexes, t).unwrap_or_default();
+            let inter = intersect_target(indexes, t, || candidates(indexes, t, probed).collect());
+            (inter, probed.len())
+        })
         .collect::<Vec<_>>()
         .into_iter()
-        .map(|(r, p)| {
-            probes += p;
-            r
+        .map(|(inter, probed)| {
+            probes += probed;
+            inter
         })
         .collect();
     fred_obs::counter(INTERSECT_PROBES, probes as u64);
@@ -604,13 +602,13 @@ pub fn intersect_releases(
 /// plan's release-level faults (missing rows, corrupt QI cells,
 /// truncated chunks) with skip-and-count semantics, then runs the same
 /// per-target probe. A chunk is `chunk_rows` consecutive release rows; a
-/// truncated one hides the second half of its rows. Defects are recorded
-/// into the caller's `deg` — a [muted](Degradation::muted) report keeps a
-/// shadow pass off the observability counters. A target dropped from
-/// every source degrades to an empty candidate set with no feasible box
-/// — downstream fusion reads that as fully unconstrained — and under a
-/// zero-rate plan the result is bit-identical to [`intersect_releases`]
-/// with a clean report (pinned by property test).
+/// truncated one hides the second half of its rows. Targets are
+/// validated first, then the sources, so a failed call leaves `deg`
+/// untouched; defects are recorded into the caller's `deg`. A target
+/// dropped from every source degrades to an empty candidate set with no
+/// feasible box — downstream fusion reads that as fully unconstrained —
+/// and under a zero-rate plan the result is bit-identical to
+/// [`intersect_releases`] with a clean report (pinned by property test).
 pub fn intersect_releases_tolerant(
     sources: &[Source],
     targets: &[usize],
@@ -619,8 +617,9 @@ pub fn intersect_releases_tolerant(
     plan: &FaultPlan,
     deg: &mut Degradation,
 ) -> Result<Vec<TargetIntersection>> {
-    let (indexes, qi_len) = index_sources(sources, targets, n_master, chunk_rows, plan, deg)?;
-    Ok(probe_all(targets, |t| probe_target(&indexes, qi_len, t)))
+    check_targets(targets, n_master)?;
+    let indexes = index_sources(sources, n_master, chunk_rows, plan, deg)?;
+    Ok(probe(&indexes, targets))
 }
 
 /// Each class's constraints as the materialized release publishes them:
@@ -656,16 +655,16 @@ pub fn intersect_releases_sequential(
     n_master: usize,
     chunk_rows: usize,
 ) -> Result<Vec<TargetIntersection>> {
+    check_targets(targets, n_master)?;
     let (plan, mut deg) = (FaultPlan::none(), Degradation::muted());
-    let (mut indexes, qi_len) =
-        index_sources(sources, targets, n_master, chunk_rows, &plan, &mut deg)?;
+    let mut indexes = index_sources(sources, n_master, chunk_rows, &plan, &mut deg)?;
     for (ix, source) in indexes.iter_mut().zip(sources) {
         ix.class_cons = published_cons(source)?;
     }
     Ok(targets
         .iter()
         .map(|&t| {
-            intersect_target(&indexes, qi_len, t, || {
+            intersect_target(&indexes, t, || {
                 (0..n_master)
                     .filter(|&r| consistent(class_maps(&indexes), t, r))
                     .map(|r| r as u32)
@@ -1184,8 +1183,8 @@ pub(crate) mod tests {
         let mut lost_a_class = false;
         for chunk_rows in [1usize, 3, 7, 1024] {
             let mut deg = Degradation::default();
-            let (indexes, _) =
-                index_sources(&s.sources, &[], table.len(), chunk_rows, &plan, &mut deg).unwrap();
+            let indexes =
+                index_sources(&s.sources, table.len(), chunk_rows, &plan, &mut deg).unwrap();
             let mut streamed = Degradation::default();
             for (idx, (ix, source)) in indexes.iter().zip(&s.sources).enumerate() {
                 let cons = streamed_cons(source, idx, chunk_rows, &plan, &mut streamed);
@@ -1209,6 +1208,34 @@ pub(crate) mod tests {
             );
         }
         assert!(lost_a_class, "no class ever lost its every readable row");
+    }
+
+    #[test]
+    fn probing_a_prefix_of_the_indexes_equals_intersecting_the_prefix() {
+        // A source's index depends only on the source and its position,
+        // faults included, so one indexing serves every release count.
+        let (table, s) = scenario(80, 3, 4);
+        let rows = every_row(&table);
+        let plan = FaultPlan::uniform(43, 0.2);
+        let mut deg = Degradation::default();
+        let indexes = index_sources(&s.sources, table.len(), 16, &plan, &mut deg).unwrap();
+        for r in 1..=3 {
+            let mut prefix_deg = Degradation::default();
+            let expected = intersect_releases_tolerant(
+                &s.sources[..r],
+                &rows,
+                table.len(),
+                16,
+                &plan,
+                &mut prefix_deg,
+            )
+            .unwrap();
+            assert_eq!(probe(&indexes[..r], &rows), expected, "R = {r}");
+            if r == 3 {
+                assert_eq!(prefix_deg, deg);
+            }
+        }
+        assert!(!deg.is_clean(), "nothing fired at 20%: {deg}");
     }
 
     #[test]

@@ -13,16 +13,17 @@
 //!   existing `fred-anon` pipeline (per-source seeds and QI styles);
 //! * [`intersect`] — the intersection engine: per-target candidate sets
 //!   and quasi-identifier feasible boxes intersected across the
-//!   releases, each indexed from one read of its quasi-identifiers by a
-//!   [`fred_anon::ClassSummarizer`] and never materialized (parallel
-//!   probing engine + row-scan oracle over the built releases,
-//!   property-pinned);
+//!   releases, each indexed once from one read of its quasi-identifiers
+//!   by a [`fred_anon::ClassSummarizer`] and never materialized, then
+//!   probed over any prefix of the indexes (parallel probing engine +
+//!   row-scan oracle over the built releases, property-pinned);
 //! * [`fuse`] — folds the intersection posterior together with the
 //!   web-harvest evidence through any [`fred_attack::FusionSystem`],
 //!   yielding a [`CompositionOutcome`] with per-record disclosure gain;
+//!   its context and cell evaluator serve the attack and both sweeps;
 //! * [`sweep`] — [`composition_sweep`]: `ks × releases` at a fixed
 //!   overlap, the subsystem's evaluation axis (wired into
-//!   `repro --compose`);
+//!   `repro --compose`), read off one cell grid;
 //! * [`defense`] — the countermeasure axis: [`DefensePolicy`]
 //!   (coordinated core partitions, capped source overlap, widening
 //!   calibrated against the composed intersection by probing the same

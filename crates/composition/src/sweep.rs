@@ -8,17 +8,25 @@
 //! headline series is per-record disclosure gain versus `R = 1` at the
 //! same `k`: privacy that survives one release collapses under
 //! composition.
+//!
+//! Both sweeps build the attack's one context (core, harvest, truth)
+//! once and read their rows off one cell grid. A grid cell is the
+//! attack's cell: a scenario's single-release world and its `R`-release
+//! composition, both prefixes of the scenario's indexes, each release
+//! indexed once. [`composition_sweep`] measures each cell against the
+//! `R = 1` cell; [`defense_sweep`] measures each policy's cells against
+//! the undefended grid's.
 
 use fred_anon::{Anonymizer, QiStyle};
-use fred_attack::{harvest_auxiliary, FusionSystem, HarvestConfig};
+use fred_attack::{FusionSystem, HarvestConfig};
 use fred_data::Table;
-use fred_faults::{Degradation, FaultPlan};
+use fred_faults::{strict, Degradation, FaultPlan};
 use fred_web::SearchEngine;
 use rayon::prelude::*;
 
 use crate::defense::DefensePolicy;
 use crate::error::{CompositionError, Result};
-use crate::fuse::{evaluate_sources, target_truth, targets_release};
+use crate::fuse::{AttackContext, Cell, CompositionConfig};
 use crate::scenario::ScenarioConfig;
 
 /// Configuration of a composition sweep.
@@ -174,57 +182,124 @@ impl CompositionSweepReport {
     }
 }
 
-/// The shared per-sweep setup: the target core plus its one web harvest
-/// and ground truth. The core depends only on `(overlap, seed)` and no
-/// defense policy touches its membership, so one context serves every
-/// `(k, R, policy)` cell — [`defense_sweep`] reuses the context its
-/// undefended reference sweep built instead of re-harvesting per run.
-struct SweepContext {
-    targets: Vec<usize>,
-    harvest: fred_attack::Harvest,
-    truth: Vec<f64>,
+impl CompositionSweepConfig {
+    /// The scenario of the `(k, releases)` cell under `defense`.
+    fn scenario(
+        &self,
+        k: usize,
+        releases: usize,
+        defense: Option<DefensePolicy>,
+    ) -> ScenarioConfig {
+        ScenarioConfig {
+            releases,
+            overlap: self.overlap,
+            extras: self.extras,
+            k,
+            seed: self.seed,
+            styles: self.styles.clone(),
+            defense,
+        }
+    }
+
+    /// Validates the grid and returns its `ks` and `releases`, each
+    /// ascending and deduplicated.
+    fn grid_axes(&self) -> Result<(Vec<usize>, Vec<usize>)> {
+        if self.ks.is_empty() || self.releases.is_empty() {
+            return Err(CompositionError::InvalidConfig(
+                "ks and releases must be non-empty".into(),
+            ));
+        }
+        if self.releases.contains(&0) {
+            return Err(CompositionError::InvalidConfig(
+                "releases must be >= 1".into(),
+            ));
+        }
+        let sorted = |v: &[usize]| {
+            let mut v = v.to_vec();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        Ok((sorted(&self.ks), sorted(&self.releases)))
+    }
+
+    /// The one context of a sweep: the core is k- and R-invariant, so it
+    /// is probed at the smallest swept `k` and harvested once, strictly.
+    fn context<'a>(
+        &self,
+        table: &'a Table,
+        web: &SearchEngine,
+        fusion: &'a dyn FusionSystem,
+        ks: &[usize],
+    ) -> Result<AttackContext<'a>> {
+        let config = CompositionConfig {
+            scenario: self.scenario(ks[0], 1, None),
+            harvest: self.harvest.clone(),
+            chunk_rows: self.chunk_rows,
+            qi_range: self.qi_range,
+            income_range: self.income_range,
+        };
+        AttackContext::new(table, web, fusion, &config, &FaultPlan::none()).map(strict)
+    }
 }
 
-fn sweep_context(
-    table: &Table,
-    web: &SearchEngine,
+/// Evaluates the `(k, R)` cells for every `k` in `ks` and every `R` in
+/// `releases` (both ascending), in that order, under `defense`, all
+/// against the context's one harvest. Each `k` fans out in parallel;
+/// cells are pure given the context. Source construction is
+/// `R`-invariant for every policy but [`DefensePolicy::CalibratedWiden`],
+/// which is calibrated against its own release count (at `R = 3` it
+/// widens more than at `R = 2`): it generates one scenario per cell, and
+/// every other policy one max-`R` scenario per `k`, its cells prefixes of
+/// that scenario's indexes.
+fn evaluate_grid(
+    ctx: &AttackContext,
+    anonymizer: &dyn Anonymizer,
     config: &CompositionSweepConfig,
-) -> Result<SweepContext> {
-    // The split is k- and R-invariant; probe it via the split alone (no
-    // throwaway anonymization), validated at the smallest swept k.
-    let k_probe = *config.ks.iter().min().expect("ks non-empty");
-    let probe = ScenarioConfig {
-        releases: 1,
-        overlap: config.overlap,
-        extras: config.extras,
-        k: k_probe,
-        seed: config.seed,
-        styles: config.styles.clone(),
-        defense: None,
-    };
-    let targets = crate::scenario::core_targets(table.len(), &probe)?;
-    let release = targets_release(table, &targets)?;
-    let harvest = harvest_auxiliary(&release, web, &config.harvest)?;
-    let truth = target_truth(table, &targets)?;
-    Ok(SweepContext {
-        targets,
-        harvest,
-        truth,
-    })
+    defense: Option<&DefensePolicy>,
+    ks: &[usize],
+    releases: &[usize],
+) -> Result<Vec<Cell>> {
+    let per_r = matches!(defense, Some(DefensePolicy::CalibratedWiden { .. }));
+    let r_max = *releases.last().expect("releases non-empty");
+    let cells = ks
+        .to_vec()
+        .into_par_iter()
+        .map(|k| -> Result<Vec<Cell>> {
+            let cells = |r: usize, rs: &[usize]| {
+                let scenario = config.scenario(k, r, defense.cloned());
+                let (plan, mut deg) = (FaultPlan::none(), Degradation::muted());
+                ctx.cells(anonymizer, &scenario, rs, &plan, &mut deg)
+            };
+            if !per_r {
+                return cells(r_max, releases);
+            }
+            let mut out = Vec::with_capacity(releases.len());
+            for &r in releases {
+                out.extend(cells(r, &[r])?);
+            }
+            Ok(out)
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok(cells.into_iter().flatten().collect())
 }
 
-fn validate_sweep_config(config: &CompositionSweepConfig) -> Result<()> {
-    if config.ks.is_empty() || config.releases.is_empty() {
-        return Err(CompositionError::InvalidConfig(
-            "ks and releases must be non-empty".into(),
-        ));
+/// `releases` with the `R = 1` baseline every gain is measured from,
+/// whether or not it is listed.
+fn with_baseline(releases: &[usize]) -> Vec<usize> {
+    let mut with_one = releases.to_vec();
+    if with_one[0] != 1 {
+        with_one.insert(0, 1);
     }
-    if config.releases.contains(&0) {
-        return Err(CompositionError::InvalidConfig(
-            "releases must be >= 1".into(),
-        ));
-    }
-    Ok(())
+    with_one
+}
+
+/// The cell of `(k, releases)` in an evaluated grid.
+fn cell_at(cells: &[Cell], k: usize, releases: usize) -> &Cell {
+    cells
+        .iter()
+        .find(|c| c.k == k && c.releases == releases)
+        .expect("the grid covers every swept cell")
 }
 
 /// Runs the composition sweep.
@@ -240,133 +315,35 @@ pub fn composition_sweep(
     fusion: &dyn FusionSystem,
     config: &CompositionSweepConfig,
 ) -> Result<CompositionSweepReport> {
-    validate_sweep_config(config)?;
-    let ctx = sweep_context(table, web, config)?;
-    composition_sweep_with_context(table, anonymizer, fusion, config, &ctx)
-}
-
-fn composition_sweep_with_context(
-    table: &Table,
-    anonymizer: &dyn Anonymizer,
-    fusion: &dyn FusionSystem,
-    config: &CompositionSweepConfig,
-    ctx: &SweepContext,
-) -> Result<CompositionSweepReport> {
-    let SweepContext {
-        targets,
-        harvest,
-        truth,
-    } = ctx;
-    let scenario_for = |k: usize, releases: usize| ScenarioConfig {
-        releases,
-        overlap: config.overlap,
-        extras: config.extras,
-        k,
-        seed: config.seed,
-        styles: config.styles.clone(),
-        defense: config.defense.clone(),
-    };
-    let mut ks = config.ks.clone();
-    ks.sort_unstable();
-    ks.dedup();
-    let mut r_values = config.releases.clone();
-    r_values.sort_unstable();
-    r_values.dedup();
-
-    // Source construction is R-invariant, so each k needs exactly one
-    // scenario at the largest release count; every cell — including the
-    // always-evaluated R = 1 baseline — is a prefix of its sources. The
-    // per-k work fans out in parallel; cells are pure given the shared
-    // harvest. The one exception is CalibratedWiden, which is
-    // calibrated against its own release count (at R = 3 it widens more
-    // than at R = 2), so its cells generate per R; the other policies'
-    // constructions are R-invariant like the undefended one.
-    let r_max = *r_values.iter().max().expect("releases non-empty");
-    let mut r_cells = r_values.clone();
-    if !r_cells.contains(&1) {
-        r_cells.insert(0, 1);
-    }
-    let per_r_generation = matches!(config.defense, Some(DefensePolicy::CalibratedWiden { .. }));
-    let evaluated: Vec<((usize, usize), crate::fuse::CellEval)> = ks
-        .clone()
-        .into_par_iter()
-        .map(
-            |k| -> Result<Vec<((usize, usize), crate::fuse::CellEval)>> {
-                let shared_scenario = if per_r_generation {
-                    None
-                } else {
-                    let scenario = crate::scenario::generate_scenario(
-                        table,
-                        anonymizer,
-                        &scenario_for(k, r_max),
-                    )?;
-                    debug_assert_eq!(&scenario.targets, targets);
-                    Some(scenario)
-                };
-                r_cells
-                    .iter()
-                    .map(|&r| {
-                        let cell_scenario;
-                        let sources = match &shared_scenario {
-                            Some(scenario) => &scenario.sources[..r],
-                            None => {
-                                cell_scenario = crate::scenario::generate_scenario(
-                                    table,
-                                    anonymizer,
-                                    &scenario_for(k, r),
-                                )?;
-                                debug_assert_eq!(&cell_scenario.targets, targets);
-                                &cell_scenario.sources[..]
-                            }
-                        };
-                        let eval = evaluate_sources(
-                            table,
-                            fusion,
-                            harvest,
-                            truth,
-                            sources,
-                            targets,
-                            config.chunk_rows,
-                            config.qi_range,
-                            config.income_range,
-                            &FaultPlan::none(),
-                            &mut Degradation::muted(),
-                        )?;
-                        Ok(((k, r), eval))
-                    })
-                    .collect()
-            },
-        )
-        .collect::<Result<Vec<Vec<_>>>>()?
-        .into_iter()
-        .flatten()
-        .collect();
-
-    let cell_at = |k: usize, r: usize| -> &crate::fuse::CellEval {
-        evaluated
-            .iter()
-            .find(|((ck, cr), _)| *ck == k && *cr == r)
-            .map(|(_, e)| e)
-            .expect("cell evaluated")
-    };
-    let mut rows = Vec::new();
-    for &k in &ks {
-        let baseline = cell_at(k, 1);
-        for &r in &r_values {
-            let eval = cell_at(k, r);
-            rows.push(CompositionSweepRow {
-                k,
-                releases: r,
+    let (ks, releases) = config.grid_axes()?;
+    let ctx = config.context(table, web, fusion, &ks)?;
+    let defense = config.defense.as_ref();
+    let cells = evaluate_grid(
+        &ctx,
+        anonymizer,
+        config,
+        defense,
+        &ks,
+        &with_baseline(&releases),
+    )?;
+    let rows = cells
+        .iter()
+        .filter(|c| releases.contains(&c.releases))
+        .map(|c| {
+            let (baseline, eval) = (&cell_at(&cells, c.k, 1).composed, &c.composed);
+            CompositionSweepRow {
+                k: c.k,
+                releases: c.releases,
                 mean_candidates: eval.mean_candidates,
                 mean_feasible_width: eval.mean_feasible_width,
                 mean_income_width: eval.mean_income_width,
                 dissim_composed: eval.dissim,
                 disclosure_gain: baseline.mean_income_width - eval.mean_income_width,
                 estimate_gain: baseline.dissim - eval.dissim,
-                aux_coverage: harvest.coverage(),
-            });
-        }
-    }
+                aux_coverage: ctx.harvest.coverage(),
+            }
+        })
+        .collect();
     Ok(CompositionSweepReport { rows })
 }
 
@@ -451,17 +428,19 @@ impl DefenseSweepReport {
 }
 
 /// Sweeps every policy over `ks × releases` next to the undefended
-/// attack: one undefended [`composition_sweep`] supplies the reference
-/// gains, then each policy's scenario is generated *per release count*
-/// (a coordination defense is calibrated against the releases actually
-/// out there — [`DefensePolicy::CalibratedWiden`] at `R = 3` widens more
-/// than at `R = 2`) and attacked with the same intersection engine,
-/// fusion system and shared web harvest. Residual and undefended gains
-/// are measured from the *same* baseline — the undefended single
-/// release — so the two columns compare the adversary's final feasible
-/// range directly; a widening policy cannot look good merely by
-/// inflating its own baseline (its wide published boxes would inflate a
-/// within-policy gain, not this one).
+/// attack: one undefended grid (the cells [`composition_sweep`] reads)
+/// supplies the reference gains, then each policy's grid is attacked
+/// with the same intersection engine, fusion system and shared web
+/// harvest. [`DefensePolicy::CalibratedWiden`] is calibrated against the
+/// releases actually out there (at `R = 3` it widens more than at
+/// `R = 2`), so its scenarios are generated per release count; the other
+/// policies' cells are prefixes of one scenario. Residual and
+/// undefended gains are measured from the *same* baseline — the
+/// undefended single release, read off the undefended `R = 1` cell — so
+/// the two columns compare the adversary's final feasible range
+/// directly; a widening policy cannot look good merely by inflating its
+/// own baseline (its wide published boxes would inflate a within-policy
+/// gain, not this one).
 pub fn defense_sweep(
     table: &Table,
     web: &SearchEngine,
@@ -475,131 +454,35 @@ pub fn defense_sweep(
             "defense sweep needs at least one policy".into(),
         ));
     }
-    let undefended_config = CompositionSweepConfig {
-        defense: None,
-        ..config.clone()
-    };
-    validate_sweep_config(&undefended_config)?;
+    let (ks, releases) = config.grid_axes()?;
     // One context — core, harvest, truth — serves the undefended
-    // reference and every defended cell: the core depends only on
-    // (overlap, seed) and no policy touches its membership.
-    let ctx = sweep_context(table, web, &undefended_config)?;
-    let undefended =
-        composition_sweep_with_context(table, anonymizer, fusion, &undefended_config, &ctx)?;
-    // Undefended single-release width per k, recoverable from any of the
-    // k's rows: gain is measured against the R = 1 cell, so
-    // `mean_income_width + disclosure_gain` is that baseline width.
-    let undefended_base = |k: usize| -> f64 {
-        undefended
-            .rows()
-            .iter()
-            .find(|r| r.k == k)
-            .map(|r| r.mean_income_width + r.disclosure_gain)
-            .expect("undefended sweep covers every swept k")
-    };
-
-    let scenario_for = |k: usize, releases: usize, policy: &DefensePolicy| ScenarioConfig {
-        releases,
-        overlap: config.overlap,
-        extras: config.extras,
-        k,
-        seed: config.seed,
-        styles: config.styles.clone(),
-        defense: Some(policy.clone()),
-    };
-    let mut ks = config.ks.clone();
-    ks.sort_unstable();
-    ks.dedup();
-    let mut r_values = config.releases.clone();
-    r_values.sort_unstable();
-    r_values.dedup();
-    let r_max = *r_values.iter().max().expect("releases non-empty");
-
+    // reference and every defended cell.
+    let ctx = config.context(table, web, fusion, &ks)?;
+    let undefended = evaluate_grid(
+        &ctx,
+        anonymizer,
+        config,
+        None,
+        &ks,
+        &with_baseline(&releases),
+    )?;
     let mut rows = Vec::new();
     for policy in policies {
-        // CalibratedWiden is calibrated against its own release count,
-        // so its cells generate per R; the other policies' source
-        // constructions are R-invariant (shared core partition keyed to
-        // the seed, capped extras keyed to (s, seed)), so one max-R
-        // scenario per k serves every cell as a prefix — exactly like
-        // the undefended sweep.
-        let per_r_generation = matches!(policy, DefensePolicy::CalibratedWiden { .. });
-        let evaluated: Vec<Vec<DefenseSweepRow>> = ks
-            .clone()
-            .into_par_iter()
-            .map(|k| -> Result<Vec<DefenseSweepRow>> {
-                let evaluate = |sources: &[crate::scenario::Source]| {
-                    evaluate_sources(
-                        table,
-                        fusion,
-                        &ctx.harvest,
-                        &ctx.truth,
-                        sources,
-                        &ctx.targets,
-                        config.chunk_rows,
-                        config.qi_range,
-                        config.income_range,
-                        &FaultPlan::none(),
-                        &mut Degradation::muted(),
-                    )
-                };
-                let shared_scenario = if per_r_generation {
-                    None
-                } else {
-                    let scenario = crate::scenario::generate_scenario(
-                        table,
-                        anonymizer,
-                        &scenario_for(k, r_max, policy),
-                    )?;
-                    debug_assert_eq!(scenario.targets, ctx.targets);
-                    Some(scenario)
-                };
-                let shared_base = match &shared_scenario {
-                    Some(scenario) => Some(evaluate(&scenario.sources[..1])?),
-                    None => None,
-                };
-                r_values
-                    .iter()
-                    .map(|&r| -> Result<DefenseSweepRow> {
-                        let cell_scenario;
-                        let cell_base;
-                        let (sources, base) = match (&shared_scenario, &shared_base) {
-                            (Some(scenario), Some(base)) => (&scenario.sources[..r], base),
-                            _ => {
-                                cell_scenario = crate::scenario::generate_scenario(
-                                    table,
-                                    anonymizer,
-                                    &scenario_for(k, r, policy),
-                                )?;
-                                debug_assert_eq!(cell_scenario.targets, ctx.targets);
-                                cell_base = evaluate(&cell_scenario.sources[..1])?;
-                                (&cell_scenario.sources[..], &cell_base)
-                            }
-                        };
-                        let composed = if r == 1 {
-                            None
-                        } else {
-                            Some(evaluate(sources)?)
-                        };
-                        let composed = composed.as_ref().unwrap_or(base);
-                        let undefended_row = undefended
-                            .row_for(k, r)
-                            .expect("undefended sweep covers every (k, R) cell");
-                        Ok(DefenseSweepRow {
-                            policy: policy.label(),
-                            k,
-                            releases: r,
-                            residual_gain: undefended_base(k) - composed.mean_income_width,
-                            undefended_gain: undefended_row.disclosure_gain,
-                            mean_candidates: composed.mean_candidates,
-                            utility_cost: base.mean_income_width - undefended_base(k),
-                            mean_feasible_width: composed.mean_feasible_width,
-                        })
-                    })
-                    .collect()
-            })
-            .collect::<Result<Vec<_>>>()?;
-        rows.extend(evaluated.into_iter().flatten());
+        for cell in evaluate_grid(&ctx, anonymizer, config, Some(policy), &ks, &releases)? {
+            // The undefended single release: the yardstick of both gains.
+            let base = cell_at(&undefended, cell.k, 1).composed.mean_income_width;
+            let attacked = &cell_at(&undefended, cell.k, cell.releases).composed;
+            rows.push(DefenseSweepRow {
+                policy: policy.label(),
+                k: cell.k,
+                releases: cell.releases,
+                residual_gain: base - cell.composed.mean_income_width,
+                undefended_gain: base - attacked.mean_income_width,
+                mean_candidates: cell.composed.mean_candidates,
+                utility_cost: cell.base.mean_income_width - base,
+                mean_feasible_width: cell.composed.mean_feasible_width,
+            });
+        }
     }
     Ok(DefenseSweepReport { rows })
 }

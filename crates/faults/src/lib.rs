@@ -335,10 +335,10 @@ pub struct Degradation {
     /// Pool workers that panicked and were restarted mid-batch.
     pub workers_restarted: usize,
     /// A muted report records defects without mirroring them onto the
-    /// global `faults.*` observability counters. Shadow computations
-    /// whose report is deliberately discarded (the baseline re-digest of
-    /// a source the composed run already counts) use this so counter and
-    /// ledger stay in exact agreement.
+    /// global `faults.*` observability counters. Calls whose report is
+    /// deliberately discarded (the strict intersection and the sweeps,
+    /// which ship no ledger) use this so counter and ledger stay in
+    /// exact agreement.
     muted: bool,
 }
 
@@ -362,10 +362,9 @@ impl Eq for Degradation {}
 
 impl Degradation {
     /// A report whose records stay off the global observability
-    /// counters. For shadow passes that re-run faulted work the shipped
-    /// ledger already counts — merging such a report elsewhere would
-    /// make the `faults.*` counters disagree with the degradation
-    /// totals, so callers discard it.
+    /// counters, for calls that discard their report: a discarded
+    /// record mirrored onto a `faults.*` counter would make the counters
+    /// disagree with the shipped degradation totals.
     pub fn muted() -> Self {
         Degradation {
             muted: true,
